@@ -2,8 +2,8 @@
 
 The surface is the error rate plus a proportional term per joint; the control
 inverts the rigid-body model and adds a switched term that dominates model
-mismatch.  References are built by solving the closed-form IK for the spray
-target expressed in the moving chassis base frame, sample by sample.
+mismatch.  Spray targets are expressed in the moving chassis base frame so
+the closed-form IK can turn them into joint references.
 
 Joint vectors are radians; reference targets arrive in metres (world frame)
 and are converted to the arm's millimetre convention internally.
@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ArmDynamics
-from .errors import JointLimitViolation, Unreachable
-from .kinematics import (DEFAULT_DH, DHTable, EndEffectorPose, ToolOffset,
-                         inverse_kinematics)
+from .kinematics import EndEffectorPose
 
 _M_TO_MM = 1e3
 
@@ -31,19 +29,6 @@ class ArmGains:
     surface_rate: float = 20.0
     switch_gain: tuple = (5.0, 5.0, 5.0, 5.0)
     boundary_layer: float = 0.01
-
-
-@dataclass
-class ArmReference:
-    """Sampled joint reference with consistent first and second differences."""
-
-    times: np.ndarray
-    q: np.ndarray
-    qd: np.ndarray
-    qdd: np.ndarray
-
-    def __len__(self):
-        return len(self.times)
 
 
 def sliding_surface(e, edot, gains: ArmGains) -> np.ndarray:
@@ -89,35 +74,3 @@ def target_in_base_frame(chassis_pose, target_xyz_m, pitch: float) -> EndEffecto
                            z=float(target_xyz_m[2]) * _M_TO_MM,
                            phi=pitch)
 
-
-def build_arm_reference(times, chassis_poses, targets_xyz_m, pitches,
-                        geometry: DHTable = DEFAULT_DH,
-                        tool: ToolOffset | None = None) -> ArmReference:
-    """Solve IK along a target trail and difference it on the sample grid.
-
-    chassis_poses is (N, 3) world poses of the platform, targets_xyz_m is
-    (N, 3) world spray points, pitches is scalar or (N,) nozzle pitch.
-    Raises the solver error annotated with the offending sample index.
-    """
-    times = np.asarray(times, dtype=float)
-    chassis_poses = np.asarray(chassis_poses, dtype=float)
-    targets = np.asarray(targets_xyz_m, dtype=float)
-    n = len(times)
-    pitch_arr = np.broadcast_to(np.asarray(pitches, dtype=float), (n,))
-
-    q = np.empty((n, 4))
-    for i in range(n):
-        pose = target_in_base_frame(chassis_poses[i], targets[i], pitch_arr[i])
-        try:
-            q[i] = inverse_kinematics(pose, geometry, tool)
-        except (Unreachable, JointLimitViolation) as exc:
-            raise type(exc)("sample %d (t=%.4f s): %s" % (i, times[i], exc)) from exc
-
-    if n >= 2:
-        dt = float(times[1] - times[0])
-        qd = np.gradient(q, dt, axis=0)
-        qdd = np.gradient(qd, dt, axis=0)
-    else:
-        qd = np.zeros_like(q)
-        qdd = np.zeros_like(q)
-    return ArmReference(times=times, q=q, qd=qd, qdd=qdd)

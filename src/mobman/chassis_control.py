@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisturbanceBoundViolation
-from .util import rk4_step_t, wrap_angle
+from .util import integrate, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -32,23 +32,12 @@ class ChassisState:
 
 
 @dataclass(frozen=True)
-class ChassisVelocity:
-    """Linear and yaw rate of the platform."""
-
-    v: float
-    w: float
-
-
-@dataclass(frozen=True)
 class ChassisError:
     """Tracking error in the vehicle frame: forward, lateral, heading."""
 
     e1: float
     e2: float
     e3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e1, self.e2, self.e3])
 
 
 @dataclass(frozen=True)
@@ -128,10 +117,10 @@ def sliding_surface(err: ChassisError, err_rates, gains: ChassisGains) -> np.nda
     return np.array([s1, s2])
 
 
-def control_law(err: ChassisError, err_rates, ref: ChassisRefSample,
+def control_law(err: ChassisError, err_rates, s, ref: ChassisRefSample,
                 heading: float, yaw_rate: float,
                 gains: ChassisGains) -> np.ndarray:
-    """Reduced-plant acceleration command (u1, u2).
+    """Reduced-plant acceleration command (u1, u2) for the surfaces s.
 
     Symbol conventions: the coupling block uses the reference linear speed and
     the actual yaw rate; the actual yaw acceleration is estimated from the
@@ -140,8 +129,6 @@ def control_law(err: ChassisError, err_rates, ref: ChassisRefSample,
     saturation when the boundary layer is positive.
     """
     e1d, e2d, e3d = (float(v) for v in err_rates)
-    s = sliding_surface(err, err_rates, gains)
-
     u2 = (gains.q2 * s[1] + gains.p2 * _switch(s[1], gains.boundary_layer)
           + (gains.k3 * e3d + e2d + gains.k2 * e2d)
           + (-ref.w_dot))
@@ -159,6 +146,15 @@ def control_law(err: ChassisError, err_rates, ref: ChassisRefSample,
     return np.array([u1, u2])
 
 
+def chassis_tick(ref: ChassisRefSample, z, gains: ChassisGains):
+    """One controller evaluation at plant state z = (X, Y, heading, v, w);
+    returns the tracking error, the surfaces and the command."""
+    err = tracking_error(ref, ChassisState(z[0], z[1], z[2]))
+    rates = error_rates(err, z[3], z[4], ref.v, ref.w)
+    s = sliding_surface(err, rates, gains)
+    return err, s, control_law(err, rates, s, ref, z[2], z[4], gains)
+
+
 def check_disturbance(f, f_bounds) -> None:
     """Raise if a disturbance sample exceeds the bound the gains assume."""
     for i, (fi, bound) in enumerate(zip(f, f_bounds)):
@@ -167,25 +163,7 @@ def check_disturbance(f, f_bounds) -> None:
                 "disturbance channel %d: |%.4f| > %.4f" % (i, fi, bound))
 
 
-def reduced_dynamics_step(z: ChassisVelocity, ref_now: ChassisVelocity,
-                          ref_next: ChassisVelocity, u, f, dt: float,
-                          f_bounds=None) -> ChassisVelocity:
-    """Advance the reduced plant zdot = zdot_ref + u - f over one step.
-
-    The reference rate change is applied as an exact delta so piecewise
-    reference profiles (corner entries, stop commands) are followed without
-    integration error.
-    """
-    if f_bounds is not None:
-        check_disturbance(f, f_bounds)
-    # The delta lands at the step end: a reference speed change taking effect
-    # at sample i+1 should not alter the distance covered during step i.
-    v = z.v + (u[0] - f[0]) * dt + (ref_next.v - ref_now.v)
-    w = z.w + (u[1] - f[1]) * dt + (ref_next.w - ref_now.w)
-    return ChassisVelocity(v=v, w=w)
-
-
-def plant_step(state, ref_now: ChassisVelocity, ref_next: ChassisVelocity,
+def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
                u, f, dt: float, f_bounds=None, integrator: str = "rk4"):
     """Advance pose + velocity state (X, Y, heading, v, w) one control step.
 
@@ -206,11 +184,7 @@ def plant_step(state, ref_now: ChassisVelocity, ref_next: ChassisVelocity,
         wt = w0 + aw * tau
         return np.array([vt * math.cos(pose[2]), vt * math.sin(pose[2]), wt])
 
-    start = np.array([x0, y0, h0])
-    if integrator == "euler":
-        pose = start + f_pose(0.0, start) * dt
-    else:
-        pose = rk4_step_t(f_pose, start, 0.0, dt)
+    pose = integrate(f_pose, np.array([x0, y0, h0]), dt, integrator)
     v1 = v0 + av * dt + (ref_next.v - ref_now.v)
     w1 = w0 + aw * dt + (ref_next.w - ref_now.w)
     return np.array([pose[0], pose[1], wrap_angle(pose[2]), v1, w1])

@@ -10,14 +10,11 @@ import sys
 
 import numpy as np
 
-from .config import (ScenarioConfig, build_fires, build_fire_test,
-                     build_geometry, build_sweep_spec, build_top_spray,
-                     build_circuit_spec, load_config)
+from .config import ScenarioConfig, build_geometry, load_config
 from .errors import MobmanError
 from .kinematics import (EndEffectorPose, forward_kinematics,
                          inverse_kinematics, workspace_analysis)
 from .metrics import MetricsReport, compute_metrics
-from .mission import StopPlan, assign_fires, build_circuit, build_sweep, dispatch
 from .simulate import SimLog, export, plan_mission, run_mission
 
 DEG = math.pi / 180.0

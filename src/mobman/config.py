@@ -147,10 +147,6 @@ class ScenarioConfig:
     initial_pose_offset: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
-def default_scenario() -> ScenarioConfig:
-    return ScenarioConfig()
-
-
 # -- parsing --------------------------------------------------------------
 
 
@@ -188,7 +184,7 @@ def _assign(obj, data: dict, path: str, problems: list):
 def parse_config(data: dict | None) -> ScenarioConfig:
     """Build a scenario from a plain mapping; unknown keys and bad values are
     all collected before raising."""
-    config = default_scenario()
+    config = ScenarioConfig()
     problems: list = []
     if data is None:
         data = {}
@@ -262,6 +258,10 @@ def validate_config(config: ScenarioConfig) -> list:
 
     g = config.geometry
     _check_vector(p, g.link_lengths, "geometry.link_lengths", 5, nonneg=True)
+    if isinstance(g.link_lengths, (list, tuple)) and len(g.link_lengths) == 5:
+        for i in (1, 2):  # boom and forearm: the IK divides by both
+            if _number(g.link_lengths[i]) and g.link_lengths[i] == 0:
+                p.append("geometry.link_lengths[%d]: must be > 0" % i)
     _check_vector(p, g.link_twists_deg, "geometry.link_twists_deg", 5)
     _check_vector(p, g.link_offsets, "geometry.link_offsets", 5, nonneg=True)
     if not _number(g.tool_y_offset):

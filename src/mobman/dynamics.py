@@ -94,15 +94,6 @@ def default_inertial_params(geometry: DHTable = DEFAULT_DH,
                               gravity=gravity)
 
 
-@dataclass
-class DynamicsTerms:
-    """Snapshot of the equation-of-motion terms at one state."""
-
-    mass: np.ndarray
-    coriolis: np.ndarray
-    gravity: np.ndarray
-
-
 class ArmDynamics:
     """Equation-of-motion evaluator bound to one geometry + parameter set."""
 
@@ -214,35 +205,11 @@ class ArmDynamics:
         out[3, 2, 3] = out[3, 3, 2] = dm34_4
         return out
 
-    def mass_matrix_partials_fd(self, q, step: float = 1e-3, order: int = 4) -> np.ndarray:
-        """Finite-difference dM/dq (central 2nd or 4th order); used as a
-        cross-check for the closed-form partials."""
-        q = np.asarray(q, dtype=float)
-        out = np.zeros((4, 4, 4))
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = 1.0
-            if order == 4:
-                out[i] = (-self.mass_matrix(q + 2 * step * e)
-                          + 8.0 * self.mass_matrix(q + step * e)
-                          - 8.0 * self.mass_matrix(q - step * e)
-                          + self.mass_matrix(q - 2 * step * e)) / (12.0 * step)
-            else:
-                out[i] = (self.mass_matrix(q + step * e)
-                          - self.mass_matrix(q - step * e)) / (2.0 * step)
-        return out
-
     # -- velocity and gravity terms --------------------------------------
 
-    def coriolis_matrix(self, q, qd, partials: str = "analytic",
-                        fd_step: float = 1e-3) -> np.ndarray:
+    def coriolis_matrix(self, q, qd) -> np.ndarray:
         """Coriolis/centrifugal matrix from the Christoffel symbols of M."""
-        if partials == "analytic":
-            dm = self.mass_matrix_partials(q)
-        elif partials == "fd":
-            dm = self.mass_matrix_partials_fd(q, step=fd_step)
-        else:
-            raise ValueError("partials must be 'analytic' or 'fd'")
+        dm = self.mass_matrix_partials(q)
         qd = np.asarray(qd, dtype=float)
         # c_kj = sum_i 0.5 (dM_kj/dq_i + dM_ki/dq_j - dM_ij/dq_k) qd_i
         term1 = np.einsum("ikj,i->kj", dm, qd)
@@ -316,11 +283,6 @@ class ArmDynamics:
                                + self.m4 * z4 + self.mp * zp))
 
     # -- dynamics ---------------------------------------------------------
-
-    def terms(self, q, qd) -> DynamicsTerms:
-        return DynamicsTerms(mass=self.mass_matrix(q),
-                             coriolis=self.coriolis_matrix(q, qd),
-                             gravity=self.gravity_vector(q))
 
     def inverse_dynamics(self, q, qd, qdd) -> np.ndarray:
         """Joint torques that realize the given acceleration."""

@@ -13,7 +13,7 @@ centred on the crib.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,10 +279,6 @@ class Circuit:
         if s <= 1e-12:
             s = self.lap_length
         return s
-
-
-def build_circuit(spec: CircuitSpec, dt: float | None = None) -> Circuit:
-    return Circuit(spec, dt=dt)
 
 
 # -- sweeps ---------------------------------------------------------------

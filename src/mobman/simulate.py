@@ -21,12 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics as metrics_mod
-from .arm_control import (ArmGains, control_law as arm_control_law,
-                          target_in_base_frame)
-from .chassis_control import (ChassisGains, ChassisRefSample, ChassisState,
-                              control_law as chassis_control_law, error_rates,
-                              plant_step, sliding_surface, tracking_error,
-                              wheel_speeds)
+from .arm_control import control_law as arm_control_law, target_in_base_frame
+from .chassis_control import (ChassisGains, ChassisRefSample, chassis_tick,
+                              plant_step, wheel_speeds)
 from .config import (ScenarioConfig, build_arm_gains, build_chassis_gains,
                      build_circuit_spec, build_fires, build_fire_test,
                      build_geometry, build_inertial, build_sweep_spec,
@@ -34,8 +31,9 @@ from .config import (ScenarioConfig, build_arm_gains, build_chassis_gains,
 from .dynamics import ArmDynamics
 from .errors import EmptyLog, JointLimitViolation, ParseError, Unreachable
 from .kinematics import forward_kinematics, inverse_kinematics
-from .mission import (MissionState, StopPlan, assign_fires, build_circuit,
+from .mission import (Circuit, MissionState, StopPlan, assign_fires,
                       build_sweep, dispatch, mission_step)
+from .util import integrate
 
 CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "u1", "u2", "vL", "vR",
@@ -171,7 +169,7 @@ class MissionPlan:
 def plan_mission(config: ScenarioConfig) -> MissionPlan:
     dt = config.dt
     geometry, tool = build_geometry(config)
-    circuit = build_circuit(build_circuit_spec(config), dt=dt)
+    circuit = Circuit(build_circuit_spec(config), dt=dt)
     fire_test = build_fire_test(config)
     sweep_spec = build_sweep_spec(config)
     sweeps = [build_sweep(k, sweep_spec, fire_test, circuit)
@@ -303,12 +301,20 @@ def _labels_and_events(plan: MissionPlan):
     return labels, events
 
 
+def _solve_ik(plan: MissionPlan, target, where: str, *where_args):
+    """Closed-form IK of one reference target; a failure is re-raised as the
+    same error prefixed with where % where_args."""
+    try:
+        return inverse_kinematics(target, plan.geometry, plan.tool)
+    except (Unreachable, JointLimitViolation) as exc:
+        raise type(exc)("%s: %s" % (where % where_args, exc)) from exc
+
+
 def _arm_reference(plan: MissionPlan, refs: list):
     """Joint reference over the whole run: tracked IK in sweep and spray
     windows, smooth joint-space blends across the gaps, holds elsewhere."""
     n = plan.n_steps
     dt = plan.dt
-    geometry, tool = plan.geometry, plan.tool
     qr = np.zeros((n + 1, 4))
     anchors = []
 
@@ -320,11 +326,8 @@ def _arm_reference(plan: MissionPlan, refs: list):
         for off, i in enumerate(range(a, b + 1)):
             pose = (refs[i].x, refs[i].y, refs[i].heading)
             target = target_in_base_frame(pose, points[off], sweep.pitch)
-            try:
-                qr[i] = inverse_kinematics(target, geometry, tool)
-            except (Unreachable, JointLimitViolation) as exc:
-                raise type(exc)("sweep %d sample %d (t=%.4f s): %s"
-                                % (k + 1, i, i * dt, exc)) from exc
+            qr[i] = _solve_ik(plan, target, "sweep %d sample %d (t=%.4f s)",
+                              k + 1, i, i * dt)
         anchors.append((a, b))
 
     if plan.top_window[1] > plan.top_window[0]:
@@ -336,12 +339,8 @@ def _arm_reference(plan: MissionPlan, refs: list):
         pose_ref = plan.circuit.sample(slot.clock)
         pose = (pose_ref.x, pose_ref.y, pose_ref.heading)
         target = target_in_base_frame(pose, slot.stop.fire.position, slot.pitch)
-        try:
-            q_spray = inverse_kinematics(target, geometry, tool)
-        except (Unreachable, JointLimitViolation) as exc:
-            raise type(exc)("stage II stop %d (%s): %s"
-                            % (j, slot.stop.fire.ident, exc)) from exc
-        qr[slot.arrive_step:slot.spray_end_step + 1] = q_spray
+        qr[slot.arrive_step:slot.spray_end_step + 1] = _solve_ik(
+            plan, target, "stage II stop %d (%s)", j, slot.stop.fire.ident)
         anchors.append((slot.arrive_step, slot.spray_end_step))
 
     anchors.sort()
@@ -400,10 +399,7 @@ def run_mission(config: ScenarioConfig | None = None) -> MissionResult:
     mm = 1e-3
     for i in range(n + 1):
         ref = refs[i]
-        err = tracking_error(ref, ChassisState(z[0], z[1], z[2]))
-        rates = error_rates(err, z[3], z[4], ref.v, ref.w)
-        s = sliding_surface(err, rates, gains)
-        u = chassis_control_law(err, rates, ref, z[2], z[4], gains)
+        err, s, u = chassis_tick(ref, z, gains)
         tau = arm_control_law(q, qd, qr[i], qdr[i], qddr[i], arm_gains, model)
 
         c, sn = math.cos(z[2]), math.sin(z[2])
@@ -460,19 +456,10 @@ def run_mission(config: ScenarioConfig | None = None) -> MissionResult:
 
 def _arm_step(model: ArmDynamics, q, qd, tau, dt, integrator: str = "rk4"):
     """One fixed step of the arm under zero-order-hold torque."""
-    y = np.concatenate([q, qd])
-
-    def f(y):
+    def f(t, y):
         return np.concatenate([y[4:], model.forward_dynamics(y[:4], y[4:], tau)])
 
-    if integrator == "euler":
-        y1 = y + dt * f(y)
-    else:
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y1 = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y1 = integrate(f, np.concatenate([q, qd]), dt, integrator)
     return y1[:4], y1[4:]
 
 
@@ -495,10 +482,7 @@ def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
     for i in range(n + 1):
         t = i * dt
         ref_i = replace(ref, x=speed * t)
-        err = tracking_error(ref_i, ChassisState(z[0], z[1], z[2]))
-        rates = error_rates(err, z[3], z[4], ref_i.v, ref_i.w)
-        s = sliding_surface(err, rates, gains)
-        u = chassis_control_law(err, rates, ref_i, z[2], z[4], gains)
+        err, s, u = chassis_tick(ref_i, z, gains)
         out["t"][i] = t
         out["e1"][i], out["e2"][i], out["e3"][i] = err.e1, err.e2, err.e3
         out["s1"][i], out["s2"][i] = s

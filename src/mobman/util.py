@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -14,29 +12,13 @@ def wrap_angle(a: float) -> float:
     return w - math.pi
 
 
-def wrap_angle_array(a):
-    w = np.mod(np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi)
-    w = np.where(w <= 0.0, w + 2.0 * np.pi, w)
-    return w - np.pi
-
-
-def rk4_step(f, y, dt):
-    """One explicit fixed-step RK4 update for autonomous ydot = f(y)."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
+def integrate(f, y, dt, method: str = "rk4"):
+    """One fixed step of ydot = f(t, y), with t local to the step: forward
+    Euler for method "euler", the classic fourth-order rule otherwise."""
+    if method == "euler":
+        return y + dt * f(0.0, y)
+    k1 = f(0.0, y)
+    k2 = f(0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_step_t(f, y, t0, dt):
-    """RK4 update for time-dependent ydot = f(t, y); t is local to the step."""
-    k1 = f(t0, y)
-    k2 = f(t0 + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t0 + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t0 + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def euler_step(f, y, dt):
-    return y + dt * f(y)

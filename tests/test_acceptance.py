@@ -18,7 +18,7 @@ from mobman.errors import JointLimitViolation, Unreachable
 from mobman.kinematics import (forward_kinematics, inverse_kinematics,
                                random_joint_angles, workspace_analysis)
 from mobman.metrics import compute_metrics
-from mobman.mission import CircuitSpec, FireSpot, assign_fires, build_circuit
+from mobman.mission import Circuit, CircuitSpec, FireSpot, assign_fires
 from mobman.simulate import (SimLog, _arm_reference, _chassis_reference,
                              run_line_scenario, run_mission)
 
@@ -244,7 +244,7 @@ def _nearest_stop_oracle(fires, circuit):
 
 
 def test_fire_assignment_matches_oracle(capsys):
-    circuit = build_circuit(CircuitSpec(), dt=1e-3)
+    circuit = Circuit(CircuitSpec(), dt=1e-3)
     rng = np.random.default_rng(42)
     mismatches = 0
     disorder = 0

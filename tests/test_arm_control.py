@@ -1,15 +1,14 @@
-"""Arm sliding-mode controller and joint-reference construction."""
+"""Arm sliding-mode controller and spray-target frame change."""
 import math
 
 import numpy as np
 import pytest
 
-from mobman.arm_control import (ArmGains, build_arm_reference, control_law,
-                                sliding_surface, switch_term,
-                                target_in_base_frame)
-from mobman.errors import Unreachable
+from mobman.arm_control import (ArmGains, control_law, sliding_surface,
+                                switch_term, target_in_base_frame)
 from mobman.kinematics import (ToolOffset, forward_kinematics,
                                inverse_kinematics, random_joint_angles)
+from mobman.util import integrate
 
 DEG = math.pi / 180.0
 
@@ -62,17 +61,12 @@ def _track(model, gains, q0, ref_q, dt, steps):
     zero = np.zeros(4)
     for _ in range(steps):
         tau = control_law(q, qd, ref_q, zero, zero, gains, model)
-        y = np.concatenate([q, qd])
 
-        def f(y):
+        def f(t, y):
             return np.concatenate([y[4:],
                                    model.forward_dynamics(y[:4], y[4:], tau)])
 
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = integrate(f, np.concatenate([q, qd]), dt)
         q, qd = y[:4], y[4:]
         s = (zero - qd) + gains.surface_rate * (ref_q - q)
         vs.append(0.5 * float(s @ s))
@@ -107,33 +101,6 @@ def test_target_in_base_frame_round_trip(rng):
         assert back_y == pytest.approx(target[1], abs=1e-12)
         assert local.z == pytest.approx(target[2] * 1e3)
         assert local.phi == pitch
-
-
-def test_build_arm_reference_solves_targets():
-    dt = 0.01
-    times = np.arange(0.0, 1.0 + 1e-12, dt)
-    n = len(times)
-    poses = np.column_stack([0.5 * times, np.zeros(n), np.zeros(n)])
-    targets = np.tile([2.0, 0.0, 0.5], (n, 1))
-    ref = build_arm_reference(times, poses, targets, 30.0 * DEG)
-    assert ref.q.shape == (n, 4) and len(ref) == n
-    # Every solved joint vector reproduces its base-frame target.
-    for i in range(0, n, 20):
-        pose = forward_kinematics(ref.q[i])
-        local = target_in_base_frame(poses[i], targets[i], 30.0 * DEG)
-        np.testing.assert_allclose(pose.position(), local.position(), atol=1e-9)
-    # Differences are consistent with the sampled positions.
-    mid_qd = (ref.q[2:] - ref.q[:-2]) / (2 * dt)
-    np.testing.assert_allclose(ref.qd[1:-1], mid_qd, atol=1e-12)
-
-
-def test_build_arm_reference_annotates_failures():
-    times = np.array([0.0, 0.01, 0.02])
-    poses = np.zeros((3, 3))
-    targets = np.array([[2.0, 0.0, 0.5], [2.0, 0.0, 0.5], [9.0, 0.0, 0.5]])
-    with pytest.raises(Unreachable) as err:
-        build_arm_reference(times, poses, targets, 30.0 * DEG)
-    assert "sample 2" in str(err.value)
 
 
 def test_mission_sweep_references_stay_in_limits(default_mission):

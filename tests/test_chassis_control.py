@@ -7,12 +7,12 @@ import pytest
 
 from mobman.chassis_control import (ChassisError, ChassisGains,
                                     ChassisRefSample, ChassisState,
-                                    ChassisVelocity, check_disturbance,
+                                    chassis_tick, check_disturbance,
                                     control_law, error_rates, plant_step,
-                                    reduced_dynamics_step, sliding_surface,
-                                    tracking_error, wheel_speeds)
+                                    sliding_surface, tracking_error,
+                                    wheel_speeds)
 from mobman.errors import DisturbanceBoundViolation
-from mobman.mission import CircuitSpec, build_circuit
+from mobman.mission import Circuit, CircuitSpec
 
 DEG = math.pi / 180.0
 
@@ -103,10 +103,10 @@ def test_control_law_term_by_term(rng):
         ref = _ref(heading=rng.uniform(-math.pi, math.pi), w=0.3,
                    vdx_dot=rng.uniform(-1, 1), vdy_dot=rng.uniform(-1, 1),
                    w_dot=rng.uniform(-1, 1))
-        u = control_law(err, rates, ref, heading, yaw_rate, gains)
+        s = sliding_surface(err, rates, gains)
+        u = control_law(err, rates, s, ref, heading, yaw_rate, gains)
 
         e1d, e2d, e3d = rates
-        s = sliding_surface(err, rates, gains)
         sgn = np.sign
         u2 = gains.q2 * s[1] + gains.p2 * sgn(s[1]) \
             + gains.k3 * e3d + e2d + gains.k2 * e2d - ref.w_dot
@@ -123,8 +123,10 @@ def test_control_law_term_by_term(rng):
 
 def test_control_law_zero_on_reference():
     gains = ChassisGains()
-    u = control_law(ChassisError(0.0, 0.0, 0.0), np.zeros(3), _ref(), 0.0, 0.0,
-                    gains)
+    err, s, u = chassis_tick(_ref(), np.array([0.0, 0.0, 0.0, 0.88, 0.0]),
+                             gains)
+    assert (err.e1, err.e2, err.e3) == (0.0, 0.0, 0.0)
+    np.testing.assert_array_equal(s, [0.0, 0.0])
     np.testing.assert_array_equal(u, [0.0, 0.0])
 
 
@@ -134,8 +136,8 @@ def test_boundary_layer_softens_switch():
     err = ChassisError(1e-4, 0.0, 0.0)
     rates = np.zeros(3)
     s = sliding_surface(err, rates, hard)
-    u_hard = control_law(err, rates, _ref(), 0.0, 0.0, hard)
-    u_soft = control_law(err, rates, _ref(), 0.0, 0.0, soft)
+    u_hard = control_law(err, rates, s, _ref(), 0.0, 0.0, hard)
+    u_soft = control_law(err, rates, s, _ref(), 0.0, 0.0, soft)
     # Inside the layer the switch is proportional, so the command shrinks.
     assert abs(u_soft[0]) < abs(u_hard[0])
     assert np.sign(u_soft[0]) == np.sign(s[0])
@@ -154,24 +156,23 @@ def test_wheel_speeds_differential_split():
     assert vl == vr == 0.88
 
 
-def test_reduced_dynamics_tracks_reference_deltas():
-    z = ChassisVelocity(0.88, 0.0)
-    now = ChassisVelocity(0.88, 0.0)
-    nxt = ChassisVelocity(0.8796, 1.7)  # corner entry jump
-    out = reduced_dynamics_step(z, now, nxt, np.zeros(2), np.zeros(2), 0.001)
-    assert out.v == pytest.approx(0.8796, abs=1e-15)
-    assert out.w == pytest.approx(1.7, abs=1e-15)
-
-
-def test_reduced_dynamics_constant_accel_growth():
-    z = ChassisVelocity(0.0, 0.0)
-    still = ChassisVelocity(0.0, 0.0)
-    dt, a = 1e-3, 0.7
-    for _ in range(250):
-        z = reduced_dynamics_step(z, still, still, np.array([a, 0.0]),
-                                  np.zeros(2), dt)
-    assert z.v == pytest.approx(a * 250 * dt, rel=1e-12)
-    assert z.w == 0.0
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("v0, ref_next, accel, steps, expect", [
+    # Corner entry: the reference jump lands whole at the step end.
+    (0.88, (0.8796, 1.7), 0.0, 1, (0.8796, 1.7)),
+    # Constant commanded acceleration from rest.
+    (0.0, (0.0, 0.0), 0.7, 250, (0.7 * 250 * 1e-3, 0.0)),
+], ids=["reference_delta", "constant_accel"])
+def test_plant_step_velocity_channel(integrator, v0, ref_next, accel, steps,
+                                     expect):
+    now = ChassisRefSample(0, 0, 0, v=v0, w=0.0)
+    nxt = ChassisRefSample(0, 0, 0, v=ref_next[0], w=ref_next[1])
+    z = np.array([0.0, 0.0, 0.0, v0, 0.0])
+    for _ in range(steps):
+        z = plant_step(z, now, nxt, np.array([accel, 0.0]), np.zeros(2), 1e-3,
+                       integrator=integrator)
+    assert z[3] == pytest.approx(expect[0], rel=1e-12, abs=1e-15)
+    assert z[4] == pytest.approx(expect[1], abs=1e-15)
 
 
 def test_plant_step_on_reference_stays_exact():
@@ -215,7 +216,7 @@ def test_closed_loop_exact_lap_tracking():
     """Started on the reference, the loop holds the lap to micron level
     through every corner entry and exit."""
     gains = ChassisGains()
-    circuit = build_circuit(CircuitSpec(), dt=1e-3)
+    circuit = Circuit(CircuitSpec(), dt=1e-3)
     dt = 1e-3
     n = int(round(circuit.lap_time / dt))
     r0 = circuit.sample(0.0)
@@ -223,10 +224,8 @@ def test_closed_loop_exact_lap_tracking():
     worst = 0.0
     for i in range(n):
         ref = circuit.sample(i * dt)
-        err = tracking_error(ref, ChassisState(z[0], z[1], z[2]))
+        err, _, u = chassis_tick(ref, z, gains)
         worst = max(worst, abs(err.e1), abs(err.e2))
-        rates = error_rates(err, z[3], z[4], ref.v, ref.w)
-        u = control_law(err, rates, ref, z[2], z[4], gains)
         z = plant_step(z, ref, circuit.sample((i + 1) * dt), u, np.zeros(2), dt)
     assert worst < 1e-4
 
@@ -237,9 +236,7 @@ def test_zero_speed_regulation_holds_position():
     ref = ChassisRefSample(1.0, -2.0, 0.7, 0.0, 0.0)
     z = np.array([1.0, -2.0, 0.7, 0.0, 0.0])
     for _ in range(500):
-        err = tracking_error(ref, ChassisState(z[0], z[1], z[2]))
-        rates = error_rates(err, z[3], z[4], ref.v, ref.w)
-        u = control_law(err, rates, ref, z[2], z[4], gains)
+        _, _, u = chassis_tick(ref, z, gains)
         z = plant_step(z, ref, ref, u, np.zeros(2), 1e-3)
     assert abs(z[0] - 1.0) < 1e-9 and abs(z[1] + 2.0) < 1e-9
     assert abs(z[3]) < 1e-9 and abs(z[4]) < 1e-9
@@ -254,9 +251,7 @@ def test_offset_converges_into_band():
     for i in range(2500):
         now = _ref(x=0.88 * i * dt)
         nxt = _ref(x=0.88 * (i + 1) * dt)
-        err = tracking_error(now, ChassisState(z[0], z[1], z[2]))
-        rates = error_rates(err, z[3], z[4], now.v, now.w)
-        u = control_law(err, rates, now, z[2], z[4], gains)
+        err, _, u = chassis_tick(now, z, gains)
         hist.append((err.e1, err.e2, err.e3))
         z = plant_step(z, now, nxt, u, np.zeros(2), dt)
     tail = np.array(hist[-500:])

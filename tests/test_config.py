@@ -24,6 +24,14 @@ def test_dt_zero_is_named():
     with pytest.raises(ValidationError) as err:
         parse_config({"dt": 0.0})
     assert any("dt" in m for m in err.value.messages)
+    # The IK divides by the boom and forearm lengths.
+    for i in (1, 2):
+        lengths = [100, 1000, 1700, 100, 80]
+        lengths[i] = 0
+        with pytest.raises(ValidationError) as err:
+            parse_config({"geometry": {"link_lengths": lengths}})
+        assert err.value.messages == [
+            "geometry.link_lengths[%d]: must be > 0" % i]
 
 
 def test_unknown_key_reported():

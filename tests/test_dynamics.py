@@ -13,6 +13,7 @@ from mobman.dynamics import (ArmDynamics, LinkInertialParams,
                              default_inertial_params)
 from mobman.errors import ValidationError
 from mobman.kinematics import random_joint_angles
+from mobman.util import integrate
 
 DEG = math.pi / 180.0
 
@@ -110,21 +111,35 @@ def test_coriolis_skew_symmetry(model, rng):
     assert worst < 1e-10
 
 
+def _mass_partials_fd(model, q, step=1e-3):
+    """Fourth-order central differences of M: dM/dq as (4, 4, 4)."""
+    out = np.zeros((4, 4, 4))
+    for i in range(4):
+        e = _unit(i) * step
+        out[i] = (-model.mass_matrix(q + 2 * e) + 8.0 * model.mass_matrix(q + e)
+                  - 8.0 * model.mass_matrix(q - e)
+                  + model.mass_matrix(q - 2 * e)) / (12.0 * step)
+    return out
+
+
 def test_mass_partials_analytic_vs_finite_difference(model, rng):
     for q in random_joint_angles(rng, 25):
         ana = model.mass_matrix_partials(q)
-        fd = model.mass_matrix_partials_fd(q, step=1e-3, order=4)
-        assert np.abs(ana - fd).max() < 1e-6
+        assert np.abs(ana - _mass_partials_fd(model, q)).max() < 1e-6
 
 
 def test_coriolis_fd_route_agrees(model, rng):
+    """C from the Christoffel sum over finite-difference partials:
+    c_kj = sum_i 0.5 (dM_kj/dq_i + dM_ki/dq_j - dM_ij/dq_k) qd_i."""
     q = random_joint_angles(rng)
     qd = rng.uniform(-1.5, 1.5, 4)
-    ana = model.coriolis_matrix(q, qd, partials="analytic")
-    fd = model.coriolis_matrix(q, qd, partials="fd")
-    assert np.abs(ana - fd).max() < 1e-6
-    with pytest.raises(ValueError):
-        model.coriolis_matrix(q, qd, partials="bogus")
+    dm = _mass_partials_fd(model, q)
+    fd = np.zeros((4, 4))
+    for k in range(4):
+        for j in range(4):
+            fd[k, j] = sum(0.5 * (dm[i, k, j] + dm[j, k, i] - dm[k, i, j]) * qd[i]
+                           for i in range(4))
+    assert np.abs(model.coriolis_matrix(q, qd) - fd).max() < 1e-6
 
 
 def test_inverse_forward_dynamics_round_trip(model, rng):
@@ -159,16 +174,12 @@ def test_free_swing_conserves_energy(rng):
     e0 = model.kinetic_energy(q, qd) + model.potential_energy(q)
     y = np.concatenate([q, qd])
 
-    def f(y):
+    def f(t, y):
         return np.concatenate([y[4:], model.forward_dynamics(y[:4], y[4:],
                                                              np.zeros(4))])
 
     for _ in range(2000):  # 0.2 s of free swing
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = integrate(f, y, dt)
     e1 = model.kinetic_energy(y[:4], y[4:]) + model.potential_energy(y[:4])
     assert abs(e1 - e0) / abs(e0) < 1e-9
 

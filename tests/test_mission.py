@@ -7,7 +7,7 @@ import pytest
 from mobman.errors import (GeometryError, IllegalTransition, InfeasibleSweep)
 from mobman.mission import (Circuit, CircuitSpec, FireSpot, FireTestSpec,
                             MissionState, StopPlan, SweepSpec, TopSpraySpec,
-                            assign_fires, build_circuit, build_sweep, dispatch,
+                            assign_fires, build_sweep, dispatch,
                             mission_step)
 
 DEG = math.pi / 180.0
@@ -16,7 +16,7 @@ DT = 1e-3
 
 @pytest.fixture(scope="module")
 def circuit():
-    return build_circuit(CircuitSpec(), dt=DT)
+    return Circuit(CircuitSpec(), dt=DT)
 
 
 def test_edge_and_corner_times(circuit):

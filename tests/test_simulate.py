@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from mobman.config import ScenarioConfig
-from mobman.errors import EmptyLog, ParseError
+from mobman.arm_control import target_in_base_frame
+from mobman.config import ScenarioConfig, parse_config
+from mobman.errors import EmptyLog, ParseError, Unreachable
+from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
-from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, export,
-                             plan_mission, run_line_scenario, run_mission)
+from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, _arm_reference,
+                             _chassis_reference, export, plan_mission,
+                             run_line_scenario, run_mission)
 from mobman.chassis_control import ChassisGains
 
 DEG = math.pi / 180.0
@@ -195,6 +198,36 @@ def test_run_line_scenario_on_reference_is_quiet():
     # reaching contributions driven by the micron-scale surface value.
     assert np.abs(out["u1"]).max() < 0.25
     assert np.abs(out["u2"]).max() == 0.0
+
+
+def test_unreachable_sweep_sample_is_named():
+    """A sweep lifted out of reach fails while the joint reference is
+    planned, naming the sweep, the sample and its time."""
+    with pytest.raises(Unreachable) as err:
+        run_mission(parse_config({"sweep": {"base_height": 5.0}}))
+    assert str(err.value).startswith("sweep 1 sample 0 (t=0.0000 s): ")
+
+
+def test_arm_reference_solves_sweep_targets():
+    """In every sweep window the joint reference puts the tool on the sweep
+    point seen from the reference chassis pose, and the reference rates are
+    the central differences of the joint samples."""
+    plan = plan_mission(ScenarioConfig())
+    refs = _chassis_reference(plan)
+    qr, qdr, _ = _arm_reference(plan, refs)
+    for k, (a, b) in enumerate(plan.sweep_windows):
+        sweep = plan.sweeps[k]
+        steps = np.arange(a, b + 1, 97)
+        points = sweep.positions_at((steps - a) * plan.dt)
+        for i, point in zip(steps, points):
+            pose = (refs[i].x, refs[i].y, refs[i].heading)
+            local = target_in_base_frame(pose, point, sweep.pitch)
+            tool = forward_kinematics(qr[i], plan.geometry, plan.tool)
+            np.testing.assert_allclose(tool.position(), local.position(),
+                                       atol=1e-9)
+            assert tool.phi == pytest.approx(local.phi, abs=1e-12)
+    np.testing.assert_allclose(qdr[1:-1], (qr[2:] - qr[:-2]) / (2 * plan.dt),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_halving_the_step_leaves_mission_metrics(default_mission):
