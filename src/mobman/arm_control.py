@@ -45,17 +45,14 @@ def switch_term(s, gains: ArmGains) -> np.ndarray:
 
 def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains: ArmGains,
                 model: ArmDynamics) -> np.ndarray:
-    """Model-inverting sliding-mode torque command."""
-    q = np.asarray(q, dtype=float)
-    qd = np.asarray(qd, dtype=float)
+    """Model-inverting sliding-mode torque command: the model's inverse
+    dynamics at the reaching acceleration."""
     e = np.asarray(ref_q, dtype=float) - q
     edot = np.asarray(ref_qd, dtype=float) - qd
     s = sliding_surface(e, edot, gains)
     k = np.asarray(gains.switch_gain, dtype=float)
     inner = np.asarray(ref_qdd, dtype=float) + gains.surface_rate * edot + k * switch_term(s, gains)
-    return (model.mass_matrix(q) @ inner
-            + model.gravity_vector(q)
-            + model.coriolis_matrix(q, qd) @ qd)
+    return model.inverse_dynamics(q, qd, inner)
 
 
 def target_in_base_frame(chassis_pose, target_xyz_m, pitch: float) -> EndEffectorPose:

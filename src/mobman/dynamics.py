@@ -102,8 +102,7 @@ class ArmDynamics:
         self.geometry = geometry
         self.tool = tool if tool is not None else ToolOffset(0.0)
         self.params = params if params is not None else default_inertial_params(geometry)
-        a = geometry.a
-        self.a1, self.a2, self.a3, self.a4, self.a5 = (v * _MM for v in a)
+        self.a1, self.a2, self.a3, self.a4, self.a5 = (v * _MM for v in geometry.a)
         self.d1 = geometry.d1 * _MM
         self.y5p = self.tool.y5p * _MM
         self.m1, self.m2, self.m3, self.m4 = self.params.masses
@@ -120,95 +119,91 @@ class ArmDynamics:
             if val < 0.0:
                 raise ValidationError(
                     "inertia of %s body is below its point-mass bound" % name)
-
-    # -- mass matrix ------------------------------------------------------
-
-    def mass_matrix(self, q) -> np.ndarray:
-        """Symmetric positive-definite inertia matrix (4x4)."""
-        c2, s2 = math.cos(q[1]), math.sin(q[1])
-        c3, s3 = math.cos(q[2]), math.sin(q[2])
-        c4, s4 = math.cos(q[3]), math.sin(q[3])
-        a2, a3, a5, y5p = self.a2, self.a3, self.a5, self.y5p
+        # Kernel constants: the planar diagonal of M and the first mass moments.
         m2, m3, m4, mp = self.m2, self.m3, self.m4, self.mp
-        cm2, cm3, cm4 = self.c2, self.c3, self.c4
+        a2, a3, a5, y5p = self.a2, self.a3, self.a5, self.y5p
+        self._m22 = m2 * self.c2 ** 2 + (m3 + m4 + mp) * a2 ** 2 + self.ic2
+        self._m33 = m3 * self.c3 ** 2 + (m4 + mp) * a3 ** 2 + self.ic3
+        self._m44 = m4 * self.c4 ** 2 + mp * (a5 ** 2 + y5p ** 2) + self.ic4
+        self._h2 = m2 * self.c2 + (m3 + m4 + mp) * a2
+        self._h3 = m3 * self.c3 + (m4 + mp) * a3
+        self._h4 = m4 * self.c4 + mp * a5
+        self._v4 = mp * y5p
 
+    # -- shared-trig kernel and its public assemblies -----------------------
+
+    def _kernel(self, q, qd=(0.0, 0.0, 0.0, 0.0)):
+        """Every term of the model at the state (q, qd) from one pass of trig,
+        as tuples of plain floats with joints numbered 1-4: M's entries (m11,
+        m22, m33, m44, m23, m24, m34); its non-zero partials (dm11/dq2,
+        dm11/dq3, dm11/dq4, dm23/dq2, dm24/dq2, dm34/dq3), the other three
+        being their negatives dm23/dq3, dm24/dq4, dm34/dq4; the gravity
+        torques (g2, g3, g4); and the bias C qd + G + viscous qd, where
+        (C qd)_k = sum_ij (dM_kj/dq_i - dM_ij/dq_k / 2) qd_i qd_j is expanded
+        over the partials, so no C or dM/dq is formed."""
+        _, q2, q3, q4 = _floats(q)
+        try:
+            c2, s2 = math.cos(q2), math.sin(q2)
+            c3, s3 = math.cos(q3), math.sin(q3)
+            c4, s4 = math.cos(q4), math.sin(q4)
+            c23, s23 = math.cos(q2 - q3), math.sin(q2 - q3)
+            c24, s24 = math.cos(q2 - q4), math.sin(q2 - q4)
+            c34, s34 = math.cos(q3 - q4), math.sin(q3 - q4)
+        except ValueError as exc:  # math.cos and math.sin reject inf
+            raise SolveFailure("mass matrix is non-finite: infinite joint angle") from exc
+        a2, a3, a5, y5p, cm2, cm3, cm4 = (self.a2, self.a3, self.a5, self.y5p,
+                                          self.c2, self.c3, self.c4)
+        m2, m3, m4, mp, h3, h4, v4 = (self.m2, self.m3, self.m4, self.mp,
+                                      self._h3, self._h4, self._v4)
         # Slewing radii of the body mass points.
         r2 = self.a1 + cm2 * c2
         r3 = self.a1 + a2 * c2 + cm3 * c3
-        r4 = self.a1 + a2 * c2 + a3 * c3 + self.a4 + cm4 * c4
-        rp = self.a1 + a2 * c2 + a3 * c3 + self.a4 + a5 * c4 - y5p * s4
-
+        wrist = self.a1 + a2 * c2 + a3 * c3 + self.a4
+        r4 = wrist + cm4 * c4
+        rp = wrist + a5 * c4 - y5p * s4
         m11 = self.i1 + m2 * r2 * r2 + m3 * r3 * r3 + m4 * r4 * r4 + mp * rp * rp
-        m22 = m2 * cm2 ** 2 + (m3 + m4 + mp) * a2 ** 2 + self.ic2
-        m33 = m3 * cm3 ** 2 + (m4 + mp) * a3 ** 2 + self.ic3
-        m44 = m4 * cm4 ** 2 + mp * (a5 ** 2 + y5p ** 2) + self.ic4
-        d23 = math.cos(q[1] - q[2])
-        m23 = a2 * (m3 * cm3 + (m4 + mp) * a3) * d23
-        d24 = math.cos(q[1] - q[3])
-        w24 = math.sin(q[1] - q[3])
-        m24 = a2 * (m4 * cm4 * d24 + mp * (a5 * d24 + y5p * w24))
-        d34 = math.cos(q[2] - q[3])
-        w34 = math.sin(q[2] - q[3])
-        m34 = a3 * (m4 * cm4 * d34 + mp * (a5 * d34 + y5p * w34))
+        # Radius-weighted mass outboard of joints 4 and 3.
+        out4 = m4 * r4 + mp * rp
+        out3 = m3 * r3 + out4
+        mass = (m11, self._m22, self._m33, self._m44, a2 * h3 * c23,
+                a2 * (h4 * c24 + v4 * s24), a3 * (h4 * c34 + v4 * s34))
+        d11_2 = -2.0 * s2 * (m2 * r2 * cm2 + a2 * out3)
+        d11_3 = -2.0 * s3 * (m3 * r3 * cm3 + a3 * out4)
+        d11_4 = -2.0 * (m4 * r4 * cm4 * s4 + mp * rp * (a5 * s4 + y5p * c4))
+        d23 = -a2 * h3 * s23
+        d24 = a2 * (v4 * c24 - h4 * s24)
+        d34 = a3 * (v4 * c34 - h4 * s34)
+        g2, g3, g4 = (self.g * c2 * self._h2, self.g * c3 * h3,
+                      self.g * (c4 * h4 - s4 * v4))
+        w1, w2, w3, w4 = _floats(qd)
+        h = 0.5 * w1 * w1
+        bias = [w1 * (d11_2 * w2 + d11_3 * w3 + d11_4 * w4),
+                g2 - h * d11_2 - d23 * w3 * w3 - d24 * w4 * w4,
+                g3 - h * d11_3 + d23 * w2 * w2 - d34 * w4 * w4,
+                g4 - h * d11_4 + d24 * w2 * w2 + d34 * w3 * w3]
+        if self.params.viscous is not None:
+            bias = [b + v * w for b, v, w in zip(bias, self.params.viscous, qd)]
+        return mass, (d11_2, d11_3, d11_4, d23, d24, d34), (g2, g3, g4), bias
 
-        return np.array([
-            [m11, 0.0, 0.0, 0.0],
-            [0.0, m22, m23, m24],
-            [0.0, m23, m33, m34],
-            [0.0, m24, m34, m44],
-        ])
+    def mass_matrix(self, q) -> np.ndarray:
+        """Symmetric positive-definite inertia matrix (4x4)."""
+        m11, m22, m33, m44, m23, m24, m34 = self._kernel(q)[0]
+        return np.array([[m11, 0.0, 0.0, 0.0], [0.0, m22, m23, m24],
+                         [0.0, m23, m33, m34], [0.0, m24, m34, m44]])
 
     def mass_matrix_partials(self, q) -> np.ndarray:
         """dM/dq as a (4, 4, 4) array; the base-yaw slab is identically zero."""
-        c2, s2 = math.cos(q[1]), math.sin(q[1])
-        c3, s3 = math.cos(q[2]), math.sin(q[2])
-        c4, s4 = math.cos(q[3]), math.sin(q[3])
-        a2, a3, a5, y5p = self.a2, self.a3, self.a5, self.y5p
-        m2, m3, m4, mp = self.m2, self.m3, self.m4, self.mp
-        cm2, cm3, cm4 = self.c2, self.c3, self.c4
-
-        r2 = self.a1 + cm2 * c2
-        r3 = self.a1 + a2 * c2 + cm3 * c3
-        r4 = self.a1 + a2 * c2 + a3 * c3 + self.a4 + cm4 * c4
-        rp = self.a1 + a2 * c2 + a3 * c3 + self.a4 + a5 * c4 - y5p * s4
-
+        d11_2, d11_3, d11_4, d23, d24, d34 = self._kernel(q)[1]
         out = np.zeros((4, 4, 4))
-
-        # d m11
-        dm11_2 = -2.0 * s2 * (m2 * r2 * cm2 + a2 * (m3 * r3 + m4 * r4 + mp * rp))
-        dm11_3 = -2.0 * s3 * (m3 * r3 * cm3 + a3 * (m4 * r4 + mp * rp))
-        dm11_4 = 2.0 * (m4 * r4 * (-cm4 * s4) + mp * rp * (-a5 * s4 - y5p * c4))
-
-        s23 = math.sin(q[1] - q[2])
-        k23 = a2 * (m3 * cm3 + (m4 + mp) * a3)
-        dm23_2 = -k23 * s23
-        dm23_3 = k23 * s23
-
-        s24 = math.sin(q[1] - q[3])
-        c24 = math.cos(q[1] - q[3])
-        dm24_2 = a2 * (-m4 * cm4 * s24 + mp * (-a5 * s24 + y5p * c24))
-        dm24_4 = -dm24_2
-
-        s34 = math.sin(q[2] - q[3])
-        c34 = math.cos(q[2] - q[3])
-        dm34_3 = a3 * (-m4 * cm4 * s34 + mp * (-a5 * s34 + y5p * c34))
-        dm34_4 = -dm34_3
-
-        out[1, 0, 0] = dm11_2
-        out[1, 1, 2] = out[1, 2, 1] = dm23_2
-        out[1, 1, 3] = out[1, 3, 1] = dm24_2
-        out[2, 0, 0] = dm11_3
-        out[2, 1, 2] = out[2, 2, 1] = dm23_3
-        out[2, 2, 3] = out[2, 3, 2] = dm34_3
-        out[3, 0, 0] = dm11_4
-        out[3, 1, 3] = out[3, 3, 1] = dm24_4
-        out[3, 2, 3] = out[3, 3, 2] = dm34_4
+        out[1:, 0, 0] = d11_2, d11_3, d11_4
+        for k, i, j, d in ((1, 1, 2, d23), (2, 1, 2, -d23), (1, 1, 3, d24),
+                           (3, 1, 3, -d24), (2, 2, 3, d34), (3, 2, 3, -d34)):
+            out[k, i, j] = out[k, j, i] = d
         return out
 
-    # -- velocity and gravity terms --------------------------------------
-
     def coriolis_matrix(self, q, qd) -> np.ndarray:
-        """Coriolis/centrifugal matrix from the Christoffel symbols of M."""
+        """Coriolis/centrifugal matrix from the Christoffel symbols of M; the
+        public C and the reference for the kernel's expanded bias."""
         dm = self.mass_matrix_partials(q)
         qd = np.asarray(qd, dtype=float)
         # c_kj = sum_i 0.5 (dM_kj/dq_i + dM_ki/dq_j - dM_ij/dq_k) qd_i
@@ -219,15 +214,7 @@ class ArmDynamics:
 
     def gravity_vector(self, q) -> np.ndarray:
         """Generalized gravity torques; the slewing joint sees none."""
-        c2 = math.cos(q[1])
-        c3 = math.cos(q[2])
-        c4, s4 = math.cos(q[3]), math.sin(q[3])
-        g = self.g
-        g2 = g * c2 * (self.m2 * self.c2 + (self.m3 + self.m4 + self.mp) * self.a2)
-        g3 = g * c3 * (self.m3 * self.c3 + (self.m4 + self.mp) * self.a3)
-        g4 = g * (c4 * (self.m4 * self.c4 + self.mp * self.a5)
-                  - s4 * self.mp * self.y5p)
-        return np.array([0.0, g2, g3, g4])
+        return np.array([0.0, *self._kernel(q)[2]])
 
     # -- energies (independent per-body route, used as the test oracle) ---
 
@@ -285,26 +272,42 @@ class ArmDynamics:
     # -- dynamics ---------------------------------------------------------
 
     def inverse_dynamics(self, q, qd, qdd) -> np.ndarray:
-        """Joint torques that realize the given acceleration."""
-        tau = (self.mass_matrix(q) @ np.asarray(qdd, dtype=float)
-               + self.coriolis_matrix(q, qd) @ np.asarray(qd, dtype=float)
-               + self.gravity_vector(q))
-        if self.params.viscous is not None:
-            tau = tau + np.asarray(self.params.viscous) * np.asarray(qd)
-        return tau
+        """Joint torques that realize the given acceleration: M qdd + bias."""
+        (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = \
+            self._kernel(q, qd)
+        a1, a2, a3, a4 = _floats(qdd)
+        return np.array([m11 * a1 + b1,
+                         m22 * a2 + m23 * a3 + m24 * a4 + b2,
+                         m23 * a2 + m33 * a3 + m34 * a4 + b3,
+                         m24 * a2 + m34 * a3 + m44 * a4 + b4])
 
     def forward_dynamics(self, q, qd, tau) -> np.ndarray:
-        """Joint accelerations for applied torques tau."""
-        qd = np.asarray(qd, dtype=float)
-        rhs = (np.asarray(tau, dtype=float)
-               - self.coriolis_matrix(q, qd) @ qd
-               - self.gravity_vector(q))
-        if self.params.viscous is not None:
-            rhs = rhs - np.asarray(self.params.viscous) * qd
-        m = self.mass_matrix(q)
-        if not np.all(np.isfinite(m)):
-            raise SolveFailure("mass matrix has non-finite entries")
-        try:
-            return np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure("mass matrix is singular: %s" % exc) from exc
+        """Joint accelerations for applied torques tau: one divide for the
+        decoupled slew row, a Cholesky solve L L^T for the planar block."""
+        (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = \
+            self._kernel(q, qd)
+        t1, t2, t3, t4 = _floats(tau)
+        l22 = math.sqrt(_pivot(m22))
+        l32, l42 = m23 / l22, m24 / l22
+        l33 = math.sqrt(_pivot(m33 - l32 * l32))
+        l43 = (m34 - l32 * l42) / l33
+        l44 = math.sqrt(_pivot(m44 - l42 * l42 - l43 * l43))
+        y2 = (t2 - b2) / l22
+        y3 = (t3 - b3 - l32 * y2) / l33
+        y4 = (t4 - b4 - l42 * y2 - l43 * y3) / l44
+        x4 = y4 / l44
+        x3 = (y3 - l43 * x4) / l33
+        x2 = (y2 - l32 * x3 - l42 * x4) / l22
+        return np.array([(t1 - b1) / _pivot(m11), x2, x3, x4])
+
+
+def _pivot(p: float) -> float:
+    """A pivot of M's factorization, which must be finite and positive."""
+    if not 0.0 < p < math.inf:
+        raise SolveFailure("mass matrix is singular or non-finite (pivot %r)" % p)
+    return p
+
+
+def _floats(v) -> list:
+    """A joint vector as plain Python floats, faster here than numpy's."""
+    return v.tolist() if isinstance(v, np.ndarray) else [float(x) for x in v]

@@ -387,6 +387,8 @@ def run_mission(config: ScenarioConfig | None = None) -> MissionResult:
     dist = disturbance_series(config.disturbance, np.arange(n) * dt)
 
     cols = {k: np.zeros(n + 1) for k in CSV_NUMERIC}
+    joint_cols = [(cols["q%d" % k], cols["qd%d" % k], cols["tau%d" % k])
+                  for k in range(1, 5)]
     time = np.arange(n + 1) * dt
 
     off = config.initial_pose_offset
@@ -414,10 +416,8 @@ def run_mission(config: ScenarioConfig | None = None) -> MissionResult:
         cols["s1"][i], cols["s2"][i] = s
         cols["u1"][i], cols["u2"][i] = u
         cols["vL"][i], cols["vR"][i] = vl, vr
-        for k in range(4):
-            cols["q%d" % (k + 1)][i] = q[k]
-            cols["qd%d" % (k + 1)][i] = qd[k]
-            cols["tau%d" % (k + 1)][i] = tau[k]
+        for k, (q_col, qd_col, tau_col) in enumerate(joint_cols):
+            q_col[i], qd_col[i], tau_col[i] = q[k], qd[k], tau[k]
         cols["eeX"][i] = z[0] + (fk.x * c - fk.y * sn) * mm
         cols["eeY"][i] = z[1] + (fk.x * sn + fk.y * c) * mm
         cols["eeZ"][i] = fk.z * mm

@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from mobman.arm_control import ArmGains, control_law
 from mobman.dynamics import (ArmDynamics, LinkInertialParams,
                              default_inertial_params)
-from mobman.errors import ValidationError
+from mobman.errors import SolveFailure, ValidationError
 from mobman.kinematics import random_joint_angles
 from mobman.util import integrate
 
@@ -184,16 +185,17 @@ def test_free_swing_conserves_energy(rng):
     assert abs(e1 - e0) / abs(e0) < 1e-9
 
 
+def _damped_model():
+    p = default_inertial_params()
+    return ArmDynamics(params=LinkInertialParams(
+        masses=p.masses, com_offsets=p.com_offsets, inertias=p.inertias,
+        payload_mass=p.payload_mass, gravity=p.gravity,
+        viscous=(5.0, 5.0, 5.0, 5.0)))
+
+
 def test_viscous_term_enters_both_directions():
-    params = default_inertial_params()
-    damped = LinkInertialParams(masses=params.masses,
-                                com_offsets=params.com_offsets,
-                                inertias=params.inertias,
-                                payload_mass=params.payload_mass,
-                                gravity=params.gravity,
-                                viscous=(5.0, 5.0, 5.0, 5.0))
-    base = ArmDynamics(params=params)
-    damp = ArmDynamics(params=damped)
+    base = ArmDynamics()
+    damp = _damped_model()
     q = np.array([0.0, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG])
     qd = np.ones(4)
     tau_extra = damp.inverse_dynamics(q, qd, np.zeros(4)) \
@@ -201,6 +203,57 @@ def test_viscous_term_enters_both_directions():
     np.testing.assert_allclose(tau_extra, 5.0 * qd, atol=1e-9)
     np.testing.assert_allclose(damp.forward_dynamics(q, qd, damp.inverse_dynamics(
         q, qd, np.zeros(4))), np.zeros(4), atol=1e-9)
+
+
+@pytest.mark.parametrize("damped", [False, True], ids=["stock", "viscous"])
+def test_fused_dynamics_match_christoffel_route(damped, rng):
+    """forward_dynamics and inverse_dynamics (shared-trig kernel, expanded
+    bias, block Cholesky) against M, the Christoffel C, G and a generic
+    dense solve, on 1,000 random in-range states."""
+    model = _damped_model() if damped else ArmDynamics()
+    visc = np.asarray(model.params.viscous or np.zeros(4))
+    worst_fd = worst_id = 0.0
+    for q in random_joint_angles(rng, 1000):
+        qd = rng.uniform(-2.0, 2.0, 4)
+        tau = rng.uniform(-1e3, 1e3, 4)
+        qdd = rng.uniform(-2.0, 2.0, 4)
+        m = model.mass_matrix(q)
+        bias = model.coriolis_matrix(q, qd) @ qd + model.gravity_vector(q) + visc * qd
+        want = np.linalg.solve(m, tau - bias)
+        got = model.forward_dynamics(q, qd, tau)
+        worst_fd = max(worst_fd, np.abs(got - want).max() / np.abs(want).max())
+        want = m @ qdd + bias
+        got = model.inverse_dynamics(q, qd, qdd)
+        worst_id = max(worst_id, np.abs(got - want).max() / np.abs(want).max())
+    assert worst_fd < 1e-9 and worst_id < 1e-9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("joint", [1, 2, 3])
+def test_forward_dynamics_non_finite_angle_raises(model, joint, bad):
+    """M depends on joints 2-4 only; a NaN or infinite angle there is a
+    SolveFailure, never a raw numpy or math error or a NaN result."""
+    q = np.array([0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG])
+    q[joint] = bad
+    with pytest.raises(SolveFailure, match="mass matrix"):
+        model.forward_dynamics(q, np.zeros(4), np.zeros(4))
+
+
+def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
+    """The per-step calls use the scalar kernel only: no Christoffel tensor,
+    no einsum and no generic linear solve."""
+    def slow_route(*args, **kwargs):
+        raise AssertionError("slow dynamics route on the hot path")
+
+    for name in ("coriolis_matrix", "mass_matrix_partials"):
+        monkeypatch.setattr(ArmDynamics, name, slow_route)
+    monkeypatch.setattr(np.linalg, "solve", slow_route)
+    monkeypatch.setattr(np, "einsum", slow_route)
+    q = np.array([0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG])
+    qd = np.array([0.2, -0.1, 0.3, 0.1])
+    model.forward_dynamics(q, qd, np.full(4, 100.0))
+    model.inverse_dynamics(q, qd, np.ones(4))
+    control_law(q, qd, q + 0.01, qd, np.zeros(4), ArmGains(), model)
 
 
 def test_parameter_validation():
