@@ -11,8 +11,7 @@ from .kinematics import (DEFAULT_DH, DHRow, DHTable, EndEffectorPose,
                          workspace_analysis)
 from .dynamics import ArmDynamics, LinkInertialParams, default_inertial_params
 from .arm_control import ArmGains
-from .chassis_control import (ChassisGains, ChassisRefSample, ChassisState,
-                              tracking_error)
+from .chassis_control import ChassisGains, ChassisRefSample, tracking_error
 from .mission import (Circuit, CircuitSpec, FireSpot, FireTestSpec,
                       MissionState, SweepSpec, TopSpraySpec, assign_fires,
                       build_sweep, dispatch, mission_step)
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArmDynamics", "ArmGains", "Circuit", "CircuitSpec", "ChassisGains",
-    "ChassisRefSample", "ChassisState", "DEFAULT_DH", "DHRow", "DHTable",
+    "ChassisRefSample", "DEFAULT_DH", "DHRow", "DHTable",
     "DisturbanceBoundViolation", "EmptyLog", "EndEffectorPose", "FireSpot",
     "FireTestSpec", "GeometryError", "IllegalTransition", "InfeasibleSweep",
     "JointLimitViolation", "LinkInertialParams", "MetricsReport",

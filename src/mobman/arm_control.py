@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import ArmDynamics
 from .kinematics import EndEffectorPose
+from .util import switch
 
 _M_TO_MM = 1e3
 
@@ -31,27 +30,18 @@ class ArmGains:
     boundary_layer: float = 0.01
 
 
-def sliding_surface(e, edot, gains: ArmGains) -> np.ndarray:
-    return np.asarray(edot, dtype=float) + gains.surface_rate * np.asarray(e, dtype=float)
-
-
-def switch_term(s, gains: ArmGains) -> np.ndarray:
-    """Componentwise sign, or saturation inside the boundary layer."""
-    s = np.asarray(s, dtype=float)
-    if gains.boundary_layer > 0.0:
-        return np.clip(s / gains.boundary_layer, -1.0, 1.0)
-    return np.sign(s)
-
-
 def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains: ArmGains,
-                model: ArmDynamics) -> np.ndarray:
+                model: ArmDynamics) -> list:
     """Model-inverting sliding-mode torque command: the model's inverse
-    dynamics at the reaching acceleration."""
-    e = np.asarray(ref_q, dtype=float) - q
-    edot = np.asarray(ref_qd, dtype=float) - qd
-    s = sliding_surface(e, edot, gains)
-    k = np.asarray(gains.switch_gain, dtype=float)
-    inner = np.asarray(ref_qdd, dtype=float) + gains.surface_rate * edot + k * switch_term(s, gains)
+    dynamics at the reaching acceleration qdd_r + rate * edot + K sw(s), with
+    the surface s = edot + rate * e formed joint by joint in floats."""
+    rate, width = gains.surface_rate, gains.boundary_layer
+    inner = []
+    for qi, qdi, rq, rqd, rqdd, k in zip(q, qd, ref_q, ref_qd, ref_qdd,
+                                         gains.switch_gain):
+        edot = rqd - qdi
+        s = edot + rate * (rq - qi)
+        inner.append(rqdd + rate * edot + k * switch(s, width))
     return model.inverse_dynamics(q, qd, inner)
 
 

@@ -13,22 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DisturbanceBoundViolation
-from .util import integrate, wrap_angle
-
-
-@dataclass(frozen=True)
-class ChassisState:
-    """Planar pose; heading is wrapped to (-pi, pi]."""
-
-    x: float
-    y: float
-    heading: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
+from .util import integrate, sign, switch, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -78,48 +64,39 @@ class ChassisRefSample:
     w_dot: float = 0.0
 
 
-def tracking_error(ref, actual) -> ChassisError:
-    """Pose mismatch rotated into the actual vehicle frame."""
-    dx = ref.x - actual.x
-    dy = ref.y - actual.y
-    c, s = math.cos(actual.heading), math.sin(actual.heading)
+def tracking_error(ref, pose) -> ChassisError:
+    """Pose mismatch rotated into the actual vehicle frame; pose is the
+    actual (X, Y, heading), heading wrapped to (-pi, pi]."""
+    x, y, heading = pose
+    dx = ref.x - x
+    dy = ref.y - y
+    c, s = math.cos(heading), math.sin(heading)
     return ChassisError(e1=c * dx + s * dy,
                         e2=-s * dx + c * dy,
-                        e3=wrap_angle(ref.heading - actual.heading))
+                        e3=wrap_angle(ref.heading - heading))
 
 
 def error_rates(err: ChassisError, v: float, w: float,
-                v_ref: float, w_ref: float) -> np.ndarray:
+                v_ref: float, w_ref: float) -> tuple:
     """Analytic error derivatives from the unicycle error kinematics."""
     e1d = w * err.e2 - v + v_ref * math.cos(err.e3)
     e2d = -w * err.e1 + v_ref * math.sin(err.e3)
     e3d = w_ref - w
-    return np.array([e1d, e2d, e3d])
+    return e1d, e2d, e3d
 
 
-def _sgn(x: float) -> float:
-    return float(np.sign(x))
-
-
-def _switch(x: float, width: float) -> float:
-    """Sign, or a linear saturation of the given half-width."""
-    if width > 0.0:
-        return float(np.clip(x / width, -1.0, 1.0))
-    return _sgn(x)
-
-
-def sliding_surface(err: ChassisError, err_rates, gains: ChassisGains) -> np.ndarray:
+def sliding_surface(err: ChassisError, err_rates, gains: ChassisGains) -> tuple:
     """Two coupled surfaces: the first mixes the forward channel with the
     magnitude of the lateral one, the second sums heading and lateral."""
-    e1d, e2d, e3d = (float(v) for v in err_rates)
-    s1 = e1d + gains.k1 * err.e1 + _sgn(err.e1) * abs(e2d + gains.k2 * err.e2)
+    e1d, e2d, e3d = err_rates
+    s1 = e1d + gains.k1 * err.e1 + sign(err.e1) * abs(e2d + gains.k2 * err.e2)
     s2 = e3d + gains.k3 * err.e3 + e2d + gains.k2 * err.e2
-    return np.array([s1, s2])
+    return s1, s2
 
 
 def control_law(err: ChassisError, err_rates, s, ref: ChassisRefSample,
                 heading: float, yaw_rate: float,
-                gains: ChassisGains) -> np.ndarray:
+                gains: ChassisGains) -> tuple:
     """Reduced-plant acceleration command (u1, u2) for the surfaces s.
 
     Symbol conventions: the coupling block uses the reference linear speed and
@@ -128,44 +105,48 @@ def control_law(err: ChassisError, err_rates, s, ref: ChassisRefSample,
     available to the controller).  The switching sign is replaced by a
     saturation when the boundary layer is positive.
     """
-    e1d, e2d, e3d = (float(v) for v in err_rates)
-    u2 = (gains.q2 * s[1] + gains.p2 * _switch(s[1], gains.boundary_layer)
+    e1d, e2d, e3d = err_rates
+    s1, s2 = s
+    u2 = (gains.q2 * s2 + gains.p2 * switch(s2, gains.boundary_layer)
           + (gains.k3 * e3d + e2d + gains.k2 * e2d)
           + (-ref.w_dot))
 
     w_acc = ref.w_dot + u2  # plant-model estimate of the actual yaw acceleration
     coupling = (e2d * yaw_rate + (err.e2 + gains.offset_l) * w_acc
                 - ref.v * e3d * math.sin(err.e3))
-    slope = gains.k1 * e1d + _sgn(err.e1) * abs(e2d + gains.k2 * e2d)
+    slope = gains.k1 * e1d + sign(err.e1) * abs(e2d + gains.k2 * e2d)
     c, sh = math.cos(heading), math.sin(heading)
     feedforward = (-ref.vdx_dot * c + ref.vdx * yaw_rate * sh
                    - ref.vdy_dot * sh - ref.vdy * yaw_rate * c
                    + ref.w_dot * err.e2 + ref.w * e2d)
-    u1 = (gains.q1 * s[0] + gains.p1 * _switch(s[0], gains.boundary_layer)
+    u1 = (gains.q1 * s1 + gains.p1 * switch(s1, gains.boundary_layer)
           + coupling + slope + feedforward)
-    return np.array([u1, u2])
+    return u1, u2
 
 
 def chassis_tick(ref: ChassisRefSample, z, gains: ChassisGains):
     """One controller evaluation at plant state z = (X, Y, heading, v, w);
     returns the tracking error, the surfaces and the command."""
-    err = tracking_error(ref, ChassisState(z[0], z[1], z[2]))
-    rates = error_rates(err, z[3], z[4], ref.v, ref.w)
+    x, y, heading, v, w = z
+    err = tracking_error(ref, (x, y, wrap_angle(heading)))
+    rates = error_rates(err, v, w, ref.v, ref.w)
     s = sliding_surface(err, rates, gains)
-    return err, s, control_law(err, rates, s, ref, z[2], z[4], gains)
+    return err, s, control_law(err, rates, s, ref, heading, w, gains)
 
 
 def check_disturbance(f, f_bounds) -> None:
-    """Raise if a disturbance sample exceeds the bound the gains assume."""
+    """Raise unless every disturbance sample is within the bound the gains
+    assume; a NaN sample is out of bounds."""
     for i, (fi, bound) in enumerate(zip(f, f_bounds)):
-        if abs(fi) > bound + 1e-12:
+        if not abs(fi) <= bound + 1e-12:
             raise DisturbanceBoundViolation(
                 "disturbance channel %d: |%.4f| > %.4f" % (i, fi, bound))
 
 
 def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
-               u, f, dt: float, f_bounds=None, integrator: str = "rk4"):
-    """Advance pose + velocity state (X, Y, heading, v, w) one control step.
+               u, f, dt: float, f_bounds=None, integrator: str = "rk4") -> list:
+    """Advance pose + velocity state (X, Y, heading, v, w) one control step;
+    returns the new state as a list of 5 floats.
 
     Rates vary linearly under the commanded acceleration during the step; the
     reference delta lands at the step end so that a reference discontinuity
@@ -175,19 +156,18 @@ def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
     """
     if f_bounds is not None:
         check_disturbance(f, f_bounds)
-    x0, y0, h0, v0, w0 = (float(s) for s in state)
+    x0, y0, h0, v0, w0 = state
     av = u[0] - f[0]
     aw = u[1] - f[1]
 
     def f_pose(tau, pose):
         vt = v0 + av * tau
-        wt = w0 + aw * tau
-        return np.array([vt * math.cos(pose[2]), vt * math.sin(pose[2]), wt])
+        return [vt * math.cos(pose[2]), vt * math.sin(pose[2]), w0 + aw * tau]
 
-    pose = integrate(f_pose, np.array([x0, y0, h0]), dt, integrator)
+    x1, y1, h1 = integrate(f_pose, (x0, y0, h0), dt, integrator)
     v1 = v0 + av * dt + (ref_next.v - ref_now.v)
     w1 = w0 + aw * dt + (ref_next.w - ref_now.w)
-    return np.array([pose[0], pose[1], wrap_angle(pose[2]), v1, w1])
+    return [x1, y1, wrap_angle(h1), v1, w1]
 
 
 def wheel_speeds(v: float, w: float, track_width: float = 0.8):

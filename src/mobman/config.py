@@ -219,7 +219,10 @@ def save_config(config: ScenarioConfig, path) -> None:
 
 
 def _number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int or a finite float; NaN and infinities would reach the log."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
 
 
 def _check_vector(problems, value, name, n, positive=False, nonneg=False):
@@ -228,7 +231,7 @@ def _check_vector(problems, value, name, n, positive=False, nonneg=False):
         return
     for i, x in enumerate(value):
         if not _number(x):
-            problems.append("%s[%d]: expected a number" % (name, i))
+            problems.append("%s[%d]: expected a finite number" % (name, i))
         elif positive and x <= 0:
             problems.append("%s[%d]: must be > 0" % (name, i))
         elif nonneg and x < 0:
@@ -237,14 +240,14 @@ def _check_vector(problems, value, name, n, positive=False, nonneg=False):
 
 def _check_positive(problems, value, name):
     if not _number(value):
-        problems.append("%s: expected a number" % name)
+        problems.append("%s: expected a finite number" % name)
     elif value <= 0:
         problems.append("%s: must be > 0" % name)
 
 
 def _check_nonneg(problems, value, name):
     if not _number(value):
-        problems.append("%s: expected a number" % name)
+        problems.append("%s: expected a finite number" % name)
     elif value < 0:
         problems.append("%s: must be >= 0" % name)
 
@@ -265,7 +268,7 @@ def validate_config(config: ScenarioConfig) -> list:
     _check_vector(p, g.link_twists_deg, "geometry.link_twists_deg", 5)
     _check_vector(p, g.link_offsets, "geometry.link_offsets", 5, nonneg=True)
     if not _number(g.tool_y_offset):
-        p.append("geometry.tool_y_offset: expected a number")
+        p.append("geometry.tool_y_offset: expected a finite number")
 
     ine = config.inertial
     _check_positive(p, ine.total_mass, "inertial.total_mass")
@@ -312,7 +315,7 @@ def validate_config(config: ScenarioConfig) -> list:
     _check_nonneg(p, s.base_height, "sweep.base_height")
     _check_positive(p, s.speed, "sweep.speed")
     if not _number(s.pitch_deg):
-        p.append("sweep.pitch_deg: expected a number")
+        p.append("sweep.pitch_deg: expected a finite number")
 
     ft = config.fire_test
     _check_positive(p, ft.crib_side, "fire_test.crib_side")

@@ -271,19 +271,21 @@ class ArmDynamics:
 
     # -- dynamics ---------------------------------------------------------
 
-    def inverse_dynamics(self, q, qd, qdd) -> np.ndarray:
-        """Joint torques that realize the given acceleration: M qdd + bias."""
+    def inverse_dynamics(self, q, qd, qdd) -> list:
+        """Joint torques that realize the given acceleration: M qdd + bias,
+        as 4 floats."""
         (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = \
             self._kernel(q, qd)
         a1, a2, a3, a4 = _floats(qdd)
-        return np.array([m11 * a1 + b1,
-                         m22 * a2 + m23 * a3 + m24 * a4 + b2,
-                         m23 * a2 + m33 * a3 + m34 * a4 + b3,
-                         m24 * a2 + m34 * a3 + m44 * a4 + b4])
+        return [m11 * a1 + b1,
+                m22 * a2 + m23 * a3 + m24 * a4 + b2,
+                m23 * a2 + m33 * a3 + m34 * a4 + b3,
+                m24 * a2 + m34 * a3 + m44 * a4 + b4]
 
-    def forward_dynamics(self, q, qd, tau) -> np.ndarray:
-        """Joint accelerations for applied torques tau: one divide for the
-        decoupled slew row, a Cholesky solve L L^T for the planar block."""
+    def forward_dynamics(self, q, qd, tau) -> list:
+        """Joint accelerations (4 floats) for applied torques tau: one divide
+        for the decoupled slew row, a Cholesky solve L L^T for the planar
+        block."""
         (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = \
             self._kernel(q, qd)
         t1, t2, t3, t4 = _floats(tau)
@@ -298,7 +300,7 @@ class ArmDynamics:
         x4 = y4 / l44
         x3 = (y3 - l43 * x4) / l33
         x2 = (y2 - l32 * x3 - l42 * x4) / l22
-        return np.array([(t1 - b1) / _pivot(m11), x2, x3, x4])
+        return [(t1 - b1) / _pivot(m11), x2, x3, x4]
 
 
 def _pivot(p: float) -> float:
@@ -309,5 +311,8 @@ def _pivot(p: float) -> float:
 
 
 def _floats(v) -> list:
-    """A joint vector as plain Python floats, faster here than numpy's."""
+    """A joint vector as plain Python floats, faster here than numpy's; a
+    list is taken to hold floats already and passes through unchanged."""
+    if isinstance(v, list):
+        return v
     return v.tolist() if isinstance(v, np.ndarray) else [float(x) for x in v]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +69,9 @@ class DHTable:
         if sorted(seen) != [1, 2, 3, 4]:
             raise GeometryError("rows must cover joint variables 1..4 exactly once")
 
-    @property
+    @cached_property
     def a(self):
+        """Link lengths a1..a5, gathered once per table."""
         return tuple(r.a for r in self.rows)
 
     @property
@@ -172,8 +174,8 @@ def forward_kinematics(q, geometry: DHTable = DEFAULT_DH, tool: ToolOffset | Non
 
     The nozzle pitch comes straight from the wrist joint: phi = -theta4.
     """
-    q = np.asarray(q, dtype=float)
     if check_limits:
+        q = np.asarray(q, dtype=float)
         check_joint_limits(q)
     y5p = tool.y5p if tool is not None else 0.0
     r, z = _planar_coords(q, geometry, y5p)

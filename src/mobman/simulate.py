@@ -29,7 +29,8 @@ from .config import (ScenarioConfig, build_arm_gains, build_chassis_gains,
                      build_geometry, build_inertial, build_sweep_spec,
                      build_top_spray, disturbance_series)
 from .dynamics import ArmDynamics
-from .errors import EmptyLog, JointLimitViolation, ParseError, Unreachable
+from .errors import (EmptyLog, JointLimitViolation, ParseError, SolveFailure,
+                     Unreachable)
 from .kinematics import forward_kinematics, inverse_kinematics
 from .mission import (Circuit, MissionState, StopPlan, assign_fires,
                       build_sweep, dispatch, mission_step)
@@ -386,52 +387,52 @@ def run_mission(config: ScenarioConfig | None = None) -> MissionResult:
     gains = build_chassis_gains(config)
     dist = disturbance_series(config.disturbance, np.arange(n) * dt)
 
-    cols = {k: np.zeros(n + 1) for k in CSV_NUMERIC}
-    joint_cols = [(cols["q%d" % k], cols["qd%d" % k], cols["tau%d" % k])
-                  for k in range(1, 5)]
+    # One row per sample in CSV_NUMERIC order; column-major, so each column
+    # handed to the log is a contiguous view.
+    rows = np.zeros((n + 1, len(CSV_NUMERIC)), order="F")
     time = np.arange(n + 1) * dt
 
+    # The step runs on plain floats: z, q and qd are lists, and each
+    # reference row is converted as it is used (converting whole arrays up
+    # front would hold every row as Python floats at once).
     off = config.initial_pose_offset
     z = np.array([refs[0].x + off[0], refs[0].y + off[1],
                   refs[0].heading + off[2] * math.pi / 180.0,
-                  refs[0].v, refs[0].w])
-    q = qr[0].copy()
-    qd = qdr[0].copy()
+                  refs[0].v, refs[0].w]).tolist()
+    q = qr[0].tolist()
+    qd = qdr[0].tolist()
 
     mm = 1e-3
     for i in range(n + 1):
         ref = refs[i]
+        q_ref = qr[i].tolist()
         err, s, u = chassis_tick(ref, z, gains)
-        tau = arm_control_law(q, qd, qr[i], qdr[i], qddr[i], arm_gains, model)
+        tau = arm_control_law(q, qd, q_ref, qdr[i].tolist(), qddr[i].tolist(),
+                              arm_gains, model)
 
         c, sn = math.cos(z[2]), math.sin(z[2])
         fk = forward_kinematics(q, plan.geometry, plan.tool, check_limits=False)
-        tk = forward_kinematics(qr[i], plan.geometry, plan.tool,
+        tk = forward_kinematics(q_ref, plan.geometry, plan.tool,
                                 check_limits=False)
         vl, vr = wheel_speeds(z[3], z[4], gains.track_width)
 
-        cols["X"][i], cols["Y"][i], cols["phi"][i] = z[0], z[1], z[2]
-        cols["v"][i], cols["w"][i] = z[3], z[4]
-        cols["e1"][i], cols["e2"][i], cols["e3"][i] = err.e1, err.e2, err.e3
-        cols["s1"][i], cols["s2"][i] = s
-        cols["u1"][i], cols["u2"][i] = u
-        cols["vL"][i], cols["vR"][i] = vl, vr
-        for k, (q_col, qd_col, tau_col) in enumerate(joint_cols):
-            q_col[i], qd_col[i], tau_col[i] = q[k], qd[k], tau[k]
-        cols["eeX"][i] = z[0] + (fk.x * c - fk.y * sn) * mm
-        cols["eeY"][i] = z[1] + (fk.x * sn + fk.y * c) * mm
-        cols["eeZ"][i] = fk.z * mm
-        cols["tgtX"][i] = ref.x + (tk.x * math.cos(ref.heading)
-                                   - tk.y * math.sin(ref.heading)) * mm
-        cols["tgtY"][i] = ref.y + (tk.x * math.sin(ref.heading)
-                                   + tk.y * math.cos(ref.heading)) * mm
-        cols["tgtZ"][i] = tk.z * mm
+        rc, rs = math.cos(ref.heading), math.sin(ref.heading)
+        rows[i] = (*z, err.e1, err.e2, err.e3, *s, *u, vl, vr, *q, *qd, *tau,
+                   z[0] + (fk.x * c - fk.y * sn) * mm,
+                   z[1] + (fk.x * sn + fk.y * c) * mm,
+                   fk.z * mm,
+                   ref.x + (tk.x * rc - tk.y * rs) * mm,
+                   ref.y + (tk.x * rs + tk.y * rc) * mm,
+                   tk.z * mm)
 
         if i == n:
             break
-        z = plant_step(z, ref, refs[i + 1], u, dist[i], dt,
+        z = plant_step(z, ref, refs[i + 1], u, dist[i].tolist(), dt,
                        f_bounds=gains.f_bounds, integrator=config.integrator)
         q, qd = _arm_step(model, q, qd, tau, dt, integrator=config.integrator)
+        if not all(map(math.isfinite, z + q + qd)):
+            raise SolveFailure("step %d (t=%.4f s): non-finite chassis or arm "
+                               "state" % (i + 1, (i + 1) * dt))
 
     meta = {
         "dt": float(dt),
@@ -448,18 +449,21 @@ def run_mission(config: ScenarioConfig | None = None) -> MissionResult:
         "n_flagged": len(plan.flagged),
         "flagged": ";".join(f.ident for f, _ in plan.flagged),
     }
-    log = SimLog(meta, time, labels,
-                 cols, [";".join(e) for e in event_lists])
+    log = SimLog(meta, time, labels, dict(zip(CSV_NUMERIC, rows.T)),
+                 [";".join(e) for e in event_lists])
     report = metrics_mod.compute_metrics(log)
     return MissionResult(log=log, report=report, plan=plan)
 
 
-def _arm_step(model: ArmDynamics, q, qd, tau, dt, integrator: str = "rk4"):
-    """One fixed step of the arm under zero-order-hold torque."""
+def _arm_step(model: ArmDynamics, q: list, qd: list, tau, dt,
+              integrator: str = "rk4"):
+    """One fixed step of the arm under zero-order-hold torque; q and qd are
+    lists of floats, and so are the returned ones."""
     def f(t, y):
-        return np.concatenate([y[4:], model.forward_dynamics(y[:4], y[4:], tau)])
+        rates = y[4:]
+        return rates + model.forward_dynamics(y[:4], rates, tau)
 
-    y1 = integrate(f, np.concatenate([q, qd]), dt, integrator)
+    y1 = integrate(f, q + qd, dt, integrator)
     return y1[:4], y1[4:]
 
 
@@ -477,8 +481,7 @@ def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
                            vdx=speed, vdy=0.0)
     out = {k: np.zeros(n + 1) for k in
            ("t", "e1", "e2", "e3", "s1", "s2", "u1", "u2", "V")}
-    z = np.array([initial_offset[0], initial_offset[1], initial_offset[2],
-                  speed, 0.0])
+    z = [float(v) for v in initial_offset] + [float(speed), 0.0]
     for i in range(n + 1):
         t = i * dt
         ref_i = replace(ref, x=speed * t)
@@ -490,7 +493,7 @@ def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
         out["V"][i] = 0.5 * (s[0] ** 2 + s[1] ** 2)
         if i == n:
             break
-        f = disturbance[i] if disturbance is not None else np.zeros(2)
+        f = disturbance[i].tolist() if disturbance is not None else (0.0, 0.0)
         ref_next = replace(ref, x=speed * (t + dt))
         z = plant_step(z, ref_i, ref_next, u, f, dt, f_bounds=gains.f_bounds)
     return out

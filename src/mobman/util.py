@@ -1,4 +1,8 @@
-"""Small numeric helpers used across modules."""
+"""Small numeric helpers used across modules.
+
+The per-step helpers work on plain Python floats: at the sizes of one control
+step (3 to 8 numbers) building numpy arrays costs more than the arithmetic.
+"""
 from __future__ import annotations
 
 import math
@@ -12,13 +16,39 @@ def wrap_angle(a: float) -> float:
     return w - math.pi
 
 
-def integrate(f, y, dt, method: str = "rk4"):
+def sign(x: float) -> float:
+    """np.sign of one float: -1.0, 0.0 for either zero, or 1.0; NaN stays NaN."""
+    if x > 0.0:
+        return 1.0
+    if x < 0.0:
+        return -1.0
+    return 0.0 if x == 0.0 else x
+
+
+def switch(x: float, width: float) -> float:
+    """Sliding-mode switching function: sign(x), or x / width saturated to
+    [-1, 1] (np.clip, NaN passing through) when the boundary layer is set."""
+    if width > 0.0:
+        x = x / width
+        return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
+    return sign(x)
+
+
+def integrate(f, y, dt, method: str = "rk4") -> list:
     """One fixed step of ydot = f(t, y), with t local to the step: forward
-    Euler for method "euler", the classic fourth-order rule otherwise."""
+    Euler for method "euler", the classic fourth-order rule otherwise.
+
+    y and f's result are sequences of floats; the result is a list.  Each
+    component is summed in the order of the vector form
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it matches numpy bit for bit.
+    """
     if method == "euler":
-        return y + dt * f(0.0, y)
+        return [a + dt * b for a, b in zip(y, f(0.0, y))]
+    h = 0.5 * dt
     k1 = f(0.0, y)
-    k2 = f(0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(h, [a + h * b for a, b in zip(y, k1)])
+    k3 = f(h, [a + h * b for a, b in zip(y, k2)])
+    k4 = f(dt, [a + dt * b for a, b in zip(y, k3)])
+    w = dt / 6.0
+    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]

@@ -1,11 +1,11 @@
 """Arm sliding-mode controller and spray-target frame change."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mobman.arm_control import (ArmGains, control_law, sliding_surface,
-                                switch_term, target_in_base_frame)
+from mobman.arm_control import ArmGains, control_law, target_in_base_frame
 from mobman.kinematics import (ToolOffset, forward_kinematics,
                                inverse_kinematics, random_joint_angles)
 from mobman.util import integrate
@@ -13,17 +13,33 @@ from mobman.util import integrate
 DEG = math.pi / 180.0
 
 
+class _Identity:
+    """Stand-in model whose inverse dynamics returns the commanded
+    acceleration, so control_law hands back its reaching acceleration."""
+
+    def inverse_dynamics(self, q, qd, qdd):
+        return list(qdd)
+
+
 def test_sliding_surface_and_switch():
-    gains = ArmGains(surface_rate=20.0, boundary_layer=0.01)
-    e = np.array([0.01, -0.02, 0.0, 0.005])
-    ed = np.array([0.1, 0.0, -0.3, 0.0])
-    np.testing.assert_allclose(sliding_surface(e, ed, gains), ed + 20.0 * e)
-    # Inside the layer the switch is linear, outside it saturates.
-    assert switch_term(np.array([0.005]), gains)[0] == pytest.approx(0.5)
-    assert switch_term(np.array([5.0]), gains)[0] == 1.0
-    hard = ArmGains(boundary_layer=0.0)
-    np.testing.assert_array_equal(switch_term(np.array([0.0, -2.0, 3.0]), hard),
-                                  [0.0, -1.0, 1.0])
+    """The law's reaching acceleration is rate * edot + K sw(s) with
+    s = edot + rate * e: linear in s inside the boundary layer, saturated
+    outside it, and the plain sign without a layer."""
+    zero = [0.0] * 4
+    gains = ArmGains(surface_rate=20.0, switch_gain=(1.0, 2.0, 3.0, 4.0),
+                     boundary_layer=0.01)
+    # s = 20 e: 0.005 and -0.005 inside the layer, 5.0 and -0.4 outside it.
+    e = [0.00025, -0.00025, 0.25, -0.02]
+    inner = control_law(zero, zero, e, zero, zero, gains, _Identity())
+    np.testing.assert_allclose(inner, [0.5, -1.0, 3.0, -4.0], rtol=1e-12)
+    # With edot alone: s = edot = 0.3 saturates, and rate * edot adds 6.0.
+    inner = control_law(zero, [0.0, -0.3, 0.0, 0.0], zero, zero, zero, gains,
+                        _Identity())
+    np.testing.assert_allclose(inner, [0.0, 6.0 + 2.0, 0.0, 0.0], rtol=1e-12)
+    hard = replace(gains, boundary_layer=0.0)
+    inner = control_law(zero, zero, [0.0, -1e-6, 2e-6, 0.0], zero, zero, hard,
+                        _Identity())
+    assert inner == [0.0, -2.0, 3.0, 0.0]
 
 
 def test_control_law_formula_recomposition(model, rng):

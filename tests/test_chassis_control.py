@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from mobman.chassis_control import (ChassisError, ChassisGains,
-                                    ChassisRefSample, ChassisState,
-                                    chassis_tick, check_disturbance,
+                                    ChassisRefSample, chassis_tick,
+                                    check_disturbance,
                                     control_law, error_rates, plant_step,
                                     sliding_surface, tracking_error,
                                     wheel_speeds)
 from mobman.errors import DisturbanceBoundViolation
 from mobman.mission import Circuit, CircuitSpec
+from mobman.util import wrap_angle
 
 DEG = math.pi / 180.0
 
@@ -23,11 +24,16 @@ def _ref(x=0.0, y=0.0, heading=0.0, v=0.88, w=0.0, **kw):
                             **kw)
 
 
+def _pose(x, y, heading):
+    """A reference pose (rates zero) for tracking_error."""
+    return ChassisRefSample(x, y, heading, v=0.0, w=0.0)
+
+
 def test_tracking_error_rotation_oracle(rng):
     for _ in range(25):
         rx, ry, rh = rng.uniform(-3, 3, 2).tolist() + [rng.uniform(-3, 3)]
         ax, ay, ah = rng.uniform(-3, 3, 2).tolist() + [rng.uniform(-3, 3)]
-        err = tracking_error(ChassisState(rx, ry, rh), ChassisState(ax, ay, ah))
+        err = tracking_error(_pose(rx, ry, rh), (ax, ay, ah))
         rot = np.array([[math.cos(ah), math.sin(ah)],
                         [-math.sin(ah), math.cos(ah)]])
         expect = rot @ np.array([rx - ax, ry - ay])
@@ -38,30 +44,31 @@ def test_tracking_error_rotation_oracle(rng):
 
 
 def test_tracking_error_pure_lateral_case():
-    err = tracking_error(ChassisState(0.0, -1.0, 0.0), ChassisState(0.0, 0.0, 0.0))
+    err = tracking_error(_pose(0.0, -1.0, 0.0), (0.0, 0.0, 0.0))
     assert (err.e1, err.e2, err.e3) == (0.0, -1.0, 0.0)
 
 
 def test_tracking_error_heading_wrap():
-    err = tracking_error(ChassisState(0.0, 0.0, math.pi - 0.01),
-                         ChassisState(0.0, 0.0, -math.pi + 0.01))
+    err = tracking_error(_pose(0.0, 0.0, math.pi - 0.01),
+                         (0.0, 0.0, -math.pi + 0.01))
     assert err.e3 == pytest.approx(-0.02, abs=1e-12)
 
 
 def test_rigid_motion_invariance(rng):
     """Moving both poses by one planar rigid motion leaves the error alone."""
-    ref = ChassisState(1.0, 2.0, 0.4)
-    act = ChassisState(0.8, 2.3, 0.3)
-    base = tracking_error(ref, act)
+    ref = (1.0, 2.0, 0.4)
+    act = (0.8, 2.3, 0.3)
+    base = tracking_error(_pose(*ref), act)
     for _ in range(10):
         tx, ty, th = rng.uniform(-2, 2, 3)
         c, s = math.cos(th), math.sin(th)
 
         def move(p):
-            return ChassisState(tx + c * p.x - s * p.y, ty + s * p.x + c * p.y,
-                                p.heading + th)
+            x, y, heading = p
+            return (tx + c * x - s * y, ty + s * x + c * y,
+                    wrap_angle(heading + th))
 
-        moved = tracking_error(move(ref), move(act))
+        moved = tracking_error(_pose(*move(ref)), move(act))
         assert moved.e1 == pytest.approx(base.e1, abs=1e-12)
         assert moved.e2 == pytest.approx(base.e2, abs=1e-12)
         assert moved.e3 == pytest.approx(base.e3, abs=1e-12)
@@ -147,6 +154,14 @@ def test_check_disturbance_bounds():
     check_disturbance((0.1, -0.1), (0.1, 0.1))
     with pytest.raises(DisturbanceBoundViolation):
         check_disturbance((0.11, 0.0), (0.1, 0.1))
+
+
+def test_check_disturbance_rejects_nan():
+    """abs(nan) > bound is False, so the check must be written the other way."""
+    with pytest.raises(DisturbanceBoundViolation, match="channel 0"):
+        check_disturbance((math.nan, 0.0), (0.1, 0.1))
+    with pytest.raises(DisturbanceBoundViolation, match="channel 1"):
+        check_disturbance((0.0, math.nan), (0.1, 0.1))
 
 
 def test_wheel_speeds_differential_split():

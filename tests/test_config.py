@@ -34,6 +34,19 @@ def test_dt_zero_is_named():
             "geometry.link_lengths[%d]: must be > 0" % i]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_number_is_named(bad):
+    """NaN and infinities are rejected by key, so they never reach the log."""
+    with pytest.raises(ValidationError) as err:
+        parse_config({"disturbance": {"kind": "constant",
+                                      "amplitude": [bad, 0.0]}})
+    assert err.value.messages == [
+        "disturbance.amplitude[0]: expected a finite number"]
+    with pytest.raises(ValidationError) as err:
+        parse_config({"dt": bad})
+    assert err.value.messages == ["dt: expected a finite number"]
+
+
 def test_unknown_key_reported():
     with pytest.raises(ValidationError) as err:
         parse_config({"chasis_control": {}})

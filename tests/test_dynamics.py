@@ -198,8 +198,8 @@ def test_viscous_term_enters_both_directions():
     damp = _damped_model()
     q = np.array([0.0, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG])
     qd = np.ones(4)
-    tau_extra = damp.inverse_dynamics(q, qd, np.zeros(4)) \
-        - base.inverse_dynamics(q, qd, np.zeros(4))
+    tau_extra = np.subtract(damp.inverse_dynamics(q, qd, np.zeros(4)),
+                            base.inverse_dynamics(q, qd, np.zeros(4)))
     np.testing.assert_allclose(tau_extra, 5.0 * qd, atol=1e-9)
     np.testing.assert_allclose(damp.forward_dynamics(q, qd, damp.inverse_dynamics(
         q, qd, np.zeros(4))), np.zeros(4), atol=1e-9)

@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from mobman.arm_control import target_in_base_frame
+from mobman import simulate
+from mobman.arm_control import (ArmGains, control_law as arm_control_law,
+                                target_in_base_frame)
+from mobman.chassis_control import (ChassisGains, ChassisRefSample,
+                                    chassis_tick, plant_step)
 from mobman.config import ScenarioConfig, parse_config
-from mobman.errors import EmptyLog, ParseError, Unreachable
+from mobman.dynamics import ArmDynamics
+from mobman.errors import EmptyLog, ParseError, SolveFailure, Unreachable
 from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
 from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, _arm_reference,
-                             _chassis_reference, export, plan_mission,
-                             run_line_scenario, run_mission)
-from mobman.chassis_control import ChassisGains
+                             _arm_step, _chassis_reference, export,
+                             plan_mission, run_line_scenario, run_mission)
 
 DEG = math.pi / 180.0
 
@@ -272,3 +276,55 @@ def test_disturbed_mission_stays_in_band():
     assert r.chassis_max_abs_e3_deg < 0.6
     for err in r.ee_avg_abs_err_mm:
         assert err < 5.0
+
+
+def test_non_finite_state_is_named(monkeypatch):
+    """A state that turns NaN stops the run at the step that holds it, named
+    by index and time, before it reaches the log."""
+    real = simulate.plant_step
+    calls = []
+
+    def nan_at_step_101(*args, **kwargs):
+        z = real(*args, **kwargs)
+        calls.append(len(calls))
+        if len(calls) == 101:
+            z[0] = math.nan
+        return z
+
+    monkeypatch.setattr(simulate, "plant_step", nan_at_step_101)
+    with pytest.raises(SolveFailure) as err:
+        run_mission(ScenarioConfig())
+    assert str(err.value).startswith("step 101 (t=0.1010 s): non-finite")
+    assert len(calls) == 101
+
+
+def test_control_step_runs_on_plain_floats(monkeypatch):
+    """One chassis tick, arm law, FK, plant step and arm step (both
+    integrators) on float inputs build no numpy array and return plain
+    floats, so per-stage arrays cannot creep back into the loop."""
+    model = ArmDynamics()
+    gains = ChassisGains()
+    ref = ChassisRefSample(1.0, 2.0, 0.3, v=0.88, w=0.1, vdx=0.84, vdy=0.26,
+                           w_dot=0.01)
+    z = [1.01, 1.98, 0.31, 0.87, 0.12]
+    q = [0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG]
+    qd = [0.2, -0.1, 0.3, 0.1]
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("numpy array built on the control step")
+
+    with monkeypatch.context() as patch:
+        for name in ("array", "asarray", "concatenate"):
+            patch.setattr(np, name, no_arrays)
+        _, s, u = chassis_tick(ref, z, gains)
+        tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
+                              ArmGains(), model)
+        forward_kinematics(q, check_limits=False)
+        z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3,
+                        f_bounds=gains.f_bounds)
+        steps = [_arm_step(model, q, qd, tau, 1e-3, method)
+                 for method in ("rk4", "euler")]
+    values = list(s) + list(u) + tau + z1
+    for q1, qd1 in steps:
+        values += q1 + qd1
+    assert all(type(v) is float for v in values)

@@ -1,0 +1,94 @@
+"""Float step helpers against the numpy expressions they replaced.
+
+The control step runs on plain Python floats.  These oracles keep the earlier
+numpy forms of the RK4/Euler step, the chassis plant and np.sign/np.clip,
+and require the float versions to give the same bits.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from mobman.chassis_control import ChassisRefSample, plant_step
+from mobman.dynamics import ArmDynamics
+from mobman.kinematics import random_joint_angles
+from mobman.simulate import _arm_step
+from mobman.util import sign, switch, wrap_angle
+
+SPECIALS = [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+
+
+def _numpy_step(f, y, dt, method):
+    """The array form of one Euler or RK4 step."""
+    if method == "euler":
+        return y + dt * f(0.0, y)
+    k1 = f(0.0, y)
+    k2 = f(0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _numpy_plant_step(state, ref_now, ref_next, u, f, dt, method):
+    """The array form of the chassis plant step."""
+    x0, y0, h0, v0, w0 = (float(s) for s in state)
+    av = u[0] - f[0]
+    aw = u[1] - f[1]
+
+    def f_pose(tau, pose):
+        vt = v0 + av * tau
+        wt = w0 + aw * tau
+        return np.array([vt * math.cos(pose[2]), vt * math.sin(pose[2]), wt])
+
+    pose = _numpy_step(f_pose, np.array([x0, y0, h0]), dt, method)
+    v1 = v0 + av * dt + (ref_next.v - ref_now.v)
+    w1 = w0 + aw * dt + (ref_next.w - ref_now.w)
+    return np.array([pose[0], pose[1], wrap_angle(pose[2]), v1, w1])
+
+
+def _same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_arm_step_matches_numpy_integrator_bitwise(method, rng):
+    model = ArmDynamics()
+    for q in random_joint_angles(rng, 200):
+        qd = rng.uniform(-2.0, 2.0, 4)
+        tau = rng.uniform(-1e3, 1e3, 4).tolist()
+
+        def f(t, y):
+            return np.concatenate([y[4:],
+                                   model.forward_dynamics(y[:4], y[4:], tau)])
+
+        want = _numpy_step(f, np.concatenate([q, qd]), 1e-3, method)
+        q1, qd1 = _arm_step(model, q.tolist(), qd.tolist(), tau, 1e-3, method)
+        assert _same_bits(q1 + qd1, want)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_plant_step_matches_numpy_integrator_bitwise(method, rng):
+    for _ in range(200):
+        state = rng.uniform(-3.0, 3.0, 5).tolist()
+        v0, w0, v1, w1 = rng.uniform(-1.0, 1.0, 4).tolist()
+        now = ChassisRefSample(0.0, 0.0, 0.0, v=v0, w=w0)
+        nxt = ChassisRefSample(0.0, 0.0, 0.0, v=v1, w=w1)
+        u = rng.uniform(-5.0, 5.0, 2).tolist()
+        f = rng.uniform(-0.1, 0.1, 2).tolist()
+        want = _numpy_plant_step(state, now, nxt, u, f, 1e-3, method)
+        got = plant_step(state, now, nxt, u, f, 1e-3, integrator=method)
+        assert _same_bits(got, want)
+
+
+def _agree(got, want) -> bool:
+    want = np.float64(want)
+    if math.isnan(want):
+        return math.isnan(got)
+    return _same_bits(got, want)
+
+
+@pytest.mark.parametrize("x", SPECIALS, ids=repr)
+def test_sign_and_switch_match_numpy(x):
+    assert type(sign(x)) is float and _agree(sign(x), np.sign(x))
+    assert _agree(switch(x, 0.0), np.sign(x))
+    assert _agree(switch(x, 0.01), np.clip(x / 0.01, -1.0, 1.0))
