@@ -12,6 +12,7 @@ CSV bit for bit.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -42,6 +43,7 @@ CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "tau1", "tau2", "tau3", "tau4",
                "eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ"]
 CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
+_BLOCK_ROWS = 2048  # rows per CSV write; the log is never formatted whole
 
 
 class SimLog:
@@ -60,17 +62,11 @@ class SimLog:
         return len(self.time)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            for key, value in self.meta.items():
-                fh.write("#%s=%s\n" % (key, repr(value) if isinstance(
-                    value, float) else value))
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            cols = [self.values[k] for k in CSV_NUMERIC]
-            for i in range(self.n_rows):
-                cells = [repr(float(self.time[i])), self.state[i]]
-                cells += [repr(float(c[i])) for c in cols]
-                cells.append(self.event[i])
-                fh.write(",".join(cells) + "\n")
+        _write_tables(self, {path: (self._meta_lines(), CSV_COLUMNS)})
+
+    def _meta_lines(self) -> str:
+        return "".join("#%s=%s\n" % (key, repr(float(value)) if isinstance(
+            value, float) else value) for key, value in self.meta.items())
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -502,23 +498,17 @@ def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
 def export(result: MissionResult, directory) -> list:
     """Write the run artifacts; returns the created paths."""
     os.makedirs(directory, exist_ok=True)
-    paths = []
-
-    def emit(name, writer):
-        path = os.path.join(directory, name)
-        writer(path)
-        paths.append(path)
-
-    emit("timeseries.csv", result.log.to_csv)
-    emit("metrics.json", lambda p: _write_json(p, result.report))
-    subsets = {
-        "trajectory.csv": ["X", "Y", "phi"],
-        "tracking_errors.csv": ["e1", "e2", "e3", "s1", "s2"],
-        "joint_torques.csv": ["tau1", "tau2", "tau3", "tau4"],
-        "wheel_speeds.csv": ["vL", "vR"],
-    }
-    for name, fields in subsets.items():
-        emit(name, lambda p, fields=fields: _write_subset(p, result.log, fields))
+    tables = {"timeseries.csv": (result.log._meta_lines(), CSV_COLUMNS),
+              "trajectory.csv": ("", ["time", "X", "Y", "phi"]),
+              "tracking_errors.csv": ("", ["time", "e1", "e2", "e3", "s1",
+                                           "s2"]),
+              "joint_torques.csv": ("", ["time", "tau1", "tau2", "tau3",
+                                         "tau4"]),
+              "wheel_speeds.csv": ("", ["time", "vL", "vR"])}
+    paths = [os.path.join(directory, name) for name in tables]
+    _write_tables(result.log, dict(zip(paths, tables.values())))
+    paths.insert(1, os.path.join(directory, "metrics.json"))
+    _write_json(paths[1], result.report)
     return paths
 
 
@@ -528,10 +518,29 @@ def _write_json(path, report) -> None:
         fh.write("\n")
 
 
-def _write_subset(path, log: SimLog, fields) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(["time"] + fields) + "\n")
-        for i in range(log.n_rows):
-            cells = [repr(float(log.time[i]))]
-            cells += [repr(float(log.values[k][i])) for k in fields]
-            fh.write(",".join(cells) + "\n")
+def _write_tables(log: SimLog, tables: dict) -> None:
+    """Write each path -> (preamble, columns) in tables as a CSV of the log.
+
+    All files are fed together, _BLOCK_ROWS rows at a time: each numeric
+    column any of them names is formatted once per block with repr, the
+    float text from_csv reads back bit for bit, and every file gets one
+    write per block.  Blocks keep memory flat on long logs.
+    """
+    source = {"time": log.time, "state": log.state, "event": log.event,
+              **log.values}
+    needed = list(dict.fromkeys(c for _, cols in tables.values() for c in cols))
+    with contextlib.ExitStack() as stack:
+        files = []
+        for path, (preamble, cols) in tables.items():
+            fh = stack.enter_context(open(path, "w"))
+            fh.write(preamble + ",".join(cols) + "\n")
+            files.append((fh, cols))
+        for a in range(0, log.n_rows, _BLOCK_ROWS):
+            cells = {}
+            for c in needed:
+                block = source[c][a:a + _BLOCK_ROWS]
+                cells[c] = (block if isinstance(block, list)
+                            else list(map(repr, block.tolist())))
+            for fh, cols in files:
+                fh.write("\n".join(map(",".join, zip(*map(cells.get, cols))))
+                         + "\n")

@@ -99,36 +99,85 @@ def test_metrics_recompute_from_csv_equal(default_mission, tmp_path):
 
 
 def test_from_csv_error_handling(tmp_path):
+    def message(path, exc_type):
+        with pytest.raises(exc_type) as info:
+            SimLog.from_csv(path)
+        return str(info.value)
+
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("#dt=0.001\nnot,the,header\n")
-    with pytest.raises(ParseError):
-        SimLog.from_csv(bad_header)
+    assert message(bad_header, ParseError) == "line 2: unexpected header"
 
     empty = tmp_path / "e.csv"
     empty.write_text(",".join(CSV_COLUMNS) + "\n")
-    with pytest.raises(EmptyLog):
-        SimLog.from_csv(empty)
+    assert message(empty, EmptyLog) == "log file has no data rows"
 
     bad_meta = tmp_path / "m.csv"
     bad_meta.write_text("#oops\n" + ",".join(CSV_COLUMNS) + "\n")
-    with pytest.raises(ParseError):
-        SimLog.from_csv(bad_meta)
+    assert message(bad_meta, ParseError) == "line 1: bad metadata line"
 
     short_row = tmp_path / "s.csv"
     short_row.write_text(",".join(CSV_COLUMNS) + "\n0.0,Home,1.0\n")
-    with pytest.raises(ParseError):
-        SimLog.from_csv(short_row)
+    assert (message(short_row, ParseError)
+            == "line 2: expected 35 cells, got 3")
 
     alpha = tmp_path / "a.csv"
     row = ["0.0", "Home"] + ["x"] * len(CSV_NUMERIC) + [""]
     alpha.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
-    with pytest.raises(ParseError):
-        SimLog.from_csv(alpha)
+    assert (message(alpha, ParseError)
+            == "line 2: could not convert string to float: 'x'")
 
     nothing = tmp_path / "n.csv"
     nothing.write_text("")
-    with pytest.raises(ParseError):
-        SimLog.from_csv(nothing)
+    assert message(nothing, ParseError) == "no header line found"
+
+
+def _reference_csv(log, path):
+    """The cell-by-cell writer that the block writer replaced (with float
+    metadata written as repr(float(value))); kept as the oracle for its
+    bytes."""
+    with open(path, "w") as fh:
+        for key, value in log.meta.items():
+            fh.write("#%s=%s\n" % (key, repr(float(value)) if isinstance(
+                value, float) else value))
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        cols = [log.values[k] for k in CSV_NUMERIC]
+        for i in range(log.n_rows):
+            cells = [repr(float(log.time[i])), log.state[i]]
+            cells += [repr(float(c[i])) for c in cols]
+            cells.append(log.event[i])
+            fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("n_rows", [1, simulate._BLOCK_ROWS - 1,
+                                    simulate._BLOCK_ROWS,
+                                    simulate._BLOCK_ROWS + 1])
+def test_to_csv_matches_cell_by_cell_writer(tmp_path, n_rows):
+    odd = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, math.inf, -math.inf,
+           math.nan, 1.0, -2.5e-300]
+    rng = np.random.default_rng(7)
+    values = {}
+    for j, key in enumerate(CSV_NUMERIC):
+        col = rng.normal(scale=10.0 ** (j % 7 - 3), size=n_rows)
+        col[:len(odd)] = np.roll(odd, j)[:n_rows]
+        values[key] = col
+    log = SimLog({"dt": 0.001, "n_stops": 2, "flagged": "F1;F2"},
+                 np.arange(n_rows) * 0.001, ["S%d" % (i % 3) for i in
+                                             range(n_rows)],
+                 values, ["" if i % 5 else "ev%d" % i for i in range(n_rows)])
+    log.to_csv(tmp_path / "block.csv")
+    _reference_csv(log, tmp_path / "cell.csv")
+    assert ((tmp_path / "block.csv").read_bytes()
+            == (tmp_path / "cell.csv").read_bytes())
+
+
+def test_numpy_float_metadata_round_trips(tmp_path):
+    log = _synthetic_log()
+    log.meta["dt"] = np.float64(0.001)
+    log.to_csv(tmp_path / "run.csv")
+    assert "#dt=0.001\n" in (tmp_path / "run.csv").read_text()
+    again = SimLog.from_csv(tmp_path / "run.csv")
+    assert type(again.meta["dt"]) is float and again.meta["dt"] == 0.001
 
 
 def _synthetic_log(discharge=15.0):
@@ -179,14 +228,26 @@ def test_metrics_empty_log_raises():
 def test_export_writes_all_artifacts(default_mission, tmp_path):
     result, _ = default_mission
     paths = export(result, tmp_path)
-    names = sorted(p.split("/")[-1] for p in map(str, paths))
-    assert names == ["joint_torques.csv", "metrics.json", "timeseries.csv",
-                     "tracking_errors.csv", "trajectory.csv",
-                     "wheel_speeds.csv"]
+    assert [p.split("/")[-1] for p in map(str, paths)] == [
+        "timeseries.csv", "metrics.json", "trajectory.csv",
+        "tracking_errors.csv", "joint_torques.csv", "wheel_speeds.csv"]
     payload = json.loads((tmp_path / "metrics.json").read_text())
     assert payload["verdict"] == result.report.verdict
-    head = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
-    assert head == "time,X,Y,phi"
+
+    # Each subset is its columns cut from the same rows of timeseries.csv.
+    lines = (tmp_path / "timeseries.csv").read_text().splitlines()
+    lines = [line for line in lines if not line.startswith("#")]
+    full = [line.split(",") for line in lines[1:]]
+    assert len(full) == result.log.n_rows
+    subsets = {"trajectory.csv": ["X", "Y", "phi"],
+               "tracking_errors.csv": ["e1", "e2", "e3", "s1", "s2"],
+               "joint_torques.csv": ["tau1", "tau2", "tau3", "tau4"],
+               "wheel_speeds.csv": ["vL", "vR"]}
+    for name, fields in subsets.items():
+        head, *rows = (tmp_path / name).read_text().splitlines()
+        assert head == ",".join(["time"] + fields)
+        index = [CSV_COLUMNS.index(c) for c in ["time"] + fields]
+        assert rows == [",".join(cells[k] for k in index) for cells in full]
 
 
 def test_run_line_scenario_on_reference_is_quiet():
