@@ -15,8 +15,7 @@ from .chassis_control import ChassisGains, ChassisRefSample, tracking_error
 from .mission import (Circuit, CircuitSpec, FireSpot, FireTestSpec,
                       MissionState, SweepSpec, TopSpraySpec, assign_fires,
                       build_sweep, dispatch, mission_step)
-from .config import (ScenarioConfig, load_config, parse_config, save_config,
-                     serialize_config)
+from .config import ScenarioConfig, load_config, parse_config, save_config
 from .simulate import MissionResult, SimLog, export, plan_mission, run_mission
 from .metrics import MetricsReport, compute_metrics
 
@@ -34,5 +33,5 @@ __all__ = [
     "build_sweep", "compute_metrics", "default_inertial_params", "dispatch",
     "export", "forward_kinematics", "inverse_kinematics", "load_config",
     "mission_step", "parse_config", "plan_mission", "run_mission",
-    "save_config", "serialize_config", "tracking_error", "workspace_analysis",
+    "save_config", "tracking_error", "workspace_analysis",
 ]

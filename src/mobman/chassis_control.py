@@ -44,7 +44,6 @@ class ChassisGains:
     f_bounds: tuple = (0.1, 0.1)
     boundary_layer: float = 0.0
     track_width: float = 0.8
-    max_speed: float = 1.0
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ simulation runs and metrics recomputation."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -15,9 +14,8 @@ from .errors import MobmanError
 from .kinematics import (EndEffectorPose, forward_kinematics,
                          inverse_kinematics, workspace_analysis)
 from .metrics import MetricsReport, compute_metrics
-from .simulate import SimLog, export, plan_mission, run_mission
-
-DEG = math.pi / 180.0
+from .simulate import SimLog, _write_json, export, plan_mission, run_mission
+from .util import DEG
 
 
 def _load_scenario(path) -> ScenarioConfig:
@@ -131,9 +129,9 @@ def _cmd_plan(args) -> int:
         print("sweep face %d: %.3f m at %.2f m/s -> %.3f s (edge allows %.3f s)"
               % (sweep.edge_index, sweep.length, sweep.speed,
                  sweep.duration, circuit.edge_time))
-    if not plan.stop_plan.stops:
+    if not plan.stops:
         print("stage II: no fires reported")
-    for stop in plan.stop_plan.stops:
+    for stop in plan.stops:
         print("fire %s -> A%d (group %d), stop (%.3f, %.3f) m, "
               "path offset %.3f m"
               % (stop.fire.ident, stop.nearest_a, stop.group,
@@ -161,9 +159,7 @@ def _cmd_metrics(args) -> int:
     log = SimLog.from_csv(args.log)
     report = compute_metrics(log)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(dataclasses.asdict(report), fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, report)
         print("wrote %s" % args.json)
     _print_report(report)
     return 0

@@ -20,115 +20,180 @@ from .dynamics import LinkInertialParams, default_inertial_params
 from .errors import ParseError, ValidationError
 from .kinematics import DHRow, DHTable, ToolOffset
 from .mission import CircuitSpec, FireSpot, FireTestSpec, SweepSpec, TopSpraySpec
+from .util import DEG
 
-DEG = math.pi / 180.0
+
+# -- field rules ------------------------------------------------------------
+#
+# Every leaf field of a config dataclass declares its default and its rule in
+# one place.  A rule is called as rule(value, name, problems) and appends one
+# message per problem it finds with the value of the field called name.
+
+
+def _number(x) -> bool:
+    """An int or a finite float; NaN and infinities would reach the log."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
+
+
+def _finite(bound: str = ""):
+    """A finite number; bound "> 0" or ">= 0" also limits its sign."""
+    def rule(value, name, problems):
+        if not _number(value):
+            problems.append("%s: expected a finite number" % name)
+        elif bound and (value < 0 or bound == "> 0" and value == 0):
+            problems.append("%s: must be %s" % (name, bound))
+    return rule
+
+
+def _vector(n: int, bound: str = "", optional: bool = False):
+    """n finite numbers, each within bound; also None when optional."""
+    element = _finite(bound)
+
+    def rule(value, name, problems):
+        if value is None and optional:
+            return
+        if not isinstance(value, (list, tuple)) or len(value) != n:
+            problems.append("%s: expected %d numbers" % (name, n))
+            return
+        for i, x in enumerate(value):
+            element(x, "%s[%d]" % (name, i), problems)
+    return rule
+
+
+def _check(ok, message: str):
+    """Choices, integers and strings: message unless ok(value).  Integers
+    are tested as type(x) is int, which a bool is not."""
+    def rule(value, name, problems):
+        if not ok(value):
+            problems.append("%s: %s" % (name, message))
+    return rule
+
+
+_NAME = _check(lambda x: isinstance(x, str) and x != "",
+               "expected a non-empty string")
+
+
+def _field(default, rule):
+    """A config field with its default and its rule; a list default is
+    copied for each instance."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"rule": rule})
+    return field(default=default, metadata={"rule": rule})
+
+
+# -- config sections --------------------------------------------------------
 
 
 @dataclass
 class GeometryConfig:
     """Arm geometry in mm / degrees."""
 
-    link_lengths: list = field(
-        default_factory=lambda: [100.0, 1000.0, 1700.0, 100.0, 80.0])
-    link_twists_deg: list = field(
-        default_factory=lambda: [90.0, 0.0, 0.0, 0.0, 0.0])
-    link_offsets: list = field(
-        default_factory=lambda: [185.0, 0.0, 0.0, 0.0, 0.0])
-    tool_y_offset: float = 0.0
+    link_lengths: list = _field([100.0, 1000.0, 1700.0, 100.0, 80.0],
+                                _vector(5, ">= 0"))
+    link_twists_deg: list = _field([90.0, 0.0, 0.0, 0.0, 0.0], _vector(5))
+    link_offsets: list = _field([185.0, 0.0, 0.0, 0.0, 0.0],
+                                _vector(5, ">= 0"))
+    tool_y_offset: float = _field(0.0, _finite())
 
 
 @dataclass
 class InertialConfig:
     """Mass budget; explicit per-link values override the stock split."""
 
-    total_mass: float = 400.0
-    payload_mass: float = 20.0
-    gravity: float = 9.81
-    masses: list | None = None
-    com_offsets: list | None = None
-    inertias: list | None = None
+    total_mass: float = _field(400.0, _finite("> 0"))
+    payload_mass: float = _field(20.0, _finite(">= 0"))
+    gravity: float = _field(9.81, _finite("> 0"))
+    masses: list | None = _field(None, _vector(4, "> 0", optional=True))
+    com_offsets: list | None = _field(None, _vector(4, ">= 0", optional=True))
+    inertias: list | None = _field(None, _vector(4, "> 0", optional=True))
 
 
 @dataclass
 class ArmControlConfig:
-    surface_rate: float = 20.0
-    switch_gain: list = field(default_factory=lambda: [5.0, 5.0, 5.0, 5.0])
-    boundary_layer: float = 0.01
+    surface_rate: float = _field(20.0, _finite("> 0"))
+    switch_gain: list = _field([5.0, 5.0, 5.0, 5.0], _vector(4, "> 0"))
+    boundary_layer: float = _field(0.01, _finite(">= 0"))
 
 
 @dataclass
 class ChassisControlConfig:
-    surface_gains: list = field(default_factory=lambda: [4.0, 100.0, 18.0])
-    reaching_gains: list = field(default_factory=lambda: [15.0, 15.0])
-    switch_gains: list = field(default_factory=lambda: [0.2, 0.2])
-    offset_l: float = 0.3
-    f_bounds: list = field(default_factory=lambda: [0.1, 0.1])
-    boundary_layer: float = 0.0
-    track_width: float = 0.8
+    surface_gains: list = _field([4.0, 100.0, 18.0], _vector(3, "> 0"))
+    reaching_gains: list = _field([15.0, 15.0], _vector(2, "> 0"))
+    switch_gains: list = _field([0.2, 0.2], _vector(2, ">= 0"))
+    offset_l: float = _field(0.3, _finite(">= 0"))
+    f_bounds: list = _field([0.1, 0.1], _vector(2, ">= 0"))
+    boundary_layer: float = _field(0.0, _finite(">= 0"))
+    track_width: float = _field(0.8, _finite("> 0"))
 
 
 @dataclass
 class CircuitConfig:
-    edge_length: float = 2.60128
-    corner_radius: float = 0.5
-    speed: float = 0.88
-    center: list = field(default_factory=lambda: [0.0, 0.0])
-    min_corner_radius: float = 0.2
+    edge_length: float = _field(2.60128, _finite("> 0"))
+    corner_radius: float = _field(0.5, _finite("> 0"))
+    speed: float = _field(0.88, _finite("> 0"))
+    center: list = _field([0.0, 0.0], _vector(2))
+    min_corner_radius: float = _field(0.2, _finite("> 0"))
 
 
 @dataclass
 class SweepConfig:
-    passes: int = 4
-    horizontal_span: float = 0.9
-    vertical_span: float = 0.45
-    base_height: float = 0.2
-    speed: float = 1.4
-    pitch_deg: float = 30.0
+    passes: int = _field(4, _check(lambda x: type(x) is int and x >= 1,
+                                   "expected an integer >= 1"))
+    horizontal_span: float = _field(0.9, _finite("> 0"))
+    vertical_span: float = _field(0.45, _finite(">= 0"))
+    base_height: float = _field(0.2, _finite(">= 0"))
+    speed: float = _field(1.4, _finite("> 0"))
+    pitch_deg: float = _field(30.0, _finite())
 
 
 @dataclass
 class FireTestConfig:
-    label: str = "20A"
-    crib_side: float = 1.0
-    discharge_time: float = 15.0
-    stage2_budget: float = 3.0
+    label: str = _field("20A", _NAME)
+    crib_side: float = _field(1.0, _finite("> 0"))
+    discharge_time: float = _field(15.0, _finite("> 0"))
+    stage2_budget: float = _field(3.0, _finite(">= 0"))
 
 
 @dataclass
 class TopSprayConfig:
-    duration: float = 0.0
-    joints_deg: list = field(default_factory=lambda: [0.0, 135.0, 15.5, -45.0])
+    duration: float = _field(0.0, _finite(">= 0"))
+    joints_deg: list = _field([0.0, 135.0, 15.5, -45.0], _vector(4))
 
 
 @dataclass
 class FireConfig:
-    ident: str = ""
-    position: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    position: list = _field([0.0, 0.0, 0.0], _vector(3))
+    ident: str = _field("", _NAME)
 
 
 @dataclass
 class DisturbanceConfig:
     """Additive velocity-channel disturbance f = (f_v, f_w)."""
 
-    kind: str = "none"      # none | constant | sine | noise
-    amplitude: list = field(default_factory=lambda: [0.0, 0.0])
-    frequency: float = 0.5
-    seed: int = 0
+    kind: str = _field("none", _check(
+        lambda x: x in ("none", "constant", "sine", "noise"),
+        "expected none, constant, sine or noise"))
+    amplitude: list = _field([0.0, 0.0], _vector(2, ">= 0"))
+    frequency: float = _field(0.5, _finite("> 0"))
+    seed: int = _field(0, _check(lambda x: type(x) is int, "expected an integer"))
 
 
 @dataclass
 class BandConfig:
     """Chassis convergence band used by the metrics report."""
 
-    e1_mm: float = 20.0
-    e2_mm: float = 1.0
-    e3_deg: float = 0.6
+    e1_mm: float = _field(20.0, _finite("> 0"))
+    e2_mm: float = _field(1.0, _finite("> 0"))
+    e3_deg: float = _field(0.6, _finite("> 0"))
 
 
 @dataclass
 class ScenarioConfig:
-    dt: float = 0.001
-    integrator: str = "rk4"
+    dt: float = _field(0.001, _finite("> 0"))
+    integrator: str = _field("rk4", _check(lambda x: x in ("rk4", "euler"),
+                                           "expected rk4 or euler"))
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     inertial: InertialConfig = field(default_factory=InertialConfig)
     arm_control: ArmControlConfig = field(default_factory=ArmControlConfig)
@@ -144,7 +209,7 @@ class ScenarioConfig:
     ])
     disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
     band: BandConfig = field(default_factory=BandConfig)
-    initial_pose_offset: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    initial_pose_offset: list = _field([0.0, 0.0, 0.0], _vector(3))
 
 
 # -- parsing --------------------------------------------------------------
@@ -206,154 +271,71 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(data)
 
 
-def serialize_config(config: ScenarioConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def save_config(config: ScenarioConfig, path) -> None:
     with open(path, "w") as fh:
-        yaml.safe_dump(serialize_config(config), fh, sort_keys=False)
+        yaml.safe_dump(dataclasses.asdict(config), fh, sort_keys=False)
 
 
 # -- validation -----------------------------------------------------------
 
 
-def _number(x) -> bool:
-    """An int or a finite float; NaN and infinities would reach the log."""
-    if isinstance(x, bool):
-        return False
-    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
+def _leaves(obj, path: str = ""):
+    """(name, value, rule) of every leaf field in declaration order, through
+    the sections and the fire entries."""
+    for f in dataclasses.fields(obj):
+        name, value = path + f.name, getattr(obj, f.name)
+        if "rule" in f.metadata:
+            yield name, value, f.metadata["rule"]
+        elif f.name == "fires":
+            for i, fire in enumerate(value):
+                yield from _leaves(fire, "%s[%d]." % (name, i))
+        else:
+            yield from _leaves(value, name + ".")
 
 
-def _check_vector(problems, value, name, n, positive=False, nonneg=False):
-    if not isinstance(value, (list, tuple)) or len(value) != n:
-        problems.append("%s: expected %d numbers" % (name, n))
+def _boom_and_forearm(config: ScenarioConfig, problems: list) -> None:
+    lengths = config.geometry.link_lengths
+    if isinstance(lengths, (list, tuple)) and len(lengths) == 5:
+        for i in (1, 2):  # the IK divides by both
+            if _number(lengths[i]) and lengths[i] == 0:
+                problems.append("geometry.link_lengths[%d]: must be > 0" % i)
+
+
+def _corner_radius(config: ScenarioConfig, problems: list) -> None:
+    c = config.circuit
+    if (_number(c.corner_radius) and _number(c.min_corner_radius)
+            and c.corner_radius < c.min_corner_radius):
+        problems.append("circuit.corner_radius: below circuit.min_corner_radius")
+
+
+def _amplitude(config: ScenarioConfig, problems: list) -> None:
+    amplitude = config.disturbance.amplitude
+    bounds = config.chassis_control.f_bounds
+    if config.disturbance.kind == "none" or not all(
+            isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_number, v)) for v in (amplitude, bounds)):
         return
-    for i, x in enumerate(value):
-        if not _number(x):
-            problems.append("%s[%d]: expected a finite number" % (name, i))
-        elif positive and x <= 0:
-            problems.append("%s[%d]: must be > 0" % (name, i))
-        elif nonneg and x < 0:
-            problems.append("%s[%d]: must be >= 0" % (name, i))
+    for i in range(2):
+        if amplitude[i] > bounds[i]:
+            problems.append("disturbance.amplitude[%d]: exceeds "
+                            "chassis_control.f_bounds[%d]" % (i, i))
 
 
-def _check_positive(problems, value, name):
-    if not _number(value):
-        problems.append("%s: expected a finite number" % name)
-    elif value <= 0:
-        problems.append("%s: must be > 0" % name)
-
-
-def _check_nonneg(problems, value, name):
-    if not _number(value):
-        problems.append("%s: expected a finite number" % name)
-    elif value < 0:
-        problems.append("%s: must be >= 0" % name)
+# Each cross-field rule runs right after the field it is keyed on here.
+_CROSS_RULES = {"geometry.link_lengths": _boom_and_forearm,
+                "circuit.min_corner_radius": _corner_radius,
+                "disturbance.seed": _amplitude}
 
 
 def validate_config(config: ScenarioConfig) -> list:
-    """Return a list of human-readable problems, empty when valid."""
-    p: list = []
-    _check_positive(p, config.dt, "dt")
-    if config.integrator not in ("rk4", "euler"):
-        p.append("integrator: expected rk4 or euler")
-
-    g = config.geometry
-    _check_vector(p, g.link_lengths, "geometry.link_lengths", 5, nonneg=True)
-    if isinstance(g.link_lengths, (list, tuple)) and len(g.link_lengths) == 5:
-        for i in (1, 2):  # boom and forearm: the IK divides by both
-            if _number(g.link_lengths[i]) and g.link_lengths[i] == 0:
-                p.append("geometry.link_lengths[%d]: must be > 0" % i)
-    _check_vector(p, g.link_twists_deg, "geometry.link_twists_deg", 5)
-    _check_vector(p, g.link_offsets, "geometry.link_offsets", 5, nonneg=True)
-    if not _number(g.tool_y_offset):
-        p.append("geometry.tool_y_offset: expected a finite number")
-
-    ine = config.inertial
-    _check_positive(p, ine.total_mass, "inertial.total_mass")
-    _check_nonneg(p, ine.payload_mass, "inertial.payload_mass")
-    _check_positive(p, ine.gravity, "inertial.gravity")
-    for name, val in (("masses", ine.masses), ("com_offsets", ine.com_offsets),
-                      ("inertias", ine.inertias)):
-        if val is not None:
-            _check_vector(p, val, "inertial.%s" % name, 4,
-                          positive=(name == "masses"), nonneg=(name != "masses"))
-
-    a = config.arm_control
-    _check_positive(p, a.surface_rate, "arm_control.surface_rate")
-    _check_vector(p, a.switch_gain, "arm_control.switch_gain", 4, positive=True)
-    _check_nonneg(p, a.boundary_layer, "arm_control.boundary_layer")
-
-    c = config.chassis_control
-    _check_vector(p, c.surface_gains, "chassis_control.surface_gains", 3,
-                  positive=True)
-    _check_vector(p, c.reaching_gains, "chassis_control.reaching_gains", 2,
-                  positive=True)
-    _check_vector(p, c.switch_gains, "chassis_control.switch_gains", 2,
-                  nonneg=True)
-    _check_nonneg(p, c.offset_l, "chassis_control.offset_l")
-    _check_vector(p, c.f_bounds, "chassis_control.f_bounds", 2, nonneg=True)
-    _check_nonneg(p, c.boundary_layer, "chassis_control.boundary_layer")
-    _check_positive(p, c.track_width, "chassis_control.track_width")
-
-    circ = config.circuit
-    _check_positive(p, circ.edge_length, "circuit.edge_length")
-    _check_positive(p, circ.corner_radius, "circuit.corner_radius")
-    _check_positive(p, circ.speed, "circuit.speed")
-    _check_vector(p, circ.center, "circuit.center", 2)
-    _check_positive(p, circ.min_corner_radius, "circuit.min_corner_radius")
-    if (_number(circ.corner_radius) and _number(circ.min_corner_radius)
-            and circ.corner_radius < circ.min_corner_radius):
-        p.append("circuit.corner_radius: below circuit.min_corner_radius")
-
-    s = config.sweep
-    if not isinstance(s.passes, int) or isinstance(s.passes, bool) or s.passes < 1:
-        p.append("sweep.passes: expected an integer >= 1")
-    _check_positive(p, s.horizontal_span, "sweep.horizontal_span")
-    _check_nonneg(p, s.vertical_span, "sweep.vertical_span")
-    _check_nonneg(p, s.base_height, "sweep.base_height")
-    _check_positive(p, s.speed, "sweep.speed")
-    if not _number(s.pitch_deg):
-        p.append("sweep.pitch_deg: expected a finite number")
-
-    ft = config.fire_test
-    _check_positive(p, ft.crib_side, "fire_test.crib_side")
-    _check_positive(p, ft.discharge_time, "fire_test.discharge_time")
-    _check_nonneg(p, ft.stage2_budget, "fire_test.stage2_budget")
-
-    ts = config.top_spray
-    _check_nonneg(p, ts.duration, "top_spray.duration")
-    _check_vector(p, ts.joints_deg, "top_spray.joints_deg", 4)
-
-    for i, fire in enumerate(config.fires):
-        _check_vector(p, fire.position, "fires[%d].position" % i, 3)
-        if not isinstance(fire.ident, str) or not fire.ident:
-            p.append("fires[%d].ident: expected a non-empty string" % i)
-
-    d = config.disturbance
-    if d.kind not in ("none", "constant", "sine", "noise"):
-        p.append("disturbance.kind: expected none, constant, sine or noise")
-    _check_vector(p, d.amplitude, "disturbance.amplitude", 2, nonneg=True)
-    _check_positive(p, d.frequency, "disturbance.frequency")
-    if not isinstance(d.seed, int) or isinstance(d.seed, bool):
-        p.append("disturbance.seed: expected an integer")
-    if (d.kind != "none" and isinstance(d.amplitude, (list, tuple))
-            and isinstance(c.f_bounds, (list, tuple))
-            and len(d.amplitude) == 2 and len(c.f_bounds) == 2
-            and all(_number(x) for x in list(d.amplitude) + list(c.f_bounds))):
-        for i in range(2):
-            if d.amplitude[i] > c.f_bounds[i]:
-                p.append("disturbance.amplitude[%d]: exceeds "
-                         "chassis_control.f_bounds[%d]" % (i, i))
-
-    b = config.band
-    _check_positive(p, b.e1_mm, "band.e1_mm")
-    _check_positive(p, b.e2_mm, "band.e2_mm")
-    _check_positive(p, b.e3_deg, "band.e3_deg")
-
-    _check_vector(p, config.initial_pose_offset, "initial_pose_offset", 3)
-    return p
+    """Return a list of human-readable problems, empty when valid: each
+    field's rule in declaration order, plus the cross-field rules."""
+    problems: list = []
+    for name, value, rule in _leaves(config):
+        rule(value, name, problems)
+        if name in _CROSS_RULES:
+            _CROSS_RULES[name](config, problems)
+    return problems
 
 
 # -- builders into engine objects -----------------------------------------
@@ -373,24 +355,21 @@ def build_geometry(config: ScenarioConfig) -> tuple:
 
 def build_inertial(config: ScenarioConfig, geometry: DHTable) -> LinkInertialParams:
     ine = config.inertial
-    if ine.masses is None and ine.com_offsets is None and ine.inertias is None:
-        return default_inertial_params(
-            geometry, total_mass=ine.total_mass,
-            payload_mass=ine.payload_mass, gravity=ine.gravity)
     stock = default_inertial_params(
         geometry, total_mass=ine.total_mass,
         payload_mass=ine.payload_mass, gravity=ine.gravity)
+    if ine.masses is None and ine.com_offsets is None and ine.inertias is None:
+        return stock
+
+    def pick(given, default):
+        return tuple(float(v) for v in (default if given is None else given))
+
     params = LinkInertialParams(
-        masses=tuple(float(v) for v in (
-            ine.masses if ine.masses is not None else stock.masses)),
-        com_offsets=tuple(float(v) for v in (
-            ine.com_offsets if ine.com_offsets is not None
-            else stock.com_offsets)),
-        inertias=tuple(float(v) for v in (
-            ine.inertias if ine.inertias is not None else stock.inertias)),
-        payload_mass=float(ine.payload_mass),
-        gravity=float(ine.gravity))
-    problems = params.validate(prefix="inertial.")
+        masses=pick(ine.masses, stock.masses),
+        com_offsets=pick(ine.com_offsets, stock.com_offsets),
+        inertias=pick(ine.inertias, stock.inertias),
+        payload_mass=float(ine.payload_mass), gravity=float(ine.gravity))
+    problems = params.validate()
     if problems:
         raise ValidationError(problems)
     return params
@@ -399,7 +378,7 @@ def build_inertial(config: ScenarioConfig, geometry: DHTable) -> LinkInertialPar
 def build_arm_gains(config: ScenarioConfig) -> ArmGains:
     a = config.arm_control
     return ArmGains(surface_rate=float(a.surface_rate),
-                    switch_gain=np.array(a.switch_gain, dtype=float),
+                    switch_gain=tuple(float(k) for k in a.switch_gain),
                     boundary_layer=float(a.boundary_layer))
 
 

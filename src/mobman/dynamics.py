@@ -40,31 +40,27 @@ class LinkInertialParams:
     inertias: tuple
     payload_mass: float
     gravity: float = GRAVITY
-    viscous: tuple | None = None
 
-    def validate(self, prefix: str = "inertia") -> list:
+    def validate(self) -> list:
+        """Problems named by their scenario key under inertial."""
         problems = []
         for name, vals in (("masses", self.masses), ("com_offsets", self.com_offsets),
                            ("inertias", self.inertias)):
             if len(vals) != 4:
-                problems.append("%s.%s: expected 4 entries" % (prefix, name))
+                problems.append("inertial.%s: expected 4 entries" % name)
         for i, m in enumerate(self.masses):
             if m <= 0.0:
-                problems.append("%s.masses[%d]: must be > 0" % (prefix, i))
+                problems.append("inertial.masses[%d]: must be > 0" % i)
         for i, c in enumerate(self.com_offsets):
             if c < 0.0:
-                problems.append("%s.com_offsets[%d]: must be >= 0" % (prefix, i))
+                problems.append("inertial.com_offsets[%d]: must be >= 0" % i)
         for i, val in enumerate(self.inertias):
             if val <= 0.0:
-                problems.append("%s.inertias[%d]: must be > 0" % (prefix, i))
+                problems.append("inertial.inertias[%d]: must be > 0" % i)
         if self.payload_mass < 0.0:
-            problems.append("%s.payload_mass: must be >= 0" % prefix)
+            problems.append("inertial.payload_mass: must be >= 0")
         if self.gravity < 0.0:
-            problems.append("%s.gravity: must be >= 0" % prefix)
-        if self.viscous is not None:
-            for i, b in enumerate(self.viscous):
-                if b < 0.0:
-                    problems.append("%s.viscous[%d]: must be >= 0" % (prefix, i))
+            problems.append("inertial.gravity: must be >= 0")
         return problems
 
 
@@ -138,7 +134,7 @@ class ArmDynamics:
         m22, m33, m44, m23, m24, m34); its non-zero partials (dm11/dq2,
         dm11/dq3, dm11/dq4, dm23/dq2, dm24/dq2, dm34/dq3), the other three
         being their negatives dm23/dq3, dm24/dq4, dm34/dq4; the gravity
-        torques (g2, g3, g4); and the bias C qd + G + viscous qd, where
+        torques (g2, g3, g4); and the bias C qd + G, where
         (C qd)_k = sum_ij (dM_kj/dq_i - dM_ij/dq_k / 2) qd_i qd_j is expanded
         over the partials, so no C or dM/dq is formed."""
         _, q2, q3, q4 = _floats(q)
@@ -181,8 +177,6 @@ class ArmDynamics:
                 g2 - h * d11_2 - d23 * w3 * w3 - d24 * w4 * w4,
                 g3 - h * d11_3 + d23 * w2 * w2 - d34 * w4 * w4,
                 g4 - h * d11_4 + d24 * w2 * w2 + d34 * w3 * w3]
-        if self.params.viscous is not None:
-            bias = [b + v * w for b, v, w in zip(bias, self.params.viscous, qd)]
         return mass, (d11_2, d11_3, d11_4, d23, d24, d34), (g2, g3, g4), bias
 
     def mass_matrix(self, q) -> np.ndarray:

@@ -19,8 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GeometryError, JointLimitViolation, Unreachable
-
-DEG = math.pi / 180.0
+from .util import DEG
 
 # Joint ranges, radians: base yaw, boom, forearm, wrist pitch.
 JOINT_LIMITS_LOW = np.array([-180.0, 0.0, -120.0, -90.0]) * DEG
@@ -79,18 +78,14 @@ class DHTable:
         return self.rows[0].d
 
 
-def default_dh_table() -> DHTable:
-    """Link constants of the reference arm (mm / rad)."""
-    return DHTable(rows=(
-        DHRow(a=100.0, alpha=90.0 * DEG, d=185.0, theta_index=1),
-        DHRow(a=1000.0, alpha=0.0, d=0.0, theta_index=2),
-        DHRow(a=1700.0, alpha=0.0, d=0.0, theta_index=3),
-        DHRow(a=100.0, alpha=0.0, d=0.0, theta_index=0),
-        DHRow(a=80.0, alpha=0.0, d=0.0, theta_index=4),
-    ))
-
-
-DEFAULT_DH = default_dh_table()
+# Link constants of the reference arm (mm / rad).
+DEFAULT_DH = DHTable(rows=(
+    DHRow(a=100.0, alpha=90.0 * DEG, d=185.0, theta_index=1),
+    DHRow(a=1000.0, alpha=0.0, d=0.0, theta_index=2),
+    DHRow(a=1700.0, alpha=0.0, d=0.0, theta_index=3),
+    DHRow(a=100.0, alpha=0.0, d=0.0, theta_index=0),
+    DHRow(a=80.0, alpha=0.0, d=0.0, theta_index=4),
+))
 
 
 @dataclass(frozen=True)
@@ -112,9 +107,6 @@ class EndEffectorPose:
     y: float
     z: float
     phi: float
-
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 def dh_transform(row: DHRow, theta: float) -> np.ndarray:
@@ -149,14 +141,6 @@ def check_joint_limits(q, tol: float = _LIMIT_TOL) -> None:
             "interior angle = %.6f deg outside [30, 165] deg" % (gamma / DEG))
 
 
-def joint_limits_ok(q, tol: float = _LIMIT_TOL) -> bool:
-    try:
-        check_joint_limits(q, tol)
-    except JointLimitViolation:
-        return False
-    return True
-
-
 def _planar_coords(q, geometry: DHTable, y5p: float):
     """Radial/vertical tool coordinates in the slewing plane (mm)."""
     a1, a2, a3, a4, a5 = geometry.a
@@ -183,8 +167,7 @@ def forward_kinematics(q, geometry: DHTable = DEFAULT_DH, tool: ToolOffset | Non
 
 
 def inverse_kinematics(pose: EndEffectorPose, geometry: DHTable = DEFAULT_DH,
-                       tool: ToolOffset | None = None,
-                       check_limits: bool = True) -> np.ndarray:
+                       tool: ToolOffset | None = None) -> np.ndarray:
     """Closed-form joint solution for a tool pose.
 
     The planar sub-problem reduces to a two-link triangle once the wrist and
@@ -221,8 +204,7 @@ def inverse_kinematics(pose: EndEffectorPose, geometry: DHTable = DEFAULT_DH,
     theta3 = -math.acos(min(1.0, max(-1.0, cos_b3))) + beta
 
     q = np.array([theta1, theta2, theta3, theta4])
-    if check_limits:
-        check_joint_limits(q)
+    check_joint_limits(q)
     return q
 
 
@@ -271,12 +253,11 @@ class WorkspaceSummary:
 
 
 def point_reachable(position, geometry: DHTable = DEFAULT_DH,
-                    tool: ToolOffset | None = None, phi_candidates=None) -> bool:
-    """True if some nozzle pitch in [0, 90] deg admits an in-range solution."""
-    if phi_candidates is None:
-        phi_candidates = np.arange(0.0, 90.0 + 1e-9, 5.0) * DEG
+                    tool: ToolOffset | None = None) -> bool:
+    """True if some nozzle pitch in [0, 90] deg, in 5 deg steps, admits an
+    in-range solution."""
     x, y, z = (float(v) for v in position)
-    for phi in phi_candidates:
+    for phi in np.arange(0.0, 90.0 + 1e-9, 5.0) * DEG:
         try:
             inverse_kinematics(EndEffectorPose(x, y, z, phi), geometry, tool)
             return True

@@ -11,14 +11,12 @@ time, reported separately.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyLog
-
-DEG = math.pi / 180.0
+from .util import DEG
 
 
 @dataclass

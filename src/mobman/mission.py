@@ -22,8 +22,7 @@ from .errors import (GeometryError, IllegalTransition, InfeasibleSweep,
                      JointLimitViolation, Unreachable)
 from .kinematics import DEFAULT_DH, DHTable, ToolOffset, inverse_kinematics
 from .arm_control import target_in_base_frame
-
-DEG = math.pi / 180.0
+from .util import DEG
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,6 @@ class FireSpot:
     ident: str
     position: tuple
 
-    def planar(self) -> np.ndarray:
-        return np.array([self.position[0], self.position[1]])
-
 
 @dataclass(frozen=True)
 class _Segment:
@@ -102,7 +98,7 @@ class Circuit:
     full straights in path order.
     """
 
-    def __init__(self, spec: CircuitSpec, dt: float | None = None):
+    def __init__(self, spec: CircuitSpec, dt: float):
         if spec.edge_length <= 0.0:
             raise GeometryError("circuit.edge_length: must be > 0")
         if spec.speed <= 0.0:
@@ -124,11 +120,9 @@ class Circuit:
         self.edge_time = ls / v
         self.half_edge_time = 0.5 * ls / v
         arc_len = 0.5 * math.pi * r
-        corner_time = arc_len / v
-        if dt is not None:
-            # Stretch the corner onto the control grid so every tangency event
-            # lands on a sample; the arc speed drops by well under 0.1 %.
-            corner_time = math.ceil(corner_time / dt - 1e-9) * dt
+        # Stretch the corner onto the control grid so every tangency event
+        # lands on a sample; the arc speed drops by well under 0.1 %.
+        corner_time = math.ceil(arc_len / v / dt - 1e-9) * dt
         self.corner_time = corner_time
         self.arc_speed = arc_len / corner_time
         self.arc_rate = 0.5 * math.pi / corner_time
@@ -376,22 +370,17 @@ class Stop:
     path_distance: float    # ordering key, metres after the closure mark
 
 
-@dataclass
-class StopPlan:
-    stops: list
-
-
-def assign_fires(fires, circuit: Circuit) -> StopPlan:
+def assign_fires(fires, circuit: Circuit) -> list:
     """Group each fire by its nearest tangency mark and drop a stop on that
     group's straight at the clamped perpendicular projection of the fire.
 
-    Stops come out ordered along the anti-clockwise path from the closure
-    mark, so one extra pass services them all.  Distance ties go to the
-    lower-numbered mark.
+    Returns one Stop per fire, ordered along the anti-clockwise path from the
+    closure mark, so one extra pass services them all.  Distance ties go to
+    the lower-numbered mark.
     """
     stops = []
     for fire in fires:
-        p = fire.planar()
+        p = np.array(fire.position[:2])
         d2 = ((circuit.a_points - p) ** 2).sum(axis=1)
         nearest = int(np.argmin(d2))  # argmin takes the first (lowest) index on ties
         group = nearest // 2 + 1
@@ -406,33 +395,24 @@ def assign_fires(fires, circuit: Circuit) -> StopPlan:
                           heading=heading,
                           path_distance=circuit.path_distance_of(point, group)))
     stops.sort(key=lambda s: (s.path_distance, s.fire.ident))
-    return StopPlan(stops=stops)
+    return stops
 
 
-@dataclass(frozen=True)
-class MissionCommand:
-    """One dispatched action: drive to a stop or spray a fire from it."""
-
-    kind: str               # "drive" | "spray"
-    stop: Stop
-    dwell: float = 0.0
-    pitch: float = 0.0
-
-
-def dispatch(plan: StopPlan, budget: float,
+def dispatch(stops: list, budget: float,
              geometry: DHTable = DEFAULT_DH, tool: ToolOffset | None = None,
              pitch: float = 30.0 * DEG):
-    """Expand a stop plan into drive/spray commands.
+    """Pick a nozzle pitch for each stop and split the spray budget.
 
     The spray budget is split evenly over the reachable stops.  Fires the arm
     cannot reach from their stop are skipped and returned flagged rather than
-    raised.  Returns (commands, flagged) where flagged is a list of
-    (fire, reason) pairs.
+    raised.  Returns (sprays, flagged): sprays holds a (stop, pitch, dwell)
+    triple per reachable stop, in stop order, and flagged (fire, reason)
+    pairs.
     """
     reachable = []
     flagged = []
     pitch_scan = [pitch] + [k * 5.0 * DEG for k in range(19)]
-    for stop in plan.stops:
+    for stop in stops:
         chassis_pose = (stop.point[0], stop.point[1], stop.heading)
         chosen = None
         reason = ""
@@ -449,14 +429,10 @@ def dispatch(plan: StopPlan, budget: float,
         else:
             reachable.append((stop, chosen))
 
-    commands = []
-    if reachable:
-        dwell = budget / len(reachable)
-        for stop, chosen in reachable:
-            commands.append(MissionCommand(kind="drive", stop=stop))
-            commands.append(MissionCommand(kind="spray", stop=stop,
-                                           dwell=dwell, pitch=chosen))
-    return commands, flagged
+    if not reachable:
+        return [], flagged
+    dwell = budget / len(reachable)
+    return [(stop, chosen, dwell) for stop, chosen in reachable], flagged
 
 
 # -- mission state machine ------------------------------------------------
@@ -482,7 +458,7 @@ class MissionState:
         return "End"
 
 
-def mission_step(state: MissionState, event: str, n_edges: int = 4,
+def mission_step(state: MissionState, event: str,
                  n_stops: int = 0) -> MissionState:
     """Advance the mission machine by one event; illegal events raise."""
     p, i = state.phase, state.index
@@ -491,7 +467,7 @@ def mission_step(state: MissionState, event: str, n_edges: int = 4,
     if p == "stage1" and state.sub == "sweep" and event == "sweep_done":
         return MissionState("stage1", i, "transit")
     if p == "stage1" and state.sub == "transit" and event == "edge_done":
-        if i < n_edges:
+        if i < 4:  # the circuit has four legs
             return MissionState("stage1", i + 1, "sweep")
         return MissionState("top_spray", 0, "")
     if p == "top_spray" and event == "top_spray_done":

@@ -33,8 +33,8 @@ from .dynamics import ArmDynamics
 from .errors import (EmptyLog, JointLimitViolation, ParseError, SolveFailure,
                      Unreachable)
 from .kinematics import forward_kinematics, inverse_kinematics
-from .mission import (Circuit, MissionState, StopPlan, assign_fires,
-                      build_sweep, dispatch, mission_step)
+from .mission import (Circuit, MissionState, assign_fires, build_sweep,
+                      dispatch, mission_step)
 from .util import integrate
 
 CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
@@ -145,12 +145,11 @@ class Stage2Slot:
 class MissionPlan:
     """Everything laid out before the loop runs."""
 
-    config: ScenarioConfig
     geometry: object
     tool: object
     circuit: object
     sweeps: list
-    stop_plan: StopPlan
+    stops: list           # Stop per fire, in path order
     flagged: list
     fire_test: object
     top_spray: object
@@ -173,10 +172,9 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
               for k in range(1, 5)]
     top_spray = build_top_spray(config)
 
-    fires = build_fires(config)
-    stop_plan = assign_fires(fires, circuit) if fires else StopPlan(stops=[])
-    commands, flagged = dispatch(stop_plan, fire_test.stage2_budget,
-                                 geometry, tool, pitch=sweep_spec.pitch)
+    stops = assign_fires(build_fires(config), circuit)
+    sprays, flagged = dispatch(stops, fire_test.stage2_budget,
+                               geometry, tool, pitch=sweep_spec.pitch)
 
     k_steps = [int(round(t / dt)) for t in circuit.k_times]
     a_steps = [int(round(t / dt)) for t in circuit.a_times]
@@ -193,23 +191,22 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
     stage2 = []
     cursor = top_window[1]
     prev_clock_steps = 0
-    sprays = [c for c in commands if c.kind == "spray"]
-    for cmd in sprays:
-        tt = circuit.time_at_distance(cmd.stop.path_distance)
+    for stop, pitch, dwell in sprays:
+        tt = circuit.time_at_distance(stop.path_distance)
         if tt <= 1e-9:
             tt = circuit.lap_time
         clock_steps = int(round(tt / dt))
         arrive = cursor + (clock_steps - prev_clock_steps)
-        dwell_steps = int(round(cmd.dwell / dt))
-        stage2.append(Stage2Slot(stop=cmd.stop, pitch=cmd.pitch,
-                                 dwell=cmd.dwell, clock=clock_steps * dt,
+        dwell_steps = int(round(dwell / dt))
+        stage2.append(Stage2Slot(stop=stop, pitch=pitch,
+                                 dwell=dwell, clock=clock_steps * dt,
                                  arrive_step=arrive,
                                  spray_end_step=arrive + dwell_steps))
         cursor = arrive + dwell_steps
         prev_clock_steps = clock_steps
 
-    return MissionPlan(config=config, geometry=geometry, tool=tool,
-                       circuit=circuit, sweeps=sweeps, stop_plan=stop_plan,
+    return MissionPlan(geometry=geometry, tool=tool,
+                       circuit=circuit, sweeps=sweeps, stops=stops,
                        flagged=flagged, fire_test=fire_test,
                        top_spray=top_spray, dt=dt, n_steps=cursor,
                        k_steps=k_steps, a_steps=a_steps,
@@ -364,11 +361,9 @@ class MissionResult:
     plan: MissionPlan
 
 
-def run_mission(config: ScenarioConfig | None = None) -> MissionResult:
+def run_mission(config: ScenarioConfig) -> MissionResult:
     """Plan and execute the full mission; returns the log, its metrics and
     the plan that produced them."""
-    if config is None:
-        config = ScenarioConfig()
     plan = plan_mission(config)
     dt = plan.dt
     n = plan.n_steps

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 
+DEG = math.pi / 180.0
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""

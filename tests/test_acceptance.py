@@ -254,28 +254,26 @@ def test_fire_assignment_matches_oracle(capsys):
         fires = [FireSpot("F%d" % (i + 1),
                           tuple(rng.uniform(-2.5, 2.5, 2)) + (0.3,))
                  for i in range(n)]
-        plan = assign_fires(fires, circuit)
+        stops = assign_fires(fires, circuit)
         oracle = _nearest_stop_oracle(fires, circuit)
-        if len(plan.stops) != len(oracle):
+        if len(stops) != len(oracle):
             mismatches += 1
             continue
-        for stop, (ident, a, group, point, dist) in zip(plan.stops, oracle):
+        for stop, (ident, a, group, point, dist) in zip(stops, oracle):
             if (stop.fire.ident != ident or stop.nearest_a != a
                     or stop.group != group
                     or not np.allclose(stop.point, point, atol=1e-12)
                     or abs(stop.path_distance - dist) > 1e-12):
                 mismatches += 1
                 break
-        dists = [s.path_distance for s in plan.stops]
+        dists = [s.path_distance for s in stops]
         if dists != sorted(dists):
             disorder += 1
 
     worked = assign_fires([FireSpot("F1", (0.30, 0.20, 0.30)),
                            FireSpot("F2", (0.20, 0.30, 0.30))], circuit)
-    case_ok = (worked.stops[0].fire.ident == "F1"
-               and worked.stops[0].group == 1
-               and worked.stops[1].fire.ident == "F2"
-               and worked.stops[1].group == 2)
+    case_ok = (worked[0].fire.ident == "F1" and worked[0].group == 1
+               and worked[1].fire.ident == "F2" and worked[1].group == 2)
 
     ok = mismatches == 0 and disorder == 0 and case_ok
     detail = ("%d/%d seeded fire sets match the brute-force oracle, "

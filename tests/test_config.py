@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import dataclasses
+
+from mobman import config as config_mod
 from mobman.config import (ChassisControlConfig, DisturbanceConfig,
                            ScenarioConfig, build_chassis_gains,
                            build_circuit_spec, build_fires, build_geometry,
                            build_inertial, build_sweep_spec,
                            disturbance_series, load_config, parse_config,
-                           save_config, serialize_config, validate_config)
+                           save_config, validate_config)
 from mobman.errors import ParseError, ValidationError
 
 DEG = math.pi / 180.0
@@ -100,8 +103,8 @@ def test_yaml_round_trip(tmp_path):
     save_config(config, path)
     again = load_config(path)
     assert again == config
-    # Serialization is plain data keyed by field names.
-    data = serialize_config(config)
+    # The saved file is plain data keyed by field names.
+    data = dataclasses.asdict(config)
     assert data["dt"] == 0.002
     assert parse_config(data) == config
 
@@ -147,18 +150,22 @@ def test_build_inertial_paths():
         "inertias": [5.0, 50.0, 120.0, 2.0]}})
     params = build_inertial(explicit, build_geometry(explicit)[0])
     assert params.masses == (50.0, 150.0, 150.0, 50.0)
-    # Bad values are rejected at parse time...
-    with pytest.raises(ValidationError):
-        parse_config({"inertial": {"masses": [50.0, -1.0, 150.0, 50.0],
-                                   "com_offsets": [0.05, 0.5, 0.85, 0.09],
-                                   "inertias": [5.0, 50.0, 120.0, 2.0]}})
+    # Bad values are rejected at parse time, by the same rule the builder
+    # applies...
+    for key, bad, message in (
+            ("masses", [50.0, -1.0, 150.0, 50.0], "masses[1]: must be > 0"),
+            ("inertias", [0.0, 50.0, 120.0, 2.0], "inertias[0]: must be > 0")):
+        with pytest.raises(ValidationError) as err:
+            parse_config({"inertial": {key: bad}})
+        assert err.value.messages == ["inertial." + message]
     # ...and again by the builder if a config is mutated after parsing.
     bad = ScenarioConfig()
     bad.inertial.masses = [50.0, -1.0, 150.0, 50.0]
-    bad.inertial.com_offsets = [0.05, 0.5, 0.85, 0.09]
-    bad.inertial.inertias = [5.0, 50.0, 120.0, 2.0]
-    with pytest.raises(ValidationError):
+    bad.inertial.inertias = [0.0, 50.0, 120.0, 2.0]
+    with pytest.raises(ValidationError) as err:
         build_inertial(bad, build_geometry(bad)[0])
+    assert err.value.messages == ["inertial.masses[1]: must be > 0",
+                                  "inertial.inertias[0]: must be > 0"]
 
 
 def test_build_chassis_gains_defaults():
@@ -209,3 +216,22 @@ def test_chassis_config_dataclass_defaults():
     assert cfg.surface_gains == [4.0, 100.0, 18.0]
     assert cfg.reaching_gains == [15.0, 15.0]
     assert cfg.track_width == 0.8
+
+
+def test_every_leaf_field_declares_a_rule():
+    """A new config key cannot land unchecked: every field of every config
+    dataclass is a section, the fire list, or a leaf with a rule."""
+    classes = [c for c in vars(config_mod).values()
+               if isinstance(c, type) and dataclasses.is_dataclass(c)
+               and c.__module__ == config_mod.__name__]
+    assert ScenarioConfig in classes and len(classes) > 1
+    unchecked = []
+    for cls in classes:
+        stock = cls()
+        for f in dataclasses.fields(stock):
+            default = getattr(stock, f.name)
+            if dataclasses.is_dataclass(default) or f.name == "fires":
+                continue
+            if not callable(f.metadata.get("rule")):
+                unchecked.append("%s.%s" % (cls.__name__, f.name))
+    assert unchecked == []

@@ -185,40 +185,17 @@ def test_free_swing_conserves_energy(rng):
     assert abs(e1 - e0) / abs(e0) < 1e-9
 
 
-def _damped_model():
-    p = default_inertial_params()
-    return ArmDynamics(params=LinkInertialParams(
-        masses=p.masses, com_offsets=p.com_offsets, inertias=p.inertias,
-        payload_mass=p.payload_mass, gravity=p.gravity,
-        viscous=(5.0, 5.0, 5.0, 5.0)))
-
-
-def test_viscous_term_enters_both_directions():
-    base = ArmDynamics()
-    damp = _damped_model()
-    q = np.array([0.0, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG])
-    qd = np.ones(4)
-    tau_extra = np.subtract(damp.inverse_dynamics(q, qd, np.zeros(4)),
-                            base.inverse_dynamics(q, qd, np.zeros(4)))
-    np.testing.assert_allclose(tau_extra, 5.0 * qd, atol=1e-9)
-    np.testing.assert_allclose(damp.forward_dynamics(q, qd, damp.inverse_dynamics(
-        q, qd, np.zeros(4))), np.zeros(4), atol=1e-9)
-
-
-@pytest.mark.parametrize("damped", [False, True], ids=["stock", "viscous"])
-def test_fused_dynamics_match_christoffel_route(damped, rng):
+def test_fused_dynamics_match_christoffel_route(model, rng):
     """forward_dynamics and inverse_dynamics (shared-trig kernel, expanded
     bias, block Cholesky) against M, the Christoffel C, G and a generic
     dense solve, on 1,000 random in-range states."""
-    model = _damped_model() if damped else ArmDynamics()
-    visc = np.asarray(model.params.viscous or np.zeros(4))
     worst_fd = worst_id = 0.0
     for q in random_joint_angles(rng, 1000):
         qd = rng.uniform(-2.0, 2.0, 4)
         tau = rng.uniform(-1e3, 1e3, 4)
         qdd = rng.uniform(-2.0, 2.0, 4)
         m = model.mass_matrix(q)
-        bias = model.coriolis_matrix(q, qd) @ qd + model.gravity_vector(q) + visc * qd
+        bias = model.coriolis_matrix(q, qd) @ qd + model.gravity_vector(q)
         want = np.linalg.solve(m, tau - bias)
         got = model.forward_dynamics(q, qd, tau)
         worst_fd = max(worst_fd, np.abs(got - want).max() / np.abs(want).max())

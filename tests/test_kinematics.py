@@ -8,8 +8,7 @@ from mobman.errors import GeometryError, JointLimitViolation, Unreachable
 from mobman.kinematics import (DEFAULT_DH, DHRow, DHTable, EndEffectorPose,
                                ToolOffset, check_joint_limits, dh_transform,
                                forward_kinematics, interior_angle,
-                               inverse_kinematics, joint_limits_ok,
-                               point_reachable, random_joint_angles,
+                               inverse_kinematics, point_reachable, random_joint_angles,
                                workspace_analysis)
 
 DEG = math.pi / 180.0
@@ -64,8 +63,8 @@ def test_forward_kinematics_matches_frame_chain(rng):
     for q in random_joint_angles(rng, 50):
         for y5p, t in ((0.0, None), (tool.y5p, tool)):
             pose = forward_kinematics(q, tool=t)
-            np.testing.assert_allclose(pose.position(), _chain_pose(q, y5p=y5p),
-                                       atol=1e-8)
+            np.testing.assert_allclose([pose.x, pose.y, pose.z],
+                                       _chain_pose(q, y5p=y5p), atol=1e-8)
 
 
 def test_forward_kinematics_planar_and_equivariant(rng):
@@ -123,8 +122,9 @@ def test_check_joint_limits_interior_angle():
     with pytest.raises(JointLimitViolation) as err:
         check_joint_limits(np.array([0.0, 100.0 * DEG, -60.0 * DEG, 0.0]))
     assert "interior angle" in str(err.value)
-    assert joint_limits_ok(np.array([0.0, 90.0 * DEG, 0.0, 0.0]))
-    assert not joint_limits_ok(np.array([0.0, 140.0 * DEG, 0.0, 0.0]))
+    check_joint_limits(np.array([0.0, 90.0 * DEG, 0.0, 0.0]))
+    with pytest.raises(JointLimitViolation, match="theta2"):
+        check_joint_limits(np.array([0.0, 140.0 * DEG, 0.0, 0.0]))
 
 
 def test_interior_angle_formula():

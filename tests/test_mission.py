@@ -6,7 +6,7 @@ import pytest
 
 from mobman.errors import (GeometryError, IllegalTransition, InfeasibleSweep)
 from mobman.mission import (Circuit, CircuitSpec, FireSpot, FireTestSpec,
-                            MissionState, StopPlan, SweepSpec, TopSpraySpec,
+                            MissionState, SweepSpec, TopSpraySpec,
                             assign_fires, build_sweep, dispatch,
                             mission_step)
 
@@ -105,13 +105,13 @@ def test_time_at_distance_inverts_marks(circuit):
 
 def test_circuit_validation():
     with pytest.raises(GeometryError):
-        Circuit(CircuitSpec(edge_length=0.0))
+        Circuit(CircuitSpec(edge_length=0.0), DT)
     with pytest.raises(GeometryError):
-        Circuit(CircuitSpec(speed=0.0))
+        Circuit(CircuitSpec(speed=0.0), DT)
     with pytest.raises(GeometryError):
-        Circuit(CircuitSpec(corner_radius=0.1))    # below the minimum
+        Circuit(CircuitSpec(corner_radius=0.1), DT)    # below the minimum
     with pytest.raises(GeometryError):
-        Circuit(CircuitSpec(corner_radius=1.5))    # over half the edge
+        Circuit(CircuitSpec(corner_radius=1.5), DT)    # over half the edge
 
 
 def test_group_straights_and_headings(circuit):
@@ -218,8 +218,7 @@ def _brute_force_plan(fires, circuit):
 
 def test_assign_fires_worked_case(circuit):
     fires = [FireSpot("F1", (0.30, 0.20, 0.30)), FireSpot("F2", (0.20, 0.30, 0.30))]
-    plan = assign_fires(fires, circuit)
-    first, second = plan.stops
+    first, second = assign_fires(fires, circuit)
     assert first.fire.ident == "F1" and first.nearest_a == 2 and first.group == 1
     np.testing.assert_allclose(first.point, (circuit.half_width, 0.20),
                                atol=1e-12)
@@ -236,30 +235,29 @@ def test_assign_fires_matches_brute_force(circuit, rng):
         fires = [FireSpot("F%d" % (i + 1),
                           tuple(rng.uniform(-0.5, 0.5, 2)) + (0.3,))
                  for i in range(n)]
-        plan = assign_fires(fires, circuit)
+        stops = assign_fires(fires, circuit)
         oracle = _brute_force_plan(fires, circuit)
-        assert len(plan.stops) == len(oracle)
-        for stop, (fire, a, group, point, dist) in zip(plan.stops, oracle):
+        assert len(stops) == len(oracle)
+        for stop, (fire, a, group, point, dist) in zip(stops, oracle):
             assert stop.fire.ident == fire.ident
             assert stop.nearest_a == a and stop.group == group
             np.testing.assert_allclose(stop.point, point, atol=1e-12)
             assert stop.path_distance == pytest.approx(dist, abs=1e-12)
-        d = [s.path_distance for s in plan.stops]
+        d = [s.path_distance for s in stops]
         assert all(x <= y for x, y in zip(d, d[1:]))
 
 
 def test_assign_fires_tie_takes_lower_mark(circuit):
-    plan = assign_fires([FireSpot("F1", (circuit.half_width, 0.0, 0.3))],
-                        circuit)
-    assert plan.stops[0].nearest_a == 1
-    assert plan.stops[0].group == 1
+    [stop] = assign_fires([FireSpot("F1", (circuit.half_width, 0.0, 0.3))],
+                          circuit)
+    assert stop.nearest_a == 1
+    assert stop.group == 1
 
 
 def test_assign_fires_clamps_to_straight(circuit):
     # Nearest mark is A2, but the projection lands past the straight's end,
     # so the stop clamps to the A2 corner point itself.
-    plan = assign_fires([FireSpot("F1", (2.5, 2.2, 0.3))], circuit)
-    stop = plan.stops[0]
+    [stop] = assign_fires([FireSpot("F1", (2.5, 2.2, 0.3))], circuit)
     assert stop.nearest_a == 2 and stop.group == 1
     np.testing.assert_allclose(
         stop.point, tuple(circuit.a_points[1]), atol=1e-12)
@@ -267,30 +265,29 @@ def test_assign_fires_clamps_to_straight(circuit):
 
 def test_dispatch_splits_budget(circuit):
     fires = [FireSpot("F1", (0.30, 0.20, 0.30)), FireSpot("F2", (0.20, 0.30, 0.30))]
-    commands, flagged = dispatch(assign_fires(fires, circuit), budget=3.0)
+    stops = assign_fires(fires, circuit)
+    sprays, flagged = dispatch(stops, budget=3.0)
     assert not flagged
-    kinds = [c.kind for c in commands]
-    assert kinds == ["drive", "spray", "drive", "spray"]
-    for c in commands:
-        if c.kind == "spray":
-            assert c.dwell == pytest.approx(1.5)
-            assert c.pitch >= 0.0
+    assert [stop for stop, _, _ in sprays] == stops
+    for _, pitch, dwell in sprays:
+        assert dwell == pytest.approx(1.5)
+        assert pitch >= 0.0
 
 
 def test_dispatch_flags_unreachable(circuit):
     fires = [FireSpot("F1", (0.30, 0.20, 0.30)),
              FireSpot("FX", (0.0, 0.0, 5.0))]   # far above any reach
-    commands, flagged = dispatch(assign_fires(fires, circuit), budget=3.0)
+    sprays, flagged = dispatch(assign_fires(fires, circuit), budget=3.0)
     assert len(flagged) == 1
     fire, reason = flagged[0]
     assert fire.ident == "FX" and "unreachable" in reason
-    sprays = [c for c in commands if c.kind == "spray"]
-    assert len(sprays) == 1 and sprays[0].dwell == pytest.approx(3.0)
+    [(stop, _, dwell)] = sprays
+    assert stop.fire.ident == "F1" and dwell == pytest.approx(3.0)
 
 
 def test_dispatch_empty_plan():
-    commands, flagged = dispatch(StopPlan(stops=[]), budget=3.0)
-    assert commands == [] and flagged == []
+    sprays, flagged = dispatch([], budget=3.0)
+    assert sprays == [] and flagged == []
 
 
 # -- state machine ---------------------------------------------------------

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from mobman import simulate
-from mobman.arm_control import (ArmGains, control_law as arm_control_law,
+from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
 from mobman.chassis_control import (ChassisGains, ChassisRefSample,
                                     chassis_tick, plant_step)
-from mobman.config import ScenarioConfig, parse_config
+from mobman.config import (ScenarioConfig, build_arm_gains,
+                           build_chassis_gains, parse_config)
 from mobman.dynamics import ArmDynamics
 from mobman.errors import EmptyLog, ParseError, SolveFailure, Unreachable
 from mobman.kinematics import forward_kinematics
@@ -288,8 +289,8 @@ def test_arm_reference_solves_sweep_targets():
             pose = (refs[i].x, refs[i].y, refs[i].heading)
             local = target_in_base_frame(pose, point, sweep.pitch)
             tool = forward_kinematics(qr[i], plan.geometry, plan.tool)
-            np.testing.assert_allclose(tool.position(), local.position(),
-                                       atol=1e-9)
+            np.testing.assert_allclose([tool.x, tool.y, tool.z],
+                                       [local.x, local.y, local.z], atol=1e-9)
             assert tool.phi == pytest.approx(local.phi, abs=1e-12)
     np.testing.assert_allclose(qdr[1:-1], (qr[2:] - qr[:-2]) / (2 * plan.dt),
                                rtol=1e-12, atol=1e-12)
@@ -361,10 +362,12 @@ def test_non_finite_state_is_named(monkeypatch):
 
 def test_control_step_runs_on_plain_floats(monkeypatch):
     """One chassis tick, arm law, FK, plant step and arm step (both
-    integrators) on float inputs build no numpy array and return plain
-    floats, so per-stage arrays cannot creep back into the loop."""
+    integrators) on float inputs, with the gains run_mission builds from a
+    scenario, build no numpy array and return plain floats, so per-stage
+    arrays and numpy scalars cannot creep back into the loop."""
     model = ArmDynamics()
-    gains = ChassisGains()
+    arm_gains = build_arm_gains(ScenarioConfig())
+    gains = build_chassis_gains(ScenarioConfig())
     ref = ChassisRefSample(1.0, 2.0, 0.3, v=0.88, w=0.1, vdx=0.84, vdy=0.26,
                            w_dot=0.01)
     z = [1.01, 1.98, 0.31, 0.87, 0.12]
@@ -379,7 +382,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
             patch.setattr(np, name, no_arrays)
         _, s, u = chassis_tick(ref, z, gains)
         tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
-                              ArmGains(), model)
+                              arm_gains, model)
         forward_kinematics(q, check_limits=False)
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3,
                         f_bounds=gains.f_bounds)
