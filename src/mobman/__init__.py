@@ -10,11 +10,9 @@ from .kinematics import (DEFAULT_DH, DHRow, DHTable, EndEffectorPose,
                          ToolOffset, forward_kinematics, inverse_kinematics,
                          workspace_analysis)
 from .dynamics import ArmDynamics, LinkInertialParams, default_inertial_params
-from .arm_control import ArmGains
 from .chassis_control import ChassisGains, ChassisRefSample, tracking_error
-from .mission import (Circuit, CircuitSpec, FireSpot, FireTestSpec,
-                      MissionState, SweepSpec, TopSpraySpec, assign_fires,
-                      build_sweep, dispatch, mission_step)
+from .mission import (Circuit, MissionState, assign_fires, build_sweep,
+                      dispatch, mission_step)
 from .config import ScenarioConfig, load_config, parse_config, save_config
 from .simulate import MissionResult, SimLog, export, plan_mission, run_mission
 from .metrics import MetricsReport, compute_metrics
@@ -22,16 +20,15 @@ from .metrics import MetricsReport, compute_metrics
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmDynamics", "ArmGains", "Circuit", "CircuitSpec", "ChassisGains",
-    "ChassisRefSample", "DEFAULT_DH", "DHRow", "DHTable",
-    "DisturbanceBoundViolation", "EmptyLog", "EndEffectorPose", "FireSpot",
-    "FireTestSpec", "GeometryError", "IllegalTransition", "InfeasibleSweep",
-    "JointLimitViolation", "LinkInertialParams", "MetricsReport",
-    "MissionResult", "MissionState", "MobmanError", "ParseError",
-    "ScenarioConfig", "SimLog", "SolveFailure", "SweepSpec", "ToolOffset",
-    "TopSpraySpec", "Unreachable", "ValidationError", "assign_fires",
-    "build_sweep", "compute_metrics", "default_inertial_params", "dispatch",
-    "export", "forward_kinematics", "inverse_kinematics", "load_config",
+    "ArmDynamics", "Circuit", "ChassisGains", "ChassisRefSample",
+    "DEFAULT_DH", "DHRow", "DHTable", "DisturbanceBoundViolation",
+    "EmptyLog", "EndEffectorPose", "GeometryError", "IllegalTransition",
+    "InfeasibleSweep", "JointLimitViolation", "LinkInertialParams",
+    "MetricsReport", "MissionResult", "MissionState", "MobmanError",
+    "ParseError", "ScenarioConfig", "SimLog", "SolveFailure", "ToolOffset",
+    "Unreachable", "ValidationError", "assign_fires", "build_sweep",
+    "compute_metrics", "default_inertial_params", "dispatch", "export",
+    "forward_kinematics", "inverse_kinematics", "load_config",
     "mission_step", "parse_config", "plan_mission", "run_mission",
     "save_config", "tracking_error", "workspace_analysis",
 ]

@@ -11,7 +11,6 @@ and are converted to the arm's millimetre convention internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dynamics import ArmDynamics
 from .kinematics import EndEffectorPose
@@ -20,21 +19,15 @@ from .util import switch
 _M_TO_MM = 1e3
 
 
-@dataclass(frozen=True)
-class ArmGains:
-    """Surface slope (1/s), per-joint switching gains and the boundary-layer
-    width; a zero width selects the pure switching sign."""
-
-    surface_rate: float = 20.0
-    switch_gain: tuple = (5.0, 5.0, 5.0, 5.0)
-    boundary_layer: float = 0.01
-
-
-def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains: ArmGains,
+def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains,
                 model: ArmDynamics) -> list:
     """Model-inverting sliding-mode torque command: the model's inverse
     dynamics at the reaching acceleration qdd_r + rate * edot + K sw(s), with
-    the surface s = edot + rate * e formed joint by joint in floats."""
+    the surface s = edot + rate * e formed joint by joint in floats.
+
+    gains is the scenario's ArmControlConfig section: the surface slope
+    surface_rate (1/s), the per-joint switch_gain K and the boundary_layer
+    width, where a zero width selects the pure switching sign."""
     rate, width = gains.surface_rate, gains.boundary_layer
     inner = []
     for qi, qdi, rq, rqd, rqdd, k in zip(q, qd, ref_q, ref_qd, ref_qdd,

@@ -1,9 +1,11 @@
 """Scenario configuration: YAML in, validated dataclasses out.
 
 Config files use field-friendly units (degrees, millimetres for arm geometry,
-metres for the chassis and planner); the builders convert to the radian/SI
-quantities the engine modules use.  An empty file is a valid scenario: every
-field has the stock default.
+metres for the chassis and planner).  The planner and the arm law read their
+sections directly and convert degrees where they use them; builders turn the
+geometry, inertial and chassis_control sections into the engine's link table,
+inertial parameters and chassis gains.  An empty file is a valid scenario:
+every field has the stock default.
 """
 from __future__ import annotations
 
@@ -15,11 +17,9 @@ import numpy as np
 import yaml
 
 from .chassis_control import ChassisGains
-from .arm_control import ArmGains
 from .dynamics import LinkInertialParams, default_inertial_params
 from .errors import ParseError, ValidationError
 from .kinematics import DHRow, DHTable, ToolOffset
-from .mission import CircuitSpec, FireSpot, FireTestSpec, SweepSpec, TopSpraySpec
 from .util import DEG
 
 
@@ -294,11 +294,20 @@ def _leaves(obj, path: str = ""):
 
 
 def _boom_and_forearm(config: ScenarioConfig, problems: list) -> None:
+    """The IK divides by the boom and forearm lengths, and the stock inertial
+    split gives the column and wrist an inertia of m L^2 / 3, which a zero
+    lateral offset or end link would make 0."""
     lengths = config.geometry.link_lengths
     if isinstance(lengths, (list, tuple)) and len(lengths) == 5:
-        for i in (1, 2):  # the IK divides by both
+        stock = config.inertial.inertias is None
+        for i in (0, 1, 2, 4):
             if _number(lengths[i]) and lengths[i] == 0:
-                problems.append("geometry.link_lengths[%d]: must be > 0" % i)
+                if i in (1, 2):
+                    problems.append("geometry.link_lengths[%d]: must be > 0"
+                                    % i)
+                elif stock:
+                    problems.append("geometry.link_lengths[%d]: must be > 0 "
+                                    "while inertial.inertias is unset" % i)
 
 
 def _corner_radius(config: ScenarioConfig, problems: list) -> None:
@@ -375,13 +384,6 @@ def build_inertial(config: ScenarioConfig, geometry: DHTable) -> LinkInertialPar
     return params
 
 
-def build_arm_gains(config: ScenarioConfig) -> ArmGains:
-    a = config.arm_control
-    return ArmGains(surface_rate=float(a.surface_rate),
-                    switch_gain=tuple(float(k) for k in a.switch_gain),
-                    boundary_layer=float(a.boundary_layer))
-
-
 def build_chassis_gains(config: ScenarioConfig) -> ChassisGains:
     c = config.chassis_control
     return ChassisGains(
@@ -393,43 +395,6 @@ def build_chassis_gains(config: ScenarioConfig) -> ChassisGains:
         f_bounds=(float(c.f_bounds[0]), float(c.f_bounds[1])),
         boundary_layer=float(c.boundary_layer),
         track_width=float(c.track_width))
-
-
-def build_circuit_spec(config: ScenarioConfig) -> CircuitSpec:
-    c = config.circuit
-    return CircuitSpec(edge_length=float(c.edge_length),
-                       corner_radius=float(c.corner_radius),
-                       speed=float(c.speed),
-                       center=(float(c.center[0]), float(c.center[1])),
-                       min_corner_radius=float(c.min_corner_radius))
-
-
-def build_sweep_spec(config: ScenarioConfig) -> SweepSpec:
-    s = config.sweep
-    return SweepSpec(passes=int(s.passes),
-                     horizontal_span=float(s.horizontal_span),
-                     vertical_span=float(s.vertical_span),
-                     base_height=float(s.base_height),
-                     speed=float(s.speed),
-                     pitch=float(s.pitch_deg) * DEG)
-
-
-def build_fire_test(config: ScenarioConfig) -> FireTestSpec:
-    ft = config.fire_test
-    return FireTestSpec(label=ft.label, crib_side=float(ft.crib_side),
-                        discharge_time=float(ft.discharge_time),
-                        stage2_budget=float(ft.stage2_budget))
-
-
-def build_top_spray(config: ScenarioConfig) -> TopSpraySpec:
-    ts = config.top_spray
-    return TopSpraySpec(duration=float(ts.duration),
-                        joints=tuple(float(x) * DEG for x in ts.joints_deg))
-
-
-def build_fires(config: ScenarioConfig) -> list:
-    return [FireSpot(ident=f.ident, position=tuple(float(x) for x in f.position))
-            for f in config.fires]
 
 
 def disturbance_series(config: DisturbanceConfig, times: np.ndarray) -> np.ndarray:

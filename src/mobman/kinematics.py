@@ -152,15 +152,14 @@ def _planar_coords(q, geometry: DHTable, y5p: float):
     return r, z
 
 
-def forward_kinematics(q, geometry: DHTable = DEFAULT_DH, tool: ToolOffset | None = None,
-                       check_limits: bool = True) -> EndEffectorPose:
+def forward_kinematics(q, geometry: DHTable = DEFAULT_DH,
+                       tool: ToolOffset | None = None) -> EndEffectorPose:
     """Tool pose from joint angles (absolute-angle convention).
 
-    The nozzle pitch comes straight from the wrist joint: phi = -theta4.
+    The pure geometric map: it checks no joint range, which is
+    check_joint_limits' job.  The nozzle pitch comes straight from the wrist
+    joint: phi = -theta4.
     """
-    if check_limits:
-        q = np.asarray(q, dtype=float)
-        check_joint_limits(q)
     y5p = tool.y5p if tool is not None else 0.0
     r, z = _planar_coords(q, geometry, y5p)
     return EndEffectorPose(x=r * math.cos(q[0]), y=r * math.sin(q[0]), z=z, phi=-q[3])

@@ -26,57 +26,6 @@ from .util import DEG
 
 
 @dataclass(frozen=True)
-class FireTestSpec:
-    """Rating under test: crib footprint and the timing budget."""
-
-    label: str = "20A"
-    crib_side: float = 1.0
-    discharge_time: float = 15.0
-    stage2_budget: float = 3.0
-
-
-@dataclass(frozen=True)
-class CircuitSpec:
-    """Rounded-square circuit geometry.  edge_length is the straight-segment
-    length between corner tangency points."""
-
-    edge_length: float = 2.60128
-    corner_radius: float = 0.5
-    speed: float = 0.88
-    center: tuple = (0.0, 0.0)
-    min_corner_radius: float = 0.2
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Serpentine raster over one crib face: horizontal passes stacked over a
-    vertical span, traversed at constant tool speed."""
-
-    passes: int = 4
-    horizontal_span: float = 0.9
-    vertical_span: float = 0.45
-    base_height: float = 0.2
-    speed: float = 1.4
-    pitch: float = 30.0 * DEG
-
-
-@dataclass(frozen=True)
-class TopSpraySpec:
-    """Arm posture for the overhead spray at circuit closure."""
-
-    duration: float = 0.0
-    joints: tuple = (0.0, 135.0 * DEG, 15.5 * DEG, -45.0 * DEG)
-
-
-@dataclass(frozen=True)
-class FireSpot:
-    """A residual flame position in the world frame (m)."""
-
-    ident: str
-    position: tuple
-
-
-@dataclass(frozen=True)
 class _Segment:
     kind: str           # "straight" | "arc"
     t0: float           # lap time at segment entry
@@ -96,9 +45,12 @@ class Circuit:
     the K marks (K5 repeats K1 at closure); corner tangency points are the A
     marks, numbered so that consecutive pairs (A1 A2, A3 A4, ...) flank the
     full straights in path order.
+
+    spec is the scenario's CircuitConfig section, read by attribute; dt is
+    the control step the corners are snapped to.
     """
 
-    def __init__(self, spec: CircuitSpec, dt: float):
+    def __init__(self, spec, dt: float):
         if spec.edge_length <= 0.0:
             raise GeometryError("circuit.edge_length: must be > 0")
         if spec.speed <= 0.0:
@@ -306,9 +258,9 @@ class SweepPath:
         return out
 
 
-def build_sweep(edge_index: int, sweep: SweepSpec, fire: FireTestSpec,
-                circuit: Circuit) -> SweepPath:
-    """Raster for the crib face adjacent to a Stage I leg (1..4).
+def build_sweep(edge_index: int, sweep, fire, circuit: Circuit) -> SweepPath:
+    """Raster for the crib face adjacent to a Stage I leg (1..4), from the
+    scenario's SweepConfig and FireTestConfig sections.
 
     Legs wrap the crib anti-clockwise starting from the face the opening leg
     runs along; the raster's first pass starts at the trailing end of the face
@@ -347,7 +299,7 @@ def build_sweep(edge_index: int, sweep: SweepSpec, fire: FireTestSpec,
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
 
     path = SweepPath(edge_index=edge_index, vertices=vertices, cum_lengths=cum,
-                     speed=sweep.speed, pitch=sweep.pitch)
+                     speed=float(sweep.speed), pitch=sweep.pitch_deg * DEG)
     if path.duration > circuit.edge_time + 1e-9:
         raise InfeasibleSweep(
             "sweep over face %d needs %.3f s but the edge allows %.3f s"
@@ -362,7 +314,7 @@ def build_sweep(edge_index: int, sweep: SweepSpec, fire: FireTestSpec,
 class Stop:
     """A chassis halt for one residual fire."""
 
-    fire: FireSpot
+    fire: object            # FireConfig entry: ident and world position (m)
     nearest_a: int          # 1..8
     group: int              # 1..4
     point: tuple            # stop position on the group straight (m)
@@ -371,8 +323,9 @@ class Stop:
 
 
 def assign_fires(fires, circuit: Circuit) -> list:
-    """Group each fire by its nearest tangency mark and drop a stop on that
-    group's straight at the clamped perpendicular projection of the fire.
+    """Group each fire (a FireConfig entry) by its nearest tangency mark and
+    drop a stop on that group's straight at the clamped perpendicular
+    projection of the fire.
 
     Returns one Stop per fire, ordered along the anti-clockwise path from the
     closure mark, so one extra pass services them all.  Distance ties go to
@@ -380,7 +333,7 @@ def assign_fires(fires, circuit: Circuit) -> list:
     """
     stops = []
     for fire in fires:
-        p = np.array(fire.position[:2])
+        p = np.array(fire.position[:2], dtype=float)
         d2 = ((circuit.a_points - p) ** 2).sum(axis=1)
         nearest = int(np.argmin(d2))  # argmin takes the first (lowest) index on ties
         group = nearest // 2 + 1
@@ -403,7 +356,8 @@ def dispatch(stops: list, budget: float,
              pitch: float = 30.0 * DEG):
     """Pick a nozzle pitch for each stop and split the spray budget.
 
-    The spray budget is split evenly over the reachable stops.  Fires the arm
+    The stops come from assign_fires and the budget is the FireTestConfig
+    stage2_budget; it is split evenly over the reachable stops.  Fires the arm
     cannot reach from their stop are skipped and returned flagged rather than
     raised.  Returns (sprays, flagged): sprays holds a (stop, pitch, dwell)
     triple per reachable stop, in stop order, and flagged (fire, reason)

@@ -25,17 +25,15 @@ from . import metrics as metrics_mod
 from .arm_control import control_law as arm_control_law, target_in_base_frame
 from .chassis_control import (ChassisGains, ChassisRefSample, chassis_tick,
                               plant_step, wheel_speeds)
-from .config import (ScenarioConfig, build_arm_gains, build_chassis_gains,
-                     build_circuit_spec, build_fires, build_fire_test,
-                     build_geometry, build_inertial, build_sweep_spec,
-                     build_top_spray, disturbance_series)
+from .config import (ScenarioConfig, build_chassis_gains, build_geometry,
+                     build_inertial, disturbance_series)
 from .dynamics import ArmDynamics
 from .errors import (EmptyLog, JointLimitViolation, ParseError, SolveFailure,
                      Unreachable)
 from .kinematics import forward_kinematics, inverse_kinematics
 from .mission import (Circuit, MissionState, assign_fires, build_sweep,
                       dispatch, mission_step)
-from .util import integrate
+from .util import DEG, integrate
 
 CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "u1", "u2", "vL", "vR",
@@ -151,8 +149,8 @@ class MissionPlan:
     sweeps: list
     stops: list           # Stop per fire, in path order
     flagged: list
-    fire_test: object
-    top_spray: object
+    fire_test: object     # the scenario's FireTestConfig section
+    top_spray: object     # the scenario's TopSprayConfig section
     dt: float
     n_steps: int
     k_steps: list
@@ -165,16 +163,13 @@ class MissionPlan:
 def plan_mission(config: ScenarioConfig) -> MissionPlan:
     dt = config.dt
     geometry, tool = build_geometry(config)
-    circuit = Circuit(build_circuit_spec(config), dt=dt)
-    fire_test = build_fire_test(config)
-    sweep_spec = build_sweep_spec(config)
-    sweeps = [build_sweep(k, sweep_spec, fire_test, circuit)
+    circuit = Circuit(config.circuit, dt=dt)
+    sweeps = [build_sweep(k, config.sweep, config.fire_test, circuit)
               for k in range(1, 5)]
-    top_spray = build_top_spray(config)
 
-    stops = assign_fires(build_fires(config), circuit)
-    sprays, flagged = dispatch(stops, fire_test.stage2_budget,
-                               geometry, tool, pitch=sweep_spec.pitch)
+    stops = assign_fires(config.fires, circuit)
+    sprays, flagged = dispatch(stops, config.fire_test.stage2_budget,
+                               geometry, tool, pitch=sweeps[0].pitch)
 
     k_steps = [int(round(t / dt)) for t in circuit.k_times]
     a_steps = [int(round(t / dt)) for t in circuit.a_times]
@@ -185,7 +180,7 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
         sweep_windows.append((start, start + steps))
 
     lap_steps = k_steps[4]
-    top_steps = int(round(top_spray.duration / dt))
+    top_steps = int(round(config.top_spray.duration / dt))
     top_window = (lap_steps, lap_steps + top_steps)
 
     stage2 = []
@@ -207,8 +202,8 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
 
     return MissionPlan(geometry=geometry, tool=tool,
                        circuit=circuit, sweeps=sweeps, stops=stops,
-                       flagged=flagged, fire_test=fire_test,
-                       top_spray=top_spray, dt=dt, n_steps=cursor,
+                       flagged=flagged, fire_test=config.fire_test,
+                       top_spray=config.top_spray, dt=dt, n_steps=cursor,
                        k_steps=k_steps, a_steps=a_steps,
                        sweep_windows=sweep_windows, top_window=top_window,
                        stage2=stage2)
@@ -326,7 +321,7 @@ def _arm_reference(plan: MissionPlan, refs: list):
 
     if plan.top_window[1] > plan.top_window[0]:
         a, b = plan.top_window
-        qr[a:b + 1] = np.asarray(plan.top_spray.joints)
+        qr[a:b + 1] = np.asarray(plan.top_spray.joints_deg, dtype=float) * DEG
         anchors.append((a, b))
 
     for j, slot in enumerate(plan.stage2, start=1):
@@ -374,7 +369,6 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
 
     model = ArmDynamics(params=build_inertial(config, plan.geometry),
                         geometry=plan.geometry, tool=plan.tool)
-    arm_gains = build_arm_gains(config)
     gains = build_chassis_gains(config)
     dist = disturbance_series(config.disturbance, np.arange(n) * dt)
 
@@ -399,12 +393,11 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         q_ref = qr[i].tolist()
         err, s, u = chassis_tick(ref, z, gains)
         tau = arm_control_law(q, qd, q_ref, qdr[i].tolist(), qddr[i].tolist(),
-                              arm_gains, model)
+                              config.arm_control, model)
 
         c, sn = math.cos(z[2]), math.sin(z[2])
-        fk = forward_kinematics(q, plan.geometry, plan.tool, check_limits=False)
-        tk = forward_kinematics(q_ref, plan.geometry, plan.tool,
-                                check_limits=False)
+        fk = forward_kinematics(q, plan.geometry, plan.tool)
+        tk = forward_kinematics(q_ref, plan.geometry, plan.tool)
         vl, vr = wheel_speeds(z[3], z[4], gains.track_width)
 
         rc, rs = math.cos(ref.heading), math.sin(ref.heading)

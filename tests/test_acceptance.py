@@ -10,15 +10,15 @@ import time
 
 import numpy as np
 
-from mobman.arm_control import ArmGains
 from mobman.chassis_control import ChassisGains
-from mobman.config import DisturbanceConfig, ScenarioConfig, disturbance_series
+from mobman.config import (ArmControlConfig, CircuitConfig, DisturbanceConfig,
+                           FireConfig, ScenarioConfig, disturbance_series)
 from mobman.dynamics import ArmDynamics, default_inertial_params
 from mobman.errors import JointLimitViolation, Unreachable
 from mobman.kinematics import (forward_kinematics, inverse_kinematics,
                                random_joint_angles, workspace_analysis)
 from mobman.metrics import compute_metrics
-from mobman.mission import Circuit, CircuitSpec, FireSpot, assign_fires
+from mobman.mission import Circuit, assign_fires
 from mobman.simulate import (SimLog, _arm_reference, _chassis_reference,
                              run_line_scenario, run_mission)
 
@@ -141,7 +141,7 @@ def test_arm_tracking_during_mission(default_mission, capsys):
     log = result.log
     q = np.column_stack([log.values["q%d" % k] for k in (1, 2, 3, 4)])
     qd = np.column_stack([log.values["qd%d" % k] for k in (1, 2, 3, 4)])
-    lam = ArmGains().surface_rate
+    lam = ArmControlConfig().surface_rate
     s = (qd - qdr) + lam * (q - qr)
     V = 0.5 * np.sum(s * s, axis=1)
 
@@ -244,15 +244,15 @@ def _nearest_stop_oracle(fires, circuit):
 
 
 def test_fire_assignment_matches_oracle(capsys):
-    circuit = Circuit(CircuitSpec(), dt=1e-3)
+    circuit = Circuit(CircuitConfig(), dt=1e-3)
     rng = np.random.default_rng(42)
     mismatches = 0
     disorder = 0
     trials = 50
     for _ in range(trials):
         n = int(rng.integers(1, 11))
-        fires = [FireSpot("F%d" % (i + 1),
-                          tuple(rng.uniform(-2.5, 2.5, 2)) + (0.3,))
+        fires = [FireConfig(ident="F%d" % (i + 1),
+                            position=tuple(rng.uniform(-2.5, 2.5, 2)) + (0.3,))
                  for i in range(n)]
         stops = assign_fires(fires, circuit)
         oracle = _nearest_stop_oracle(fires, circuit)
@@ -270,8 +270,9 @@ def test_fire_assignment_matches_oracle(capsys):
         if dists != sorted(dists):
             disorder += 1
 
-    worked = assign_fires([FireSpot("F1", (0.30, 0.20, 0.30)),
-                           FireSpot("F2", (0.20, 0.30, 0.30))], circuit)
+    worked = assign_fires(
+        [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
+         FireConfig(ident="F2", position=(0.20, 0.30, 0.30))], circuit)
     case_ok = (worked[0].fire.ident == "F1" and worked[0].group == 1
                and worked[1].fire.ident == "F2" and worked[1].group == 2)
 

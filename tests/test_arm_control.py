@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mobman.arm_control import ArmGains, control_law, target_in_base_frame
+from mobman.arm_control import control_law, target_in_base_frame
+from mobman.config import ArmControlConfig
 from mobman.kinematics import (ToolOffset, forward_kinematics,
                                inverse_kinematics, random_joint_angles)
 from mobman.util import integrate
@@ -26,8 +27,9 @@ def test_sliding_surface_and_switch():
     s = edot + rate * e: linear in s inside the boundary layer, saturated
     outside it, and the plain sign without a layer."""
     zero = [0.0] * 4
-    gains = ArmGains(surface_rate=20.0, switch_gain=(1.0, 2.0, 3.0, 4.0),
-                     boundary_layer=0.01)
+    gains = ArmControlConfig(surface_rate=20.0,
+                             switch_gain=[1.0, 2.0, 3.0, 4.0],
+                             boundary_layer=0.01)
     # s = 20 e: 0.005 and -0.005 inside the layer, 5.0 and -0.4 outside it.
     e = [0.00025, -0.00025, 0.25, -0.02]
     inner = control_law(zero, zero, e, zero, zero, gains, _Identity())
@@ -43,7 +45,7 @@ def test_sliding_surface_and_switch():
 
 
 def test_control_law_formula_recomposition(model, rng):
-    gains = ArmGains()
+    gains = ArmControlConfig()
     for _ in range(10):
         q = random_joint_angles(rng)
         qd = rng.uniform(-0.5, 0.5, 4)
@@ -66,7 +68,7 @@ def test_control_law_formula_recomposition(model, rng):
 def test_equilibrium_torque_is_gravity(model):
     q = np.array([0.2, 60.0 * DEG, -30.0 * DEG, -20.0 * DEG])
     tau = control_law(q, np.zeros(4), q, np.zeros(4), np.zeros(4),
-                      ArmGains(), model)
+                      ArmControlConfig(), model)
     np.testing.assert_allclose(tau, model.gravity_vector(q), atol=1e-12)
 
 
@@ -93,7 +95,7 @@ def _track(model, gains, q0, ref_q, dt, steps):
 def test_setpoint_regulation_surface_decay(model):
     """With the exact model the surface energy never grows and the error
     drops below 1e-4 rad in well under a second."""
-    gains = ArmGains()
+    gains = ArmControlConfig()
     ref_q = np.array([0.1, 70.0 * DEG, -30.0 * DEG, -20.0 * DEG])
     q0 = ref_q + np.array([0.05, -0.04, 0.05, -0.03])
     vs, errs = _track(model, gains, q0, ref_q, 1e-3, 1000)

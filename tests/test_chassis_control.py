@@ -11,8 +11,9 @@ from mobman.chassis_control import (ChassisError, ChassisGains,
                                     control_law, error_rates, plant_step,
                                     sliding_surface, tracking_error,
                                     wheel_speeds)
+from mobman.config import CircuitConfig
 from mobman.errors import DisturbanceBoundViolation
-from mobman.mission import Circuit, CircuitSpec
+from mobman.mission import Circuit
 from mobman.util import wrap_angle
 
 DEG = math.pi / 180.0
@@ -231,7 +232,7 @@ def test_closed_loop_exact_lap_tracking():
     """Started on the reference, the loop holds the lap to micron level
     through every corner entry and exit."""
     gains = ChassisGains()
-    circuit = Circuit(CircuitSpec(), dt=1e-3)
+    circuit = Circuit(CircuitConfig(), dt=1e-3)
     dt = 1e-3
     n = int(round(circuit.lap_time / dt))
     r0 = circuit.sample(0.0)

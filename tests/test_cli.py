@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mobman.cli import main
+from mobman.config import load_config
 from mobman.metrics import compute_metrics
-from mobman.simulate import SimLog
+from mobman.simulate import SimLog, run_mission
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,39 @@ def test_plan_writes_json_and_prints_assignments(tmp_path, capsys):
     # Stops come back in drive order along the lap.
     dists = [s["path_distance"] for s in payload["stops"]]
     assert dists == sorted(dists)
+
+
+# Float values spelled with an integer ("{0}" = "") or a float ("{0}" =
+# ".0") literal, on a coarse step so the run stays short.  All but the sweep
+# speed are the defaults.
+SPELLED = ("dt: 0.01\n"
+           "sweep: {{pitch_deg: 30{0}, speed: 2{0}}}\n"
+           "fire_test: {{discharge_time: 15{0}, stage2_budget: 3{0}}}\n"
+           "top_spray: {{duration: 0{0}}}\n"
+           "arm_control: {{switch_gain: [5{0}, 5{0}, 5{0}, 5{0}]}}\n"
+           "circuit: {{center: [0{0}, 0{0}]}}\n")
+
+
+def test_integer_spellings_match_float_spellings(tmp_path, capsys):
+    """The planner and the arm law read the parsed sections as written, so
+    an integer spelling must give the plan JSON, the plan report and the run
+    log byte for byte as the float spelling does."""
+    outputs = []
+    for name, suffix in (("int", ""), ("float", ".0")):
+        scenario = tmp_path / (name + ".yaml")
+        scenario.write_text(SPELLED.format(suffix))
+        config = load_config(scenario)
+        assert type(config.sweep.pitch_deg) is (int if name == "int"
+                                                else float)
+        plan_file = tmp_path / (name + ".json")
+        code, out, _ = run_cli(capsys, "plan", str(scenario),
+                               "--json", str(plan_file))
+        assert code == 0
+        log_file = tmp_path / (name + ".csv")
+        run_mission(config).log.to_csv(log_file)
+        outputs.append((plan_file.read_bytes(), out.split("\n", 1)[1],
+                        log_file.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_then_metrics_round_trip(tmp_path, capsys):

@@ -9,11 +9,11 @@ import dataclasses
 from mobman import config as config_mod
 from mobman.config import (ChassisControlConfig, DisturbanceConfig,
                            ScenarioConfig, build_chassis_gains,
-                           build_circuit_spec, build_fires, build_geometry,
-                           build_inertial, build_sweep_spec,
+                           build_geometry, build_inertial,
                            disturbance_series, load_config, parse_config,
                            save_config, validate_config)
 from mobman.errors import ParseError, ValidationError
+from mobman.mission import Circuit, build_sweep
 
 DEG = math.pi / 180.0
 
@@ -35,6 +35,27 @@ def test_dt_zero_is_named():
             parse_config({"geometry": {"link_lengths": lengths}})
         assert err.value.messages == [
             "geometry.link_lengths[%d]: must be > 0" % i]
+
+
+def test_zero_end_link_is_named_while_inertias_are_stock():
+    """The stock inertial split gives the column and the wrist an inertia of
+    m L^2 / 3, so a zero lateral offset or end link is rejected at parse
+    time, naming the key, unless the scenario sets inertial.inertias."""
+    for i in (0, 4):
+        lengths = [100, 1000, 1700, 100, 80]
+        lengths[i] = 0
+        message = ("geometry.link_lengths[%d]: must be > 0 while "
+                   "inertial.inertias is unset" % i)
+        for inertial in ({}, {"masses": [50.0, 150.0, 150.0, 50.0]}):
+            with pytest.raises(ValidationError) as err:
+                parse_config({"geometry": {"link_lengths": lengths},
+                              "inertial": inertial})
+            assert err.value.messages == [message]
+        config = parse_config({"geometry": {"link_lengths": lengths},
+                               "inertial": {"inertias": [5.0, 50.0, 120.0,
+                                                         2.0]}})
+        params = build_inertial(config, build_geometry(config)[0])
+        assert params.inertias == (5.0, 50.0, 120.0, 2.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -120,15 +141,14 @@ def test_fires_overlay_assigns_idents():
     config = parse_config({"fires": [{"position": [1.0, 0.0, 0.3]},
                                      {"position": [0.0, 1.0, 0.3]}]})
     assert [f.ident for f in config.fires] == ["F1", "F2"]
-    fires = build_fires(config)
-    assert fires[0].position == (1.0, 0.0, 0.3)
+    assert config.fires[0].position == [1.0, 0.0, 0.3]
 
 
 def test_default_fires_match_worked_example():
-    fires = build_fires(ScenarioConfig())
+    fires = ScenarioConfig().fires
     assert [f.ident for f in fires] == ["F1", "F2"]
-    assert fires[0].position == (0.30, 0.20, 0.30)
-    assert fires[1].position == (0.20, 0.30, 0.30)
+    assert fires[0].position == [0.30, 0.20, 0.30]
+    assert fires[1].position == [0.20, 0.30, 0.30]
 
 
 def test_build_geometry_mirrors_config():
@@ -177,10 +197,11 @@ def test_build_chassis_gains_defaults():
     assert gains.boundary_layer == 0.0
 
 
-def test_build_circuit_and_sweep_specs():
-    spec = build_circuit_spec(ScenarioConfig())
-    assert spec.edge_length == 2.60128 and spec.speed == 0.88
-    sweep = build_sweep_spec(ScenarioConfig())
+def test_circuit_and_sweep_read_their_sections():
+    config = ScenarioConfig()
+    circuit = Circuit(config.circuit, dt=config.dt)
+    assert circuit.spec.edge_length == 2.60128 and circuit.spec.speed == 0.88
+    sweep = build_sweep(1, config.sweep, config.fire_test, circuit)
     assert sweep.pitch == pytest.approx(30.0 * DEG)
     assert sweep.speed == 1.4
 

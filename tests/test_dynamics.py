@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from mobman.arm_control import ArmGains, control_law
+from mobman.arm_control import control_law
+from mobman.config import ArmControlConfig
 from mobman.dynamics import (ArmDynamics, LinkInertialParams,
                              default_inertial_params)
 from mobman.errors import SolveFailure, ValidationError
@@ -230,7 +231,7 @@ def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
     qd = np.array([0.2, -0.1, 0.3, 0.1])
     model.forward_dynamics(q, qd, np.full(4, 100.0))
     model.inverse_dynamics(q, qd, np.ones(4))
-    control_law(q, qd, q + 0.01, qd, np.zeros(4), ArmGains(), model)
+    control_law(q, qd, q + 0.01, qd, np.zeros(4), ArmControlConfig(), model)
 
 
 def test_parameter_validation():

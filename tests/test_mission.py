@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from mobman.config import (CircuitConfig, FireConfig, FireTestConfig,
+                           SweepConfig, TopSprayConfig)
 from mobman.errors import (GeometryError, IllegalTransition, InfeasibleSweep)
-from mobman.mission import (Circuit, CircuitSpec, FireSpot, FireTestSpec,
-                            MissionState, SweepSpec, TopSpraySpec,
-                            assign_fires, build_sweep, dispatch,
-                            mission_step)
+from mobman.mission import (Circuit, MissionState, assign_fires, build_sweep,
+                            dispatch, mission_step)
 
 DEG = math.pi / 180.0
 DT = 1e-3
@@ -16,7 +16,7 @@ DT = 1e-3
 
 @pytest.fixture(scope="module")
 def circuit():
-    return Circuit(CircuitSpec(), dt=DT)
+    return Circuit(CircuitConfig(), dt=DT)
 
 
 def test_edge_and_corner_times(circuit):
@@ -105,13 +105,13 @@ def test_time_at_distance_inverts_marks(circuit):
 
 def test_circuit_validation():
     with pytest.raises(GeometryError):
-        Circuit(CircuitSpec(edge_length=0.0), DT)
+        Circuit(CircuitConfig(edge_length=0.0), DT)
     with pytest.raises(GeometryError):
-        Circuit(CircuitSpec(speed=0.0), DT)
+        Circuit(CircuitConfig(speed=0.0), DT)
     with pytest.raises(GeometryError):
-        Circuit(CircuitSpec(corner_radius=0.1), DT)    # below the minimum
+        Circuit(CircuitConfig(corner_radius=0.1), DT)    # below the minimum
     with pytest.raises(GeometryError):
-        Circuit(CircuitSpec(corner_radius=1.5), DT)    # over half the edge
+        Circuit(CircuitConfig(corner_radius=1.5), DT)    # over half the edge
 
 
 def test_group_straights_and_headings(circuit):
@@ -143,8 +143,8 @@ def test_path_distance_mapping(circuit):
 
 
 def test_sweep_geometry_and_duration(circuit):
-    spec = SweepSpec()
-    fire = FireTestSpec()
+    spec = SweepConfig()
+    fire = FireTestConfig()
     path = build_sweep(1, spec, fire, circuit)
     assert path.vertices.shape == (2 * spec.passes, 3)
     np.testing.assert_allclose(path.vertices[0],
@@ -157,7 +157,7 @@ def test_sweep_geometry_and_duration(circuit):
 
 
 def test_sweep_faces_follow_travel_direction(circuit):
-    spec, fire = SweepSpec(), FireTestSpec()
+    spec, fire = SweepConfig(), FireTestConfig()
     half = 0.5 * fire.crib_side
     for edge, (axis, sign, fixed, fval) in {
             1: (0, +1.0, 1, -half), 2: (1, +1.0, 0, half),
@@ -169,7 +169,7 @@ def test_sweep_faces_follow_travel_direction(circuit):
 
 
 def test_sweep_serpentine_alternates(circuit):
-    path = build_sweep(1, SweepSpec(), FireTestSpec(), circuit)
+    path = build_sweep(1, SweepConfig(), FireTestConfig(), circuit)
     xs = path.vertices[:, 0]
     assert xs[0] == xs[3] == xs[4] == xs[7] == pytest.approx(-0.45)
     assert xs[1] == xs[2] == xs[5] == xs[6] == pytest.approx(0.45)
@@ -178,7 +178,7 @@ def test_sweep_serpentine_alternates(circuit):
 
 
 def test_sweep_positions_clamp(circuit):
-    path = build_sweep(2, SweepSpec(), FireTestSpec(), circuit)
+    path = build_sweep(2, SweepConfig(), FireTestConfig(), circuit)
     before = path.positions_at(np.array([-1.0]))[0]
     after = path.positions_at(np.array([100.0]))[0]
     np.testing.assert_allclose(before, path.vertices[0], atol=1e-12)
@@ -187,11 +187,11 @@ def test_sweep_positions_clamp(circuit):
 
 def test_sweep_infeasible_cases(circuit):
     with pytest.raises(InfeasibleSweep):
-        build_sweep(1, SweepSpec(speed=0.5), FireTestSpec(), circuit)
+        build_sweep(1, SweepConfig(speed=0.5), FireTestConfig(), circuit)
     with pytest.raises(InfeasibleSweep):
-        build_sweep(5, SweepSpec(), FireTestSpec(), circuit)
+        build_sweep(5, SweepConfig(), FireTestConfig(), circuit)
     with pytest.raises(InfeasibleSweep):
-        build_sweep(1, SweepSpec(passes=0), FireTestSpec(), circuit)
+        build_sweep(1, SweepConfig(passes=0), FireTestConfig(), circuit)
 
 
 # -- stage II assignment ---------------------------------------------------
@@ -217,7 +217,8 @@ def _brute_force_plan(fires, circuit):
 
 
 def test_assign_fires_worked_case(circuit):
-    fires = [FireSpot("F1", (0.30, 0.20, 0.30)), FireSpot("F2", (0.20, 0.30, 0.30))]
+    fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
+             FireConfig(ident="F2", position=(0.20, 0.30, 0.30))]
     first, second = assign_fires(fires, circuit)
     assert first.fire.ident == "F1" and first.nearest_a == 2 and first.group == 1
     np.testing.assert_allclose(first.point, (circuit.half_width, 0.20),
@@ -232,8 +233,8 @@ def test_assign_fires_worked_case(circuit):
 def test_assign_fires_matches_brute_force(circuit, rng):
     for trial in range(20):
         n = int(rng.integers(1, 11))
-        fires = [FireSpot("F%d" % (i + 1),
-                          tuple(rng.uniform(-0.5, 0.5, 2)) + (0.3,))
+        fires = [FireConfig(ident="F%d" % (i + 1),
+                            position=tuple(rng.uniform(-0.5, 0.5, 2)) + (0.3,))
                  for i in range(n)]
         stops = assign_fires(fires, circuit)
         oracle = _brute_force_plan(fires, circuit)
@@ -248,8 +249,9 @@ def test_assign_fires_matches_brute_force(circuit, rng):
 
 
 def test_assign_fires_tie_takes_lower_mark(circuit):
-    [stop] = assign_fires([FireSpot("F1", (circuit.half_width, 0.0, 0.3))],
-                          circuit)
+    [stop] = assign_fires(
+        [FireConfig(ident="F1", position=(circuit.half_width, 0.0, 0.3))],
+        circuit)
     assert stop.nearest_a == 1
     assert stop.group == 1
 
@@ -257,14 +259,16 @@ def test_assign_fires_tie_takes_lower_mark(circuit):
 def test_assign_fires_clamps_to_straight(circuit):
     # Nearest mark is A2, but the projection lands past the straight's end,
     # so the stop clamps to the A2 corner point itself.
-    [stop] = assign_fires([FireSpot("F1", (2.5, 2.2, 0.3))], circuit)
+    [stop] = assign_fires([FireConfig(ident="F1", position=(2.5, 2.2, 0.3))],
+                          circuit)
     assert stop.nearest_a == 2 and stop.group == 1
     np.testing.assert_allclose(
         stop.point, tuple(circuit.a_points[1]), atol=1e-12)
 
 
 def test_dispatch_splits_budget(circuit):
-    fires = [FireSpot("F1", (0.30, 0.20, 0.30)), FireSpot("F2", (0.20, 0.30, 0.30))]
+    fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
+             FireConfig(ident="F2", position=(0.20, 0.30, 0.30))]
     stops = assign_fires(fires, circuit)
     sprays, flagged = dispatch(stops, budget=3.0)
     assert not flagged
@@ -275,8 +279,8 @@ def test_dispatch_splits_budget(circuit):
 
 
 def test_dispatch_flags_unreachable(circuit):
-    fires = [FireSpot("F1", (0.30, 0.20, 0.30)),
-             FireSpot("FX", (0.0, 0.0, 5.0))]   # far above any reach
+    fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
+             FireConfig(ident="FX", position=(0.0, 0.0, 5.0))]  # beyond reach
     sprays, flagged = dispatch(assign_fires(fires, circuit), budget=3.0)
     assert len(flagged) == 1
     fire, reason = flagged[0]
@@ -332,6 +336,6 @@ def test_mission_state_machine_rejects_illegal_events():
 
 
 def test_top_spray_spec_defaults():
-    spec = TopSpraySpec()
+    spec = TopSprayConfig()
     assert spec.duration == 0.0
-    assert len(spec.joints) == 4
+    assert len(spec.joints_deg) == 4

@@ -1,19 +1,21 @@
-"""Package surface: the exported names."""
+"""Package surface: the exported names and the module layering."""
+import ast
+import pathlib
+
 import mobman
 
 # The public API; a name added to or dropped from __all__ is a deliberate
 # change to this set.
 PUBLIC = {
-    "ArmDynamics", "ArmGains", "ChassisGains", "ChassisRefSample", "Circuit",
-    "CircuitSpec", "DEFAULT_DH", "DHRow", "DHTable",
-    "DisturbanceBoundViolation", "EmptyLog", "EndEffectorPose", "FireSpot",
-    "FireTestSpec", "GeometryError", "IllegalTransition", "InfeasibleSweep",
-    "JointLimitViolation", "LinkInertialParams", "MetricsReport",
-    "MissionResult", "MissionState", "MobmanError", "ParseError",
-    "ScenarioConfig", "SimLog", "SolveFailure", "SweepSpec", "ToolOffset",
-    "TopSpraySpec", "Unreachable", "ValidationError", "assign_fires",
-    "build_sweep", "compute_metrics", "default_inertial_params", "dispatch",
-    "export", "forward_kinematics", "inverse_kinematics", "load_config",
+    "ArmDynamics", "ChassisGains", "ChassisRefSample", "Circuit",
+    "DEFAULT_DH", "DHRow", "DHTable", "DisturbanceBoundViolation",
+    "EmptyLog", "EndEffectorPose", "GeometryError", "IllegalTransition",
+    "InfeasibleSweep", "JointLimitViolation", "LinkInertialParams",
+    "MetricsReport", "MissionResult", "MissionState", "MobmanError",
+    "ParseError", "ScenarioConfig", "SimLog", "SolveFailure", "ToolOffset",
+    "Unreachable", "ValidationError", "assign_fires", "build_sweep",
+    "compute_metrics", "default_inertial_params", "dispatch", "export",
+    "forward_kinematics", "inverse_kinematics", "load_config",
     "mission_step", "parse_config", "plan_mission", "run_mission",
     "save_config", "tracking_error", "workspace_analysis",
 }
@@ -26,3 +28,32 @@ def test_all_names_resolve_and_star_import():
     namespace = {}
     exec("from mobman import *", namespace)
     assert set(mobman.__all__) <= set(namespace)
+
+
+# The engine modules read config sections by attribute; importing the
+# config, the harness or the front end from one of them (even for a type
+# hint) would close an import cycle.
+ENGINE = ("util", "errors", "kinematics", "dynamics", "arm_control",
+          "chassis_control", "mission", "metrics")
+ABOVE_ENGINE = {"mobman.config", "mobman.simulate", "mobman.cli"}
+
+
+def _imported_modules(name: str) -> set:
+    """Absolute names of the modules a mobman module imports."""
+    path = pathlib.Path(mobman.__file__).with_name(name + ".py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("mobman." if node.level else "") + (node.module or "")
+            found.add(base.rstrip("."))
+            found.update("%s.%s" % (base.rstrip("."), alias.name)
+                         for alias in node.names)
+    return found
+
+
+def test_engine_modules_do_not_import_config_simulate_or_cli():
+    leaks = {name: sorted(_imported_modules(name) & ABOVE_ENGINE)
+             for name in ENGINE}
+    assert {k: v for k, v in leaks.items() if v} == {}

@@ -10,8 +10,7 @@ from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
 from mobman.chassis_control import (ChassisGains, ChassisRefSample,
                                     chassis_tick, plant_step)
-from mobman.config import (ScenarioConfig, build_arm_gains,
-                           build_chassis_gains, parse_config)
+from mobman.config import ScenarioConfig, build_chassis_gains, parse_config
 from mobman.dynamics import ArmDynamics
 from mobman.errors import EmptyLog, ParseError, SolveFailure, Unreachable
 from mobman.kinematics import forward_kinematics
@@ -366,7 +365,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
     scenario, build no numpy array and return plain floats, so per-stage
     arrays and numpy scalars cannot creep back into the loop."""
     model = ArmDynamics()
-    arm_gains = build_arm_gains(ScenarioConfig())
+    arm_gains = ScenarioConfig().arm_control
     gains = build_chassis_gains(ScenarioConfig())
     ref = ChassisRefSample(1.0, 2.0, 0.3, v=0.88, w=0.1, vdx=0.84, vdy=0.26,
                            w_dot=0.01)
@@ -383,7 +382,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         _, s, u = chassis_tick(ref, z, gains)
         tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
                               arm_gains, model)
-        forward_kinematics(q, check_limits=False)
+        forward_kinematics(q)
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3,
                         f_bounds=gains.f_bounds)
         steps = [_arm_step(model, q, qd, tau, 1e-3, method)
