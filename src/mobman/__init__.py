@@ -6,9 +6,8 @@ from .errors import (DisturbanceBoundViolation, EmptyLog, GeometryError,
                      IllegalTransition, InfeasibleSweep, JointLimitViolation,
                      MobmanError, ParseError, SolveFailure, Unreachable,
                      ValidationError)
-from .kinematics import (DEFAULT_DH, DHRow, DHTable, EndEffectorPose,
-                         ToolOffset, forward_kinematics, inverse_kinematics,
-                         workspace_analysis)
+from .kinematics import (ArmGeometry, EndEffectorPose, forward_kinematics,
+                         inverse_kinematics, workspace_analysis)
 from .dynamics import ArmDynamics, LinkInertialParams, default_inertial_params
 from .chassis_control import ChassisGains, ChassisRefSample, tracking_error
 from .mission import (Circuit, MissionState, assign_fires, build_sweep,
@@ -20,12 +19,12 @@ from .metrics import MetricsReport, compute_metrics
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmDynamics", "Circuit", "ChassisGains", "ChassisRefSample",
-    "DEFAULT_DH", "DHRow", "DHTable", "DisturbanceBoundViolation",
-    "EmptyLog", "EndEffectorPose", "GeometryError", "IllegalTransition",
+    "ArmDynamics", "ArmGeometry", "Circuit", "ChassisGains",
+    "ChassisRefSample", "DisturbanceBoundViolation", "EmptyLog",
+    "EndEffectorPose", "GeometryError", "IllegalTransition",
     "InfeasibleSweep", "JointLimitViolation", "LinkInertialParams",
     "MetricsReport", "MissionResult", "MissionState", "MobmanError",
-    "ParseError", "ScenarioConfig", "SimLog", "SolveFailure", "ToolOffset",
+    "ParseError", "ScenarioConfig", "SimLog", "SolveFailure",
     "Unreachable", "ValidationError", "assign_fires", "build_sweep",
     "compute_metrics", "default_inertial_params", "dispatch", "export",
     "forward_kinematics", "inverse_kinematics", "load_config",

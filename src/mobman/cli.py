@@ -26,15 +26,14 @@ def _load_scenario(path) -> ScenarioConfig:
 
 def _cmd_workspace(args) -> int:
     config = _load_scenario(args.config)
-    geometry, tool = build_geometry(config)
+    geometry = build_geometry(config)
     checks = []
     for spec in args.check or []:
         parts = [float(x) for x in spec.split(",")]
         if len(parts) != 3:
             raise MobmanError("--check expects X,Y,Z in mm")
         checks.append(("check %d" % (len(checks) + 1), tuple(parts)))
-    summary = workspace_analysis(geometry=geometry, tool=tool,
-                                 key_points=checks)
+    summary = workspace_analysis(geometry=geometry, key_points=checks)
     if args.json:
         payload = {
             "planar_radius_min_mm": summary.r_min,
@@ -63,11 +62,11 @@ def _cmd_workspace(args) -> int:
 
 def _cmd_ik(args) -> int:
     config = _load_scenario(args.config)
-    geometry, tool = build_geometry(config)
+    geometry = build_geometry(config)
     pose = EndEffectorPose(x=args.x, y=args.y, z=args.z,
                            phi=args.phi * DEG)
-    q = inverse_kinematics(pose, geometry, tool)
-    back = forward_kinematics(q, geometry, tool)
+    q = inverse_kinematics(pose, geometry)
+    back = forward_kinematics(q, geometry)
     residual = math.sqrt((back.x - pose.x) ** 2 + (back.y - pose.y) ** 2
                          + (back.z - pose.z) ** 2)
     if args.json:

@@ -3,9 +3,9 @@
 Config files use field-friendly units (degrees, millimetres for arm geometry,
 metres for the chassis and planner).  The planner and the arm law read their
 sections directly and convert degrees where they use them; builders turn the
-geometry, inertial and chassis_control sections into the engine's link table,
-inertial parameters and chassis gains.  An empty file is a valid scenario:
-every field has the stock default.
+geometry, inertial and chassis_control sections into the engine's
+ArmGeometry, inertial parameters and chassis gains.  An empty file is a
+valid scenario: every field has the stock default.
 """
 from __future__ import annotations
 
@@ -19,8 +19,7 @@ import yaml
 from .chassis_control import ChassisGains
 from .dynamics import LinkInertialParams, default_inertial_params
 from .errors import ParseError, ValidationError
-from .kinematics import DHRow, DHTable, ToolOffset
-from .util import DEG
+from .kinematics import ArmGeometry
 
 
 # -- field rules ------------------------------------------------------------
@@ -88,14 +87,12 @@ def _field(default, rule):
 
 @dataclass
 class GeometryConfig:
-    """Arm geometry in mm / degrees."""
+    """Arm geometry in mm."""
 
     link_lengths: list = _field([100.0, 1000.0, 1700.0, 100.0, 80.0],
                                 _vector(5, ">= 0"))
-    link_twists_deg: list = _field([90.0, 0.0, 0.0, 0.0, 0.0], _vector(5))
-    link_offsets: list = _field([185.0, 0.0, 0.0, 0.0, 0.0],
-                                _vector(5, ">= 0"))
-    tool_y_offset: float = _field(0.0, _finite())
+    shoulder_height: float = _field(185.0, _finite(">= 0"))
+    tool_y_offset: float = _field(0.0, _finite(">= 0"))
 
 
 @dataclass
@@ -350,19 +347,15 @@ def validate_config(config: ScenarioConfig) -> list:
 # -- builders into engine objects -----------------------------------------
 
 
-def build_geometry(config: ScenarioConfig) -> tuple:
+def build_geometry(config: ScenarioConfig) -> ArmGeometry:
+    """The geometry section as the engine's frozen, all-float ArmGeometry."""
     g = config.geometry
-    theta_index = (1, 2, 3, 0, 4)
-    rows = tuple(
-        DHRow(a=float(g.link_lengths[i]),
-              alpha=float(g.link_twists_deg[i]) * DEG,
-              d=float(g.link_offsets[i]),
-              theta_index=theta_index[i])
-        for i in range(5))
-    return DHTable(rows=rows), ToolOffset(y5p=float(g.tool_y_offset))
+    return ArmGeometry(a=tuple(float(v) for v in g.link_lengths),
+                       d1=float(g.shoulder_height), y5p=float(g.tool_y_offset))
 
 
-def build_inertial(config: ScenarioConfig, geometry: DHTable) -> LinkInertialParams:
+def build_inertial(config: ScenarioConfig,
+                   geometry: ArmGeometry) -> LinkInertialParams:
     ine = config.inertial
     stock = default_inertial_params(
         geometry, total_mass=ine.total_mass,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolveFailure, ValidationError
-from .kinematics import DEFAULT_DH, DHTable, ToolOffset
+from .kinematics import STOCK_ARM, ArmGeometry
 
 GRAVITY = 9.81
 _MM = 1e-3
@@ -64,7 +64,7 @@ class LinkInertialParams:
         return problems
 
 
-def default_inertial_params(geometry: DHTable = DEFAULT_DH,
+def default_inertial_params(geometry: ArmGeometry = STOCK_ARM,
                             total_mass: float = 400.0,
                             payload_mass: float = 20.0,
                             gravity: float = GRAVITY) -> LinkInertialParams:
@@ -94,13 +94,12 @@ class ArmDynamics:
     """Equation-of-motion evaluator bound to one geometry + parameter set."""
 
     def __init__(self, params: LinkInertialParams | None = None,
-                 geometry: DHTable = DEFAULT_DH, tool: ToolOffset | None = None):
+                 geometry: ArmGeometry = STOCK_ARM):
         self.geometry = geometry
-        self.tool = tool if tool is not None else ToolOffset(0.0)
         self.params = params if params is not None else default_inertial_params(geometry)
         self.a1, self.a2, self.a3, self.a4, self.a5 = (v * _MM for v in geometry.a)
         self.d1 = geometry.d1 * _MM
-        self.y5p = self.tool.y5p * _MM
+        self.y5p = geometry.y5p * _MM
         self.m1, self.m2, self.m3, self.m4 = self.params.masses
         self.c1, self.c2, self.c3, self.c4 = self.params.com_offsets
         self.mp = self.params.payload_mass
@@ -110,11 +109,13 @@ class ArmDynamics:
         self.ic2 = self.params.inertias[1] - self.m2 * self.c2 ** 2
         self.ic3 = self.params.inertias[2] - self.m3 * self.c3 ** 2
         self.ic4 = self.params.inertias[3] - self.m4 * self.c4 ** 2
-        for name, val in (("boom", self.ic2), ("forearm", self.ic3),
-                          ("wrist", self.ic4)):
-            if val < 0.0:
-                raise ValidationError(
-                    "inertia of %s body is below its point-mass bound" % name)
+        problems = ["inertial.inertias[%d]: below the point-mass bound of the "
+                    "%s body" % (i, name)
+                    for i, name, val in ((1, "boom", self.ic2),
+                                         (2, "forearm", self.ic3),
+                                         (3, "wrist", self.ic4)) if val < 0.0]
+        if problems:
+            raise ValidationError(problems)
         # Kernel constants: the planar diagonal of M and the first mass moments.
         m2, m3, m4, mp = self.m2, self.m3, self.m4, self.mp
         a2, a3, a5, y5p = self.a2, self.a3, self.a5, self.y5p

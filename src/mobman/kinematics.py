@@ -1,11 +1,13 @@
-"""Arm geometry: link table, joint limits, closed-form FK/IK and workspace.
+"""Arm geometry: link constants, joint limits, closed-form FK/IK and workspace.
 
 The arm is a 4-DOF palletizing linkage.  A parallelogram transmission keeps
 the short link between the forearm and the wrist horizontal, which decouples
 the planar joints: every link angle is measured from the horizontal of the
 slewing plane ("absolute" angles) instead of accumulating along the chain.
-The classic link-parameter table is kept for the link constants and for the
-frame-by-frame transform, but the pose formulas below use absolute angles.
+The structure also fixes the link twists and offsets: only the base link is
+twisted (by 90 deg) and offset (by the shoulder height).  So ArmGeometry
+holds just the five link lengths, the shoulder height and the nozzle offset,
+and every pose formula below uses absolute angles.
 
 Units: millimetres and radians.  Joint vectors are numpy arrays of shape (4,)
 ordered (base yaw, boom, forearm, wrist pitch).
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,69 +35,25 @@ _LIMIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class DHRow:
-    """One link-table row: a (mm), alpha (rad), d (mm) plus the theta slot.
+class ArmGeometry:
+    """The arm's constants in mm: the five link lengths a1..a5 (base offset,
+    boom, forearm, parallelogram link, wrist), the shoulder height d1 and the
+    nozzle offset y5p along the wrist frame's y-axis.  Defaults are the stock
+    arm."""
 
-    theta_index names which joint variable (1..4) occupies the theta column;
-    0 marks a structurally fixed zero angle.
-    """
-
-    a: float
-    alpha: float
-    d: float
-    theta_index: int = 0
-
-    def __post_init__(self):
-        if self.a < 0.0 or self.d < 0.0:
-            raise GeometryError("link lengths and offsets must be non-negative")
-        if not 0 <= int(self.theta_index) <= 4:
-            raise GeometryError("theta_index must be 0 (fixed) or 1..4")
-
-
-@dataclass(frozen=True)
-class DHTable:
-    """Five-row link table; the 4th row's theta is structurally fixed at 0."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        if len(self.rows) != 5:
-            raise GeometryError("link table must have exactly 5 rows")
-        if self.rows[3].theta_index != 0:
-            raise GeometryError("row 4 carries the parallelogram link; theta is fixed")
-        seen = [r.theta_index for r in self.rows if r.theta_index != 0]
-        if sorted(seen) != [1, 2, 3, 4]:
-            raise GeometryError("rows must cover joint variables 1..4 exactly once")
-
-    @cached_property
-    def a(self):
-        """Link lengths a1..a5, gathered once per table."""
-        return tuple(r.a for r in self.rows)
-
-    @property
-    def d1(self) -> float:
-        return self.rows[0].d
-
-
-# Link constants of the reference arm (mm / rad).
-DEFAULT_DH = DHTable(rows=(
-    DHRow(a=100.0, alpha=90.0 * DEG, d=185.0, theta_index=1),
-    DHRow(a=1000.0, alpha=0.0, d=0.0, theta_index=2),
-    DHRow(a=1700.0, alpha=0.0, d=0.0, theta_index=3),
-    DHRow(a=100.0, alpha=0.0, d=0.0, theta_index=0),
-    DHRow(a=80.0, alpha=0.0, d=0.0, theta_index=4),
-))
-
-
-@dataclass(frozen=True)
-class ToolOffset:
-    """Nozzle offset along the wrist frame y-axis (mm)."""
-
+    a: tuple = (100.0, 1000.0, 1700.0, 100.0, 80.0)
+    d1: float = 185.0
     y5p: float = 0.0
 
     def __post_init__(self):
-        if self.y5p < 0.0:
-            raise GeometryError("tool offset must be non-negative")
+        if len(self.a) != 5:
+            raise GeometryError("the arm has exactly 5 link lengths")
+        if min(self.a) < 0.0 or self.d1 < 0.0 or self.y5p < 0.0:
+            raise GeometryError("link lengths, shoulder height and tool "
+                                "offset must be non-negative")
+
+
+STOCK_ARM = ArmGeometry()
 
 
 @dataclass(frozen=True)
@@ -107,18 +64,6 @@ class EndEffectorPose:
     y: float
     z: float
     phi: float
-
-
-def dh_transform(row: DHRow, theta: float) -> np.ndarray:
-    """Homogeneous transform of one row: Rz(theta) Tz(d) Tx(a) Rx(alpha)."""
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-    return np.array([
-        [ct, -st * ca, st * sa, row.a * ct],
-        [st, ct * ca, -ct * sa, row.a * st],
-        [0.0, sa, ca, row.d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
 
 
 def interior_angle(q) -> float:
@@ -141,9 +86,10 @@ def check_joint_limits(q, tol: float = _LIMIT_TOL) -> None:
             "interior angle = %.6f deg outside [30, 165] deg" % (gamma / DEG))
 
 
-def _planar_coords(q, geometry: DHTable, y5p: float):
+def _planar_coords(q, geometry: ArmGeometry):
     """Radial/vertical tool coordinates in the slewing plane (mm)."""
     a1, a2, a3, a4, a5 = geometry.a
+    y5p = geometry.y5p
     c2, s2 = math.cos(q[1]), math.sin(q[1])
     c3, s3 = math.cos(q[2]), math.sin(q[2])
     c4, s4 = math.cos(q[3]), math.sin(q[3])
@@ -152,21 +98,19 @@ def _planar_coords(q, geometry: DHTable, y5p: float):
     return r, z
 
 
-def forward_kinematics(q, geometry: DHTable = DEFAULT_DH,
-                       tool: ToolOffset | None = None) -> EndEffectorPose:
+def forward_kinematics(q, geometry: ArmGeometry = STOCK_ARM) -> EndEffectorPose:
     """Tool pose from joint angles (absolute-angle convention).
 
     The pure geometric map: it checks no joint range, which is
     check_joint_limits' job.  The nozzle pitch comes straight from the wrist
     joint: phi = -theta4.
     """
-    y5p = tool.y5p if tool is not None else 0.0
-    r, z = _planar_coords(q, geometry, y5p)
+    r, z = _planar_coords(q, geometry)
     return EndEffectorPose(x=r * math.cos(q[0]), y=r * math.sin(q[0]), z=z, phi=-q[3])
 
 
-def inverse_kinematics(pose: EndEffectorPose, geometry: DHTable = DEFAULT_DH,
-                       tool: ToolOffset | None = None) -> np.ndarray:
+def inverse_kinematics(pose: EndEffectorPose,
+                       geometry: ArmGeometry = STOCK_ARM) -> np.ndarray:
     """Closed-form joint solution for a tool pose.
 
     The planar sub-problem reduces to a two-link triangle once the wrist and
@@ -177,7 +121,7 @@ def inverse_kinematics(pose: EndEffectorPose, geometry: DHTable = DEFAULT_DH,
     JointLimitViolation when it closes outside the joint ranges.
     """
     a1, a2, a3, a4, a5 = geometry.a
-    y5p = tool.y5p if tool is not None else 0.0
+    y5p = geometry.y5p
 
     theta1 = math.atan2(pose.y, pose.x)
     theta4 = -pose.phi
@@ -251,14 +195,13 @@ class WorkspaceSummary:
     key_points: tuple
 
 
-def point_reachable(position, geometry: DHTable = DEFAULT_DH,
-                    tool: ToolOffset | None = None) -> bool:
+def point_reachable(position, geometry: ArmGeometry = STOCK_ARM) -> bool:
     """True if some nozzle pitch in [0, 90] deg, in 5 deg steps, admits an
     in-range solution."""
     x, y, z = (float(v) for v in position)
     for phi in np.arange(0.0, 90.0 + 1e-9, 5.0) * DEG:
         try:
-            inverse_kinematics(EndEffectorPose(x, y, z, phi), geometry, tool)
+            inverse_kinematics(EndEffectorPose(x, y, z, phi), geometry)
             return True
         except (Unreachable, JointLimitViolation):
             continue
@@ -266,8 +209,7 @@ def point_reachable(position, geometry: DHTable = DEFAULT_DH,
 
 
 def workspace_analysis(resolution: float = 0.25 * DEG,
-                       geometry: DHTable = DEFAULT_DH,
-                       tool: ToolOffset | None = None,
+                       geometry: ArmGeometry = STOCK_ARM,
                        key_points=(),
                        cloud_resolution: float = 5.0 * DEG,
                        azimuth_resolution: float = 30.0 * DEG) -> WorkspaceSummary:
@@ -299,13 +241,13 @@ def workspace_analysis(resolution: float = 0.25 * DEG,
     full_reach_max = float(full.max())
 
     boundary = _boundary_samples(geometry, resolution)
-    cloud = _cloud_samples(geometry, tool, cloud_resolution, azimuth_resolution)
+    cloud = _cloud_samples(geometry, cloud_resolution, azimuth_resolution)
 
     checks = []
     for name, position in key_points:
         checks.append(KeyPointCheck(name=str(name),
                                     position=tuple(float(v) for v in position),
-                                    reachable=point_reachable(position, geometry, tool)))
+                                    reachable=point_reachable(position, geometry)))
     return WorkspaceSummary(r_min=r_min, r_max=r_max,
                             full_reach_min=full_reach_min,
                             full_reach_max=full_reach_max,
@@ -313,7 +255,7 @@ def workspace_analysis(resolution: float = 0.25 * DEG,
                             key_points=tuple(checks))
 
 
-def _boundary_samples(geometry: DHTable, resolution: float) -> np.ndarray:
+def _boundary_samples(geometry: ArmGeometry, resolution: float) -> np.ndarray:
     """(r, z) envelope about the shoulder: two joint-stop curves and two
     interior-angle arcs."""
     _, a2, a3, _, _ = geometry.a
@@ -339,11 +281,10 @@ def _boundary_samples(geometry: DHTable, resolution: float) -> np.ndarray:
     return np.vstack(pieces)
 
 
-def _cloud_samples(geometry: DHTable, tool: ToolOffset | None,
-                   planar_res: float, azimuth_res: float) -> np.ndarray:
+def _cloud_samples(geometry: ArmGeometry, planar_res: float,
+                   azimuth_res: float) -> np.ndarray:
     """Coarse 3-D tool positions over the in-range joint grid (theta4 = 0)."""
     a1, a2, a3, a4, a5 = geometry.a
-    y5p = tool.y5p if tool is not None else 0.0
     t2 = np.arange(JOINT_LIMITS_LOW[1], JOINT_LIMITS_HIGH[1] + 0.5 * planar_res,
                    planar_res)
     t3 = np.arange(JOINT_LIMITS_LOW[2], JOINT_LIMITS_HIGH[2] + 0.5 * planar_res,
@@ -352,7 +293,7 @@ def _cloud_samples(geometry: DHTable, tool: ToolOffset | None,
     gamma = np.pi - (g2 - g3)
     ok = (gamma >= INTERIOR_MIN - 1e-12) & (gamma <= INTERIOR_MAX + 1e-12)
     r = (a1 + a2 * np.cos(g2) + a3 * np.cos(g3) + a4 + a5)[ok]
-    z = (geometry.d1 + a2 * np.sin(g2) + a3 * np.sin(g3) + y5p)[ok]
+    z = (geometry.d1 + a2 * np.sin(g2) + a3 * np.sin(g3) + geometry.y5p)[ok]
     t1 = np.arange(JOINT_LIMITS_LOW[0], JOINT_LIMITS_HIGH[0] + 0.5 * azimuth_res,
                    azimuth_res)
     pts = []

@@ -20,7 +20,7 @@ import numpy as np
 from .chassis_control import ChassisRefSample
 from .errors import (GeometryError, IllegalTransition, InfeasibleSweep,
                      JointLimitViolation, Unreachable)
-from .kinematics import DEFAULT_DH, DHTable, ToolOffset, inverse_kinematics
+from .kinematics import STOCK_ARM, ArmGeometry, inverse_kinematics
 from .arm_control import target_in_base_frame
 from .util import DEG
 
@@ -351,17 +351,16 @@ def assign_fires(fires, circuit: Circuit) -> list:
     return stops
 
 
-def dispatch(stops: list, budget: float,
-             geometry: DHTable = DEFAULT_DH, tool: ToolOffset | None = None,
-             pitch: float = 30.0 * DEG):
+def dispatch(stops: list, budget: float, pitch: float,
+             geometry: ArmGeometry = STOCK_ARM):
     """Pick a nozzle pitch for each stop and split the spray budget.
 
-    The stops come from assign_fires and the budget is the FireTestConfig
-    stage2_budget; it is split evenly over the reachable stops.  Fires the arm
-    cannot reach from their stop are skipped and returned flagged rather than
-    raised.  Returns (sprays, flagged): sprays holds a (stop, pitch, dwell)
-    triple per reachable stop, in stop order, and flagged (fire, reason)
-    pairs.
+    The stops come from assign_fires, the budget is the FireTestConfig
+    stage2_budget and pitch (rad) is the sweep pitch, tried first; the budget
+    is split evenly over the reachable stops.  Fires the arm cannot reach
+    from their stop are skipped and returned flagged rather than raised.
+    Returns (sprays, flagged): sprays holds a (stop, pitch, dwell) triple
+    per reachable stop, in stop order, and flagged (fire, reason) pairs.
     """
     reachable = []
     flagged = []
@@ -373,7 +372,7 @@ def dispatch(stops: list, budget: float,
         for cand in pitch_scan:
             target = target_in_base_frame(chassis_pose, stop.fire.position, cand)
             try:
-                inverse_kinematics(target, geometry, tool)
+                inverse_kinematics(target, geometry)
                 chosen = cand
                 break
             except (Unreachable, JointLimitViolation) as exc:

@@ -143,8 +143,7 @@ class Stage2Slot:
 class MissionPlan:
     """Everything laid out before the loop runs."""
 
-    geometry: object
-    tool: object
+    geometry: object      # ArmGeometry
     circuit: object
     sweeps: list
     stops: list           # Stop per fire, in path order
@@ -162,14 +161,14 @@ class MissionPlan:
 
 def plan_mission(config: ScenarioConfig) -> MissionPlan:
     dt = config.dt
-    geometry, tool = build_geometry(config)
+    geometry = build_geometry(config)
     circuit = Circuit(config.circuit, dt=dt)
     sweeps = [build_sweep(k, config.sweep, config.fire_test, circuit)
               for k in range(1, 5)]
 
     stops = assign_fires(config.fires, circuit)
     sprays, flagged = dispatch(stops, config.fire_test.stage2_budget,
-                               geometry, tool, pitch=sweeps[0].pitch)
+                               sweeps[0].pitch, geometry)
 
     k_steps = [int(round(t / dt)) for t in circuit.k_times]
     a_steps = [int(round(t / dt)) for t in circuit.a_times]
@@ -200,9 +199,8 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
         cursor = arrive + dwell_steps
         prev_clock_steps = clock_steps
 
-    return MissionPlan(geometry=geometry, tool=tool,
-                       circuit=circuit, sweeps=sweeps, stops=stops,
-                       flagged=flagged, fire_test=config.fire_test,
+    return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
+                       stops=stops, flagged=flagged, fire_test=config.fire_test,
                        top_spray=config.top_spray, dt=dt, n_steps=cursor,
                        k_steps=k_steps, a_steps=a_steps,
                        sweep_windows=sweep_windows, top_window=top_window,
@@ -294,7 +292,7 @@ def _solve_ik(plan: MissionPlan, target, where: str, *where_args):
     """Closed-form IK of one reference target; a failure is re-raised as the
     same error prefixed with where % where_args."""
     try:
-        return inverse_kinematics(target, plan.geometry, plan.tool)
+        return inverse_kinematics(target, plan.geometry)
     except (Unreachable, JointLimitViolation) as exc:
         raise type(exc)("%s: %s" % (where % where_args, exc)) from exc
 
@@ -368,7 +366,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     qr, qdr, qddr = _arm_reference(plan, refs)
 
     model = ArmDynamics(params=build_inertial(config, plan.geometry),
-                        geometry=plan.geometry, tool=plan.tool)
+                        geometry=plan.geometry)
     gains = build_chassis_gains(config)
     dist = disturbance_series(config.disturbance, np.arange(n) * dt)
 
@@ -396,8 +394,8 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
                               config.arm_control, model)
 
         c, sn = math.cos(z[2]), math.sin(z[2])
-        fk = forward_kinematics(q, plan.geometry, plan.tool)
-        tk = forward_kinematics(q_ref, plan.geometry, plan.tool)
+        fk = forward_kinematics(q, plan.geometry)
+        tk = forward_kinematics(q_ref, plan.geometry)
         vl, vr = wheel_speeds(z[3], z[4], gains.track_width)
 
         rc, rs = math.cos(ref.heading), math.sin(ref.heading)

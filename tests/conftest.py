@@ -10,6 +10,7 @@ import pytest
 
 from mobman.config import ScenarioConfig
 from mobman.dynamics import ArmDynamics
+from mobman.kinematics import ArmGeometry
 from mobman.simulate import run_mission
 
 
@@ -25,6 +26,20 @@ def default_mission():
 def model():
     """Arm dynamics with the stock geometry and mass budget."""
     return ArmDynamics()
+
+
+@pytest.fixture(scope="session")
+def offset_arm():
+    """A non-stock arm: other link lengths and shoulder height, and a nozzle
+    offset, so the tool-offset terms of FK, IK and the dynamics are live."""
+    return ArmGeometry(a=(150.0, 900.0, 1500.0, 120.0, 110.0), d1=240.0,
+                       y5p=135.0)
+
+
+@pytest.fixture(scope="session")
+def offset_model(offset_arm):
+    """Arm dynamics of offset_arm with its stock-rule mass budget."""
+    return ArmDynamics(geometry=offset_arm)
 
 
 @pytest.fixture()

@@ -7,7 +7,7 @@ import pytest
 
 from mobman.arm_control import control_law, target_in_base_frame
 from mobman.config import ArmControlConfig
-from mobman.kinematics import (ToolOffset, forward_kinematics,
+from mobman.kinematics import (ArmGeometry, forward_kinematics,
                                inverse_kinematics, random_joint_angles)
 from mobman.util import integrate
 
@@ -132,9 +132,9 @@ def test_mission_sweep_references_stay_in_limits(default_mission):
 
 
 def test_tool_offset_changes_solution():
-    tool = ToolOffset(150.0)
+    tool = ArmGeometry(y5p=150.0)
     pose = forward_kinematics(np.array([0.0, 80.0 * DEG, -40.0 * DEG,
-                                        -30.0 * DEG]), tool=tool)
-    with_tool = inverse_kinematics(pose, tool=tool)
+                                        -30.0 * DEG]), tool)
+    with_tool = inverse_kinematics(pose, tool)
     bare = inverse_kinematics(pose)
     assert np.abs(with_tool - bare).max() > 1e-3

@@ -8,12 +8,14 @@ import dataclasses
 
 from mobman import config as config_mod
 from mobman.config import (ChassisControlConfig, DisturbanceConfig,
-                           ScenarioConfig, build_chassis_gains,
+                           GeometryConfig, ScenarioConfig, build_chassis_gains,
                            build_geometry, build_inertial,
                            disturbance_series, load_config, parse_config,
                            save_config, validate_config)
 from mobman.errors import ParseError, ValidationError
+from mobman.kinematics import forward_kinematics
 from mobman.mission import Circuit, build_sweep
+from mobman.simulate import run_mission
 
 DEG = math.pi / 180.0
 
@@ -54,7 +56,7 @@ def test_zero_end_link_is_named_while_inertias_are_stock():
         config = parse_config({"geometry": {"link_lengths": lengths},
                                "inertial": {"inertias": [5.0, 50.0, 120.0,
                                                          2.0]}})
-        params = build_inertial(config, build_geometry(config)[0])
+        params = build_inertial(config, build_geometry(config))
         assert params.inertias == (5.0, 50.0, 120.0, 2.0)
 
 
@@ -75,6 +77,11 @@ def test_unknown_key_reported():
     with pytest.raises(ValidationError) as err:
         parse_config({"chasis_control": {}})
     assert any("unknown key" in m for m in err.value.messages)
+    # The link twists and offsets are fixed by the arm's structure.
+    for key in ("link_twists_deg", "link_offsets"):
+        with pytest.raises(ValidationError) as err:
+            parse_config({"geometry": {key: [0.0] * 5}})
+        assert err.value.messages == ["geometry.%s: unknown key" % key]
 
 
 def test_section_must_be_mapping():
@@ -152,23 +159,57 @@ def test_default_fires_match_worked_example():
 
 
 def test_build_geometry_mirrors_config():
-    geometry, tool = build_geometry(ScenarioConfig())
+    geometry = build_geometry(ScenarioConfig())
     assert geometry.a == (100.0, 1000.0, 1700.0, 100.0, 80.0)
     assert geometry.d1 == 185.0
-    assert tool.y5p == 0.0
+    assert geometry.y5p == 0.0
     cfg = parse_config({"geometry": {"tool_y_offset": 120.0}})
-    assert build_geometry(cfg)[1].y5p == 120.0
+    assert build_geometry(cfg).y5p == 120.0
+
+
+def test_every_geometry_key_moves_the_tool():
+    """A geometry key that no run reads fails here: perturbing any leaf of
+    the geometry section through parse_config moves the tool of one q."""
+    q = [0.3, 70.0 * DEG, -40.0 * DEG, -30.0 * DEG]
+
+    def tool(section):
+        config = parse_config({"geometry": section})
+        pose = forward_kinematics(q, build_geometry(config))
+        return pose.x, pose.y, pose.z, pose.phi
+
+    stock = tool({})
+    section = GeometryConfig()
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, list):
+            perturbed = [value[:i] + [value[i] + 10.0] + value[i + 1:]
+                         for i in range(len(value))]
+        else:
+            perturbed = [value + 10.0]
+        for v in perturbed:
+            assert tool({f.name: v}) != stock, (f.name, v)
+
+
+def test_point_mass_bound_is_named():
+    """Explicit inertias below a body's point-mass bound m c^2 pass the
+    per-field rules, and the run then names each offending key."""
+    config = parse_config({"inertial": {"inertias": [1, 1, 1, 1]}})
+    with pytest.raises(ValidationError) as err:
+        run_mission(config)
+    assert err.value.messages == [
+        "inertial.inertias[1]: below the point-mass bound of the boom body",
+        "inertial.inertias[2]: below the point-mass bound of the forearm body"]
 
 
 def test_build_inertial_paths():
     cfg = ScenarioConfig()
-    params = build_inertial(cfg, build_geometry(cfg)[0])
+    params = build_inertial(cfg, build_geometry(cfg))
     assert sum(params.masses) == pytest.approx(400.0)
     explicit = parse_config({"inertial": {
         "masses": [50.0, 150.0, 150.0, 50.0],
         "com_offsets": [0.05, 0.5, 0.85, 0.09],
         "inertias": [5.0, 50.0, 120.0, 2.0]}})
-    params = build_inertial(explicit, build_geometry(explicit)[0])
+    params = build_inertial(explicit, build_geometry(explicit))
     assert params.masses == (50.0, 150.0, 150.0, 50.0)
     # Bad values are rejected at parse time, by the same rule the builder
     # applies...
@@ -183,7 +224,7 @@ def test_build_inertial_paths():
     bad.inertial.masses = [50.0, -1.0, 150.0, 50.0]
     bad.inertial.inertias = [0.0, 50.0, 120.0, 2.0]
     with pytest.raises(ValidationError) as err:
-        build_inertial(bad, build_geometry(bad)[0])
+        build_inertial(bad, build_geometry(bad))
     assert err.value.messages == ["inertial.masses[1]: must be > 0",
                                   "inertial.inertias[0]: must be > 0"]
 

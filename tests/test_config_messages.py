@@ -18,8 +18,9 @@ from mobman.errors import ValidationError
 RECORD = pathlib.Path(__file__).with_name("config_messages.json")
 
 SCALARS = [
-    "dt", "integrator", "geometry.tool_y_offset", "inertial.total_mass",
-    "inertial.payload_mass", "inertial.gravity", "arm_control.surface_rate",
+    "dt", "integrator", "geometry.shoulder_height", "geometry.tool_y_offset",
+    "inertial.total_mass", "inertial.payload_mass", "inertial.gravity",
+    "arm_control.surface_rate",
     "arm_control.boundary_layer", "chassis_control.offset_l",
     "chassis_control.boundary_layer", "chassis_control.track_width",
     "circuit.edge_length", "circuit.corner_radius", "circuit.speed",
@@ -34,8 +35,6 @@ SCALARS = [
 # Each vector key with a valid value; one element at a time is spoiled.
 VECTORS = {
     "geometry.link_lengths": [100.0, 1000.0, 1700.0, 100.0, 80.0],
-    "geometry.link_twists_deg": [90.0, 0.0, 0.0, 0.0, 0.0],
-    "geometry.link_offsets": [185.0, 0.0, 0.0, 0.0, 0.0],
     "inertial.masses": [50.0, 150.0, 150.0, 50.0],
     "inertial.com_offsets": [0.05, 0.5, 0.85, 0.09],
     "inertial.inertias": [5.0, 50.0, 120.0, 2.0],
@@ -141,7 +140,7 @@ def _cases() -> dict:
     cases["cross rules among field problems"] = _merge(
         {"dt": 0},
         {"geometry": {"link_lengths": [100, 0, 0, 100, 80],
-                      "link_twists_deg": [1.0], "tool_y_offset": "x"}},
+                      "shoulder_height": [1.0], "tool_y_offset": "x"}},
         {"circuit": {"corner_radius": 0.1, "center": [0.0]}},
         {"sweep": {"passes": 0}},
         {"disturbance": {"kind": "constant", "amplitude": [0.5, 0.0],

@@ -40,18 +40,19 @@ def test_mass_matrix_symmetric_positive_definite(model, rng):
         np.linalg.cholesky(m)  # raises if not positive definite
 
 
-def test_mass_matrix_matches_kinetic_energy_hessian(model, rng):
+def test_mass_matrix_matches_kinetic_energy_hessian(model, offset_model, rng):
     """KE is exactly quadratic in qd, so M_ij recovers from three KE calls
     with unit rates: M_ij = K(e_i + e_j) - K(e_i) - K(e_j)."""
-    for q in random_joint_angles(rng, 50):
-        m = model.mass_matrix(q)
-        k = [model.kinetic_energy(q, _unit(i)) for i in range(4)]
-        for i in range(4):
-            assert m[i, i] == pytest.approx(2.0 * k[i], rel=1e-12)
-            for j in range(i + 1, 4):
-                kij = model.kinetic_energy(q, _unit(i) + _unit(j))
-                assert m[i, j] == pytest.approx(kij - k[i] - k[j],
-                                                rel=1e-9, abs=1e-9)
+    for arm in (model, offset_model):
+        for q in random_joint_angles(rng, 50):
+            m = arm.mass_matrix(q)
+            k = [arm.kinetic_energy(q, _unit(i)) for i in range(4)]
+            for i in range(4):
+                assert m[i, i] == pytest.approx(2.0 * k[i], rel=1e-12)
+                for j in range(i + 1, 4):
+                    kij = arm.kinetic_energy(q, _unit(i) + _unit(j))
+                    assert m[i, j] == pytest.approx(kij - k[i] - k[j],
+                                                    rel=1e-9, abs=1e-9)
 
 
 def test_slewing_row_is_decoupled(model, rng):
@@ -77,17 +78,18 @@ def test_mass_matrix_point_mass_hand_case():
     assert abs(m[2, 2]) < 1e-6 and abs(m[1, 2]) < 1e-6
 
 
-def test_gravity_matches_potential_gradient(model, rng):
+def test_gravity_matches_potential_gradient(model, offset_model, rng):
     h = 1e-5
-    for q in random_joint_angles(rng, 50):
-        g = model.gravity_vector(q)
-        fd = np.zeros(4)
-        for i in range(4):
-            e = _unit(i) * h
-            fd[i] = (model.potential_energy(q + e)
-                     - model.potential_energy(q - e)) / (2.0 * h)
-        assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1.0) < 1e-8
-        assert g[0] == 0.0
+    for arm in (model, offset_model):
+        for q in random_joint_angles(rng, 50):
+            g = arm.gravity_vector(q)
+            fd = np.zeros(4)
+            for i in range(4):
+                e = _unit(i) * h
+                fd[i] = (arm.potential_energy(q + e)
+                         - arm.potential_energy(q - e)) / (2.0 * h)
+            assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1.0) < 1e-8
+            assert g[0] == 0.0
 
 
 def test_gravity_flat_arm_hand_formula(model):
@@ -124,10 +126,11 @@ def _mass_partials_fd(model, q, step=1e-3):
     return out
 
 
-def test_mass_partials_analytic_vs_finite_difference(model, rng):
-    for q in random_joint_angles(rng, 25):
-        ana = model.mass_matrix_partials(q)
-        assert np.abs(ana - _mass_partials_fd(model, q)).max() < 1e-6
+def test_mass_partials_analytic_vs_finite_difference(model, offset_model, rng):
+    for arm in (model, offset_model):
+        for q in random_joint_angles(rng, 25):
+            ana = arm.mass_matrix_partials(q)
+            assert np.abs(ana - _mass_partials_fd(arm, q)).max() < 1e-6
 
 
 def test_coriolis_fd_route_agrees(model, rng):
@@ -186,24 +189,25 @@ def test_free_swing_conserves_energy(rng):
     assert abs(e1 - e0) / abs(e0) < 1e-9
 
 
-def test_fused_dynamics_match_christoffel_route(model, rng):
+def test_fused_dynamics_match_christoffel_route(model, offset_model, rng):
     """forward_dynamics and inverse_dynamics (shared-trig kernel, expanded
     bias, block Cholesky) against M, the Christoffel C, G and a generic
-    dense solve, on 1,000 random in-range states."""
-    worst_fd = worst_id = 0.0
-    for q in random_joint_angles(rng, 1000):
-        qd = rng.uniform(-2.0, 2.0, 4)
-        tau = rng.uniform(-1e3, 1e3, 4)
-        qdd = rng.uniform(-2.0, 2.0, 4)
-        m = model.mass_matrix(q)
-        bias = model.coriolis_matrix(q, qd) @ qd + model.gravity_vector(q)
-        want = np.linalg.solve(m, tau - bias)
-        got = model.forward_dynamics(q, qd, tau)
-        worst_fd = max(worst_fd, np.abs(got - want).max() / np.abs(want).max())
-        want = m @ qdd + bias
-        got = model.inverse_dynamics(q, qd, qdd)
-        worst_id = max(worst_id, np.abs(got - want).max() / np.abs(want).max())
-    assert worst_fd < 1e-9 and worst_id < 1e-9
+    dense solve, on 1,000 random in-range states of each arm."""
+    for arm in (model, offset_model):
+        worst_fd = worst_id = 0.0
+        for q in random_joint_angles(rng, 1000):
+            qd = rng.uniform(-2.0, 2.0, 4)
+            tau = rng.uniform(-1e3, 1e3, 4)
+            qdd = rng.uniform(-2.0, 2.0, 4)
+            m = arm.mass_matrix(q)
+            bias = arm.coriolis_matrix(q, qd) @ qd + arm.gravity_vector(q)
+            want = np.linalg.solve(m, tau - bias)
+            got = arm.forward_dynamics(q, qd, tau)
+            worst_fd = max(worst_fd, np.abs(got - want).max() / np.abs(want).max())
+            want = m @ qdd + bias
+            got = arm.inverse_dynamics(q, qd, qdd)
+            worst_id = max(worst_id, np.abs(got - want).max() / np.abs(want).max())
+        assert worst_fd < 1e-9 and worst_id < 1e-9
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

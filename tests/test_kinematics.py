@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from mobman.errors import GeometryError, JointLimitViolation, Unreachable
-from mobman.kinematics import (DEFAULT_DH, DHRow, DHTable, EndEffectorPose,
-                               ToolOffset, check_joint_limits, dh_transform,
-                               forward_kinematics, interior_angle,
-                               inverse_kinematics, point_reachable, random_joint_angles,
+from mobman.kinematics import (STOCK_ARM, ArmGeometry, EndEffectorPose,
+                               check_joint_limits, forward_kinematics,
+                               interior_angle, inverse_kinematics,
+                               point_reachable, random_joint_angles,
                                workspace_analysis)
 
 DEG = math.pi / 180.0
@@ -30,25 +30,22 @@ def _trans(x, y, z):
     return m
 
 
-def test_dh_transform_matches_elementary_product():
-    row = DHRow(a=100.0, alpha=90.0 * DEG, d=185.0, theta_index=1)
-    theta = 30.0 * DEG
-    expected = _rot_z(theta) @ _trans(0, 0, row.d) @ _trans(row.a, 0, 0) @ _rot_x(row.alpha)
-    np.testing.assert_allclose(dh_transform(row, theta), expected, atol=1e-12)
-
-
-def _chain_pose(q, geometry=DEFAULT_DH, y5p=0.0):
+def _chain_pose(q, geometry=STOCK_ARM):
     """Tool position via the frame-by-frame chain.
 
-    The rows carry relative rotations, so the absolute link angles are
-    differenced along the chain; the fixed fourth row unwinds the forearm
-    angle, which is exactly what the parallelogram linkage does.
+    Each link is Rz(theta) Tz(d) Tx(a) Rx(alpha) with the arm's fixed twists
+    (90 deg, 0, 0, 0, 0) and offsets (d1, 0, 0, 0, 0).  The links carry
+    relative rotations, so the absolute link angles are differenced along
+    the chain; the fixed fourth link unwinds the forearm angle, which is
+    exactly what the parallelogram linkage does.
     """
     thetas = (q[0], q[1], q[2] - q[1], -q[2], q[3])
+    offsets = (geometry.d1, 0.0, 0.0, 0.0, 0.0)
+    twists = (90.0 * DEG, 0.0, 0.0, 0.0, 0.0)
     m = np.eye(4)
-    for row, th in zip(geometry.rows, thetas):
-        m = m @ dh_transform(row, th)
-    return (m @ np.array([0.0, y5p, 0.0, 1.0]))[:3]
+    for a, d, alpha, th in zip(geometry.a, offsets, twists, thetas):
+        m = m @ _rot_z(th) @ _trans(0, 0, d) @ _trans(a, 0, 0) @ _rot_x(alpha)
+    return (m @ np.array([0.0, geometry.y5p, 0.0, 1.0]))[:3]
 
 
 def test_forward_kinematics_reference_pose():
@@ -58,13 +55,13 @@ def test_forward_kinematics_reference_pose():
     assert pose.phi == 0.0
 
 
-def test_forward_kinematics_matches_frame_chain(rng):
-    tool = ToolOffset(120.0)
+def test_forward_kinematics_matches_frame_chain(rng, offset_arm):
+    geometries = (STOCK_ARM, ArmGeometry(y5p=120.0), offset_arm)
     for q in random_joint_angles(rng, 50):
-        for y5p, t in ((0.0, None), (tool.y5p, tool)):
-            pose = forward_kinematics(q, tool=t)
+        for geometry in geometries:
+            pose = forward_kinematics(q, geometry)
             np.testing.assert_allclose([pose.x, pose.y, pose.z],
-                                       _chain_pose(q, y5p=y5p), atol=1e-8)
+                                       _chain_pose(q, geometry), atol=1e-8)
 
 
 def test_forward_kinematics_planar_and_equivariant(rng):
@@ -85,13 +82,12 @@ def test_forward_kinematics_planar_and_equivariant(rng):
             atol=1e-8)
 
 
-def test_inverse_kinematics_round_trip(rng):
-    tool = ToolOffset(150.0)
+def test_inverse_kinematics_round_trip(rng, offset_arm):
     worst = 0.0
     for q in random_joint_angles(rng, 300):
-        pose = forward_kinematics(q, tool=tool)
-        sol = inverse_kinematics(pose, tool=tool)
-        worst = max(worst, float(np.abs(sol - q).max()))
+        for geometry in (ArmGeometry(y5p=150.0), offset_arm):
+            sol = inverse_kinematics(forward_kinematics(q, geometry), geometry)
+            worst = max(worst, float(np.abs(sol - q).max()))
     assert worst < 1e-9
 
 
@@ -140,14 +136,13 @@ def test_random_joint_angles_respect_all_limits(rng):
     assert single.shape == (4,)
 
 
-def test_dh_table_validation():
+def test_arm_geometry_validation():
     with pytest.raises(GeometryError):
-        DHRow(a=-1.0, alpha=0.0, d=0.0)
-    rows = list(DEFAULT_DH.rows)
+        ArmGeometry(a=(-1.0, 1000.0, 1700.0, 100.0, 80.0))
     with pytest.raises(GeometryError):
-        DHTable(rows=tuple(rows[:4]))  # wrong row count
+        ArmGeometry(a=STOCK_ARM.a[:4])  # wrong length count
     with pytest.raises(GeometryError):
-        ToolOffset(-5.0)
+        ArmGeometry(y5p=-5.0)
 
 
 def test_workspace_radii_match_triangle_extremes():

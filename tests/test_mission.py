@@ -12,6 +12,7 @@ from mobman.mission import (Circuit, MissionState, assign_fires, build_sweep,
 
 DEG = math.pi / 180.0
 DT = 1e-3
+PITCH = SweepConfig().pitch_deg * DEG
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +271,7 @@ def test_dispatch_splits_budget(circuit):
     fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
              FireConfig(ident="F2", position=(0.20, 0.30, 0.30))]
     stops = assign_fires(fires, circuit)
-    sprays, flagged = dispatch(stops, budget=3.0)
+    sprays, flagged = dispatch(stops, budget=3.0, pitch=PITCH)
     assert not flagged
     assert [stop for stop, _, _ in sprays] == stops
     for _, pitch, dwell in sprays:
@@ -281,7 +282,8 @@ def test_dispatch_splits_budget(circuit):
 def test_dispatch_flags_unreachable(circuit):
     fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
              FireConfig(ident="FX", position=(0.0, 0.0, 5.0))]  # beyond reach
-    sprays, flagged = dispatch(assign_fires(fires, circuit), budget=3.0)
+    sprays, flagged = dispatch(assign_fires(fires, circuit), budget=3.0,
+                               pitch=PITCH)
     assert len(flagged) == 1
     fire, reason = flagged[0]
     assert fire.ident == "FX" and "unreachable" in reason
@@ -290,7 +292,7 @@ def test_dispatch_flags_unreachable(circuit):
 
 
 def test_dispatch_empty_plan():
-    sprays, flagged = dispatch([], budget=3.0)
+    sprays, flagged = dispatch([], budget=3.0, pitch=PITCH)
     assert sprays == [] and flagged == []
 
 

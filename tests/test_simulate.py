@@ -287,7 +287,7 @@ def test_arm_reference_solves_sweep_targets():
         for i, point in zip(steps, points):
             pose = (refs[i].x, refs[i].y, refs[i].heading)
             local = target_in_base_frame(pose, point, sweep.pitch)
-            tool = forward_kinematics(qr[i], plan.geometry, plan.tool)
+            tool = forward_kinematics(qr[i], plan.geometry)
             np.testing.assert_allclose([tool.x, tool.y, tool.z],
                                        [local.x, local.y, local.z], atol=1e-9)
             assert tool.phi == pytest.approx(local.phi, abs=1e-12)
