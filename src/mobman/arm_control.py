@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import math
 
-from .dynamics import ArmDynamics
+from .dynamics import torques
 from .kinematics import EndEffectorPose
 from .util import switch
 
 _M_TO_MM = 1e3
 
 
-def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains,
-                model: ArmDynamics) -> list:
-    """Model-inverting sliding-mode torque command: the model's inverse
-    dynamics at the reaching acceleration qdd_r + rate * edot + K sw(s), with
-    the surface s = edot + rate * e formed joint by joint in floats.
+def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains, terms) -> list:
+    """Model-inverting sliding-mode torque command: the inverse dynamics, from
+    the model's kernel terms at (q, qd), at the reaching acceleration
+    qdd_r + rate * edot + K sw(s), with s = edot + rate * e formed joint by
+    joint in floats.
 
     gains is the scenario's ArmControlConfig section: the surface slope
     surface_rate (1/s), the per-joint switch_gain K and the boundary_layer
@@ -35,7 +35,7 @@ def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains,
         edot = rqd - qdi
         s = edot + rate * (rq - qi)
         inner.append(rqdd + rate * edot + k * switch(s, width))
-    return model.inverse_dynamics(q, qd, inner)
+    return torques(terms, inner)
 
 
 def target_in_base_frame(chassis_pose, target_xyz_m, pitch: float) -> EndEffectorPose:
@@ -45,12 +45,10 @@ def target_in_base_frame(chassis_pose, target_xyz_m, pitch: float) -> EndEffecto
     The nozzle pitch is measured from horizontal and is invariant to the
     chassis yaw.
     """
-    cx, cy, heading = (float(v) for v in chassis_pose)
-    dx = float(target_xyz_m[0]) - cx
-    dy = float(target_xyz_m[1]) - cy
+    cx, cy, heading = chassis_pose
+    tx, ty, tz = target_xyz_m
+    dx, dy = tx - cx, ty - cy
     c, s = math.cos(heading), math.sin(heading)
     return EndEffectorPose(x=(c * dx + s * dy) * _M_TO_MM,
                            y=(-s * dx + c * dy) * _M_TO_MM,
-                           z=float(target_xyz_m[2]) * _M_TO_MM,
-                           phi=pitch)
-
+                           z=tz * _M_TO_MM, phi=pitch)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DisturbanceBoundViolation
 from .util import integrate, sign, switch, wrap_angle
 
 
-@dataclass(frozen=True)
-class ChassisError:
+class ChassisError(NamedTuple):
     """Tracking error in the vehicle frame: forward, lateral, heading."""
 
     e1: float
@@ -46,8 +46,7 @@ class ChassisGains:
     track_width: float = 0.8
 
 
-@dataclass(frozen=True)
-class ChassisRefSample:
+class ChassisRefSample(NamedTuple):
     """Reference pose, body rates, world-frame velocity components and their
     time derivatives at one control instant."""
 
@@ -70,9 +69,8 @@ def tracking_error(ref, pose) -> ChassisError:
     dx = ref.x - x
     dy = ref.y - y
     c, s = math.cos(heading), math.sin(heading)
-    return ChassisError(e1=c * dx + s * dy,
-                        e2=-s * dx + c * dy,
-                        e3=wrap_angle(ref.heading - heading))
+    return ChassisError(c * dx + s * dy, -s * dx + c * dy,
+                        wrap_angle(ref.heading - heading))
 
 
 def error_rates(err: ChassisError, v: float, w: float,

@@ -19,9 +19,7 @@ from .util import DEG
 
 
 def _load_scenario(path) -> ScenarioConfig:
-    if path is None:
-        return ScenarioConfig()
-    return load_config(path)
+    return ScenarioConfig() if path is None else load_config(path)
 
 
 def _cmd_workspace(args) -> int:
@@ -73,9 +71,8 @@ def _cmd_ik(args) -> int:
         print(json.dumps({"joints_deg": [float(v) for v in np.degrees(q)],
                           "residual_mm": residual}, indent=2))
         return 0
-    names = ("q1", "q2", "q3", "q4")
-    for name, value in zip(names, np.degrees(q)):
-        print("%s = %10.4f deg" % (name, value))
+    for k, value in enumerate(np.degrees(q), start=1):
+        print("q%d = %10.4f deg" % (k, value))
     print("round-trip residual: %.3e mm" % residual)
     return 0
 
@@ -237,12 +234,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MobmanError as exc:
-        messages = getattr(exc, "messages", None)
-        if messages:
-            for message in messages:
-                print("error: %s" % message, file=sys.stderr)
-        else:
-            print("error: %s" % exc, file=sys.stderr)
+        for message in getattr(exc, "messages", None) or [exc]:
+            print("error: %s" % message, file=sys.stderr)
         return 1
 
 

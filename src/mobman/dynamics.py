@@ -57,6 +57,13 @@ class LinkInertialParams:
         for i, val in enumerate(self.inertias):
             if val <= 0.0:
                 problems.append("inertial.inertias[%d]: must be > 0" % i)
+        # A planar body's spin inertia about its joint is at least m c^2.
+        for i, name, m, c, val in zip((1, 2, 3), ("boom", "forearm", "wrist"),
+                                      self.masses[1:], self.com_offsets[1:],
+                                      self.inertias[1:]):
+            if val - m * c ** 2 < 0.0:
+                problems.append("inertial.inertias[%d]: below the point-mass "
+                                "bound of the %s body" % (i, name))
         if self.payload_mass < 0.0:
             problems.append("inertial.payload_mass: must be >= 0")
         if self.gravity < 0.0:
@@ -97,6 +104,9 @@ class ArmDynamics:
                  geometry: ArmGeometry = STOCK_ARM):
         self.geometry = geometry
         self.params = params if params is not None else default_inertial_params(geometry)
+        problems = self.params.validate()
+        if problems:
+            raise ValidationError(problems)
         self.a1, self.a2, self.a3, self.a4, self.a5 = (v * _MM for v in geometry.a)
         self.d1 = geometry.d1 * _MM
         self.y5p = geometry.y5p * _MM
@@ -109,13 +119,6 @@ class ArmDynamics:
         self.ic2 = self.params.inertias[1] - self.m2 * self.c2 ** 2
         self.ic3 = self.params.inertias[2] - self.m3 * self.c3 ** 2
         self.ic4 = self.params.inertias[3] - self.m4 * self.c4 ** 2
-        problems = ["inertial.inertias[%d]: below the point-mass bound of the "
-                    "%s body" % (i, name)
-                    for i, name, val in ((1, "boom", self.ic2),
-                                         (2, "forearm", self.ic3),
-                                         (3, "wrist", self.ic4)) if val < 0.0]
-        if problems:
-            raise ValidationError(problems)
         # Kernel constants: the planar diagonal of M and the first mass moments.
         m2, m3, m4, mp = self.m2, self.m3, self.m4, self.mp
         a2, a3, a5, y5p = self.a2, self.a3, self.a5, self.y5p
@@ -267,35 +270,42 @@ class ArmDynamics:
     # -- dynamics ---------------------------------------------------------
 
     def inverse_dynamics(self, q, qd, qdd) -> list:
-        """Joint torques that realize the given acceleration: M qdd + bias,
-        as 4 floats."""
-        (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = \
-            self._kernel(q, qd)
-        a1, a2, a3, a4 = _floats(qdd)
-        return [m11 * a1 + b1,
-                m22 * a2 + m23 * a3 + m24 * a4 + b2,
-                m23 * a2 + m33 * a3 + m34 * a4 + b3,
-                m24 * a2 + m34 * a3 + m44 * a4 + b4]
+        """Joint torques (4 floats) that realize the given acceleration."""
+        return torques(self._kernel(q, qd), qdd)
 
     def forward_dynamics(self, q, qd, tau) -> list:
-        """Joint accelerations (4 floats) for applied torques tau: one divide
-        for the decoupled slew row, a Cholesky solve L L^T for the planar
-        block."""
-        (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = \
-            self._kernel(q, qd)
-        t1, t2, t3, t4 = _floats(tau)
-        l22 = math.sqrt(_pivot(m22))
-        l32, l42 = m23 / l22, m24 / l22
-        l33 = math.sqrt(_pivot(m33 - l32 * l32))
-        l43 = (m34 - l32 * l42) / l33
-        l44 = math.sqrt(_pivot(m44 - l42 * l42 - l43 * l43))
-        y2 = (t2 - b2) / l22
-        y3 = (t3 - b3 - l32 * y2) / l33
-        y4 = (t4 - b4 - l42 * y2 - l43 * y3) / l44
-        x4 = y4 / l44
-        x3 = (y3 - l43 * x4) / l33
-        x2 = (y2 - l32 * x3 - l42 * x4) / l22
-        return [(t1 - b1) / _pivot(m11), x2, x3, x4]
+        """Joint accelerations (4 floats) for applied torques tau."""
+        return accelerations(self._kernel(q, qd), tau)
+
+
+def torques(terms, qdd) -> list:
+    """M qdd + bias from the kernel's terms at one state, as 4 floats."""
+    (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = terms
+    a1, a2, a3, a4 = _floats(qdd)
+    return [m11 * a1 + b1,
+            m22 * a2 + m23 * a3 + m24 * a4 + b2,
+            m23 * a2 + m33 * a3 + m34 * a4 + b3,
+            m24 * a2 + m34 * a3 + m44 * a4 + b4]
+
+
+def accelerations(terms, tau) -> list:
+    """M^-1 (tau - bias) from the kernel's terms at one state, as 4 floats:
+    one divide for the decoupled slew row, a Cholesky solve L L^T for the
+    planar block."""
+    (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = terms
+    t1, t2, t3, t4 = _floats(tau)
+    l22 = math.sqrt(_pivot(m22))
+    l32, l42 = m23 / l22, m24 / l22
+    l33 = math.sqrt(_pivot(m33 - l32 * l32))
+    l43 = (m34 - l32 * l42) / l33
+    l44 = math.sqrt(_pivot(m44 - l42 * l42 - l43 * l43))
+    y2 = (t2 - b2) / l22
+    y3 = (t3 - b3 - l32 * y2) / l33
+    y4 = (t4 - b4 - l42 * y2 - l43 * y3) / l44
+    x4 = y4 / l44
+    x3 = (y3 - l43 * x4) / l33
+    x2 = (y2 - l32 * x3 - l42 * x4) / l22
+    return [(t1 - b1) / _pivot(m11), x2, x3, x4]
 
 
 def _pivot(p: float) -> float:

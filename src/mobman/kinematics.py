@@ -9,13 +9,15 @@ twisted (by 90 deg) and offset (by the shoulder height).  So ArmGeometry
 holds just the five link lengths, the shoulder height and the nozzle offset,
 and every pose formula below uses absolute angles.
 
-Units: millimetres and radians.  Joint vectors are numpy arrays of shape (4,)
-ordered (base yaw, boom, forearm, wrist pitch).
+Units: millimetres and radians.  Joint vectors are sequences of 4 angles (the
+control loop passes lists of floats, the IK returns numpy arrays) ordered
+(base yaw, boom, forearm, wrist pitch).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +25,8 @@ from .errors import GeometryError, JointLimitViolation, Unreachable
 from .util import DEG
 
 # Joint ranges, radians: base yaw, boom, forearm, wrist pitch.
-JOINT_LIMITS_LOW = np.array([-180.0, 0.0, -120.0, -90.0]) * DEG
-JOINT_LIMITS_HIGH = np.array([180.0, 135.0, 15.5, 0.0]) * DEG
+JOINT_LIMITS_LOW = tuple(v * DEG for v in (-180.0, 0.0, -120.0, -90.0))
+JOINT_LIMITS_HIGH = tuple(v * DEG for v in (180.0, 135.0, 15.5, 0.0))
 JOINT_NAMES = ("theta1", "theta2", "theta3", "theta4")
 
 # Allowed elbow interior angle between boom and forearm.
@@ -56,8 +58,7 @@ class ArmGeometry:
 STOCK_ARM = ArmGeometry()
 
 
-@dataclass(frozen=True)
-class EndEffectorPose:
+class EndEffectorPose(NamedTuple):
     """Tool point position (mm) and nozzle pitch above horizontal (rad)."""
 
     x: float
@@ -73,13 +74,12 @@ def interior_angle(q) -> float:
 
 def check_joint_limits(q, tol: float = _LIMIT_TOL) -> None:
     """Raise JointLimitViolation if any joint or the elbow angle is out of range."""
-    q = np.asarray(q, dtype=float)
-    for i in range(4):
-        if q[i] < JOINT_LIMITS_LOW[i] - tol or q[i] > JOINT_LIMITS_HIGH[i] + tol:
+    for name, low, high, qi in zip(JOINT_NAMES, JOINT_LIMITS_LOW,
+                                   JOINT_LIMITS_HIGH, q):
+        if qi < low - tol or qi > high + tol:
             raise JointLimitViolation(
                 "%s = %.6f deg outside [%.2f, %.2f] deg"
-                % (JOINT_NAMES[i], q[i] / DEG, JOINT_LIMITS_LOW[i] / DEG,
-                   JOINT_LIMITS_HIGH[i] / DEG))
+                % (name, qi / DEG, low / DEG, high / DEG))
     gamma = interior_angle(q)
     if gamma < INTERIOR_MIN - tol or gamma > INTERIOR_MAX + tol:
         raise JointLimitViolation(
@@ -106,7 +106,7 @@ def forward_kinematics(q, geometry: ArmGeometry = STOCK_ARM) -> EndEffectorPose:
     joint: phi = -theta4.
     """
     r, z = _planar_coords(q, geometry)
-    return EndEffectorPose(x=r * math.cos(q[0]), y=r * math.sin(q[0]), z=z, phi=-q[3])
+    return EndEffectorPose(r * math.cos(q[0]), r * math.sin(q[0]), z, -q[3])
 
 
 def inverse_kinematics(pose: EndEffectorPose,
@@ -146,15 +146,14 @@ def inverse_kinematics(pose: EndEffectorPose,
     theta2 = math.acos(min(1.0, max(-1.0, cos_b2))) + beta
     theta3 = -math.acos(min(1.0, max(-1.0, cos_b3))) + beta
 
-    q = np.array([theta1, theta2, theta3, theta4])
+    q = (theta1, theta2, theta3, theta4)
     check_joint_limits(q)
-    return q
+    return np.array(q)
 
 
 def random_joint_angles(rng, n: int | None = None):
     """Draw uniform in-range joint vectors (rejection on the elbow angle)."""
-    single = n is None
-    count = 1 if single else n
+    count = 1 if n is None else n
     out = np.empty((count, 4))
     filled = 0
     while filled < count:
@@ -164,7 +163,7 @@ def random_joint_angles(rng, n: int | None = None):
         take = min(int(ok.sum()), count - filled)
         out[filled:filled + take] = cand[ok][:take]
         filled += take
-    return out[0] if single else out
+    return out[0] if n is None else out
 
 
 @dataclass(frozen=True)

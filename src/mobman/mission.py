@@ -276,14 +276,12 @@ def build_sweep(edge_index: int, sweep, fire, circuit: Circuit) -> SweepPath:
     hs = 0.5 * sweep.horizontal_span
 
     # Face frame: p0 is the pass start, u the horizontal travel direction.
-    if edge_index == 1:      # face at -y, chassis travelling +x
-        p0, u = np.array([cx - hs, cy - half]), np.array([1.0, 0.0])
-    elif edge_index == 2:    # face at +x, chassis travelling +y
-        p0, u = np.array([cx + half, cy - hs]), np.array([0.0, 1.0])
-    elif edge_index == 3:    # face at +y, chassis travelling -x
-        p0, u = np.array([cx + hs, cy + half]), np.array([-1.0, 0.0])
-    else:                    # face at -x, chassis travelling -y
-        p0, u = np.array([cx - half, cy + hs]), np.array([0.0, -1.0])
+    p0, u = map(np.array, {
+        1: ([cx - hs, cy - half], [1.0, 0.0]),    # face at -y, travelling +x
+        2: ([cx + half, cy - hs], [0.0, 1.0]),    # face at +x, travelling +y
+        3: ([cx + hs, cy + half], [-1.0, 0.0]),   # face at +y, travelling -x
+        4: ([cx - half, cy + hs], [0.0, -1.0]),   # face at -x, travelling -y
+    }[edge_index])
 
     rise = sweep.vertical_span / (sweep.passes - 1) if sweep.passes > 1 else 0.0
     far = p0 + sweep.horizontal_span * u
@@ -382,9 +380,7 @@ def dispatch(stops: list, budget: float, pitch: float,
         else:
             reachable.append((stop, chosen))
 
-    if not reachable:
-        return [], flagged
-    dwell = budget / len(reachable)
+    dwell = budget / max(len(reachable), 1)
     return [(stop, chosen, dwell) for stop, chosen in reachable], flagged
 
 

@@ -17,7 +17,7 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .chassis_control import (ChassisGains, ChassisRefSample, chassis_tick,
                               plant_step, wheel_speeds)
 from .config import (ScenarioConfig, build_chassis_gains, build_geometry,
                      build_inertial, disturbance_series)
-from .dynamics import ArmDynamics
+from .dynamics import ArmDynamics, accelerations
 from .errors import (EmptyLog, JointLimitViolation, ParseError, SolveFailure,
                      Unreachable)
 from .kinematics import forward_kinematics, inverse_kinematics
@@ -119,8 +119,8 @@ def _parse_meta_value(text: str):
 
 
 def _frozen(sample: ChassisRefSample) -> ChassisRefSample:
-    return replace(sample, v=0.0, w=0.0, vdx=0.0, vdy=0.0,
-                   vdx_dot=0.0, vdy_dot=0.0, w_dot=0.0)
+    return sample._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0,
+                           vdx_dot=0.0, vdy_dot=0.0, w_dot=0.0)
 
 
 def _smoothstep(x: float) -> float:
@@ -227,10 +227,8 @@ def _chassis_reference(plan: MissionPlan) -> list:
             refs[i] = _frozen(circuit.sample(slot.clock))
         cursor = slot.spray_end_step
         prev_clock = slot.clock
-    if plan.stage2:
-        refs[n] = _frozen(circuit.sample(plan.stage2[-1].clock))
-    else:
-        refs[n] = _frozen(circuit.sample(circuit.lap_time))
+    refs[n] = _frozen(circuit.sample(prev_clock if plan.stage2
+                                     else circuit.lap_time))
     return refs
 
 
@@ -309,7 +307,7 @@ def _arm_reference(plan: MissionPlan, refs: list):
         a, b = plan.sweep_windows[k]
         sweep = plan.sweeps[k]
         rel = (np.arange(a, b + 1) - a) * dt
-        points = sweep.positions_at(rel)
+        points = sweep.positions_at(rel).tolist()
         for off, i in enumerate(range(a, b + 1)):
             pose = (refs[i].x, refs[i].y, refs[i].heading)
             target = target_in_base_frame(pose, points[off], sweep.pitch)
@@ -360,13 +358,13 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     plan = plan_mission(config)
     dt = plan.dt
     n = plan.n_steps
+    model = ArmDynamics(params=build_inertial(config, plan.geometry),
+                        geometry=plan.geometry)
 
     refs = _chassis_reference(plan)
     labels, event_lists = _labels_and_events(plan)
     qr, qdr, qddr = _arm_reference(plan, refs)
 
-    model = ArmDynamics(params=build_inertial(config, plan.geometry),
-                        geometry=plan.geometry)
     gains = build_chassis_gains(config)
     dist = disturbance_series(config.disturbance, np.arange(n) * dt)
 
@@ -390,8 +388,10 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         ref = refs[i]
         q_ref = qr[i].tolist()
         err, s, u = chassis_tick(ref, z, gains)
+        # The model at (q, qd), shared by the arm law and the arm step.
+        terms = model._kernel(q, qd)
         tau = arm_control_law(q, qd, q_ref, qdr[i].tolist(), qddr[i].tolist(),
-                              config.arm_control, model)
+                              config.arm_control, terms)
 
         c, sn = math.cos(z[2]), math.sin(z[2])
         fk = forward_kinematics(q, plan.geometry)
@@ -411,7 +411,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
             break
         z = plant_step(z, ref, refs[i + 1], u, dist[i].tolist(), dt,
                        f_bounds=gains.f_bounds, integrator=config.integrator)
-        q, qd = _arm_step(model, q, qd, tau, dt, integrator=config.integrator)
+        q, qd = _arm_step(model, terms, q, qd, tau, dt, config.integrator)
         if not all(map(math.isfinite, z + q + qd)):
             raise SolveFailure("step %d (t=%.4f s): non-finite chassis or arm "
                                "state" % (i + 1, (i + 1) * dt))
@@ -437,11 +437,16 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     return MissionResult(log=log, report=report, plan=plan)
 
 
-def _arm_step(model: ArmDynamics, q: list, qd: list, tau, dt,
+def _arm_step(model: ArmDynamics, terms, q: list, qd: list, tau, dt,
               integrator: str = "rk4"):
     """One fixed step of the arm under zero-order-hold torque; q and qd are
-    lists of floats, and so are the returned ones."""
+    lists of floats, and so are the returned ones.  terms is the model's
+    kernel at (q, qd), which the stage at the step's start (t = 0) reuses."""
+    start = qd + accelerations(terms, tau)
+
     def f(t, y):
+        if t == 0.0:
+            return start
         rates = y[4:]
         return rates + model.forward_dynamics(y[:4], rates, tau)
 
@@ -466,7 +471,7 @@ def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
     z = [float(v) for v in initial_offset] + [float(speed), 0.0]
     for i in range(n + 1):
         t = i * dt
-        ref_i = replace(ref, x=speed * t)
+        ref_i = ref._replace(x=speed * t)
         err, s, u = chassis_tick(ref_i, z, gains)
         out["t"][i] = t
         out["e1"][i], out["e2"][i], out["e3"][i] = err.e1, err.e2, err.e3
@@ -476,7 +481,7 @@ def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
         if i == n:
             break
         f = disturbance[i].tolist() if disturbance is not None else (0.0, 0.0)
-        ref_next = replace(ref, x=speed * (t + dt))
+        ref_next = ref._replace(x=speed * (t + dt))
         z = plant_step(z, ref_i, ref_next, u, f, dt, f_bounds=gains.f_bounds)
     return out
 

@@ -43,6 +43,7 @@ def integrate(f, y, dt, method: str = "rk4") -> list:
     y and f's result are sequences of floats; the result is a list.  Each
     component is summed in the order of the vector form
     y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it matches numpy bit for bit.
+    f is called at t = 0 once, at y itself.
     """
     if method == "euler":
         return [a + dt * b for a, b in zip(y, f(0.0, y))]

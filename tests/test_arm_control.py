@@ -14,12 +14,11 @@ from mobman.util import integrate
 DEG = math.pi / 180.0
 
 
-class _Identity:
-    """Stand-in model whose inverse dynamics returns the commanded
-    acceleration, so control_law hands back its reaching acceleration."""
-
-    def inverse_dynamics(self, q, qd, qdd):
-        return list(qdd)
+# Stand-in kernel terms with M = I and no bias, so the inverse dynamics
+# returns the commanded acceleration and control_law hands back its reaching
+# acceleration.
+_IDENTITY = ((1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0), None, None,
+             (0.0, 0.0, 0.0, 0.0))
 
 
 def test_sliding_surface_and_switch():
@@ -32,15 +31,15 @@ def test_sliding_surface_and_switch():
                              boundary_layer=0.01)
     # s = 20 e: 0.005 and -0.005 inside the layer, 5.0 and -0.4 outside it.
     e = [0.00025, -0.00025, 0.25, -0.02]
-    inner = control_law(zero, zero, e, zero, zero, gains, _Identity())
+    inner = control_law(zero, zero, e, zero, zero, gains, _IDENTITY)
     np.testing.assert_allclose(inner, [0.5, -1.0, 3.0, -4.0], rtol=1e-12)
     # With edot alone: s = edot = 0.3 saturates, and rate * edot adds 6.0.
     inner = control_law(zero, [0.0, -0.3, 0.0, 0.0], zero, zero, zero, gains,
-                        _Identity())
+                        _IDENTITY)
     np.testing.assert_allclose(inner, [0.0, 6.0 + 2.0, 0.0, 0.0], rtol=1e-12)
     hard = replace(gains, boundary_layer=0.0)
     inner = control_law(zero, zero, [0.0, -1e-6, 2e-6, 0.0], zero, zero, hard,
-                        _Identity())
+                        _IDENTITY)
     assert inner == [0.0, -2.0, 3.0, 0.0]
 
 
@@ -52,7 +51,8 @@ def test_control_law_formula_recomposition(model, rng):
         ref_q = q + rng.uniform(-0.05, 0.05, 4)
         ref_qd = rng.uniform(-0.5, 0.5, 4)
         ref_qdd = rng.uniform(-1.0, 1.0, 4)
-        tau = control_law(q, qd, ref_q, ref_qd, ref_qdd, gains, model)
+        tau = control_law(q, qd, ref_q, ref_qd, ref_qdd, gains,
+                          model._kernel(q, qd))
 
         e = ref_q - q
         ed = ref_qd - qd
@@ -68,7 +68,7 @@ def test_control_law_formula_recomposition(model, rng):
 def test_equilibrium_torque_is_gravity(model):
     q = np.array([0.2, 60.0 * DEG, -30.0 * DEG, -20.0 * DEG])
     tau = control_law(q, np.zeros(4), q, np.zeros(4), np.zeros(4),
-                      ArmControlConfig(), model)
+                      ArmControlConfig(), model._kernel(q, np.zeros(4)))
     np.testing.assert_allclose(tau, model.gravity_vector(q), atol=1e-12)
 
 
@@ -78,7 +78,8 @@ def _track(model, gains, q0, ref_q, dt, steps):
     vs, errs = [], []
     zero = np.zeros(4)
     for _ in range(steps):
-        tau = control_law(q, qd, ref_q, zero, zero, gains, model)
+        tau = control_law(q, qd, ref_q, zero, zero, gains,
+                          model._kernel(q, qd))
 
         def f(t, y):
             return np.concatenate([y[4:],

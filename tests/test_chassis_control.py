@@ -1,6 +1,5 @@
 """Chassis sliding-mode controller: error frame, surfaces, law and plant."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,8 +196,8 @@ def test_plant_step_on_reference_stays_exact():
     z = np.array([spec.x, spec.y, spec.heading, spec.v, spec.w])
     dt = 1e-3
     for i in range(200):
-        now = replace(spec, x=spec.v * i * dt)
-        nxt = replace(spec, x=spec.v * (i + 1) * dt)
+        now = spec._replace(x=spec.v * i * dt)
+        nxt = spec._replace(x=spec.v * (i + 1) * dt)
         z = plant_step(z, now, nxt, np.zeros(2), np.zeros(2), dt)
     assert z[0] == pytest.approx(0.88 * 0.2, abs=1e-12)
     assert abs(z[1]) < 1e-15 and abs(z[2]) < 1e-15

@@ -12,6 +12,7 @@ from mobman.config import (ChassisControlConfig, DisturbanceConfig,
                            build_geometry, build_inertial,
                            disturbance_series, load_config, parse_config,
                            save_config, validate_config)
+from mobman.dynamics import ArmDynamics
 from mobman.errors import ParseError, ValidationError
 from mobman.kinematics import forward_kinematics
 from mobman.mission import Circuit, build_sweep
@@ -53,11 +54,14 @@ def test_zero_end_link_is_named_while_inertias_are_stock():
                 parse_config({"geometry": {"link_lengths": lengths},
                               "inertial": inertial})
             assert err.value.messages == [message]
+        # The forearm's point-mass bound is 160.3 kg m^2 on either arm.
         config = parse_config({"geometry": {"link_lengths": lengths},
-                               "inertial": {"inertias": [5.0, 50.0, 120.0,
+                               "inertial": {"inertias": [5.0, 50.0, 170.0,
                                                          2.0]}})
-        params = build_inertial(config, build_geometry(config))
-        assert params.inertias == (5.0, 50.0, 120.0, 2.0)
+        geometry = build_geometry(config)
+        params = build_inertial(config, geometry)
+        assert params.inertias == (5.0, 50.0, 170.0, 2.0)
+        ArmDynamics(params, geometry)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

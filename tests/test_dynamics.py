@@ -235,7 +235,8 @@ def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
     qd = np.array([0.2, -0.1, 0.3, 0.1])
     model.forward_dynamics(q, qd, np.full(4, 100.0))
     model.inverse_dynamics(q, qd, np.ones(4))
-    control_law(q, qd, q + 0.01, qd, np.zeros(4), ArmControlConfig(), model)
+    control_law(q, qd, q + 0.01, qd, np.zeros(4), ArmControlConfig(),
+                model._kernel(q, qd))
 
 
 def test_parameter_validation():

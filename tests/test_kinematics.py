@@ -1,5 +1,6 @@
 """Kinematics: transforms, closed-form FK/IK, limits and workspace."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,8 +120,15 @@ def test_check_joint_limits_interior_angle():
         check_joint_limits(np.array([0.0, 100.0 * DEG, -60.0 * DEG, 0.0]))
     assert "interior angle" in str(err.value)
     check_joint_limits(np.array([0.0, 90.0 * DEG, 0.0, 0.0]))
-    with pytest.raises(JointLimitViolation, match="theta2"):
+    with pytest.raises(JointLimitViolation, match=re.escape(
+            "theta2 = 140.000000 deg outside [0.00, 135.00] deg")):
         check_joint_limits(np.array([0.0, 140.0 * DEG, 0.0, 0.0]))
+    with pytest.raises(JointLimitViolation, match=re.escape(
+            "theta4 = -90.500000 deg outside [-90.00, 0.00] deg")):
+        check_joint_limits([0.0, 90.0 * DEG, 0.0, -90.5 * DEG])
+    with pytest.raises(JointLimitViolation, match=re.escape(
+            "interior angle = 20.000000 deg outside [30, 165] deg")):
+        check_joint_limits((0.0, 130.0 * DEG, -30.0 * DEG, 0.0))
 
 
 def test_interior_angle_formula():

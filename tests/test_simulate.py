@@ -15,6 +15,7 @@ from mobman.dynamics import ArmDynamics
 from mobman.errors import EmptyLog, ParseError, SolveFailure, Unreachable
 from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
+from mobman.mission import Circuit
 from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, _arm_reference,
                              _arm_step, _chassis_reference, export,
                              plan_mission, run_line_scenario, run_mission)
@@ -359,14 +360,42 @@ def test_non_finite_state_is_named(monkeypatch):
     assert len(calls) == 101
 
 
+@pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("euler", 1)])
+def test_one_kernel_per_state(monkeypatch, integrator, per_step):
+    """The arm law and the integrator stage at a step's start share one
+    kernel evaluation, so a run evaluates the model once per state: 4 n + 1
+    times under RK4 and n + 1 under Euler for n steps.  The shared one is
+    the first of each step's calls, made at the logged state."""
+    real = ArmDynamics._kernel
+    calls = []
+
+    def counted(self, q, qd):
+        calls.append(list(q) + list(qd))
+        return real(self, q, qd)
+
+    monkeypatch.setattr(ArmDynamics, "_kernel", counted)
+    log = run_mission(parse_config({"dt": 0.01,
+                                    "integrator": integrator})).log
+    n = log.n_rows - 1
+    assert n > 2000
+    assert len(calls) == per_step * n + 1
+    logged = np.column_stack([log.values[k] for k in
+                              ("q1", "q2", "q3", "q4",
+                               "qd1", "qd2", "qd3", "qd4")])
+    assert calls[::per_step] == logged.tolist()
+
+
 def test_control_step_runs_on_plain_floats(monkeypatch):
     """One chassis tick, arm law, FK, plant step and arm step (both
     integrators) on float inputs, with the gains run_mission builds from a
     scenario, build no numpy array and return plain floats, so per-stage
-    arrays and numpy scalars cannot creep back into the loop."""
+    arrays and numpy scalars cannot creep back into the loop.  The records
+    the loop and the reference build read (tracking error, tool poses and
+    reference samples) hold plain floats in every field."""
     model = ArmDynamics()
     arm_gains = ScenarioConfig().arm_control
     gains = build_chassis_gains(ScenarioConfig())
+    circuit = Circuit(ScenarioConfig().circuit, dt=1e-3)
     ref = ChassisRefSample(1.0, 2.0, 0.3, v=0.88, w=0.1, vdx=0.84, vdy=0.26,
                            w_dot=0.01)
     z = [1.01, 1.98, 0.31, 0.87, 0.12]
@@ -379,15 +408,22 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
     with monkeypatch.context() as patch:
         for name in ("array", "asarray", "concatenate"):
             patch.setattr(np, name, no_arrays)
-        _, s, u = chassis_tick(ref, z, gains)
+        err, s, u = chassis_tick(ref, z, gains)
+        terms = model._kernel(q, qd)
         tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
-                              arm_gains, model)
-        forward_kinematics(q)
+                              arm_gains, terms)
+        pose = forward_kinematics(q)
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3,
                         f_bounds=gains.f_bounds)
-        steps = [_arm_step(model, q, qd, tau, 1e-3, method)
+        steps = [_arm_step(model, terms, q, qd, tau, 1e-3, method)
                  for method in ("rk4", "euler")]
-    values = list(s) + list(u) + tau + z1
+        samples = [circuit.sample(t) for t in (0.0, 2.0, 11.0)]
+        target = target_in_base_frame(z[:3], [1.5, 0.2, 0.9], 0.5)
+    values = list(s) + list(u) + tau + z1 + list(err) + list(pose)
+    values += list(target)
     for q1, qd1 in steps:
         values += q1 + qd1
+    for sample in samples:
+        values += list(sample)
+    assert len(values) == 2 + 2 + 4 + 5 + 3 + 4 + 4 + 2 * 8 + 3 * 10
     assert all(type(v) is float for v in values)
