@@ -237,6 +237,9 @@ def main(argv=None) -> int:
         for message in getattr(exc, "messages", None) or [exc]:
             print("error: %s" % message, file=sys.stderr)
         return 1
+    except OSError as exc:
+        print("error: %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

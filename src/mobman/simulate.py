@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -41,7 +43,8 @@ CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "tau1", "tau2", "tau3", "tau4",
                "eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ"]
 CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
-_BLOCK_ROWS = 2048  # rows per CSV write; the log is never formatted whole
+_NUMERIC_CELLS = [0, *range(2, len(CSV_COLUMNS) - 1)]  # time, CSV_NUMERIC
+_BLOCK_ROWS = 2048  # rows per CSV block; a log is never held as text whole
 
 
 class SimLog:
@@ -68,45 +71,92 @@ class SimLog:
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
+        """Read a log written by to_csv.
+
+        The body is read _BLOCK_ROWS lines at a time, and numpy's C
+        tokenizer parses each block's numeric cells straight into one
+        column-major table, with the same correctly rounded parse as
+        float().  A block it rejects is checked again line by line, so the
+        first bad line in the file is the one named.
+        """
         meta: dict = {}
-        time = []
+        n = 0
         state = []
         event = []
-        values = {k: [] for k in CSV_NUMERIC}
         with open(path) as fh:
-            header = None
+            # The line count bounds the data rows: the table is never grown.
+            table = np.empty((sum(1 for _ in fh), len(_NUMERIC_CELLS)),
+                             order="F")
+            fh.seek(0)
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
                 if not line:
                     continue
-                if header is None and line.startswith("#"):
-                    if "=" not in line:
-                        raise ParseError("line %d: bad metadata line" % lineno)
-                    key, _, val = line[1:].partition("=")
-                    meta[key] = _parse_meta_value(val)
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    if header != CSV_COLUMNS:
+                if not line.startswith("#"):
+                    if line.split(",") != CSV_COLUMNS:
                         raise ParseError("line %d: unexpected header" % lineno)
-                    continue
-                cells = line.split(",")
-                if len(cells) != len(CSV_COLUMNS):
-                    raise ParseError("line %d: expected %d cells, got %d"
-                                     % (lineno, len(CSV_COLUMNS), len(cells)))
-                try:
-                    time.append(float(cells[0]))
-                    for k, cell in zip(CSV_NUMERIC, cells[2:-1]):
-                        values[k].append(float(cell))
-                except ValueError as exc:
-                    raise ParseError("line %d: %s" % (lineno, exc)) from exc
-                state.append(cells[1])
-                event.append(cells[-1])
-        if header is None:
-            raise ParseError("no header line found")
-        if not time:
+                    break
+                if "=" not in line:
+                    raise ParseError("line %d: bad metadata line" % lineno)
+                key, _, val = line[1:].partition("=")
+                meta[key] = _parse_meta_value(val)
+            else:
+                raise ParseError("no header line found")
+            while chunk := [raw.rstrip("\n")
+                            for raw in itertools.islice(fh, _BLOCK_ROWS)]:
+                lines = [line for line in chunk if line]
+                if not _parse_rows(lines, table[n:n + len(lines)]):
+                    _raise_first_bad_row(chunk, lineno + 1)
+                state += [line.split(",", 2)[1] for line in lines]
+                event += [line.rpartition(",")[2] for line in lines]
+                n += len(lines)
+                lineno += len(chunk)
+        if not n:
             raise EmptyLog("log file has no data rows")
-        return cls(meta, time, state, values, event)
+        return cls(meta, table[:n, 0], state,
+                   dict(zip(CSV_NUMERIC, table[:n, 1:].T)), event)
+
+
+def _numeric_cells(lines: list) -> np.ndarray:
+    """The time and CSV_NUMERIC cells of the data rows lines, one row each.
+    No # starts a comment: a state or event cell may hold one."""
+    return np.loadtxt(lines, delimiter=",", comments=None,
+                      usecols=_NUMERIC_CELLS, ndmin=2)
+
+
+def _parse_rows(lines: list, out: np.ndarray) -> bool:
+    """Parse the numeric cells of the data rows lines into out; False when a
+    row has the wrong cell count or a cell the parse rejects."""
+    if any(line.count(",") != len(CSV_COLUMNS) - 1 for line in lines):
+        return False
+    if lines:
+        try:
+            out[:] = _numeric_cells(lines)
+        except ValueError:
+            return False
+    return True
+
+
+def _raise_first_bad_row(chunk: list, first_lineno: int) -> NoReturn:
+    """Raise the ParseError naming the first bad line of chunk, a block of
+    lines starting at line first_lineno that _parse_rows rejected."""
+    for lineno, line in enumerate(chunk, start=first_lineno):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ParseError("line %d: expected %d cells, got %d"
+                             % (lineno, len(CSV_COLUMNS), len(cells)))
+        try:
+            for cell in [cells[0]] + cells[2:-1]:
+                float(cell)
+            # Cells float() takes but the block parse does not, such as 1_0.
+            _numeric_cells([line])
+        except ValueError as exc:
+            raise ParseError("line %d: %s" % (lineno, exc)) from exc
+    raise AssertionError("lines %d-%d were rejected as a block but pass one "
+                         "by one" % (first_lineno,
+                                     first_lineno + len(chunk) - 1))
 
 
 def _parse_meta_value(text: str):

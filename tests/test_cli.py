@@ -148,6 +148,28 @@ def test_metrics_rejects_malformed_log(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["metrics", "plan", "simulate"])
+def test_file_errors_are_reported(tmp_path, capsys, command):
+    """A missing input or an output path held by a regular file is named
+    with the system's reason, not raised as a traceback."""
+    missing = tmp_path / "missing"
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("dt: 0.01\nfires: []\n")
+    argv, path, reason = {
+        "metrics": (["metrics", str(missing)], missing,
+                    "No such file or directory"),
+        "plan": (["plan", str(missing)], missing,
+                 "No such file or directory"),
+        "simulate": (["simulate", str(scenario), "--out", str(regular)],
+                     regular, "File exists"),
+    }[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == "error: %s: %s\n" % (path, reason)
+
+
 def test_bad_scenario_reports_every_problem(tmp_path, capsys):
     scenario = tmp_path / "broken.yaml"
     scenario.write_text("dt: -1\nintegrator: leapfrog\nbogus_key: 3\n")

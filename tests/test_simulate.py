@@ -1,6 +1,7 @@
 """Mission simulation harness: planning grid, logging, metrics, export."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,10 +151,9 @@ def _reference_csv(log, path):
             fh.write(",".join(cells) + "\n")
 
 
-@pytest.mark.parametrize("n_rows", [1, simulate._BLOCK_ROWS - 1,
-                                    simulate._BLOCK_ROWS,
-                                    simulate._BLOCK_ROWS + 1])
-def test_to_csv_matches_cell_by_cell_writer(tmp_path, n_rows):
+def _odd_log(n_rows):
+    """A log whose first rows hold the float values hardest to round-trip,
+    with a # in some state and event cells."""
     odd = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, math.inf, -math.inf,
            math.nan, 1.0, -2.5e-300]
     rng = np.random.default_rng(7)
@@ -162,14 +162,136 @@ def test_to_csv_matches_cell_by_cell_writer(tmp_path, n_rows):
         col = rng.normal(scale=10.0 ** (j % 7 - 3), size=n_rows)
         col[:len(odd)] = np.roll(odd, j)[:n_rows]
         values[key] = col
-    log = SimLog({"dt": 0.001, "n_stops": 2, "flagged": "F1;F2"},
-                 np.arange(n_rows) * 0.001, ["S%d" % (i % 3) for i in
-                                             range(n_rows)],
-                 values, ["" if i % 5 else "ev%d" % i for i in range(n_rows)])
+    return SimLog({"dt": 0.001, "n_stops": 2, "flagged": "F1;F2"},
+                  np.arange(n_rows) * 0.001, ["S%d" % (i % 3) if i % 4 else
+                                              "S#%d" % i for i in
+                                              range(n_rows)],
+                  values, ["" if i % 5 else "ev#%d" % i for i in range(n_rows)])
+
+
+BLOCK_EDGES = [1, simulate._BLOCK_ROWS - 1, simulate._BLOCK_ROWS,
+               simulate._BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+def test_to_csv_matches_cell_by_cell_writer(tmp_path, n_rows):
+    log = _odd_log(n_rows)
     log.to_csv(tmp_path / "block.csv")
     _reference_csv(log, tmp_path / "cell.csv")
     assert ((tmp_path / "block.csv").read_bytes()
             == (tmp_path / "cell.csv").read_bytes())
+
+
+def _assert_same_log(again, log):
+    assert again.time.tobytes() == log.time.tobytes()
+    for key in CSV_NUMERIC:
+        assert again.values[key].tobytes() == log.values[key].tobytes(), key
+    assert again.state == log.state
+    assert again.event == log.event
+    assert again.meta == log.meta
+
+
+@pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+def test_from_csv_reads_odd_values_bit_equal(tmp_path, n_rows):
+    log = _odd_log(n_rows)
+    path = tmp_path / "run.csv"
+    log.to_csv(path)
+    _assert_same_log(SimLog.from_csv(path), log)
+
+    # Blank lines in the body are skipped, also across block edges.
+    lines = path.read_text().split("\n")
+    header = lines.index(",".join(CSV_COLUMNS))
+    for at in sorted({header + 1, header + 2, len(lines) - 1,
+                      header + simulate._BLOCK_ROWS}, reverse=True):
+        lines.insert(min(at, len(lines)), "")
+    path.write_text("\n".join(lines))
+    _assert_same_log(SimLog.from_csv(path), log)
+
+
+BAD_CELLS = {
+    "float": (lambda cells: cells[:5] + ["x"] + cells[6:],
+              "could not convert string to float: 'x'"),
+    "short": (lambda cells: cells[:3] + cells[4:],
+              "expected 35 cells, got 34"),
+    "long": (lambda cells: cells[:3] + ["1.0"] + cells[3:],
+             "expected 35 cells, got 36"),
+}
+
+
+def _broken_log(path, breaks, blank):
+    """Write a valid log of a little over two blocks, then apply breaks,
+    a {line number: BAD_CELLS key} map; with blank, an empty line first
+    goes in near the top of the body.  Returns the header's line number."""
+    _odd_log(2 * simulate._BLOCK_ROWS + 20).to_csv(path)
+    lines = path.read_text().split("\n")
+    header = lines.index(",".join(CSV_COLUMNS)) + 1
+    if blank:
+        lines.insert(header + 3, "")
+    for lineno, bad in breaks(header).items():
+        cells = lines[lineno - 1].split(",")
+        lines[lineno - 1] = ",".join(BAD_CELLS[bad][0](cells))
+    path.write_text("\n".join(lines))
+    return header
+
+
+@pytest.mark.parametrize("blank", [False, True])
+@pytest.mark.parametrize("bad", sorted(BAD_CELLS))
+def test_from_csv_names_bad_line_past_first_block(tmp_path, bad, blank):
+    path = tmp_path / "run.csv"
+    target = simulate._BLOCK_ROWS + 5
+    header = _broken_log(path, lambda h: {h + target: bad}, blank)
+    with pytest.raises(ParseError) as info:
+        SimLog.from_csv(path)
+    assert str(info.value) == "line %d: %s" % (header + target,
+                                               BAD_CELLS[bad][1])
+
+
+@pytest.mark.parametrize("first, later", [("float", "short"),
+                                          ("long", "float")])
+def test_from_csv_names_earliest_bad_line_in_block(tmp_path, first, later):
+    path = tmp_path / "run.csv"
+    target = simulate._BLOCK_ROWS + 5
+    header = _broken_log(path, lambda h: {h + target: first,
+                                          h + target + 3: later}, False)
+    with pytest.raises(ParseError) as info:
+        SimLog.from_csv(path)
+    assert str(info.value) == "line %d: %s" % (header + target,
+                                               BAD_CELLS[first][1])
+
+
+def test_from_csv_rejects_underscore_digits(tmp_path):
+    """float() takes 1_0 but the block parse does not; the line is still
+    named."""
+    path = tmp_path / "run.csv"
+    _odd_log(3).to_csv(path)
+    lines = path.read_text().split("\n")
+    header = lines.index(",".join(CSV_COLUMNS)) + 1
+    row = lines[header + 1]
+    lines[header + 1] = "1_0" + row[row.index(","):]
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError, match="^line %d: " % (header + 2)):
+        SimLog.from_csv(path)
+
+
+def test_from_csv_memory_stays_near_its_arrays(tmp_path):
+    """Reading holds no per-cell Python floats: the traced peak stays under
+    three times the arrays it returns."""
+    n = 10_000
+    rng = np.random.default_rng(3)
+    log = SimLog({"dt": 0.001}, np.arange(n) * 0.001,
+                 ["StageI.%d" % (i % 4) for i in range(n)],
+                 {k: rng.normal(size=n) for k in CSV_NUMERIC},
+                 ["" if i % 50 else "ev" for i in range(n)])
+    path = tmp_path / "run.csv"
+    log.to_csv(path)
+    tracemalloc.start()
+    try:
+        again = SimLog.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = again.time.nbytes + sum(v.nbytes for v in again.values.values())
+    assert peak < 3 * arrays
 
 
 def test_numpy_float_metadata_round_trips(tmp_path):
