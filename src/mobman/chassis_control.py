@@ -132,8 +132,8 @@ def chassis_tick(ref: ChassisRefSample, z, gains: ChassisGains):
 
 
 def check_disturbance(f, f_bounds) -> None:
-    """Raise unless every disturbance sample is within the bound the gains
-    assume; a NaN sample is out of bounds."""
+    """Raise unless each channel's disturbance f (a sample, or a series' peak
+    |f|) is within the bound the gains assume; NaN is out of bounds."""
     for i, (fi, bound) in enumerate(zip(f, f_bounds)):
         if not abs(fi) <= bound + 1e-12:
             raise DisturbanceBoundViolation(
@@ -141,7 +141,7 @@ def check_disturbance(f, f_bounds) -> None:
 
 
 def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
-               u, f, dt: float, f_bounds=None, integrator: str = "rk4") -> list:
+               u, f, dt: float, integrator: str = "rk4") -> list:
     """Advance pose + velocity state (X, Y, heading, v, w) one control step;
     returns the new state as a list of 5 floats.
 
@@ -149,10 +149,9 @@ def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
     reference delta lands at the step end so that a reference discontinuity
     taking effect at the next sample leaves this step's pose motion intact.
     An on-reference vehicle with u = f therefore stays on the reference
-    exactly, including across corner entries and stop commands.
+    exactly, including across corner entries and stop commands.  Callers
+    check f's whole series against the bounds once, with check_disturbance.
     """
-    if f_bounds is not None:
-        check_disturbance(f, f_bounds)
     x0, y0, h0, v0, w0 = state
     av = u[0] - f[0]
     aw = u[1] - f[1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -143,6 +144,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_scenario(args.scenario)
+    os.makedirs(args.out, exist_ok=True)  # fail before the run, not after
     result = run_mission(config)
     paths = export(result, args.out)
     for path in paths:

@@ -119,16 +119,19 @@ class ArmDynamics:
         self.ic2 = self.params.inertias[1] - self.m2 * self.c2 ** 2
         self.ic3 = self.params.inertias[2] - self.m3 * self.c3 ** 2
         self.ic4 = self.params.inertias[3] - self.m4 * self.c4 ** 2
-        # Kernel constants: the planar diagonal of M and the first mass moments.
-        m2, m3, m4, mp = self.m2, self.m3, self.m4, self.mp
+        # What _kernel reads, as one tuple it unpacks per call: the constants
+        # above, then the planar diagonal of M and the first mass moments.
+        m2, m3, m4, mp, cm2, cm3, cm4 = (self.m2, self.m3, self.m4, self.mp,
+                                         self.c2, self.c3, self.c4)
         a2, a3, a5, y5p = self.a2, self.a3, self.a5, self.y5p
-        self._m22 = m2 * self.c2 ** 2 + (m3 + m4 + mp) * a2 ** 2 + self.ic2
-        self._m33 = m3 * self.c3 ** 2 + (m4 + mp) * a3 ** 2 + self.ic3
-        self._m44 = m4 * self.c4 ** 2 + mp * (a5 ** 2 + y5p ** 2) + self.ic4
-        self._h2 = m2 * self.c2 + (m3 + m4 + mp) * a2
-        self._h3 = m3 * self.c3 + (m4 + mp) * a3
-        self._h4 = m4 * self.c4 + mp * a5
-        self._v4 = mp * y5p
+        self._consts = (
+            self.a1, a2, a3, self.a4, a5, y5p, cm2, cm3, cm4, m2, m3, m4, mp,
+            self.i1, self.g,
+            m2 * cm2 ** 2 + (m3 + m4 + mp) * a2 ** 2 + self.ic2,
+            m3 * cm3 ** 2 + (m4 + mp) * a3 ** 2 + self.ic3,
+            m4 * cm4 ** 2 + mp * (a5 ** 2 + y5p ** 2) + self.ic4,
+            m2 * cm2 + (m3 + m4 + mp) * a2, m3 * cm3 + (m4 + mp) * a3,
+            m4 * cm4 + mp * a5, mp * y5p)
 
     # -- shared-trig kernel and its public assemblies -----------------------
 
@@ -151,21 +154,19 @@ class ArmDynamics:
             c34, s34 = math.cos(q3 - q4), math.sin(q3 - q4)
         except ValueError as exc:  # math.cos and math.sin reject inf
             raise SolveFailure("mass matrix is non-finite: infinite joint angle") from exc
-        a2, a3, a5, y5p, cm2, cm3, cm4 = (self.a2, self.a3, self.a5, self.y5p,
-                                          self.c2, self.c3, self.c4)
-        m2, m3, m4, mp, h3, h4, v4 = (self.m2, self.m3, self.m4, self.mp,
-                                      self._h3, self._h4, self._v4)
+        (a1, a2, a3, a4, a5, y5p, cm2, cm3, cm4, m2, m3, m4, mp, i1, g, m22,
+         m33, m44, h2, h3, h4, v4) = self._consts
         # Slewing radii of the body mass points.
-        r2 = self.a1 + cm2 * c2
-        r3 = self.a1 + a2 * c2 + cm3 * c3
-        wrist = self.a1 + a2 * c2 + a3 * c3 + self.a4
+        r2 = a1 + cm2 * c2
+        r3 = a1 + a2 * c2 + cm3 * c3
+        wrist = a1 + a2 * c2 + a3 * c3 + a4
         r4 = wrist + cm4 * c4
         rp = wrist + a5 * c4 - y5p * s4
-        m11 = self.i1 + m2 * r2 * r2 + m3 * r3 * r3 + m4 * r4 * r4 + mp * rp * rp
+        m11 = i1 + m2 * r2 * r2 + m3 * r3 * r3 + m4 * r4 * r4 + mp * rp * rp
         # Radius-weighted mass outboard of joints 4 and 3.
         out4 = m4 * r4 + mp * rp
         out3 = m3 * r3 + out4
-        mass = (m11, self._m22, self._m33, self._m44, a2 * h3 * c23,
+        mass = (m11, m22, m33, m44, a2 * h3 * c23,
                 a2 * (h4 * c24 + v4 * s24), a3 * (h4 * c34 + v4 * s34))
         d11_2 = -2.0 * s2 * (m2 * r2 * cm2 + a2 * out3)
         d11_3 = -2.0 * s3 * (m3 * r3 * cm3 + a3 * out4)
@@ -173,8 +174,7 @@ class ArmDynamics:
         d23 = -a2 * h3 * s23
         d24 = a2 * (v4 * c24 - h4 * s24)
         d34 = a3 * (v4 * c34 - h4 * s34)
-        g2, g3, g4 = (self.g * c2 * self._h2, self.g * c3 * h3,
-                      self.g * (c4 * h4 - s4 * v4))
+        g2, g3, g4 = g * c2 * h2, g * c3 * h3, g * (c4 * h4 - s4 * v4)
         w1, w2, w3, w4 = _floats(qd)
         h = 0.5 * w1 * w1
         bias = [w1 * (d11_2 * w2 + d11_3 * w3 + d11_4 * w4),

@@ -9,9 +9,9 @@ twisted (by 90 deg) and offset (by the shoulder height).  So ArmGeometry
 holds just the five link lengths, the shoulder height and the nozzle offset,
 and every pose formula below uses absolute angles.
 
-Units: millimetres and radians.  Joint vectors are sequences of 4 angles (the
-control loop passes lists of floats, the IK returns numpy arrays) ordered
-(base yaw, boom, forearm, wrist pitch).
+Units: millimetres and radians.  Joint vectors are sequences of 4 angles
+ordered (base yaw, boom, forearm, wrist pitch); the IK returns numpy arrays,
+and the FK also takes a stack of them, one per row.
 """
 from __future__ import annotations
 
@@ -86,27 +86,30 @@ def check_joint_limits(q, tol: float = _LIMIT_TOL) -> None:
             "interior angle = %.6f deg outside [30, 165] deg" % (gamma / DEG))
 
 
-def _planar_coords(q, geometry: ArmGeometry):
+def _planar_coords(q: np.ndarray, geometry: ArmGeometry):
     """Radial/vertical tool coordinates in the slewing plane (mm)."""
     a1, a2, a3, a4, a5 = geometry.a
     y5p = geometry.y5p
-    c2, s2 = math.cos(q[1]), math.sin(q[1])
-    c3, s3 = math.cos(q[2]), math.sin(q[2])
-    c4, s4 = math.cos(q[3]), math.sin(q[3])
+    c2, s2 = np.cos(q[..., 1]), np.sin(q[..., 1])
+    c3, s3 = np.cos(q[..., 2]), np.sin(q[..., 2])
+    c4, s4 = np.cos(q[..., 3]), np.sin(q[..., 3])
     r = a1 + a2 * c2 + a3 * c3 + a4 + a5 * c4 - y5p * s4
     z = geometry.d1 + a2 * s2 + a3 * s3 + a5 * s4 + y5p * c4
     return r, z
 
 
 def forward_kinematics(q, geometry: ArmGeometry = STOCK_ARM) -> EndEffectorPose:
-    """Tool pose from joint angles (absolute-angle convention).
+    """Tool pose from joint angles (absolute-angle convention); q's last axis
+    holds the four joints, and the pose's fields have q's other axes.
 
     The pure geometric map: it checks no joint range, which is
     check_joint_limits' job.  The nozzle pitch comes straight from the wrist
     joint: phi = -theta4.
     """
+    q = np.asarray(q, dtype=float)
     r, z = _planar_coords(q, geometry)
-    return EndEffectorPose(r * math.cos(q[0]), r * math.sin(q[0]), z, -q[3])
+    return EndEffectorPose(r * np.cos(q[..., 0]), r * np.sin(q[..., 0]), z,
+                           -q[..., 3])
 
 
 def inverse_kinematics(pose: EndEffectorPose,

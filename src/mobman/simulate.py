@@ -1,14 +1,14 @@
 """Closed-loop mission simulation on a fixed control grid.
 
-The run is assembled in two passes.  Planning lays out every phase on the
+The run is assembled in three passes.  Planning lays out every phase on the
 step grid — circuit reference samples, sweep windows, stage II stops — and
 builds the arm's joint-space reference (tracked sweep targets, smooth blends
-across transits, holds at stops).  Execution then marches both controllers
-and plants step by step: the chassis follows its reduced velocity dynamics
-with the pose integrated by the classic fourth-order rule, and the arm
-integrates its full rigid-body dynamics the same way under zero-order-hold
-torques.  Every step lands in a fixed-schema log that round-trips through
-CSV bit for bit.
+across transits, holds at stops).  The step loop marches both controllers and
+plants: the chassis follows its reduced velocity dynamics with the pose
+integrated by the classic fourth-order rule, the arm its full rigid-body
+dynamics the same way under zero-order-hold torques.  A vectorised pass then
+derives the tool, target and wheel-speed columns into a fixed-schema log that
+round-trips through CSV bit for bit.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .arm_control import control_law as arm_control_law, target_in_base_frame
 from .chassis_control import (ChassisGains, ChassisRefSample, chassis_tick,
-                              plant_step, wheel_speeds)
+                              check_disturbance, plant_step, wheel_speeds)
 from .config import (ScenarioConfig, build_chassis_gains, build_geometry,
                      build_inertial, disturbance_series)
 from .dynamics import ArmDynamics, accelerations
@@ -44,6 +44,7 @@ CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ"]
 CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
 _NUMERIC_CELLS = [0, *range(2, len(CSV_COLUMNS) - 1)]  # time, CSV_NUMERIC
+_STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
 _BLOCK_ROWS = 2048  # rows per CSV block; a log is never held as text whole
 
 
@@ -417,10 +418,11 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
 
     gains = build_chassis_gains(config)
     dist = disturbance_series(config.disturbance, np.arange(n) * dt)
+    check_disturbance(np.abs(dist).max(axis=0, initial=0.0), gains.f_bounds)
 
-    # One row per sample in CSV_NUMERIC order; column-major, so each column
-    # handed to the log is a contiguous view.
-    rows = np.zeros((n + 1, len(CSV_NUMERIC)), order="F")
+    # One row per sample in _STEP_COLUMNS order; column-major, so each
+    # column handed to the log is a contiguous view.
+    rows = np.zeros((n + 1, len(_STEP_COLUMNS)), order="F")
     time = np.arange(n + 1) * dt
 
     # The step runs on plain floats: z, q and qd are lists, and each
@@ -433,38 +435,40 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     q = qr[0].tolist()
     qd = qdr[0].tolist()
 
-    mm = 1e-3
     for i in range(n + 1):
         ref = refs[i]
-        q_ref = qr[i].tolist()
         err, s, u = chassis_tick(ref, z, gains)
         # The model at (q, qd), shared by the arm law and the arm step.
         terms = model._kernel(q, qd)
-        tau = arm_control_law(q, qd, q_ref, qdr[i].tolist(), qddr[i].tolist(),
-                              config.arm_control, terms)
-
-        c, sn = math.cos(z[2]), math.sin(z[2])
-        fk = forward_kinematics(q, plan.geometry)
-        tk = forward_kinematics(q_ref, plan.geometry)
-        vl, vr = wheel_speeds(z[3], z[4], gains.track_width)
-
-        rc, rs = math.cos(ref.heading), math.sin(ref.heading)
-        rows[i] = (*z, err.e1, err.e2, err.e3, *s, *u, vl, vr, *q, *qd, *tau,
-                   z[0] + (fk.x * c - fk.y * sn) * mm,
-                   z[1] + (fk.x * sn + fk.y * c) * mm,
-                   fk.z * mm,
-                   ref.x + (tk.x * rc - tk.y * rs) * mm,
-                   ref.y + (tk.x * rs + tk.y * rc) * mm,
-                   tk.z * mm)
-
+        tau = arm_control_law(q, qd, qr[i].tolist(), qdr[i].tolist(),
+                              qddr[i].tolist(), config.arm_control, terms)
+        rows[i] = (*z, *err, *s, *u, *q, *qd, *tau)
         if i == n:
             break
         z = plant_step(z, ref, refs[i + 1], u, dist[i].tolist(), dt,
-                       f_bounds=gains.f_bounds, integrator=config.integrator)
+                       integrator=config.integrator)
         q, qd = _arm_step(model, terms, q, qd, tau, dt, config.integrator)
         if not all(map(math.isfinite, z + q + qd)):
             raise SolveFailure("step %d (t=%.4f s): non-finite chassis or arm "
                                "state" % (i + 1, (i + 1) * dt))
+
+    # Derived columns: tool and target positions by FK at the logged and the
+    # reference chassis pose and joints (adjacent columns of rows), wheel
+    # speeds from (v, w).  Freeing the loop's rate references and disturbance
+    # first keeps the pass's temporaries within the run's earlier peak RSS.
+    del qdr, qddr, dist
+    values = dict(zip(_STEP_COLUMNS, rows.T))
+    ref_pose = np.fromiter(((r.x, r.y, r.heading) for r in refs),
+                           dtype=(float, 3), count=n + 1)
+    for name, joints, (x, y, heading) in (
+            ("ee", rows[:, 12:16], rows[:, :3].T), ("tgt", qr, ref_pose.T)):
+        tool = forward_kinematics(joints, plan.geometry)
+        c, sn = np.cos(heading), np.sin(heading)
+        values[name + "X"] = x + (tool.x * c - tool.y * sn) * 1e-3
+        values[name + "Y"] = y + (tool.x * sn + tool.y * c) * 1e-3
+        values[name + "Z"] = tool.z * 1e-3
+    values["vL"], values["vR"] = wheel_speeds(values["v"], values["w"],
+                                              gains.track_width)
 
     meta = {
         "dt": float(dt),
@@ -481,7 +485,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         "n_flagged": len(plan.flagged),
         "flagged": ";".join(f.ident for f, _ in plan.flagged),
     }
-    log = SimLog(meta, time, labels, dict(zip(CSV_NUMERIC, rows.T)),
+    log = SimLog(meta, time, labels, values,
                  [";".join(e) for e in event_lists])
     report = metrics_mod.compute_metrics(log)
     return MissionResult(log=log, report=report, plan=plan)
@@ -498,7 +502,7 @@ def _arm_step(model: ArmDynamics, terms, q: list, qd: list, tau, dt,
         if t == 0.0:
             return start
         rates = y[4:]
-        return rates + model.forward_dynamics(y[:4], rates, tau)
+        return rates + accelerations(model._kernel(y[:4], rates), tau)
 
     y1 = integrate(f, q + qd, dt, integrator)
     return y1[:4], y1[4:]
@@ -518,6 +522,8 @@ def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
                            vdx=speed, vdy=0.0)
     out = {k: np.zeros(n + 1) for k in
            ("t", "e1", "e2", "e3", "s1", "s2", "u1", "u2", "V")}
+    f_all = np.zeros((n, 2)) if disturbance is None else disturbance[:n]
+    check_disturbance(np.abs(f_all).max(axis=0, initial=0.0), gains.f_bounds)
     z = [float(v) for v in initial_offset] + [float(speed), 0.0]
     for i in range(n + 1):
         t = i * dt
@@ -530,9 +536,8 @@ def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
         out["V"][i] = 0.5 * (s[0] ** 2 + s[1] ** 2)
         if i == n:
             break
-        f = disturbance[i].tolist() if disturbance is not None else (0.0, 0.0)
         ref_next = ref._replace(x=speed * (t + dt))
-        z = plant_step(z, ref_i, ref_next, u, f, dt, f_bounds=gains.f_bounds)
+        z = plant_step(z, ref_i, ref_next, u, f_all[i].tolist(), dt)
     return out
 
 

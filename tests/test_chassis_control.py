@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mobman import simulate
 from mobman.chassis_control import (ChassisError, ChassisGains,
                                     ChassisRefSample, chassis_tick,
                                     check_disturbance,
@@ -13,6 +14,7 @@ from mobman.chassis_control import (ChassisError, ChassisGains,
 from mobman.config import CircuitConfig
 from mobman.errors import DisturbanceBoundViolation
 from mobman.mission import Circuit
+from mobman.simulate import run_line_scenario
 from mobman.util import wrap_angle
 
 DEG = math.pi / 180.0
@@ -219,12 +221,33 @@ def test_plant_step_euler_matches_hand_update():
     assert out[4] == pytest.approx(0.2 + (-0.4 + 0.05) * dt)
 
 
-def test_plant_step_rejects_out_of_bound_disturbance():
-    z = np.zeros(5)
-    ref = ChassisRefSample(0, 0, 0, 0.0, 0.0)
-    with pytest.raises(DisturbanceBoundViolation):
-        plant_step(z, ref, ref, np.zeros(2), np.array([0.5, 0.0]), 1e-3,
-                   f_bounds=(0.1, 0.1))
+def test_line_scenario_rejects_out_of_bound_disturbance(monkeypatch):
+    """The whole disturbance series is checked before the first step: a 0.5
+    sample (or a NaN) mid-series fails the run, naming its channel, with no
+    tick or plant step run."""
+    steps = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            steps.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("chassis_tick", "plant_step"):
+        monkeypatch.setattr(simulate, name, counted(getattr(simulate, name)))
+    for channel, bad in ((0, 0.5), (1, 0.5), (1, math.nan)):
+        series = np.zeros((1000, 2))
+        series[500, channel] = bad
+        with pytest.raises(DisturbanceBoundViolation,
+                           match="channel %d" % channel):
+            run_line_scenario(ChassisGains(), duration=1.0, dt=1e-3,
+                              disturbance=series)
+        assert steps == []
+    # The same run with the sample at the bound goes through every step.
+    series[500, 1] = 0.1
+    run_line_scenario(ChassisGains(), duration=1.0, dt=1e-3,
+                      disturbance=series)
+    assert steps.count("plant_step") == 1000
 
 
 def test_closed_loop_exact_lap_tracking():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from mobman import cli
 from mobman.cli import main
 from mobman.config import load_config
 from mobman.metrics import compute_metrics
@@ -149,9 +150,14 @@ def test_metrics_rejects_malformed_log(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["metrics", "plan", "simulate"])
-def test_file_errors_are_reported(tmp_path, capsys, command):
+def test_file_errors_are_reported(tmp_path, capsys, monkeypatch, command):
     """A missing input or an output path held by a regular file is named
-    with the system's reason, not raised as a traceback."""
+    with the system's reason, not raised as a traceback.  A bad output path
+    is found before the mission runs."""
+    def no_run(config):
+        raise AssertionError("the mission ran before the output path failed")
+
+    monkeypatch.setattr(cli, "run_mission", no_run)
     missing = tmp_path / "missing"
     regular = tmp_path / "regular"
     regular.write_text("")

@@ -57,12 +57,21 @@ def test_forward_kinematics_reference_pose():
 
 
 def test_forward_kinematics_matches_frame_chain(rng, offset_arm):
+    """For one joint vector, and for a stack of them with two leading axes,
+    which gives pose fields of that (5, 10) shape."""
     geometries = (STOCK_ARM, ArmGeometry(y5p=120.0), offset_arm)
-    for q in random_joint_angles(rng, 50):
-        for geometry in geometries:
+    qs = random_joint_angles(rng, 50)
+    for geometry in geometries:
+        chain = np.array([_chain_pose(q, geometry) for q in qs])
+        for q, want in zip(qs, chain):
             pose = forward_kinematics(q, geometry)
-            np.testing.assert_allclose([pose.x, pose.y, pose.z],
-                                       _chain_pose(q, geometry), atol=1e-8)
+            np.testing.assert_allclose([pose.x, pose.y, pose.z], want,
+                                       atol=1e-8)
+        stacked = forward_kinematics(qs.reshape(5, 10, 4), geometry)
+        assert all(np.shape(v) == (5, 10) for v in stacked)
+        np.testing.assert_allclose(
+            np.stack(stacked[:3], axis=-1).reshape(50, 3), chain, atol=1e-8)
+        assert np.array_equal(stacked.phi.ravel(), -qs[:, 3])
 
 
 def test_forward_kinematics_planar_and_equivariant(rng):

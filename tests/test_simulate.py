@@ -10,10 +10,11 @@ from mobman import simulate
 from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
 from mobman.chassis_control import (ChassisGains, ChassisRefSample,
-                                    chassis_tick, plant_step)
+                                    chassis_tick, plant_step, wheel_speeds)
 from mobman.config import ScenarioConfig, build_chassis_gains, parse_config
 from mobman.dynamics import ArmDynamics
-from mobman.errors import EmptyLog, ParseError, SolveFailure, Unreachable
+from mobman.errors import (DisturbanceBoundViolation, EmptyLog, ParseError,
+                           SolveFailure, Unreachable)
 from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
 from mobman.mission import Circuit
@@ -482,25 +483,55 @@ def test_non_finite_state_is_named(monkeypatch):
     assert len(calls) == 101
 
 
+def test_mission_checks_disturbance_before_the_loop(monkeypatch):
+    """A series past the bound (here its last sample, in channel 1) fails
+    the mission before the first step runs, naming the channel."""
+    real = simulate.disturbance_series
+
+    def late_spike(config, times):
+        out = real(config, times)
+        out[-1, 1] = -0.5
+        return out
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the disturbance check")
+
+    monkeypatch.setattr(simulate, "disturbance_series", late_spike)
+    monkeypatch.setattr(simulate, "chassis_tick", no_step)
+    with pytest.raises(DisturbanceBoundViolation, match="channel 1"):
+        run_mission(parse_config({"dt": 0.01}))
+
+
 @pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("euler", 1)])
 def test_one_kernel_per_state(monkeypatch, integrator, per_step):
     """The arm law and the integrator stage at a step's start share one
     kernel evaluation, so a run evaluates the model once per state: 4 n + 1
     times under RK4 and n + 1 under Euler for n steps.  The shared one is
-    the first of each step's calls, made at the logged state."""
+    the first of each step's calls, made at the logged state.  FK runs
+    outside the step loop: a run makes at most two calls, each on all n + 1
+    joint vectors, not two per step."""
     real = ArmDynamics._kernel
+    real_fk = simulate.forward_kinematics
     calls = []
+    fk_shapes = []
 
     def counted(self, q, qd):
         calls.append(list(q) + list(qd))
         return real(self, q, qd)
 
+    def fk_counted(q, *args):
+        fk_shapes.append(np.shape(q))
+        return real_fk(q, *args)
+
     monkeypatch.setattr(ArmDynamics, "_kernel", counted)
+    monkeypatch.setattr(simulate, "forward_kinematics", fk_counted)
     log = run_mission(parse_config({"dt": 0.01,
                                     "integrator": integrator})).log
     n = log.n_rows - 1
     assert n > 2000
     assert len(calls) == per_step * n + 1
+    assert 1 <= len(fk_shapes) <= 2
+    assert all(shape == (n + 1, 4) for shape in fk_shapes)
     logged = np.column_stack([log.values[k] for k in
                               ("q1", "q2", "q3", "q4",
                                "qd1", "qd2", "qd3", "qd4")])
@@ -508,12 +539,14 @@ def test_one_kernel_per_state(monkeypatch, integrator, per_step):
 
 
 def test_control_step_runs_on_plain_floats(monkeypatch):
-    """One chassis tick, arm law, FK, plant step and arm step (both
-    integrators) on float inputs, with the gains run_mission builds from a
-    scenario, build no numpy array and return plain floats, so per-stage
-    arrays and numpy scalars cannot creep back into the loop.  The records
-    the loop and the reference build read (tracking error, tool poses and
-    reference samples) hold plain floats in every field."""
+    """One chassis tick, arm law, plant step and arm step (both integrators)
+    on float inputs, with the gains run_mission builds from a scenario, build
+    no numpy array and return plain floats, so per-stage arrays and numpy
+    scalars cannot creep back into the loop.  The records the loop and the
+    reference build read (tracking error, tool targets and reference
+    samples) hold plain floats in every field.  FK runs on whole columns
+    after the loop, so it is called outside the no-array block; its fields
+    are floats (numpy's float64 for one joint vector)."""
     model = ArmDynamics()
     arm_gains = ScenarioConfig().arm_control
     gains = build_chassis_gains(ScenarioConfig())
@@ -527,6 +560,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("numpy array built on the control step")
 
+    pose = forward_kinematics(q)
     with monkeypatch.context() as patch:
         for name in ("array", "asarray", "concatenate"):
             patch.setattr(np, name, no_arrays)
@@ -534,18 +568,97 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         terms = model._kernel(q, qd)
         tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
                               arm_gains, terms)
-        pose = forward_kinematics(q)
-        z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3,
-                        f_bounds=gains.f_bounds)
+        z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3)
         steps = [_arm_step(model, terms, q, qd, tau, 1e-3, method)
                  for method in ("rk4", "euler")]
         samples = [circuit.sample(t) for t in (0.0, 2.0, 11.0)]
         target = target_in_base_frame(z[:3], [1.5, 0.2, 0.9], 0.5)
-    values = list(s) + list(u) + tau + z1 + list(err) + list(pose)
+    values = list(s) + list(u) + tau + z1 + list(err)
     values += list(target)
     for q1, qd1 in steps:
         values += q1 + qd1
     for sample in samples:
         values += list(sample)
-    assert len(values) == 2 + 2 + 4 + 5 + 3 + 4 + 4 + 2 * 8 + 3 * 10
+    assert len(values) == 2 + 2 + 4 + 5 + 3 + 4 + 2 * 8 + 3 * 10
     assert all(type(v) is float for v in values)
+    assert all(isinstance(v, float) for v in pose)
+
+
+@pytest.fixture(scope="module")
+def coarse_run():
+    """(config, result) of the stock scenario on a 10 ms step."""
+    config = parse_config({"dt": 0.01})
+    return config, run_mission(config)
+
+
+def _same_bits(got, want, what):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    bad = np.count_nonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad == 0, "%s: %d of %d samples differ" % (what, bad, got.size)
+
+
+def test_numpy_trig_matches_math_bitwise(coarse_run):
+    """The derived columns take numpy's cos and sin where the step loop once
+    took math's, so the logs stay bit-identical only while the two agree bit
+    for bit, which numpy's SIMD dispatch does not promise on every machine.
+    Checked on a seeded sample, read contiguous and strided as the derived
+    pass reads its columns, and on the logged joint and heading columns."""
+    rng = np.random.default_rng(20261018)
+    sample = np.concatenate([rng.uniform(-math.pi, math.pi, 200_000),
+                             rng.uniform(-20.0, 20.0, 40_000)])
+    log = coarse_run[1].log
+    inputs = [("seeded sample", sample),
+              ("strided sample", sample.reshape(-1, 4)[:, 1])]
+    inputs += [(k, log.values[k]) for k in ("q1", "q2", "q3", "q4", "phi")]
+    for what, x in inputs:
+        for np_f, math_f in ((np.cos, math.cos), (np.sin, math.sin)):
+            _same_bits(np_f(x), list(map(math_f, x.tolist())),
+                       "%s of %s" % (np_f.__name__, what))
+
+
+def _scalar_tool(q, geometry):
+    """Tool position (mm) of one joint vector by scalar math, the FK the
+    step loop once ran per row."""
+    a1, a2, a3, a4, a5 = geometry.a
+    y5p = geometry.y5p
+    c2, s2 = math.cos(q[1]), math.sin(q[1])
+    c3, s3 = math.cos(q[2]), math.sin(q[2])
+    c4, s4 = math.cos(q[3]), math.sin(q[3])
+    r = a1 + a2 * c2 + a3 * c3 + a4 + a5 * c4 - y5p * s4
+    z = geometry.d1 + a2 * s2 + a3 * s3 + a5 * s4 + y5p * c4
+    return r * math.cos(q[0]), r * math.sin(q[0]), z
+
+
+def _scalar_world(tool, x, y, heading):
+    """World position (m) of an arm-frame tool point (mm), row by row."""
+    c, sn = math.cos(heading), math.sin(heading)
+    return (x + (tool[0] * c - tool[1] * sn) * 1e-3,
+            y + (tool[0] * sn + tool[1] * c) * 1e-3, tool[2] * 1e-3)
+
+
+def test_derived_columns_match_per_row_oracle(coarse_run):
+    """eeX..Z, tgtX..Z, vL and vR, derived after the loop in one vectorised
+    pass, equal bit for bit the row-by-row formulas the step loop used to
+    log: scalar FK at the logged joints and chassis pose, scalar FK at the
+    joint reference and the reference pose, and the wheel-speed split of the
+    logged (v, w)."""
+    config, result = coarse_run
+    log, plan = result.log, result.plan
+    refs = _chassis_reference(plan)
+    qr = _arm_reference(plan, refs)[0].tolist()
+    track = build_chassis_gains(config).track_width
+    col = {k: log.values[k].tolist() for k in CSV_NUMERIC}
+    names = ("eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ", "vL", "vR")
+    want = {k: [] for k in names}
+    for i in range(log.n_rows):
+        q = [col[k][i] for k in ("q1", "q2", "q3", "q4")]
+        row = _scalar_world(_scalar_tool(q, plan.geometry), col["X"][i],
+                            col["Y"][i], col["phi"][i])
+        row += _scalar_world(_scalar_tool(qr[i], plan.geometry), refs[i].x,
+                             refs[i].y, refs[i].heading)
+        row += wheel_speeds(col["v"][i], col["w"][i], track)
+        for k, value in zip(names, row):
+            want[k].append(value)
+    for k in names:
+        _same_bits(log.values[k], want[k], k)
