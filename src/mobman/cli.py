@@ -28,7 +28,10 @@ def _cmd_workspace(args) -> int:
     geometry = build_geometry(config)
     checks = []
     for spec in args.check or []:
-        parts = [float(x) for x in spec.split(",")]
+        try:
+            parts = [float(x) for x in spec.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 3:
             raise MobmanError("--check expects X,Y,Z in mm")
         checks.append(("check %d" % (len(checks) + 1), tuple(parts)))

@@ -214,59 +214,6 @@ class ArmDynamics:
         """Generalized gravity torques; the slewing joint sees none."""
         return np.array([0.0, *self._kernel(q)[2]])
 
-    # -- energies (independent per-body route, used as the test oracle) ---
-
-    def _body_states(self, q, qd):
-        """Per planar body: mass, planar COM velocity, slew radius, spin rate,
-        spin inertia about the COM."""
-        u2p = np.array([-math.sin(q[1]), math.cos(q[1])])
-        u3p = np.array([-math.sin(q[2]), math.cos(q[2])])
-        u4 = np.array([math.cos(q[3]), math.sin(q[3])])
-        u4p = np.array([-math.sin(q[3]), math.cos(q[3])])
-
-        c2, c3, c4, s4 = math.cos(q[1]), math.cos(q[2]), math.cos(q[3]), math.sin(q[3])
-        bodies = []
-        # boom
-        v = self.c2 * qd[1] * u2p
-        bodies.append((self.m2, v, self.a1 + self.c2 * c2, qd[1], self.ic2))
-        # forearm
-        v = self.a2 * qd[1] * u2p + self.c3 * qd[2] * u3p
-        bodies.append((self.m3, v, self.a1 + self.a2 * c2 + self.c3 * c3,
-                       qd[2], self.ic3))
-        # wrist
-        v = self.a2 * qd[1] * u2p + self.a3 * qd[2] * u3p + self.c4 * qd[3] * u4p
-        bodies.append((self.m4, v,
-                       self.a1 + self.a2 * c2 + self.a3 * c3 + self.a4 + self.c4 * c4,
-                       qd[3], self.ic4))
-        # payload (lever combines the wrist link and the perpendicular tool stub)
-        lever = self.a5 * u4p - self.y5p * u4
-        v = self.a2 * qd[1] * u2p + self.a3 * qd[2] * u3p + qd[3] * lever
-        bodies.append((self.mp, v,
-                       self.a1 + self.a2 * c2 + self.a3 * c3 + self.a4
-                       + self.a5 * c4 - self.y5p * s4,
-                       0.0, 0.0))
-        return bodies
-
-    def kinetic_energy(self, q, qd) -> float:
-        """Total kinetic energy summed body by body."""
-        k = 0.5 * self.i1 * qd[0] ** 2
-        for m, v, radius, spin, icom in self._body_states(q, qd):
-            k += 0.5 * m * (float(v @ v) + (radius * qd[0]) ** 2)
-            k += 0.5 * icom * spin ** 2
-        return float(k)
-
-    def potential_energy(self, q) -> float:
-        """Gravitational potential, datum at the chassis deck."""
-        s2, s3, s4 = math.sin(q[1]), math.sin(q[2]), math.sin(q[3])
-        c4 = math.cos(q[3])
-        z2 = self.d1 + self.c2 * s2
-        z3 = self.d1 + self.a2 * s2 + self.c3 * s3
-        z4 = self.d1 + self.a2 * s2 + self.a3 * s3 + self.c4 * s4
-        zp = self.d1 + self.a2 * s2 + self.a3 * s3 + self.a5 * s4 + self.y5p * c4
-        z1 = 0.5 * self.d1
-        return float(self.g * (self.m1 * z1 + self.m2 * z2 + self.m3 * z3
-                               + self.m4 * z4 + self.mp * zp))
-
     # -- dynamics ---------------------------------------------------------
 
     def inverse_dynamics(self, q, qd, qdd) -> list:

@@ -35,6 +35,9 @@ INTERIOR_MAX = 165.0 * DEG
 
 _LIMIT_TOL = 1e-9
 
+# Nozzle pitches tried at a fire or a probed point: 0 to 90 deg by 5 deg.
+PITCH_GRID = tuple(k * 5.0 * DEG for k in range(19))
+
 
 @dataclass(frozen=True)
 class ArmGeometry:
@@ -76,12 +79,12 @@ def check_joint_limits(q, tol: float = _LIMIT_TOL) -> None:
     """Raise JointLimitViolation if any joint or the elbow angle is out of range."""
     for name, low, high, qi in zip(JOINT_NAMES, JOINT_LIMITS_LOW,
                                    JOINT_LIMITS_HIGH, q):
-        if qi < low - tol or qi > high + tol:
+        if not low - tol <= qi <= high + tol:  # a NaN fails too
             raise JointLimitViolation(
                 "%s = %.6f deg outside [%.2f, %.2f] deg"
                 % (name, qi / DEG, low / DEG, high / DEG))
     gamma = interior_angle(q)
-    if gamma < INTERIOR_MIN - tol or gamma > INTERIOR_MAX + tol:
+    if not INTERIOR_MIN - tol <= gamma <= INTERIOR_MAX + tol:
         raise JointLimitViolation(
             "interior angle = %.6f deg outside [30, 165] deg" % (gamma / DEG))
 
@@ -154,21 +157,6 @@ def inverse_kinematics(pose: EndEffectorPose,
     return np.array(q)
 
 
-def random_joint_angles(rng, n: int | None = None):
-    """Draw uniform in-range joint vectors (rejection on the elbow angle)."""
-    count = 1 if n is None else n
-    out = np.empty((count, 4))
-    filled = 0
-    while filled < count:
-        cand = rng.uniform(JOINT_LIMITS_LOW, JOINT_LIMITS_HIGH, size=(count, 4))
-        gamma = math.pi - (cand[:, 1] - cand[:, 2])
-        ok = (gamma >= INTERIOR_MIN) & (gamma <= INTERIOR_MAX)
-        take = min(int(ok.sum()), count - filled)
-        out[filled:filled + take] = cand[ok][:take]
-        filled += take
-    return out[0] if n is None else out
-
-
 @dataclass(frozen=True)
 class KeyPointCheck:
     """Reachability verdict for a named scenario point (position in mm)."""
@@ -197,17 +185,25 @@ class WorkspaceSummary:
     key_points: tuple
 
 
-def point_reachable(position, geometry: ArmGeometry = STOCK_ARM) -> bool:
-    """True if some nozzle pitch in [0, 90] deg, in 5 deg steps, admits an
-    in-range solution."""
-    x, y, z = (float(v) for v in position)
-    for phi in np.arange(0.0, 90.0 + 1e-9, 5.0) * DEG:
+def scan_pitch(pose_at, pitches, geometry: ArmGeometry = STOCK_ARM):
+    """Try each nozzle pitch (rad) in order, pose_at(pitch) giving the tool
+    pose; returns (pitch, "") for the first with an in-range solution, else
+    (None, the last failure's reason)."""
+    reason = ""
+    for pitch in pitches:
         try:
-            inverse_kinematics(EndEffectorPose(x, y, z, phi), geometry)
-            return True
-        except (Unreachable, JointLimitViolation):
-            continue
-    return False
+            inverse_kinematics(pose_at(pitch), geometry)
+            return pitch, ""
+        except (Unreachable, JointLimitViolation) as exc:
+            reason = str(exc)
+    return None, reason
+
+
+def point_reachable(position, geometry: ArmGeometry = STOCK_ARM) -> bool:
+    """True if some pitch of PITCH_GRID admits an in-range solution."""
+    x, y, z = (float(v) for v in position)
+    return scan_pitch(lambda phi: EndEffectorPose(x, y, z, phi), PITCH_GRID,
+                      geometry)[0] is not None
 
 
 def workspace_analysis(resolution: float = 0.25 * DEG,

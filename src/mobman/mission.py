@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chassis_control import ChassisRefSample
-from .errors import (GeometryError, IllegalTransition, InfeasibleSweep,
-                     JointLimitViolation, Unreachable)
-from .kinematics import STOCK_ARM, ArmGeometry, inverse_kinematics
+from .errors import GeometryError, IllegalTransition, InfeasibleSweep
+from .kinematics import PITCH_GRID, STOCK_ARM, ArmGeometry, scan_pitch
 from .arm_control import target_in_base_frame
 from .util import DEG
 
@@ -362,19 +361,12 @@ def dispatch(stops: list, budget: float, pitch: float,
     """
     reachable = []
     flagged = []
-    pitch_scan = [pitch] + [k * 5.0 * DEG for k in range(19)]
     for stop in stops:
         chassis_pose = (stop.point[0], stop.point[1], stop.heading)
-        chosen = None
-        reason = ""
-        for cand in pitch_scan:
-            target = target_in_base_frame(chassis_pose, stop.fire.position, cand)
-            try:
-                inverse_kinematics(target, geometry)
-                chosen = cand
-                break
-            except (Unreachable, JointLimitViolation) as exc:
-                reason = str(exc)
+        chosen, reason = scan_pitch(
+            lambda cand: target_in_base_frame(chassis_pose, stop.fire.position,
+                                              cand),
+            (pitch,) + PITCH_GRID, geometry)
         if chosen is None:
             flagged.append((stop.fire, "unreachable from stop: %s" % reason))
         else:

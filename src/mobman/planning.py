@@ -1,0 +1,224 @@
+"""Mission schedule: one phase timeline on the control grid.
+
+Stage I sweeps the four crib faces while the chassis circles the crib, an
+optional top spray holds the arm at the lap's close, and Stage II parks at
+each residual flame and sprays it, all on one discharge clock.  plan_mission
+lays this out once, as phases that tile the log's rows, pumping the mission
+machine as it goes; the reference passes below only loop over the phases.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .arm_control import target_in_base_frame
+from .chassis_control import ChassisRefSample
+from .config import ScenarioConfig, build_geometry
+from .errors import JointLimitViolation, Unreachable
+from .kinematics import inverse_kinematics
+from .mission import (Circuit, MissionState, SweepPath, assign_fires,
+                      build_sweep, dispatch, mission_step)
+from .util import DEG
+
+
+@dataclass
+class Stage2Slot:
+    """One serviced stop."""
+
+    stop: object
+    pitch: float
+    dwell: float
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One state of the mission machine, over the steps [start, end).
+
+    The chassis reference at step i is circuit.sample(clock + (i - origin)
+    * dt), or the pose at clock held still when origin is None; a Stage II
+    dwell's clock is its grid-snapped parking time.  marks are the (step,
+    event) markers the phase fires.  spray is what the arm does: track a
+    SweepPath, aim at a Stage2Slot's fire, hold the top-spray joint vector
+    (rad), or, when None, blend between its neighbours in joint space.
+    """
+
+    start: int
+    end: int
+    label: str
+    clock: float
+    origin: int | None
+    marks: tuple = ()
+    spray: object = None
+
+
+@dataclass
+class MissionPlan:
+    """Everything laid out before the loop runs."""
+
+    geometry: object      # ArmGeometry
+    circuit: object
+    sweeps: list
+    stops: list           # Stop per fire, in path order
+    flagged: list
+    fire_test: object     # the scenario's FireTestConfig section
+    top_spray: object     # the scenario's TopSprayConfig section
+    dt: float
+    n_steps: int
+    stage2: list          # Stage2Slot per serviced stop
+    phases: list          # Phase per machine state, tiling rows 0..n_steps
+
+
+def plan_mission(config: ScenarioConfig) -> MissionPlan:
+    dt = config.dt
+    geometry = build_geometry(config)
+    circuit = Circuit(config.circuit, dt=dt)
+    sweeps = [build_sweep(k, config.sweep, config.fire_test, circuit)
+              for k in range(1, 5)]
+
+    stops = assign_fires(config.fires, circuit)
+    sprays, flagged = dispatch(stops, config.fire_test.stage2_budget,
+                               sweeps[0].pitch, geometry)
+
+    k_steps = [int(round(t / dt)) for t in circuit.k_times]
+    a_steps = [int(round(t / dt)) for t in circuit.a_times]
+    phases = []
+    state = MissionState()
+
+    def visit(event, start, end, clock, origin, marks=(), spray=None):
+        """Lay out the phase the machine is in, then advance it by event."""
+        nonlocal state
+        phases.append(Phase(start, end, state.label(), clock, origin,
+                            tuple(marks), spray))
+        state = mission_step(state, event, n_stops=len(sprays))
+
+    # Stage I runs on one clock, so step i samples the lap at exactly i*dt.
+    visit("start", 0, 0, 0.0, 0, [(0, "start")])
+    for k, sweep in enumerate(sweeps, start=1):
+        start = k_steps[k - 1]
+        end = start + int(math.ceil(sweep.duration / dt - 1e-9))
+        visit("sweep_done", start, end, 0.0, 0,
+              [(start, "K%d" % k), (start, "sweep%d_start" % k),
+               (end, "sweep%d_end" % k)], sweep)
+        # The lap marks follow every sweep marker, also on a shared step.
+        visit("edge_done", end, k_steps[k], 0.0, 0,
+              [(k_steps[4], "K5")] + [(step, "A%d" % a) for a, step
+                                      in enumerate(a_steps, start=1)]
+              if k == 4 else ())
+
+    cursor = k_steps[4] + int(round(config.top_spray.duration / dt))
+    if cursor > k_steps[4]:
+        visit("top_spray_done", k_steps[4], cursor, circuit.lap_time, None,
+              [(k_steps[4], "top_spray_start"), (cursor, "top_spray_end")],
+              np.asarray(config.top_spray.joints_deg, dtype=float) * DEG)
+    else:
+        state = mission_step(state, "top_spray_done", n_stops=len(sprays))
+
+    # Stage II drives one more lap from clock 0, halting at each stop.
+    stage2 = []
+    clock = 0.0
+    clock_steps = 0
+    for j, (stop, pitch, dwell) in enumerate(sprays, start=1):
+        tt = circuit.time_at_distance(stop.path_distance)
+        if tt <= 1e-9:
+            tt = circuit.lap_time
+        arrive = cursor + int(round(tt / dt)) - clock_steps
+        visit("arrived", cursor, arrive, clock, cursor)
+        clock_steps = int(round(tt / dt))
+        clock = clock_steps * dt
+        stage2.append(Stage2Slot(stop=stop, pitch=pitch, dwell=dwell))
+        cursor = arrive + int(round(dwell / dt))
+        visit("spray_done", arrive, cursor, clock, None,
+              [(arrive, "stop%d_arrive" % j), (arrive, "spray%d_start" % j),
+               (cursor, "spray%d_end" % j)], stage2[-1])
+
+    if state.phase != "end":
+        raise AssertionError("mission machine did not reach End")
+    phases.append(Phase(cursor, cursor + 1, state.label(),
+                        clock if stage2 else circuit.lap_time, None,
+                        ((cursor, "end"),)))
+    return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
+                       stops=stops, flagged=flagged, fire_test=config.fire_test,
+                       top_spray=config.top_spray, dt=dt, n_steps=cursor,
+                       stage2=stage2, phases=phases)
+
+
+def _frozen(sample: ChassisRefSample) -> ChassisRefSample:
+    return sample._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0,
+                           vdx_dot=0.0, vdy_dot=0.0, w_dot=0.0)
+
+
+def _chassis_reference(plan: MissionPlan) -> list:
+    """Per-sample reference; sample i holds the values active on [t_i, t_i+1)."""
+    refs = []
+    for p in plan.phases:
+        if p.origin is None:
+            refs += [_frozen(plan.circuit.sample(p.clock))] * (p.end - p.start)
+        else:
+            refs += [plan.circuit.sample(p.clock + (i - p.origin) * plan.dt)
+                     for i in range(p.start, p.end)]
+    return refs
+
+
+def _labels_and_events(plan: MissionPlan):
+    """State label per sample plus the marker list of each sample."""
+    labels = []
+    events = [[] for _ in range(plan.n_steps + 1)]
+    for p in plan.phases:
+        labels += [p.label] * (p.end - p.start)
+        for step, event in p.marks:
+            events[step].append(event)
+    return labels, events
+
+
+def _solve_ik(plan: MissionPlan, target, where: str, *where_args):
+    """Closed-form IK of one reference target; a failure is re-raised as the
+    same error prefixed with where % where_args."""
+    try:
+        return inverse_kinematics(target, plan.geometry)
+    except (Unreachable, JointLimitViolation) as exc:
+        raise type(exc)("%s: %s" % (where % where_args, exc)) from exc
+
+
+def _arm_reference(plan: MissionPlan, refs: list):
+    """Joint reference over the whole run: tracked IK in sweep and spray
+    phases, held joints in the top spray, smooth joint-space blends across
+    the phases between them, a hold after the last."""
+    dt = plan.dt
+    qr = np.zeros((plan.n_steps + 1, 4))
+    anchors = []  # (first, last) step of each spray phase, in order
+    n_stops = 0
+    for p in plan.phases:
+        a, b, spray = p.start, p.end, p.spray
+        if isinstance(spray, SweepPath):
+            points = spray.positions_at((np.arange(a, b + 1) - a) * dt).tolist()
+            for off, i in enumerate(range(a, b + 1)):
+                pose = (refs[i].x, refs[i].y, refs[i].heading)
+                target = target_in_base_frame(pose, points[off], spray.pitch)
+                qr[i] = _solve_ik(plan, target, "sweep %d sample %d (t=%.4f s)",
+                                  spray.edge_index, i, i * dt)
+        elif isinstance(spray, Stage2Slot):
+            n_stops += 1
+            pose_ref = plan.circuit.sample(p.clock)
+            pose = (pose_ref.x, pose_ref.y, pose_ref.heading)
+            target = target_in_base_frame(pose, spray.stop.fire.position,
+                                          spray.pitch)
+            qr[a:b + 1] = _solve_ik(plan, target, "stage II stop %d (%s)",
+                                    n_stops, spray.stop.fire.ident)
+        elif spray is not None:
+            qr[a:b + 1] = spray
+        else:
+            continue
+        anchors.append((a, b))
+
+    for (_, b0), (a1, _) in zip(anchors[:-1], anchors[1:]):
+        for i in range(b0 + 1, a1):  # a smoothstep from qr[b0] to qr[a1]
+            x = (i - b0) / (a1 - b0)
+            qr[i] = qr[b0] + x * x * (3.0 - 2.0 * x) * (qr[a1] - qr[b0])
+    last_end = anchors[-1][1]
+    qr[last_end + 1:] = qr[last_end]
+
+    qdr = np.gradient(qr, dt, axis=0)
+    qddr = np.gradient(qdr, dt, axis=0)
+    return qr, qdr, qddr

@@ -1,14 +1,13 @@
 """Closed-loop mission simulation on a fixed control grid.
 
-The run is assembled in three passes.  Planning lays out every phase on the
-step grid — circuit reference samples, sweep windows, stage II stops — and
-builds the arm's joint-space reference (tracked sweep targets, smooth blends
-across transits, holds at stops).  The step loop marches both controllers and
-plants: the chassis follows its reduced velocity dynamics with the pose
-integrated by the classic fourth-order rule, the arm its full rigid-body
-dynamics the same way under zero-order-hold torques.  A vectorised pass then
-derives the tool, target and wheel-speed columns into a fixed-schema log that
-round-trips through CSV bit for bit.
+A run takes three steps.  The planner (mobman.planning) lays the mission out
+as one phase timeline and derives from it the chassis reference, the state
+labels and markers, and the arm's joint reference.  The step loop then
+marches both controllers and plants: the chassis follows its reduced
+velocity dynamics with the pose integrated by the classic fourth-order rule,
+the arm its full rigid-body dynamics the same way under zero-order-hold
+torques.  A vectorised pass last derives the tool, target and wheel-speed
+columns into a fixed-schema log that round-trips through CSV bit for bit.
 """
 from __future__ import annotations
 
@@ -24,18 +23,17 @@ from typing import NoReturn
 import numpy as np
 
 from . import metrics as metrics_mod
-from .arm_control import control_law as arm_control_law, target_in_base_frame
+from .arm_control import control_law as arm_control_law
 from .chassis_control import (ChassisGains, ChassisRefSample, chassis_tick,
                               check_disturbance, plant_step, wheel_speeds)
-from .config import (ScenarioConfig, build_chassis_gains, build_geometry,
-                     build_inertial, disturbance_series)
+from .config import (ScenarioConfig, build_chassis_gains, build_inertial,
+                     disturbance_series)
 from .dynamics import ArmDynamics, accelerations
-from .errors import (EmptyLog, JointLimitViolation, ParseError, SolveFailure,
-                     Unreachable)
-from .kinematics import forward_kinematics, inverse_kinematics
-from .mission import (Circuit, MissionState, assign_fires, build_sweep,
-                      dispatch, mission_step)
-from .util import DEG, integrate
+from .errors import EmptyLog, ParseError, SolveFailure
+from .kinematics import forward_kinematics
+from .planning import (MissionPlan, _arm_reference, _chassis_reference,
+                       _labels_and_events, plan_mission)
+from .util import integrate
 
 CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "u1", "u2", "vL", "vR",
@@ -167,233 +165,6 @@ def _parse_meta_value(text: str):
         except ValueError:
             pass
     return text
-
-
-def _frozen(sample: ChassisRefSample) -> ChassisRefSample:
-    return sample._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0,
-                           vdx_dot=0.0, vdy_dot=0.0, w_dot=0.0)
-
-
-def _smoothstep(x: float) -> float:
-    return x * x * (3.0 - 2.0 * x)
-
-
-@dataclass
-class Stage2Slot:
-    """One serviced stop on the step grid."""
-
-    stop: object
-    pitch: float
-    dwell: float
-    clock: float          # lap clock at the parked pose (grid-snapped)
-    arrive_step: int
-    spray_end_step: int
-
-
-@dataclass
-class MissionPlan:
-    """Everything laid out before the loop runs."""
-
-    geometry: object      # ArmGeometry
-    circuit: object
-    sweeps: list
-    stops: list           # Stop per fire, in path order
-    flagged: list
-    fire_test: object     # the scenario's FireTestConfig section
-    top_spray: object     # the scenario's TopSprayConfig section
-    dt: float
-    n_steps: int
-    k_steps: list
-    a_steps: list
-    sweep_windows: list   # (start_step, end_step) per leg
-    top_window: tuple     # (start_step, end_step); equal when unused
-    stage2: list          # Stage2Slot per serviced stop
-
-
-def plan_mission(config: ScenarioConfig) -> MissionPlan:
-    dt = config.dt
-    geometry = build_geometry(config)
-    circuit = Circuit(config.circuit, dt=dt)
-    sweeps = [build_sweep(k, config.sweep, config.fire_test, circuit)
-              for k in range(1, 5)]
-
-    stops = assign_fires(config.fires, circuit)
-    sprays, flagged = dispatch(stops, config.fire_test.stage2_budget,
-                               sweeps[0].pitch, geometry)
-
-    k_steps = [int(round(t / dt)) for t in circuit.k_times]
-    a_steps = [int(round(t / dt)) for t in circuit.a_times]
-    sweep_windows = []
-    for k in range(4):
-        start = k_steps[k]
-        steps = int(math.ceil(sweeps[k].duration / dt - 1e-9))
-        sweep_windows.append((start, start + steps))
-
-    lap_steps = k_steps[4]
-    top_steps = int(round(config.top_spray.duration / dt))
-    top_window = (lap_steps, lap_steps + top_steps)
-
-    stage2 = []
-    cursor = top_window[1]
-    prev_clock_steps = 0
-    for stop, pitch, dwell in sprays:
-        tt = circuit.time_at_distance(stop.path_distance)
-        if tt <= 1e-9:
-            tt = circuit.lap_time
-        clock_steps = int(round(tt / dt))
-        arrive = cursor + (clock_steps - prev_clock_steps)
-        dwell_steps = int(round(dwell / dt))
-        stage2.append(Stage2Slot(stop=stop, pitch=pitch,
-                                 dwell=dwell, clock=clock_steps * dt,
-                                 arrive_step=arrive,
-                                 spray_end_step=arrive + dwell_steps))
-        cursor = arrive + dwell_steps
-        prev_clock_steps = clock_steps
-
-    return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
-                       stops=stops, flagged=flagged, fire_test=config.fire_test,
-                       top_spray=config.top_spray, dt=dt, n_steps=cursor,
-                       k_steps=k_steps, a_steps=a_steps,
-                       sweep_windows=sweep_windows, top_window=top_window,
-                       stage2=stage2)
-
-
-def _chassis_reference(plan: MissionPlan) -> list:
-    """Per-sample reference; sample i holds the values active on [t_i, t_i+1)."""
-    dt = plan.dt
-    circuit = plan.circuit
-    n = plan.n_steps
-    refs = [None] * (n + 1)
-    lap_end = plan.k_steps[4]
-    for i in range(lap_end):
-        refs[i] = circuit.sample(i * dt)
-    for i in range(plan.top_window[0], plan.top_window[1]):
-        refs[i] = _frozen(circuit.sample(circuit.lap_time))
-    cursor = plan.top_window[1]
-    prev_clock = 0.0
-    for slot in plan.stage2:
-        for i in range(cursor, slot.arrive_step):
-            refs[i] = circuit.sample(prev_clock + (i - cursor) * dt)
-        for i in range(slot.arrive_step, slot.spray_end_step):
-            refs[i] = _frozen(circuit.sample(slot.clock))
-        cursor = slot.spray_end_step
-        prev_clock = slot.clock
-    refs[n] = _frozen(circuit.sample(prev_clock if plan.stage2
-                                     else circuit.lap_time))
-    return refs
-
-
-def _labels_and_events(plan: MissionPlan):
-    """State label per sample plus marker lists, validated by the mission
-    machine as it is pumped through the planned event sequence."""
-    n = plan.n_steps
-    labels = [""] * (n + 1)
-    events = [[] for _ in range(n + 1)]
-    n_stops = len(plan.stage2)
-
-    state = MissionState()
-    events[0].append("start")
-
-    def fill(a, b, label):
-        for i in range(a, b):
-            labels[i] = label
-
-    state = mission_step(state, "start", n_stops=n_stops)
-    for k in range(1, 5):
-        leg_end = plan.k_steps[k]
-        sweep_start, sweep_end = plan.sweep_windows[k - 1]
-        events[sweep_start].append("K%d" % k)
-        events[sweep_start].append("sweep%d_start" % k)
-        fill(sweep_start, min(sweep_end, leg_end), state.label())
-        events[sweep_end].append("sweep%d_end" % k)
-        state = mission_step(state, "sweep_done", n_stops=n_stops)
-        fill(sweep_end, leg_end, state.label())
-        state = mission_step(state, "edge_done", n_stops=n_stops)
-    events[plan.k_steps[4]].append("K5")
-    for a in range(8):
-        events[plan.a_steps[a]].append("A%d" % (a + 1))
-
-    if plan.top_window[1] > plan.top_window[0]:
-        events[plan.top_window[0]].append("top_spray_start")
-        events[plan.top_window[1]].append("top_spray_end")
-        fill(plan.top_window[0], plan.top_window[1], state.label())
-    state = mission_step(state, "top_spray_done", n_stops=n_stops)
-
-    cursor = plan.top_window[1]
-    for j, slot in enumerate(plan.stage2, start=1):
-        fill(cursor, slot.arrive_step, state.label())
-        state = mission_step(state, "arrived", n_stops=n_stops)
-        events[slot.arrive_step].append("stop%d_arrive" % j)
-        events[slot.arrive_step].append("spray%d_start" % j)
-        fill(slot.arrive_step, slot.spray_end_step, state.label())
-        events[slot.spray_end_step].append("spray%d_end" % j)
-        state = mission_step(state, "spray_done", n_stops=n_stops)
-        cursor = slot.spray_end_step
-
-    if state.phase != "end":
-        raise AssertionError("mission machine did not reach End")
-    labels[n] = state.label()
-    events[n].append("end")
-    return labels, events
-
-
-def _solve_ik(plan: MissionPlan, target, where: str, *where_args):
-    """Closed-form IK of one reference target; a failure is re-raised as the
-    same error prefixed with where % where_args."""
-    try:
-        return inverse_kinematics(target, plan.geometry)
-    except (Unreachable, JointLimitViolation) as exc:
-        raise type(exc)("%s: %s" % (where % where_args, exc)) from exc
-
-
-def _arm_reference(plan: MissionPlan, refs: list):
-    """Joint reference over the whole run: tracked IK in sweep and spray
-    windows, smooth joint-space blends across the gaps, holds elsewhere."""
-    n = plan.n_steps
-    dt = plan.dt
-    qr = np.zeros((n + 1, 4))
-    anchors = []
-
-    for k in range(4):
-        a, b = plan.sweep_windows[k]
-        sweep = plan.sweeps[k]
-        rel = (np.arange(a, b + 1) - a) * dt
-        points = sweep.positions_at(rel).tolist()
-        for off, i in enumerate(range(a, b + 1)):
-            pose = (refs[i].x, refs[i].y, refs[i].heading)
-            target = target_in_base_frame(pose, points[off], sweep.pitch)
-            qr[i] = _solve_ik(plan, target, "sweep %d sample %d (t=%.4f s)",
-                              k + 1, i, i * dt)
-        anchors.append((a, b))
-
-    if plan.top_window[1] > plan.top_window[0]:
-        a, b = plan.top_window
-        qr[a:b + 1] = np.asarray(plan.top_spray.joints_deg, dtype=float) * DEG
-        anchors.append((a, b))
-
-    for j, slot in enumerate(plan.stage2, start=1):
-        pose_ref = plan.circuit.sample(slot.clock)
-        pose = (pose_ref.x, pose_ref.y, pose_ref.heading)
-        target = target_in_base_frame(pose, slot.stop.fire.position, slot.pitch)
-        qr[slot.arrive_step:slot.spray_end_step + 1] = _solve_ik(
-            plan, target, "stage II stop %d (%s)", j, slot.stop.fire.ident)
-        anchors.append((slot.arrive_step, slot.spray_end_step))
-
-    anchors.sort()
-    for (a0, b0), (a1, b1) in zip(anchors[:-1], anchors[1:]):
-        if a1 <= b0:
-            continue
-        q_from = qr[b0].copy()
-        q_to = qr[a1].copy()
-        span = a1 - b0
-        for i in range(b0 + 1, a1):
-            qr[i] = q_from + _smoothstep((i - b0) / span) * (q_to - q_from)
-    last_end = anchors[-1][1]
-    qr[last_end + 1:] = qr[last_end]
-
-    qdr = np.gradient(qr, dt, axis=0)
-    qddr = np.gradient(qdr, dt, axis=0)
-    return qr, qdr, qddr
 
 
 @dataclass

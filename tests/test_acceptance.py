@@ -16,11 +16,12 @@ from mobman.config import (ArmControlConfig, CircuitConfig, DisturbanceConfig,
 from mobman.dynamics import ArmDynamics, default_inertial_params
 from mobman.errors import JointLimitViolation, Unreachable
 from mobman.kinematics import (forward_kinematics, inverse_kinematics,
-                               random_joint_angles, workspace_analysis)
+                               workspace_analysis)
 from mobman.metrics import compute_metrics
 from mobman.mission import Circuit, assign_fires
-from mobman.simulate import (SimLog, _arm_reference, _chassis_reference,
-                             run_line_scenario, run_mission)
+from mobman.planning import _arm_reference, _chassis_reference
+from mobman.simulate import SimLog, run_line_scenario, run_mission
+from oracles import kinetic_energy, potential_energy, random_joint_angles
 
 DEG = math.pi / 180.0
 
@@ -97,8 +98,8 @@ def test_dynamics_identities(capsys):
             qp, qm = q.copy(), q.copy()
             qp[k] += h
             qm[k] -= h
-            fd[k] = (model.potential_energy(qp)
-                     - model.potential_energy(qm)) / (2.0 * h)
+            fd[k] = (potential_energy(model, qp)
+                     - potential_energy(model, qm)) / (2.0 * h)
         scale = max(1.0, float(np.abs(G).max()))
         grav_rel = max(grav_rel, float(np.abs(G - fd).max()) / scale)
 
@@ -106,7 +107,7 @@ def test_dynamics_identities(capsys):
     q = np.array([0.3, 70.0 * DEG, -40.0 * DEG, -30.0 * DEG])
     qd = np.array([0.4, -0.2, 0.3, -0.1])
     dt = 1e-4
-    e0 = weightless.kinetic_energy(q, qd)
+    e0 = kinetic_energy(weightless, q, qd)
     y = np.concatenate([q, qd])
 
     def f(y):
@@ -120,7 +121,7 @@ def test_dynamics_identities(capsys):
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    drift = abs(weightless.kinetic_energy(y[:4], y[4:]) - e0) / e0
+    drift = abs(kinetic_energy(weightless, y[:4], y[4:]) - e0) / e0
 
     ok = (asym == 0.0 and chol_failures == 0 and skew_worst < 1e-8
           and grav_rel < 1e-6 and drift < 1e-6)

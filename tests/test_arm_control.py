@@ -8,8 +8,9 @@ import pytest
 from mobman.arm_control import control_law, target_in_base_frame
 from mobman.config import ArmControlConfig
 from mobman.kinematics import (ArmGeometry, forward_kinematics,
-                               inverse_kinematics, random_joint_angles)
+                               inverse_kinematics)
 from mobman.util import integrate
+from oracles import random_joint_angles
 
 DEG = math.pi / 180.0
 

@@ -67,6 +67,22 @@ def test_ik_unreachable_exits_one(capsys):
     assert "error:" in err
 
 
+def test_nan_points_are_rejected(capsys):
+    code, out, err = run_cli(capsys, "ik", "nan", "0", "0")
+    assert code == 1 and out == ""
+    assert err == "error: theta1 = nan deg outside [-180.00, 180.00] deg\n"
+    code, out, _ = run_cli(capsys, "workspace", "--check", "nan,0,0",
+                           "--json")
+    assert code == 0
+    assert [p["reachable"] for p in json.loads(out)["key_points"]] == [False]
+
+
+def test_workspace_check_rejects_non_numeric_spec(capsys):
+    code, out, err = run_cli(capsys, "workspace", "--check", "1,2,abc")
+    assert code == 1 and out == ""
+    assert err == "error: --check expects X,Y,Z in mm\n"
+
+
 def test_plan_writes_json_and_prints_assignments(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     code, out, _ = run_cli(capsys, "plan", "--json", str(plan_file))

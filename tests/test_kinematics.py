@@ -9,8 +9,8 @@ from mobman.errors import GeometryError, JointLimitViolation, Unreachable
 from mobman.kinematics import (STOCK_ARM, ArmGeometry, EndEffectorPose,
                                check_joint_limits, forward_kinematics,
                                interior_angle, inverse_kinematics,
-                               point_reachable, random_joint_angles,
-                               workspace_analysis)
+                               point_reachable, workspace_analysis)
+from oracles import random_joint_angles
 
 DEG = math.pi / 180.0
 

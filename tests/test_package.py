@@ -31,11 +31,12 @@ def test_all_names_resolve_and_star_import():
 
 
 # The engine modules read config sections by attribute; importing the
-# config, the harness or the front end from one of them (even for a type
-# hint) would close an import cycle.
+# config, the planner, the harness or the front end from one of them (even
+# for a type hint) would close an import cycle.
 ENGINE = ("util", "errors", "kinematics", "dynamics", "arm_control",
           "chassis_control", "mission", "metrics")
-ABOVE_ENGINE = {"mobman.config", "mobman.simulate", "mobman.cli"}
+ABOVE_ENGINE = {"mobman.config", "mobman.planning", "mobman.simulate",
+                "mobman.cli"}
 
 
 def _imported_modules(name: str) -> set:

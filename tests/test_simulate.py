@@ -1,4 +1,5 @@
 """Mission simulation harness: planning grid, logging, metrics, export."""
+import hashlib
 import json
 import math
 import tracemalloc
@@ -17,10 +18,11 @@ from mobman.errors import (DisturbanceBoundViolation, EmptyLog, ParseError,
                            SolveFailure, Unreachable)
 from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
-from mobman.mission import Circuit
-from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, _arm_reference,
-                             _arm_step, _chassis_reference, export,
-                             plan_mission, run_line_scenario, run_mission)
+from mobman.mission import Circuit, SweepPath
+from mobman.planning import (Stage2Slot, _arm_reference, _chassis_reference,
+                             _labels_and_events, plan_mission)
+from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, _arm_step,
+                             export, run_line_scenario, run_mission)
 
 DEG = math.pi / 180.0
 
@@ -39,26 +41,124 @@ def test_csv_schema_is_fixed():
 def test_plan_lands_events_on_grid():
     plan = plan_mission(ScenarioConfig())
     dt = plan.dt
+    marks = {event: step for p in plan.phases for step, event in p.marks}
+    k_steps = [marks["K%d" % k] for k in range(1, 6)]
     # Every K and A mark sits exactly on a sample.
-    for step, t in zip(plan.k_steps, plan.circuit.k_times):
+    for step, t in zip(k_steps, plan.circuit.k_times):
         assert step * dt == pytest.approx(t, abs=1e-9)
-    for step, t in zip(plan.a_steps, plan.circuit.a_times):
-        assert step * dt == pytest.approx(t, abs=1e-9)
+    for a, t in enumerate(plan.circuit.a_times, start=1):
+        assert marks["A%d" % a] * dt == pytest.approx(t, abs=1e-9)
     # Sweep windows start at the leg marks and fit inside the legs.
-    for k, (a, b) in enumerate(plan.sweep_windows):
-        assert a == plan.k_steps[k]
+    sweeps = [p for p in plan.phases if isinstance(p.spray, SweepPath)]
+    assert [p.spray for p in sweeps] == plan.sweeps  # the same objects
+    for k, p in enumerate(sweeps):
+        a, b = p.start, p.end
+        assert a == k_steps[k]
         assert (b - a) * dt == pytest.approx(plan.sweeps[k].duration, abs=dt)
-        assert b <= plan.k_steps[k + 1]
+        assert b <= k_steps[k + 1]
     # Stage II slots spread the budget and stay ordered.
     assert len(plan.stage2) == 2
     dwell = sum(s.dwell for s in plan.stage2)
     assert dwell == pytest.approx(plan.fire_test.stage2_budget)
-    clocks = [s.clock for s in plan.stage2]
+    dwells = [p for p in plan.phases if isinstance(p.spray, Stage2Slot)]
+    assert [p.spray for p in dwells] == plan.stage2  # the same objects
+    clocks = [p.clock for p in dwells]
     assert clocks == sorted(clocks)
-    for slot in plan.stage2:
-        assert slot.clock / dt == pytest.approx(round(slot.clock / dt))
-        assert slot.spray_end_step - slot.arrive_step == int(
-            round(slot.dwell / dt))
+    for p in dwells:
+        assert p.clock / dt == pytest.approx(round(p.clock / dt))
+        assert p.end - p.start == int(round(p.spray.dwell / dt))
+
+
+SCHEDULE_CASES = {
+    "top_spray": {"top_spray": {"duration": 1.0}},
+    "no_fires": {"fires": []},
+    "no_stage2_budget": {"fire_test": {"stage2_budget": 0.0}},
+    "unreachable_fire": {"fires": [{"position": [0.30, 0.20, 0.30]},
+                                   {"position": [0.0, 0.0, 5.0]}]},
+}
+
+
+@pytest.mark.parametrize("spec", SCHEDULE_CASES.values(), ids=SCHEDULE_CASES)
+def test_phase_timeline(spec):
+    """Without running the loop: the phases tile the steps in order, each
+    top spray and dwell parks the chassis and holds the joints, and the
+    markers compute_metrics reads fire in order, also when a dwell has no
+    steps."""
+    plan = plan_mission(parse_config(spec))
+    dt, n, phases = plan.dt, plan.n_steps, plan.phases
+    assert phases[0].start == 0 and phases[-2].end == n
+    assert all(p.end == q.start for p, q in zip(phases, phases[1:]))
+    assert all(p.start <= p.end for p in phases)
+    assert (phases[-1].start, phases[-1].end, phases[-1].label) == (
+        n, n + 1, "End")
+
+    refs = _chassis_reference(plan)
+    qr, _, _ = _arm_reference(plan, refs)
+    assert len(refs) == len(qr) == n + 1
+    held = [p for p in phases if p.label == "TopSpray"
+            or isinstance(p.spray, Stage2Slot)]
+    assert len(held) == bool(plan.top_spray.duration) + len(plan.stage2)
+    for p in held:
+        pose = plan.circuit.sample(p.clock)
+        still = pose._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0, vdx_dot=0.0,
+                              vdy_dot=0.0, w_dot=0.0)
+        assert refs[p.start:p.end] == [still] * (p.end - p.start)
+        assert (qr[p.start:p.end + 1] == qr[p.start]).all()
+        if isinstance(p.spray, Stage2Slot):  # aimed at its fire, steps or not
+            local = target_in_base_frame((pose.x, pose.y, pose.heading),
+                                         p.spray.stop.fire.position,
+                                         p.spray.pitch)
+            tool = forward_kinematics(qr[p.start], plan.geometry)
+            np.testing.assert_allclose([tool.x, tool.y, tool.z],
+                                       [local.x, local.y, local.z], atol=1e-9)
+
+    labels, events = _labels_and_events(plan)
+    assert len(labels) == n + 1 and labels[-1] == "End"
+    fired = [event for row in events for event in row]
+    order = ["start", "K1", "A8", "A1", "K2", "A2", "A3", "K3", "A4", "A5",
+             "K4", "A6", "A7", "K5"]
+    if plan.top_spray.duration:
+        order += ["top_spray_start", "top_spray_end"]
+    for j in range(1, len(plan.stage2) + 1):
+        order += ["stop%d_arrive" % j, "spray%d_start" % j, "spray%d_end" % j]
+    order.append("end")
+    sweep_marks = ["sweep%d_%s" % (k, e) for k in range(1, 5)
+                   for e in ("start", "end")]
+    assert sorted(fired) == sorted(order + sweep_marks)
+    assert [e for e in fired if e in order] == order
+    for k in range(1, 5):
+        leg = ["K%d" % k, "sweep%d_start" % k, "sweep%d_end" % k,
+               "K%d" % (k + 1)]
+        assert [e for e in fired if e in leg] == leg
+
+    # The markers give the scheduled times back.
+    values = {key: np.zeros(n + 1) for key in CSV_NUMERIC}
+    report = compute_metrics(SimLog(
+        {"dt": dt, "n_stops": len(plan.stage2)}, np.arange(n + 1) * dt,
+        labels, values, [";".join(row) for row in events]))
+    assert report.stage1_wall_time == pytest.approx(plan.circuit.lap_time)
+    assert report.top_spray_time == pytest.approx(plan.top_spray.duration)
+    assert report.stage2_time == pytest.approx(
+        sum(slot.dwell for slot in plan.stage2), abs=dt)
+
+
+STOCK_LOG_DIGEST = ("dd78a0158edbb8ac13954df12f5c5adeb2e51d157857ffe62e6ef721"
+                    "a05a8867")
+
+
+def test_stock_log_digest(default_mission):
+    """The stock run's log, hashed as perfbench/run.py's log_digest does.  A
+    change that moves what the simulated robot does updates this value."""
+    log = default_mission[0].log
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(log.time, dtype="<f8").tobytes())
+    for name in sorted(log.values):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(log.values[name], dtype="<f8").tobytes())
+    h.update("\n".join(log.state).encode())
+    h.update(b"\0")
+    h.update("\n".join(log.event).encode())
+    assert h.hexdigest() == STOCK_LOG_DIGEST
 
 
 def test_log_shape_and_grid(default_mission):
@@ -404,8 +504,10 @@ def test_arm_reference_solves_sweep_targets():
     plan = plan_mission(ScenarioConfig())
     refs = _chassis_reference(plan)
     qr, qdr, _ = _arm_reference(plan, refs)
-    for k, (a, b) in enumerate(plan.sweep_windows):
-        sweep = plan.sweeps[k]
+    for p in plan.phases:
+        if not isinstance(p.spray, SweepPath):
+            continue
+        a, b, sweep = p.start, p.end, p.spray
         steps = np.arange(a, b + 1, 97)
         points = sweep.positions_at((steps - a) * plan.dt)
         for i, point in zip(steps, points):

@@ -11,9 +11,9 @@ import pytest
 
 from mobman.chassis_control import ChassisRefSample, plant_step
 from mobman.dynamics import ArmDynamics
-from mobman.kinematics import random_joint_angles
 from mobman.simulate import _arm_step
 from mobman.util import sign, switch, wrap_angle
+from oracles import random_joint_angles
 
 SPECIALS = [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
 
