@@ -10,7 +10,7 @@ and are converted to the arm's millimetre convention internally.
 """
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .dynamics import torques
 from .kinematics import EndEffectorPose
@@ -41,14 +41,14 @@ def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains, terms) -> list:
 def target_in_base_frame(chassis_pose, target_xyz_m, pitch: float) -> EndEffectorPose:
     """Express a world-frame spray target in the chassis-mounted arm frame.
 
-    chassis_pose is (X, Y, heading) in metres/radians; the result is in mm.
-    The nozzle pitch is measured from horizontal and is invariant to the
-    chassis yaw.
+    chassis_pose is (X, Y, heading) in metres/radians, the result in mm; any
+    coordinate may be a 1-D array of samples.  The nozzle pitch is measured
+    from horizontal and is invariant to the chassis yaw.
     """
     cx, cy, heading = chassis_pose
     tx, ty, tz = target_xyz_m
     dx, dy = tx - cx, ty - cy
-    c, s = math.cos(heading), math.sin(heading)
+    c, s = np.cos(heading), np.sin(heading)
     return EndEffectorPose(x=(c * dx + s * dy) * _M_TO_MM,
                            y=(-s * dx + c * dy) * _M_TO_MM,
                            z=tz * _M_TO_MM, phi=pitch)

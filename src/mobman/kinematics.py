@@ -11,7 +11,7 @@ and every pose formula below uses absolute angles.
 
 Units: millimetres and radians.  Joint vectors are sequences of 4 angles
 ordered (base yaw, boom, forearm, wrist pitch); the IK returns numpy arrays,
-and the FK also takes a stack of them, one per row.
+one row per pose of a batch, and the FK also takes a stack of them.
 """
 from __future__ import annotations
 
@@ -115,46 +115,87 @@ def forward_kinematics(q, geometry: ArmGeometry = STOCK_ARM) -> EndEffectorPose:
                            -q[..., 3])
 
 
+def _math_map(f, *columns) -> np.ndarray:
+    """f of math applied across equal-length 1-D columns."""
+    return np.fromiter(map(f, *(c.tolist() for c in columns)), float,
+                       len(columns[0]))
+
+
+def _solve(pose: EndEffectorPose, geometry: ArmGeometry):
+    """IK of every sample of pose: (q, bad, error), q the (n, 4) solutions,
+    bad the failing samples' mask, error(i) sample i's error.  atan2, hypot
+    and acos run through math, whose last bits numpy's miss on some inputs;
+    the rest, which match it, run on whole arrays."""
+    a1, a2, a3, a4, a5 = geometry.a
+    y5p = geometry.y5p
+    fields = [np.asarray(v, dtype=float) for v in pose]
+    x, y, z, phi = (f.reshape(-1) for f in np.broadcast_arrays(*fields))
+
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        theta1 = _math_map(math.atan2, y, x)
+        theta4 = -phi
+        dr3 = _math_map(math.hypot, x, y) - a1
+        dz3 = z - geometry.d1
+        s4, c4 = np.sin(theta4), np.cos(theta4)
+        dr2 = dr3 + y5p * s4 - a4 - a5 * c4
+        dz2 = dz3 - a5 * s4 - y5p * c4
+
+        rr = dr2 * dr2 + dz2 * dz2
+        rho = np.sqrt(rr)
+        beta = _math_map(math.atan2, dz2, dr2)
+        cos_b2 = (rr + a2 * a2 - a3 * a3) / (2.0 * a2 * rho)
+        cos_b3 = (rr + a3 * a3 - a2 * a2) / (2.0 * a3 * rho)
+        # acos of min(1, max(-1, c)): fmax takes NaN to -1 as max does.
+        acos2, acos3 = (_math_map(math.acos, np.fmin(np.fmax(c, -1.0), 1.0))
+                        for c in (cos_b2, cos_b3))
+        q = np.column_stack([theta1, acos2 + beta, -acos3 + beta, theta4])
+        finite = np.isfinite([x, y, z, phi]).all(axis=0)
+        open_ = (np.abs(cos_b2) > 1.0 + 1e-12) | (np.abs(cos_b3) > 1.0 + 1e-12)
+        gamma = math.pi - (q[:, 1] - q[:, 2])
+        in_range = ((np.array(JOINT_LIMITS_LOW) - _LIMIT_TOL <= q).all(1)
+                    & (q <= np.array(JOINT_LIMITS_HIGH) + _LIMIT_TOL).all(1)
+                    & (INTERIOR_MIN - _LIMIT_TOL <= gamma)
+                    & (gamma <= INTERIOR_MAX + _LIMIT_TOL))
+        bad = ~finite | (rho < 1e-12) | open_ | ~in_range
+
+    def error(i: int) -> Exception:
+        if not finite[i]:
+            exc = Unreachable("non-finite target (%g, %g, %g) mm, pitch %g "
+                              "rad" % (x[i], y[i], z[i], phi[i]))
+        elif rho[i] < 1e-12:
+            exc = Unreachable("wrist target coincides with the shoulder axis")
+        elif open_[i]:
+            exc = Unreachable("planar target %.1f mm outside the two-link "
+                              "annulus" % rho[i])
+        else:
+            try:  # in_range failed it: the same tests in the same order
+                check_joint_limits(q[i].tolist())
+            except JointLimitViolation as limit:
+                exc = limit
+        exc.sample = i
+        return exc
+
+    return q, bad, error
+
+
 def inverse_kinematics(pose: EndEffectorPose,
                        geometry: ArmGeometry = STOCK_ARM) -> np.ndarray:
-    """Closed-form joint solution for a tool pose.
+    """Closed-form joints, shape (4,), for a pose of floats, or (n, 4) for a
+    pose of equal-length 1-D arrays (a float field serves every sample).
 
     The planar sub-problem reduces to a two-link triangle once the wrist and
     tool contributions are peeled off the radial/vertical target.  The boom
     takes the +acos branch and the forearm the -acos branch, which is the only
     branch compatible with the joint ranges (the boom always sits above the
-    forearm).  Raises Unreachable when the triangle cannot close and
-    JointLimitViolation when it closes outside the joint ranges.
+    forearm).  Raises Unreachable when a coordinate or the pitch is not
+    finite or the triangle cannot close, and JointLimitViolation when it
+    closes outside the joint ranges: a batch raises what its first failing
+    sample alone would, the sample's index as the error's sample.
     """
-    a1, a2, a3, a4, a5 = geometry.a
-    y5p = geometry.y5p
-
-    theta1 = math.atan2(pose.y, pose.x)
-    theta4 = -pose.phi
-
-    r_p = math.hypot(pose.x, pose.y)
-    dr3 = r_p - a1
-    dz3 = pose.z - geometry.d1
-    s4, c4 = math.sin(theta4), math.cos(theta4)
-    dr2 = dr3 + y5p * s4 - a4 - a5 * c4
-    dz2 = dz3 - a5 * s4 - y5p * c4
-
-    rr = dr2 * dr2 + dz2 * dz2
-    rho = math.sqrt(rr)
-    if rho < 1e-12:
-        raise Unreachable("wrist target coincides with the shoulder axis")
-    beta = math.atan2(dz2, dr2)
-    cos_b2 = (rr + a2 * a2 - a3 * a3) / (2.0 * a2 * rho)
-    cos_b3 = (rr + a3 * a3 - a2 * a2) / (2.0 * a3 * rho)
-    if abs(cos_b2) > 1.0 + 1e-12 or abs(cos_b3) > 1.0 + 1e-12:
-        raise Unreachable(
-            "planar target %.1f mm outside the two-link annulus" % rho)
-    theta2 = math.acos(min(1.0, max(-1.0, cos_b2))) + beta
-    theta3 = -math.acos(min(1.0, max(-1.0, cos_b3))) + beta
-
-    q = (theta1, theta2, theta3, theta4)
-    check_joint_limits(q)
-    return np.array(q)
+    q, bad, error = _solve(pose, geometry)
+    if bad.any():
+        raise error(int(bad.argmax()))
+    return q if any(np.ndim(v) for v in pose) else q[0]
 
 
 @dataclass(frozen=True)
@@ -186,17 +227,13 @@ class WorkspaceSummary:
 
 
 def scan_pitch(pose_at, pitches, geometry: ArmGeometry = STOCK_ARM):
-    """Try each nozzle pitch (rad) in order, pose_at(pitch) giving the tool
-    pose; returns (pitch, "") for the first with an in-range solution, else
-    (None, the last failure's reason)."""
-    reason = ""
-    for pitch in pitches:
-        try:
-            inverse_kinematics(pose_at(pitch), geometry)
-            return pitch, ""
-        except (Unreachable, JointLimitViolation) as exc:
-            reason = str(exc)
-    return None, reason
+    """Try each nozzle pitch (rad) in order, pose_at(pitches) giving the
+    tool poses; returns (pitch, "") for the first with an in-range solution,
+    else (None, the last failure's reason)."""
+    _, bad, error = _solve(pose_at(np.asarray(pitches)), geometry)
+    if bad.all():
+        return None, str(error(len(pitches) - 1))
+    return pitches[int(bad.argmin())], ""
 
 
 def point_reachable(position, geometry: ArmGeometry = STOCK_ARM) -> bool:

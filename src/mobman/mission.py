@@ -111,6 +111,10 @@ class Circuit:
                                 headings[3])
         add("straight", self.half_edge_time, 0.5 * ls, (ax, ay, headings[0]), v, 0.0)
         self.segments = segs
+        self._seg_ends = np.array([g.t0 + g.duration - 1e-12 for g in segs])
+        self._seg_is_arc = np.array([g.kind == "arc" for g in segs])
+        self._seg_columns = np.array([(g.t0, *g.data, g.speed, g.yaw_rate)
+                                      for g in segs]).T
 
         self.k_points = np.array([(cx + ox, cy + oy) for ox, oy in k_offsets]
                                  + [(cx + k_offsets[0][0], cy + k_offsets[0][1])])
@@ -147,36 +151,30 @@ class Circuit:
 
     # -- sampling ---------------------------------------------------------
 
-    def _locate(self, t: float) -> tuple:
-        """Segment and local time for a lap-periodic clock value."""
-        tm = math.fmod(t, self.lap_time)
-        if tm < 0.0:
-            tm += self.lap_time
-        for seg in self.segments:
-            if tm < seg.t0 + seg.duration - 1e-12:
-                return seg, tm - seg.t0
-        seg = self.segments[-1]
-        return seg, tm - seg.t0
+    def sample_rows(self, t) -> np.ndarray:
+        """ChassisRefSample fields at the lap clocks t (periodic), one row per
+        clock.  A clock falls in the first segment ending more than 1e-12 s
+        after it, else in the last one."""
+        tm = np.fmod(np.asarray(t, dtype=float), self.lap_time)
+        tm = np.where(tm < 0.0, tm + self.lap_time, tm)
+        k = np.minimum(np.searchsorted(self._seg_ends, tm, side="right"),
+                       len(self.segments) - 1)
+        arc = self._seg_is_arc[k]
+        t0, a, b, h0, speed, rate = self._seg_columns[:, k]
+        tau = tm - t0
+        h = np.where(arc, h0 + rate * tau, h0)
+        c, s = np.cos(h), np.sin(h)
+        r = self.spec.corner_radius
+        return np.column_stack([
+            np.where(arc, a + r * s, a + speed * tau * c),
+            np.where(arc, b - r * c, b + speed * tau * s),
+            h, speed, rate, speed * c, speed * s,
+            np.where(arc, -speed * rate * s, 0.0),
+            np.where(arc, speed * rate * c, 0.0), np.zeros_like(tm)])
 
     def sample(self, t: float) -> ChassisRefSample:
         """Reference state at lap clock t (periodic)."""
-        seg, tau = self._locate(t)
-        if seg.kind == "straight":
-            x0, y0, h = seg.data
-            d = seg.speed * tau
-            return ChassisRefSample(
-                x=x0 + d * math.cos(h), y=y0 + d * math.sin(h), heading=h,
-                v=seg.speed, w=0.0,
-                vdx=seg.speed * math.cos(h), vdy=seg.speed * math.sin(h))
-        ccx, ccy, h0 = seg.data
-        h = h0 + seg.yaw_rate * tau
-        r = self.spec.corner_radius
-        return ChassisRefSample(
-            x=ccx + r * math.sin(h), y=ccy - r * math.cos(h), heading=h,
-            v=seg.speed, w=seg.yaw_rate,
-            vdx=seg.speed * math.cos(h), vdy=seg.speed * math.sin(h),
-            vdx_dot=-seg.speed * seg.yaw_rate * math.sin(h),
-            vdy_dot=seg.speed * seg.yaw_rate * math.cos(h))
+        return ChassisRefSample._make(self.sample_rows([t])[0].tolist())
 
     def time_at_distance(self, s: float) -> float:
         """Lap clock at which the path length s (from the lap start) is reached."""

@@ -144,21 +144,18 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
                        stage2=stage2, phases=phases)
 
 
-def _frozen(sample: ChassisRefSample) -> ChassisRefSample:
-    return sample._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0,
-                           vdx_dot=0.0, vdy_dot=0.0, w_dot=0.0)
-
-
-def _chassis_reference(plan: MissionPlan) -> list:
-    """Per-sample reference; sample i holds the values active on [t_i, t_i+1)."""
-    refs = []
+def _chassis_reference(plan: MissionPlan) -> np.ndarray:
+    """ChassisRefSample fields per sample, row i active on [t_i, t_i+1); a
+    held phase repeats the pose at its clock with every rate zeroed."""
+    table = np.empty((plan.n_steps + 1, len(ChassisRefSample._fields)))
     for p in plan.phases:
         if p.origin is None:
-            refs += [_frozen(plan.circuit.sample(p.clock))] * (p.end - p.start)
+            table[p.start:p.end] = plan.circuit.sample_rows([p.clock])[0]
+            table[p.start:p.end, 3:] = 0.0  # v, w, vdx, vdy and their rates
         else:
-            refs += [plan.circuit.sample(p.clock + (i - p.origin) * plan.dt)
-                     for i in range(p.start, p.end)]
-    return refs
+            table[p.start:p.end] = plan.circuit.sample_rows(
+                p.clock + (np.arange(p.start, p.end) - p.origin) * plan.dt)
+    return table
 
 
 def _labels_and_events(plan: MissionPlan):
@@ -172,19 +169,19 @@ def _labels_and_events(plan: MissionPlan):
     return labels, events
 
 
-def _solve_ik(plan: MissionPlan, target, where: str, *where_args):
-    """Closed-form IK of one reference target; a failure is re-raised as the
-    same error prefixed with where % where_args."""
+def _solve_ik(plan: MissionPlan, target, where):
+    """Closed-form IK of reference targets; a failure is re-raised as the
+    same error prefixed with where(i), i the failing sample's index."""
     try:
         return inverse_kinematics(target, plan.geometry)
     except (Unreachable, JointLimitViolation) as exc:
-        raise type(exc)("%s: %s" % (where % where_args, exc)) from exc
+        raise type(exc)("%s: %s" % (where(exc.sample), exc)) from exc
 
 
-def _arm_reference(plan: MissionPlan, refs: list):
+def _arm_reference(plan: MissionPlan, refs: np.ndarray):
     """Joint reference over the whole run: tracked IK in sweep and spray
     phases, held joints in the top spray, smooth joint-space blends across
-    the phases between them, a hold after the last."""
+    the phases between them, a hold after the last; refs: the chassis table."""
     dt = plan.dt
     qr = np.zeros((plan.n_steps + 1, 4))
     anchors = []  # (first, last) step of each spray phase, in order
@@ -192,30 +189,29 @@ def _arm_reference(plan: MissionPlan, refs: list):
     for p in plan.phases:
         a, b, spray = p.start, p.end, p.spray
         if isinstance(spray, SweepPath):
-            points = spray.positions_at((np.arange(a, b + 1) - a) * dt).tolist()
-            for off, i in enumerate(range(a, b + 1)):
-                pose = (refs[i].x, refs[i].y, refs[i].heading)
-                target = target_in_base_frame(pose, points[off], spray.pitch)
-                qr[i] = _solve_ik(plan, target, "sweep %d sample %d (t=%.4f s)",
-                                  spray.edge_index, i, i * dt)
+            points = spray.positions_at((np.arange(a, b + 1) - a) * dt)
+            target = target_in_base_frame(refs[a:b + 1, :3].T, points.T,
+                                          spray.pitch)
+            qr[a:b + 1] = _solve_ik(
+                plan, target, lambda k: "sweep %d sample %d (t=%.4f s)" % (
+                    spray.edge_index, a + k, (a + k) * dt))
         elif isinstance(spray, Stage2Slot):
             n_stops += 1
-            pose_ref = plan.circuit.sample(p.clock)
-            pose = (pose_ref.x, pose_ref.y, pose_ref.heading)
+            pose = plan.circuit.sample(p.clock)[:3]
             target = target_in_base_frame(pose, spray.stop.fire.position,
                                           spray.pitch)
-            qr[a:b + 1] = _solve_ik(plan, target, "stage II stop %d (%s)",
-                                    n_stops, spray.stop.fire.ident)
+            qr[a:b + 1] = _solve_ik(
+                plan, target, lambda _: "stage II stop %d (%s)" % (
+                    n_stops, spray.stop.fire.ident))
         elif spray is not None:
             qr[a:b + 1] = spray
         else:
             continue
         anchors.append((a, b))
 
-    for (_, b0), (a1, _) in zip(anchors[:-1], anchors[1:]):
-        for i in range(b0 + 1, a1):  # a smoothstep from qr[b0] to qr[a1]
-            x = (i - b0) / (a1 - b0)
-            qr[i] = qr[b0] + x * x * (3.0 - 2.0 * x) * (qr[a1] - qr[b0])
+    for (_, b0), (a1, _) in zip(anchors[:-1], anchors[1:]):  # smoothstep
+        x = ((np.arange(b0 + 1, a1) - b0) / (a1 - b0))[:, None]
+        qr[b0 + 1:a1] = qr[b0] + x * x * (3.0 - 2.0 * x) * (qr[a1] - qr[b0])
     last_end = anchors[-1][1]
     qr[last_end + 1:] = qr[last_end]
 

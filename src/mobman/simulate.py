@@ -43,7 +43,7 @@ CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
 CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
 _NUMERIC_CELLS = [0, *range(2, len(CSV_COLUMNS) - 1)]  # time, CSV_NUMERIC
 _STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
-_BLOCK_ROWS = 2048  # rows per CSV block; a log is never held as text whole
+_BLOCK_ROWS = 2048  # rows per block of CSV text or of reference floats
 
 
 class SimLog:
@@ -196,43 +196,46 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     rows = np.zeros((n + 1, len(_STEP_COLUMNS)), order="F")
     time = np.arange(n + 1) * dt
 
-    # The step runs on plain floats: z, q and qd are lists, and each
-    # reference row is converted as it is used (converting whole arrays up
-    # front would hold every row as Python floats at once).
+    # The step runs on plain floats: z, q and qd are lists, and the
+    # reference tables are read as float rows a block at a time (converting
+    # them whole up front would hold every row as Python floats at once).
+    ref_rows = map(ChassisRefSample._make, _float_rows(refs))
+    dist_rows = _float_rows(dist)
+    ref = next(ref_rows)
     off = config.initial_pose_offset
-    z = np.array([refs[0].x + off[0], refs[0].y + off[1],
-                  refs[0].heading + off[2] * math.pi / 180.0,
-                  refs[0].v, refs[0].w]).tolist()
+    z = np.array([ref.x + off[0], ref.y + off[1],
+                  ref.heading + off[2] * math.pi / 180.0,
+                  ref.v, ref.w]).tolist()
     q = qr[0].tolist()
     qd = qdr[0].tolist()
 
-    for i in range(n + 1):
-        ref = refs[i]
+    for i, ref_q, ref_qd, ref_qdd in zip(range(n + 1), _float_rows(qr),
+                                         _float_rows(qdr), _float_rows(qddr)):
         err, s, u = chassis_tick(ref, z, gains)
         # The model at (q, qd), shared by the arm law and the arm step.
         terms = model._kernel(q, qd)
-        tau = arm_control_law(q, qd, qr[i].tolist(), qdr[i].tolist(),
-                              qddr[i].tolist(), config.arm_control, terms)
+        tau = arm_control_law(q, qd, ref_q, ref_qd, ref_qdd,
+                              config.arm_control, terms)
         rows[i] = (*z, *err, *s, *u, *q, *qd, *tau)
         if i == n:
             break
-        z = plant_step(z, ref, refs[i + 1], u, dist[i].tolist(), dt,
+        ref_next = next(ref_rows)
+        z = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
                        integrator=config.integrator)
         q, qd = _arm_step(model, terms, q, qd, tau, dt, config.integrator)
         if not all(map(math.isfinite, z + q + qd)):
             raise SolveFailure("step %d (t=%.4f s): non-finite chassis or arm "
                                "state" % (i + 1, (i + 1) * dt))
+        ref = ref_next
 
     # Derived columns: tool and target positions by FK at the logged and the
-    # reference chassis pose and joints (adjacent columns of rows), wheel
-    # speeds from (v, w).  Freeing the loop's rate references and disturbance
-    # first keeps the pass's temporaries within the run's earlier peak RSS.
-    del qdr, qddr, dist
+    # reference chassis pose and joints (adjacent columns), wheel speeds from
+    # (v, w).  Freeing the loop's rate references and disturbance first
+    # keeps the pass's temporaries within the run's earlier peak RSS.
+    del qdr, qddr, dist, dist_rows, ref_rows
     values = dict(zip(_STEP_COLUMNS, rows.T))
-    ref_pose = np.fromiter(((r.x, r.y, r.heading) for r in refs),
-                           dtype=(float, 3), count=n + 1)
     for name, joints, (x, y, heading) in (
-            ("ee", rows[:, 12:16], rows[:, :3].T), ("tgt", qr, ref_pose.T)):
+            ("ee", rows[:, 12:16], rows[:, :3].T), ("tgt", qr, refs[:, :3].T)):
         tool = forward_kinematics(joints, plan.geometry)
         c, sn = np.cos(heading), np.sin(heading)
         values[name + "X"] = x + (tool.x * c - tool.y * sn) * 1e-3
@@ -260,6 +263,12 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
                  [";".join(e) for e in event_lists])
     report = metrics_mod.compute_metrics(log)
     return MissionResult(log=log, report=report, plan=plan)
+
+
+def _float_rows(table: np.ndarray):
+    """A 2-D table's rows as float lists, converted _BLOCK_ROWS at a time."""
+    for a in range(0, len(table), _BLOCK_ROWS):
+        yield from table[a:a + _BLOCK_ROWS].tolist()
 
 
 def _arm_step(model: ArmDynamics, terms, q: list, qd: list, tau, dt,

@@ -3,14 +3,18 @@
 random_joint_angles draws in-range arm states.  kinetic_energy and
 potential_energy rebuild an ArmDynamics model's energies body by body from
 its constants, a route that shares no code with the model's kernel, so the
-energy tests catch a wrong kernel term.
+energy tests catch a wrong kernel term.  circuit_sample and
+scalar_inverse_kinematics are the one-sample-at-a-time `math` versions of
+the circuit sampler and the IK, which the engine runs on whole arrays.
 """
 import math
 
 import numpy as np
 
+from mobman.chassis_control import ChassisRefSample
+from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
-                               JOINT_LIMITS_LOW)
+                               JOINT_LIMITS_LOW, check_joint_limits)
 
 
 def random_joint_angles(rng, n: int | None = None):
@@ -80,3 +84,62 @@ def potential_energy(model, q) -> float:
     z1 = 0.5 * model.d1
     return float(model.g * (model.m1 * z1 + model.m2 * z2 + model.m3 * z3
                             + model.m4 * z4 + model.mp * zp))
+
+
+def circuit_sample(circuit, t: float) -> ChassisRefSample:
+    """Reference state at lap clock t: a linear scan for the segment, then
+    scalar math."""
+    tm = math.fmod(t, circuit.lap_time)
+    if tm < 0.0:
+        tm += circuit.lap_time
+    for seg in circuit.segments:
+        if tm < seg.t0 + seg.duration - 1e-12:
+            break
+    tau = tm - seg.t0  # past every end: the last segment
+    if seg.kind == "straight":
+        x0, y0, h = seg.data
+        d = seg.speed * tau
+        return ChassisRefSample(
+            x=x0 + d * math.cos(h), y=y0 + d * math.sin(h), heading=h,
+            v=seg.speed, w=0.0,
+            vdx=seg.speed * math.cos(h), vdy=seg.speed * math.sin(h))
+    ccx, ccy, h0 = seg.data
+    h = h0 + seg.yaw_rate * tau
+    r = circuit.spec.corner_radius
+    return ChassisRefSample(
+        x=ccx + r * math.sin(h), y=ccy - r * math.cos(h), heading=h,
+        v=seg.speed, w=seg.yaw_rate,
+        vdx=seg.speed * math.cos(h), vdy=seg.speed * math.sin(h),
+        vdx_dot=-seg.speed * seg.yaw_rate * math.sin(h),
+        vdy_dot=seg.speed * seg.yaw_rate * math.cos(h))
+
+
+def scalar_inverse_kinematics(pose, geometry) -> list:
+    """Closed-form joints of one tool pose by scalar math, raising what
+    inverse_kinematics raises for it."""
+    if not all(map(math.isfinite, pose)):
+        raise Unreachable("non-finite target (%g, %g, %g) mm, pitch %g rad"
+                          % tuple(pose))
+    a1, a2, a3, a4, a5 = geometry.a
+    y5p = geometry.y5p
+    theta1 = math.atan2(pose.y, pose.x)
+    theta4 = -pose.phi
+    dr3 = math.hypot(pose.x, pose.y) - a1
+    dz3 = pose.z - geometry.d1
+    s4, c4 = math.sin(theta4), math.cos(theta4)
+    dr2 = dr3 + y5p * s4 - a4 - a5 * c4
+    dz2 = dz3 - a5 * s4 - y5p * c4
+    rr = dr2 * dr2 + dz2 * dz2
+    rho = math.sqrt(rr)
+    if rho < 1e-12:
+        raise Unreachable("wrist target coincides with the shoulder axis")
+    beta = math.atan2(dz2, dr2)
+    cos_b2 = (rr + a2 * a2 - a3 * a3) / (2.0 * a2 * rho)
+    cos_b3 = (rr + a3 * a3 - a2 * a2) / (2.0 * a3 * rho)
+    if abs(cos_b2) > 1.0 + 1e-12 or abs(cos_b3) > 1.0 + 1e-12:
+        raise Unreachable(
+            "planar target %.1f mm outside the two-link annulus" % rho)
+    q = [theta1, math.acos(min(1.0, max(-1.0, cos_b2))) + beta,
+         -math.acos(min(1.0, max(-1.0, cos_b3))) + beta, theta4]
+    check_joint_limits(q)
+    return q

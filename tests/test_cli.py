@@ -68,9 +68,12 @@ def test_ik_unreachable_exits_one(capsys):
 
 
 def test_nan_points_are_rejected(capsys):
-    code, out, err = run_cli(capsys, "ik", "nan", "0", "0")
-    assert code == 1 and out == ""
-    assert err == "error: theta1 = nan deg outside [-180.00, 180.00] deg\n"
+    for args, shown in ((("nan", "0", "0"), "(nan, 0, 0)"),
+                        (("inf", "0", "0"), "(inf, 0, 0)"),
+                        (("0", "0", "nan"), "(0, 0, nan)")):
+        code, out, err = run_cli(capsys, "ik", *args)
+        assert code == 1 and out == ""
+        assert err == "error: non-finite target %s mm, pitch 0 rad\n" % shown
     code, out, _ = run_cli(capsys, "workspace", "--check", "nan,0,0",
                            "--json")
     assert code == 0

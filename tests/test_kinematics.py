@@ -10,7 +10,7 @@ from mobman.kinematics import (STOCK_ARM, ArmGeometry, EndEffectorPose,
                                check_joint_limits, forward_kinematics,
                                interior_angle, inverse_kinematics,
                                point_reachable, workspace_analysis)
-from oracles import random_joint_angles
+from oracles import random_joint_angles, scalar_inverse_kinematics
 
 DEG = math.pi / 180.0
 
@@ -105,6 +105,75 @@ def test_inverse_kinematics_branch_keeps_boom_above_forearm(rng):
     for q in random_joint_angles(rng, 100):
         sol = inverse_kinematics(forward_kinematics(q))
         assert sol[1] > sol[2]
+
+
+def _solve_or_fail(solve, *args):
+    """solve's joints as bit patterns, or the class and text it raises."""
+    try:
+        return np.asarray(solve(*args), dtype=float).view(np.int64).tolist()
+    except (Unreachable, JointLimitViolation) as exc:
+        return type(exc), str(exc)
+
+
+def test_batch_inverse_kinematics_matches_scalar_oracle(rng, offset_arm):
+    """On random reachable poses with failures mixed in (beyond reach, in
+    the inner hole, out of range, non-finite, and so large that the
+    triangle's terms overflow), a batch and scalar calls agree bit for bit
+    with the scalar math IK of tests/oracles.py: the batch returns the
+    oracle's rows, or raises the oracle's error for its first failing pose
+    and names that pose.  Thousands of poses, since numpy's hypot and atan2
+    miss math's last bit on well under 1% of inputs."""
+    n = 3000
+    for geometry in (STOCK_ARM, offset_arm):
+        poses = np.column_stack(forward_kinematics(
+            random_joint_angles(rng, n), geometry))
+        wild = rng.choice(n, 300, replace=False)
+        poses[wild] = np.column_stack([rng.uniform(-4000.0, 4000.0, (300, 3)),
+                                       rng.uniform(-1.0, 2.5, 300)])
+        poses[wild[:6], rng.integers(0, 4, 6)] = [math.inf, -math.inf,
+                                                  math.nan] * 2
+        poses[wild[6:10], rng.integers(0, 3, 4)] = [1e200, -1e200] * 2
+        rows = [EndEffectorPose(*pose) for pose in poses.tolist()]
+        want = [_solve_or_fail(scalar_inverse_kinematics, pose, geometry)
+                for pose in rows]
+        some = list(range(0, n, 10)) + list(wild[:10])
+        assert [_solve_or_fail(inverse_kinematics, rows[i], geometry)
+                for i in some] == [want[i] for i in some]
+        failing = [i for i, w in enumerate(want) if isinstance(w, tuple)]
+        assert {want[i][0] for i in failing} == {Unreachable,
+                                                 JointLimitViolation}
+        assert {i for i in failing if "non-finite" in want[i][1]} == set(
+            wild[:6])
+        for j, i in enumerate(failing):
+            if j >= 20 and i not in wild[:10]:
+                continue
+            start = failing[j - 1] + 1 if j else 0  # i fails first from here
+            with pytest.raises((Unreachable, JointLimitViolation)) as err:
+                inverse_kinematics(EndEffectorPose(*poses[start:].T), geometry)
+            assert (type(err.value), str(err.value)) == want[i]
+            assert err.value.sample == i - start
+        ok = [i for i in range(n) if i not in set(failing)]
+        got = inverse_kinematics(EndEffectorPose(*poses[ok].T), geometry)
+        assert got.shape == (len(ok), 4)
+        assert got.view(np.int64).tolist() == [want[i] for i in ok]
+
+
+def test_non_finite_target_is_unreachable():
+    """A non-finite coordinate or pitch is reported as such, alone or as
+    sample 2 of a batch, not as a joint out of range."""
+    good = list(forward_kinematics([0.1, 1.0, -0.3, -0.2]))
+    for bad, shown in (((math.inf, 0.0, 0.0, 0.0), "(inf, 0, 0) mm, pitch 0"),
+                       ((0.0, 0.0, math.nan, 0.0), "(0, 0, nan) mm, pitch 0"),
+                       ((1e3, 0.0, 500.0, -math.inf),
+                        "(1000, 0, 500) mm, pitch -inf")):
+        message = "non-finite target %s rad" % shown
+        with pytest.raises(Unreachable) as err:
+            inverse_kinematics(EndEffectorPose(*bad))
+        assert str(err.value) == message and err.value.sample == 0
+        batch = np.array([good, good, bad, (math.nan,) * 4])
+        with pytest.raises(Unreachable) as err:
+            inverse_kinematics(EndEffectorPose(*batch.T))
+        assert str(err.value) == message and err.value.sample == 2
 
 
 def test_inverse_kinematics_unreachable_far():

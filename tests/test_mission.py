@@ -9,6 +9,7 @@ from mobman.config import (CircuitConfig, FireConfig, FireTestConfig,
 from mobman.errors import (GeometryError, IllegalTransition, InfeasibleSweep)
 from mobman.mission import (Circuit, MissionState, assign_fires, build_sweep,
                             dispatch, mission_step)
+from oracles import circuit_sample
 
 DEG = math.pi / 180.0
 DT = 1e-3
@@ -84,6 +85,34 @@ def test_sample_is_continuous_and_periodic(circuit):
     a = circuit.sample(1.234)
     b = circuit.sample(1.234 + circuit.lap_time)
     assert (a.x, a.y, a.heading) == pytest.approx((b.x, b.y, b.heading))
+
+
+@pytest.mark.parametrize("dt", [DT, 0.05])
+def test_sample_rows_match_scalar_oracle(dt):
+    """The vectorised sampler equals the scalar scan-and-math sampler of
+    tests/oracles.py bit for bit, on a dense grid over five laps from -2
+    laps, at every segment end +-1e-12 s (also a lap before and after), and
+    at the float neighbours of each end less 1e-12 s, the segment-choice
+    cut.  Circuit.sample is the same row as plain floats."""
+    circuit = Circuit(CircuitConfig(), dt=dt)
+    lap = circuit.lap_time
+    ends = np.array([s.t0 + s.duration for s in circuit.segments])
+    cuts = ends - 1e-12
+    t = np.concatenate([
+        np.arange(-2.0 * lap, 3.0 * lap, 3.1e-3),
+        (ends[:, None] + np.array([-1e-12, 0.0, 1e-12])).ravel(),
+        (ends[:, None] + np.array([-lap, lap])
+         + np.array([-1e-12, 1e-12])[:, None, None]).ravel(),
+        (cuts[:, None] + np.spacing(cuts)[:, None] * np.arange(-2, 3)).ravel(),
+        [0.0, -0.0, -1e-15, lap, -lap, 7.0 * lap + 1.234]])
+    want = np.array([circuit_sample(circuit, x) for x in t.tolist()])
+    got = circuit.sample_rows(t)
+    assert got.shape == (len(t), 10)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for x, row in zip(t[::997].tolist(), want[::997].tolist()):
+        sample = circuit.sample(x)
+        assert list(sample) == row
+        assert all(type(v) is float for v in sample)
 
 
 def test_sample_speed_profile(circuit):

@@ -1,4 +1,5 @@
 """Mission simulation harness: planning grid, logging, metrics, export."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,8 +15,9 @@ from mobman.chassis_control import (ChassisGains, ChassisRefSample,
                                     chassis_tick, plant_step, wheel_speeds)
 from mobman.config import ScenarioConfig, build_chassis_gains, parse_config
 from mobman.dynamics import ArmDynamics
-from mobman.errors import (DisturbanceBoundViolation, EmptyLog, ParseError,
-                           SolveFailure, Unreachable)
+from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
+                           JointLimitViolation, ParseError, SolveFailure,
+                           Unreachable)
 from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
 from mobman.mission import Circuit, SweepPath
@@ -102,7 +104,7 @@ def test_phase_timeline(spec):
         pose = plan.circuit.sample(p.clock)
         still = pose._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0, vdx_dot=0.0,
                               vdy_dot=0.0, w_dot=0.0)
-        assert refs[p.start:p.end] == [still] * (p.end - p.start)
+        assert (refs[p.start:p.end] == still).all()
         assert (qr[p.start:p.end + 1] == qr[p.start]).all()
         if isinstance(p.spray, Stage2Slot):  # aimed at its fire, steps or not
             local = target_in_base_frame((pose.x, pose.y, pose.heading),
@@ -144,12 +146,12 @@ def test_phase_timeline(spec):
 
 STOCK_LOG_DIGEST = ("dd78a0158edbb8ac13954df12f5c5adeb2e51d157857ffe62e6ef721"
                     "a05a8867")
+EULER_NOISE_LOG_DIGEST = ("16964e1cd981a12ae385a6a13ea8eb7a650e860de54dfe3d4a4"
+                          "d07241f8e81b1")
 
 
-def test_stock_log_digest(default_mission):
-    """The stock run's log, hashed as perfbench/run.py's log_digest does.  A
-    change that moves what the simulated robot does updates this value."""
-    log = default_mission[0].log
+def _log_digest(log) -> str:
+    """sha256 of a log, hashed as perfbench/run.py's log_digest does."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(log.time, dtype="<f8").tobytes())
     for name in sorted(log.values):
@@ -158,7 +160,24 @@ def test_stock_log_digest(default_mission):
     h.update("\n".join(log.state).encode())
     h.update(b"\0")
     h.update("\n".join(log.event).encode())
-    assert h.hexdigest() == STOCK_LOG_DIGEST
+    return h.hexdigest()
+
+
+def test_stock_log_digest(default_mission):
+    """The stock run's log digest.  A change that moves what the simulated
+    robot does updates this value."""
+    assert _log_digest(default_mission[0].log) == STOCK_LOG_DIGEST
+
+
+def test_euler_noise_log_digest():
+    """The log digest of perfbench's euler_noise_mission at seed 1: Euler
+    steps under seeded noise at the bound, the disturbance path the stock
+    run leaves idle."""
+    log = run_mission(parse_config({
+        "integrator": "euler",
+        "disturbance": {"kind": "noise", "amplitude": [0.1, 0.1],
+                        "seed": 1}})).log
+    assert _log_digest(log) == EULER_NOISE_LOG_DIGEST
 
 
 def test_log_shape_and_grid(default_mission):
@@ -497,6 +516,25 @@ def test_unreachable_sweep_sample_is_named():
     assert str(err.value).startswith("sweep 1 sample 0 (t=0.0000 s): ")
 
 
+def test_unreachable_mid_sweep_sample_is_named():
+    """A raster that leaves the workspace partway through a sweep names the
+    first sample out of range, counted from the run's start: in sweep 1 of
+    the run, and in sweep 3 once the two sweeps before it are dropped."""
+    config = parse_config({"sweep": {"base_height": 1.4}})
+    with pytest.raises(JointLimitViolation) as err:
+        run_mission(config)
+    assert str(err.value) == ("sweep 1 sample 593 (t=0.5930 s): theta3 = "
+                              "15.501120 deg outside [-120.00, 15.50] deg")
+    plan = plan_mission(config)
+    plan.phases = [dataclasses.replace(p, spray=None)
+                   if isinstance(p.spray, SweepPath)
+                   and p.spray.edge_index < 3 else p for p in plan.phases]
+    with pytest.raises(JointLimitViolation) as err:
+        _arm_reference(plan, _chassis_reference(plan))
+    assert str(err.value) == ("sweep 3 sample 8291 (t=8.2910 s): theta3 = "
+                              "15.501120 deg outside [-120.00, 15.50] deg")
+
+
 def test_arm_reference_solves_sweep_targets():
     """In every sweep window the joint reference puts the tool on the sweep
     point seen from the reference chassis pose, and the reference rates are
@@ -511,7 +549,7 @@ def test_arm_reference_solves_sweep_targets():
         steps = np.arange(a, b + 1, 97)
         points = sweep.positions_at((steps - a) * plan.dt)
         for i, point in zip(steps, points):
-            pose = (refs[i].x, refs[i].y, refs[i].heading)
+            pose = refs[i, :3].tolist()
             local = target_in_base_frame(pose, point, sweep.pitch)
             tool = forward_kinematics(qr[i], plan.geometry)
             np.testing.assert_allclose([tool.x, tool.y, tool.z],
@@ -644,11 +682,14 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
     """One chassis tick, arm law, plant step and arm step (both integrators)
     on float inputs, with the gains run_mission builds from a scenario, build
     no numpy array and return plain floats, so per-stage arrays and numpy
-    scalars cannot creep back into the loop.  The records the loop and the
-    reference build read (tracking error, tool targets and reference
-    samples) hold plain floats in every field.  FK runs on whole columns
-    after the loop, so it is called outside the no-array block; its fields
-    are floats (numpy's float64 for one joint vector)."""
+    scalars cannot creep back into the loop.  The records the loop reads
+    hold plain floats in every field: the tracking error, and the reference
+    rows run_mission's block reader yields (across a block edge) with the
+    ChassisRefSamples made from them.  FK, the circuit sampler and the
+    base-frame transform run on whole arrays before or after the loop, so
+    they are called outside the no-array block; Circuit.sample gives plain
+    floats, and FK and the transform floats (numpy's float64 for one
+    sample)."""
     model = ArmDynamics()
     arm_gains = ScenarioConfig().arm_control
     gains = build_chassis_gains(ScenarioConfig())
@@ -663,6 +704,10 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         raise AssertionError("numpy array built on the control step")
 
     pose = forward_kinematics(q)
+    samples = [circuit.sample(t) for t in (0.0, 2.0, 11.0)]
+    target = target_in_base_frame(z[:3], [1.5, 0.2, 0.9], 0.5)
+    table = _chassis_reference(plan_mission(ScenarioConfig()))
+    assert len(table) > simulate._BLOCK_ROWS
     with monkeypatch.context() as patch:
         for name in ("array", "asarray", "concatenate"):
             patch.setattr(np, name, no_arrays)
@@ -673,17 +718,19 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3)
         steps = [_arm_step(model, terms, q, qd, tau, 1e-3, method)
                  for method in ("rk4", "euler")]
-        samples = [circuit.sample(t) for t in (0.0, 2.0, 11.0)]
-        target = target_in_base_frame(z[:3], [1.5, 0.2, 0.9], 0.5)
+        rows = list(simulate._float_rows(table))
+        refs = list(map(ChassisRefSample._make, rows))
     values = list(s) + list(u) + tau + z1 + list(err)
-    values += list(target)
     for q1, qd1 in steps:
         values += q1 + qd1
     for sample in samples:
         values += list(sample)
-    assert len(values) == 2 + 2 + 4 + 5 + 3 + 4 + 2 * 8 + 3 * 10
+    assert len(values) == 2 + 2 + 4 + 5 + 3 + 2 * 8 + 3 * 10
     assert all(type(v) is float for v in values)
-    assert all(isinstance(v, float) for v in pose)
+    assert rows == table.tolist() and refs[-1] == tuple(rows[-1])
+    assert all(type(v) is float for row in rows for v in row)
+    assert all(type(v) is float for ref in refs for v in ref)
+    assert all(isinstance(v, float) for v in list(pose) + list(target))
 
 
 @pytest.fixture(scope="module")
@@ -749,6 +796,7 @@ def test_derived_columns_match_per_row_oracle(coarse_run):
     log, plan = result.log, result.plan
     refs = _chassis_reference(plan)
     qr = _arm_reference(plan, refs)[0].tolist()
+    ref_pose = refs[:, :3].tolist()
     track = build_chassis_gains(config).track_width
     col = {k: log.values[k].tolist() for k in CSV_NUMERIC}
     names = ("eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ", "vL", "vR")
@@ -757,8 +805,8 @@ def test_derived_columns_match_per_row_oracle(coarse_run):
         q = [col[k][i] for k in ("q1", "q2", "q3", "q4")]
         row = _scalar_world(_scalar_tool(q, plan.geometry), col["X"][i],
                             col["Y"][i], col["phi"][i])
-        row += _scalar_world(_scalar_tool(qr[i], plan.geometry), refs[i].x,
-                             refs[i].y, refs[i].heading)
+        row += _scalar_world(_scalar_tool(qr[i], plan.geometry),
+                             *ref_pose[i])
         row += wheel_speeds(col["v"][i], col["w"][i], track)
         for k, value in zip(names, row):
             want[k].append(value)
