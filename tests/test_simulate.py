@@ -71,23 +71,33 @@ def test_plan_lands_events_on_grid():
         assert p.end - p.start == int(round(p.spray.dwell / dt))
 
 
+STAGE_I = ["Home", "StageI.1.sweep", "StageI.1.transit", "StageI.2.sweep",
+           "StageI.2.transit", "StageI.3.sweep", "StageI.3.transit",
+           "StageI.4.sweep", "StageI.4.transit"]
+TWO_STOPS = ["StageII.1.drive", "StageII.1.spray",
+             "StageII.2.drive", "StageII.2.spray"]
+# Each case's scenario and the phase labels after Stage I, End excluded.
 SCHEDULE_CASES = {
-    "top_spray": {"top_spray": {"duration": 1.0}},
-    "no_fires": {"fires": []},
-    "no_stage2_budget": {"fire_test": {"stage2_budget": 0.0}},
-    "unreachable_fire": {"fires": [{"position": [0.30, 0.20, 0.30]},
-                                   {"position": [0.0, 0.0, 5.0]}]},
+    "stock": ({}, TWO_STOPS),
+    "top_spray": ({"top_spray": {"duration": 1.0}}, ["TopSpray"] + TWO_STOPS),
+    "no_fires": ({"fires": []}, []),
+    "no_stage2_budget": ({"fire_test": {"stage2_budget": 0.0}}, TWO_STOPS),
+    "unreachable_fire": ({"fires": [{"position": [0.30, 0.20, 0.30]},
+                                    {"position": [0.0, 0.0, 5.0]}]},
+                         TWO_STOPS[:2]),
 }
 
 
-@pytest.mark.parametrize("spec", SCHEDULE_CASES.values(), ids=SCHEDULE_CASES)
-def test_phase_timeline(spec):
-    """Without running the loop: the phases tile the steps in order, each
-    top spray and dwell parks the chassis and holds the joints, and the
-    markers compute_metrics reads fire in order, also when a dwell has no
-    steps."""
+@pytest.mark.parametrize("spec, tail", SCHEDULE_CASES.values(),
+                         ids=SCHEDULE_CASES)
+def test_phase_timeline(spec, tail):
+    """Without running the loop: the phases run in the mission order and
+    tile the steps, each top spray and dwell parks the chassis and holds
+    the joints, and the markers compute_metrics reads fire in order, also
+    when a dwell has no steps."""
     plan = plan_mission(parse_config(spec))
     dt, n, phases = plan.dt, plan.n_steps, plan.phases
+    assert [p.label for p in phases] == STAGE_I + tail + ["End"]
     assert phases[0].start == 0 and phases[-2].end == n
     assert all(p.end == q.start for p, q in zip(phases, phases[1:]))
     assert all(p.start <= p.end for p in phases)
