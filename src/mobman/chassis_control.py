@@ -11,7 +11,6 @@ Units: metres, seconds, radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DisturbanceBoundViolation
@@ -24,26 +23,6 @@ class ChassisError(NamedTuple):
     e1: float
     e2: float
     e3: float
-
-
-@dataclass(frozen=True)
-class ChassisGains:
-    """Surface slopes (k1..k3), reaching gains (q1, q2), switching gains
-    (p1, p2), the lever offset l, and the disturbance bounds the switching
-    gains must dominate.  boundary_layer > 0 replaces the switching sign with
-    a saturation of that width."""
-
-    k1: float = 4.0
-    k2: float = 100.0
-    k3: float = 18.0
-    q1: float = 15.0
-    q2: float = 15.0
-    p1: float = 0.2
-    p2: float = 0.2
-    offset_l: float = 0.3
-    f_bounds: tuple = (0.1, 0.1)
-    boundary_layer: float = 0.0
-    track_width: float = 0.8
 
 
 class ChassisRefSample(NamedTuple):
@@ -82,48 +61,56 @@ def error_rates(err: ChassisError, v: float, w: float,
     return e1d, e2d, e3d
 
 
-def sliding_surface(err: ChassisError, err_rates, gains: ChassisGains) -> tuple:
+def sliding_surface(err: ChassisError, err_rates, gains) -> tuple:
     """Two coupled surfaces: the first mixes the forward channel with the
-    magnitude of the lateral one, the second sums heading and lateral."""
+    magnitude of the lateral one, the second sums heading and lateral.
+    gains is the scenario's ChassisControlConfig section."""
     e1d, e2d, e3d = err_rates
-    s1 = e1d + gains.k1 * err.e1 + sign(err.e1) * abs(e2d + gains.k2 * err.e2)
-    s2 = e3d + gains.k3 * err.e3 + e2d + gains.k2 * err.e2
+    k1, k2, k3 = gains.surface_gains
+    s1 = e1d + k1 * err.e1 + sign(err.e1) * abs(e2d + k2 * err.e2)
+    s2 = e3d + k3 * err.e3 + e2d + k2 * err.e2
     return s1, s2
 
 
 def control_law(err: ChassisError, err_rates, s, ref: ChassisRefSample,
-                heading: float, yaw_rate: float,
-                gains: ChassisGains) -> tuple:
+                heading: float, yaw_rate: float, gains) -> tuple:
     """Reduced-plant acceleration command (u1, u2) for the surfaces s.
 
     Symbol conventions: the coupling block uses the reference linear speed and
     the actual yaw rate; the actual yaw acceleration is estimated from the
     reduced plant with the yaw command computed first (the disturbance is not
-    available to the controller).  The switching sign is replaced by a
-    saturation when the boundary layer is positive.
+    available to the controller).  gains is the scenario's
+    ChassisControlConfig section: the surface slopes k1..k3, the reaching
+    gains q1, q2, the switching gains p1, p2, the lever offset l, and the
+    boundary_layer width, where a zero width selects the pure switching sign.
     """
     e1d, e2d, e3d = err_rates
     s1, s2 = s
-    u2 = (gains.q2 * s2 + gains.p2 * switch(s2, gains.boundary_layer)
-          + (gains.k3 * e3d + e2d + gains.k2 * e2d)
+    k1, k2, k3 = gains.surface_gains
+    q1, q2 = gains.reaching_gains
+    p1, p2 = gains.switch_gains
+    width = gains.boundary_layer
+    u2 = (q2 * s2 + p2 * switch(s2, width)
+          + (k3 * e3d + e2d + k2 * e2d)
           + (-ref.w_dot))
 
     w_acc = ref.w_dot + u2  # plant-model estimate of the actual yaw acceleration
     coupling = (e2d * yaw_rate + (err.e2 + gains.offset_l) * w_acc
                 - ref.v * e3d * math.sin(err.e3))
-    slope = gains.k1 * e1d + sign(err.e1) * abs(e2d + gains.k2 * e2d)
+    slope = k1 * e1d + sign(err.e1) * abs(e2d + k2 * e2d)
     c, sh = math.cos(heading), math.sin(heading)
     feedforward = (-ref.vdx_dot * c + ref.vdx * yaw_rate * sh
                    - ref.vdy_dot * sh - ref.vdy * yaw_rate * c
                    + ref.w_dot * err.e2 + ref.w * e2d)
-    u1 = (gains.q1 * s1 + gains.p1 * switch(s1, gains.boundary_layer)
+    u1 = (q1 * s1 + p1 * switch(s1, width)
           + coupling + slope + feedforward)
     return u1, u2
 
 
-def chassis_tick(ref: ChassisRefSample, z, gains: ChassisGains):
-    """One controller evaluation at plant state z = (X, Y, heading, v, w);
-    returns the tracking error, the surfaces and the command."""
+def chassis_tick(ref: ChassisRefSample, z, gains):
+    """One controller evaluation at plant state z = (X, Y, heading, v, w),
+    with gains the ChassisControlConfig section; returns the tracking error,
+    the surfaces and the command."""
     x, y, heading, v, w = z
     err = tracking_error(ref, (x, y, wrap_angle(heading)))
     rates = error_rates(err, v, w, ref.v, ref.w)
@@ -166,7 +153,7 @@ def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
     return [x1, y1, wrap_angle(h1), v1, w1]
 
 
-def wheel_speeds(v: float, w: float, track_width: float = 0.8):
+def wheel_speeds(v: float, w: float, track_width: float):
     """Left/right wheel rim speeds of the differential drive."""
     half = 0.5 * track_width
     return v - w * half, v + w * half

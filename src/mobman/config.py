@@ -1,11 +1,11 @@
 """Scenario configuration: YAML in, validated dataclasses out.
 
 Config files use field-friendly units (degrees, millimetres for arm geometry,
-metres for the chassis and planner).  The planner and the arm law read their
-sections directly and convert degrees where they use them; builders turn the
-geometry, inertial and chassis_control sections into the engine's
-ArmGeometry, inertial parameters and chassis gains.  An empty file is a
-valid scenario: every field has the stock default.
+metres for the chassis and planner).  The planner and both control laws
+read their sections directly and convert degrees where they use them;
+builders turn the geometry and inertial sections into the engine's
+ArmGeometry and inertial parameters.  An empty file is a valid scenario:
+every field has the stock default.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .chassis_control import ChassisGains
 from .dynamics import LinkInertialParams, default_inertial_params
 from .errors import ParseError, ValidationError
 from .kinematics import ArmGeometry
@@ -30,10 +29,14 @@ from .kinematics import ArmGeometry
 
 
 def _number(x) -> bool:
-    """An int or a finite float; NaN and infinities would reach the log."""
-    if isinstance(x, bool):
+    """An int or float that converts to a finite float: NaN and infinities
+    would reach the log, and an int past the float range cannot convert."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
-    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _finite(bound: str = ""):
@@ -375,19 +378,6 @@ def build_inertial(config: ScenarioConfig,
     if problems:
         raise ValidationError(problems)
     return params
-
-
-def build_chassis_gains(config: ScenarioConfig) -> ChassisGains:
-    c = config.chassis_control
-    return ChassisGains(
-        k1=float(c.surface_gains[0]), k2=float(c.surface_gains[1]),
-        k3=float(c.surface_gains[2]),
-        q1=float(c.reaching_gains[0]), q2=float(c.reaching_gains[1]),
-        p1=float(c.switch_gains[0]), p2=float(c.switch_gains[1]),
-        offset_l=float(c.offset_l),
-        f_bounds=(float(c.f_bounds[0]), float(c.f_bounds[1])),
-        boundary_layer=float(c.boundary_layer),
-        track_width=float(c.track_width))
 
 
 def disturbance_series(config: DisturbanceConfig, times: np.ndarray) -> np.ndarray:

@@ -25,10 +25,6 @@ class InfeasibleSweep(MobmanError):
     """A spray sweep cannot be executed within its edge time or workspace."""
 
 
-class IllegalTransition(MobmanError):
-    """Mission state machine received an event that is not legal in the current state."""
-
-
 class DisturbanceBoundViolation(MobmanError):
     """A disturbance sample exceeded the bound the switching gains were sized for."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chassis_control import ChassisRefSample
-from .errors import GeometryError, IllegalTransition, InfeasibleSweep
+from .errors import GeometryError, InfeasibleSweep
 from .kinematics import PITCH_GRID, STOCK_ARM, ArmGeometry, scan_pitch
 from .arm_control import target_in_base_frame
 from .util import DEG
@@ -373,51 +373,3 @@ def dispatch(stops: list, budget: float, pitch: float,
     dwell = budget / max(len(reachable), 1)
     return [(stop, chosen, dwell) for stop, chosen in reachable], flagged
 
-
-# -- mission state machine ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MissionState:
-    """Mission phase with a leg or stop index and an intra-phase label."""
-
-    phase: str = "home"     # home | stage1 | top_spray | stage2 | end
-    index: int = 0
-    sub: str = ""
-
-    def label(self) -> str:
-        if self.phase == "home":
-            return "Home"
-        if self.phase == "stage1":
-            return "StageI.%d.%s" % (self.index, self.sub)
-        if self.phase == "top_spray":
-            return "TopSpray"
-        if self.phase == "stage2":
-            return "StageII.%d.%s" % (self.index, self.sub)
-        return "End"
-
-
-def mission_step(state: MissionState, event: str,
-                 n_stops: int = 0) -> MissionState:
-    """Advance the mission machine by one event; illegal events raise."""
-    p, i = state.phase, state.index
-    if p == "home" and event == "start":
-        return MissionState("stage1", 1, "sweep")
-    if p == "stage1" and state.sub == "sweep" and event == "sweep_done":
-        return MissionState("stage1", i, "transit")
-    if p == "stage1" and state.sub == "transit" and event == "edge_done":
-        if i < 4:  # the circuit has four legs
-            return MissionState("stage1", i + 1, "sweep")
-        return MissionState("top_spray", 0, "")
-    if p == "top_spray" and event == "top_spray_done":
-        if n_stops > 0:
-            return MissionState("stage2", 1, "drive")
-        return MissionState("end", 0, "")
-    if p == "stage2" and state.sub == "drive" and event == "arrived":
-        return MissionState("stage2", i, "spray")
-    if p == "stage2" and state.sub == "spray" and event == "spray_done":
-        if i < n_stops:
-            return MissionState("stage2", i + 1, "drive")
-        return MissionState("end", 0, "")
-    raise IllegalTransition("event %r is not legal in state %s"
-                            % (event, state.label()))

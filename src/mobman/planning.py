@@ -3,8 +3,8 @@
 Stage I sweeps the four crib faces while the chassis circles the crib, an
 optional top spray holds the arm at the lap's close, and Stage II parks at
 each residual flame and sprays it, all on one discharge clock.  plan_mission
-lays this out once, as phases that tile the log's rows, pumping the mission
-machine as it goes; the reference passes below only loop over the phases.
+lays this out once, in that order, as phases that tile the log's rows; the
+reference passes below only loop over the phases.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from .chassis_control import ChassisRefSample
 from .config import ScenarioConfig, build_geometry
 from .errors import JointLimitViolation, Unreachable
 from .kinematics import inverse_kinematics
-from .mission import (Circuit, MissionState, SweepPath, assign_fires,
-                      build_sweep, dispatch, mission_step)
+from .mission import Circuit, SweepPath, assign_fires, build_sweep, dispatch
 from .util import DEG
 
 
@@ -34,7 +33,7 @@ class Stage2Slot:
 
 @dataclass(frozen=True)
 class Phase:
-    """One state of the mission machine, over the steps [start, end).
+    """One mission phase, over the steps [start, end).
 
     The chassis reference at step i is circuit.sample(clock + (i - origin)
     * dt), or the pose at clock held still when origin is None; a Stage II
@@ -67,7 +66,7 @@ class MissionPlan:
     dt: float
     n_steps: int
     stage2: list          # Stage2Slot per serviced stop
-    phases: list          # Phase per machine state, tiling rows 0..n_steps
+    phases: list          # Phase in mission order, tiling rows 0..n_steps
 
 
 def plan_mission(config: ScenarioConfig) -> MissionPlan:
@@ -84,36 +83,30 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
     k_steps = [int(round(t / dt)) for t in circuit.k_times]
     a_steps = [int(round(t / dt)) for t in circuit.a_times]
     phases = []
-    state = MissionState()
 
-    def visit(event, start, end, clock, origin, marks=(), spray=None):
-        """Lay out the phase the machine is in, then advance it by event."""
-        nonlocal state
-        phases.append(Phase(start, end, state.label(), clock, origin,
-                            tuple(marks), spray))
-        state = mission_step(state, event, n_stops=len(sprays))
+    def visit(label, start, end, clock, origin, marks=(), spray=None):
+        phases.append(Phase(start, end, label, clock, origin, tuple(marks),
+                            spray))
 
     # Stage I runs on one clock, so step i samples the lap at exactly i*dt.
-    visit("start", 0, 0, 0.0, 0, [(0, "start")])
+    visit("Home", 0, 0, 0.0, 0, [(0, "start")])
     for k, sweep in enumerate(sweeps, start=1):
         start = k_steps[k - 1]
         end = start + int(math.ceil(sweep.duration / dt - 1e-9))
-        visit("sweep_done", start, end, 0.0, 0,
+        visit("StageI.%d.sweep" % k, start, end, 0.0, 0,
               [(start, "K%d" % k), (start, "sweep%d_start" % k),
                (end, "sweep%d_end" % k)], sweep)
         # The lap marks follow every sweep marker, also on a shared step.
-        visit("edge_done", end, k_steps[k], 0.0, 0,
+        visit("StageI.%d.transit" % k, end, k_steps[k], 0.0, 0,
               [(k_steps[4], "K5")] + [(step, "A%d" % a) for a, step
                                       in enumerate(a_steps, start=1)]
               if k == 4 else ())
 
     cursor = k_steps[4] + int(round(config.top_spray.duration / dt))
     if cursor > k_steps[4]:
-        visit("top_spray_done", k_steps[4], cursor, circuit.lap_time, None,
+        visit("TopSpray", k_steps[4], cursor, circuit.lap_time, None,
               [(k_steps[4], "top_spray_start"), (cursor, "top_spray_end")],
               np.asarray(config.top_spray.joints_deg, dtype=float) * DEG)
-    else:
-        state = mission_step(state, "top_spray_done", n_stops=len(sprays))
 
     # Stage II drives one more lap from clock 0, halting at each stop.
     stage2 = []
@@ -124,20 +117,17 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
         if tt <= 1e-9:
             tt = circuit.lap_time
         arrive = cursor + int(round(tt / dt)) - clock_steps
-        visit("arrived", cursor, arrive, clock, cursor)
+        visit("StageII.%d.drive" % j, cursor, arrive, clock, cursor)
         clock_steps = int(round(tt / dt))
         clock = clock_steps * dt
         stage2.append(Stage2Slot(stop=stop, pitch=pitch, dwell=dwell))
         cursor = arrive + int(round(dwell / dt))
-        visit("spray_done", arrive, cursor, clock, None,
+        visit("StageII.%d.spray" % j, arrive, cursor, clock, None,
               [(arrive, "stop%d_arrive" % j), (arrive, "spray%d_start" % j),
                (cursor, "spray%d_end" % j)], stage2[-1])
 
-    if state.phase != "end":
-        raise AssertionError("mission machine did not reach End")
-    phases.append(Phase(cursor, cursor + 1, state.label(),
-                        clock if stage2 else circuit.lap_time, None,
-                        ((cursor, "end"),)))
+    visit("End", cursor, cursor + 1, clock if stage2 else circuit.lap_time,
+          None, [(cursor, "end")])
     return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
                        stops=stops, flagged=flagged, fire_test=config.fire_test,
                        top_spray=config.top_spray, dt=dt, n_steps=cursor,

@@ -24,10 +24,9 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .arm_control import control_law as arm_control_law
-from .chassis_control import (ChassisGains, ChassisRefSample, chassis_tick,
+from .chassis_control import (ChassisRefSample, chassis_tick,
                               check_disturbance, plant_step, wheel_speeds)
-from .config import (ScenarioConfig, build_chassis_gains, build_inertial,
-                     disturbance_series)
+from .config import ScenarioConfig, build_inertial, disturbance_series
 from .dynamics import ArmDynamics, accelerations
 from .errors import EmptyLog, ParseError, SolveFailure
 from .kinematics import forward_kinematics
@@ -187,7 +186,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     labels, event_lists = _labels_and_events(plan)
     qr, qdr, qddr = _arm_reference(plan, refs)
 
-    gains = build_chassis_gains(config)
+    gains = config.chassis_control
     dist = disturbance_series(config.disturbance, np.arange(n) * dt)
     check_disturbance(np.abs(dist).max(axis=0, initial=0.0), gains.f_bounds)
 
@@ -288,10 +287,11 @@ def _arm_step(model: ArmDynamics, terms, q: list, qd: list, tau, dt,
     return y1[:4], y1[4:]
 
 
-def run_line_scenario(gains: ChassisGains, duration: float, dt: float,
+def run_line_scenario(gains, duration: float, dt: float,
                       speed: float = 0.88, initial_offset=(0.0, 0.0, 0.0),
                       disturbance: np.ndarray | None = None) -> dict:
-    """Chassis-only tracking of a straight constant-speed reference.
+    """Chassis-only tracking of a straight constant-speed reference under
+    gains, a ChassisControlConfig section.
 
     The vehicle starts at the reference velocity with the given pose offset
     (dx, dy m; dheading rad).  Returns time histories keyed by name,

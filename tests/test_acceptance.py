@@ -10,9 +10,9 @@ import time
 
 import numpy as np
 
-from mobman.chassis_control import ChassisGains
-from mobman.config import (ArmControlConfig, CircuitConfig, DisturbanceConfig,
-                           FireConfig, ScenarioConfig, disturbance_series)
+from mobman.config import (ArmControlConfig, ChassisControlConfig,
+                           CircuitConfig, DisturbanceConfig, FireConfig,
+                           ScenarioConfig, disturbance_series)
 from mobman.dynamics import ArmDynamics, default_inertial_params
 from mobman.errors import JointLimitViolation, Unreachable
 from mobman.kinematics import (forward_kinematics, inverse_kinematics,
@@ -169,7 +169,7 @@ def test_arm_tracking_during_mission(default_mission, capsys):
 
 
 def test_chassis_offset_recovery_and_disturbed_lyapunov(capsys):
-    gains = ChassisGains()
+    gains = ChassisControlConfig()
     offset = (0.1 / math.sqrt(2.0), 0.1 / math.sqrt(2.0), 5.0 * DEG)
     dt = 1e-3
     duration = 2.0

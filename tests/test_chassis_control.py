@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from mobman import simulate
-from mobman.chassis_control import (ChassisError, ChassisGains,
-                                    ChassisRefSample, chassis_tick,
-                                    check_disturbance,
+from mobman.chassis_control import (ChassisError, ChassisRefSample,
+                                    chassis_tick, check_disturbance,
                                     control_law, error_rates, plant_step,
                                     sliding_surface, tracking_error,
                                     wheel_speeds)
-from mobman.config import CircuitConfig
+from mobman.config import ChassisControlConfig, CircuitConfig
 from mobman.errors import DisturbanceBoundViolation
 from mobman.mission import Circuit
 from mobman.simulate import run_line_scenario
@@ -86,24 +85,28 @@ def test_error_rates_formulas():
 
 
 def test_sliding_surface_worked_case():
-    gains = ChassisGains(k1=2.0)
+    gains = ChassisControlConfig(surface_gains=[2.0, 100.0, 18.0])
     s = sliding_surface(ChassisError(0.1, 0.0, 0.0), np.zeros(3), gains)
     np.testing.assert_allclose(s, [0.2, 0.0], atol=1e-15)
 
 
 def test_sliding_surface_lateral_coupling_sign():
-    gains = ChassisGains(k1=2.0, k2=10.0, k3=3.0)
+    gains = ChassisControlConfig(surface_gains=[2.0, 10.0, 3.0])
+    _, k2, k3 = gains.surface_gains
     err = ChassisError(-0.1, 0.05, 0.0)
     rates = np.array([0.0, 0.02, 0.01])
     s = sliding_surface(err, rates, gains)
-    mag = abs(rates[1] + gains.k2 * err.e2)
+    mag = abs(rates[1] + k2 * err.e2)
     assert s[0] == pytest.approx(-0.2 - mag)
-    assert s[1] == pytest.approx(rates[2] + gains.k3 * err.e3
-                                 + rates[1] + gains.k2 * err.e2)
+    assert s[1] == pytest.approx(rates[2] + k3 * err.e3
+                                 + rates[1] + k2 * err.e2)
 
 
 def test_control_law_term_by_term(rng):
-    gains = ChassisGains()
+    gains = ChassisControlConfig()
+    k1, k2, k3 = gains.surface_gains
+    q1, q2 = gains.reaching_gains
+    p1, p2 = gains.switch_gains
     for _ in range(20):
         err = ChassisError(*rng.uniform(-0.2, 0.2, 3))
         rates = rng.uniform(-0.5, 0.5, 3)
@@ -117,13 +120,13 @@ def test_control_law_term_by_term(rng):
 
         e1d, e2d, e3d = rates
         sgn = np.sign
-        u2 = gains.q2 * s[1] + gains.p2 * sgn(s[1]) \
-            + gains.k3 * e3d + e2d + gains.k2 * e2d - ref.w_dot
+        u2 = q2 * s[1] + p2 * sgn(s[1]) \
+            + k3 * e3d + e2d + k2 * e2d - ref.w_dot
         w_acc = ref.w_dot + u2
-        u1 = (gains.q1 * s[0] + gains.p1 * sgn(s[0])
+        u1 = (q1 * s[0] + p1 * sgn(s[0])
               + e2d * yaw_rate + (err.e2 + gains.offset_l) * w_acc
               - ref.v * e3d * math.sin(err.e3)
-              + gains.k1 * e1d + sgn(err.e1) * abs(e2d + gains.k2 * e2d)
+              + k1 * e1d + sgn(err.e1) * abs(e2d + k2 * e2d)
               - ref.vdx_dot * math.cos(heading) + ref.vdx * yaw_rate * math.sin(heading)
               - ref.vdy_dot * math.sin(heading) - ref.vdy * yaw_rate * math.cos(heading)
               + ref.w_dot * err.e2 + ref.w * e2d)
@@ -131,7 +134,7 @@ def test_control_law_term_by_term(rng):
 
 
 def test_control_law_zero_on_reference():
-    gains = ChassisGains()
+    gains = ChassisControlConfig()
     err, s, u = chassis_tick(_ref(), np.array([0.0, 0.0, 0.0, 0.88, 0.0]),
                              gains)
     assert (err.e1, err.e2, err.e3) == (0.0, 0.0, 0.0)
@@ -140,8 +143,8 @@ def test_control_law_zero_on_reference():
 
 
 def test_boundary_layer_softens_switch():
-    hard = ChassisGains(boundary_layer=0.0)
-    soft = ChassisGains(boundary_layer=0.5)
+    hard = ChassisControlConfig(boundary_layer=0.0)
+    soft = ChassisControlConfig(boundary_layer=0.5)
     err = ChassisError(1e-4, 0.0, 0.0)
     rates = np.zeros(3)
     s = sliding_surface(err, rates, hard)
@@ -240,12 +243,12 @@ def test_line_scenario_rejects_out_of_bound_disturbance(monkeypatch):
         series[500, channel] = bad
         with pytest.raises(DisturbanceBoundViolation,
                            match="channel %d" % channel):
-            run_line_scenario(ChassisGains(), duration=1.0, dt=1e-3,
+            run_line_scenario(ChassisControlConfig(), duration=1.0, dt=1e-3,
                               disturbance=series)
         assert steps == []
     # The same run with the sample at the bound goes through every step.
     series[500, 1] = 0.1
-    run_line_scenario(ChassisGains(), duration=1.0, dt=1e-3,
+    run_line_scenario(ChassisControlConfig(), duration=1.0, dt=1e-3,
                       disturbance=series)
     assert steps.count("plant_step") == 1000
 
@@ -253,24 +256,25 @@ def test_line_scenario_rejects_out_of_bound_disturbance(monkeypatch):
 def test_closed_loop_exact_lap_tracking():
     """Started on the reference, the loop holds the lap to micron level
     through every corner entry and exit."""
-    gains = ChassisGains()
+    gains = ChassisControlConfig()
     circuit = Circuit(CircuitConfig(), dt=1e-3)
     dt = 1e-3
     n = int(round(circuit.lap_time / dt))
-    r0 = circuit.sample(0.0)
+    refs = list(map(ChassisRefSample._make,
+                    circuit.sample_rows(np.arange(n + 1) * dt).tolist()))
+    r0 = refs[0]
     z = np.array([r0.x, r0.y, r0.heading, r0.v, r0.w])
     worst = 0.0
     for i in range(n):
-        ref = circuit.sample(i * dt)
-        err, _, u = chassis_tick(ref, z, gains)
+        err, _, u = chassis_tick(refs[i], z, gains)
         worst = max(worst, abs(err.e1), abs(err.e2))
-        z = plant_step(z, ref, circuit.sample((i + 1) * dt), u, np.zeros(2), dt)
+        z = plant_step(z, refs[i], refs[i + 1], u, np.zeros(2), dt)
     assert worst < 1e-4
 
 
 def test_zero_speed_regulation_holds_position():
     """Frozen reference, start on it: the platform must not creep."""
-    gains = ChassisGains()
+    gains = ChassisControlConfig()
     ref = ChassisRefSample(1.0, -2.0, 0.7, 0.0, 0.0)
     z = np.array([1.0, -2.0, 0.7, 0.0, 0.0])
     for _ in range(500):
@@ -282,7 +286,7 @@ def test_zero_speed_regulation_holds_position():
 
 def test_offset_converges_into_band():
     """Pose offset at speed: both surfaces reach and the error decays."""
-    gains = ChassisGains()
+    gains = ChassisControlConfig()
     dt = 1e-3
     z = np.array([0.05, 0.05, 3.0 * DEG, 0.88, 0.0])
     hist = []

@@ -8,7 +8,7 @@ import pytest
 
 from mobman import cli
 from mobman.cli import main
-from mobman.config import load_config
+from mobman.config import load_config, parse_config
 from mobman.metrics import compute_metrics
 from mobman.simulate import SimLog, run_mission
 
@@ -106,19 +106,24 @@ def test_plan_writes_json_and_prints_assignments(tmp_path, capsys):
 
 # Float values spelled with an integer ("{0}" = "") or a float ("{0}" =
 # ".0") literal, on a coarse step so the run stays short.  All but the sweep
-# speed are the defaults.
+# speed and the chassis switch gains, lever, bounds and track are the
+# defaults.
 SPELLED = ("dt: 0.01\n"
            "sweep: {{pitch_deg: 30{0}, speed: 2{0}}}\n"
            "fire_test: {{discharge_time: 15{0}, stage2_budget: 3{0}}}\n"
            "top_spray: {{duration: 0{0}}}\n"
            "arm_control: {{switch_gain: [5{0}, 5{0}, 5{0}, 5{0}]}}\n"
+           "chassis_control: {{surface_gains: [4{0}, 100{0}, 18{0}], "
+           "reaching_gains: [15{0}, 15{0}], switch_gains: [1{0}, 1{0}], "
+           "offset_l: 1{0}, f_bounds: [1{0}, 1{0}], boundary_layer: 0{0}, "
+           "track_width: 1{0}}}\n"
            "circuit: {{center: [0{0}, 0{0}]}}\n")
 
 
 def test_integer_spellings_match_float_spellings(tmp_path, capsys):
-    """The planner and the arm law read the parsed sections as written, so
-    an integer spelling must give the plan JSON, the plan report and the run
-    log byte for byte as the float spelling does."""
+    """The planner and both control laws read the parsed sections as
+    written, so an integer spelling must give the plan JSON, the plan report
+    and the run log byte for byte as the float spelling does."""
     outputs = []
     for name, suffix in (("int", ""), ("float", ".0")):
         scenario = tmp_path / (name + ".yaml")
@@ -166,6 +171,27 @@ def test_metrics_rejects_malformed_log(tmp_path, capsys):
     code, _, err = run_cli(capsys, "metrics", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+def test_metrics_names_bad_metadata(tmp_path, capsys):
+    """A metadata value compute_metrics cannot read as a number is reported
+    by key with exit code 1, not raised as a traceback.  The log has stops,
+    so the dt read of the budget check is reached too."""
+    good = tmp_path / "good.csv"
+    run_mission(parse_config({"dt": 0.01})).log.to_csv(good)
+    lines = good.read_text().splitlines(keepends=True)
+    cases = [(key, "abc", "'abc'") for key in (
+        "dt", "discharge_time", "stage2_budget", "band_e1_mm", "band_e2_mm",
+        "band_e3_deg", "n_stops", "n_flagged")]
+    cases += [("n_stops", "inf", "inf"), ("n_flagged", "nan", "nan")]
+    bad = tmp_path / "bad.csv"
+    for key, value, shown in cases:
+        prefix = "#%s=" % key
+        bad.write_text("".join(prefix + value + "\n" if line.startswith(prefix)
+                               else line for line in lines))
+        code, _, err = run_cli(capsys, "metrics", str(bad))
+        assert (code, err) == (1, "error: metadata %s: expected a number, "
+                                  "got %s\n" % (key, shown))
 
 
 @pytest.mark.parametrize("command", ["metrics", "plan", "simulate"])

@@ -8,10 +8,9 @@ import dataclasses
 
 from mobman import config as config_mod
 from mobman.config import (ChassisControlConfig, DisturbanceConfig,
-                           GeometryConfig, ScenarioConfig, build_chassis_gains,
-                           build_geometry, build_inertial,
-                           disturbance_series, load_config, parse_config,
-                           save_config, validate_config)
+                           GeometryConfig, ScenarioConfig, build_geometry,
+                           build_inertial, disturbance_series, load_config,
+                           parse_config, save_config, validate_config)
 from mobman.dynamics import ArmDynamics
 from mobman.errors import ParseError, ValidationError
 from mobman.kinematics import forward_kinematics
@@ -233,15 +232,6 @@ def test_build_inertial_paths():
                                   "inertial.inertias[0]: must be > 0"]
 
 
-def test_build_chassis_gains_defaults():
-    gains = build_chassis_gains(ScenarioConfig())
-    assert (gains.k1, gains.k2, gains.k3) == (4.0, 100.0, 18.0)
-    assert (gains.q1, gains.q2) == (15.0, 15.0)
-    assert (gains.p1, gains.p2) == (0.2, 0.2)
-    assert gains.f_bounds == (0.1, 0.1)
-    assert gains.boundary_layer == 0.0
-
-
 def test_circuit_and_sweep_read_their_sections():
     config = ScenarioConfig()
     circuit = Circuit(config.circuit, dt=config.dt)
@@ -281,6 +271,8 @@ def test_chassis_config_dataclass_defaults():
     cfg = ChassisControlConfig()
     assert cfg.surface_gains == [4.0, 100.0, 18.0]
     assert cfg.reaching_gains == [15.0, 15.0]
+    assert cfg.switch_gains == [0.2, 0.2] and cfg.f_bounds == [0.1, 0.1]
+    assert (cfg.offset_l, cfg.boundary_layer) == (0.3, 0.0)
     assert cfg.track_width == 0.8
 
 

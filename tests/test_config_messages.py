@@ -49,7 +49,7 @@ VECTORS = {
     "initial_pose_offset": [0.0, 0.0, 0.0],
 }
 
-BAD_NUMBERS = [math.nan, math.inf, -math.inf, 0, -1.5, "x", True]
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 10 ** 400, 0, -1.5, "x", True]
 BAD_WHOLE = [math.nan, 0, "x", True, None, [1.0], {"a": 1}]
 
 
@@ -92,7 +92,8 @@ def _cases() -> dict:
         cases["fires = %r" % (bad,)] = {"fires": bad}
     for entry in ({"ident": ""}, {"ident": 5}, {"ident": None},
                   {"ident": ["A"]}, {"position": [0.0, 0.0]},
-                  {"position": [math.nan, 0.0, 0.0]}, {"position": "x"},
+                  {"position": [math.nan, 0.0, 0.0]},
+                  {"position": [0.0, 10 ** 400, 0.0]}, {"position": "x"},
                   {"position": [0.1, "y", True]}, {"bogus": 1},
                   {"ident": "", "position": [1.0]}):
         cases["fires = [%r]" % entry] = {"fires": [entry]}

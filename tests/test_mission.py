@@ -1,4 +1,4 @@
-"""Mission planning: circuit, face sweeps, stop assignment, state machine."""
+"""Mission planning: circuit, face sweeps, stop assignment."""
 import math
 
 import numpy as np
@@ -6,9 +6,8 @@ import pytest
 
 from mobman.config import (CircuitConfig, FireConfig, FireTestConfig,
                            SweepConfig, TopSprayConfig)
-from mobman.errors import (GeometryError, IllegalTransition, InfeasibleSweep)
-from mobman.mission import (Circuit, MissionState, assign_fires, build_sweep,
-                            dispatch, mission_step)
+from mobman.errors import GeometryError, InfeasibleSweep
+from mobman.mission import Circuit, assign_fires, build_sweep, dispatch
 from oracles import circuit_sample
 
 DEG = math.pi / 180.0
@@ -323,47 +322,6 @@ def test_dispatch_flags_unreachable(circuit):
 def test_dispatch_empty_plan():
     sprays, flagged = dispatch([], budget=3.0, pitch=PITCH)
     assert sprays == [] and flagged == []
-
-
-# -- state machine ---------------------------------------------------------
-
-
-def test_mission_state_machine_full_path():
-    state = MissionState()
-    assert state.label() == "Home"
-    state = mission_step(state, "start", n_stops=2)
-    for leg in range(1, 5):
-        assert state.label() == "StageI.%d.sweep" % leg
-        state = mission_step(state, "sweep_done", n_stops=2)
-        assert state.label() == "StageI.%d.transit" % leg
-        state = mission_step(state, "edge_done", n_stops=2)
-    assert state.label() == "TopSpray"
-    state = mission_step(state, "top_spray_done", n_stops=2)
-    for j in range(1, 3):
-        assert state.label() == "StageII.%d.drive" % j
-        state = mission_step(state, "arrived", n_stops=2)
-        assert state.label() == "StageII.%d.spray" % j
-        state = mission_step(state, "spray_done", n_stops=2)
-    assert state.label() == "End"
-
-
-def test_mission_state_machine_skips_stage2():
-    state = mission_step(MissionState(), "start", n_stops=0)
-    for _ in range(4):
-        state = mission_step(state, "sweep_done", n_stops=0)
-        state = mission_step(state, "edge_done", n_stops=0)
-    state = mission_step(state, "top_spray_done", n_stops=0)
-    assert state.phase == "end"
-
-
-def test_mission_state_machine_rejects_illegal_events():
-    with pytest.raises(IllegalTransition):
-        mission_step(MissionState(), "sweep_done")
-    mid = MissionState("stage1", 2, "sweep")
-    with pytest.raises(IllegalTransition):
-        mission_step(mid, "edge_done")
-    with pytest.raises(IllegalTransition):
-        mission_step(MissionState("end", 0, ""), "start")
 
 
 def test_top_spray_spec_defaults():

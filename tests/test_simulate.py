@@ -11,9 +11,9 @@ import pytest
 from mobman import simulate
 from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
-from mobman.chassis_control import (ChassisGains, ChassisRefSample,
-                                    chassis_tick, plant_step, wheel_speeds)
-from mobman.config import ScenarioConfig, build_chassis_gains, parse_config
+from mobman.chassis_control import (ChassisRefSample, chassis_tick,
+                                    plant_step, wheel_speeds)
+from mobman.config import ChassisControlConfig, ScenarioConfig, parse_config
 from mobman.dynamics import ArmDynamics
 from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
                            JointLimitViolation, ParseError, SolveFailure,
@@ -199,7 +199,7 @@ def test_log_shape_and_grid(default_mission):
                                np.arange(log.n_rows) * plan.dt, atol=1e-12)
     assert set(log.values) == set(CSV_NUMERIC)
     assert len(log.state) == log.n_rows == len(log.event)
-    # Phase labels follow the machine's vocabulary.
+    # The log's state column holds the phase labels.
     assert log.state[0].startswith("StageI.1")
     assert log.state[-1] == "End"
     assert "start" in log.event[0] and "end" in log.event[-1]
@@ -508,7 +508,7 @@ def test_run_line_scenario_on_reference_is_quiet():
     floor: the pure switching term reacts to 1-ulp pose mismatch, which
     bounds the forward error at a few microns and leaves the decoupled
     channels exactly quiet."""
-    out = run_line_scenario(ChassisGains(), duration=0.5, dt=1e-3)
+    out = run_line_scenario(ChassisControlConfig(), duration=0.5, dt=1e-3)
     assert np.abs(out["e1"]).max() < 1e-5
     assert np.abs(out["e2"]).max() == 0.0
     assert np.abs(out["e3"]).max() == 0.0
@@ -690,7 +690,7 @@ def test_one_kernel_per_state(monkeypatch, integrator, per_step):
 
 def test_control_step_runs_on_plain_floats(monkeypatch):
     """One chassis tick, arm law, plant step and arm step (both integrators)
-    on float inputs, with the gains run_mission builds from a scenario, build
+    on float inputs, with the gains section run_mission reads, build
     no numpy array and return plain floats, so per-stage arrays and numpy
     scalars cannot creep back into the loop.  The records the loop reads
     hold plain floats in every field: the tracking error, and the reference
@@ -702,7 +702,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
     sample)."""
     model = ArmDynamics()
     arm_gains = ScenarioConfig().arm_control
-    gains = build_chassis_gains(ScenarioConfig())
+    gains = ScenarioConfig().chassis_control
     circuit = Circuit(ScenarioConfig().circuit, dt=1e-3)
     ref = ChassisRefSample(1.0, 2.0, 0.3, v=0.88, w=0.1, vdx=0.84, vdy=0.26,
                            w_dot=0.01)
@@ -807,7 +807,7 @@ def test_derived_columns_match_per_row_oracle(coarse_run):
     refs = _chassis_reference(plan)
     qr = _arm_reference(plan, refs)[0].tolist()
     ref_pose = refs[:, :3].tolist()
-    track = build_chassis_gains(config).track_width
+    track = config.chassis_control.track_width
     col = {k: log.values[k].tolist() for k in CSV_NUMERIC}
     names = ("eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ", "vL", "vR")
     want = {k: [] for k in names}
