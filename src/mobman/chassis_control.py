@@ -128,9 +128,9 @@ def check_disturbance(f, f_bounds) -> None:
 
 
 def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
-               u, f, dt: float, integrator: str = "rk4") -> list:
+               u, f, dt: float, integrator: str = "rk4", carried=None) -> list:
     """Advance pose + velocity state (X, Y, heading, v, w) one control step;
-    returns the new state as a list of 5 floats.
+    returns the new state as a list of 5 floats, then the carried plant's.
 
     Rates vary linearly under the commanded acceleration during the step; the
     reference delta lands at the step end so that a reference discontinuity
@@ -138,19 +138,28 @@ def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
     An on-reference vehicle with u = f therefore stays on the reference
     exactly, including across corner entries and stop commands.  Callers
     check f's whole series against the bounds once, with check_disturbance.
+
+    carried, when given, is a plant riding on the chassis, (y, rates): its
+    state y as a list of floats and its derivative rates(t, y) at step-local
+    time t.  The one integrate call advances it with the pose, and its new
+    state follows the 5 chassis floats in the result.
     """
     x0, y0, h0, v0, w0 = state
     av = u[0] - f[0]
     aw = u[1] - f[1]
+    start, carried_rates = ([], None) if carried is None else carried
 
-    def f_pose(tau, pose):
+    def rates(tau, y):
         vt = v0 + av * tau
-        return [vt * math.cos(pose[2]), vt * math.sin(pose[2]), w0 + aw * tau]
+        pose = [vt * math.cos(y[2]), vt * math.sin(y[2]), w0 + aw * tau]
+        if carried_rates is None:
+            return pose
+        return pose + carried_rates(tau, y[3:])
 
-    x1, y1, h1 = integrate(f_pose, (x0, y0, h0), dt, integrator)
+    x1, y1, h1, *rest = integrate(rates, [x0, y0, h0, *start], dt, integrator)
     v1 = v0 + av * dt + (ref_next.v - ref_now.v)
     w1 = w0 + aw * dt + (ref_next.w - ref_now.w)
-    return [x1, y1, wrap_angle(h1), v1, w1]
+    return [x1, y1, wrap_angle(h1), v1, w1, *rest]
 
 
 def wheel_speeds(v: float, w: float, track_width: float):

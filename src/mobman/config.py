@@ -73,6 +73,14 @@ def _check(ok, message: str):
     return rule
 
 
+def _seed(value, name, problems):
+    """A noise seed: numpy's generator takes any int but a negative one."""
+    if type(value) is not int:
+        problems.append("%s: expected an integer" % name)
+    elif value < 0:
+        problems.append("%s: must be >= 0" % name)
+
+
 _NAME = _check(lambda x: isinstance(x, str) and x != "",
                "expected a non-empty string")
 
@@ -177,7 +185,7 @@ class DisturbanceConfig:
         "expected none, constant, sine or noise"))
     amplitude: list = _field([0.0, 0.0], _vector(2, ">= 0"))
     frequency: float = _field(0.5, _finite("> 0"))
-    seed: int = _field(0, _check(lambda x: type(x) is int, "expected an integer"))
+    seed: int = _field(0, _seed)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .kinematics import STOCK_ARM, ArmGeometry
 
 GRAVITY = 9.81
 _MM = 1e-3
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,10 @@ class ArmDynamics:
         being their negatives dm23/dq3, dm24/dq4, dm34/dq4; the gravity
         torques (g2, g3, g4); and the bias C qd + G, where
         (C qd)_k = sum_ij (dM_kj/dq_i - dM_ij/dq_k / 2) qd_i qd_j is expanded
-        over the partials, so no C or dM/dq is formed."""
-        _, q2, q3, q4 = _floats(q)
+        over the partials, so no C or dM/dq is formed.  q and qd are
+        sequences of plain floats, lists on the step loop; the public
+        methods below convert theirs."""
+        _, q2, q3, q4 = q
         try:
             c2, s2 = math.cos(q2), math.sin(q2)
             c3, s3 = math.cos(q3), math.sin(q3)
@@ -175,7 +179,7 @@ class ArmDynamics:
         d24 = a2 * (v4 * c24 - h4 * s24)
         d34 = a3 * (v4 * c34 - h4 * s34)
         g2, g3, g4 = g * c2 * h2, g * c3 * h3, g * (c4 * h4 - s4 * v4)
-        w1, w2, w3, w4 = _floats(qd)
+        w1, w2, w3, w4 = qd
         h = 0.5 * w1 * w1
         bias = [w1 * (d11_2 * w2 + d11_3 * w3 + d11_4 * w4),
                 g2 - h * d11_2 - d23 * w3 * w3 - d24 * w4 * w4,
@@ -185,13 +189,13 @@ class ArmDynamics:
 
     def mass_matrix(self, q) -> np.ndarray:
         """Symmetric positive-definite inertia matrix (4x4)."""
-        m11, m22, m33, m44, m23, m24, m34 = self._kernel(q)[0]
+        m11, m22, m33, m44, m23, m24, m34 = self._kernel(_floats(q))[0]
         return np.array([[m11, 0.0, 0.0, 0.0], [0.0, m22, m23, m24],
                          [0.0, m23, m33, m34], [0.0, m24, m34, m44]])
 
     def mass_matrix_partials(self, q) -> np.ndarray:
         """dM/dq as a (4, 4, 4) array; the base-yaw slab is identically zero."""
-        d11_2, d11_3, d11_4, d23, d24, d34 = self._kernel(q)[1]
+        d11_2, d11_3, d11_4, d23, d24, d34 = self._kernel(_floats(q))[1]
         out = np.zeros((4, 4, 4))
         out[1:, 0, 0] = d11_2, d11_3, d11_4
         for k, i, j, d in ((1, 1, 2, d23), (2, 1, 2, -d23), (1, 1, 3, d24),
@@ -212,23 +216,36 @@ class ArmDynamics:
 
     def gravity_vector(self, q) -> np.ndarray:
         """Generalized gravity torques; the slewing joint sees none."""
-        return np.array([0.0, *self._kernel(q)[2]])
+        return np.array([0.0, *self._kernel(_floats(q))[2]])
 
     # -- dynamics ---------------------------------------------------------
 
+    def state_rates(self, terms, tau):
+        """The model under constant torque tau in first-order form, as the
+        rates(t, y) = qd + qdd of y = q + qd (8 floats) that util.integrate
+        steps.  terms is the kernel at the step's start state, where
+        integrate evaluates rates once, at t = 0; that stage reuses it."""
+        def rates(t, y):
+            qd = y[4:]
+            return qd + accelerations(
+                terms if t == 0.0 else self._kernel(y[:4], qd), tau)
+        return rates
+
     def inverse_dynamics(self, q, qd, qdd) -> list:
         """Joint torques (4 floats) that realize the given acceleration."""
-        return torques(self._kernel(q, qd), qdd)
+        return torques(self._kernel(_floats(q), _floats(qd)), _floats(qdd))
 
     def forward_dynamics(self, q, qd, tau) -> list:
         """Joint accelerations (4 floats) for applied torques tau."""
-        return accelerations(self._kernel(q, qd), tau)
+        return accelerations(self._kernel(_floats(q), _floats(qd)),
+                             _floats(tau))
 
 
 def torques(terms, qdd) -> list:
-    """M qdd + bias from the kernel's terms at one state, as 4 floats."""
+    """M qdd + bias from the kernel's terms at one state, as 4 floats; qdd
+    is 4 plain floats."""
     (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = terms
-    a1, a2, a3, a4 = _floats(qdd)
+    a1, a2, a3, a4 = qdd
     return [m11 * a1 + b1,
             m22 * a2 + m23 * a3 + m24 * a4 + b2,
             m23 * a2 + m33 * a3 + m34 * a4 + b3,
@@ -238,28 +255,31 @@ def torques(terms, qdd) -> list:
 def accelerations(terms, tau) -> list:
     """M^-1 (tau - bias) from the kernel's terms at one state, as 4 floats:
     one divide for the decoupled slew row, a Cholesky solve L L^T for the
-    planar block."""
+    planar block.  tau is 4 plain floats.  Each pivot is tested inline: it
+    must be finite and positive, which also keeps NaN out."""
     (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = terms
-    t1, t2, t3, t4 = _floats(tau)
-    l22 = math.sqrt(_pivot(m22))
+    t1, t2, t3, t4 = tau
+    l22 = math.sqrt(m22) if 0.0 < m22 < _INF else _pivot(m22)
     l32, l42 = m23 / l22, m24 / l22
-    l33 = math.sqrt(_pivot(m33 - l32 * l32))
+    p33 = m33 - l32 * l32
+    l33 = math.sqrt(p33) if 0.0 < p33 < _INF else _pivot(p33)
     l43 = (m34 - l32 * l42) / l33
-    l44 = math.sqrt(_pivot(m44 - l42 * l42 - l43 * l43))
+    p44 = m44 - l42 * l42 - l43 * l43
+    l44 = math.sqrt(p44) if 0.0 < p44 < _INF else _pivot(p44)
     y2 = (t2 - b2) / l22
     y3 = (t3 - b3 - l32 * y2) / l33
     y4 = (t4 - b4 - l42 * y2 - l43 * y3) / l44
     x4 = y4 / l44
     x3 = (y3 - l43 * x4) / l33
     x2 = (y2 - l32 * x3 - l42 * x4) / l22
-    return [(t1 - b1) / _pivot(m11), x2, x3, x4]
+    return [(t1 - b1) / (m11 if 0.0 < m11 < _INF else _pivot(m11)),
+            x2, x3, x4]
 
 
-def _pivot(p: float) -> float:
-    """A pivot of M's factorization, which must be finite and positive."""
-    if not 0.0 < p < math.inf:
-        raise SolveFailure("mass matrix is singular or non-finite (pivot %r)" % p)
-    return p
+def _pivot(p: float) -> NoReturn:
+    """Raise for a pivot p of M's factorization that is not finite and
+    positive."""
+    raise SolveFailure("mass matrix is singular or non-finite (pivot %r)" % p)
 
 
 def _floats(v) -> list:

@@ -268,6 +268,16 @@ def build_sweep(edge_index: int, sweep, fire, circuit: Circuit) -> SweepPath:
         raise InfeasibleSweep("edge index must be 1..4")
     if sweep.passes < 1:
         raise InfeasibleSweep("sweep needs at least one pass")
+    # The passes' horizontal runs alone take passes * span / speed, so a
+    # count a whole pass past fits cannot finish in time, however the full
+    # path's length rounds.  The int is compared with the float exactly, so
+    # a count too large for a float is rejected too, before any vertex.
+    fits = (circuit.edge_time + 1e-9) * sweep.speed / sweep.horizontal_span
+    if sweep.passes > fits + 1.0:
+        raise InfeasibleSweep(
+            "sweep over face %d has too many passes: each takes %.3f s and "
+            "the edge allows %.3f s" % (edge_index, sweep.horizontal_span
+                                        / sweep.speed, circuit.edge_time))
     cx, cy = circuit.spec.center
     half = 0.5 * fire.crib_side
     hs = 0.5 * sweep.horizontal_span

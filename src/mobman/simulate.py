@@ -3,11 +3,12 @@
 A run takes three steps.  The planner (mobman.planning) lays the mission out
 as one phase timeline and derives from it the chassis reference, the state
 labels and markers, and the arm's joint reference.  The step loop then
-marches both controllers and plants: the chassis follows its reduced
-velocity dynamics with the pose integrated by the classic fourth-order rule,
-the arm its full rigid-body dynamics the same way under zero-order-hold
-torques.  A vectorised pass last derives the tool, target and wheel-speed
-columns into a fixed-schema log that round-trips through CSV bit for bit.
+marches both controllers and plants on plain float lists: the chassis
+follows its reduced velocity dynamics, the arm its full rigid-body dynamics
+under zero-order-hold torques, and one call of the classic fourth-order
+rule (or Euler's) per step advances the chassis pose and the arm together.
+A vectorised pass last derives the tool, target and wheel-speed columns
+into a fixed-schema log that round-trips through CSV bit for bit.
 """
 from __future__ import annotations
 
@@ -27,12 +28,11 @@ from .arm_control import control_law as arm_control_law
 from .chassis_control import (ChassisRefSample, chassis_tick,
                               check_disturbance, plant_step, wheel_speeds)
 from .config import ScenarioConfig, build_inertial, disturbance_series
-from .dynamics import ArmDynamics, accelerations
+from .dynamics import ArmDynamics
 from .errors import EmptyLog, ParseError, SolveFailure
 from .kinematics import forward_kinematics
 from .planning import (MissionPlan, _arm_reference, _chassis_reference,
                        _labels_and_events, plan_mission)
-from .util import integrate
 
 CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "u1", "u2", "vL", "vR",
@@ -219,12 +219,15 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         if i == n:
             break
         ref_next = next(ref_rows)
-        z = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
-                       integrator=config.integrator)
-        q, qd = _arm_step(model, terms, q, qd, tau, dt, config.integrator)
-        if not all(map(math.isfinite, z + q + qd)):
+        # One integrate call advances the pose and the arm, which rides on
+        # the chassis; the arm's first stage reuses terms.
+        state = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
+                           config.integrator,
+                           (q + qd, model.state_rates(terms, tau)))
+        if not all(map(math.isfinite, state)):
             raise SolveFailure("step %d (t=%.4f s): non-finite chassis or arm "
                                "state" % (i + 1, (i + 1) * dt))
+        z, q, qd = state[:5], state[5:9], state[9:]
         ref = ref_next
 
     # Derived columns: tool and target positions by FK at the logged and the
@@ -268,23 +271,6 @@ def _float_rows(table: np.ndarray):
     """A 2-D table's rows as float lists, converted _BLOCK_ROWS at a time."""
     for a in range(0, len(table), _BLOCK_ROWS):
         yield from table[a:a + _BLOCK_ROWS].tolist()
-
-
-def _arm_step(model: ArmDynamics, terms, q: list, qd: list, tau, dt,
-              integrator: str = "rk4"):
-    """One fixed step of the arm under zero-order-hold torque; q and qd are
-    lists of floats, and so are the returned ones.  terms is the model's
-    kernel at (q, qd), which the stage at the step's start (t = 0) reuses."""
-    start = qd + accelerations(terms, tau)
-
-    def f(t, y):
-        if t == 0.0:
-            return start
-        rates = y[4:]
-        return rates + accelerations(model._kernel(y[:4], rates), tau)
-
-    y1 = integrate(f, q + qd, dt, integrator)
-    return y1[:4], y1[4:]
 
 
 def run_line_scenario(gains, duration: float, dt: float,

@@ -123,6 +123,14 @@ def test_sweep_passes_validation():
         parse_config({"sweep": {"passes": 2.5}})
 
 
+def test_negative_disturbance_seed_is_named():
+    """numpy's generator rejects a negative seed, so parsing does, by key."""
+    with pytest.raises(ValidationError) as err:
+        parse_config({"disturbance": {"kind": "noise", "seed": -1}})
+    assert err.value.messages == ["disturbance.seed: must be >= 0"]
+    parse_config({"disturbance": {"kind": "noise", "seed": 0}})
+
+
 def test_yaml_round_trip(tmp_path):
     config = parse_config({
         "dt": 0.002,

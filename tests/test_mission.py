@@ -1,13 +1,15 @@
 """Mission planning: circuit, face sweeps, stop assignment."""
 import math
+import time
 
 import numpy as np
 import pytest
 
 from mobman.config import (CircuitConfig, FireConfig, FireTestConfig,
-                           SweepConfig, TopSprayConfig)
+                           SweepConfig, TopSprayConfig, parse_config)
 from mobman.errors import GeometryError, InfeasibleSweep
 from mobman.mission import Circuit, assign_fires, build_sweep, dispatch
+from mobman.planning import plan_mission
 from oracles import circuit_sample
 
 DEG = math.pi / 180.0
@@ -221,6 +223,19 @@ def test_sweep_infeasible_cases(circuit):
         build_sweep(5, SweepConfig(), FireTestConfig(), circuit)
     with pytest.raises(InfeasibleSweep):
         build_sweep(1, SweepConfig(passes=0), FireTestConfig(), circuit)
+
+
+@pytest.mark.parametrize("passes", [10 ** 400, 1_000_000])
+def test_sweep_with_too_many_passes_fails_fast(circuit, passes):
+    """A pass count that cannot fit the edge is refused before any vertex is
+    built, even one too large for a float; so is the plan of a config that
+    names it."""
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleSweep, match="too many passes"):
+        build_sweep(1, SweepConfig(passes=passes), FireTestConfig(), circuit)
+    with pytest.raises(InfeasibleSweep, match="too many passes"):
+        plan_mission(parse_config({"sweep": {"passes": passes}}))
+    assert time.perf_counter() - start < 0.1
 
 
 # -- stage II assignment ---------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,8 +24,9 @@ from mobman.metrics import compute_metrics
 from mobman.mission import Circuit, SweepPath
 from mobman.planning import (Stage2Slot, _arm_reference, _chassis_reference,
                              _labels_and_events, plan_mission)
-from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, _arm_step,
-                             export, run_line_scenario, run_mission)
+from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, export,
+                             run_line_scenario, run_mission)
+from mobman.util import integrate
 
 DEG = math.pi / 180.0
 
@@ -615,7 +617,8 @@ def test_disturbed_mission_stays_in_band():
 
 def test_non_finite_state_is_named(monkeypatch):
     """A state that turns NaN stops the run at the step that holds it, named
-    by index and time, before it reaches the log."""
+    by index and time, before it reaches the log.  plant_step is the loop's
+    one plant step: it advances the chassis and the arm it carries."""
     real = simulate.plant_step
     calls = []
 
@@ -688,18 +691,66 @@ def test_one_kernel_per_state(monkeypatch, integrator, per_step):
     assert calls[::per_step] == logged.tolist()
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_one_integrate_call_per_step(monkeypatch, integrator):
+    """The chassis pose and the arm advance together: a run of n steps makes
+    n integrate calls, each over the 3 pose and 8 arm states, whichever
+    module calls it."""
+    sizes = []
+
+    def counted(f, y, dt, method="rk4"):
+        sizes.append(len(y))
+        return integrate(f, y, dt, method)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mobman") and getattr(module, "integrate",
+                                                 None) is integrate:
+            monkeypatch.setattr(module, "integrate", counted)
+    log = run_mission(parse_config({"dt": 0.01,
+                                    "integrator": integrator})).log
+    n = log.n_rows - 1
+    assert n > 2000
+    assert sizes == [11] * n
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("joint", [1, 2, 3])
+def test_non_finite_arm_state_is_a_solve_failure_on_lists(joint, bad):
+    """The step loop's float-list route (kernel, arm law, mission plant
+    step, and a later stage's rates) meets a NaN or infinite angle in
+    joints 2-4 with a SolveFailure about the mass matrix, never a raw
+    ValueError from math.sqrt, math.cos or math.sin, nor a NaN state."""
+    model = ArmDynamics()
+    gains = ScenarioConfig().arm_control
+    ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
+    z = [0.0, 0.0, 0.0, 0.88, 0.0]
+    good = [0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG]
+    qd = [0.2, -0.1, 0.3, 0.1]
+    q = list(good)
+    q[joint] = bad
+    for method in ("rk4", "euler"):
+        with pytest.raises(SolveFailure, match="^mass matrix"):
+            terms = model._kernel(q, qd)
+            tau = arm_control_law(q, qd, good, qd, [0.0] * 4, gains, terms)
+            plant_step(z, ref, ref, [0.0, 0.0], [0.0, 0.0], 1e-3, method,
+                       (q + qd, model.state_rates(terms, tau)))
+    rates = model.state_rates(model._kernel(good, qd), [0.0] * 4)
+    with pytest.raises(SolveFailure, match="^mass matrix"):
+        rates(5e-4, q + qd)
+
+
 def test_control_step_runs_on_plain_floats(monkeypatch):
-    """One chassis tick, arm law, plant step and arm step (both integrators)
-    on float inputs, with the gains section run_mission reads, build
-    no numpy array and return plain floats, so per-stage arrays and numpy
-    scalars cannot creep back into the loop.  The records the loop reads
-    hold plain floats in every field: the tracking error, and the reference
-    rows run_mission's block reader yields (across a block edge) with the
-    ChassisRefSamples made from them.  FK, the circuit sampler and the
-    base-frame transform run on whole arrays before or after the loop, so
-    they are called outside the no-array block; Circuit.sample gives plain
-    floats, and FK and the transform floats (numpy's float64 for one
-    sample)."""
+    """One chassis tick, arm law, chassis-only plant step and mission plant
+    step carrying the arm (both integrators) on float inputs, with the gains
+    section run_mission reads, build no numpy array and return plain floats,
+    so per-stage arrays and numpy scalars cannot creep back into the loop.
+    The records the loop reads hold plain floats in every field: the
+    tracking error, and the reference rows run_mission's block reader yields
+    (across a block edge) with the ChassisRefSamples made from them.  FK,
+    the circuit sampler and the base-frame transform run on whole arrays
+    before or after the loop, so they are called outside the no-array block;
+    Circuit.sample gives plain floats, and FK and the transform floats
+    (numpy's float64 for one sample)."""
     model = ArmDynamics()
     arm_gains = ScenarioConfig().arm_control
     gains = ScenarioConfig().chassis_control
@@ -726,16 +777,17 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
                               arm_gains, terms)
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3)
-        steps = [_arm_step(model, terms, q, qd, tau, 1e-3, method)
+        steps = [plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3, method,
+                            (q + qd, model.state_rates(terms, tau)))
                  for method in ("rk4", "euler")]
         rows = list(simulate._float_rows(table))
         refs = list(map(ChassisRefSample._make, rows))
     values = list(s) + list(u) + tau + z1 + list(err)
-    for q1, qd1 in steps:
-        values += q1 + qd1
+    for step in steps:
+        values += step
     for sample in samples:
         values += list(sample)
-    assert len(values) == 2 + 2 + 4 + 5 + 3 + 2 * 8 + 3 * 10
+    assert len(values) == 2 + 2 + 4 + 5 + 3 + 2 * 13 + 3 * 10
     assert all(type(v) is float for v in values)
     assert rows == table.tolist() and refs[-1] == tuple(rows[-1])
     assert all(type(v) is float for row in rows for v in row)

@@ -11,7 +11,6 @@ import pytest
 
 from mobman.chassis_control import ChassisRefSample, plant_step
 from mobman.dynamics import ArmDynamics
-from mobman.simulate import _arm_step
 from mobman.util import sign, switch, wrap_angle
 from oracles import random_joint_angles
 
@@ -52,12 +51,20 @@ def _same_bits(got, want) -> bool:
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_arm_step_matches_numpy_integrator_bitwise(method, rng):
-    """The arm step reuses the kernel terms of its start state for the first
-    stage; the oracle evaluates forward_dynamics afresh at every stage."""
+    """The mission step advances the pose and the arm in one integrate call,
+    the arm reusing the kernel terms of its start state for the first stage.
+    Its arm half must match the oracle that evaluates forward_dynamics afresh
+    at every stage, and its chassis half the chassis-only oracle."""
     model = ArmDynamics()
     for q in random_joint_angles(rng, 200):
         qd = rng.uniform(-2.0, 2.0, 4)
         tau = rng.uniform(-1e3, 1e3, 4).tolist()
+        state = rng.uniform(-3.0, 3.0, 5).tolist()
+        v0, w0, v1, w1 = rng.uniform(-1.0, 1.0, 4).tolist()
+        now = ChassisRefSample(0.0, 0.0, 0.0, v=v0, w=w0)
+        nxt = ChassisRefSample(0.0, 0.0, 0.0, v=v1, w=w1)
+        u = rng.uniform(-5.0, 5.0, 2).tolist()
+        f_dist = rng.uniform(-0.1, 0.1, 2).tolist()
 
         def f(t, y):
             return np.concatenate([y[4:],
@@ -65,9 +72,12 @@ def test_arm_step_matches_numpy_integrator_bitwise(method, rng):
 
         want = _numpy_step(f, np.concatenate([q, qd]), 1e-3, method)
         q0, qd0 = q.tolist(), qd.tolist()
-        q1, qd1 = _arm_step(model, model._kernel(q0, qd0), q0, qd0, tau,
-                            1e-3, method)
-        assert _same_bits(q1 + qd1, want)
+        rates = model.state_rates(model._kernel(q0, qd0), tau)
+        got = plant_step(state, now, nxt, u, f_dist, 1e-3, method,
+                         (q0 + qd0, rates))
+        assert _same_bits(got[5:], want)
+        assert _same_bits(got[:5], _numpy_plant_step(state, now, nxt, u,
+                                                     f_dist, 1e-3, method))
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
