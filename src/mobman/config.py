@@ -200,8 +200,9 @@ class BandConfig:
 @dataclass
 class ScenarioConfig:
     dt: float = _field(0.001, _finite("> 0"))
-    integrator: str = _field("rk4", _check(lambda x: x in ("rk4", "euler"),
-                                           "expected rk4 or euler"))
+    integrator: str = _field("midpoint", _check(
+        lambda x: x in ("rk4", "midpoint", "euler"),
+        "expected rk4, midpoint or euler"))
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     inertial: InertialConfig = field(default_factory=InertialConfig)
     arm_control: ArmControlConfig = field(default_factory=ArmControlConfig)

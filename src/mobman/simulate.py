@@ -5,8 +5,9 @@ as one phase timeline and derives from it the chassis reference, the state
 labels and markers, and the arm's joint reference.  The step loop then
 marches both controllers and plants on plain float lists: the chassis
 follows its reduced velocity dynamics, the arm its full rigid-body dynamics
-under zero-order-hold torques, and one call of the classic fourth-order
-rule (or Euler's) per step advances the chassis pose and the arm together.
+under zero-order-hold torques, and one call of the explicit midpoint rule
+(or, by config, the classic fourth-order rule or Euler's) per step advances
+the chassis pose and the arm together.
 A vectorised pass last derives the tool, target and wheel-speed columns
 into a fixed-schema log that round-trips through CSV bit for bit.
 """
@@ -248,6 +249,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
 
     meta = {
         "dt": float(dt),
+        "integrator": config.integrator,
         "discharge_time": float(plan.fire_test.discharge_time),
         "stage2_budget": float(plan.fire_test.stage2_budget),
         "top_spray_duration": float(plan.top_spray.duration),

@@ -38,18 +38,21 @@ def switch(x: float, width: float) -> float:
 
 def integrate(f, y, dt, method: str = "rk4") -> list:
     """One fixed step of ydot = f(t, y), with t local to the step: forward
-    Euler for method "euler", the classic fourth-order rule otherwise.
+    Euler for method "euler", the explicit midpoint rule (second order, two
+    stages) for "midpoint", the classic fourth-order rule for "rk4".
 
     y and f's result are sequences of floats; the result is a list.  Each
-    component is summed in the order of the vector form
-    y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it matches numpy bit for bit.
-    f is called at t = 0 once, at y itself.
+    component is summed in the order of the vector form, y + dt k2 with
+    k2 = f(dt/2, y + dt/2 k1), or y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it
+    matches numpy bit for bit.  f is called at t = 0 once, at y itself.
     """
     if method == "euler":
         return [a + dt * b for a, b in zip(y, f(0.0, y))]
     h = 0.5 * dt
     k1 = f(0.0, y)
     k2 = f(h, [a + h * b for a, b in zip(y, k1)])
+    if method == "midpoint":
+        return [a + dt * b for a, b in zip(y, k2)]
     k3 = f(h, [a + h * b for a, b in zip(y, k2)])
     k4 = f(dt, [a + dt * b for a, b in zip(y, k3)])
     w = dt / 6.0

@@ -6,6 +6,8 @@ its constants, a route that shares no code with the model's kernel, so the
 energy tests catch a wrong kernel term.  circuit_sample and
 scalar_inverse_kinematics are the one-sample-at-a-time `math` versions of
 the circuit sampler and the IK, which the engine runs on whole arrays.
+substepped_integrate is a fine-step stand-in for util.integrate, the
+reference the plant integrators' error is measured against.
 """
 import math
 
@@ -30,6 +32,24 @@ def random_joint_angles(rng, n: int | None = None):
         out[filled:filled + take] = cand[ok][:take]
         filled += take
     return out[0] if n is None else out
+
+
+def substepped_integrate(f, y, dt, method=None, substeps: int = 8) -> list:
+    """One control step of ydot = f(t, y) by the classic fourth-order rule
+    over substeps equal substeps, in util.integrate's signature (method is
+    ignored).  Whatever f holds, such as the torque, is held over the whole
+    step; substep k runs on step-local t offset by k dt / substeps."""
+    h = dt / substeps
+    y = list(y)
+    for k in range(substeps):
+        t = k * h
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(y, k1)])
+        k3 = f(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(y, k2)])
+        k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
+        y = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y
 
 
 def _body_states(model, q, qd):

@@ -95,6 +95,8 @@ def test_section_must_be_mapping():
 
 def test_integrator_choices():
     assert parse_config({"integrator": "euler"}).integrator == "euler"
+    assert parse_config({"integrator": "midpoint"}).integrator == "midpoint"
+    assert parse_config({}).integrator == "midpoint"
     with pytest.raises(ValidationError) as err:
         parse_config({"integrator": "rk2"})
     assert any("integrator" in m for m in err.value.messages)

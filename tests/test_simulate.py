@@ -156,8 +156,8 @@ def test_phase_timeline(spec, tail):
         sum(slot.dwell for slot in plan.stage2), abs=dt)
 
 
-STOCK_LOG_DIGEST = ("dd78a0158edbb8ac13954df12f5c5adeb2e51d157857ffe62e6ef721"
-                    "a05a8867")
+STOCK_LOG_DIGEST = ("d8d49b9c852a0b0f5b1dbebe7efbe2e10bd55a78692992d8b41612ff"
+                    "09c9086f")
 EULER_NOISE_LOG_DIGEST = ("16964e1cd981a12ae385a6a13ea8eb7a650e860de54dfe3d4a4"
                           "d07241f8e81b1")
 
@@ -219,6 +219,7 @@ def test_csv_round_trip_bit_exact(default_mission, tmp_path):
     assert again.state == result.log.state
     assert again.event == result.log.event
     assert again.meta == result.log.meta
+    assert again.meta["integrator"] == "midpoint"
 
 
 def test_metrics_recompute_from_csv_equal(default_mission, tmp_path):
@@ -655,14 +656,15 @@ def test_mission_checks_disturbance_before_the_loop(monkeypatch):
         run_mission(parse_config({"dt": 0.01}))
 
 
-@pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("integrator, per_step",
+                         [("rk4", 4), ("midpoint", 2), ("euler", 1)])
 def test_one_kernel_per_state(monkeypatch, integrator, per_step):
     """The arm law and the integrator stage at a step's start share one
     kernel evaluation, so a run evaluates the model once per state: 4 n + 1
-    times under RK4 and n + 1 under Euler for n steps.  The shared one is
-    the first of each step's calls, made at the logged state.  FK runs
-    outside the step loop: a run makes at most two calls, each on all n + 1
-    joint vectors, not two per step."""
+    times under RK4, 2 n + 1 under the midpoint rule and n + 1 under Euler
+    for n steps.  The shared one is the first of each step's calls, made at
+    the logged state.  FK runs outside the step loop: a run makes at most
+    two calls, each on all n + 1 joint vectors, not two per step."""
     real = ArmDynamics._kernel
     real_fk = simulate.forward_kinematics
     calls = []
@@ -691,7 +693,7 @@ def test_one_kernel_per_state(monkeypatch, integrator, per_step):
     assert calls[::per_step] == logged.tolist()
 
 
-@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("integrator", ["rk4", "midpoint", "euler"])
 def test_one_integrate_call_per_step(monkeypatch, integrator):
     """The chassis pose and the arm advance together: a run of n steps makes
     n integrate calls, each over the 3 pose and 8 arm states, whichever
@@ -728,7 +730,7 @@ def test_non_finite_arm_state_is_a_solve_failure_on_lists(joint, bad):
     qd = [0.2, -0.1, 0.3, 0.1]
     q = list(good)
     q[joint] = bad
-    for method in ("rk4", "euler"):
+    for method in ("rk4", "midpoint", "euler"):
         with pytest.raises(SolveFailure, match="^mass matrix"):
             terms = model._kernel(q, qd)
             tau = arm_control_law(q, qd, good, qd, [0.0] * 4, gains, terms)
@@ -741,7 +743,7 @@ def test_non_finite_arm_state_is_a_solve_failure_on_lists(joint, bad):
 
 def test_control_step_runs_on_plain_floats(monkeypatch):
     """One chassis tick, arm law, chassis-only plant step and mission plant
-    step carrying the arm (both integrators) on float inputs, with the gains
+    step carrying the arm (each integrator) on float inputs, with the gains
     section run_mission reads, build no numpy array and return plain floats,
     so per-stage arrays and numpy scalars cannot creep back into the loop.
     The records the loop reads hold plain floats in every field: the
@@ -779,7 +781,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3)
         steps = [plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3, method,
                             (q + qd, model.state_rates(terms, tau)))
-                 for method in ("rk4", "euler")]
+                 for method in ("rk4", "midpoint", "euler")]
         rows = list(simulate._float_rows(table))
         refs = list(map(ChassisRefSample._make, rows))
     values = list(s) + list(u) + tau + z1 + list(err)
@@ -787,7 +789,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         values += step
     for sample in samples:
         values += list(sample)
-    assert len(values) == 2 + 2 + 4 + 5 + 3 + 2 * 13 + 3 * 10
+    assert len(values) == 2 + 2 + 4 + 5 + 3 + 3 * 13 + 3 * 10
     assert all(type(v) is float for v in values)
     assert rows == table.tolist() and refs[-1] == tuple(rows[-1])
     assert all(type(v) is float for row in rows for v in row)

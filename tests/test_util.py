@@ -1,28 +1,32 @@
 """Float step helpers against the numpy expressions they replaced.
 
-The control step runs on plain Python floats.  These oracles keep the earlier
-numpy forms of the RK4/Euler step, the chassis plant and np.sign/np.clip,
-and require the float versions to give the same bits.
+The control step runs on plain Python floats.  These oracles keep the numpy
+forms of the RK4, midpoint and Euler steps, the chassis plant and
+np.sign/np.clip, and require the float versions to give the same bits.
 """
 import math
 
 import numpy as np
 import pytest
 
+from mobman import chassis_control
 from mobman.chassis_control import ChassisRefSample, plant_step
 from mobman.dynamics import ArmDynamics
 from mobman.util import sign, switch, wrap_angle
-from oracles import random_joint_angles
+from oracles import random_joint_angles, substepped_integrate
 
+METHODS = ["rk4", "midpoint", "euler"]
 SPECIALS = [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
 
 
 def _numpy_step(f, y, dt, method):
-    """The array form of one Euler or RK4 step."""
+    """The array form of one Euler, midpoint or RK4 step."""
     if method == "euler":
         return y + dt * f(0.0, y)
     k1 = f(0.0, y)
     k2 = f(0.5 * dt, y + 0.5 * dt * k1)
+    if method == "midpoint":
+        return y + dt * k2
     k3 = f(0.5 * dt, y + 0.5 * dt * k2)
     k4 = f(dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -49,7 +53,7 @@ def _same_bits(got, want) -> bool:
     return np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", METHODS)
 def test_arm_step_matches_numpy_integrator_bitwise(method, rng):
     """The mission step advances the pose and the arm in one integrate call,
     the arm reusing the kernel terms of its start state for the first stage.
@@ -80,7 +84,7 @@ def test_arm_step_matches_numpy_integrator_bitwise(method, rng):
                                                      f_dist, 1e-3, method))
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", METHODS)
 def test_plant_step_matches_numpy_integrator_bitwise(method, rng):
     for _ in range(200):
         state = rng.uniform(-3.0, 3.0, 5).tolist()
@@ -92,6 +96,40 @@ def test_plant_step_matches_numpy_integrator_bitwise(method, rng):
         want = _numpy_plant_step(state, now, nxt, u, f, 1e-3, method)
         got = plant_step(state, now, nxt, u, f, 1e-3, integrator=method)
         assert _same_bits(got, want)
+
+
+def test_midpoint_local_error_is_third_order(monkeypatch, rng):
+    """One mission plant step under the midpoint rule, against the same step
+    with util.integrate replaced by the substepped RK4 reference: the local
+    error is O(dt^3), so halving dt divides it by about 8.  Every error
+    stays above 1e-9, far above round-off, so the ratio measures the rule."""
+    model = ArmDynamics()
+
+    def step(args, dt):
+        state, now, nxt, u, f_dist, q, qd, tau = args
+        rates = model.state_rates(model._kernel(q, qd), tau)
+        return plant_step(state, now, nxt, u, f_dist, dt, "midpoint",
+                          (q + qd, rates))
+
+    def local_error(args, dt):
+        got = step(args, dt)
+        with monkeypatch.context() as patch:
+            patch.setattr(chassis_control, "integrate", substepped_integrate)
+            want = step(args, dt)
+        return np.abs(np.subtract(got, want)).max()
+
+    for q in random_joint_angles(rng, 100):
+        v0, w0, v1, w1 = rng.uniform(-1.0, 1.0, 4).tolist()
+        args = (rng.uniform(-3.0, 3.0, 5).tolist(),
+                ChassisRefSample(0.0, 0.0, 0.0, v=v0, w=w0),
+                ChassisRefSample(0.0, 0.0, 0.0, v=v1, w=w1),
+                rng.uniform(-5.0, 5.0, 2).tolist(),
+                rng.uniform(-0.1, 0.1, 2).tolist(),
+                q.tolist(), rng.uniform(-2.0, 2.0, 4).tolist(),
+                rng.uniform(-1e3, 1e3, 4).tolist())
+        coarse, fine = local_error(args, 1e-3), local_error(args, 5e-4)
+        assert fine > 1e-9
+        assert 7.0 < coarse / fine < 9.0
 
 
 def _agree(got, want) -> bool:
