@@ -128,9 +128,10 @@ def check_disturbance(f, f_bounds) -> None:
 
 
 def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
-               u, f, dt: float, integrator: str = "rk4", carried=None) -> list:
-    """Advance pose + velocity state (X, Y, heading, v, w) one control step;
-    returns the new state as a list of 5 floats, then the carried plant's.
+               u, f, dt: float, integrator: str, carried=None) -> list:
+    """Advance pose + velocity state (X, Y, heading, v, w) one control step
+    by the rule integrator names, one of util.INTEGRATORS; returns the new
+    state as a list of 5 floats, then the carried plant's.
 
     Rates vary linearly under the commanded acceleration during the step; the
     reference delta lands at the step end so that a reference discontinuity

@@ -19,6 +19,7 @@ import yaml
 from .dynamics import LinkInertialParams, default_inertial_params
 from .errors import ParseError, ValidationError
 from .kinematics import ArmGeometry
+from .util import INTEGRATORS
 
 
 # -- field rules ------------------------------------------------------------
@@ -65,7 +66,7 @@ def _vector(n: int, bound: str = "", optional: bool = False):
 
 
 def _check(ok, message: str):
-    """Choices, integers and strings: message unless ok(value).  Integers
+    """Choices and integers: message unless ok(value).  Integers
     are tested as type(x) is int, which a bool is not."""
     def rule(value, name, problems):
         if not ok(value):
@@ -81,8 +82,13 @@ def _seed(value, name, problems):
         problems.append("%s: must be >= 0" % name)
 
 
-_NAME = _check(lambda x: isinstance(x, str) and x != "",
-               "expected a non-empty string")
+def _ident(value, name, problems):
+    """A fire's name: a non-empty string of printable characters, since the
+    run log's one-line #flagged= metadata entry holds it."""
+    if not isinstance(value, str) or value == "":
+        problems.append("%s: expected a non-empty string" % name)
+    elif not value.isprintable():
+        problems.append("%s: expected printable characters only" % name)
 
 
 def _field(default, rule):
@@ -158,7 +164,6 @@ class SweepConfig:
 
 @dataclass
 class FireTestConfig:
-    label: str = _field("20A", _NAME)
     crib_side: float = _field(1.0, _finite("> 0"))
     discharge_time: float = _field(15.0, _finite("> 0"))
     stage2_budget: float = _field(3.0, _finite(">= 0"))
@@ -173,7 +178,7 @@ class TopSprayConfig:
 @dataclass
 class FireConfig:
     position: list = _field([0.0, 0.0, 0.0], _vector(3))
-    ident: str = _field("", _NAME)
+    ident: str = _field("", _ident)
 
 
 @dataclass
@@ -201,8 +206,7 @@ class BandConfig:
 class ScenarioConfig:
     dt: float = _field(0.001, _finite("> 0"))
     integrator: str = _field("midpoint", _check(
-        lambda x: x in ("rk4", "midpoint", "euler"),
-        "expected rk4, midpoint or euler"))
+        lambda x: x in INTEGRATORS, "expected " + " or ".join(INTEGRATORS)))
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     inertial: InertialConfig = field(default_factory=InertialConfig)
     arm_control: ArmControlConfig = field(default_factory=ArmControlConfig)

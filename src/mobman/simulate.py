@@ -5,9 +5,9 @@ as one phase timeline and derives from it the chassis reference, the state
 labels and markers, and the arm's joint reference.  The step loop then
 marches both controllers and plants on plain float lists: the chassis
 follows its reduced velocity dynamics, the arm its full rigid-body dynamics
-under zero-order-hold torques, and one call of the explicit midpoint rule
-(or, by config, the classic fourth-order rule or Euler's) per step advances
-the chassis pose and the arm together.
+under zero-order-hold torques, and one call of the scenario's integrator
+(the explicit midpoint rule, or Euler's) per step advances the chassis pose
+and the arm together.
 A vectorised pass last derives the tool, target and wheel-speed columns
 into a fixed-schema log that round-trips through CSV bit for bit.
 """
@@ -98,7 +98,9 @@ class SimLog:
                 if "=" not in line:
                     raise ParseError("line %d: bad metadata line" % lineno)
                 key, _, val = line[1:].partition("=")
-                meta[key] = _parse_meta_value(val)
+                # flagged lists fire idents, text even where one reads as
+                # a number, such as 007.
+                meta[key] = val if key == "flagged" else _parse_meta_value(val)
             else:
                 raise ParseError("no header line found")
             while chunk := [raw.rstrip("\n")
@@ -273,40 +275,6 @@ def _float_rows(table: np.ndarray):
     """A 2-D table's rows as float lists, converted _BLOCK_ROWS at a time."""
     for a in range(0, len(table), _BLOCK_ROWS):
         yield from table[a:a + _BLOCK_ROWS].tolist()
-
-
-def run_line_scenario(gains, duration: float, dt: float,
-                      speed: float = 0.88, initial_offset=(0.0, 0.0, 0.0),
-                      disturbance: np.ndarray | None = None) -> dict:
-    """Chassis-only tracking of a straight constant-speed reference under
-    gains, a ChassisControlConfig section.
-
-    The vehicle starts at the reference velocity with the given pose offset
-    (dx, dy m; dheading rad).  Returns time histories keyed by name,
-    including the switching-function energy 0.5*(s1^2 + s2^2).
-    """
-    n = int(round(duration / dt))
-    ref = ChassisRefSample(x=0.0, y=0.0, heading=0.0, v=speed, w=0.0,
-                           vdx=speed, vdy=0.0)
-    out = {k: np.zeros(n + 1) for k in
-           ("t", "e1", "e2", "e3", "s1", "s2", "u1", "u2", "V")}
-    f_all = np.zeros((n, 2)) if disturbance is None else disturbance[:n]
-    check_disturbance(np.abs(f_all).max(axis=0, initial=0.0), gains.f_bounds)
-    z = [float(v) for v in initial_offset] + [float(speed), 0.0]
-    for i in range(n + 1):
-        t = i * dt
-        ref_i = ref._replace(x=speed * t)
-        err, s, u = chassis_tick(ref_i, z, gains)
-        out["t"][i] = t
-        out["e1"][i], out["e2"][i], out["e3"][i] = err.e1, err.e2, err.e3
-        out["s1"][i], out["s2"][i] = s
-        out["u1"][i], out["u2"][i] = u
-        out["V"][i] = 0.5 * (s[0] ** 2 + s[1] ** 2)
-        if i == n:
-            break
-        ref_next = ref._replace(x=speed * (t + dt))
-        z = plant_step(z, ref_i, ref_next, u, f_all[i].tolist(), dt)
-    return out
 
 
 def export(result: MissionResult, directory) -> list:

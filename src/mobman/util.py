@@ -36,25 +36,27 @@ def switch(x: float, width: float) -> float:
     return sign(x)
 
 
-def integrate(f, y, dt, method: str = "rk4") -> list:
-    """One fixed step of ydot = f(t, y), with t local to the step: forward
-    Euler for method "euler", the explicit midpoint rule (second order, two
-    stages) for "midpoint", the classic fourth-order rule for "rk4".
+# The plant integrators a scenario may name; ScenarioConfig sets the stock
+# one.
+INTEGRATORS = ("midpoint", "euler")
+
+
+def integrate(f, y, dt, method: str) -> list:
+    """One fixed step of ydot = f(t, y), with t local to the step: the
+    explicit midpoint rule (second order, two stages) for method "midpoint",
+    forward Euler for "euler".  Any other method raises ValueError.
 
     y and f's result are sequences of floats; the result is a list.  Each
     component is summed in the order of the vector form, y + dt k2 with
-    k2 = f(dt/2, y + dt/2 k1), or y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it
-    matches numpy bit for bit.  f is called at t = 0 once, at y itself.
+    k2 = f(dt/2, y + dt/2 k1), so it matches numpy bit for bit.  f is called
+    at t = 0 once, at y itself.
     """
     if method == "euler":
         return [a + dt * b for a, b in zip(y, f(0.0, y))]
+    if method != "midpoint":
+        raise ValueError("unknown integrator %r: expected %s"
+                         % (method, " or ".join(INTEGRATORS)))
     h = 0.5 * dt
     k1 = f(0.0, y)
     k2 = f(h, [a + h * b for a, b in zip(y, k1)])
-    if method == "midpoint":
-        return [a + dt * b for a, b in zip(y, k2)]
-    k3 = f(h, [a + h * b for a, b in zip(y, k2)])
-    k4 = f(dt, [a + dt * b for a, b in zip(y, k3)])
-    w = dt / 6.0
-    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return [a + dt * b for a, b in zip(y, k2)]

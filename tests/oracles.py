@@ -7,13 +7,16 @@ energy tests catch a wrong kernel term.  circuit_sample and
 scalar_inverse_kinematics are the one-sample-at-a-time `math` versions of
 the circuit sampler and the IK, which the engine runs on whole arrays.
 substepped_integrate is a fine-step stand-in for util.integrate, the
-reference the plant integrators' error is measured against.
+reference the plant integrators' error is measured against; with one
+substep it is the classic fourth-order rule.  run_line_scenario is the
+chassis-only closed loop along a straight line that the chassis tests run.
 """
 import math
 
 import numpy as np
 
-from mobman.chassis_control import ChassisRefSample
+from mobman.chassis_control import (ChassisRefSample, chassis_tick,
+                                    check_disturbance, plant_step)
 from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
@@ -50,6 +53,41 @@ def substepped_integrate(f, y, dt, method=None, substeps: int = 8) -> list:
         y = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     return y
+
+
+def run_line_scenario(gains, duration: float, dt: float,
+                      speed: float = 0.88, initial_offset=(0.0, 0.0, 0.0),
+                      disturbance: np.ndarray | None = None) -> dict:
+    """Chassis-only tracking of a straight constant-speed reference under
+    gains, a ChassisControlConfig section, integrated by the midpoint rule.
+
+    The vehicle starts at the reference velocity with the given pose offset
+    (dx, dy m; dheading rad).  Returns time histories keyed by name,
+    including the switching-function energy 0.5*(s1^2 + s2^2).
+    """
+    n = int(round(duration / dt))
+    ref = ChassisRefSample(x=0.0, y=0.0, heading=0.0, v=speed, w=0.0,
+                           vdx=speed, vdy=0.0)
+    out = {k: np.zeros(n + 1) for k in
+           ("t", "e1", "e2", "e3", "s1", "s2", "u1", "u2", "V")}
+    f_all = np.zeros((n, 2)) if disturbance is None else disturbance[:n]
+    check_disturbance(np.abs(f_all).max(axis=0, initial=0.0), gains.f_bounds)
+    z = [float(v) for v in initial_offset] + [float(speed), 0.0]
+    for i in range(n + 1):
+        t = i * dt
+        ref_i = ref._replace(x=speed * t)
+        err, s, u = chassis_tick(ref_i, z, gains)
+        out["t"][i] = t
+        out["e1"][i], out["e2"][i], out["e3"][i] = err.e1, err.e2, err.e3
+        out["s1"][i], out["s2"][i] = s
+        out["u1"][i], out["u2"][i] = u
+        out["V"][i] = 0.5 * (s[0] ** 2 + s[1] ** 2)
+        if i == n:
+            break
+        ref_next = ref._replace(x=speed * (t + dt))
+        z = plant_step(z, ref_i, ref_next, u, f_all[i].tolist(), dt,
+                       "midpoint")
+    return out
 
 
 def _body_states(model, q, qd):

@@ -20,8 +20,9 @@ from mobman.kinematics import (forward_kinematics, inverse_kinematics,
 from mobman.metrics import compute_metrics
 from mobman.mission import Circuit, assign_fires
 from mobman.planning import _arm_reference, _chassis_reference
-from mobman.simulate import SimLog, run_line_scenario, run_mission
-from oracles import kinetic_energy, potential_energy, random_joint_angles
+from mobman.simulate import SimLog, run_mission
+from oracles import (kinetic_energy, potential_energy, random_joint_angles,
+                     run_line_scenario)
 
 DEG = math.pi / 180.0
 

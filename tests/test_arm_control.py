@@ -86,7 +86,7 @@ def _track(model, gains, q0, ref_q, dt, steps):
             return np.concatenate([y[4:],
                                    model.forward_dynamics(y[:4], y[4:], tau)])
 
-        y = integrate(f, np.concatenate([q, qd]), dt)
+        y = integrate(f, np.concatenate([q, qd]), dt, "midpoint")
         q, qd = y[:4], y[4:]
         s = (zero - qd) + gains.surface_rate * (ref_q - q)
         vs.append(0.5 * float(s @ s))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mobman import simulate
+import oracles
 from mobman.chassis_control import (ChassisError, ChassisRefSample,
                                     chassis_tick, check_disturbance,
                                     control_law, error_rates, plant_step,
@@ -13,8 +13,8 @@ from mobman.chassis_control import (ChassisError, ChassisRefSample,
 from mobman.config import ChassisControlConfig, CircuitConfig
 from mobman.errors import DisturbanceBoundViolation
 from mobman.mission import Circuit
-from mobman.simulate import run_line_scenario
 from mobman.util import wrap_angle
+from oracles import run_line_scenario
 
 DEG = math.pi / 180.0
 
@@ -176,7 +176,7 @@ def test_wheel_speeds_differential_split():
     assert vl == vr == 0.88
 
 
-@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("integrator", ["midpoint", "euler"])
 @pytest.mark.parametrize("v0, ref_next, accel, steps, expect", [
     # Corner entry: the reference jump lands whole at the step end.
     (0.88, (0.8796, 1.7), 0.0, 1, (0.8796, 1.7)),
@@ -203,7 +203,7 @@ def test_plant_step_on_reference_stays_exact():
     for i in range(200):
         now = spec._replace(x=spec.v * i * dt)
         nxt = spec._replace(x=spec.v * (i + 1) * dt)
-        z = plant_step(z, now, nxt, np.zeros(2), np.zeros(2), dt)
+        z = plant_step(z, now, nxt, np.zeros(2), np.zeros(2), dt, "midpoint")
     assert z[0] == pytest.approx(0.88 * 0.2, abs=1e-12)
     assert abs(z[1]) < 1e-15 and abs(z[2]) < 1e-15
     assert z[3] == pytest.approx(0.88, abs=1e-15)
@@ -237,7 +237,7 @@ def test_line_scenario_rejects_out_of_bound_disturbance(monkeypatch):
         return wrapper
 
     for name in ("chassis_tick", "plant_step"):
-        monkeypatch.setattr(simulate, name, counted(getattr(simulate, name)))
+        monkeypatch.setattr(oracles, name, counted(getattr(oracles, name)))
     for channel, bad in ((0, 0.5), (1, 0.5), (1, math.nan)):
         series = np.zeros((1000, 2))
         series[500, channel] = bad
@@ -268,7 +268,8 @@ def test_closed_loop_exact_lap_tracking():
     for i in range(n):
         err, _, u = chassis_tick(refs[i], z, gains)
         worst = max(worst, abs(err.e1), abs(err.e2))
-        z = plant_step(z, refs[i], refs[i + 1], u, np.zeros(2), dt)
+        z = plant_step(z, refs[i], refs[i + 1], u, np.zeros(2), dt,
+                       "midpoint")
     assert worst < 1e-4
 
 
@@ -279,7 +280,7 @@ def test_zero_speed_regulation_holds_position():
     z = np.array([1.0, -2.0, 0.7, 0.0, 0.0])
     for _ in range(500):
         _, _, u = chassis_tick(ref, z, gains)
-        z = plant_step(z, ref, ref, u, np.zeros(2), 1e-3)
+        z = plant_step(z, ref, ref, u, np.zeros(2), 1e-3, "midpoint")
     assert abs(z[0] - 1.0) < 1e-9 and abs(z[1] + 2.0) < 1e-9
     assert abs(z[3]) < 1e-9 and abs(z[4]) < 1e-9
 
@@ -295,7 +296,7 @@ def test_offset_converges_into_band():
         nxt = _ref(x=0.88 * (i + 1) * dt)
         err, _, u = chassis_tick(now, z, gains)
         hist.append((err.e1, err.e2, err.e3))
-        z = plant_step(z, now, nxt, u, np.zeros(2), dt)
+        z = plant_step(z, now, nxt, u, np.zeros(2), dt, "midpoint")
     tail = np.array(hist[-500:])
     assert np.abs(tail[:, 0]).max() < 0.020
     assert np.abs(tail[:, 1]).max() < 0.001

@@ -97,9 +97,11 @@ def test_integrator_choices():
     assert parse_config({"integrator": "euler"}).integrator == "euler"
     assert parse_config({"integrator": "midpoint"}).integrator == "midpoint"
     assert parse_config({}).integrator == "midpoint"
-    with pytest.raises(ValidationError) as err:
-        parse_config({"integrator": "rk2"})
-    assert any("integrator" in m for m in err.value.messages)
+    for bad in ("rk4", "rk2"):
+        with pytest.raises(ValidationError) as err:
+            parse_config({"integrator": bad})
+        assert err.value.messages == [
+            "integrator: expected midpoint or euler"]
 
 
 def test_multiple_problems_collected():
@@ -162,6 +164,16 @@ def test_fires_overlay_assigns_idents():
                                      {"position": [0.0, 1.0, 0.3]}]})
     assert [f.ident for f in config.fires] == ["F1", "F2"]
     assert config.fires[0].position == [1.0, 0.0, 0.3]
+
+
+@pytest.mark.parametrize("ident", ["far\nfire", "far\rfire"])
+def test_fire_ident_with_a_line_break_is_rejected(ident):
+    """The run log holds the flagged idents on one #flagged= line, which a
+    line break would split, so parsing rejects the ident by key."""
+    with pytest.raises(ValidationError) as err:
+        parse_config({"fires": [{"position": [5, 5, 0.3], "ident": ident}]})
+    assert err.value.messages == [
+        "fires[0].ident: expected printable characters only"]
 
 
 def test_default_fires_match_worked_example():

@@ -26,7 +26,7 @@ SCALARS = [
     "circuit.edge_length", "circuit.corner_radius", "circuit.speed",
     "circuit.min_corner_radius", "sweep.passes", "sweep.horizontal_span",
     "sweep.vertical_span", "sweep.base_height", "sweep.speed",
-    "sweep.pitch_deg", "fire_test.label", "fire_test.crib_side",
+    "sweep.pitch_deg", "fire_test.crib_side",
     "fire_test.discharge_time", "fire_test.stage2_budget",
     "top_spray.duration", "disturbance.kind", "disturbance.frequency",
     "disturbance.seed", "band.e1_mm", "band.e2_mm", "band.e3_deg",
@@ -91,7 +91,9 @@ def _cases() -> dict:
     for bad in (["x"], 7, "x", {"ident": "A"}, None):
         cases["fires = %r" % (bad,)] = {"fires": bad}
     for entry in ({"ident": ""}, {"ident": 5}, {"ident": None},
-                  {"ident": ["A"]}, {"position": [0.0, 0.0]},
+                  {"ident": ["A"]}, {"ident": "far\nfire"},
+                  {"ident": "far\rfire"}, {"ident": "\t"},
+                  {"position": [0.0, 0.0]},
                   {"position": [math.nan, 0.0, 0.0]},
                   {"position": [0.0, 10 ** 400, 0.0]}, {"position": "x"},
                   {"position": [0.1, "y", True]}, {"bogus": 1},
@@ -128,15 +130,13 @@ def _cases() -> dict:
         "boom zero, forearm negative": {"geometry": {
             "link_lengths": [-1, 0, -1, 0, 0]}},
     }
-    for bad in ("", {"a": 1}, ["20A"]):
-        cross["fire_test.label = %r" % (bad,)] = {"fire_test": {"label": bad}}
     cases.update(cross)
 
     # Many problems at once pin the order across keys and rules.
     everything = [_nest(key, "x") for key in SCALARS + list(VECTORS)]
     cases["every key a string"] = _merge(*everything)
     cases["every vector short, every scalar negative"] = _merge(
-        *[_nest(key, -1.0) for key in SCALARS if key != "fire_test.label"],
+        *[_nest(key, -1.0) for key in SCALARS],
         *[_nest(key, good[:-1]) for key, good in VECTORS.items()])
     cases["cross rules among field problems"] = _merge(
         {"dt": 0},
@@ -149,8 +149,6 @@ def _cases() -> dict:
         {"band": {"e1_mm": 0}}, {"initial_pose_offset": [0.0]},
         {"fires": [{"ident": "", "position": [0.0]}, {"ident": 3}]},
         {"fire_test": {"crib_side": 0}})
-    cases["fire_test.label among fire_test problems"] = {"fire_test": {
-        "crib_side": 0, "label": "", "stage2_budget": -1}}
 
     # Structure: unknown keys, sections that are not mappings, the top level.
     for name, data in (("unknown top-level key", {"chasis_control": {}}),

@@ -25,8 +25,9 @@ from mobman.mission import Circuit, SweepPath
 from mobman.planning import (Stage2Slot, _arm_reference, _chassis_reference,
                              _labels_and_events, plan_mission)
 from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, export,
-                             run_line_scenario, run_mission)
+                             run_mission)
 from mobman.util import integrate
+from oracles import run_line_scenario
 
 DEG = math.pi / 180.0
 
@@ -427,6 +428,18 @@ def test_from_csv_memory_stays_near_its_arrays(tmp_path):
     assert peak < 3 * arrays
 
 
+def test_flagged_ident_round_trips_as_text(tmp_path):
+    """A fire out of reach is flagged and its ident logged; an ident that
+    reads as a number, such as 007, comes back from the exported
+    timeseries.csv as the same text."""
+    result = run_mission(parse_config({
+        "dt": 0.01, "fires": [{"position": [5, 5, 0.3], "ident": "007"}]}))
+    assert result.log.meta["flagged"] == "007"
+    export(result, tmp_path)
+    again = SimLog.from_csv(tmp_path / "timeseries.csv")
+    assert again.meta == result.log.meta
+
+
 def test_numpy_float_metadata_round_trips(tmp_path):
     log = _synthetic_log()
     log.meta["dt"] = np.float64(0.001)
@@ -657,13 +670,12 @@ def test_mission_checks_disturbance_before_the_loop(monkeypatch):
 
 
 @pytest.mark.parametrize("integrator, per_step",
-                         [("rk4", 4), ("midpoint", 2), ("euler", 1)])
+                         [("midpoint", 2), ("euler", 1)])
 def test_one_kernel_per_state(monkeypatch, integrator, per_step):
     """The arm law and the integrator stage at a step's start share one
-    kernel evaluation, so a run evaluates the model once per state: 4 n + 1
-    times under RK4, 2 n + 1 under the midpoint rule and n + 1 under Euler
-    for n steps.  The shared one is the first of each step's calls, made at
-    the logged state.  FK runs outside the step loop: a run makes at most
+    kernel evaluation, so a run evaluates the model once per state: 2 n + 1
+    times under the midpoint rule and n + 1 under Euler for n steps.  The
+    shared one is the first of each step's calls, made at the logged state.  FK runs outside the step loop: a run makes at most
     two calls, each on all n + 1 joint vectors, not two per step."""
     real = ArmDynamics._kernel
     real_fk = simulate.forward_kinematics
@@ -693,14 +705,14 @@ def test_one_kernel_per_state(monkeypatch, integrator, per_step):
     assert calls[::per_step] == logged.tolist()
 
 
-@pytest.mark.parametrize("integrator", ["rk4", "midpoint", "euler"])
+@pytest.mark.parametrize("integrator", ["midpoint", "euler"])
 def test_one_integrate_call_per_step(monkeypatch, integrator):
     """The chassis pose and the arm advance together: a run of n steps makes
     n integrate calls, each over the 3 pose and 8 arm states, whichever
     module calls it."""
     sizes = []
 
-    def counted(f, y, dt, method="rk4"):
+    def counted(f, y, dt, method):
         sizes.append(len(y))
         return integrate(f, y, dt, method)
 
@@ -730,7 +742,7 @@ def test_non_finite_arm_state_is_a_solve_failure_on_lists(joint, bad):
     qd = [0.2, -0.1, 0.3, 0.1]
     q = list(good)
     q[joint] = bad
-    for method in ("rk4", "midpoint", "euler"):
+    for method in ("midpoint", "euler"):
         with pytest.raises(SolveFailure, match="^mass matrix"):
             terms = model._kernel(q, qd)
             tau = arm_control_law(q, qd, good, qd, [0.0] * 4, gains, terms)
@@ -778,10 +790,10 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         terms = model._kernel(q, qd)
         tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
                               arm_gains, terms)
-        z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3)
+        z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3, "midpoint")
         steps = [plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3, method,
                             (q + qd, model.state_rates(terms, tau)))
-                 for method in ("rk4", "midpoint", "euler")]
+                 for method in ("midpoint", "euler")]
         rows = list(simulate._float_rows(table))
         refs = list(map(ChassisRefSample._make, rows))
     values = list(s) + list(u) + tau + z1 + list(err)
@@ -789,7 +801,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
         values += step
     for sample in samples:
         values += list(sample)
-    assert len(values) == 2 + 2 + 4 + 5 + 3 + 3 * 13 + 3 * 10
+    assert len(values) == 2 + 2 + 4 + 5 + 3 + 2 * 13 + 3 * 10
     assert all(type(v) is float for v in values)
     assert rows == table.tolist() and refs[-1] == tuple(rows[-1])
     assert all(type(v) is float for row in rows for v in row)
