@@ -242,6 +242,17 @@ def test_workspace_radii_match_triangle_extremes():
     assert len(summary.boundary) > 0 and summary.cloud.shape[1] == 3
 
 
+def test_workspace_stock_sweep_is_pinned():
+    # The stock grids: 0.25 deg planar curves, a 5 deg cloud at 30 deg slew.
+    summary = workspace_analysis()
+    assert summary.boundary.shape == (1088, 2)
+    assert summary.cloud.shape == (6916, 3)
+    assert summary.r_min == pytest.approx(972.3752501647, abs=1e-6)
+    assert summary.r_max == pytest.approx(2678.4599697182, abs=1e-6)
+    assert summary.full_reach_min == pytest.approx(296.0254037844, abs=1e-6)
+    assert summary.full_reach_max == pytest.approx(2958.4591387614, abs=1e-6)
+
+
 def test_workspace_key_points():
     summary = workspace_analysis(
         resolution=1.0 * DEG,
