@@ -118,7 +118,7 @@ def _cmd_plan(args) -> int:
     plan = plan_mission(config)
     circuit = plan.circuit
     if args.json:
-        with open(args.json, "w") as fh:
+        with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(_plan_payload(plan), fh, indent=2)
             fh.write("\n")
         print("wrote %s" % args.json)

@@ -17,9 +17,9 @@ import numpy as np
 import yaml
 
 from .dynamics import LinkInertialParams, default_inertial_params
-from .errors import ParseError, ValidationError
-from .kinematics import ArmGeometry
-from .util import INTEGRATORS
+from .errors import JointLimitViolation, ParseError, ValidationError
+from .kinematics import ArmGeometry, check_joint_limits
+from .util import DEG, INTEGRATORS
 
 
 # -- field rules ------------------------------------------------------------
@@ -276,16 +276,16 @@ def parse_config(data: dict | None) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ParseError("%s: %s" % (path, exc)) from exc
     return parse_config(data)
 
 
 def save_config(config: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(dataclasses.asdict(config), fh, sort_keys=False)
 
 
@@ -343,9 +343,22 @@ def _amplitude(config: ScenarioConfig, problems: list) -> None:
                             "chassis_control.f_bounds[%d]" % (i, i))
 
 
+def _top_spray_joints(config: ScenarioConfig, problems: list) -> None:
+    """The arm holds these joints through the top spray, so they must keep
+    every joint and the elbow angle in range."""
+    joints = config.top_spray.joints_deg
+    if isinstance(joints, (list, tuple)) and len(joints) == 4 and all(
+            map(_number, joints)):
+        try:
+            check_joint_limits([v * DEG for v in joints])
+        except JointLimitViolation as exc:
+            problems.append("top_spray.joints_deg: %s" % exc)
+
+
 # Each cross-field rule runs right after the field it is keyed on here.
 _CROSS_RULES = {"geometry.link_lengths": _boom_and_forearm,
                 "circuit.min_corner_radius": _corner_radius,
+                "top_spray.joints_deg": _top_spray_joints,
                 "disturbance.seed": _amplitude}
 
 

@@ -38,6 +38,12 @@ _LIMIT_TOL = 1e-9
 # Nozzle pitches tried at a fire or a probed point: 0 to 90 deg by 5 deg.
 PITCH_GRID = tuple(k * 5.0 * DEG for k in range(19))
 
+# Workspace sweep steps: the planar radii and envelope, the cloud's boom and
+# forearm grid, and the cloud's slew.
+PLANAR_STEP = 0.25 * DEG
+CLOUD_STEP = 5.0 * DEG
+SLEW_STEP = 30.0 * DEG
+
 
 @dataclass(frozen=True)
 class ArmGeometry:
@@ -86,19 +92,34 @@ def check_joint_limits(q, tol: float = _LIMIT_TOL) -> None:
     gamma = interior_angle(q)
     if not INTERIOR_MIN - tol <= gamma <= INTERIOR_MAX + tol:
         raise JointLimitViolation(
-            "interior angle = %.6f deg outside [30, 165] deg" % (gamma / DEG))
+            "interior angle = %.6f deg outside [%g, %g] deg"
+            % (gamma / DEG, INTERIOR_MIN / DEG, INTERIOR_MAX / DEG))
 
 
-def _planar_coords(q: np.ndarray, geometry: ArmGeometry):
-    """Radial/vertical tool coordinates in the slewing plane (mm)."""
-    a1, a2, a3, a4, a5 = geometry.a
-    y5p = geometry.y5p
-    c2, s2 = np.cos(q[..., 1]), np.sin(q[..., 1])
-    c3, s3 = np.cos(q[..., 2]), np.sin(q[..., 2])
-    c4, s4 = np.cos(q[..., 3]), np.sin(q[..., 3])
-    r = a1 + a2 * c2 + a3 * c3 + a4 + a5 * c4 - y5p * s4
-    z = geometry.d1 + a2 * s2 + a3 * s3 + a5 * s4 + y5p * c4
-    return r, z
+def _in_range(q: np.ndarray) -> np.ndarray:
+    """Mask over q's leading axes: True where every joint on the last axis
+    and the elbow angle lie within their ranges, to _LIMIT_TOL (a NaN
+    fails).  check_joint_limits tests the same rule one vector at a time."""
+    gamma = math.pi - (q[..., 1] - q[..., 2])
+    return ((np.array(JOINT_LIMITS_LOW) - _LIMIT_TOL <= q).all(-1)
+            & (q <= np.array(JOINT_LIMITS_HIGH) + _LIMIT_TOL).all(-1)
+            & (INTERIOR_MIN - _LIMIT_TOL <= gamma)
+            & (gamma <= INTERIOR_MAX + _LIMIT_TOL))
+
+
+def _joint_samples(k: int, step: float) -> np.ndarray:
+    """Joint k's range sampled every step (rad) from its lower stop."""
+    return np.arange(JOINT_LIMITS_LOW[k], JOINT_LIMITS_HIGH[k] + 0.5 * step,
+                     step)
+
+
+def _chain(geometry: ArmGeometry, q: np.ndarray, r0=0.0, z0=0.0):
+    """Radial/vertical position (mm) in the slewing plane of the tip of the
+    boom and forearm, at q's joints 2 and 3, the boom rooted at (r0, z0)."""
+    _, a2, a3, _, _ = geometry.a
+    t2, t3 = q[..., 1], q[..., 2]
+    return (r0 + a2 * np.cos(t2) + a3 * np.cos(t3),
+            z0 + a2 * np.sin(t2) + a3 * np.sin(t3))
 
 
 def forward_kinematics(q, geometry: ArmGeometry = STOCK_ARM) -> EndEffectorPose:
@@ -109,10 +130,13 @@ def forward_kinematics(q, geometry: ArmGeometry = STOCK_ARM) -> EndEffectorPose:
     check_joint_limits' job.  The nozzle pitch comes straight from the wrist
     joint: phi = -theta4.
     """
+    a1, _, _, a4, a5 = geometry.a
     q = np.asarray(q, dtype=float)
-    r, z = _planar_coords(q, geometry)
-    return EndEffectorPose(r * np.cos(q[..., 0]), r * np.sin(q[..., 0]), z,
-                           -q[..., 3])
+    r, z = _chain(geometry, q, a1, geometry.d1)
+    c4, s4 = np.cos(q[..., 3]), np.sin(q[..., 3])
+    r = r + a4 + a5 * c4 - geometry.y5p * s4
+    return EndEffectorPose(r * np.cos(q[..., 0]), r * np.sin(q[..., 0]),
+                           z + a5 * s4 + geometry.y5p * c4, -q[..., 3])
 
 
 def _math_map(f, *columns) -> np.ndarray:
@@ -151,12 +175,7 @@ def _solve(pose: EndEffectorPose, geometry: ArmGeometry):
         q = np.column_stack([theta1, acos2 + beta, -acos3 + beta, theta4])
         finite = np.isfinite([x, y, z, phi]).all(axis=0)
         open_ = (np.abs(cos_b2) > 1.0 + 1e-12) | (np.abs(cos_b3) > 1.0 + 1e-12)
-        gamma = math.pi - (q[:, 1] - q[:, 2])
-        in_range = ((np.array(JOINT_LIMITS_LOW) - _LIMIT_TOL <= q).all(1)
-                    & (q <= np.array(JOINT_LIMITS_HIGH) + _LIMIT_TOL).all(1)
-                    & (INTERIOR_MIN - _LIMIT_TOL <= gamma)
-                    & (gamma <= INTERIOR_MAX + _LIMIT_TOL))
-        bad = ~finite | (rho < 1e-12) | open_ | ~in_range
+        bad = ~finite | (rho < 1e-12) | open_ | ~_in_range(q)
 
     def error(i: int) -> Exception:
         if not finite[i]:
@@ -168,7 +187,7 @@ def _solve(pose: EndEffectorPose, geometry: ArmGeometry):
             exc = Unreachable("planar target %.1f mm outside the two-link "
                               "annulus" % rho[i])
         else:
-            try:  # in_range failed it: the same tests in the same order
+            try:  # _in_range failed it: the same tests in the same order
                 check_joint_limits(q[i].tolist())
             except JointLimitViolation as limit:
                 exc = limit
@@ -243,95 +262,55 @@ def point_reachable(position, geometry: ArmGeometry = STOCK_ARM) -> bool:
                       geometry)[0] is not None
 
 
-def workspace_analysis(resolution: float = 0.25 * DEG,
-                       geometry: ArmGeometry = STOCK_ARM,
-                       key_points=(),
-                       cloud_resolution: float = 5.0 * DEG,
-                       azimuth_resolution: float = 30.0 * DEG) -> WorkspaceSummary:
-    """Sweep the planar joints under the interior-angle constraint.
+def _in_range_rows(t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
+    """The in-range joint vectors (0, theta2, theta3, 0) of equal-length
+    theta2 and theta3 arrays, one row each."""
+    q = np.stack(np.broadcast_arrays(0.0, t2, t3, 0.0), -1)
+    return q[_in_range(q)]
 
-    key_points is an iterable of (name, (x, y, z)) entries in mm; each is
-    checked for reachability with the closed-form solver.
+
+def _planar_grid(step: float) -> np.ndarray:
+    """The in-range rows of the step grid over theta2 and theta3,
+    theta2-major."""
+    t2, t3 = _joint_samples(1, step), _joint_samples(2, step)
+    return _in_range_rows(np.repeat(t2, len(t3)), np.tile(t3, len(t2)))
+
+
+def workspace_analysis(geometry: ArmGeometry = STOCK_ARM,
+                       key_points=()) -> WorkspaceSummary:
+    """Sweep the boom and forearm over their ranges under the elbow-angle
+    limits, the wrist flat (theta4 = 0): the radii on the PLANAR_STEP grid;
+    boundary along the boom's upper and lower stops and the 30 and 165 deg
+    elbow arcs, every PLANAR_STEP; cloud on the CLOUD_STEP grid, slewed every
+    SLEW_STEP.  key_points is an iterable of (name, (x, y, z)) entries in mm,
+    each checked for reachability with the closed-form solver.
     """
-    a1, a2, a3, a4, a5 = geometry.a
-    d1 = geometry.d1
+    a1, _, _, a4, a5 = geometry.a
 
-    t2 = np.arange(JOINT_LIMITS_LOW[1], JOINT_LIMITS_HIGH[1] + 0.5 * resolution,
-                   resolution)
-    t3 = np.arange(JOINT_LIMITS_LOW[2], JOINT_LIMITS_HIGH[2] + 0.5 * resolution,
-                   resolution)
-    g2, g3 = np.meshgrid(t2, t3, indexing="ij")
-    gamma = np.pi - (g2 - g3)
-    mask = (gamma >= INTERIOR_MIN - 1e-12) & (gamma <= INTERIOR_MAX + 1e-12)
+    rr, zz = _chain(geometry, _planar_grid(PLANAR_STEP))
+    radius = np.hypot(rr, zz)
+    full = a1 + rr + a4 + a5  # the tool point's radial extent
 
-    rr = a2 * np.cos(g2) + a3 * np.cos(g3)
-    zz = a2 * np.sin(g2) + a3 * np.sin(g3)
-    radius = np.hypot(rr, zz)[mask]
-    r_min = float(radius.min())
-    r_max = float(radius.max())
+    t2, t3 = _joint_samples(1, PLANAR_STEP), _joint_samples(2, PLANAR_STEP)
+    curves = [(np.full_like(t3, stop), t3)
+              for stop in (JOINT_LIMITS_HIGH[1], JOINT_LIMITS_LOW[1])]
+    curves += [(t2, t2 - (math.pi - gamma))
+               for gamma in (INTERIOR_MIN, INTERIOR_MAX)]
+    boundary = np.vstack([
+        np.column_stack(_chain(geometry, _in_range_rows(*curve)))
+        for curve in curves])
 
-    # Tool-point radial extent with the wrist stretched flat (theta4 = 0).
-    full = a1 + rr[mask] + a4 + a5
-    full_reach_min = float(full.min())
-    full_reach_max = float(full.max())
+    t1 = _joint_samples(0, SLEW_STEP)
+    q = np.repeat(_planar_grid(CLOUD_STEP)[None], len(t1), axis=0)
+    q[..., 0] = t1[:, None]
+    cloud = np.stack(forward_kinematics(q, geometry)[:3], -1).reshape(-1, 3)
 
-    boundary = _boundary_samples(geometry, resolution)
-    cloud = _cloud_samples(geometry, cloud_resolution, azimuth_resolution)
-
-    checks = []
-    for name, position in key_points:
-        checks.append(KeyPointCheck(name=str(name),
-                                    position=tuple(float(v) for v in position),
-                                    reachable=point_reachable(position, geometry)))
-    return WorkspaceSummary(r_min=r_min, r_max=r_max,
-                            full_reach_min=full_reach_min,
-                            full_reach_max=full_reach_max,
-                            boundary=boundary, cloud=cloud,
-                            key_points=tuple(checks))
-
-
-def _boundary_samples(geometry: ArmGeometry, resolution: float) -> np.ndarray:
-    """(r, z) envelope about the shoulder: two joint-stop curves and two
-    interior-angle arcs."""
-    _, a2, a3, _, _ = geometry.a
-    pieces = []
-
-    def chain(th2, th3):
-        return np.column_stack([a2 * np.cos(th2) + a3 * np.cos(th3),
-                                a2 * np.sin(th2) + a3 * np.sin(th3)])
-
-    for t2_fixed in (JOINT_LIMITS_HIGH[1], JOINT_LIMITS_LOW[1]):
-        t3 = np.arange(JOINT_LIMITS_LOW[2], JOINT_LIMITS_HIGH[2] + 0.5 * resolution,
-                       resolution)
-        gamma = np.pi - (t2_fixed - t3)
-        t3 = t3[(gamma >= INTERIOR_MIN - 1e-12) & (gamma <= INTERIOR_MAX + 1e-12)]
-        pieces.append(chain(np.full_like(t3, t2_fixed), t3))
-    for gamma_fixed in (INTERIOR_MIN, INTERIOR_MAX):
-        delta = math.pi - gamma_fixed  # theta2 - theta3 along the arc
-        t2 = np.arange(JOINT_LIMITS_LOW[1], JOINT_LIMITS_HIGH[1] + 0.5 * resolution,
-                       resolution)
-        t3 = t2 - delta
-        ok = (t3 >= JOINT_LIMITS_LOW[2] - 1e-12) & (t3 <= JOINT_LIMITS_HIGH[2] + 1e-12)
-        pieces.append(chain(t2[ok], t3[ok]))
-    return np.vstack(pieces)
-
-
-def _cloud_samples(geometry: ArmGeometry, planar_res: float,
-                   azimuth_res: float) -> np.ndarray:
-    """Coarse 3-D tool positions over the in-range joint grid (theta4 = 0)."""
-    a1, a2, a3, a4, a5 = geometry.a
-    t2 = np.arange(JOINT_LIMITS_LOW[1], JOINT_LIMITS_HIGH[1] + 0.5 * planar_res,
-                   planar_res)
-    t3 = np.arange(JOINT_LIMITS_LOW[2], JOINT_LIMITS_HIGH[2] + 0.5 * planar_res,
-                   planar_res)
-    g2, g3 = np.meshgrid(t2, t3, indexing="ij")
-    gamma = np.pi - (g2 - g3)
-    ok = (gamma >= INTERIOR_MIN - 1e-12) & (gamma <= INTERIOR_MAX + 1e-12)
-    r = (a1 + a2 * np.cos(g2) + a3 * np.cos(g3) + a4 + a5)[ok]
-    z = (geometry.d1 + a2 * np.sin(g2) + a3 * np.sin(g3) + geometry.y5p)[ok]
-    t1 = np.arange(JOINT_LIMITS_LOW[0], JOINT_LIMITS_HIGH[0] + 0.5 * azimuth_res,
-                   azimuth_res)
-    pts = []
-    for th1 in t1:
-        pts.append(np.column_stack([r * math.cos(th1), r * math.sin(th1), z]))
-    return np.vstack(pts)
+    checks = tuple(KeyPointCheck(name=str(name),
+                                 position=tuple(float(v) for v in position),
+                                 reachable=point_reachable(position, geometry))
+                   for name, position in key_points)
+    return WorkspaceSummary(r_min=float(radius.min()),
+                            r_max=float(radius.max()),
+                            full_reach_min=float(full.min()),
+                            full_reach_max=float(full.max()),
+                            boundary=boundary, cloud=cloud, key_points=checks)

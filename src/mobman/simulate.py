@@ -82,10 +82,15 @@ class SimLog:
         n = 0
         state = []
         event = []
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             # The line count bounds the data rows: the table is never grown.
-            table = np.empty((sum(1 for _ in fh), len(_NUMERIC_CELLS)),
-                             order="F")
+            # Counting decodes the whole file, so a byte that is not UTF-8
+            # fails here.
+            try:
+                count = sum(1 for _ in fh)
+            except UnicodeDecodeError as exc:
+                raise ParseError("%s: %s" % (path, exc)) from exc
+            table = np.empty((count, len(_NUMERIC_CELLS)), order="F")
             fh.seek(0)
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
@@ -295,7 +300,7 @@ def export(result: MissionResult, directory) -> list:
 
 
 def _write_json(path, report) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")
 
@@ -314,7 +319,7 @@ def _write_tables(log: SimLog, tables: dict) -> None:
     with contextlib.ExitStack() as stack:
         files = []
         for path, (preamble, cols) in tables.items():
-            fh = stack.enter_context(open(path, "w"))
+            fh = stack.enter_context(open(path, "w", encoding="utf-8"))
             fh.write(preamble + ",".join(cols) + "\n")
             files.append((fh, cols))
         for a in range(0, log.n_rows, _BLOCK_ROWS):

@@ -221,6 +221,22 @@ def test_file_errors_are_reported(tmp_path, capsys, monkeypatch, command):
     assert err == "error: %s: %s\n" % (path, reason)
 
 
+@pytest.mark.parametrize("command, text", [
+    ("plan", b"dt: 0.01\nfires: []\n# \xff\n"),
+    ("metrics", b"#dt=0.01\n#flagged=\xff\n"),
+])
+def test_undecodable_input_is_named(tmp_path, capsys, command, text):
+    """Every file is read as UTF-8; a byte that is not is one error line
+    naming the file, not a traceback."""
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert err.startswith("error: %s: 'utf-8' codec can't decode byte 0xff "
+                          % path)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_bad_scenario_reports_every_problem(tmp_path, capsys):
     scenario = tmp_path / "broken.yaml"
     scenario.write_text("dt: -1\nintegrator: leapfrog\nbogus_key: 3\n")

@@ -152,6 +152,23 @@ def test_yaml_round_trip(tmp_path):
     assert parse_config(data) == config
 
 
+@pytest.mark.parametrize("joints, shown", [
+    ([0, 170, 60, 40], "theta2 = 170.000000 deg outside [0.00, 135.00] deg"),
+    ([0, 90, 60, 0], "theta3 = 60.000000 deg outside [-120.00, 15.50] deg"),
+    ([0, 90, 0, 40], "theta4 = 40.000000 deg outside [-90.00, 0.00] deg"),
+    ([0, 135, -30, -45],
+     "interior angle = 15.000000 deg outside [30, 165] deg"),
+], ids=["theta2", "theta3", "theta4", "elbow"])
+def test_top_spray_joints_outside_their_ranges_are_named(joints, shown):
+    """The arm holds the top-spray joints, so a vector it cannot reach is
+    rejected by key; the stock vector, which sits on two stops, passes."""
+    assert parse_config({"top_spray": {"joints_deg": [0, 135, 15.5, -45]}})
+    with pytest.raises(ValidationError) as err:
+        parse_config({"dt": 0.01, "top_spray": {"duration": 0.5,
+                                                "joints_deg": joints}})
+    assert err.value.messages == ["top_spray.joints_deg: " + shown]
+
+
 def test_yaml_syntax_error_raises_parse_error(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("dt: [unclosed\n")

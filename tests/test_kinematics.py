@@ -232,7 +232,7 @@ def test_arm_geometry_validation():
 
 
 def test_workspace_radii_match_triangle_extremes():
-    summary = workspace_analysis(resolution=0.25 * DEG)
+    summary = workspace_analysis()
     a2, a3 = 1000.0, 1700.0
     r_lo = math.sqrt(a2 ** 2 + a3 ** 2 + 2 * a2 * a3 * math.cos(150.0 * DEG))
     r_hi = math.sqrt(a2 ** 2 + a3 ** 2 + 2 * a2 * a3 * math.cos(15.0 * DEG))
@@ -255,7 +255,6 @@ def test_workspace_stock_sweep_is_pinned():
 
 def test_workspace_key_points():
     summary = workspace_analysis(
-        resolution=1.0 * DEG,
         key_points=[("tool-flat", (1980.0, 0.0, 1185.0)),
                     ("too-far", (5000.0, 0.0, 0.0))])
     verdicts = {k.name: k.reachable for k in summary.key_points}

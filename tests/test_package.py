@@ -56,3 +56,21 @@ def test_engine_modules_do_not_import_config_simulate_or_cli():
     leaks = {name: sorted(_imported_modules(name) & ABOVE_ENGINE)
              for name in ENGINE}
     assert {k: v for k, v in leaks.items() if v} == {}
+
+
+def test_every_text_open_names_its_encoding():
+    """Files are UTF-8 whatever the locale: each open() in the package
+    passes encoding= or opens in binary mode."""
+    unnamed = []
+    for path in sorted(pathlib.Path(mobman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not binary and "encoding" not in {k.arg for k in node.keywords}:
+                unnamed.append("%s:%d" % (path.name, node.lineno))
+    assert unnamed == []

@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 
@@ -438,6 +441,36 @@ def test_flagged_ident_round_trips_as_text(tmp_path):
     export(result, tmp_path)
     again = SimLog.from_csv(tmp_path / "timeseries.csv")
     assert again.meta == result.log.meta
+
+
+def test_files_are_utf8_under_the_c_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, where open() defaults to
+    ASCII, a fire ident 火 loads from a scenario file and a log flagging it
+    round-trips through to_csv and from_csv as UTF-8."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("fires:\n- {position: [5, 5, 0.3], ident: 火}\n",
+                        encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from mobman.config import load_config\n"
+        "from mobman.simulate import SimLog\n"
+        "from test_simulate import _synthetic_log\n"
+        "assert load_config(sys.argv[1]).fires[0].ident == '\\u706b'\n"
+        "log = _synthetic_log()\n"
+        "log.meta['flagged'] = '\\u706b'\n"
+        "log.to_csv(sys.argv[2])\n"
+        "assert SimLog.from_csv(sys.argv[2]).meta == log.meta\n")
+    roots = [pathlib.Path(simulate.__file__).parents[1],
+             pathlib.Path(__file__).parent]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(map(str, roots)))
+    log_path = tmp_path / "run.csv"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(scenario), str(log_path)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "#flagged=火\n" in log_path.read_text(encoding="utf-8")
 
 
 def test_numpy_float_metadata_round_trips(tmp_path):
