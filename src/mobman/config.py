@@ -355,8 +355,38 @@ def _top_spray_joints(config: ScenarioConfig, problems: list) -> None:
             problems.append("top_spray.joints_deg: %s" % exc)
 
 
+def _inertial_split(config: ScenarioConfig, problems: list) -> None:
+    """What the model would reject in build_inertial's parameters, named by
+    a key the scenario set: a column or wrist that the stock split leaves
+    massless, and a planar body's inertia below its point-mass bound m c^2,
+    which with inertias unset only com_offsets can raise.  Runs once the
+    geometry and inertial fields are valid."""
+    if any(p.startswith(("geometry.", "inertial.")) for p in problems):
+        return
+    ine, lengths = config.inertial, config.geometry.link_lengths
+    if ine.masses is None:  # the split's column and wrist lengths
+        column = (0, "geometry.shoulder_height",
+                  config.geometry.shoulder_height)
+        wrist = (3, "geometry.link_lengths[4]", lengths[4])
+        for i, other, length in (column, wrist):
+            if lengths[i] + length == 0:
+                problems.append("geometry.link_lengths[%d]: must be > 0 while "
+                                "%s is 0 and inertial.masses is unset"
+                                % (i, other))
+    params = _fill_inertial(ine, build_geometry(config))
+    for i, body in ((1, "boom"), (2, "forearm"), (3, "wrist")):
+        if params.inertias[i] < params.masses[i] * params.com_offsets[i] ** 2:
+            problems.append(
+                "inertial.inertias[%d]: below the point-mass bound of the %s "
+                "body" % (i, body) if ine.inertias is not None else
+                "inertial.com_offsets[%d]: puts the %s body's point-mass "
+                "bound above its stock inertia m L^2 / 3 while "
+                "inertial.inertias is unset" % (i, body))
+
+
 # Each cross-field rule runs right after the field it is keyed on here.
 _CROSS_RULES = {"geometry.link_lengths": _boom_and_forearm,
+                "inertial.inertias": _inertial_split,
                 "circuit.min_corner_radius": _corner_radius,
                 "top_spray.joints_deg": _top_spray_joints,
                 "disturbance.seed": _amplitude}
@@ -385,25 +415,35 @@ def build_geometry(config: ScenarioConfig) -> ArmGeometry:
 
 def build_inertial(config: ScenarioConfig,
                    geometry: ArmGeometry) -> LinkInertialParams:
-    ine = config.inertial
-    stock = default_inertial_params(
-        geometry, total_mass=ine.total_mass,
-        payload_mass=ine.payload_mass, gravity=ine.gravity)
-    if ine.masses is None and ine.com_offsets is None and ine.inertias is None:
-        return stock
-
-    def pick(given, default):
-        return tuple(float(v) for v in (default if given is None else given))
-
-    params = LinkInertialParams(
-        masses=pick(ine.masses, stock.masses),
-        com_offsets=pick(ine.com_offsets, stock.com_offsets),
-        inertias=pick(ine.inertias, stock.inertias),
-        payload_mass=float(ine.payload_mass), gravity=float(ine.gravity))
+    """The inertial section as the engine's parameters.  A vector the
+    scenario leaves unset comes from the stock split of total_mass over the
+    geometry (default_inertial_params); unset inertias take its rod rule
+    m L^2 / 3 with the masses in use.  Raises ValidationError for parameters
+    the model rejects."""
+    params = _fill_inertial(config.inertial, geometry)
     problems = params.validate()
     if problems:
         raise ValidationError(problems)
     return params
+
+
+def _fill_inertial(ine: InertialConfig,
+                   geometry: ArmGeometry) -> LinkInertialParams:
+    """build_inertial's parameters, not yet validated."""
+    stock = default_inertial_params(geometry, ine.total_mass,
+                                    ine.payload_mass, ine.gravity)
+
+    def pick(given, default):
+        return tuple(float(v) for v in (default if given is None else given))
+
+    masses = pick(ine.masses, stock.masses)
+    # The split's centres of mass sit mid-rod: L = 2 c.
+    rods = [2.0 * c for c in stock.com_offsets]
+    return LinkInertialParams(
+        masses=masses, com_offsets=pick(ine.com_offsets, stock.com_offsets),
+        inertias=pick(ine.inertias, [m * L * L / 3.0
+                                     for m, L in zip(masses, rods)]),
+        payload_mass=float(ine.payload_mass), gravity=float(ine.gravity))
 
 
 def disturbance_series(config: DisturbanceConfig, times: np.ndarray) -> np.ndarray:

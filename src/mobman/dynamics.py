@@ -20,9 +20,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import SolveFailure, ValidationError
-from .kinematics import STOCK_ARM, ArmGeometry
+from .kinematics import ArmGeometry
 
-GRAVITY = 9.81
 _MM = 1e-3
 _INF = math.inf
 
@@ -41,7 +40,7 @@ class LinkInertialParams:
     com_offsets: tuple
     inertias: tuple
     payload_mass: float
-    gravity: float = GRAVITY
+    gravity: float
 
     def validate(self) -> list:
         """Problems named by their scenario key under inertial."""
@@ -73,13 +72,12 @@ class LinkInertialParams:
         return problems
 
 
-def default_inertial_params(geometry: ArmGeometry = STOCK_ARM,
-                            total_mass: float = 400.0,
-                            payload_mass: float = 20.0,
-                            gravity: float = GRAVITY) -> LinkInertialParams:
-    """Uniform slender-rod defaults.
+def default_inertial_params(geometry: ArmGeometry, total_mass: float,
+                            payload_mass: float,
+                            gravity: float) -> LinkInertialParams:
+    """The stock split of a mass budget over the arm, as uniform slender rods.
 
-    Mass is spread over the structural lengths (column incl. its lateral
+    total_mass is spread over the structural lengths (column incl. its lateral
     offset, boom, forearm, wrist incl. the parallelogram stub) in proportion
     to length; centres of mass sit mid-link and rod inertias are taken about
     the joint end (m L^2 / 3).
@@ -102,36 +100,29 @@ def default_inertial_params(geometry: ArmGeometry = STOCK_ARM,
 class ArmDynamics:
     """Equation-of-motion evaluator bound to one geometry + parameter set."""
 
-    def __init__(self, params: LinkInertialParams | None = None,
-                 geometry: ArmGeometry = STOCK_ARM):
+    def __init__(self, params: LinkInertialParams, geometry: ArmGeometry):
         self.geometry = geometry
-        self.params = params if params is not None else default_inertial_params(geometry)
-        problems = self.params.validate()
+        self.params = params
+        problems = params.validate()
         if problems:
             raise ValidationError(problems)
-        self.a1, self.a2, self.a3, self.a4, self.a5 = (v * _MM for v in geometry.a)
-        self.d1 = geometry.d1 * _MM
-        self.y5p = geometry.y5p * _MM
-        self.m1, self.m2, self.m3, self.m4 = self.params.masses
-        self.c1, self.c2, self.c3, self.c4 = self.params.com_offsets
-        self.mp = self.params.payload_mass
-        self.g = self.params.gravity
+        a1, a2, a3, a4, a5 = (v * _MM for v in geometry.a)
+        y5p = geometry.y5p * _MM
+        _, m2, m3, m4 = params.masses
+        _, cm2, cm3, cm4 = params.com_offsets
+        mp, g = params.payload_mass, params.gravity
+        i1, i2, i3, i4 = params.inertias
         # Spin inertias about each body's own centre of mass (parallel axis).
-        self.i1 = self.params.inertias[0]
-        self.ic2 = self.params.inertias[1] - self.m2 * self.c2 ** 2
-        self.ic3 = self.params.inertias[2] - self.m3 * self.c3 ** 2
-        self.ic4 = self.params.inertias[3] - self.m4 * self.c4 ** 2
+        ic2 = i2 - m2 * cm2 ** 2
+        ic3 = i3 - m3 * cm3 ** 2
+        ic4 = i4 - m4 * cm4 ** 2
         # What _kernel reads, as one tuple it unpacks per call: the constants
         # above, then the planar diagonal of M and the first mass moments.
-        m2, m3, m4, mp, cm2, cm3, cm4 = (self.m2, self.m3, self.m4, self.mp,
-                                         self.c2, self.c3, self.c4)
-        a2, a3, a5, y5p = self.a2, self.a3, self.a5, self.y5p
         self._consts = (
-            self.a1, a2, a3, self.a4, a5, y5p, cm2, cm3, cm4, m2, m3, m4, mp,
-            self.i1, self.g,
-            m2 * cm2 ** 2 + (m3 + m4 + mp) * a2 ** 2 + self.ic2,
-            m3 * cm3 ** 2 + (m4 + mp) * a3 ** 2 + self.ic3,
-            m4 * cm4 ** 2 + mp * (a5 ** 2 + y5p ** 2) + self.ic4,
+            a1, a2, a3, a4, a5, y5p, cm2, cm3, cm4, m2, m3, m4, mp, i1, g,
+            m2 * cm2 ** 2 + (m3 + m4 + mp) * a2 ** 2 + ic2,
+            m3 * cm3 ** 2 + (m4 + mp) * a3 ** 2 + ic3,
+            m4 * cm4 ** 2 + mp * (a5 ** 2 + y5p ** 2) + ic4,
             m2 * cm2 + (m3 + m4 + mp) * a2, m3 * cm3 + (m4 + mp) * a3,
             m4 * cm4 + mp * a5, mp * y5p)
 

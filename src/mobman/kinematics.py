@@ -49,12 +49,11 @@ SLEW_STEP = 30.0 * DEG
 class ArmGeometry:
     """The arm's constants in mm: the five link lengths a1..a5 (base offset,
     boom, forearm, parallelogram link, wrist), the shoulder height d1 and the
-    nozzle offset y5p along the wrist frame's y-axis.  Defaults are the stock
-    arm."""
+    nozzle offset y5p along the wrist frame's y-axis."""
 
-    a: tuple = (100.0, 1000.0, 1700.0, 100.0, 80.0)
-    d1: float = 185.0
-    y5p: float = 0.0
+    a: tuple
+    d1: float
+    y5p: float
 
     def __post_init__(self):
         if len(self.a) != 5:
@@ -62,9 +61,6 @@ class ArmGeometry:
         if min(self.a) < 0.0 or self.d1 < 0.0 or self.y5p < 0.0:
             raise GeometryError("link lengths, shoulder height and tool "
                                 "offset must be non-negative")
-
-
-STOCK_ARM = ArmGeometry()
 
 
 class EndEffectorPose(NamedTuple):
@@ -101,10 +97,12 @@ def _in_range(q: np.ndarray) -> np.ndarray:
     and the elbow angle lie within their ranges, to _LIMIT_TOL (a NaN
     fails).  check_joint_limits tests the same rule one vector at a time."""
     gamma = math.pi - (q[..., 1] - q[..., 2])
-    return ((np.array(JOINT_LIMITS_LOW) - _LIMIT_TOL <= q).all(-1)
-            & (q <= np.array(JOINT_LIMITS_HIGH) + _LIMIT_TOL).all(-1)
-            & (INTERIOR_MIN - _LIMIT_TOL <= gamma)
-            & (gamma <= INTERIOR_MAX + _LIMIT_TOL))
+    ok = ((INTERIOR_MIN - _LIMIT_TOL <= gamma)
+          & (gamma <= INTERIOR_MAX + _LIMIT_TOL))
+    for k, (low, high) in enumerate(zip(JOINT_LIMITS_LOW, JOINT_LIMITS_HIGH)):
+        col = q[..., k]
+        ok &= (low - _LIMIT_TOL <= col) & (col <= high + _LIMIT_TOL)
+    return ok
 
 
 def _joint_samples(k: int, step: float) -> np.ndarray:
@@ -122,7 +120,7 @@ def _chain(geometry: ArmGeometry, q: np.ndarray, r0=0.0, z0=0.0):
             z0 + a2 * np.sin(t2) + a3 * np.sin(t3))
 
 
-def forward_kinematics(q, geometry: ArmGeometry = STOCK_ARM) -> EndEffectorPose:
+def forward_kinematics(q, geometry: ArmGeometry) -> EndEffectorPose:
     """Tool pose from joint angles (absolute-angle convention); q's last axis
     holds the four joints, and the pose's fields have q's other axes.
 
@@ -198,7 +196,7 @@ def _solve(pose: EndEffectorPose, geometry: ArmGeometry):
 
 
 def inverse_kinematics(pose: EndEffectorPose,
-                       geometry: ArmGeometry = STOCK_ARM) -> np.ndarray:
+                       geometry: ArmGeometry) -> np.ndarray:
     """Closed-form joints, shape (4,), for a pose of floats, or (n, 4) for a
     pose of equal-length 1-D arrays (a float field serves every sample).
 
@@ -245,7 +243,7 @@ class WorkspaceSummary:
     key_points: tuple
 
 
-def scan_pitch(pose_at, pitches, geometry: ArmGeometry = STOCK_ARM):
+def scan_pitch(pose_at, pitches, geometry: ArmGeometry):
     """Try each nozzle pitch (rad) in order, pose_at(pitches) giving the
     tool poses; returns (pitch, "") for the first with an in-range solution,
     else (None, the last failure's reason)."""
@@ -255,7 +253,7 @@ def scan_pitch(pose_at, pitches, geometry: ArmGeometry = STOCK_ARM):
     return pitches[int(bad.argmin())], ""
 
 
-def point_reachable(position, geometry: ArmGeometry = STOCK_ARM) -> bool:
+def point_reachable(position, geometry: ArmGeometry) -> bool:
     """True if some pitch of PITCH_GRID admits an in-range solution."""
     x, y, z = (float(v) for v in position)
     return scan_pitch(lambda phi: EndEffectorPose(x, y, z, phi), PITCH_GRID,
@@ -276,7 +274,7 @@ def _planar_grid(step: float) -> np.ndarray:
     return _in_range_rows(np.repeat(t2, len(t3)), np.tile(t3, len(t2)))
 
 
-def workspace_analysis(geometry: ArmGeometry = STOCK_ARM,
+def workspace_analysis(geometry: ArmGeometry,
                        key_points=()) -> WorkspaceSummary:
     """Sweep the boom and forearm over their ranges under the elbow-angle
     limits, the wrist flat (theta4 = 0): the radii on the PLANAR_STEP grid;

@@ -75,15 +75,16 @@ def _sign_change_fraction(s: np.ndarray) -> float:
     return float(np.mean(nz[1:] != nz[:-1]))
 
 
-def _meta(meta: dict, key: str, default, cast=float):
-    """meta[key], or default when absent, as cast; a value cast rejects is
-    a ParseError naming the key."""
-    value = meta.get(key, default)
+def _meta(meta: dict, key: str, cast=float):
+    """meta[key] as cast; a missing key, or a value cast rejects, is a
+    ParseError naming the key."""
+    if key not in meta:
+        raise ParseError("metadata %s: missing" % key)
     try:
-        return cast(value)
+        return cast(meta[key])
     except (TypeError, ValueError, OverflowError):
         raise ParseError("metadata %s: expected a number, got %r"
-                         % (key, value)) from None
+                         % (key, meta[key])) from None
 
 
 def compute_metrics(log) -> MetricsReport:
@@ -98,10 +99,10 @@ def compute_metrics(log) -> MetricsReport:
 
     report = MetricsReport()
     report.wall_time = float(t[-1] - t[0])
-    report.discharge_time = _meta(meta, "discharge_time", 15.0)
-    report.stage2_budget = _meta(meta, "stage2_budget", 3.0)
-    report.n_stops = _meta(meta, "n_stops", 0, int)
-    report.n_flagged = _meta(meta, "n_flagged", 0, int)
+    report.discharge_time = _meta(meta, "discharge_time")
+    report.stage2_budget = _meta(meta, "stage2_budget")
+    report.n_stops = _meta(meta, "n_stops", int)
+    report.n_flagged = _meta(meta, "n_flagged", int)
 
     report.chassis_max_abs_e1_mm = float(np.abs(v["e1"]).max() * 1e3)
     report.chassis_max_abs_e2_mm = float(np.abs(v["e2"]).max() * 1e3)
@@ -114,9 +115,8 @@ def compute_metrics(log) -> MetricsReport:
                                   + _sign_change_fraction(v["s2"]))
 
     # Convergence: first time the error enters the configured band for good.
-    band = (_meta(meta, "band_e1_mm", 20.0) * 1e-3,
-            _meta(meta, "band_e2_mm", 1.0) * 1e-3,
-            _meta(meta, "band_e3_deg", 0.6) * DEG)
+    band = (_meta(meta, "band_e1_mm") * 1e-3, _meta(meta, "band_e2_mm") * 1e-3,
+            _meta(meta, "band_e3_deg") * DEG)
     inside = ((np.abs(v["e1"]) <= band[0]) & (np.abs(v["e2"]) <= band[1])
               & (np.abs(v["e3"]) <= band[2]))
     if inside[-1]:
@@ -181,7 +181,7 @@ def compute_metrics(log) -> MetricsReport:
     report.stage2_drive_time = drive_total
     if report.n_stops:
         report.within_stage2_budget = bool(
-            spray_total <= report.stage2_budget + _meta(meta, "dt", 0.0))
+            spray_total <= report.stage2_budget + _meta(meta, "dt"))
 
     if report.stage1_time is not None:
         report.mission_total_time = (report.stage1_time

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chassis_control import ChassisRefSample
 from .errors import GeometryError, InfeasibleSweep
-from .kinematics import PITCH_GRID, STOCK_ARM, ArmGeometry, scan_pitch
+from .kinematics import PITCH_GRID, ArmGeometry, scan_pitch
 from .arm_control import target_in_base_frame
 from .util import DEG
 
@@ -356,8 +356,7 @@ def assign_fires(fires, circuit: Circuit) -> list:
     return stops
 
 
-def dispatch(stops: list, budget: float, pitch: float,
-             geometry: ArmGeometry = STOCK_ARM):
+def dispatch(stops: list, budget: float, pitch: float, geometry: ArmGeometry):
     """Pick a nozzle pitch for each stop and split the spray budget.
 
     The stops come from assign_fires, the budget is the FireTestConfig

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from mobman.config import ScenarioConfig
+from mobman.config import ScenarioConfig, build_geometry, build_inertial
 from mobman.dynamics import ArmDynamics
 from mobman.kinematics import ArmGeometry
 from mobman.simulate import run_mission
@@ -23,9 +23,22 @@ def default_mission():
 
 
 @pytest.fixture(scope="session")
-def model():
+def stock_arm():
+    """The stock arm, as the default scenario builds it."""
+    return build_geometry(ScenarioConfig())
+
+
+@pytest.fixture(scope="session")
+def stock_params(stock_arm):
+    """The default scenario's inertial parameters: its mass budget split
+    over the stock arm."""
+    return build_inertial(ScenarioConfig(), stock_arm)
+
+
+@pytest.fixture(scope="session")
+def model(stock_arm, stock_params):
     """Arm dynamics with the stock geometry and mass budget."""
-    return ArmDynamics()
+    return ArmDynamics(stock_params, stock_arm)
 
 
 @pytest.fixture(scope="session")
@@ -38,8 +51,10 @@ def offset_arm():
 
 @pytest.fixture(scope="session")
 def offset_model(offset_arm):
-    """Arm dynamics of offset_arm with its stock-rule mass budget."""
-    return ArmDynamics(geometry=offset_arm)
+    """Arm dynamics of offset_arm with the default scenario's mass budget
+    split over it."""
+    return ArmDynamics(build_inertial(ScenarioConfig(), offset_arm),
+                       offset_arm)
 
 
 @pytest.fixture()

@@ -2,16 +2,18 @@
 
 random_joint_angles draws in-range arm states.  kinetic_energy and
 potential_energy rebuild an ArmDynamics model's energies body by body from
-its constants, a route that shares no code with the model's kernel, so the
-energy tests catch a wrong kernel term.  circuit_sample and
-scalar_inverse_kinematics are the one-sample-at-a-time `math` versions of
-the circuit sampler and the IK, which the engine runs on whole arrays.
+the geometry and parameters it was built from, a route that shares no code
+or constant with the model's kernel, so the energy tests catch a wrong
+kernel term.  circuit_sample and scalar_inverse_kinematics are the
+one-sample-at-a-time `math` versions of the circuit sampler and the IK,
+which the engine runs on whole arrays.
 substepped_integrate is a fine-step stand-in for util.integrate, the
 reference the plant integrators' error is measured against; with one
 substep it is the classic fourth-order rule.  run_line_scenario is the
 chassis-only closed loop along a straight line that the chassis tests run.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -90,9 +92,28 @@ def run_line_scenario(gains, duration: float, dt: float,
     return out
 
 
-def _body_states(model, q, qd):
-    """Per planar body: mass, planar COM velocity, slew radius, spin rate,
-    spin inertia about the COM."""
+def _arm(model) -> SimpleNamespace:
+    """The arm of an ArmDynamics model, read from the geometry and the
+    parameters it was built from, never from the model's own constants:
+    the lengths in m, the masses m1-m4 and mp, the centres of mass c2-c4,
+    the column's inertia i1, each planar body's spin inertia about its
+    centre of mass ic2-ic4 (parallel axis) and gravity g."""
+    geometry, params = model.geometry, model.params
+    a1, a2, a3, a4, a5 = (v * 1e-3 for v in geometry.a)
+    m1, m2, m3, m4 = params.masses
+    _, c2, c3, c4 = params.com_offsets
+    i1, i2, i3, i4 = params.inertias
+    return SimpleNamespace(
+        a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, d1=geometry.d1 * 1e-3,
+        y5p=geometry.y5p * 1e-3, m1=m1, m2=m2, m3=m3, m4=m4,
+        mp=params.payload_mass, c2=c2, c3=c3, c4=c4, i1=i1,
+        ic2=i2 - m2 * c2 ** 2, ic3=i3 - m3 * c3 ** 2, ic4=i4 - m4 * c4 ** 2,
+        g=params.gravity)
+
+
+def _body_states(arm, q, qd):
+    """Per planar body of _arm's arm: mass, planar COM velocity, slew
+    radius, spin rate, spin inertia about the COM."""
     u2p = np.array([-math.sin(q[1]), math.cos(q[1])])
     u3p = np.array([-math.sin(q[2]), math.cos(q[2])])
     u4 = np.array([math.cos(q[3]), math.sin(q[3])])
@@ -101,31 +122,32 @@ def _body_states(model, q, qd):
     c2, c3, c4, s4 = math.cos(q[1]), math.cos(q[2]), math.cos(q[3]), math.sin(q[3])
     bodies = []
     # boom
-    v = model.c2 * qd[1] * u2p
-    bodies.append((model.m2, v, model.a1 + model.c2 * c2, qd[1], model.ic2))
+    v = arm.c2 * qd[1] * u2p
+    bodies.append((arm.m2, v, arm.a1 + arm.c2 * c2, qd[1], arm.ic2))
     # forearm
-    v = model.a2 * qd[1] * u2p + model.c3 * qd[2] * u3p
-    bodies.append((model.m3, v, model.a1 + model.a2 * c2 + model.c3 * c3,
-                   qd[2], model.ic3))
+    v = arm.a2 * qd[1] * u2p + arm.c3 * qd[2] * u3p
+    bodies.append((arm.m3, v, arm.a1 + arm.a2 * c2 + arm.c3 * c3,
+                   qd[2], arm.ic3))
     # wrist
-    v = model.a2 * qd[1] * u2p + model.a3 * qd[2] * u3p + model.c4 * qd[3] * u4p
-    bodies.append((model.m4, v,
-                   model.a1 + model.a2 * c2 + model.a3 * c3 + model.a4 + model.c4 * c4,
-                   qd[3], model.ic4))
+    v = arm.a2 * qd[1] * u2p + arm.a3 * qd[2] * u3p + arm.c4 * qd[3] * u4p
+    bodies.append((arm.m4, v,
+                   arm.a1 + arm.a2 * c2 + arm.a3 * c3 + arm.a4 + arm.c4 * c4,
+                   qd[3], arm.ic4))
     # payload (lever combines the wrist link and the perpendicular tool stub)
-    lever = model.a5 * u4p - model.y5p * u4
-    v = model.a2 * qd[1] * u2p + model.a3 * qd[2] * u3p + qd[3] * lever
-    bodies.append((model.mp, v,
-                   model.a1 + model.a2 * c2 + model.a3 * c3 + model.a4
-                   + model.a5 * c4 - model.y5p * s4,
+    lever = arm.a5 * u4p - arm.y5p * u4
+    v = arm.a2 * qd[1] * u2p + arm.a3 * qd[2] * u3p + qd[3] * lever
+    bodies.append((arm.mp, v,
+                   arm.a1 + arm.a2 * c2 + arm.a3 * c3 + arm.a4
+                   + arm.a5 * c4 - arm.y5p * s4,
                    0.0, 0.0))
     return bodies
 
 
 def kinetic_energy(model, q, qd) -> float:
     """Total kinetic energy summed body by body."""
-    k = 0.5 * model.i1 * qd[0] ** 2
-    for m, v, radius, spin, icom in _body_states(model, q, qd):
+    arm = _arm(model)
+    k = 0.5 * arm.i1 * qd[0] ** 2
+    for m, v, radius, spin, icom in _body_states(arm, q, qd):
         k += 0.5 * m * (float(v @ v) + (radius * qd[0]) ** 2)
         k += 0.5 * icom * spin ** 2
     return float(k)
@@ -133,15 +155,16 @@ def kinetic_energy(model, q, qd) -> float:
 
 def potential_energy(model, q) -> float:
     """Gravitational potential, datum at the chassis deck."""
+    arm = _arm(model)
     s2, s3, s4 = math.sin(q[1]), math.sin(q[2]), math.sin(q[3])
     c4 = math.cos(q[3])
-    z2 = model.d1 + model.c2 * s2
-    z3 = model.d1 + model.a2 * s2 + model.c3 * s3
-    z4 = model.d1 + model.a2 * s2 + model.a3 * s3 + model.c4 * s4
-    zp = model.d1 + model.a2 * s2 + model.a3 * s3 + model.a5 * s4 + model.y5p * c4
-    z1 = 0.5 * model.d1
-    return float(model.g * (model.m1 * z1 + model.m2 * z2 + model.m3 * z3
-                            + model.m4 * z4 + model.mp * zp))
+    z2 = arm.d1 + arm.c2 * s2
+    z3 = arm.d1 + arm.a2 * s2 + arm.c3 * s3
+    z4 = arm.d1 + arm.a2 * s2 + arm.a3 * s3 + arm.c4 * s4
+    zp = arm.d1 + arm.a2 * s2 + arm.a3 * s3 + arm.a5 * s4 + arm.y5p * c4
+    z1 = 0.5 * arm.d1
+    return float(arm.g * (arm.m1 * z1 + arm.m2 * z2 + arm.m3 * z3
+                          + arm.m4 * z4 + arm.mp * zp))
 
 
 def circuit_sample(circuit, t: float) -> ChassisRefSample:

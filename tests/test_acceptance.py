@@ -13,7 +13,7 @@ import numpy as np
 from mobman.config import (ArmControlConfig, ChassisControlConfig,
                            CircuitConfig, DisturbanceConfig, FireConfig,
                            ScenarioConfig, disturbance_series)
-from mobman.dynamics import ArmDynamics, default_inertial_params
+from mobman.dynamics import ArmDynamics
 from mobman.errors import JointLimitViolation, Unreachable
 from mobman.kinematics import (forward_kinematics, inverse_kinematics,
                                workspace_analysis)
@@ -33,9 +33,9 @@ def _verdict(capsys, name, ok, detail):
     assert ok, "%s: %s" % (name, detail)
 
 
-def test_workspace_radii_and_runtime(capsys):
+def test_workspace_radii_and_runtime(capsys, stock_arm):
     t0 = time.perf_counter()
-    summary = workspace_analysis()
+    summary = workspace_analysis(stock_arm)
     elapsed = time.perf_counter() - t0
     ok = (abs(summary.r_min - 972.0) <= 1.0
           and abs(summary.r_max - 2678.0) <= 1.0
@@ -46,15 +46,15 @@ def test_workspace_radii_and_runtime(capsys):
     _verdict(capsys, "workspace radii", ok, detail)
 
 
-def test_ik_fk_round_trip_ten_thousand(capsys):
+def test_ik_fk_round_trip_ten_thousand(capsys, stock_arm):
     rng = np.random.default_rng(20260824)
     samples = random_joint_angles(rng, 10000)
     worst = 0.0
     failures = 0
     for q in samples:
-        pose = forward_kinematics(q)
+        pose = forward_kinematics(q, stock_arm)
         try:
-            back = inverse_kinematics(pose)
+            back = inverse_kinematics(pose, stock_arm)
         except (Unreachable, JointLimitViolation):
             failures += 1
             continue
@@ -66,8 +66,7 @@ def test_ik_fk_round_trip_ten_thousand(capsys):
     _verdict(capsys, "IK/FK round trip", ok, detail)
 
 
-def test_dynamics_identities(capsys):
-    model = ArmDynamics()
+def test_dynamics_identities(capsys, model, stock_arm, stock_params):
     rng = np.random.default_rng(7)
 
     asym = 0.0
@@ -104,7 +103,8 @@ def test_dynamics_identities(capsys):
         scale = max(1.0, float(np.abs(G).max()))
         grav_rel = max(grav_rel, float(np.abs(G - fd).max()) / scale)
 
-    weightless = ArmDynamics(params=default_inertial_params(gravity=0.0))
+    weightless = ArmDynamics(dataclasses.replace(stock_params, gravity=0.0),
+                             stock_arm)
     q = np.array([0.3, 70.0 * DEG, -40.0 * DEG, -30.0 * DEG])
     qd = np.array([0.4, -0.2, 0.3, -0.1])
     dt = 1e-4

@@ -7,8 +7,7 @@ import pytest
 
 from mobman.arm_control import control_law, target_in_base_frame
 from mobman.config import ArmControlConfig
-from mobman.kinematics import (ArmGeometry, forward_kinematics,
-                               inverse_kinematics)
+from mobman.kinematics import forward_kinematics, inverse_kinematics
 from mobman.util import integrate
 from oracles import random_joint_angles
 
@@ -133,10 +132,10 @@ def test_mission_sweep_references_stay_in_limits(default_mission):
         check_joint_limits(q[i], tol=1e-6)
 
 
-def test_tool_offset_changes_solution():
-    tool = ArmGeometry(y5p=150.0)
+def test_tool_offset_changes_solution(stock_arm):
+    tool = replace(stock_arm, y5p=150.0)
     pose = forward_kinematics(np.array([0.0, 80.0 * DEG, -40.0 * DEG,
                                         -30.0 * DEG]), tool)
     with_tool = inverse_kinematics(pose, tool)
-    bare = inverse_kinematics(pose)
+    bare = inverse_kinematics(pose, stock_arm)
     assert np.abs(with_tool - bare).max() > 1e-3

@@ -10,7 +10,7 @@ from mobman import cli
 from mobman.cli import main
 from mobman.config import load_config, parse_config
 from mobman.metrics import compute_metrics
-from mobman.simulate import SimLog, run_mission
+from mobman.simulate import SimLog, export, run_mission
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +192,23 @@ def test_metrics_names_bad_metadata(tmp_path, capsys):
         code, _, err = run_cli(capsys, "metrics", str(bad))
         assert (code, err) == (1, "error: metadata %s: expected a number, "
                                   "got %s\n" % (key, shown))
+
+
+def test_metrics_names_missing_metadata(tmp_path, capsys):
+    """compute_metrics takes no stock figure for a metadata key the log
+    lacks: an exported log with one key's line deleted is reported by that
+    key with exit code 1."""
+    out_dir = tmp_path / "run"
+    export(run_mission(parse_config({"dt": 0.01})), out_dir)
+    lines = (out_dir / "timeseries.csv").read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    for key in ("dt", "discharge_time", "stage2_budget", "band_e1_mm",
+                "band_e2_mm", "band_e3_deg", "n_stops", "n_flagged"):
+        bad.write_text("".join(line for line in lines
+                               if not line.startswith("#%s=" % key)))
+        code, out, err = run_cli(capsys, "metrics", str(bad))
+        assert (code, out, err) == (1, "", "error: metadata %s: missing\n"
+                                    % key)
 
 
 @pytest.mark.parametrize("command", ["metrics", "plan", "simulate"])

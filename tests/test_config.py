@@ -234,13 +234,47 @@ def test_every_geometry_key_moves_the_tool():
 
 def test_point_mass_bound_is_named():
     """Explicit inertias below a body's point-mass bound m c^2 pass the
-    per-field rules, and the run then names each offending key."""
-    config = parse_config({"inertial": {"inertias": [1, 1, 1, 1]}})
+    per-field rules, and parse_config then names each offending key."""
     with pytest.raises(ValidationError) as err:
-        run_mission(config)
+        parse_config({"inertial": {"inertias": [1, 1, 1, 1]}})
     assert err.value.messages == [
         "inertial.inertias[1]: below the point-mass bound of the boom body",
         "inertial.inertias[2]: below the point-mass bound of the forearm body"]
+
+
+def test_partial_inertial_override_is_named_by_a_set_key():
+    """An unset inertial vector comes from the stock split, its inertias by
+    the rod rule m L^2 / 3 of the masses in use.  Masses alone therefore
+    run, and what the model would reject in a partial override is named at
+    parse time by a key the scenario set."""
+    config = parse_config({"dt": 0.01,
+                           "inertial": {"masses": [10, 300, 400, 50]}})
+    params = build_inertial(config, build_geometry(config))
+    rods = (0.1, 1.0, 1.7, 0.08)
+    assert params.inertias == pytest.approx(
+        [m * L * L / 3.0 for m, L in zip(params.masses, rods)], rel=1e-12)
+    assert run_mission(config).report.verdict == "PASS"
+
+    unset = "inertial.inertias is unset"
+    for data, messages in (
+            ({"inertial": {"com_offsets": [0.05, 0.9, 1.5, 0.09]}},
+             ["inertial.com_offsets[%d]: puts the %s body's point-mass bound "
+              "above its stock inertia m L^2 / 3 while %s" % (i, body, unset)
+              for i, body in ((1, "boom"), (2, "forearm"), (3, "wrist"))]),
+            ({"geometry": {"link_lengths": [0, 1000, 1700, 100, 80],
+                           "shoulder_height": 0},
+              "inertial": {"inertias": [5, 50, 170, 2]}},
+             ["geometry.link_lengths[0]: must be > 0 while "
+              "geometry.shoulder_height is 0 and inertial.masses is unset",
+              "inertial.inertias[2]: below the point-mass bound of the "
+              "forearm body"]),
+            ({"geometry": {"link_lengths": [100, 1000, 1700, 0, 0]},
+              "inertial": {"inertias": [5, 50, 170, 2]}},
+             ["geometry.link_lengths[3]: must be > 0 while "
+              "geometry.link_lengths[4] is 0 and inertial.masses is unset"])):
+        with pytest.raises(ValidationError) as err:
+            parse_config(data)
+        assert err.value.messages == messages
 
 
 def test_build_inertial_paths():

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from mobman.arm_control import control_law
-from mobman.config import ArmControlConfig
-from mobman.dynamics import (ArmDynamics, LinkInertialParams,
-                             default_inertial_params)
+from mobman.config import ArmControlConfig, ScenarioConfig
+from mobman.dynamics import ArmDynamics, LinkInertialParams
 from mobman.errors import SolveFailure, ValidationError
 from oracles import (kinetic_energy, potential_energy, random_joint_angles,
                      substepped_integrate)
@@ -26,11 +25,11 @@ def _unit(i):
     return e
 
 
-def test_default_params_mass_budget():
-    p = default_inertial_params()
-    assert sum(p.masses) == pytest.approx(400.0)
-    assert p.payload_mass == 20.0
-    assert not p.validate()
+def test_default_params_mass_budget(stock_params):
+    budget = ScenarioConfig().inertial
+    assert sum(stock_params.masses) == pytest.approx(budget.total_mass)
+    assert stock_params.payload_mass == budget.payload_mass
+    assert not stock_params.validate()
 
 
 def test_mass_matrix_symmetric_positive_definite(model, rng):
@@ -62,17 +61,17 @@ def test_slewing_row_is_decoupled(model, rng):
         np.testing.assert_array_equal(m[1:, 0], 0.0)
 
 
-def test_mass_matrix_point_mass_hand_case():
+def test_mass_matrix_point_mass_hand_case(stock_arm):
     """Single point mass on the boom, everything else negligible."""
     tiny = 1e-9
     params = LinkInertialParams(masses=(tiny, 10.0, tiny, tiny),
                                 com_offsets=(0.0, 0.8, 0.0, 0.0),
                                 inertias=(tiny, 10.0 * 0.8 ** 2, tiny, tiny),
                                 payload_mass=0.0, gravity=9.81)
-    model = ArmDynamics(params=params)
+    model = ArmDynamics(params, stock_arm)
     q = np.array([0.0, 40.0 * DEG, -20.0 * DEG, -10.0 * DEG])
     m = model.mass_matrix(q)
-    r = model.a1 + 0.8 * math.cos(q[1])
+    r = stock_arm.a[0] * 1e-3 + 0.8 * math.cos(q[1])
     assert m[0, 0] == pytest.approx(tiny + 10.0 * r * r, abs=1e-6)
     assert m[1, 1] == pytest.approx(10.0 * 0.8 ** 2, rel=1e-6)
     assert abs(m[2, 2]) < 1e-6 and abs(m[1, 2]) < 1e-6
@@ -95,9 +94,12 @@ def test_gravity_matches_potential_gradient(model, offset_model, rng):
 def test_gravity_flat_arm_hand_formula(model):
     q = np.zeros(4)
     g = model.gravity_vector(q)
-    m2, m3, m4 = model.m2, model.m3, model.m4
-    expect2 = 9.81 * (m2 * model.c2 + (m3 + m4 + model.mp) * model.a2)
-    expect3 = 9.81 * (m3 * model.c3 + (m4 + model.mp) * model.a3)
+    p = model.params
+    _, m2, m3, m4 = p.masses
+    _, c2, c3, _ = p.com_offsets
+    _, a2, a3, _, _ = (v * 1e-3 for v in model.geometry.a)
+    expect2 = p.gravity * (m2 * c2 + (m3 + m4 + p.payload_mass) * a2)
+    expect3 = p.gravity * (m3 * c3 + (m4 + p.payload_mass) * a3)
     assert g[1] == pytest.approx(expect2, rel=1e-12)
     assert g[2] == pytest.approx(expect3, rel=1e-12)
 
@@ -170,9 +172,7 @@ def test_power_balance_pointwise(model, rng):
         assert power == pytest.approx(float(qd @ tau), rel=1e-9, abs=1e-6)
 
 
-def test_free_swing_conserves_energy(rng):
-    params = default_inertial_params(gravity=9.81)
-    model = ArmDynamics(params=params)
+def test_free_swing_conserves_energy(model):
     q = np.array([0.3, 70.0 * DEG, -40.0 * DEG, -30.0 * DEG])
     qd = np.array([0.4, -0.2, 0.3, -0.1])
     dt = 1e-4
@@ -239,18 +239,18 @@ def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
                 model._kernel(q, qd))
 
 
-def test_parameter_validation():
+def test_parameter_validation(stock_arm):
     bad = LinkInertialParams(masses=(1.0, -2.0, 3.0, 4.0),
                              com_offsets=(0.1, 0.2, 0.3, 0.4),
                              inertias=(1.0, 1.0, 1.0, 1.0),
-                             payload_mass=-1.0)
+                             payload_mass=-1.0, gravity=9.81)
     problems = bad.validate()
     assert any("masses[1]" in p for p in problems)
     assert any("payload_mass" in p for p in problems)
     # Spin inertia below the point-mass bound is physically impossible.
     with pytest.raises(ValidationError):
-        ArmDynamics(params=LinkInertialParams(
+        ArmDynamics(LinkInertialParams(
             masses=(10.0, 10.0, 10.0, 10.0),
             com_offsets=(0.5, 1.0, 1.0, 0.5),
             inertias=(1.0, 0.1, 0.1, 0.1),
-            payload_mass=0.0))
+            payload_mass=0.0, gravity=9.81), stock_arm)

@@ -1,12 +1,13 @@
 """Kinematics: transforms, closed-form FK/IK, limits and workspace."""
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mobman.errors import GeometryError, JointLimitViolation, Unreachable
-from mobman.kinematics import (STOCK_ARM, ArmGeometry, EndEffectorPose,
+from mobman.kinematics import (ArmGeometry, EndEffectorPose,
                                check_joint_limits, forward_kinematics,
                                interior_angle, inverse_kinematics,
                                point_reachable, workspace_analysis)
@@ -31,7 +32,7 @@ def _trans(x, y, z):
     return m
 
 
-def _chain_pose(q, geometry=STOCK_ARM):
+def _chain_pose(q, geometry):
     """Tool position via the frame-by-frame chain.
 
     Each link is Rz(theta) Tz(d) Tx(a) Rx(alpha) with the arm's fixed twists
@@ -49,17 +50,17 @@ def _chain_pose(q, geometry=STOCK_ARM):
     return (m @ np.array([0.0, geometry.y5p, 0.0, 1.0]))[:3]
 
 
-def test_forward_kinematics_reference_pose():
-    pose = forward_kinematics(np.array([0.0, 90.0 * DEG, 0.0, 0.0]))
+def test_forward_kinematics_reference_pose(stock_arm):
+    pose = forward_kinematics(np.array([0.0, 90.0 * DEG, 0.0, 0.0]), stock_arm)
     np.testing.assert_allclose([pose.x, pose.y, pose.z], [1980.0, 0.0, 1185.0],
                                atol=1e-9)
     assert pose.phi == 0.0
 
 
-def test_forward_kinematics_matches_frame_chain(rng, offset_arm):
+def test_forward_kinematics_matches_frame_chain(rng, stock_arm, offset_arm):
     """For one joint vector, and for a stack of them with two leading axes,
     which gives pose fields of that (5, 10) shape."""
-    geometries = (STOCK_ARM, ArmGeometry(y5p=120.0), offset_arm)
+    geometries = (stock_arm, replace(stock_arm, y5p=120.0), offset_arm)
     qs = random_joint_angles(rng, 50)
     for geometry in geometries:
         chain = np.array([_chain_pose(q, geometry) for q in qs])
@@ -74,9 +75,9 @@ def test_forward_kinematics_matches_frame_chain(rng, offset_arm):
         assert np.array_equal(stacked.phi.ravel(), -qs[:, 3])
 
 
-def test_forward_kinematics_planar_and_equivariant(rng):
+def test_forward_kinematics_planar_and_equivariant(rng, stock_arm):
     for q in random_joint_angles(rng, 20):
-        pose = forward_kinematics(q)
+        pose = forward_kinematics(q, stock_arm)
         # The tool stays in the vertical plane selected by the base yaw.
         assert abs(-math.sin(q[0]) * pose.x + math.cos(q[0]) * pose.y) < 1e-9
         assert pose.phi == -q[3]
@@ -84,7 +85,7 @@ def test_forward_kinematics_planar_and_equivariant(rng):
         d = 0.3
         q2 = q.copy()
         q2[0] = ((q2[0] + d + math.pi) % (2 * math.pi)) - math.pi
-        p2 = forward_kinematics(q2)
+        p2 = forward_kinematics(q2, stock_arm)
         c, s = math.cos(d), math.sin(d)
         np.testing.assert_allclose(
             [p2.x, p2.y, p2.z],
@@ -92,18 +93,18 @@ def test_forward_kinematics_planar_and_equivariant(rng):
             atol=1e-8)
 
 
-def test_inverse_kinematics_round_trip(rng, offset_arm):
+def test_inverse_kinematics_round_trip(rng, stock_arm, offset_arm):
     worst = 0.0
     for q in random_joint_angles(rng, 300):
-        for geometry in (ArmGeometry(y5p=150.0), offset_arm):
+        for geometry in (replace(stock_arm, y5p=150.0), offset_arm):
             sol = inverse_kinematics(forward_kinematics(q, geometry), geometry)
             worst = max(worst, float(np.abs(sol - q).max()))
     assert worst < 1e-9
 
 
-def test_inverse_kinematics_branch_keeps_boom_above_forearm(rng):
+def test_inverse_kinematics_branch_keeps_boom_above_forearm(rng, stock_arm):
     for q in random_joint_angles(rng, 100):
-        sol = inverse_kinematics(forward_kinematics(q))
+        sol = inverse_kinematics(forward_kinematics(q, stock_arm), stock_arm)
         assert sol[1] > sol[2]
 
 
@@ -115,7 +116,8 @@ def _solve_or_fail(solve, *args):
         return type(exc), str(exc)
 
 
-def test_batch_inverse_kinematics_matches_scalar_oracle(rng, offset_arm):
+def test_batch_inverse_kinematics_matches_scalar_oracle(rng, stock_arm,
+                                                       offset_arm):
     """On random reachable poses with failures mixed in (beyond reach, in
     the inner hole, out of range, non-finite, and so large that the
     triangle's terms overflow), a batch and scalar calls agree bit for bit
@@ -124,7 +126,7 @@ def test_batch_inverse_kinematics_matches_scalar_oracle(rng, offset_arm):
     and names that pose.  Thousands of poses, since numpy's hypot and atan2
     miss math's last bit on well under 1% of inputs."""
     n = 3000
-    for geometry in (STOCK_ARM, offset_arm):
+    for geometry in (stock_arm, offset_arm):
         poses = np.column_stack(forward_kinematics(
             random_joint_angles(rng, n), geometry))
         wild = rng.choice(n, 300, replace=False)
@@ -158,38 +160,40 @@ def test_batch_inverse_kinematics_matches_scalar_oracle(rng, offset_arm):
         assert got.view(np.int64).tolist() == [want[i] for i in ok]
 
 
-def test_non_finite_target_is_unreachable():
+def test_non_finite_target_is_unreachable(stock_arm):
     """A non-finite coordinate or pitch is reported as such, alone or as
     sample 2 of a batch, not as a joint out of range."""
-    good = list(forward_kinematics([0.1, 1.0, -0.3, -0.2]))
+    good = list(forward_kinematics([0.1, 1.0, -0.3, -0.2], stock_arm))
     for bad, shown in (((math.inf, 0.0, 0.0, 0.0), "(inf, 0, 0) mm, pitch 0"),
                        ((0.0, 0.0, math.nan, 0.0), "(0, 0, nan) mm, pitch 0"),
                        ((1e3, 0.0, 500.0, -math.inf),
                         "(1000, 0, 500) mm, pitch -inf")):
         message = "non-finite target %s rad" % shown
         with pytest.raises(Unreachable) as err:
-            inverse_kinematics(EndEffectorPose(*bad))
+            inverse_kinematics(EndEffectorPose(*bad), stock_arm)
         assert str(err.value) == message and err.value.sample == 0
         batch = np.array([good, good, bad, (math.nan,) * 4])
         with pytest.raises(Unreachable) as err:
-            inverse_kinematics(EndEffectorPose(*batch.T))
+            inverse_kinematics(EndEffectorPose(*batch.T), stock_arm)
         assert str(err.value) == message and err.value.sample == 2
 
 
-def test_inverse_kinematics_unreachable_far():
+def test_inverse_kinematics_unreachable_far(stock_arm):
     with pytest.raises(Unreachable):
-        inverse_kinematics(EndEffectorPose(5000.0, 0.0, 1000.0, 0.0))
+        inverse_kinematics(EndEffectorPose(5000.0, 0.0, 1000.0, 0.0),
+                           stock_arm)
 
 
-def test_inverse_kinematics_unreachable_inner_hole():
+def test_inverse_kinematics_unreachable_inner_hole(stock_arm):
     # Wrist target well inside the two-link annulus: the triangle cannot close.
     with pytest.raises(Unreachable):
-        inverse_kinematics(EndEffectorPose(300.0, 0.0, 185.0, 0.0))
+        inverse_kinematics(EndEffectorPose(300.0, 0.0, 185.0, 0.0), stock_arm)
 
 
-def test_inverse_kinematics_limit_violation_names_joint():
+def test_inverse_kinematics_limit_violation_names_joint(stock_arm):
     with pytest.raises(JointLimitViolation) as err:
-        inverse_kinematics(EndEffectorPose(1000.0, 0.0, -1500.0, 0.0))
+        inverse_kinematics(EndEffectorPose(1000.0, 0.0, -1500.0, 0.0),
+                           stock_arm)
     assert "theta" in str(err.value)
 
 
@@ -222,17 +226,17 @@ def test_random_joint_angles_respect_all_limits(rng):
     assert single.shape == (4,)
 
 
-def test_arm_geometry_validation():
+def test_arm_geometry_validation(stock_arm):
     with pytest.raises(GeometryError):
-        ArmGeometry(a=(-1.0, 1000.0, 1700.0, 100.0, 80.0))
+        replace(stock_arm, a=(-1.0, 1000.0, 1700.0, 100.0, 80.0))
     with pytest.raises(GeometryError):
-        ArmGeometry(a=STOCK_ARM.a[:4])  # wrong length count
+        replace(stock_arm, a=stock_arm.a[:4])  # wrong length count
     with pytest.raises(GeometryError):
-        ArmGeometry(y5p=-5.0)
+        replace(stock_arm, y5p=-5.0)
 
 
-def test_workspace_radii_match_triangle_extremes():
-    summary = workspace_analysis()
+def test_workspace_radii_match_triangle_extremes(stock_arm):
+    summary = workspace_analysis(stock_arm)
     a2, a3 = 1000.0, 1700.0
     r_lo = math.sqrt(a2 ** 2 + a3 ** 2 + 2 * a2 * a3 * math.cos(150.0 * DEG))
     r_hi = math.sqrt(a2 ** 2 + a3 ** 2 + 2 * a2 * a3 * math.cos(15.0 * DEG))
@@ -242,9 +246,9 @@ def test_workspace_radii_match_triangle_extremes():
     assert len(summary.boundary) > 0 and summary.cloud.shape[1] == 3
 
 
-def test_workspace_stock_sweep_is_pinned():
+def test_workspace_stock_sweep_is_pinned(stock_arm):
     # The stock grids: 0.25 deg planar curves, a 5 deg cloud at 30 deg slew.
-    summary = workspace_analysis()
+    summary = workspace_analysis(stock_arm)
     assert summary.boundary.shape == (1088, 2)
     assert summary.cloud.shape == (6916, 3)
     assert summary.r_min == pytest.approx(972.3752501647, abs=1e-6)
@@ -253,20 +257,20 @@ def test_workspace_stock_sweep_is_pinned():
     assert summary.full_reach_max == pytest.approx(2958.4591387614, abs=1e-6)
 
 
-def test_workspace_key_points():
+def test_workspace_key_points(stock_arm):
     summary = workspace_analysis(
-        key_points=[("tool-flat", (1980.0, 0.0, 1185.0)),
+        stock_arm, key_points=[("tool-flat", (1980.0, 0.0, 1185.0)),
                     ("too-far", (5000.0, 0.0, 0.0))])
     verdicts = {k.name: k.reachable for k in summary.key_points}
     assert verdicts == {"tool-flat": True, "too-far": False}
 
 
-def test_point_reachable_scans_pitch():
+def test_point_reachable_scans_pitch(stock_arm):
     # Low target near the inner annulus: a flat nozzle folds the elbow below
     # its interior-angle floor, a steep pitch solves cleanly.
     target = (1200.0, 0.0, 100.0)
     with pytest.raises(JointLimitViolation):
-        inverse_kinematics(EndEffectorPose(*target, phi=0.0))
-    inverse_kinematics(EndEffectorPose(*target, phi=90.0 * DEG))
-    assert point_reachable(target)
-    assert not point_reachable((8000.0, 0.0, 0.0))
+        inverse_kinematics(EndEffectorPose(*target, phi=0.0), stock_arm)
+    inverse_kinematics(EndEffectorPose(*target, phi=90.0 * DEG), stock_arm)
+    assert point_reachable(target, stock_arm)
+    assert not point_reachable((8000.0, 0.0, 0.0), stock_arm)

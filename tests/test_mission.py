@@ -310,11 +310,12 @@ def test_assign_fires_clamps_to_straight(circuit):
         stop.point, tuple(circuit.a_points[1]), atol=1e-12)
 
 
-def test_dispatch_splits_budget(circuit):
+def test_dispatch_splits_budget(circuit, stock_arm):
     fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
              FireConfig(ident="F2", position=(0.20, 0.30, 0.30))]
     stops = assign_fires(fires, circuit)
-    sprays, flagged = dispatch(stops, budget=3.0, pitch=PITCH)
+    sprays, flagged = dispatch(stops, budget=3.0, pitch=PITCH,
+                               geometry=stock_arm)
     assert not flagged
     assert [stop for stop, _, _ in sprays] == stops
     for _, pitch, dwell in sprays:
@@ -322,11 +323,11 @@ def test_dispatch_splits_budget(circuit):
         assert pitch >= 0.0
 
 
-def test_dispatch_flags_unreachable(circuit):
+def test_dispatch_flags_unreachable(circuit, stock_arm):
     fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
              FireConfig(ident="FX", position=(0.0, 0.0, 5.0))]  # beyond reach
     sprays, flagged = dispatch(assign_fires(fires, circuit), budget=3.0,
-                               pitch=PITCH)
+                               pitch=PITCH, geometry=stock_arm)
     assert len(flagged) == 1
     fire, reason = flagged[0]
     assert fire.ident == "FX" and "unreachable" in reason
@@ -334,8 +335,9 @@ def test_dispatch_flags_unreachable(circuit):
     assert stop.fire.ident == "F1" and dwell == pytest.approx(3.0)
 
 
-def test_dispatch_empty_plan():
-    sprays, flagged = dispatch([], budget=3.0, pitch=PITCH)
+def test_dispatch_empty_plan(stock_arm):
+    sprays, flagged = dispatch([], budget=3.0, pitch=PITCH,
+                               geometry=stock_arm)
     assert sprays == [] and flagged == []
 
 

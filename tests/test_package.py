@@ -1,8 +1,13 @@
-"""Package surface: the exported names and the module layering."""
+"""Package surface: the exported names, the module layering, and where
+the stock figures are stated."""
 import ast
+import inspect
 import pathlib
 
+import pytest
+
 import mobman
+from mobman import dynamics, kinematics, mission
 
 # The public API; a name added to or dropped from __all__ is a deliberate
 # change to this set.
@@ -74,3 +79,25 @@ def test_every_text_open_names_its_encoding():
             if not binary and "encoding" not in {k.arg for k in node.keywords}:
                 unnamed.append("%s:%d" % (path.name, node.lineno))
     assert unnamed == []
+
+
+def test_engine_states_no_stock_figure():
+    """The stock arm and its mass budget are stated once, in ScenarioConfig:
+    the engine has no stock geometry or gravity of its own, and every call
+    that takes the arm, its parameters or the budget is handed them."""
+    with pytest.raises(TypeError):
+        kinematics.ArmGeometry()
+    assert not hasattr(kinematics, "STOCK_ARM")
+    assert not hasattr(dynamics, "GRAVITY")
+    takes = {"geometry", "params", "total_mass", "payload_mass", "gravity"}
+    calls = (kinematics.forward_kinematics, kinematics.inverse_kinematics,
+             kinematics.scan_pitch, kinematics.point_reachable,
+             kinematics.workspace_analysis, mission.dispatch,
+             dynamics.default_inertial_params, dynamics.ArmDynamics,
+             dynamics.LinkInertialParams)
+    signatures = {call.__name__: inspect.signature(call).parameters
+                  for call in calls}
+    assert all(takes & set(params) for params in signatures.values())
+    assert [(name, p.name) for name, params in signatures.items()
+            for p in params.values()
+            if p.name in takes and p.default is not p.empty] == []

@@ -101,7 +101,8 @@ def test_phase_timeline(spec, tail):
     tile the steps, each top spray and dwell parks the chassis and holds
     the joints, and the markers compute_metrics reads fire in order, also
     when a dwell has no steps."""
-    plan = plan_mission(parse_config(spec))
+    config = parse_config(spec)
+    plan = plan_mission(config)
     dt, n, phases = plan.dt, plan.n_steps, plan.phases
     assert [p.label for p in phases] == STAGE_I + tail + ["End"]
     assert phases[0].start == 0 and phases[-2].end == n
@@ -152,8 +153,9 @@ def test_phase_timeline(spec, tail):
     # The markers give the scheduled times back.
     values = {key: np.zeros(n + 1) for key in CSV_NUMERIC}
     report = compute_metrics(SimLog(
-        {"dt": dt, "n_stops": len(plan.stage2)}, np.arange(n + 1) * dt,
-        labels, values, [";".join(row) for row in events]))
+        _metrics_meta(config, n_stops=len(plan.stage2)),
+        np.arange(n + 1) * dt, labels, values,
+        [";".join(row) for row in events]))
     assert report.stage1_wall_time == pytest.approx(plan.circuit.lap_time)
     assert report.top_spray_time == pytest.approx(plan.top_spray.duration)
     assert report.stage2_time == pytest.approx(
@@ -482,12 +484,22 @@ def test_numpy_float_metadata_round_trips(tmp_path):
     assert type(again.meta["dt"]) is float and again.meta["dt"] == 0.001
 
 
+def _metrics_meta(config, **meta) -> dict:
+    """Every metadata key compute_metrics reads, as run_mission writes it
+    for config with no stops, updated by meta."""
+    return {"dt": config.dt,
+            "discharge_time": config.fire_test.discharge_time,
+            "stage2_budget": config.fire_test.stage2_budget,
+            "band_e1_mm": config.band.e1_mm, "band_e2_mm": config.band.e2_mm,
+            "band_e3_deg": config.band.e3_deg, "n_stops": 0, "n_flagged": 0,
+            **meta}
+
+
 def _synthetic_log(discharge=15.0):
     """Hand-choreographed 13-row log: four 2-s edges, 1-s corners and a
     constant 2 mm tool error on the first sweep window."""
     n = 13
-    meta = {"dt": 1.0, "discharge_time": discharge, "stage2_budget": 3.0,
-            "n_stops": 0, "n_flagged": 0}
+    meta = _metrics_meta(ScenarioConfig(), dt=1.0, discharge_time=discharge)
     values = {k: np.zeros(n) for k in CSV_NUMERIC}
     values["eeX"] += 0.002
     events = [""] * n
@@ -762,12 +774,12 @@ def test_one_integrate_call_per_step(monkeypatch, integrator):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("joint", [1, 2, 3])
-def test_non_finite_arm_state_is_a_solve_failure_on_lists(joint, bad):
+def test_non_finite_arm_state_is_a_solve_failure_on_lists(model, joint,
+                                                         bad):
     """The step loop's float-list route (kernel, arm law, mission plant
     step, and a later stage's rates) meets a NaN or infinite angle in
     joints 2-4 with a SolveFailure about the mass matrix, never a raw
     ValueError from math.sqrt, math.cos or math.sin, nor a NaN state."""
-    model = ArmDynamics()
     gains = ScenarioConfig().arm_control
     ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
     z = [0.0, 0.0, 0.0, 0.88, 0.0]
@@ -786,7 +798,7 @@ def test_non_finite_arm_state_is_a_solve_failure_on_lists(joint, bad):
         rates(5e-4, q + qd)
 
 
-def test_control_step_runs_on_plain_floats(monkeypatch):
+def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     """One chassis tick, arm law, chassis-only plant step and mission plant
     step carrying the arm (each integrator) on float inputs, with the gains
     section run_mission reads, build no numpy array and return plain floats,
@@ -798,7 +810,6 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
     before or after the loop, so they are called outside the no-array block;
     Circuit.sample gives plain floats, and FK and the transform floats
     (numpy's float64 for one sample)."""
-    model = ArmDynamics()
     arm_gains = ScenarioConfig().arm_control
     gains = ScenarioConfig().chassis_control
     circuit = Circuit(ScenarioConfig().circuit, dt=1e-3)
@@ -811,7 +822,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("numpy array built on the control step")
 
-    pose = forward_kinematics(q)
+    pose = forward_kinematics(q, stock_arm)
     samples = [circuit.sample(t) for t in (0.0, 2.0, 11.0)]
     target = target_in_base_frame(z[:3], [1.5, 0.2, 0.9], 0.5)
     table = _chassis_reference(plan_mission(ScenarioConfig()))

@@ -11,7 +11,6 @@ import pytest
 
 from mobman import chassis_control
 from mobman.chassis_control import ChassisRefSample, plant_step
-from mobman.dynamics import ArmDynamics
 from mobman.util import integrate, sign, switch, wrap_angle
 from oracles import random_joint_angles, substepped_integrate
 
@@ -49,12 +48,11 @@ def _same_bits(got, want) -> bool:
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_arm_step_matches_numpy_integrator_bitwise(method, rng):
+def test_arm_step_matches_numpy_integrator_bitwise(method, model, rng):
     """The mission step advances the pose and the arm in one integrate call,
     the arm reusing the kernel terms of its start state for the first stage.
     Its arm half must match the oracle that evaluates forward_dynamics afresh
     at every stage, and its chassis half the chassis-only oracle."""
-    model = ArmDynamics()
     for q in random_joint_angles(rng, 200):
         qd = rng.uniform(-2.0, 2.0, 4)
         tau = rng.uniform(-1e3, 1e3, 4).tolist()
@@ -108,12 +106,11 @@ def test_unknown_integrator_is_rejected(method):
                    [0.0, 0.0], 1e-3, method)
 
 
-def test_midpoint_local_error_is_third_order(monkeypatch, rng):
+def test_midpoint_local_error_is_third_order(monkeypatch, model, rng):
     """One mission plant step under the midpoint rule, against the same step
     with util.integrate replaced by the substepped RK4 reference: the local
     error is O(dt^3), so halving dt divides it by about 8.  Every error
     stays above 1e-9, far above round-off, so the ratio measures the rule."""
-    model = ArmDynamics()
 
     def step(args, dt):
         state, now, nxt, u, f_dist, q, qd, tau = args
