@@ -359,11 +359,13 @@ def _inertial_split(config: ScenarioConfig, problems: list) -> None:
     """What the model would reject in build_inertial's parameters, named by
     a key the scenario set: a column or wrist that the stock split leaves
     massless, and a planar body's inertia below its point-mass bound m c^2,
-    which with inertias unset only com_offsets can raise.  Runs once the
-    geometry and inertial fields are valid."""
+    which with inertias unset only com_offsets can raise.  A split mass or
+    rod inertia that underflows to 0 is named by the mass it came from.
+    Runs once the geometry and inertial fields are valid."""
     if any(p.startswith(("geometry.", "inertial.")) for p in problems):
         return
     ine, lengths = config.inertial, config.geometry.link_lengths
+    n_problems = len(problems)
     if ine.masses is None:  # the split's column and wrist lengths
         column = (0, "geometry.shoulder_height",
                   config.geometry.shoulder_height)
@@ -374,6 +376,20 @@ def _inertial_split(config: ScenarioConfig, problems: list) -> None:
                                 "%s is 0 and inertial.masses is unset"
                                 % (i, other))
     params = _fill_inertial(ine, build_geometry(config))
+    # With every split length > 0 (the rules before this one), a derived
+    # 0 is an underflow.
+    derived = (params.masses if ine.masses is None else ()) + (
+        params.inertias if ine.inertias is None else ())
+    if len(problems) == n_problems and 0.0 in derived:
+        if ine.masses is None:
+            problems.append("inertial.total_mass: too small: the stock "
+                            "split's masses or inertias underflow to 0")
+        else:
+            problems += ["inertial.masses[%d]: too small: its rod inertia "
+                         "m L^2 / 3 underflows to 0 while inertial.inertias "
+                         "is unset" % i
+                         for i, val in enumerate(params.inertias) if val == 0]
+        return
     for i, body in ((1, "boom"), (2, "forearm"), (3, "wrist")):
         if params.inertias[i] < params.masses[i] * params.com_offsets[i] ** 2:
             problems.append(

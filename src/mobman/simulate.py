@@ -19,10 +19,12 @@ import itertools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
+import orjson
 
 from . import metrics as metrics_mod
 from .arm_control import control_law as arm_control_law
@@ -44,6 +46,7 @@ CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
 _NUMERIC_CELLS = [0, *range(2, len(CSV_COLUMNS) - 1)]  # time, CSV_NUMERIC
 _STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
 _BLOCK_ROWS = 2048  # rows per block of CSV text or of reference floats
+_ONE_DIGIT_EXP = re.compile(rb"e-(\d)\b")  # orjson's e-7, repr's e-07
 
 
 class SimLog:
@@ -309,9 +312,10 @@ def _write_tables(log: SimLog, tables: dict) -> None:
     """Write each path -> (preamble, columns) in tables as a CSV of the log.
 
     All files are fed together, _BLOCK_ROWS rows at a time: each numeric
-    column any of them names is formatted once per block with repr, the
-    float text from_csv reads back bit for bit, and every file gets one
-    write per block.  Blocks keep memory flat on long logs.
+    column any of them names is formatted once per block by _float_cells,
+    with orjson's shortest digits, into text identical to repr's, so
+    from_csv reads every value back bit for bit; every file gets one write
+    per block.  Blocks keep memory flat on long logs.
     """
     source = {"time": log.time, "state": log.state, "event": log.event,
               **log.values}
@@ -327,7 +331,29 @@ def _write_tables(log: SimLog, tables: dict) -> None:
             for c in needed:
                 block = source[c][a:a + _BLOCK_ROWS]
                 cells[c] = (block if isinstance(block, list)
-                            else list(map(repr, block.tolist())))
+                            else _float_cells(block))
             for fh, cols in files:
                 fh.write("\n".join(map(",".join, zip(*map(cells.get, cols))))
                          + "\n")
+
+
+def _float_cells(block: np.ndarray) -> list:
+    """repr of each float of a non-empty 1-D block, as a list of str.
+
+    orjson writes the same shortest round-trip digits as repr, several
+    times faster, but spells exponents its own way (1e16, 1e-7 for repr's
+    1e+16, 1e-07), writes the decade [1e-5, 1e-4) in fixed notation
+    (0.000012 for 1.2e-05) and NaN and infinities as null.  The exponents
+    are respelled in bulk; that decade and the non-finite cells take repr.
+    """
+    text = orjson.dumps(np.ascontiguousarray(block),
+                        option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
+    text = _ONE_DIGIT_EXP.sub(rb"e-0\1", text)
+    cells = text[1:-1].decode().split(",")
+    size = np.abs(block)
+    odd = np.flatnonzero(((size >= 1e-5) & (size < 1e-4))
+                         | ~np.isfinite(block))
+    for i, x in zip(odd.tolist(), block[odd].tolist()):
+        cells[i] = repr(x)
+    return cells

@@ -277,6 +277,30 @@ def test_partial_inertial_override_is_named_by_a_set_key():
         assert err.value.messages == messages
 
 
+def test_underflowing_split_is_named_by_its_mass():
+    """A mass budget so small that the stock split's masses or rod inertias
+    round to 0 fails at parse time, named by the mass the scenario set."""
+    total = ["inertial.total_mass: too small: the stock split's masses or "
+             "inertias underflow to 0"]
+    for data, messages in (
+            ({"total_mass": 5e-324}, total),  # masses and inertias
+            ({"total_mass": 1e-320}, total),  # the wrist's inertia only
+            ({"masses": [1e-322, 1.0, 1.0, 1e-322]},
+             ["inertial.masses[%d]: too small: its rod inertia m L^2 / 3 "
+              "underflows to 0 while inertial.inertias is unset" % i
+              for i in (0, 3)])):
+        with pytest.raises(ValidationError) as err:
+            parse_config({"inertial": data})
+        assert err.value.messages == messages
+    # Tiny but representable splits still parse and build.
+    for data in ({"total_mass": 1e-300},
+                 {"total_mass": 5e-324, "masses": [1.0] * 4},
+                 {"masses": [1e-322] * 4, "inertias": [1e-322] * 4,
+                  "com_offsets": [0.0] * 4}):
+        config = parse_config({"inertial": data})
+        build_inertial(config, build_geometry(config))
+
+
 def test_build_inertial_paths():
     cfg = ScenarioConfig()
     params = build_inertial(cfg, build_geometry(cfg))

@@ -3,6 +3,8 @@ the stock figures are stated."""
 import ast
 import inspect
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -79,6 +81,30 @@ def test_every_text_open_names_its_encoding():
             if not binary and "encoding" not in {k.arg for k in node.keywords}:
                 unnamed.append("%s:%d" % (path.name, node.lineno))
     assert unnamed == []
+
+
+# Third-party modules whose distribution has another name.
+DISTRIBUTION = {"yaml": "PyYAML"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(mobman.__file__).parent
+    imported = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"mobman"}
+    project = tomllib.loads(
+        root.parents[1].joinpath("pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[\w.-]+", req).group().lower()
+                for req in project["project"]["dependencies"]}
+    assert {"numpy", "yaml", "orjson"} <= third_party
+    assert sorted(m for m in third_party
+                  if DISTRIBUTION.get(m, m).lower() not in declared) == []
 
 
 def test_engine_states_no_stock_figure():

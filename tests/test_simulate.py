@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobman import simulate
 from mobman.arm_control import (control_law as arm_control_law,
@@ -319,6 +320,29 @@ def test_to_csv_matches_cell_by_cell_writer(tmp_path, n_rows):
     _reference_csv(log, tmp_path / "cell.csv")
     assert ((tmp_path / "block.csv").read_bytes()
             == (tmp_path / "cell.csv").read_bytes())
+
+
+def _assert_cells_are_repr(values):
+    a = np.asarray(values, dtype=float)
+    assert simulate._float_cells(a) == list(map(repr, a.tolist()))
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=300))
+def test_float_cells_are_repr_on_any_float(values):
+    _assert_cells_are_repr(values)
+
+
+def test_float_cells_are_repr_on_random_bits_and_edges():
+    bits = np.random.default_rng(11).integers(0, 2 ** 64, 200_000,
+                                              dtype=np.uint64)
+    _assert_cells_are_repr(bits.view(np.float64))
+    edges = [0.0, -0.0, 5e-324, np.finfo(float).max]
+    for x in (1e-5, 1e-4, 1e16):
+        edges += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    _assert_cells_are_repr(edges + [-x for x in edges])
+    # A strided view takes the same text.
+    _assert_cells_are_repr(np.array(edges)[::2])
 
 
 def _assert_same_log(again, log):
