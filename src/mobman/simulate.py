@@ -46,7 +46,9 @@ CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
 _NUMERIC_CELLS = [0, *range(2, len(CSV_COLUMNS) - 1)]  # time, CSV_NUMERIC
 _STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
 _BLOCK_ROWS = 2048  # rows per block of CSV text or of reference floats
-_ONE_DIGIT_EXP = re.compile(rb"e-(\d)\b")  # orjson's e-7, repr's e-07
+_JSON_ROWS = 128  # rows per orjson.loads, to bound its list of floats
+# orjson's e-7 is repr's e-07; a lookahead lets sub() insert a literal "0".
+_ONE_DIGIT_EXP = re.compile(rb"e-(?=\d(?!\d))")
 
 
 class SimLog:
@@ -75,11 +77,15 @@ class SimLog:
     def from_csv(cls, path) -> "SimLog":
         """Read a log written by to_csv.
 
-        The body is read _BLOCK_ROWS lines at a time, and numpy's C
-        tokenizer parses each block's numeric cells straight into one
-        column-major table, with the same correctly rounded parse as
-        float().  A block it rejects is checked again line by line, so the
-        first bad line in the file is the one named.
+        The body is read _BLOCK_ROWS lines at a time into one preallocated
+        column-major table.  Each run of up to _JSON_ROWS lines is parsed
+        by one orjson.loads of its numeric cells, joined into a flat JSON
+        array, with the same correctly rounded parse as float(); the run
+        is kept only if every item is a float, one per cell.  Any other
+        run (an integer spelling such as 1 or -0, nan, inf, a quoted cell)
+        goes to numpy's C tokenizer (np.loadtxt), which reads what float()
+        reads except 1_0.  A block that fails is checked again line by
+        line, so the first bad line in the file is the one named.
         """
         meta: dict = {}
         n = 0
@@ -114,10 +120,11 @@ class SimLog:
             while chunk := [raw.rstrip("\n")
                             for raw in itertools.islice(fh, _BLOCK_ROWS)]:
                 lines = [line for line in chunk if line]
-                if not _parse_rows(lines, table[n:n + len(lines)]):
+                labels = _parse_rows(lines, table[n:n + len(lines)])
+                if labels is None:
                     _raise_first_bad_row(chunk, lineno + 1)
-                state += [line.split(",", 2)[1] for line in lines]
-                event += [line.rpartition(",")[2] for line in lines]
+                state += labels[0]
+                event += labels[1]
                 n += len(lines)
                 lineno += len(chunk)
         if not n:
@@ -133,16 +140,51 @@ def _numeric_cells(lines: list) -> np.ndarray:
                       usecols=_NUMERIC_CELLS, ndmin=2)
 
 
-def _parse_rows(lines: list, out: np.ndarray) -> bool:
-    """Parse the numeric cells of the data rows lines into out; False when a
-    row has the wrong cell count or a cell the parse rejects."""
+def _parse_rows(lines: list, out: np.ndarray) -> tuple[list, list] | None:
+    """Parse the numeric cells of the data rows lines into out and return
+    their state and event cells as two lists; None when a row has the wrong
+    cell count or a cell the parse rejects.  Each run of up to _JSON_ROWS
+    rows is read by _json_cells, or failing that by _numeric_cells."""
     if any(line.count(",") != len(CSV_COLUMNS) - 1 for line in lines):
+        return None
+    state, event = [], []
+    for a in range(0, len(lines), _JSON_ROWS):
+        batch = lines[a:a + _JSON_ROWS]
+        numbers = []
+        for line in batch:
+            time, _, rest = line.partition(",")
+            label, _, rest = rest.partition(",")
+            cells, _, mark = rest.rpartition(",")
+            numbers += (time, cells)
+            state.append(label)
+            event.append(mark)
+        rows = out[a:a + len(batch)]
+        if not _json_cells(",".join(numbers), rows):
+            try:
+                rows[:] = _numeric_cells(batch)
+            except ValueError:
+                return None
+    return state, event
+
+
+def _json_cells(text: str, out: np.ndarray) -> bool:
+    """Parse text, the numeric cells of len(out) rows joined by commas, as
+    one JSON array into out; False, leaving out to the caller, unless every
+    item is a float, one per cell.
+
+    orjson reads a number it returns as a float exactly as float() does.
+    But it returns 1 and -0 as ints (-0 losing its sign), and "1.5", true
+    and null as types np.fromiter would still convert, and a cell such as
+    [1.0 nests the array: a run with any item not a float is left to the
+    block parse.
+    """
+    try:
+        flat = orjson.loads("[%s]" % text)
+    except orjson.JSONDecodeError:
         return False
-    if lines:
-        try:
-            out[:] = _numeric_cells(lines)
-        except ValueError:
-            return False
+    if len(flat) != out.size or set(map(type, flat)) != {float}:
+        return False
+    out[:] = np.fromiter(flat, float, len(flat)).reshape(out.shape)
     return True
 
 
@@ -349,7 +391,7 @@ def _float_cells(block: np.ndarray) -> list:
     text = orjson.dumps(np.ascontiguousarray(block),
                         option=orjson.OPT_SERIALIZE_NUMPY)
     text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
-    text = _ONE_DIGIT_EXP.sub(rb"e-0\1", text)
+    text = _ONE_DIGIT_EXP.sub(b"e-0", text)
     cells = text[1:-1].decode().split(",")
     size = np.abs(block)
     odd = np.flatnonzero(((size >= 1e-5) & (size < 1e-4))

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mobman import simulate
 from mobman.arm_control import (control_law as arm_control_law,
@@ -455,6 +455,134 @@ def test_from_csv_memory_stays_near_its_arrays(tmp_path):
         tracemalloc.stop()
     arrays = again.time.nbytes + sum(v.nbytes for v in again.values.values())
     assert peak < 3 * arrays
+
+
+def _plain_log(n_rows):
+    """A log of finite random values, every cell of which the JSON parse
+    takes."""
+    rng = np.random.default_rng(5)
+    return SimLog({"dt": 0.001}, np.arange(n_rows) * 0.001,
+                  ["S%d" % (i % 3) for i in range(n_rows)],
+                  {k: rng.normal(size=n_rows) for k in CSV_NUMERIC},
+                  ["" if i % 50 else "ev" for i in range(n_rows)])
+
+
+def _set_cells(path, row, cells):
+    """Rewrite data row row of the log at path with cells, a {column name:
+    text} map; returns that row's line number."""
+    lines = path.read_text().split("\n")
+    lineno = lines.index(",".join(CSV_COLUMNS)) + 2 + row
+    old = lines[lineno - 1].split(",")
+    for name, text in cells.items():
+        old[CSV_COLUMNS.index(name)] = text
+    lines[lineno - 1] = ",".join(old)
+    path.write_text("\n".join(lines))
+    return lineno
+
+
+def test_from_csv_reads_the_writers_text_without_the_block_parse(
+        tmp_path, monkeypatch):
+    log = _plain_log(simulate._BLOCK_ROWS + 20)
+    log.to_csv(tmp_path / "run.csv")
+
+    def block_parse(lines):
+        raise AssertionError("np.loadtxt path taken")
+
+    monkeypatch.setattr(simulate, "_numeric_cells", block_parse)
+    _assert_same_log(SimLog.from_csv(tmp_path / "run.csv"), log)
+
+
+@pytest.mark.parametrize("row", [5, simulate._JSON_ROWS + 5,
+                                 simulate._BLOCK_ROWS + 5])
+@pytest.mark.parametrize("cell", ['"1.5"', "true", "null"])
+def test_from_csv_names_cells_json_reads_but_float_does_not(tmp_path, cell,
+                                                            row):
+    """orjson reads these cells (np.fromiter would then take them as 1.5,
+    1.0 and nan); the line is named as float() words it."""
+    path = tmp_path / "run.csv"
+    _plain_log(2 * simulate._BLOCK_ROWS + 20).to_csv(path)
+    lineno = _set_cells(path, row, {"q2": cell})
+    with pytest.raises(ParseError) as info:
+        SimLog.from_csv(path)
+    assert str(info.value) == ("line %d: could not convert string to float: "
+                               "%r" % (lineno, cell))
+
+
+def test_from_csv_reads_integer_spelled_cells_as_float(tmp_path):
+    """orjson reads -0 and 1 as ints, and -0 without its sign; both read
+    back as float() reads them."""
+    path = tmp_path / "run.csv"
+    log = _plain_log(simulate._JSON_ROWS + 20)
+    log.to_csv(path)
+    row = simulate._JSON_ROWS + 3
+    _set_cells(path, row, {"time": "1", "X": "-0", "tgtZ": "1"})
+    log.time[row], log.values["X"][row], log.values["tgtZ"][row] = (
+        1.0, -0.0, 1.0)
+    again = SimLog.from_csv(path)
+    _assert_same_log(again, log)
+    assert np.signbit(again.values["X"][row])
+
+
+def test_from_csv_rejects_cells_that_nest_the_json_array(tmp_path):
+    path = tmp_path / "run.csv"
+    _plain_log(20).to_csv(path)
+    lineno = _set_cells(path, 4, {"e1": "[1.0", "e2": "2.0]"})
+    with pytest.raises(ParseError) as info:
+        SimLog.from_csv(path)
+    assert str(info.value) == ("line %d: could not convert string to float: "
+                               "'[1.0'" % lineno)
+
+
+_REPR_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["-0", "0", "1", "-0.0", "1E5", "1.e5", "01.5", "-.5",
+                     "+1", ".5", "1_0", "nan", "-inf", "inf", "1e400",
+                     "-1e400", "1e-400", "-1e-400", "1.0e+05", "1e-07",
+                     '"1.5"', "true", "null", "[1.0", "2.0]", "x", ""]),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.text("0123456789", min_size=30, max_size=30).map(
+        lambda d: "%s.%s" % (d[:7], d[7:])),
+    st.floats().map(repr),
+    st.tuples(st.sampled_from(["", " ", "\t", "  "]), _REPR_CELLS,
+              st.sampled_from(["", " ", "\t"])).map("".join))
+
+
+@st.composite
+def _numeric_rows(draw):
+    """1-3 rows of time and CSV_NUMERIC cell text: up to eight repr floats
+    repeated, with up to three cells replaced by other spellings."""
+    n_rows = draw(st.integers(1, 3))
+    width = len(CSV_NUMERIC) + 1
+    pool = draw(st.lists(_REPR_CELLS, min_size=1, max_size=8))
+    cells = [pool[i % len(pool)] for i in range(n_rows * width)]
+    for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=3)):
+        cells[i] = draw(_ODD_CELLS)
+    return [cells[a:a + width] for a in range(0, len(cells), width)]
+
+
+def _read_or_message(path):
+    try:
+        log = SimLog.from_csv(path)
+    except ParseError as exc:
+        return str(exc)
+    return log.time.tobytes() + b"".join(log.values[k].tobytes()
+                                         for k in CSV_NUMERIC)
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_numeric_rows())
+def test_json_parse_equals_block_parse(tmp_path, monkeypatch, rows):
+    """Each drawn block reads to a bit-equal table or fails with the same
+    message, with or without the JSON parse."""
+    path = tmp_path / "run.csv"
+    path.write_text("\n".join(
+        [",".join(CSV_COLUMNS)]
+        + [",".join([r[0], "S"] + r[1:] + [""]) for r in rows]) + "\n")
+    fast = _read_or_message(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_json_cells", lambda text, out: False)
+        assert _read_or_message(path) == fast
 
 
 def test_flagged_ident_round_trips_as_text(tmp_path):
