@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .dynamics import LinkInertialParams, default_inertial_params
+from .dynamics import BODIES, LinkInertialParams, default_inertial_params
 from .errors import JointLimitViolation, ParseError, ValidationError
 from .kinematics import ArmGeometry, check_joint_limits
 from .util import DEG, INTEGRATORS
@@ -356,12 +356,15 @@ def _top_spray_joints(config: ScenarioConfig, problems: list) -> None:
 
 
 def _inertial_split(config: ScenarioConfig, problems: list) -> None:
-    """What the model would reject in build_inertial's parameters, named by
-    a key the scenario set: a column or wrist that the stock split leaves
-    massless, and a planar body's inertia below its point-mass bound m c^2,
-    which with inertias unset only com_offsets can raise.  A split mass or
-    rod inertia that underflows to 0 is named by the mass it came from.
-    Runs once the geometry and inertial fields are valid."""
+    """What the model would reject in build_inertial's parameters
+    (LinkInertialParams.validate), named by a key the scenario set.  Every
+    field the scenario gave has passed its own rule, so validate can only
+    object to what the stock split derived: a column or wrist that it leaves
+    massless (named first, by its lengths), a mass or rod inertia that
+    underflows to 0 (named by the mass it came from), and, while the
+    inertias are unset, a rod inertia m L^2 / 3 below its body's point-mass
+    bound m c^2 (named by the com_offsets that raised it).  Runs once the
+    geometry and inertial fields are valid."""
     if any(p.startswith(("geometry.", "inertial.")) for p in problems):
         return
     ine, lengths = config.inertial, config.geometry.link_lengths
@@ -375,29 +378,28 @@ def _inertial_split(config: ScenarioConfig, problems: list) -> None:
                 problems.append("geometry.link_lengths[%d]: must be > 0 while "
                                 "%s is 0 and inertial.masses is unset"
                                 % (i, other))
-    params = _fill_inertial(ine, build_geometry(config))
-    # With every split length > 0 (the rules before this one), a derived
-    # 0 is an underflow.
-    derived = (params.masses if ine.masses is None else ()) + (
-        params.inertias if ine.inertias is None else ())
-    if len(problems) == n_problems and 0.0 in derived:
+    found = [p.split(": ", 1) for p in
+             _fill_inertial(ine, build_geometry(config)).validate()]
+    # With every split length > 0, a derived value <= 0 is an underflow.
+    small = [key for key, text in found if text == "must be > 0"]
+    if small and len(problems) == n_problems:
         if ine.masses is None:
             problems.append("inertial.total_mass: too small: the stock "
                             "split's masses or inertias underflow to 0")
         else:
-            problems += ["inertial.masses[%d]: too small: its rod inertia "
+            problems += ["inertial.masses%s: too small: its rod inertia "
                          "m L^2 / 3 underflows to 0 while inertial.inertias "
-                         "is unset" % i
-                         for i, val in enumerate(params.inertias) if val == 0]
+                         "is unset" % key[key.index("["):] for key in small]
         return
-    for i, body in ((1, "boom"), (2, "forearm"), (3, "wrist")):
-        if params.inertias[i] < params.masses[i] * params.com_offsets[i] ** 2:
-            problems.append(
-                "inertial.inertias[%d]: below the point-mass bound of the %s "
-                "body" % (i, body) if ine.inertias is not None else
-                "inertial.com_offsets[%d]: puts the %s body's point-mass "
-                "bound above its stock inertia m L^2 / 3 while "
-                "inertial.inertias is unset" % (i, body))
+    for key, text in found:  # the point-mass bounds
+        if text == "must be > 0":
+            continue
+        i = int(key[-2])
+        problems.append(
+            "%s: %s" % (key, text) if ine.inertias is not None else
+            "inertial.com_offsets[%d]: puts the %s body's point-mass bound "
+            "above its stock inertia m L^2 / 3 while inertial.inertias is "
+            "unset" % (i, BODIES[i]))
 
 
 # Each cross-field rule runs right after the field it is keyed on here.

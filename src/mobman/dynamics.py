@@ -1,4 +1,7 @@
-"""Rigid-body terms of the arm: M(q), C(q, qd), G(q) and forward dynamics.
+"""Rigid-body model of the arm: one shared-trig kernel that gives M(q), its
+partials, G(q) and the bias C(q, qd) qd + G(q) at a state, the forward
+dynamics the plant integrates (accelerations, state_rates) and the inverse
+dynamics the sliding-mode law evaluates (torques).
 
 The model follows the energy route.  Each joint drives one body: the slewing
 column, the boom, the forearm and the wrist (the short parallelogram link is
@@ -17,13 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import NoReturn
 
-import numpy as np
-
 from .errors import SolveFailure, ValidationError
 from .kinematics import ArmGeometry
 
 _MM = 1e-3
 _INF = math.inf
+# The bodies joints 1-4 drive, in joint order.
+BODIES = ("column", "boom", "forearm", "wrist")
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,16 @@ class LinkInertialParams:
         for i, val in enumerate(self.inertias):
             if val <= 0.0:
                 problems.append("inertial.inertias[%d]: must be > 0" % i)
-        # A planar body's spin inertia about its joint is at least m c^2.
-        for i, name, m, c, val in zip((1, 2, 3), ("boom", "forearm", "wrist"),
+        # A planar body's spin inertia about its joint is at least m c^2,
+        # an infinite bound when c^2 is past the float range.
+        for i, name, m, c, val in zip((1, 2, 3), BODIES[1:],
                                       self.masses[1:], self.com_offsets[1:],
                                       self.inertias[1:]):
-            if val - m * c ** 2 < 0.0:
+            try:
+                bound = m * c ** 2
+            except OverflowError:
+                bound = m * _INF
+            if val - bound < 0.0:
                 problems.append("inertial.inertias[%d]: below the point-mass "
                                 "bound of the %s body" % (i, name))
         if self.payload_mass < 0.0:
@@ -126,7 +134,7 @@ class ArmDynamics:
             m2 * cm2 + (m3 + m4 + mp) * a2, m3 * cm3 + (m4 + mp) * a3,
             m4 * cm4 + mp * a5, mp * y5p)
 
-    # -- shared-trig kernel and its public assemblies -----------------------
+    # -- shared-trig kernel -------------------------------------------------
 
     def _kernel(self, q, qd=(0.0, 0.0, 0.0, 0.0)):
         """Every term of the model at the state (q, qd) from one pass of trig,
@@ -137,8 +145,7 @@ class ArmDynamics:
         torques (g2, g3, g4); and the bias C qd + G, where
         (C qd)_k = sum_ij (dM_kj/dq_i - dM_ij/dq_k / 2) qd_i qd_j is expanded
         over the partials, so no C or dM/dq is formed.  q and qd are
-        sequences of plain floats, lists on the step loop; the public
-        methods below convert theirs."""
+        sequences of plain floats, lists on the step loop."""
         _, q2, q3, q4 = q
         try:
             c2, s2 = math.cos(q2), math.sin(q2)
@@ -178,37 +185,6 @@ class ArmDynamics:
                 g4 - h * d11_4 + d24 * w2 * w2 + d34 * w3 * w3]
         return mass, (d11_2, d11_3, d11_4, d23, d24, d34), (g2, g3, g4), bias
 
-    def mass_matrix(self, q) -> np.ndarray:
-        """Symmetric positive-definite inertia matrix (4x4)."""
-        m11, m22, m33, m44, m23, m24, m34 = self._kernel(_floats(q))[0]
-        return np.array([[m11, 0.0, 0.0, 0.0], [0.0, m22, m23, m24],
-                         [0.0, m23, m33, m34], [0.0, m24, m34, m44]])
-
-    def mass_matrix_partials(self, q) -> np.ndarray:
-        """dM/dq as a (4, 4, 4) array; the base-yaw slab is identically zero."""
-        d11_2, d11_3, d11_4, d23, d24, d34 = self._kernel(_floats(q))[1]
-        out = np.zeros((4, 4, 4))
-        out[1:, 0, 0] = d11_2, d11_3, d11_4
-        for k, i, j, d in ((1, 1, 2, d23), (2, 1, 2, -d23), (1, 1, 3, d24),
-                           (3, 1, 3, -d24), (2, 2, 3, d34), (3, 2, 3, -d34)):
-            out[k, i, j] = out[k, j, i] = d
-        return out
-
-    def coriolis_matrix(self, q, qd) -> np.ndarray:
-        """Coriolis/centrifugal matrix from the Christoffel symbols of M; the
-        public C and the reference for the kernel's expanded bias."""
-        dm = self.mass_matrix_partials(q)
-        qd = np.asarray(qd, dtype=float)
-        # c_kj = sum_i 0.5 (dM_kj/dq_i + dM_ki/dq_j - dM_ij/dq_k) qd_i
-        term1 = np.einsum("ikj,i->kj", dm, qd)
-        term2 = np.einsum("jki,i->kj", dm, qd)
-        term3 = np.einsum("kij,i->kj", dm, qd)
-        return 0.5 * (term1 + term2 - term3)
-
-    def gravity_vector(self, q) -> np.ndarray:
-        """Generalized gravity torques; the slewing joint sees none."""
-        return np.array([0.0, *self._kernel(_floats(q))[2]])
-
     # -- dynamics ---------------------------------------------------------
 
     def state_rates(self, terms, tau):
@@ -221,15 +197,6 @@ class ArmDynamics:
             return qd + accelerations(
                 terms if t == 0.0 else self._kernel(y[:4], qd), tau)
         return rates
-
-    def inverse_dynamics(self, q, qd, qdd) -> list:
-        """Joint torques (4 floats) that realize the given acceleration."""
-        return torques(self._kernel(_floats(q), _floats(qd)), _floats(qdd))
-
-    def forward_dynamics(self, q, qd, tau) -> list:
-        """Joint accelerations (4 floats) for applied torques tau."""
-        return accelerations(self._kernel(_floats(q), _floats(qd)),
-                             _floats(tau))
 
 
 def torques(terms, qdd) -> list:
@@ -272,10 +239,3 @@ def _pivot(p: float) -> NoReturn:
     positive."""
     raise SolveFailure("mass matrix is singular or non-finite (pivot %r)" % p)
 
-
-def _floats(v) -> list:
-    """A joint vector as plain Python floats, faster here than numpy's; a
-    list is taken to hold floats already and passes through unchanged."""
-    if isinstance(v, list):
-        return v
-    return v.tolist() if isinstance(v, np.ndarray) else [float(x) for x in v]

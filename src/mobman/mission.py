@@ -18,10 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chassis_control import ChassisRefSample
-from .errors import GeometryError, InfeasibleSweep
+from .errors import GeometryError, InfeasibleSweep, ValidationError
 from .kinematics import PITCH_GRID, ArmGeometry, scan_pitch
 from .arm_control import target_in_base_frame
 from .util import DEG
+
+
+# The most control steps a run may take.  Its per-step tables hold a few
+# hundred bytes a step, so this many already need tens of GB.
+MAX_STEPS = 10 ** 8
+
+
+def check_step_count(steps: float, dt: float) -> None:
+    """Raise ValidationError naming dt when a run of steps control steps (a
+    float: inf when dt is too small to count them) is over MAX_STEPS."""
+    if not steps <= MAX_STEPS:
+        raise ValidationError("dt: %r s: the run needs at least %.4g steps, "
+                              "more than %d" % (dt, steps, MAX_STEPS))
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,7 @@ class Circuit:
         arc_len = 0.5 * math.pi * r
         # Stretch the corner onto the control grid so every tangency event
         # lands on a sample; the arc speed drops by well under 0.1 %.
+        check_step_count(arc_len / v / dt, dt)
         corner_time = math.ceil(arc_len / v / dt - 1e-9) * dt
         self.corner_time = corner_time
         self.arc_speed = arc_len / corner_time

@@ -18,7 +18,8 @@ from .chassis_control import ChassisRefSample
 from .config import ScenarioConfig, build_geometry
 from .errors import JointLimitViolation, Unreachable
 from .kinematics import inverse_kinematics
-from .mission import Circuit, SweepPath, assign_fires, build_sweep, dispatch
+from .mission import (Circuit, SweepPath, assign_fires, build_sweep,
+                      check_step_count, dispatch)
 from .util import DEG
 
 
@@ -128,6 +129,7 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
 
     visit("End", cursor, cursor + 1, clock if stage2 else circuit.lap_time,
           None, [(cursor, "end")])
+    check_step_count(cursor, dt)
     return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
                        stops=stops, flagged=flagged, fire_test=config.fire_test,
                        top_spray=config.top_spray, dt=dt, n_steps=cursor,

@@ -66,16 +66,13 @@ class SimLog:
     def n_rows(self) -> int:
         return len(self.time)
 
-    def to_csv(self, path) -> None:
-        _write_tables(self, {path: (self._meta_lines(), CSV_COLUMNS)})
-
     def _meta_lines(self) -> str:
         return "".join("#%s=%s\n" % (key, repr(float(value)) if isinstance(
             value, float) else value) for key, value in self.meta.items())
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
-        """Read a log written by to_csv.
+        """Read a log written as export's timeseries.csv.
 
         The body is read _BLOCK_ROWS lines at a time into one preallocated
         column-major table.  Each run of up to _JSON_ROWS lines is parsed

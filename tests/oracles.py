@@ -4,9 +4,13 @@ random_joint_angles draws in-range arm states.  kinetic_energy and
 potential_energy rebuild an ArmDynamics model's energies body by body from
 the geometry and parameters it was built from, a route that shares no code
 or constant with the model's kernel, so the energy tests catch a wrong
-kernel term.  circuit_sample and scalar_inverse_kinematics are the
-one-sample-at-a-time `math` versions of the circuit sampler and the IK,
-which the engine runs on whole arrays.
+kernel term.  mass_matrix, mass_matrix_partials and gravity_vector assemble
+the kernel's M, dM/dq and G as numpy arrays, and coriolis_matrix forms C
+from the Christoffel symbols of those partials, the independent check on
+the kernel's expanded bias C qd + G.  circuit_sample and
+scalar_inverse_kinematics are the one-sample-at-a-time `math` versions of
+the circuit sampler and the IK, which the engine runs on whole arrays.
+write_log writes a log alone, as export writes its timeseries.csv.
 substepped_integrate is a fine-step stand-in for util.integrate, the
 reference the plant integrators' error is measured against; with one
 substep it is the classic fourth-order rule.  run_line_scenario is the
@@ -22,6 +26,7 @@ from mobman.chassis_control import (ChassisRefSample, chassis_tick,
 from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
+from mobman.simulate import CSV_COLUMNS, _write_tables
 
 
 def random_joint_angles(rng, n: int | None = None):
@@ -37,6 +42,11 @@ def random_joint_angles(rng, n: int | None = None):
         out[filled:filled + take] = cand[ok][:take]
         filled += take
     return out[0] if n is None else out
+
+
+def write_log(log, path) -> None:
+    """Write log to path alone, as export writes a run's timeseries.csv."""
+    _write_tables(log, {path: (log._meta_lines(), CSV_COLUMNS)})
 
 
 def substepped_integrate(f, y, dt, method=None, substeps: int = 8) -> list:
@@ -165,6 +175,49 @@ def potential_energy(model, q) -> float:
     z1 = 0.5 * arm.d1
     return float(arm.g * (arm.m1 * z1 + arm.m2 * z2 + arm.m3 * z3
                           + arm.m4 * z4 + arm.mp * zp))
+
+
+def _plain(v) -> list:
+    """A joint vector as the plain floats the kernel runs on."""
+    return np.asarray(v, dtype=float).tolist()
+
+
+def mass_matrix(model, q) -> np.ndarray:
+    """The model's inertia matrix M(q) (4x4) from its kernel."""
+    m11, m22, m33, m44, m23, m24, m34 = model._kernel(_plain(q))[0]
+    return np.array([[m11, 0.0, 0.0, 0.0], [0.0, m22, m23, m24],
+                     [0.0, m23, m33, m34], [0.0, m24, m34, m44]])
+
+
+def mass_matrix_partials(model, q) -> np.ndarray:
+    """dM/dq from the model's kernel as a (4, 4, 4) array, [i, j, k] =
+    dM_jk/dq_i; the base-yaw slab is identically zero."""
+    d11_2, d11_3, d11_4, d23, d24, d34 = model._kernel(_plain(q))[1]
+    out = np.zeros((4, 4, 4))
+    out[1:, 0, 0] = d11_2, d11_3, d11_4
+    for k, i, j, d in ((1, 1, 2, d23), (2, 1, 2, -d23), (1, 1, 3, d24),
+                       (3, 1, 3, -d24), (2, 2, 3, d34), (3, 2, 3, -d34)):
+        out[k, i, j] = out[k, j, i] = d
+    return out
+
+
+def coriolis_matrix(model, q, qd) -> np.ndarray:
+    """Coriolis/centrifugal matrix C(q, qd) from the Christoffel symbols of
+    the kernel's dM/dq (Siciliano et al., Robotics: Modelling, Planning and
+    Control, 2009, sec. 7.2)."""
+    dm = mass_matrix_partials(model, q)
+    qd = np.asarray(qd, dtype=float)
+    # c_kj = sum_i 0.5 (dM_kj/dq_i + dM_ki/dq_j - dM_ij/dq_k) qd_i
+    term1 = np.einsum("ikj,i->kj", dm, qd)
+    term2 = np.einsum("jki,i->kj", dm, qd)
+    term3 = np.einsum("kij,i->kj", dm, qd)
+    return 0.5 * (term1 + term2 - term3)
+
+
+def gravity_vector(model, q) -> np.ndarray:
+    """The model's gravity torques G(q) from its kernel; the slewing joint
+    sees none."""
+    return np.array([0.0, *model._kernel(_plain(q))[2]])
 
 
 def circuit_sample(circuit, t: float) -> ChassisRefSample:

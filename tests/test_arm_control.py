@@ -7,9 +7,11 @@ import pytest
 
 from mobman.arm_control import control_law, target_in_base_frame
 from mobman.config import ArmControlConfig
+from mobman.dynamics import accelerations
 from mobman.kinematics import forward_kinematics, inverse_kinematics
 from mobman.util import integrate
-from oracles import random_joint_angles
+from oracles import (coriolis_matrix, gravity_vector, mass_matrix,
+                     random_joint_angles)
 
 DEG = math.pi / 180.0
 
@@ -60,8 +62,8 @@ def test_control_law_formula_recomposition(model, rng):
         sw = np.clip(s / gains.boundary_layer, -1.0, 1.0)
         inner = ref_qdd + gains.surface_rate * ed \
             + np.asarray(gains.switch_gain) * sw
-        expect = model.mass_matrix(q) @ inner + model.gravity_vector(q) \
-            + model.coriolis_matrix(q, qd) @ qd
+        expect = mass_matrix(model, q) @ inner + gravity_vector(model, q) \
+            + coriolis_matrix(model, q, qd) @ qd
         np.testing.assert_allclose(tau, expect, atol=1e-9)
 
 
@@ -69,7 +71,7 @@ def test_equilibrium_torque_is_gravity(model):
     q = np.array([0.2, 60.0 * DEG, -30.0 * DEG, -20.0 * DEG])
     tau = control_law(q, np.zeros(4), q, np.zeros(4), np.zeros(4),
                       ArmControlConfig(), model._kernel(q, np.zeros(4)))
-    np.testing.assert_allclose(tau, model.gravity_vector(q), atol=1e-12)
+    np.testing.assert_allclose(tau, gravity_vector(model, q), atol=1e-12)
 
 
 def _track(model, gains, q0, ref_q, dt, steps):
@@ -82,8 +84,8 @@ def _track(model, gains, q0, ref_q, dt, steps):
                           model._kernel(q, qd))
 
         def f(t, y):
-            return np.concatenate([y[4:],
-                                   model.forward_dynamics(y[:4], y[4:], tau)])
+            return np.concatenate([y[4:], accelerations(
+                model._kernel(y[:4], y[4:]), tau)])
 
         y = integrate(f, np.concatenate([q, qd]), dt, "midpoint")
         q, qd = y[:4], y[4:]

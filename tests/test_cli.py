@@ -11,6 +11,7 @@ from mobman.cli import main
 from mobman.config import load_config, parse_config
 from mobman.metrics import compute_metrics
 from mobman.simulate import SimLog, export, run_mission
+from oracles import write_log
 
 
 def run_cli(capsys, *argv):
@@ -136,7 +137,7 @@ def test_integer_spellings_match_float_spellings(tmp_path, capsys):
                                "--json", str(plan_file))
         assert code == 0
         log_file = tmp_path / (name + ".csv")
-        run_mission(config).log.to_csv(log_file)
+        write_log(run_mission(config).log, log_file)
         outputs.append((plan_file.read_bytes(), out.split("\n", 1)[1],
                         log_file.read_bytes()))
     assert outputs[0] == outputs[1]
@@ -178,7 +179,7 @@ def test_metrics_names_bad_metadata(tmp_path, capsys):
     by key with exit code 1, not raised as a traceback.  The log has stops,
     so the dt read of the budget check is reached too."""
     good = tmp_path / "good.csv"
-    run_mission(parse_config({"dt": 0.01})).log.to_csv(good)
+    write_log(run_mission(parse_config({"dt": 0.01})).log, good)
     lines = good.read_text().splitlines(keepends=True)
     cases = [(key, "abc", "'abc'") for key in (
         "dt", "discharge_time", "stage2_budget", "band_e1_mm", "band_e2_mm",

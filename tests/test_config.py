@@ -301,6 +301,28 @@ def test_underflowing_split_is_named_by_its_mass():
         build_inertial(config, build_geometry(config))
 
 
+def test_point_mass_bound_past_the_float_range_is_named():
+    """A centre of mass whose square is past the float range makes its
+    body's point-mass bound infinite: that is named like any other bound,
+    never raised as an OverflowError, and a split that underflows is still
+    named by its mass alone."""
+    offsets = [0.05, 1e200, 0.85, 0.04]
+    for data, messages in (
+            ({"com_offsets": offsets},
+             ["inertial.com_offsets[1]: puts the boom body's point-mass "
+              "bound above its stock inertia m L^2 / 3 while "
+              "inertial.inertias is unset"]),
+            ({"com_offsets": offsets, "inertias": [5, 50, 170, 2]},
+             ["inertial.inertias[1]: below the point-mass bound of the boom "
+              "body"]),
+            ({"com_offsets": offsets, "total_mass": 5e-324},
+             ["inertial.total_mass: too small: the stock split's masses or "
+              "inertias underflow to 0"])):
+        with pytest.raises(ValidationError) as err:
+            parse_config({"inertial": data})
+        assert err.value.messages == messages
+
+
 def test_build_inertial_paths():
     cfg = ScenarioConfig()
     params = build_inertial(cfg, build_geometry(cfg))

@@ -1,20 +1,27 @@
 """Rigid-body terms: mass matrix, velocity coupling, gravity, energy.
 
 The load-bearing oracle is the energy route: kinetic and potential energy are
-computed body by body through a separate code path, so the closed-form M and
-G can be checked against exact quadratic-form and gradient identities.
+computed body by body through a separate code path, so the kernel's M and G
+(assembled as arrays in oracles.py) can be checked against exact
+quadratic-form and gradient identities, and its fused bias against the
+Christoffel C of its partials.
 """
 import math
 
 import numpy as np
 import pytest
 
+from mobman import dynamics
 from mobman.arm_control import control_law
+from mobman.chassis_control import ChassisRefSample, plant_step
 from mobman.config import ArmControlConfig, ScenarioConfig
-from mobman.dynamics import ArmDynamics, LinkInertialParams
+from mobman.dynamics import (ArmDynamics, LinkInertialParams, accelerations,
+                             torques)
 from mobman.errors import SolveFailure, ValidationError
-from oracles import (kinetic_energy, potential_energy, random_joint_angles,
-                     substepped_integrate)
+from mobman.util import INTEGRATORS, integrate
+from oracles import (coriolis_matrix, gravity_vector, kinetic_energy,
+                     mass_matrix, mass_matrix_partials, potential_energy,
+                     random_joint_angles, substepped_integrate)
 
 DEG = math.pi / 180.0
 
@@ -34,7 +41,7 @@ def test_default_params_mass_budget(stock_params):
 
 def test_mass_matrix_symmetric_positive_definite(model, rng):
     for q in random_joint_angles(rng, 200):
-        m = model.mass_matrix(q)
+        m = mass_matrix(model, q)
         assert np.array_equal(m, m.T)
         np.linalg.cholesky(m)  # raises if not positive definite
 
@@ -44,7 +51,7 @@ def test_mass_matrix_matches_kinetic_energy_hessian(model, offset_model, rng):
     with unit rates: M_ij = K(e_i + e_j) - K(e_i) - K(e_j)."""
     for arm in (model, offset_model):
         for q in random_joint_angles(rng, 50):
-            m = arm.mass_matrix(q)
+            m = mass_matrix(arm, q)
             k = [kinetic_energy(arm, q, _unit(i)) for i in range(4)]
             for i in range(4):
                 assert m[i, i] == pytest.approx(2.0 * k[i], rel=1e-12)
@@ -56,7 +63,7 @@ def test_mass_matrix_matches_kinetic_energy_hessian(model, offset_model, rng):
 
 def test_slewing_row_is_decoupled(model, rng):
     for q in random_joint_angles(rng, 20):
-        m = model.mass_matrix(q)
+        m = mass_matrix(model, q)
         np.testing.assert_array_equal(m[0, 1:], 0.0)
         np.testing.assert_array_equal(m[1:, 0], 0.0)
 
@@ -70,7 +77,7 @@ def test_mass_matrix_point_mass_hand_case(stock_arm):
                                 payload_mass=0.0, gravity=9.81)
     model = ArmDynamics(params, stock_arm)
     q = np.array([0.0, 40.0 * DEG, -20.0 * DEG, -10.0 * DEG])
-    m = model.mass_matrix(q)
+    m = mass_matrix(model, q)
     r = stock_arm.a[0] * 1e-3 + 0.8 * math.cos(q[1])
     assert m[0, 0] == pytest.approx(tiny + 10.0 * r * r, abs=1e-6)
     assert m[1, 1] == pytest.approx(10.0 * 0.8 ** 2, rel=1e-6)
@@ -81,7 +88,7 @@ def test_gravity_matches_potential_gradient(model, offset_model, rng):
     h = 1e-5
     for arm in (model, offset_model):
         for q in random_joint_angles(rng, 50):
-            g = arm.gravity_vector(q)
+            g = gravity_vector(arm, q)
             fd = np.zeros(4)
             for i in range(4):
                 e = _unit(i) * h
@@ -93,7 +100,7 @@ def test_gravity_matches_potential_gradient(model, offset_model, rng):
 
 def test_gravity_flat_arm_hand_formula(model):
     q = np.zeros(4)
-    g = model.gravity_vector(q)
+    g = gravity_vector(model, q)
     p = model.params
     _, m2, m3, m4 = p.masses
     _, c2, c3, _ = p.com_offsets
@@ -111,8 +118,8 @@ def test_coriolis_skew_symmetry(model, rng):
         q = random_joint_angles(rng)
         qd = rng.uniform(-2.0, 2.0, 4)
         x = rng.uniform(-1.0, 1.0, 4)
-        dm = np.einsum("ijk,i->jk", model.mass_matrix_partials(q), qd)
-        c = model.coriolis_matrix(q, qd)
+        dm = np.einsum("ijk,i->jk", mass_matrix_partials(model, q), qd)
+        c = coriolis_matrix(model, q, qd)
         worst = max(worst, abs(x @ (dm - 2.0 * c) @ x))
     assert worst < 1e-10
 
@@ -122,16 +129,17 @@ def _mass_partials_fd(model, q, step=1e-3):
     out = np.zeros((4, 4, 4))
     for i in range(4):
         e = _unit(i) * step
-        out[i] = (-model.mass_matrix(q + 2 * e) + 8.0 * model.mass_matrix(q + e)
-                  - 8.0 * model.mass_matrix(q - e)
-                  + model.mass_matrix(q - 2 * e)) / (12.0 * step)
+        out[i] = (-mass_matrix(model, q + 2 * e)
+                  + 8.0 * mass_matrix(model, q + e)
+                  - 8.0 * mass_matrix(model, q - e)
+                  + mass_matrix(model, q - 2 * e)) / (12.0 * step)
     return out
 
 
 def test_mass_partials_analytic_vs_finite_difference(model, offset_model, rng):
     for arm in (model, offset_model):
         for q in random_joint_angles(rng, 25):
-            ana = arm.mass_matrix_partials(q)
+            ana = mass_matrix_partials(arm, q)
             assert np.abs(ana - _mass_partials_fd(arm, q)).max() < 1e-6
 
 
@@ -146,7 +154,7 @@ def test_coriolis_fd_route_agrees(model, rng):
         for j in range(4):
             fd[k, j] = sum(0.5 * (dm[i, k, j] + dm[j, k, i] - dm[k, i, j]) * qd[i]
                            for i in range(4))
-    assert np.abs(model.coriolis_matrix(q, qd) - fd).max() < 1e-6
+    assert np.abs(coriolis_matrix(model, q, qd) - fd).max() < 1e-6
 
 
 def test_inverse_forward_dynamics_round_trip(model, rng):
@@ -154,8 +162,8 @@ def test_inverse_forward_dynamics_round_trip(model, rng):
         q = random_joint_angles(rng)
         qd = rng.uniform(-1.0, 1.0, 4)
         qdd = rng.uniform(-2.0, 2.0, 4)
-        tau = model.inverse_dynamics(q, qd, qdd)
-        back = model.forward_dynamics(q, qd, tau)
+        tau = torques(model._kernel(q, qd), qdd)
+        back = accelerations(model._kernel(q, qd), tau)
         np.testing.assert_allclose(back, qdd, atol=1e-9)
 
 
@@ -165,10 +173,10 @@ def test_power_balance_pointwise(model, rng):
         q = random_joint_angles(rng)
         qd = rng.uniform(-1.0, 1.0, 4)
         tau = rng.uniform(-200.0, 200.0, 4)
-        qdd = model.forward_dynamics(q, qd, tau)
-        dm = np.einsum("ijk,i->jk", model.mass_matrix_partials(q), qd)
-        power = qd @ model.mass_matrix(q) @ qdd + 0.5 * qd @ dm @ qd \
-            + qd @ model.gravity_vector(q)
+        qdd = accelerations(model._kernel(q, qd), tau)
+        dm = np.einsum("ijk,i->jk", mass_matrix_partials(model, q), qd)
+        power = qd @ mass_matrix(model, q) @ qdd + 0.5 * qd @ dm @ qd \
+            + qd @ gravity_vector(model, q)
         assert power == pytest.approx(float(qd @ tau), rel=1e-9, abs=1e-6)
 
 
@@ -180,8 +188,8 @@ def test_free_swing_conserves_energy(model):
     y = np.concatenate([q, qd])
 
     def f(t, y):
-        return np.concatenate([y[4:], model.forward_dynamics(y[:4], y[4:],
-                                                             np.zeros(4))])
+        return np.concatenate([y[4:], accelerations(
+            model._kernel(y[:4], y[4:]), [0.0] * 4)])
 
     for _ in range(2000):  # 0.2 s of free swing, by the classic RK4 rule
         y = substepped_integrate(f, y, dt, substeps=1)
@@ -190,22 +198,22 @@ def test_free_swing_conserves_energy(model):
 
 
 def test_fused_dynamics_match_christoffel_route(model, offset_model, rng):
-    """forward_dynamics and inverse_dynamics (shared-trig kernel, expanded
-    bias, block Cholesky) against M, the Christoffel C, G and a generic
-    dense solve, on 1,000 random in-range states of each arm."""
+    """accelerations and torques (shared-trig kernel, expanded bias, block
+    Cholesky) against M, the Christoffel C, G and a generic dense solve, on
+    1,000 random in-range states of each arm."""
     for arm in (model, offset_model):
         worst_fd = worst_id = 0.0
         for q in random_joint_angles(rng, 1000):
             qd = rng.uniform(-2.0, 2.0, 4)
             tau = rng.uniform(-1e3, 1e3, 4)
             qdd = rng.uniform(-2.0, 2.0, 4)
-            m = arm.mass_matrix(q)
-            bias = arm.coriolis_matrix(q, qd) @ qd + arm.gravity_vector(q)
+            m = mass_matrix(arm, q)
+            bias = coriolis_matrix(arm, q, qd) @ qd + gravity_vector(arm, q)
             want = np.linalg.solve(m, tau - bias)
-            got = arm.forward_dynamics(q, qd, tau)
+            got = accelerations(arm._kernel(q, qd), tau)
             worst_fd = max(worst_fd, np.abs(got - want).max() / np.abs(want).max())
             want = m @ qdd + bias
-            got = arm.inverse_dynamics(q, qd, qdd)
+            got = torques(arm._kernel(q, qd), qdd)
             worst_id = max(worst_id, np.abs(got - want).max() / np.abs(want).max())
         assert worst_fd < 1e-9 and worst_id < 1e-9
 
@@ -214,29 +222,51 @@ def test_fused_dynamics_match_christoffel_route(model, offset_model, rng):
 @pytest.mark.parametrize("joint", [1, 2, 3])
 def test_forward_dynamics_non_finite_angle_raises(model, joint, bad):
     """M depends on joints 2-4 only; a NaN or infinite angle there is a
-    SolveFailure, never a raw numpy or math error or a NaN result."""
-    q = np.array([0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG])
+    SolveFailure about the mass matrix, never a raw math error or a NaN
+    state, on both routes into the model: the plant's state_rates through
+    util.integrate, with the angle at the step's start (the kernel terms
+    the first stage reuses) or at a later midpoint stage, and the arm
+    control_law on the kernel terms at (q, qd), which raise for an infinite
+    angle and whose torque for a NaN one the plant then meets at M's
+    factorization."""
+    good = [0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG]
+    q = list(good)
     q[joint] = bad
+    qd = [0.2, -0.1, 0.3, 0.1]
+    zero = [0.0] * 4
+    for method in INTEGRATORS:
+        with pytest.raises(SolveFailure, match="mass matrix"):
+            integrate(model.state_rates(model._kernel(q, qd), zero), q + qd,
+                      1e-3, method)
     with pytest.raises(SolveFailure, match="mass matrix"):
-        model.forward_dynamics(q, np.zeros(4), np.zeros(4))
+        integrate(model.state_rates(model._kernel(good, qd), zero), q + qd,
+                  1e-3, "midpoint")
+    with pytest.raises(SolveFailure, match="mass matrix"):
+        terms = model._kernel(q, qd)
+        tau = control_law(q, qd, good, qd, zero, ArmControlConfig(), terms)
+        integrate(model.state_rates(terms, tau), q + qd, 1e-3, "euler")
 
 
 def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
-    """The per-step calls use the scalar kernel only: no Christoffel tensor,
-    no einsum and no generic linear solve."""
+    """One control step, the arm law and one plant step under the stock
+    midpoint rule, uses the scalar kernel only: no einsum (the Christoffel
+    route) and no generic linear solve; dynamics.py does not import numpy."""
     def slow_route(*args, **kwargs):
         raise AssertionError("slow dynamics route on the hot path")
 
-    for name in ("coriolis_matrix", "mass_matrix_partials"):
-        monkeypatch.setattr(ArmDynamics, name, slow_route)
+    assert not hasattr(dynamics, "np")
     monkeypatch.setattr(np.linalg, "solve", slow_route)
     monkeypatch.setattr(np, "einsum", slow_route)
-    q = np.array([0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG])
-    qd = np.array([0.2, -0.1, 0.3, 0.1])
-    model.forward_dynamics(q, qd, np.full(4, 100.0))
-    model.inverse_dynamics(q, qd, np.ones(4))
-    control_law(q, qd, q + 0.01, qd, np.zeros(4), ArmControlConfig(),
-                model._kernel(q, qd))
+    q = [0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG]
+    qd = [0.2, -0.1, 0.3, 0.1]
+    terms = model._kernel(q, qd)
+    tau = control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
+                      ArmControlConfig(), terms)
+    ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
+    state = plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
+                       [0.0, 0.0], 1e-3, "midpoint",
+                       (q + qd, model.state_rates(terms, tau)))
+    assert len(state) == 13 and all(map(math.isfinite, state))
 
 
 def test_parameter_validation(stock_arm):

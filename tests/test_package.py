@@ -1,6 +1,7 @@
 """Package surface: the exported names, the module layering, and where
 the stock figures are stated."""
 import ast
+import collections
 import inspect
 import pathlib
 import re
@@ -127,3 +128,47 @@ def test_engine_states_no_stock_figure():
     assert [(name, p.name) for name, params in signatures.items()
             for p in params.values()
             if p.name in takes and p.default is not p.empty] == []
+
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _referenced(node, into_defs: bool) -> set:
+    """Names node references, as a name or as an attribute; into_defs=False
+    leaves out the bodies of the functions defined in it."""
+    found, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        stack += [c for c in ast.iter_child_nodes(n)
+                  if into_defs or not isinstance(c, _DEFS)]
+    return found
+
+
+def test_every_function_is_reached_from_the_package():
+    """No helper that only tests call: every function and method defined in
+    the package is exported in __all__, is a dunder, or is referenced (by
+    name or as an attribute) in module-level code or in a function reached
+    so, never only from its own body or from code nothing reaches."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in
+             sorted(pathlib.Path(mobman.__file__).parent.glob("*.py"))]
+    defs = collections.defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, _DEFS):
+                defs[node.name].append(node)
+    live = set(mobman.__all__).union(
+        *(_referenced(tree, into_defs=False) for tree in trees),
+        (name for name in defs if name.startswith("__")
+         and name.endswith("__")))
+    frontier = list(live)
+    while frontier:
+        for node in defs.get(frontier.pop(), ()):
+            new = _referenced(node, into_defs=True) - live
+            live |= new
+            frontier += new
+    assert sorted(set(defs) - live) == []

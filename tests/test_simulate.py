@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mobman import simulate
+from mobman import mission, simulate
 from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
 from mobman.chassis_control import (ChassisRefSample, chassis_tick,
@@ -22,7 +22,7 @@ from mobman.config import ChassisControlConfig, ScenarioConfig, parse_config
 from mobman.dynamics import ArmDynamics
 from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
                            JointLimitViolation, ParseError, SolveFailure,
-                           Unreachable)
+                           Unreachable, ValidationError)
 from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
 from mobman.mission import Circuit, SweepPath
@@ -31,7 +31,8 @@ from mobman.planning import (Stage2Slot, _arm_reference, _chassis_reference,
 from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, export,
                              run_mission)
 from mobman.util import integrate
-from oracles import run_line_scenario
+from oracles import (kinetic_energy, potential_energy, run_line_scenario,
+                     write_log)
 
 DEG = math.pi / 180.0
 
@@ -217,7 +218,7 @@ def test_log_shape_and_grid(default_mission):
 def test_csv_round_trip_bit_exact(default_mission, tmp_path):
     result, _ = default_mission
     path = tmp_path / "run.csv"
-    result.log.to_csv(path)
+    write_log(result.log, path)
     again = SimLog.from_csv(path)
     np.testing.assert_array_equal(again.time, result.log.time)
     for key in CSV_NUMERIC:
@@ -232,7 +233,7 @@ def test_csv_round_trip_bit_exact(default_mission, tmp_path):
 def test_metrics_recompute_from_csv_equal(default_mission, tmp_path):
     result, _ = default_mission
     path = tmp_path / "run.csv"
-    result.log.to_csv(path)
+    write_log(result.log, path)
     again = compute_metrics(SimLog.from_csv(path))
     import dataclasses
     a = dataclasses.asdict(result.report)
@@ -315,8 +316,10 @@ BLOCK_EDGES = [1, simulate._BLOCK_ROWS - 1, simulate._BLOCK_ROWS,
 
 @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
 def test_to_csv_matches_cell_by_cell_writer(tmp_path, n_rows):
+    """The block writer behind export's timeseries.csv writes the same
+    bytes as a cell-by-cell repr writer, across the block edges."""
     log = _odd_log(n_rows)
-    log.to_csv(tmp_path / "block.csv")
+    write_log(log, tmp_path / "block.csv")
     _reference_csv(log, tmp_path / "cell.csv")
     assert ((tmp_path / "block.csv").read_bytes()
             == (tmp_path / "cell.csv").read_bytes())
@@ -358,7 +361,7 @@ def _assert_same_log(again, log):
 def test_from_csv_reads_odd_values_bit_equal(tmp_path, n_rows):
     log = _odd_log(n_rows)
     path = tmp_path / "run.csv"
-    log.to_csv(path)
+    write_log(log, path)
     _assert_same_log(SimLog.from_csv(path), log)
 
     # Blank lines in the body are skipped, also across block edges.
@@ -385,7 +388,7 @@ def _broken_log(path, breaks, blank):
     """Write a valid log of a little over two blocks, then apply breaks,
     a {line number: BAD_CELLS key} map; with blank, an empty line first
     goes in near the top of the body.  Returns the header's line number."""
-    _odd_log(2 * simulate._BLOCK_ROWS + 20).to_csv(path)
+    write_log(_odd_log(2 * simulate._BLOCK_ROWS + 20), path)
     lines = path.read_text().split("\n")
     header = lines.index(",".join(CSV_COLUMNS)) + 1
     if blank:
@@ -426,7 +429,7 @@ def test_from_csv_rejects_underscore_digits(tmp_path):
     """float() takes 1_0 but the block parse does not; the line is still
     named."""
     path = tmp_path / "run.csv"
-    _odd_log(3).to_csv(path)
+    write_log(_odd_log(3), path)
     lines = path.read_text().split("\n")
     header = lines.index(",".join(CSV_COLUMNS)) + 1
     row = lines[header + 1]
@@ -446,7 +449,7 @@ def test_from_csv_memory_stays_near_its_arrays(tmp_path):
                  {k: rng.normal(size=n) for k in CSV_NUMERIC},
                  ["" if i % 50 else "ev" for i in range(n)])
     path = tmp_path / "run.csv"
-    log.to_csv(path)
+    write_log(log, path)
     tracemalloc.start()
     try:
         again = SimLog.from_csv(path)
@@ -483,7 +486,7 @@ def _set_cells(path, row, cells):
 def test_from_csv_reads_the_writers_text_without_the_block_parse(
         tmp_path, monkeypatch):
     log = _plain_log(simulate._BLOCK_ROWS + 20)
-    log.to_csv(tmp_path / "run.csv")
+    write_log(log, tmp_path / "run.csv")
 
     def block_parse(lines):
         raise AssertionError("np.loadtxt path taken")
@@ -500,7 +503,7 @@ def test_from_csv_names_cells_json_reads_but_float_does_not(tmp_path, cell,
     """orjson reads these cells (np.fromiter would then take them as 1.5,
     1.0 and nan); the line is named as float() words it."""
     path = tmp_path / "run.csv"
-    _plain_log(2 * simulate._BLOCK_ROWS + 20).to_csv(path)
+    write_log(_plain_log(2 * simulate._BLOCK_ROWS + 20), path)
     lineno = _set_cells(path, row, {"q2": cell})
     with pytest.raises(ParseError) as info:
         SimLog.from_csv(path)
@@ -513,7 +516,7 @@ def test_from_csv_reads_integer_spelled_cells_as_float(tmp_path):
     back as float() reads them."""
     path = tmp_path / "run.csv"
     log = _plain_log(simulate._JSON_ROWS + 20)
-    log.to_csv(path)
+    write_log(log, path)
     row = simulate._JSON_ROWS + 3
     _set_cells(path, row, {"time": "1", "X": "-0", "tgtZ": "1"})
     log.time[row], log.values["X"][row], log.values["tgtZ"][row] = (
@@ -525,7 +528,7 @@ def test_from_csv_reads_integer_spelled_cells_as_float(tmp_path):
 
 def test_from_csv_rejects_cells_that_nest_the_json_array(tmp_path):
     path = tmp_path / "run.csv"
-    _plain_log(20).to_csv(path)
+    write_log(_plain_log(20), path)
     lineno = _set_cells(path, 4, {"e1": "[1.0", "e2": "2.0]"})
     with pytest.raises(ParseError) as info:
         SimLog.from_csv(path)
@@ -600,7 +603,7 @@ def test_flagged_ident_round_trips_as_text(tmp_path):
 def test_files_are_utf8_under_the_c_locale(tmp_path):
     """Under the C locale with UTF-8 mode off, where open() defaults to
     ASCII, a fire ident 火 loads from a scenario file and a log flagging it
-    round-trips through to_csv and from_csv as UTF-8."""
+    round-trips through the log writer and from_csv as UTF-8."""
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text("fires:\n- {position: [5, 5, 0.3], ident: 火}\n",
                         encoding="utf-8")
@@ -608,11 +611,12 @@ def test_files_are_utf8_under_the_c_locale(tmp_path):
         "import sys\n"
         "from mobman.config import load_config\n"
         "from mobman.simulate import SimLog\n"
+        "from oracles import write_log\n"
         "from test_simulate import _synthetic_log\n"
         "assert load_config(sys.argv[1]).fires[0].ident == '\\u706b'\n"
         "log = _synthetic_log()\n"
         "log.meta['flagged'] = '\\u706b'\n"
-        "log.to_csv(sys.argv[2])\n"
+        "write_log(log, sys.argv[2])\n"
         "assert SimLog.from_csv(sys.argv[2]).meta == log.meta\n")
     roots = [pathlib.Path(simulate.__file__).parents[1],
              pathlib.Path(__file__).parent]
@@ -630,7 +634,7 @@ def test_files_are_utf8_under_the_c_locale(tmp_path):
 def test_numpy_float_metadata_round_trips(tmp_path):
     log = _synthetic_log()
     log.meta["dt"] = np.float64(0.001)
-    log.to_csv(tmp_path / "run.csv")
+    write_log(log, tmp_path / "run.csv")
     assert "#dt=0.001\n" in (tmp_path / "run.csv").read_text()
     again = SimLog.from_csv(tmp_path / "run.csv")
     assert type(again.meta["dt"]) is float and again.meta["dt"] == 0.001
@@ -1084,3 +1088,57 @@ def test_derived_columns_match_per_row_oracle(coarse_run):
             want[k].append(value)
     for k in names:
         _same_bits(log.values[k], want[k], k)
+
+
+def test_energy_ledger_closes_over_the_run(coarse_run, model):
+    """The torque is held over each step, so the joints do exactly
+    tau_i . (q_{i+1} - q_i) of work over step i, and the arm's energy change
+    over it, taken body by body from oracles.py and not from the kernel,
+    must match that up to the integrator's error and round-off.  On the
+    10 ms stock run the residual r_i = dE_i - tau_i . dq_i measures max |r|
+    1.494 J, median |r| 1.8e-3 J and sum r -29.9 J, against 21 kJ of joint
+    work; a torque logged one row late gives max |r| 576 J and sum r
+    -11.4 kJ.  The bounds leave about a third more (the median two thirds
+    more) than measured."""
+    log = coarse_run[1].log
+
+    def joints(prefix):
+        return np.column_stack([log.values["%s%d" % (prefix, k)]
+                                for k in (1, 2, 3, 4)])
+
+    q, qd, tau = joints("q"), joints("qd"), joints("tau")
+    energy = np.array([kinetic_energy(model, a, b) + potential_energy(model, a)
+                       for a, b in zip(q, qd)])
+    r = np.diff(energy) - np.sum(tau[:-1] * np.diff(q, axis=0), axis=1)
+    assert len(r) == 2590
+    worst, median, total = np.abs(r).max(), np.median(np.abs(r)), r.sum()
+    assert worst < 2.0, worst
+    assert median < 3e-3, median
+    assert abs(total) < 40.0, total
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e-300, 1e-15])
+def test_tiny_step_is_named_before_any_table(monkeypatch, dt):
+    """A dt that passes its field rule but would make the run's step count
+    overflow a float, pass numpy's largest array dimension or ask for
+    exabytes is named, with the step count, before any per-step table is
+    built."""
+    def no_table(plan):
+        raise AssertionError("a per-step table was built")
+
+    monkeypatch.setattr(simulate, "_chassis_reference", no_table)
+    config = parse_config({"dt": dt})
+    with pytest.raises(ValidationError, match=r"^dt: %r s: the run needs at "
+                       r"least \S+ steps, more than 100000000$" % dt):
+        run_mission(config)
+
+
+def test_step_count_is_checked_on_the_whole_plan(monkeypatch):
+    """The circuit bounds the step count of one corner; the plan checks the
+    whole run's, which the corners alone can leave under the limit."""
+    monkeypatch.setattr(mission, "MAX_STEPS", 2000)
+    with pytest.raises(ValidationError,
+                       match=r"^dt: 0.01 s: the run needs at least 2590 "
+                       r"steps, more than 2000$"):
+        plan_mission(parse_config({"dt": 0.01}))
+    assert plan_mission(parse_config({"dt": 0.02})).n_steps < 2000

@@ -11,6 +11,7 @@ import pytest
 
 from mobman import chassis_control
 from mobman.chassis_control import ChassisRefSample, plant_step
+from mobman.dynamics import accelerations
 from mobman.util import integrate, sign, switch, wrap_angle
 from oracles import random_joint_angles, substepped_integrate
 
@@ -51,8 +52,9 @@ def _same_bits(got, want) -> bool:
 def test_arm_step_matches_numpy_integrator_bitwise(method, model, rng):
     """The mission step advances the pose and the arm in one integrate call,
     the arm reusing the kernel terms of its start state for the first stage.
-    Its arm half must match the oracle that evaluates forward_dynamics afresh
-    at every stage, and its chassis half the chassis-only oracle."""
+    Its arm half must match the oracle that evaluates the kernel and the
+    accelerations afresh at every stage, and its chassis half the
+    chassis-only oracle."""
     for q in random_joint_angles(rng, 200):
         qd = rng.uniform(-2.0, 2.0, 4)
         tau = rng.uniform(-1e3, 1e3, 4).tolist()
@@ -64,8 +66,8 @@ def test_arm_step_matches_numpy_integrator_bitwise(method, model, rng):
         f_dist = rng.uniform(-0.1, 0.1, 2).tolist()
 
         def f(t, y):
-            return np.concatenate([y[4:],
-                                   model.forward_dynamics(y[:4], y[4:], tau)])
+            return np.concatenate([y[4:], accelerations(
+                model._kernel(y[:4].tolist(), y[4:].tolist()), tau)])
 
         want = _numpy_step(f, np.concatenate([q, qd]), 1e-3, method)
         q0, qd0 = q.tolist(), qd.tolist()
