@@ -357,14 +357,14 @@ def _top_spray_joints(config: ScenarioConfig, problems: list) -> None:
 
 def _inertial_split(config: ScenarioConfig, problems: list) -> None:
     """What the model would reject in build_inertial's parameters
-    (LinkInertialParams.validate), named by a key the scenario set.  Every
-    field the scenario gave has passed its own rule, so validate can only
-    object to what the stock split derived: a column or wrist that it leaves
-    massless (named first, by its lengths), a mass or rod inertia that
-    underflows to 0 (named by the mass it came from), and, while the
-    inertias are unset, a rod inertia m L^2 / 3 below its body's point-mass
-    bound m c^2 (named by the com_offsets that raised it).  Runs once the
-    geometry and inertial fields are valid."""
+    (LinkInertialParams.validate), named by a key the scenario set.  Each
+    field the scenario gave has passed its own rule, so a value validate
+    finds <= 0 is one the stock split derived: a column or wrist it leaves
+    massless (named first, by its lengths) or an underflow (named by the
+    mass it came from).  A planar body's inertia below its point-mass bound
+    m c^2 keeps validate's key while the inertias are set, and is named by
+    the com_offsets that raised it while they are the stock m L^2 / 3.
+    Runs once the geometry and inertial fields are valid."""
     if any(p.startswith(("geometry.", "inertial.")) for p in problems):
         return
     ine, lengths = config.inertial, config.geometry.link_lengths
