@@ -4,7 +4,9 @@ The tracking error is the pose mismatch rotated into the vehicle frame
 (forward, lateral, heading).  Two coupled sliding surfaces drive it to zero;
 the control acts on a reduced plant in which an inner loop has already
 cancelled the chassis dynamics, leaving  zdot - zdot_ref = u - f  for
-z = (v, w) with a bounded lumped disturbance f.
+z = (v, w) with a bounded lumped disturbance f.  chassis_tick evaluates the
+whole controller in one body, and plant_step advances the chassis and the
+arm it carries in one integrator call.
 
 Units: metres, seconds, radians.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .dynamics import accelerations
 from .errors import DisturbanceBoundViolation
 from .util import integrate, sign, switch, wrap_angle
 
@@ -52,70 +55,56 @@ def tracking_error(ref, pose) -> ChassisError:
                         wrap_angle(ref.heading - heading))
 
 
-def error_rates(err: ChassisError, v: float, w: float,
-                v_ref: float, w_ref: float) -> tuple:
-    """Analytic error derivatives from the unicycle error kinematics."""
-    e1d = w * err.e2 - v + v_ref * math.cos(err.e3)
-    e2d = -w * err.e1 + v_ref * math.sin(err.e3)
-    e3d = w_ref - w
-    return e1d, e2d, e3d
+def chassis_tick(ref, z, gains):
+    """One controller evaluation at plant state z = (X, Y, heading, v, w),
+    with gains the ChassisControlConfig section; returns the tracking error
+    (e1, e2, e3), the surfaces (s1, s2) and the command (u1, u2) as tuples.
+    ref is read by position, so a ChassisRefSample or a plain row of its 10
+    floats serves.
 
-
-def sliding_surface(err: ChassisError, err_rates, gains) -> tuple:
-    """Two coupled surfaces: the first mixes the forward channel with the
-    magnitude of the lateral one, the second sums heading and lateral.
-    gains is the scenario's ChassisControlConfig section."""
-    e1d, e2d, e3d = err_rates
-    k1, k2, k3 = gains.surface_gains
-    s1 = e1d + k1 * err.e1 + sign(err.e1) * abs(e2d + k2 * err.e2)
-    s2 = e3d + k3 * err.e3 + e2d + k2 * err.e2
-    return s1, s2
-
-
-def control_law(err: ChassisError, err_rates, s, ref: ChassisRefSample,
-                heading: float, yaw_rate: float, gains) -> tuple:
-    """Reduced-plant acceleration command (u1, u2) for the surfaces s.
-
-    Symbol conventions: the coupling block uses the reference linear speed and
-    the actual yaw rate; the actual yaw acceleration is estimated from the
-    reduced plant with the yaw command computed first (the disturbance is not
-    available to the controller).  gains is the scenario's
-    ChassisControlConfig section: the surface slopes k1..k3, the reaching
-    gains q1, q2, the switching gains p1, p2, the lever offset l, and the
-    boundary_layer width, where a zero width selects the pure switching sign.
+    The error is tracking_error's at the wrapped heading, its rates follow
+    the unicycle error kinematics.  The first surface mixes the forward
+    channel with the magnitude of the lateral one, the second sums heading
+    and lateral.  The reduced-plant command's coupling block uses the
+    reference linear speed and the actual yaw rate, and the actual yaw
+    acceleration is estimated with the yaw command computed first (the
+    disturbance is not available to the controller).  A zero boundary_layer
+    width selects the pure switching sign.
     """
-    e1d, e2d, e3d = err_rates
-    s1, s2 = s
+    rx, ry, rh, rv, rw, vdx, vdy, vdx_dot, vdy_dot, w_dot = ref
+    x, y, heading, v, w = z
     k1, k2, k3 = gains.surface_gains
     q1, q2 = gains.reaching_gains
     p1, p2 = gains.switch_gains
     width = gains.boundary_layer
+    h = wrap_angle(heading)
+    dx = rx - x
+    dy = ry - y
+    c, s = math.cos(h), math.sin(h)
+    e1 = c * dx + s * dy
+    e2 = -s * dx + c * dy
+    e3 = wrap_angle(rh - h)
+    sin_e3 = math.sin(e3)
+    e1d = w * e2 - v + rv * math.cos(e3)
+    e2d = -w * e1 + rv * sin_e3
+    e3d = rw - w
+    sgn = sign(e1)
+    s1 = e1d + k1 * e1 + sgn * abs(e2d + k2 * e2)
+    s2 = e3d + k3 * e3 + e2d + k2 * e2
     u2 = (q2 * s2 + p2 * switch(s2, width)
           + (k3 * e3d + e2d + k2 * e2d)
-          + (-ref.w_dot))
-
-    w_acc = ref.w_dot + u2  # plant-model estimate of the actual yaw acceleration
-    coupling = (e2d * yaw_rate + (err.e2 + gains.offset_l) * w_acc
-                - ref.v * e3d * math.sin(err.e3))
-    slope = k1 * e1d + sign(err.e1) * abs(e2d + k2 * e2d)
-    c, sh = math.cos(heading), math.sin(heading)
-    feedforward = (-ref.vdx_dot * c + ref.vdx * yaw_rate * sh
-                   - ref.vdy_dot * sh - ref.vdy * yaw_rate * c
-                   + ref.w_dot * err.e2 + ref.w * e2d)
+          + (-w_dot))
+    w_acc = w_dot + u2  # plant-model estimate of the actual yaw acceleration
+    coupling = (e2d * w + (e2 + gains.offset_l) * w_acc
+                - rv * e3d * sin_e3)
+    slope = k1 * e1d + sgn * abs(e2d + k2 * e2d)
+    ch, sh = math.cos(heading), math.sin(heading)
+    feedforward = (-vdx_dot * ch + vdx * w * sh
+                   - vdy_dot * sh - vdy * w * ch
+                   + w_dot * e2 + rw * e2d)
     u1 = (q1 * s1 + p1 * switch(s1, width)
           + coupling + slope + feedforward)
-    return u1, u2
-
-
-def chassis_tick(ref: ChassisRefSample, z, gains):
-    """One controller evaluation at plant state z = (X, Y, heading, v, w),
-    with gains the ChassisControlConfig section; returns the tracking error,
-    the surfaces and the command."""
-    x, y, heading, v, w = z
-    err = tracking_error(ref, (x, y, wrap_angle(heading)))
-    rates = error_rates(err, v, w, ref.v, ref.w)
-    s = sliding_surface(err, rates, gains)
-    return err, s, control_law(err, rates, s, ref, heading, w, gains)
+    return (e1, e2, e3), (s1, s2), (u1, u2)
 
 
 def check_disturbance(f, f_bounds) -> None:
@@ -127,39 +116,44 @@ def check_disturbance(f, f_bounds) -> None:
                 "disturbance channel %d: |%.4f| > %.4f" % (i, fi, bound))
 
 
-def plant_step(state, ref_now: ChassisRefSample, ref_next: ChassisRefSample,
-               u, f, dt: float, integrator: str, carried=None) -> list:
+def plant_step(state, ref_now, ref_next, u, f, dt: float, integrator: str,
+               arm=None) -> list:
     """Advance pose + velocity state (X, Y, heading, v, w) one control step
     by the rule integrator names, one of util.INTEGRATORS; returns the new
-    state as a list of 5 floats, then the carried plant's.
+    state as a list of 5 floats, then the arm's q and qd when it is given.
 
     Rates vary linearly under the commanded acceleration during the step; the
     reference delta lands at the step end so that a reference discontinuity
     taking effect at the next sample leaves this step's pose motion intact.
     An on-reference vehicle with u = f therefore stays on the reference
-    exactly, including across corner entries and stop commands.  Callers
-    check f's whole series against the bounds once, with check_disturbance.
+    exactly, including across corner entries and stop commands.  The
+    reference rows are read by position, as in chassis_tick.  Callers check
+    f's whole series against the bounds once, with check_disturbance.
 
-    carried, when given, is a plant riding on the chassis, (y, rates): its
-    state y as a list of floats and its derivative rates(t, y) at step-local
-    time t.  The one integrate call advances it with the pose, and its new
-    state follows the 5 chassis floats in the result.
+    arm, when given, is the arm riding on the chassis, (model, q, qd, terms,
+    tau): an ArmDynamics model, its state as two lists of 4 floats, the
+    kernel terms at that state and the torque held over the step.  One rates
+    function covers the 3 pose and 8 arm floats; the arm's accelerations
+    use terms at the step start (t = 0) and a fresh kernel at later stages.
     """
     x0, y0, h0, v0, w0 = state
     av = u[0] - f[0]
     aw = u[1] - f[1]
-    start, carried_rates = ([], None) if carried is None else carried
+    model, q, qd, terms, tau = arm or (None, (), (), None, None)
 
-    def rates(tau, y):
-        vt = v0 + av * tau
-        pose = [vt * math.cos(y[2]), vt * math.sin(y[2]), w0 + aw * tau]
-        if carried_rates is None:
+    def rates(t, y):
+        vt = v0 + av * t
+        pose = [vt * math.cos(y[2]), vt * math.sin(y[2]), w0 + aw * t]
+        if model is None:
             return pose
-        return pose + carried_rates(tau, y[3:])
+        joint_rates = y[7:]
+        return pose + joint_rates + accelerations(
+            terms if t == 0.0 else model._kernel(y[3:7], joint_rates), tau)
 
-    x1, y1, h1, *rest = integrate(rates, [x0, y0, h0, *start], dt, integrator)
-    v1 = v0 + av * dt + (ref_next.v - ref_now.v)
-    w1 = w0 + aw * dt + (ref_next.w - ref_now.w)
+    x1, y1, h1, *rest = integrate(rates, [x0, y0, h0, *q, *qd], dt,
+                                  integrator)
+    v1 = v0 + av * dt + (ref_next[3] - ref_now[3])
+    w1 = w0 + aw * dt + (ref_next[4] - ref_now[4])
     return [x1, y1, wrap_angle(h1), v1, w1, *rest]
 
 

@@ -306,11 +306,15 @@ def _leaves(obj, path: str = ""):
             yield from _leaves(value, name + ".")
 
 
-def _boom_and_forearm(config: ScenarioConfig, problems: list) -> None:
+def _link_lengths(config: ScenarioConfig, problems: list) -> None:
     """The IK divides by the boom and forearm lengths, and the stock inertial
     split gives the column and wrist an inertia of m L^2 / 3, which a zero
-    lateral offset or end link would make 0."""
-    lengths = config.geometry.link_lengths
+    lateral offset or end link would make 0.  The arm model squares each
+    length and the tool offset in metres, and Python raises OverflowError
+    for a square past the float range."""
+    geometry = config.geometry
+    lengths = geometry.link_lengths
+    named = []
     if isinstance(lengths, (list, tuple)) and len(lengths) == 5:
         stock = config.inertial.inertias is None
         for i in (0, 1, 2, 4):
@@ -321,6 +325,13 @@ def _boom_and_forearm(config: ScenarioConfig, problems: list) -> None:
                 elif stock:
                     problems.append("geometry.link_lengths[%d]: must be > 0 "
                                     "while inertial.inertias is unset" % i)
+        named = [("geometry.link_lengths[%d]" % i, v)
+                 for i, v in enumerate(lengths)]
+    named.append(("geometry.tool_y_offset", geometry.tool_y_offset))
+    for name, mm in named:
+        if _number(mm) and math.isinf(mm * 1e-3 * (mm * 1e-3)):
+            problems.append("%s: too large: its square in m^2 is past the "
+                            "float range" % name)
 
 
 def _corner_radius(config: ScenarioConfig, problems: list) -> None:
@@ -403,7 +414,7 @@ def _inertial_split(config: ScenarioConfig, problems: list) -> None:
 
 
 # Each cross-field rule runs right after the field it is keyed on here.
-_CROSS_RULES = {"geometry.link_lengths": _boom_and_forearm,
+_CROSS_RULES = {"geometry.link_lengths": _link_lengths,
                 "inertial.inertias": _inertial_split,
                 "circuit.min_corner_radius": _corner_radius,
                 "top_spray.joints_deg": _top_spray_joints,

@@ -1,7 +1,8 @@
 """Rigid-body model of the arm: one shared-trig kernel that gives M(q), its
 partials, G(q) and the bias C(q, qd) qd + G(q) at a state, the forward
-dynamics the plant integrates (accelerations, state_rates) and the inverse
-dynamics the sliding-mode law evaluates (torques).
+dynamics the plant step integrates (accelerations, in the rates that
+chassis_control.plant_step builds) and the inverse dynamics the sliding-mode
+law evaluates (torques).
 
 The model follows the energy route.  Each joint drives one body: the slewing
 column, the boom, the forearm and the wrist (the short parallelogram link is
@@ -184,19 +185,6 @@ class ArmDynamics:
                 g3 - h * d11_3 + d23 * w2 * w2 - d34 * w4 * w4,
                 g4 - h * d11_4 + d24 * w2 * w2 + d34 * w3 * w3]
         return mass, (d11_2, d11_3, d11_4, d23, d24, d34), (g2, g3, g4), bias
-
-    # -- dynamics ---------------------------------------------------------
-
-    def state_rates(self, terms, tau):
-        """The model under constant torque tau in first-order form, as the
-        rates(t, y) = qd + qdd of y = q + qd (8 floats) that util.integrate
-        steps.  terms is the kernel at the step's start state, where
-        integrate evaluates rates once, at t = 0; that stage reuses it."""
-        def rates(t, y):
-            qd = y[4:]
-            return qd + accelerations(
-                terms if t == 0.0 else self._kernel(y[:4], qd), tau)
-        return rates
 
 
 def torques(terms, qdd) -> list:

@@ -189,7 +189,7 @@ def _arm_reference(plan: MissionPlan, refs: np.ndarray):
                     spray.edge_index, a + k, (a + k) * dt))
         elif isinstance(spray, Stage2Slot):
             n_stops += 1
-            pose = plan.circuit.sample(p.clock)[:3]
+            pose = plan.circuit.sample_rows([p.clock])[0, :3]
             target = target_in_base_frame(pose, spray.stop.fire.position,
                                           spray.pitch)
             qr[a:b + 1] = _solve_ik(

@@ -3,11 +3,12 @@
 A run takes three steps.  The planner (mobman.planning) lays the mission out
 as one phase timeline and derives from it the chassis reference, the state
 labels and markers, and the arm's joint reference.  The step loop then
-marches both controllers and plants on plain float lists: the chassis
-follows its reduced velocity dynamics, the arm its full rigid-body dynamics
-under zero-order-hold torques, and one call of the scenario's integrator
-(the explicit midpoint rule, or Euler's) per step advances the chassis pose
-and the arm together.
+marches both controllers and plants on plain float lists, reading the
+reference tables as float rows: the chassis follows its reduced velocity
+dynamics, the arm its full rigid-body dynamics under zero-order-hold
+torques, and one call of the scenario's integrator (the explicit midpoint
+rule, or Euler's) per step, over one rates function of the 3 pose and 8 arm
+floats, advances the chassis pose and the arm together.
 A vectorised pass last derives the tool, target and wheel-speed columns
 into a fixed-schema log that round-trips through CSV bit for bit.
 """
@@ -27,9 +28,9 @@ import numpy as np
 import orjson
 
 from . import metrics as metrics_mod
-from .arm_control import control_law as arm_control_law
-from .chassis_control import (ChassisRefSample, chassis_tick,
-                              check_disturbance, plant_step, wheel_speeds)
+from .arm_control import control_law
+from .chassis_control import (chassis_tick, check_disturbance, plant_step,
+                              wheel_speeds)
 from .config import ScenarioConfig, build_inertial, disturbance_series
 from .dynamics import ArmDynamics
 from .errors import EmptyLog, ParseError, SolveFailure
@@ -248,23 +249,24 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     # The step runs on plain floats: z, q and qd are lists, and the
     # reference tables are read as float rows a block at a time (converting
     # them whole up front would hold every row as Python floats at once).
-    ref_rows = map(ChassisRefSample._make, _float_rows(refs))
+    # chassis_tick and plant_step read a reference row by position.
+    ref_rows = _float_rows(refs)
     dist_rows = _float_rows(dist)
     ref = next(ref_rows)
     off = config.initial_pose_offset
-    z = np.array([ref.x + off[0], ref.y + off[1],
-                  ref.heading + off[2] * math.pi / 180.0,
-                  ref.v, ref.w]).tolist()
+    z = [ref[0] + off[0], ref[1] + off[1], ref[2] + off[2] * math.pi / 180.0,
+         ref[3], ref[4]]
     q = qr[0].tolist()
     qd = qdr[0].tolist()
+    arm_gains, integrator, kernel = (config.arm_control, config.integrator,
+                                     model._kernel)
 
     for i, ref_q, ref_qd, ref_qdd in zip(range(n + 1), _float_rows(qr),
                                          _float_rows(qdr), _float_rows(qddr)):
         err, s, u = chassis_tick(ref, z, gains)
         # The model at (q, qd), shared by the arm law and the arm step.
-        terms = model._kernel(q, qd)
-        tau = arm_control_law(q, qd, ref_q, ref_qd, ref_qdd,
-                              config.arm_control, terms)
+        terms = kernel(q, qd)
+        tau = control_law(q, qd, ref_q, ref_qd, ref_qdd, arm_gains, terms)
         rows[i] = (*z, *err, *s, *u, *q, *qd, *tau)
         if i == n:
             break
@@ -272,8 +274,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         # One integrate call advances the pose and the arm, which rides on
         # the chassis; the arm's first stage reuses terms.
         state = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
-                           config.integrator,
-                           (q + qd, model.state_rates(terms, tau)))
+                           integrator, (model, q, qd, terms, tau))
         if not all(map(math.isfinite, state)):
             raise SolveFailure("step %d (t=%.4f s): non-finite chassis or arm "
                                "state" % (i + 1, (i + 1) * dt))

@@ -15,18 +15,22 @@ substepped_integrate is a fine-step stand-in for util.integrate, the
 reference the plant integrators' error is measured against; with one
 substep it is the classic fourth-order rule.  run_line_scenario is the
 chassis-only closed loop along a straight line that the chassis tests run.
+error_rates, sliding_surface and control_law are the chassis controller
+stage by stage, the composition chassis_tick must equal bit for bit.
 """
 import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from mobman.chassis_control import (ChassisRefSample, chassis_tick,
-                                    check_disturbance, plant_step)
+from mobman.chassis_control import (ChassisError, ChassisRefSample,
+                                    chassis_tick, check_disturbance,
+                                    plant_step)
 from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
 from mobman.simulate import CSV_COLUMNS, _write_tables
+from mobman.util import sign, switch
 
 
 def random_joint_angles(rng, n: int | None = None):
@@ -90,7 +94,7 @@ def run_line_scenario(gains, duration: float, dt: float,
         ref_i = ref._replace(x=speed * t)
         err, s, u = chassis_tick(ref_i, z, gains)
         out["t"][i] = t
-        out["e1"][i], out["e2"][i], out["e3"][i] = err.e1, err.e2, err.e3
+        out["e1"][i], out["e2"][i], out["e3"][i] = err
         out["s1"][i], out["s2"][i] = s
         out["u1"][i], out["u2"][i] = u
         out["V"][i] = 0.5 * (s[0] ** 2 + s[1] ** 2)
@@ -100,6 +104,62 @@ def run_line_scenario(gains, duration: float, dt: float,
         z = plant_step(z, ref_i, ref_next, u, f_all[i].tolist(), dt,
                        "midpoint")
     return out
+
+
+def error_rates(err: ChassisError, v: float, w: float,
+                v_ref: float, w_ref: float) -> tuple:
+    """Analytic error derivatives from the unicycle error kinematics."""
+    e1d = w * err.e2 - v + v_ref * math.cos(err.e3)
+    e2d = -w * err.e1 + v_ref * math.sin(err.e3)
+    e3d = w_ref - w
+    return e1d, e2d, e3d
+
+
+def sliding_surface(err: ChassisError, err_rates, gains) -> tuple:
+    """Two coupled surfaces: the first mixes the forward channel with the
+    magnitude of the lateral one, the second sums heading and lateral.
+    gains is the scenario's ChassisControlConfig section."""
+    e1d, e2d, e3d = err_rates
+    k1, k2, k3 = gains.surface_gains
+    s1 = e1d + k1 * err.e1 + sign(err.e1) * abs(e2d + k2 * err.e2)
+    s2 = e3d + k3 * err.e3 + e2d + k2 * err.e2
+    return s1, s2
+
+
+def control_law(err: ChassisError, err_rates, s, ref: ChassisRefSample,
+                heading: float, yaw_rate: float, gains) -> tuple:
+    """The chassis's reduced-plant acceleration command (u1, u2) for the
+    surfaces s.
+
+    Symbol conventions: the coupling block uses the reference linear speed and
+    the actual yaw rate; the actual yaw acceleration is estimated from the
+    reduced plant with the yaw command computed first (the disturbance is not
+    available to the controller).  gains is the scenario's
+    ChassisControlConfig section: the surface slopes k1..k3, the reaching
+    gains q1, q2, the switching gains p1, p2, the lever offset l, and the
+    boundary_layer width, where a zero width selects the pure switching sign.
+    """
+    e1d, e2d, e3d = err_rates
+    s1, s2 = s
+    k1, k2, k3 = gains.surface_gains
+    q1, q2 = gains.reaching_gains
+    p1, p2 = gains.switch_gains
+    width = gains.boundary_layer
+    u2 = (q2 * s2 + p2 * switch(s2, width)
+          + (k3 * e3d + e2d + k2 * e2d)
+          + (-ref.w_dot))
+
+    w_acc = ref.w_dot + u2  # plant-model estimate of the actual yaw acceleration
+    coupling = (e2d * yaw_rate + (err.e2 + gains.offset_l) * w_acc
+                - ref.v * e3d * math.sin(err.e3))
+    slope = k1 * e1d + sign(err.e1) * abs(e2d + k2 * e2d)
+    c, sh = math.cos(heading), math.sin(heading)
+    feedforward = (-ref.vdx_dot * c + ref.vdx * yaw_rate * sh
+                   - ref.vdy_dot * sh - ref.vdy * yaw_rate * c
+                   + ref.w_dot * err.e2 + ref.w * e2d)
+    u1 = (q1 * s1 + p1 * switch(s1, width)
+          + coupling + slope + feedforward)
+    return u1, u2
 
 
 def _arm(model) -> SimpleNamespace:

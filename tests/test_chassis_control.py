@@ -1,20 +1,22 @@
-"""Chassis sliding-mode controller: error frame, surfaces, law and plant."""
+"""Chassis sliding-mode controller: error frame, surfaces, law and plant.
+
+chassis_tick works the controller out in one body; the stage functions in
+oracles (error_rates, sliding_surface, control_law) are its reference."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from mobman.chassis_control import (ChassisError, ChassisRefSample,
                                     chassis_tick, check_disturbance,
-                                    control_law, error_rates, plant_step,
-                                    sliding_surface, tracking_error,
-                                    wheel_speeds)
+                                    plant_step, tracking_error, wheel_speeds)
 from mobman.config import ChassisControlConfig, CircuitConfig
 from mobman.errors import DisturbanceBoundViolation
 from mobman.mission import Circuit
 from mobman.util import wrap_angle
-from oracles import run_line_scenario
+from oracles import control_law, error_rates, run_line_scenario, sliding_surface
 
 DEG = math.pi / 180.0
 
@@ -137,9 +139,49 @@ def test_control_law_zero_on_reference():
     gains = ChassisControlConfig()
     err, s, u = chassis_tick(_ref(), np.array([0.0, 0.0, 0.0, 0.88, 0.0]),
                              gains)
-    assert (err.e1, err.e2, err.e3) == (0.0, 0.0, 0.0)
+    assert err == (0.0, 0.0, 0.0)
     np.testing.assert_array_equal(s, [0.0, 0.0])
     np.testing.assert_array_equal(u, [0.0, 0.0])
+
+
+_REF_FLOAT = st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref=st.lists(_REF_FLOAT, min_size=10, max_size=10),
+       position=st.tuples(_REF_FLOAT, _REF_FLOAT),
+       heading=st.floats(-4.0 * math.pi, 4.0 * math.pi),
+       rates=st.tuples(_REF_FLOAT, _REF_FLOAT),
+       on_position=st.booleans(), as_record=st.booleans(),
+       width=st.sampled_from([0.0, 0.5]) | st.floats(1e-3, 1.0))
+# On the reference position the error is e1 = -0.0 for a heading in the
+# third quadrant and +0.0 in the first.
+@example(ref=[1.0, 2.0, 0.3, 0.88, 0.1, 0.84, 0.26, 0.0, 0.0, 0.01],
+         position=(0.0, 0.0), heading=-2.5, rates=(0.87, 0.12),
+         on_position=True, as_record=False, width=0.0)
+@example(ref=[1.0, 2.0, 0.3, 0.88, 0.1, 0.84, 0.26, 0.0, 0.0, 0.01],
+         position=(0.0, 0.0), heading=0.5, rates=(0.87, 0.12),
+         on_position=True, as_record=True, width=0.5)
+def test_chassis_tick_equals_stage_composition(ref, position, heading, rates,
+                                               on_position, as_record, width):
+    """chassis_tick, on a ChassisRefSample or the plain float row the step
+    loop reads, gives the bits of tracking_error, then error_rates,
+    sliding_surface and control_law, for headings past +-pi, for both signs
+    of a zero e1 and with and without a boundary layer."""
+    x, y = ref[:2] if on_position else position
+    z = [x, y, heading, *rates]
+    gains = ChassisControlConfig(boundary_layer=width)
+    got = chassis_tick(ChassisRefSample._make(ref) if as_record else ref, z,
+                       gains)
+    rec = ChassisRefSample._make(ref)
+    err = tracking_error(rec, (x, y, wrap_angle(heading)))
+    err_rates = error_rates(err, z[3], z[4], rec.v, rec.w)
+    s = sliding_surface(err, err_rates, gains)
+    u = control_law(err, err_rates, s, rec, heading, z[4], gains)
+    assert [float.hex(v) for part in got for v in part] == [
+        float.hex(v) for v in (*err, *s, *u)]
+    if on_position:
+        assert got[0][0] == 0.0
 
 
 def test_boundary_layer_softens_switch():
@@ -267,7 +309,7 @@ def test_closed_loop_exact_lap_tracking():
     worst = 0.0
     for i in range(n):
         err, _, u = chassis_tick(refs[i], z, gains)
-        worst = max(worst, abs(err.e1), abs(err.e2))
+        worst = max(worst, abs(err[0]), abs(err[1]))
         z = plant_step(z, refs[i], refs[i + 1], u, np.zeros(2), dt,
                        "midpoint")
     assert worst < 1e-4
@@ -295,7 +337,7 @@ def test_offset_converges_into_band():
         now = _ref(x=0.88 * i * dt)
         nxt = _ref(x=0.88 * (i + 1) * dt)
         err, _, u = chassis_tick(now, z, gains)
-        hist.append((err.e1, err.e2, err.e3))
+        hist.append(err)
         z = plant_step(z, now, nxt, u, np.zeros(2), dt, "midpoint")
     tail = np.array(hist[-500:])
     assert np.abs(tail[:, 0]).max() < 0.020

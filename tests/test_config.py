@@ -323,6 +323,36 @@ def test_point_mass_bound_past_the_float_range_is_named():
         assert err.value.messages == messages
 
 
+def test_length_whose_square_is_past_the_float_range_is_named():
+    """The arm model squares each link length and the tool offset in m, so a
+    length whose square is past the float range is rejected at parse time
+    by its key, never raised later as an OverflowError from ArmDynamics.
+    The largest length whose square fits still builds the model."""
+    message = "%s: too large: its square in m^2 is past the float range"
+    for geometry, keys in (
+            ({"link_lengths": [1000, 1e300, 1e300, 0, 1700]},
+             ["geometry.link_lengths[1]", "geometry.link_lengths[2]"]),
+            ({"link_lengths": [100, 1000, 1700, 100, 1e300]},
+             ["geometry.link_lengths[4]"]),
+            ({"tool_y_offset": 1e300}, ["geometry.tool_y_offset"])):
+        with pytest.raises(ValidationError) as err:
+            parse_config({"geometry": geometry})
+        assert err.value.messages == [message % key for key in keys]
+    top = 1.3407807929942596e157  # mm; the next float up overflows
+    for key in ("link_lengths", "tool_y_offset"):
+        value = [100, 1000, 1700, 100, top] if key == "link_lengths" else top
+        config = parse_config({"geometry": {key: value},
+                               "inertial": {"inertias": [5, 50, 170, 2],
+                                            "com_offsets": [0.05, 0.5, 0.85,
+                                                            0.04]}})
+        geometry = build_geometry(config)
+        ArmDynamics(build_inertial(config, geometry), geometry)
+        value = ([100, 1000, 1700, 100, math.nextafter(top, math.inf)]
+                 if key == "link_lengths" else math.nextafter(top, math.inf))
+        with pytest.raises(ValidationError):
+            parse_config({"geometry": {key: value}})
+
+
 def test_build_inertial_paths():
     cfg = ScenarioConfig()
     params = build_inertial(cfg, build_geometry(cfg))

@@ -18,7 +18,7 @@ from mobman.config import ArmControlConfig, ScenarioConfig
 from mobman.dynamics import (ArmDynamics, LinkInertialParams, accelerations,
                              torques)
 from mobman.errors import SolveFailure, ValidationError
-from mobman.util import INTEGRATORS, integrate
+from mobman.util import INTEGRATORS
 from oracles import (coriolis_matrix, gravity_vector, kinetic_energy,
                      mass_matrix, mass_matrix_partials, potential_energy,
                      random_joint_angles, substepped_integrate)
@@ -223,9 +223,9 @@ def test_fused_dynamics_match_christoffel_route(model, offset_model, rng):
 def test_forward_dynamics_non_finite_angle_raises(model, joint, bad):
     """M depends on joints 2-4 only; a NaN or infinite angle there is a
     SolveFailure about the mass matrix, never a raw math error or a NaN
-    state, on both routes into the model: the plant's state_rates through
-    util.integrate, with the angle at the step's start (the kernel terms
-    the first stage reuses) or at a later midpoint stage, and the arm
+    state, on both routes into the model: the arm's rates in the mission
+    plant step, with the angle at the step's start (the kernel terms the
+    first stage reuses) or at a later midpoint stage, and the arm
     control_law on the kernel terms at (q, qd), which raise for an infinite
     angle and whose torque for a NaN one the plant then meets at M's
     factorization."""
@@ -234,17 +234,22 @@ def test_forward_dynamics_non_finite_angle_raises(model, joint, bad):
     q[joint] = bad
     qd = [0.2, -0.1, 0.3, 0.1]
     zero = [0.0] * 4
+    ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
+
+    def step(method, terms, tau):
+        return plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
+                          [0.0, 0.0], 1e-3, method,
+                          (model, q, qd, terms, tau))
+
     for method in INTEGRATORS:
         with pytest.raises(SolveFailure, match="mass matrix"):
-            integrate(model.state_rates(model._kernel(q, qd), zero), q + qd,
-                      1e-3, method)
+            step(method, model._kernel(q, qd), zero)
     with pytest.raises(SolveFailure, match="mass matrix"):
-        integrate(model.state_rates(model._kernel(good, qd), zero), q + qd,
-                  1e-3, "midpoint")
+        step("midpoint", model._kernel(good, qd), zero)
     with pytest.raises(SolveFailure, match="mass matrix"):
         terms = model._kernel(q, qd)
         tau = control_law(q, qd, good, qd, zero, ArmControlConfig(), terms)
-        integrate(model.state_rates(terms, tau), q + qd, 1e-3, "euler")
+        step("euler", terms, tau)
 
 
 def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
@@ -265,7 +270,7 @@ def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
     ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
     state = plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
                        [0.0, 0.0], 1e-3, "midpoint",
-                       (q + qd, model.state_rates(terms, tau)))
+                       (model, q, qd, terms, tau))
     assert len(state) == 13 and all(map(math.isfinite, state))
 
 

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mobman import mission, simulate
 from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
-from mobman.chassis_control import (ChassisRefSample, chassis_tick,
-                                    plant_step, wheel_speeds)
+from mobman.chassis_control import (ChassisError, ChassisRefSample,
+                                    chassis_tick, plant_step, wheel_speeds)
 from mobman.config import ChassisControlConfig, ScenarioConfig, parse_config
 from mobman.dynamics import ArmDynamics
 from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
@@ -906,6 +906,21 @@ def test_one_kernel_per_state(monkeypatch, integrator, per_step):
     assert calls[::per_step] == logged.tolist()
 
 
+def test_step_loop_builds_no_per_step_record(monkeypatch):
+    """The loop reads the chassis reference as plain float rows and keeps
+    the tracking error as floats: a run builds no ChassisRefSample (by its
+    constructor or _make) and no ChassisError."""
+    def no_record(*args, **kwargs):
+        raise AssertionError("per-step record built")
+
+    for record, name in ((ChassisRefSample, "_make"),
+                         (ChassisRefSample, "__new__"),
+                         (ChassisError, "__new__")):
+        monkeypatch.setattr(record, name, no_record)
+    log = run_mission(parse_config({"dt": 0.01})).log
+    assert log.n_rows > 2000
+
+
 @pytest.mark.parametrize("integrator", ["midpoint", "euler"])
 def test_one_integrate_call_per_step(monkeypatch, integrator):
     """The chassis pose and the arm advance together: a run of n steps makes
@@ -948,15 +963,18 @@ def test_non_finite_arm_state_is_a_solve_failure_on_lists(model, joint,
             terms = model._kernel(q, qd)
             tau = arm_control_law(q, qd, good, qd, [0.0] * 4, gains, terms)
             plant_step(z, ref, ref, [0.0, 0.0], [0.0, 0.0], 1e-3, method,
-                       (q + qd, model.state_rates(terms, tau)))
-    rates = model.state_rates(model._kernel(good, qd), [0.0] * 4)
+                       (model, q, qd, terms, tau))
+    # The start stage reuses the finite terms at good; the midpoint stage
+    # meets the bad angle.
     with pytest.raises(SolveFailure, match="^mass matrix"):
-        rates(5e-4, q + qd)
+        plant_step(z, ref, ref, [0.0, 0.0], [0.0, 0.0], 1e-3, "midpoint",
+                   (model, q, qd, model._kernel(good, qd), [0.0] * 4))
 
 
 def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     """One chassis tick, arm law, chassis-only plant step and mission plant
-    step carrying the arm (each integrator) on float inputs, with the gains
+    step carrying the arm (each integrator, on a ChassisRefSample and on a
+    float row as run_mission reads it) on float inputs, with the gains
     section run_mission reads, build no numpy array and return plain floats,
     so per-stage arrays and numpy scalars cannot creep back into the loop.
     The records the loop reads hold plain floats in every field: the
@@ -991,17 +1009,21 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
         tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
                               arm_gains, terms)
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3, "midpoint")
-        steps = [plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3, method,
-                            (q + qd, model.state_rates(terms, tau)))
-                 for method in ("midpoint", "euler")]
         rows = list(simulate._float_rows(table))
+        steps = [plant_step(z, row, row, u, [0.05, -0.05], 1e-3, method,
+                            (model, q, qd, terms, tau))
+                 for method in ("midpoint", "euler")
+                 for row in (ref, rows[0])]
+        tick = chassis_tick(rows[0], z, gains)
         refs = list(map(ChassisRefSample._make, rows))
     values = list(s) + list(u) + tau + z1 + list(err)
     for step in steps:
         values += step
+    for part in tick:
+        values += part
     for sample in samples:
         values += list(sample)
-    assert len(values) == 2 + 2 + 4 + 5 + 3 + 2 * 13 + 3 * 10
+    assert len(values) == 2 + 2 + 4 + 5 + 3 + 4 * 13 + 3 + 2 + 2 + 3 * 10
     assert all(type(v) is float for v in values)
     assert rows == table.tolist() and refs[-1] == tuple(rows[-1])
     assert all(type(v) is float for row in rows for v in row)

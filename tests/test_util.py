@@ -71,9 +71,8 @@ def test_arm_step_matches_numpy_integrator_bitwise(method, model, rng):
 
         want = _numpy_step(f, np.concatenate([q, qd]), 1e-3, method)
         q0, qd0 = q.tolist(), qd.tolist()
-        rates = model.state_rates(model._kernel(q0, qd0), tau)
         got = plant_step(state, now, nxt, u, f_dist, 1e-3, method,
-                         (q0 + qd0, rates))
+                         (model, q0, qd0, model._kernel(q0, qd0), tau))
         assert _same_bits(got[5:], want)
         assert _same_bits(got[:5], _numpy_plant_step(state, now, nxt, u,
                                                      f_dist, 1e-3, method))
@@ -116,9 +115,8 @@ def test_midpoint_local_error_is_third_order(monkeypatch, model, rng):
 
     def step(args, dt):
         state, now, nxt, u, f_dist, q, qd, tau = args
-        rates = model.state_rates(model._kernel(q, qd), tau)
         return plant_step(state, now, nxt, u, f_dist, dt, "midpoint",
-                          (q + qd, rates))
+                          (model, q, qd, model._kernel(q, qd), tau))
 
     def local_error(args, dt):
         got = step(args, dt)
