@@ -13,56 +13,21 @@ Units: metres, seconds, radians.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .dynamics import accelerations
 from .errors import DisturbanceBoundViolation
 from .util import integrate, sign, switch, wrap_angle
 
 
-class ChassisError(NamedTuple):
-    """Tracking error in the vehicle frame: forward, lateral, heading."""
-
-    e1: float
-    e2: float
-    e3: float
-
-
-class ChassisRefSample(NamedTuple):
-    """Reference pose, body rates, world-frame velocity components and their
-    time derivatives at one control instant."""
-
-    x: float
-    y: float
-    heading: float
-    v: float
-    w: float
-    vdx: float = 0.0
-    vdy: float = 0.0
-    vdx_dot: float = 0.0
-    vdy_dot: float = 0.0
-    w_dot: float = 0.0
-
-
-def tracking_error(ref, pose) -> ChassisError:
-    """Pose mismatch rotated into the actual vehicle frame; pose is the
-    actual (X, Y, heading), heading wrapped to (-pi, pi]."""
-    x, y, heading = pose
-    dx = ref.x - x
-    dy = ref.y - y
-    c, s = math.cos(heading), math.sin(heading)
-    return ChassisError(c * dx + s * dy, -s * dx + c * dy,
-                        wrap_angle(ref.heading - heading))
-
-
 def chassis_tick(ref, z, gains):
     """One controller evaluation at plant state z = (X, Y, heading, v, w),
     with gains the ChassisControlConfig section; returns the tracking error
     (e1, e2, e3), the surfaces (s1, s2) and the command (u1, u2) as tuples.
-    ref is read by position, so a ChassisRefSample or a plain row of its 10
-    floats serves.
+    ref is one reference row, read by position in the column order of
+    mission.Circuit.REFERENCE_COLUMNS.
 
-    The error is tracking_error's at the wrapped heading, its rates follow
+    The error is the pose mismatch rotated into the vehicle frame at the
+    wrapped heading, with the heading error wrapped too; its rates follow
     the unicycle error kinematics.  The first surface mixes the forward
     channel with the magnitude of the lateral one, the second sums heading
     and lateral.  The reduced-plant command's coupling block uses the
@@ -127,7 +92,8 @@ def plant_step(state, ref_now, ref_next, u, f, dt: float, integrator: str,
     taking effect at the next sample leaves this step's pose motion intact.
     An on-reference vehicle with u = f therefore stays on the reference
     exactly, including across corner entries and stop commands.  The
-    reference rows are read by position, as in chassis_tick.  Callers check
+    reference rows are read by position, in the column order of
+    mission.Circuit.REFERENCE_COLUMNS; only v and w are used.  Callers check
     f's whole series against the bounds once, with check_disturbance.
 
     arm, when given, is the arm riding on the chassis, (model, q, qd, terms,

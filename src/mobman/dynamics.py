@@ -63,7 +63,8 @@ class LinkInertialParams:
             if val <= 0.0:
                 problems.append("inertial.inertias[%d]: must be > 0" % i)
         # A planar body's spin inertia about its joint is at least m c^2,
-        # an infinite bound when c^2 is past the float range.
+        # an infinite bound when c^2 is past the float range; "not >=" also
+        # fails an infinite inertia, whose difference from that bound is NaN.
         for i, name, m, c, val in zip((1, 2, 3), BODIES[1:],
                                       self.masses[1:], self.com_offsets[1:],
                                       self.inertias[1:]):
@@ -71,7 +72,7 @@ class LinkInertialParams:
                 bound = m * c ** 2
             except OverflowError:
                 bound = m * _INF
-            if val - bound < 0.0:
+            if not val - bound >= 0.0:
                 problems.append("inertial.inertias[%d]: below the point-mass "
                                 "bound of the %s body" % (i, name))
         if self.payload_mass < 0.0:
@@ -137,7 +138,7 @@ class ArmDynamics:
 
     # -- shared-trig kernel -------------------------------------------------
 
-    def _kernel(self, q, qd=(0.0, 0.0, 0.0, 0.0)):
+    def _kernel(self, q, qd):
         """Every term of the model at the state (q, qd) from one pass of trig,
         as tuples of plain floats with joints numbered 1-4: M's entries (m11,
         m22, m33, m44, m23, m24, m34); its non-zero partials (dm11/dq2,

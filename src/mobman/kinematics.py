@@ -77,16 +77,17 @@ def interior_angle(q) -> float:
     return math.pi - (q[1] - q[2])
 
 
-def check_joint_limits(q, tol: float = _LIMIT_TOL) -> None:
-    """Raise JointLimitViolation if any joint or the elbow angle is out of range."""
+def check_joint_limits(q) -> None:
+    """Raise JointLimitViolation if any joint or the elbow angle is out of
+    range, to _LIMIT_TOL."""
     for name, low, high, qi in zip(JOINT_NAMES, JOINT_LIMITS_LOW,
                                    JOINT_LIMITS_HIGH, q):
-        if not low - tol <= qi <= high + tol:  # a NaN fails too
+        if not low - _LIMIT_TOL <= qi <= high + _LIMIT_TOL:  # a NaN fails too
             raise JointLimitViolation(
                 "%s = %.6f deg outside [%.2f, %.2f] deg"
                 % (name, qi / DEG, low / DEG, high / DEG))
     gamma = interior_angle(q)
-    if not INTERIOR_MIN - tol <= gamma <= INTERIOR_MAX + tol:
+    if not INTERIOR_MIN - _LIMIT_TOL <= gamma <= INTERIOR_MAX + _LIMIT_TOL:
         raise JointLimitViolation(
             "interior angle = %.6f deg outside [%g, %g] deg"
             % (gamma / DEG, INTERIOR_MIN / DEG, INTERIOR_MAX / DEG))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chassis_control import ChassisRefSample
 from .errors import GeometryError, InfeasibleSweep, ValidationError
 from .kinematics import PITCH_GRID, ArmGeometry, scan_pitch
 from .arm_control import target_in_base_frame
@@ -74,6 +73,17 @@ class Circuit:
         if spec.corner_radius >= 0.5 * spec.edge_length:
             raise GeometryError(
                 "circuit.corner_radius: must be below half the edge length")
+        # Stretch the corner onto the control grid so every tangency event
+        # lands on a sample; the arc speed drops by well under 0.1 %.
+        arc_len = 0.5 * math.pi * spec.corner_radius
+        steps = arc_len / spec.speed / dt
+        check_step_count(steps, dt)
+        corner_steps = math.ceil(steps - 1e-9)
+        if corner_steps < 1:
+            raise GeometryError(
+                "circuit.corner_radius: a %.3g m corner at circuit.speed "
+                "%.3g m/s rounds to no control step of %g s"
+                % (spec.corner_radius, spec.speed, dt))
         self.spec = spec
         ls = spec.edge_length
         r = spec.corner_radius
@@ -83,11 +93,7 @@ class Circuit:
 
         self.edge_time = ls / v
         self.half_edge_time = 0.5 * ls / v
-        arc_len = 0.5 * math.pi * r
-        # Stretch the corner onto the control grid so every tangency event
-        # lands on a sample; the arc speed drops by well under 0.1 %.
-        check_step_count(arc_len / v / dt, dt)
-        corner_time = math.ceil(arc_len / v / dt - 1e-9) * dt
+        corner_time = corner_steps * dt
         self.corner_time = corner_time
         self.arc_speed = arc_len / corner_time
         self.arc_rate = 0.5 * math.pi / corner_time
@@ -165,10 +171,16 @@ class Circuit:
 
     # -- sampling ---------------------------------------------------------
 
+    # The chassis reference's columns: pose, body rates, world-frame velocity
+    # components and the time derivatives of the last three.  sample_rows
+    # gives them in this order, and the step loop reads them by position.
+    REFERENCE_COLUMNS = ("x", "y", "heading", "v", "w", "vdx", "vdy",
+                         "vdx_dot", "vdy_dot", "w_dot")
+
     def sample_rows(self, t) -> np.ndarray:
-        """ChassisRefSample fields at the lap clocks t (periodic), one row per
-        clock.  A clock falls in the first segment ending more than 1e-12 s
-        after it, else in the last one."""
+        """The reference at the lap clocks t (periodic), one row of
+        REFERENCE_COLUMNS per clock.  A clock falls in the first segment
+        ending more than 1e-12 s after it, else in the last one."""
         tm = np.fmod(np.asarray(t, dtype=float), self.lap_time)
         tm = np.where(tm < 0.0, tm + self.lap_time, tm)
         k = np.minimum(np.searchsorted(self._seg_ends, tm, side="right"),
@@ -185,10 +197,6 @@ class Circuit:
             h, speed, rate, speed * c, speed * s,
             np.where(arc, -speed * rate * s, 0.0),
             np.where(arc, speed * rate * c, 0.0), np.zeros_like(tm)])
-
-    def sample(self, t: float) -> ChassisRefSample:
-        """Reference state at lap clock t (periodic)."""
-        return ChassisRefSample._make(self.sample_rows([t])[0].tolist())
 
     def time_at_distance(self, s: float) -> float:
         """Lap clock at which the path length s (from the lap start) is reached."""

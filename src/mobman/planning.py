@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arm_control import target_in_base_frame
-from .chassis_control import ChassisRefSample
 from .config import ScenarioConfig, build_geometry
 from .errors import JointLimitViolation, Unreachable
 from .kinematics import inverse_kinematics
@@ -36,10 +35,10 @@ class Stage2Slot:
 class Phase:
     """One mission phase, over the steps [start, end).
 
-    The chassis reference at step i is circuit.sample(clock + (i - origin)
-    * dt), or the pose at clock held still when origin is None; a Stage II
-    dwell's clock is its grid-snapped parking time.  marks are the (step,
-    event) markers the phase fires.  spray is what the arm does: track a
+    The chassis reference at step i is the circuit's row at the lap clock
+    clock + (i - origin) * dt, or the pose at clock held still when origin
+    is None; a Stage II dwell's clock is its grid-snapped parking time.
+    marks are the (step, event) markers the phase fires.  spray is what the arm does: track a
     SweepPath, aim at a Stage2Slot's fire, hold the top-spray joint vector
     (rad), or, when None, blend between its neighbours in joint space.
     """
@@ -137,9 +136,9 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
 
 
 def _chassis_reference(plan: MissionPlan) -> np.ndarray:
-    """ChassisRefSample fields per sample, row i active on [t_i, t_i+1); a
-    held phase repeats the pose at its clock with every rate zeroed."""
-    table = np.empty((plan.n_steps + 1, len(ChassisRefSample._fields)))
+    """Circuit.REFERENCE_COLUMNS per sample, row i active on [t_i, t_i+1);
+    a held phase repeats the pose at its clock with every rate zeroed."""
+    table = np.empty((plan.n_steps + 1, len(Circuit.REFERENCE_COLUMNS)))
     for p in plan.phases:
         if p.origin is None:
             table[p.start:p.end] = plan.circuit.sample_rows([p.clock])[0]

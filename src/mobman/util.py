@@ -11,8 +11,11 @@ DEG = math.pi / 180.0
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = math.fmod(a + math.pi, 2.0 * math.pi)
+    """Wrap an angle to (-pi, pi]; NaN for an infinite or NaN angle."""
+    try:
+        w = math.fmod(a + math.pi, 2.0 * math.pi)
+    except ValueError:  # math.fmod rejects an infinite dividend
+        return math.nan
     if w <= 0.0:
         w += 2.0 * math.pi
     return w - math.pi

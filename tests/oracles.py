@@ -1,5 +1,9 @@
 """Reference code the tests check the engine against, kept out of the package.
 
+ChassisRefSample and ChassisError name the fields of one chassis reference
+row and of one tracking error, which the engine keeps as plain floats;
+tracking_error is the error's formula by itself, and reference_record reads
+one row of the circuit's sampler as a record.
 random_joint_angles draws in-range arm states.  kinetic_energy and
 potential_energy rebuild an ArmDynamics model's energies body by body from
 the geometry and parameters it was built from, a route that shares no code
@@ -20,17 +24,57 @@ stage by stage, the composition chassis_tick must equal bit for bit.
 """
 import math
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from mobman.chassis_control import (ChassisError, ChassisRefSample,
-                                    chassis_tick, check_disturbance,
-                                    plant_step)
+from mobman.chassis_control import chassis_tick, check_disturbance, plant_step
 from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
 from mobman.simulate import CSV_COLUMNS, _write_tables
-from mobman.util import sign, switch
+from mobman.util import sign, switch, wrap_angle
+
+
+class ChassisError(NamedTuple):
+    """Tracking error in the vehicle frame: forward, lateral, heading."""
+
+    e1: float
+    e2: float
+    e3: float
+
+
+class ChassisRefSample(NamedTuple):
+    """Reference pose, body rates, world-frame velocity components and their
+    time derivatives at one control instant."""
+
+    x: float
+    y: float
+    heading: float
+    v: float
+    w: float
+    vdx: float = 0.0
+    vdy: float = 0.0
+    vdx_dot: float = 0.0
+    vdy_dot: float = 0.0
+    w_dot: float = 0.0
+
+
+def tracking_error(ref, pose) -> ChassisError:
+    """Pose mismatch rotated into the actual vehicle frame; pose is the
+    actual (X, Y, heading), heading wrapped to (-pi, pi]."""
+    x, y, heading = pose
+    dx = ref.x - x
+    dy = ref.y - y
+    c, s = math.cos(heading), math.sin(heading)
+    return ChassisError(c * dx + s * dy, -s * dx + c * dy,
+                        wrap_angle(ref.heading - heading))
+
+
+def reference_record(circuit, t: float) -> ChassisRefSample:
+    """The circuit's reference row at lap clock t, from its own sampler,
+    as a record of plain floats."""
+    return ChassisRefSample._make(circuit.sample_rows([t])[0].tolist())
 
 
 def random_joint_angles(rng, n: int | None = None):
@@ -237,6 +281,10 @@ def potential_energy(model, q) -> float:
                           + arm.m4 * z4 + arm.mp * zp))
 
 
+# Joint rates at rest: the kernel's M, dM/dq and G do not depend on qd.
+_AT_REST = (0.0, 0.0, 0.0, 0.0)
+
+
 def _plain(v) -> list:
     """A joint vector as the plain floats the kernel runs on."""
     return np.asarray(v, dtype=float).tolist()
@@ -244,7 +292,7 @@ def _plain(v) -> list:
 
 def mass_matrix(model, q) -> np.ndarray:
     """The model's inertia matrix M(q) (4x4) from its kernel."""
-    m11, m22, m33, m44, m23, m24, m34 = model._kernel(_plain(q))[0]
+    m11, m22, m33, m44, m23, m24, m34 = model._kernel(_plain(q), _AT_REST)[0]
     return np.array([[m11, 0.0, 0.0, 0.0], [0.0, m22, m23, m24],
                      [0.0, m23, m33, m34], [0.0, m24, m34, m44]])
 
@@ -252,7 +300,7 @@ def mass_matrix(model, q) -> np.ndarray:
 def mass_matrix_partials(model, q) -> np.ndarray:
     """dM/dq from the model's kernel as a (4, 4, 4) array, [i, j, k] =
     dM_jk/dq_i; the base-yaw slab is identically zero."""
-    d11_2, d11_3, d11_4, d23, d24, d34 = model._kernel(_plain(q))[1]
+    d11_2, d11_3, d11_4, d23, d24, d34 = model._kernel(_plain(q), _AT_REST)[1]
     out = np.zeros((4, 4, 4))
     out[1:, 0, 0] = d11_2, d11_3, d11_4
     for k, i, j, d in ((1, 1, 2, d23), (2, 1, 2, -d23), (1, 1, 3, d24),
@@ -277,7 +325,7 @@ def coriolis_matrix(model, q, qd) -> np.ndarray:
 def gravity_vector(model, q) -> np.ndarray:
     """The model's gravity torques G(q) from its kernel; the slewing joint
     sees none."""
-    return np.array([0.0, *model._kernel(_plain(q))[2]])
+    return np.array([0.0, *model._kernel(_plain(q), _AT_REST)[2]])
 
 
 def circuit_sample(circuit, t: float) -> ChassisRefSample:

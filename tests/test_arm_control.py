@@ -131,7 +131,7 @@ def test_mission_sweep_references_stay_in_limits(default_mission):
     q = np.column_stack([log.values["q%d" % k] for k in range(1, 5)])
     from mobman.kinematics import check_joint_limits
     for i in range(0, len(q), 500):
-        check_joint_limits(q[i], tol=1e-6)
+        check_joint_limits(q[i])
 
 
 def test_tool_offset_changes_solution(stock_arm):

@@ -1,7 +1,9 @@
 """Chassis sliding-mode controller: error frame, surfaces, law and plant.
 
 chassis_tick works the controller out in one body; the stage functions in
-oracles (error_rates, sliding_surface, control_law) are its reference."""
+oracles (tracking_error, error_rates, sliding_surface, control_law) are its
+reference, and the error-frame properties are held on chassis_tick's own
+error."""
 import math
 
 import numpy as np
@@ -9,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from mobman.chassis_control import (ChassisError, ChassisRefSample,
-                                    chassis_tick, check_disturbance,
-                                    plant_step, tracking_error, wheel_speeds)
+from mobman.chassis_control import (chassis_tick, check_disturbance,
+                                    plant_step, wheel_speeds)
 from mobman.config import ChassisControlConfig, CircuitConfig
 from mobman.errors import DisturbanceBoundViolation
 from mobman.mission import Circuit
 from mobman.util import wrap_angle
-from oracles import control_law, error_rates, run_line_scenario, sliding_surface
+from oracles import (ChassisError, ChassisRefSample, control_law, error_rates,
+                     run_line_scenario, sliding_surface, tracking_error)
 
 DEG = math.pi / 180.0
 
@@ -27,16 +29,19 @@ def _ref(x=0.0, y=0.0, heading=0.0, v=0.88, w=0.0, **kw):
                             **kw)
 
 
-def _pose(x, y, heading):
-    """A reference pose (rates zero) for tracking_error."""
-    return ChassisRefSample(x, y, heading, v=0.0, w=0.0)
+def _error(ref_pose, pose) -> ChassisError:
+    """chassis_tick's tracking error of the vehicle at pose (X, Y, heading),
+    at rest, from a reference at ref_pose with every rate zero."""
+    err, _, _ = chassis_tick([*ref_pose] + [0.0] * 7, [*pose, 0.0, 0.0],
+                             ChassisControlConfig())
+    return ChassisError(*err)
 
 
 def test_tracking_error_rotation_oracle(rng):
     for _ in range(25):
         rx, ry, rh = rng.uniform(-3, 3, 2).tolist() + [rng.uniform(-3, 3)]
         ax, ay, ah = rng.uniform(-3, 3, 2).tolist() + [rng.uniform(-3, 3)]
-        err = tracking_error(_pose(rx, ry, rh), (ax, ay, ah))
+        err = _error((rx, ry, rh), (ax, ay, ah))
         rot = np.array([[math.cos(ah), math.sin(ah)],
                         [-math.sin(ah), math.cos(ah)]])
         expect = rot @ np.array([rx - ax, ry - ay])
@@ -47,13 +52,12 @@ def test_tracking_error_rotation_oracle(rng):
 
 
 def test_tracking_error_pure_lateral_case():
-    err = tracking_error(_pose(0.0, -1.0, 0.0), (0.0, 0.0, 0.0))
+    err = _error((0.0, -1.0, 0.0), (0.0, 0.0, 0.0))
     assert (err.e1, err.e2, err.e3) == (0.0, -1.0, 0.0)
 
 
 def test_tracking_error_heading_wrap():
-    err = tracking_error(_pose(0.0, 0.0, math.pi - 0.01),
-                         (0.0, 0.0, -math.pi + 0.01))
+    err = _error((0.0, 0.0, math.pi - 0.01), (0.0, 0.0, -math.pi + 0.01))
     assert err.e3 == pytest.approx(-0.02, abs=1e-12)
 
 
@@ -61,7 +65,7 @@ def test_rigid_motion_invariance(rng):
     """Moving both poses by one planar rigid motion leaves the error alone."""
     ref = (1.0, 2.0, 0.4)
     act = (0.8, 2.3, 0.3)
-    base = tracking_error(_pose(*ref), act)
+    base = _error(ref, act)
     for _ in range(10):
         tx, ty, th = rng.uniform(-2, 2, 3)
         c, s = math.cos(th), math.sin(th)
@@ -71,7 +75,7 @@ def test_rigid_motion_invariance(rng):
             return (tx + c * x - s * y, ty + s * x + c * y,
                     wrap_angle(heading + th))
 
-        moved = tracking_error(_pose(*move(ref)), move(act))
+        moved = _error(move(ref), move(act))
         assert moved.e1 == pytest.approx(base.e1, abs=1e-12)
         assert moved.e2 == pytest.approx(base.e2, abs=1e-12)
         assert moved.e3 == pytest.approx(base.e3, abs=1e-12)

@@ -13,15 +13,16 @@ import pytest
 
 from mobman import dynamics
 from mobman.arm_control import control_law
-from mobman.chassis_control import ChassisRefSample, plant_step
+from mobman.chassis_control import plant_step
 from mobman.config import ArmControlConfig, ScenarioConfig
 from mobman.dynamics import (ArmDynamics, LinkInertialParams, accelerations,
                              torques)
 from mobman.errors import SolveFailure, ValidationError
 from mobman.util import INTEGRATORS
-from oracles import (coriolis_matrix, gravity_vector, kinetic_energy,
-                     mass_matrix, mass_matrix_partials, potential_energy,
-                     random_joint_angles, substepped_integrate)
+from oracles import (ChassisRefSample, coriolis_matrix, gravity_vector,
+                     kinetic_energy, mass_matrix, mass_matrix_partials,
+                     potential_energy, random_joint_angles,
+                     substepped_integrate)
 
 DEG = math.pi / 180.0
 

@@ -10,7 +10,7 @@ from mobman.config import (CircuitConfig, FireConfig, FireTestConfig,
 from mobman.errors import GeometryError, InfeasibleSweep
 from mobman.mission import Circuit, assign_fires, build_sweep, dispatch
 from mobman.planning import plan_mission
-from oracles import circuit_sample
+from oracles import ChassisRefSample, circuit_sample, reference_record
 
 DEG = math.pi / 180.0
 DT = 1e-3
@@ -71,20 +71,20 @@ def test_a_times_bracket_corners(circuit):
     assert circuit.a_times[6] == pytest.approx(circuit.lap_time - he)
     # Sample positions at the mark times agree with the stored points.
     for k in range(8):
-        ref = circuit.sample(circuit.a_times[k])
+        ref = reference_record(circuit, circuit.a_times[k])
         np.testing.assert_allclose((ref.x, ref.y), circuit.a_points[k],
                                    atol=1e-9)
 
 
 def test_sample_is_continuous_and_periodic(circuit):
     for boundary in np.cumsum([s.duration for s in circuit.segments])[:-1]:
-        before = circuit.sample(boundary - 1e-9)
-        after = circuit.sample(boundary + 1e-9)
+        before = reference_record(circuit, boundary - 1e-9)
+        after = reference_record(circuit, boundary + 1e-9)
         assert math.hypot(after.x - before.x, after.y - before.y) < 1e-6
         dh = (after.heading - before.heading + math.pi) % (2 * math.pi) - math.pi
         assert abs(dh) < 1e-6
-    a = circuit.sample(1.234)
-    b = circuit.sample(1.234 + circuit.lap_time)
+    a = reference_record(circuit, 1.234)
+    b = reference_record(circuit, 1.234 + circuit.lap_time)
     assert (a.x, a.y, a.heading) == pytest.approx((b.x, b.y, b.heading))
 
 
@@ -94,7 +94,7 @@ def test_sample_rows_match_scalar_oracle(dt):
     tests/oracles.py bit for bit, on a dense grid over five laps from -2
     laps, at every segment end +-1e-12 s (also a lap before and after), and
     at the float neighbours of each end less 1e-12 s, the segment-choice
-    cut.  Circuit.sample is the same row as plain floats."""
+    cut.  reference_record reads the same row as plain floats."""
     circuit = Circuit(CircuitConfig(), dt=dt)
     lap = circuit.lap_time
     ends = np.array([s.t0 + s.duration for s in circuit.segments])
@@ -111,16 +111,23 @@ def test_sample_rows_match_scalar_oracle(dt):
     assert got.shape == (len(t), 10)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     for x, row in zip(t[::997].tolist(), want[::997].tolist()):
-        sample = circuit.sample(x)
+        sample = reference_record(circuit, x)
         assert list(sample) == row
         assert all(type(v) is float for v in sample)
 
 
+def test_reference_columns_are_the_record_fields():
+    """The record the tests name a reference row's fields with reads the
+    columns in the order the sampler gives them and the step loop reads
+    them."""
+    assert ChassisRefSample._fields == Circuit.REFERENCE_COLUMNS
+
+
 def test_sample_speed_profile(circuit):
-    mid_straight = circuit.sample(circuit.k_times[1])
+    mid_straight = reference_record(circuit, circuit.k_times[1])
     assert mid_straight.v == circuit.spec.speed and mid_straight.w == 0.0
-    mid_corner = circuit.sample(circuit.half_edge_time
-                                + 0.5 * circuit.corner_time)
+    mid_corner = reference_record(
+        circuit, circuit.half_edge_time + 0.5 * circuit.corner_time)
     assert mid_corner.v == pytest.approx(circuit.arc_speed)
     assert mid_corner.w == pytest.approx(circuit.arc_rate)
     # World-frame acceleration feedforward only on the arc.

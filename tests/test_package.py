@@ -15,15 +15,15 @@ from mobman import dynamics, kinematics, mission
 # The public API; a name added to or dropped from __all__ is a deliberate
 # change to this set.
 PUBLIC = {
-    "ArmDynamics", "ArmGeometry", "ChassisRefSample", "Circuit",
-    "DisturbanceBoundViolation", "EmptyLog", "EndEffectorPose",
-    "GeometryError", "InfeasibleSweep", "JointLimitViolation",
-    "LinkInertialParams", "MetricsReport", "MissionResult", "MobmanError",
-    "ParseError", "ScenarioConfig", "SimLog", "SolveFailure", "Unreachable",
-    "ValidationError", "assign_fires", "build_sweep", "compute_metrics",
-    "default_inertial_params", "dispatch", "export", "forward_kinematics",
-    "inverse_kinematics", "load_config", "parse_config", "plan_mission",
-    "run_mission", "save_config", "tracking_error", "workspace_analysis",
+    "ArmDynamics", "ArmGeometry", "Circuit", "DisturbanceBoundViolation",
+    "EmptyLog", "EndEffectorPose", "GeometryError", "InfeasibleSweep",
+    "JointLimitViolation", "LinkInertialParams", "MetricsReport",
+    "MissionResult", "MobmanError", "ParseError", "ScenarioConfig", "SimLog",
+    "SolveFailure", "Unreachable", "ValidationError", "assign_fires",
+    "build_sweep", "compute_metrics", "default_inertial_params", "dispatch",
+    "export", "forward_kinematics", "inverse_kinematics", "load_config",
+    "parse_config", "plan_mission", "run_mission", "save_config",
+    "workspace_analysis",
 }
 
 

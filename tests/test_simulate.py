@@ -1,4 +1,5 @@
 """Mission simulation harness: planning grid, logging, metrics, export."""
+import ast
 import dataclasses
 import hashlib
 import json
@@ -16,13 +17,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mobman import mission, simulate
 from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
-from mobman.chassis_control import (ChassisError, ChassisRefSample,
-                                    chassis_tick, plant_step, wheel_speeds)
+from mobman.chassis_control import chassis_tick, plant_step, wheel_speeds
 from mobman.config import ChassisControlConfig, ScenarioConfig, parse_config
 from mobman.dynamics import ArmDynamics
 from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
-                           JointLimitViolation, ParseError, SolveFailure,
-                           Unreachable, ValidationError)
+                           GeometryError, JointLimitViolation, ParseError,
+                           SolveFailure, Unreachable, ValidationError)
 from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
 from mobman.mission import Circuit, SweepPath
@@ -31,8 +31,8 @@ from mobman.planning import (Stage2Slot, _arm_reference, _chassis_reference,
 from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, export,
                              run_mission)
 from mobman.util import integrate
-from oracles import (kinetic_energy, potential_energy, run_line_scenario,
-                     write_log)
+from oracles import (ChassisRefSample, kinetic_energy, potential_energy,
+                     reference_record, run_line_scenario, write_log)
 
 DEG = math.pi / 180.0
 
@@ -120,7 +120,7 @@ def test_phase_timeline(spec, tail):
             or isinstance(p.spray, Stage2Slot)]
     assert len(held) == bool(plan.top_spray.duration) + len(plan.stage2)
     for p in held:
-        pose = plan.circuit.sample(p.clock)
+        pose = reference_record(plan.circuit, p.clock)
         still = pose._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0, vdx_dot=0.0,
                               vdy_dot=0.0, w_dot=0.0)
         assert (refs[p.start:p.end] == still).all()
@@ -851,6 +851,33 @@ def test_non_finite_state_is_named(monkeypatch):
     assert len(calls) == 101
 
 
+@pytest.mark.parametrize("spec, error, message", [
+    # The stock forearm inertia m L^2 / 3 and its point-mass bound m c^2
+    # both overflow to inf, and inf - inf is NaN.
+    ({"inertial": {"total_mass": 1.7e308,
+                   "com_offsets": [0.05, 0.5, 1e200, 0.04]}},
+     ValidationError, r"inertial\.com_offsets\[2\]: puts the forearm body's "
+     r"point-mass bound above its stock inertia"),
+    # The chassis diverges, and its heading overflows to +-inf in one step.
+    ({"dt": 0.02, "chassis_control": {"offset_l": 7.0}},
+     SolveFailure, r"^step 111 \(t=2\.2200 s\): non-finite chassis"),
+    ({"dt": 0.05, "initial_pose_offset": [1000, 0, 7]},
+     SolveFailure, r"^step 6 \(t=0\.3000 s\): non-finite chassis"),
+    # The corner's arc is under 1e-9 of a control step, so it rounds to none.
+    ({"circuit": {"speed": 1e12}}, GeometryError,
+     r"^circuit\.corner_radius: .* rounds to no control step"),
+    ({"circuit": {"corner_radius": 1e-13, "min_corner_radius": 1e-13}},
+     GeometryError, r"^circuit\.corner_radius: .* rounds to no control step"),
+], ids=["inertia_overflow", "offset_l", "pose_offset", "speed",
+        "corner_radius"])
+def test_overflowing_scenario_is_named(spec, error, message):
+    """A scenario whose numbers overflow mid-computation passes or fails
+    parse_config, but either way ends in a MobmanError naming the key or the
+    step, never a raw OverflowError, ValueError or ZeroDivisionError."""
+    with pytest.raises(error, match=message):
+        run_mission(parse_config(spec))
+
+
 def test_mission_checks_disturbance_before_the_loop(monkeypatch):
     """A series past the bound (here its last sample, in channel 1) fails
     the mission before the first step runs, naming the channel."""
@@ -906,19 +933,25 @@ def test_one_kernel_per_state(monkeypatch, integrator, per_step):
     assert calls[::per_step] == logged.tolist()
 
 
-def test_step_loop_builds_no_per_step_record(monkeypatch):
+def test_step_loop_builds_no_per_step_record():
     """The loop reads the chassis reference as plain float rows and keeps
-    the tracking error as floats: a run builds no ChassisRefSample (by its
-    constructor or _make) and no ChassisError."""
-    def no_record(*args, **kwargs):
-        raise AssertionError("per-step record built")
-
-    for record, name in ((ChassisRefSample, "_make"),
-                         (ChassisRefSample, "__new__"),
-                         (ChassisError, "__new__")):
-        monkeypatch.setattr(record, name, no_record)
-    log = run_mission(parse_config({"dt": 0.01})).log
-    assert log.n_rows > 2000
+    the tracking error as floats, and the package has no second form of
+    either: no record class for a reference sample or an error, no
+    tracking_error beside chassis_tick's, and no one-clock Circuit.sample
+    beside sample_rows."""
+    banned = {"ChassisRefSample", "ChassisError", "tracking_error"}
+    found = []
+    for path in sorted(pathlib.Path(simulate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                continue
+            if node.name in banned:
+                found.append("%s:%s" % (path.name, node.name))
+            if isinstance(node, ast.ClassDef) and node.name == "Circuit":
+                found += ["%s:Circuit.sample" % path.name for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name == "sample"]
+    assert found == []
 
 
 @pytest.mark.parametrize("integrator", ["midpoint", "euler"])
@@ -982,8 +1015,8 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     (across a block edge) with the ChassisRefSamples made from them.  FK,
     the circuit sampler and the base-frame transform run on whole arrays
     before or after the loop, so they are called outside the no-array block;
-    Circuit.sample gives plain floats, and FK and the transform floats
-    (numpy's float64 for one sample)."""
+    a row of the circuit sampler's table, as a list, holds plain floats, and
+    FK and the transform give floats (numpy's float64 for one sample)."""
     arm_gains = ScenarioConfig().arm_control
     gains = ScenarioConfig().chassis_control
     circuit = Circuit(ScenarioConfig().circuit, dt=1e-3)
@@ -997,7 +1030,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
         raise AssertionError("numpy array built on the control step")
 
     pose = forward_kinematics(q, stock_arm)
-    samples = [circuit.sample(t) for t in (0.0, 2.0, 11.0)]
+    samples = circuit.sample_rows([0.0, 2.0, 11.0]).tolist()
     target = target_in_base_frame(z[:3], [1.5, 0.2, 0.9], 0.5)
     table = _chassis_reference(plan_mission(ScenarioConfig()))
     assert len(table) > simulate._BLOCK_ROWS

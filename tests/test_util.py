@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from mobman import chassis_control
-from mobman.chassis_control import ChassisRefSample, plant_step
+from mobman.chassis_control import plant_step
 from mobman.dynamics import accelerations
 from mobman.util import integrate, sign, switch, wrap_angle
-from oracles import random_joint_angles, substepped_integrate
+from oracles import (ChassisRefSample, random_joint_angles,
+                     substepped_integrate)
 
 METHODS = ["midpoint", "euler"]
 SPECIALS = [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
