@@ -413,12 +413,22 @@ def _inertial_split(config: ScenarioConfig, problems: list) -> None:
             "unset" % (i, BODIES[i]))
 
 
+def _heading_offset(config: ScenarioConfig, problems: list) -> None:
+    """The run converts the offset as degrees * pi / 180, which overflows."""
+    off = config.initial_pose_offset
+    if (isinstance(off, (list, tuple)) and len(off) == 3 and _number(off[2])
+            and math.isinf(off[2] * math.pi / 180.0)):
+        problems.append("initial_pose_offset[2]: too large: in radians it is "
+                        "past the float range")
+
+
 # Each cross-field rule runs right after the field it is keyed on here.
 _CROSS_RULES = {"geometry.link_lengths": _link_lengths,
                 "inertial.inertias": _inertial_split,
                 "circuit.min_corner_radius": _corner_radius,
                 "top_spray.joints_deg": _top_spray_joints,
-                "disturbance.seed": _amplitude}
+                "disturbance.seed": _amplitude,
+                "initial_pose_offset": _heading_offset}
 
 
 def validate_config(config: ScenarioConfig) -> list:

@@ -1,8 +1,8 @@
 """Rigid-body model of the arm: one shared-trig kernel that gives M(q), its
 partials, G(q) and the bias C(q, qd) qd + G(q) at a state, the forward
-dynamics the plant step integrates (accelerations, in the rates that
-chassis_control.plant_step builds) and the inverse dynamics the sliding-mode
-law evaluates (torques).
+dynamics the plant step integrates (accelerations, which
+chassis_control.plant_step evaluates at each stage of its rule) and the
+inverse dynamics the sliding-mode law evaluates (torques).
 
 The model follows the energy route.  Each joint drives one body: the slewing
 column, the boom, the forearm and the wrist (the short parallelogram link is

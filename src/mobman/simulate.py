@@ -6,9 +6,9 @@ labels and markers, and the arm's joint reference.  The step loop then
 marches both controllers and plants on plain float lists, reading the
 reference tables as float rows: the chassis follows its reduced velocity
 dynamics, the arm its full rigid-body dynamics under zero-order-hold
-torques, and one call of the scenario's integrator (the explicit midpoint
-rule, or Euler's) per step, over one rates function of the 3 pose and 8 arm
-floats, advances the chassis pose and the arm together.
+torques, and one plant_step call per step advances the chassis pose and the
+arm together by the scenario's rule (the explicit midpoint rule, or Euler's)
+over their 3 pose and 8 arm floats.
 A vectorised pass last derives the tool, target and wheel-speed columns
 into a fixed-schema log that round-trips through CSV bit for bit.
 """
@@ -271,8 +271,8 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         if i == n:
             break
         ref_next = next(ref_rows)
-        # One integrate call advances the pose and the arm, which rides on
-        # the chassis; the arm's first stage reuses terms.
+        # One plant step advances the pose and the arm, which rides on the
+        # chassis; the arm's rates at the step start reuse terms.
         state = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
                            integrator, (model, q, qd, terms, tau))
         if not all(map(math.isfinite, state)):

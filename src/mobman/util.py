@@ -1,7 +1,7 @@
 """Small numeric helpers used across modules.
 
-The per-step helpers work on plain Python floats: at the sizes of one control
-step (3 to 8 numbers) building numpy arrays costs more than the arithmetic.
+The per-step helpers wrap_angle, sign and switch take one plain Python
+float: at that size a numpy array costs more than the arithmetic.
 """
 from __future__ import annotations
 
@@ -39,27 +39,6 @@ def switch(x: float, width: float) -> float:
     return sign(x)
 
 
-# The plant integrators a scenario may name; ScenarioConfig sets the stock
-# one.
+# The plant integrators a scenario may name, each written out in
+# chassis_control.plant_step; ScenarioConfig sets the stock one.
 INTEGRATORS = ("midpoint", "euler")
-
-
-def integrate(f, y, dt, method: str) -> list:
-    """One fixed step of ydot = f(t, y), with t local to the step: the
-    explicit midpoint rule (second order, two stages) for method "midpoint",
-    forward Euler for "euler".  Any other method raises ValueError.
-
-    y and f's result are sequences of floats; the result is a list.  Each
-    component is summed in the order of the vector form, y + dt k2 with
-    k2 = f(dt/2, y + dt/2 k1), so it matches numpy bit for bit.  f is called
-    at t = 0 once, at y itself.
-    """
-    if method == "euler":
-        return [a + dt * b for a, b in zip(y, f(0.0, y))]
-    if method != "midpoint":
-        raise ValueError("unknown integrator %r: expected %s"
-                         % (method, " or ".join(INTEGRATORS)))
-    h = 0.5 * dt
-    k1 = f(0.0, y)
-    k2 = f(h, [a + h * b for a, b in zip(y, k1)])
-    return [a + dt * b for a, b in zip(y, k2)]

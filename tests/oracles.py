@@ -15,10 +15,15 @@ the kernel's expanded bias C qd + G.  circuit_sample and
 scalar_inverse_kinematics are the one-sample-at-a-time `math` versions of
 the circuit sampler and the IK, which the engine runs on whole arrays.
 write_log writes a log alone, as export writes its timeseries.csv.
-substepped_integrate is a fine-step stand-in for util.integrate, the
-reference the plant integrators' error is measured against; with one
-substep it is the classic fourth-order rule.  run_line_scenario is the
-chassis-only closed loop along a straight line that the chassis tests run.
+integrate is the generic one-step midpoint or Euler rule over any rates
+function, and closure_plant_step states the mission plant step as one
+rates function handed to it: the reference chassis_control.plant_step,
+which writes each rule out in closed form, must equal bit for bit.
+substepped_integrate is a fine-step stand-in for integrate, the reference
+the plant integrators' error is measured against (handed to
+closure_plant_step); with one substep it is the classic fourth-order rule.
+run_line_scenario is the chassis-only closed loop along a straight line
+that the chassis tests run.
 error_rates, sliding_surface and control_law are the chassis controller
 stage by stage, the composition chassis_tick must equal bit for bit.
 """
@@ -29,11 +34,12 @@ from typing import NamedTuple
 import numpy as np
 
 from mobman.chassis_control import chassis_tick, check_disturbance, plant_step
+from mobman.dynamics import accelerations
 from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
 from mobman.simulate import CSV_COLUMNS, _write_tables
-from mobman.util import sign, switch, wrap_angle
+from mobman.util import INTEGRATORS, sign, switch, wrap_angle
 
 
 class ChassisError(NamedTuple):
@@ -99,7 +105,7 @@ def write_log(log, path) -> None:
 
 def substepped_integrate(f, y, dt, method=None, substeps: int = 8) -> list:
     """One control step of ydot = f(t, y) by the classic fourth-order rule
-    over substeps equal substeps, in util.integrate's signature (method is
+    over substeps equal substeps, in integrate's signature (method is
     ignored).  Whatever f holds, such as the torque, is held over the whole
     step; substep k runs on step-local t offset by k dt / substeps."""
     h = dt / substeps
@@ -113,6 +119,53 @@ def substepped_integrate(f, y, dt, method=None, substeps: int = 8) -> list:
         y = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     return y
+
+
+def integrate(f, y, dt, method: str) -> list:
+    """One fixed step of ydot = f(t, y), with t local to the step: the
+    explicit midpoint rule (second order, two stages) for method "midpoint",
+    forward Euler for "euler".  Any other method raises ValueError.
+
+    y and f's result are sequences of floats; the result is a list.  Each
+    component is summed in the order of the vector form, y + dt k2 with
+    k2 = f(dt/2, y + dt/2 k1), so it matches numpy bit for bit.  f is called
+    at t = 0 once, at y itself.
+    """
+    if method == "euler":
+        return [a + dt * b for a, b in zip(y, f(0.0, y))]
+    if method != "midpoint":
+        raise ValueError("unknown integrator %r: expected %s"
+                         % (method, " or ".join(INTEGRATORS)))
+    h = 0.5 * dt
+    k1 = f(0.0, y)
+    k2 = f(h, [a + h * b for a, b in zip(y, k1)])
+    return [a + dt * b for a, b in zip(y, k2)]
+
+
+def closure_plant_step(state, ref_now, ref_next, u, f, dt, integrator,
+                       arm=None, step=integrate) -> list:
+    """chassis_control.plant_step as one rates function over the 3 pose and
+    8 arm floats, handed to step (integrate, or substepped_integrate for a
+    finer reference); the arm's accelerations use terms at t = 0 and a
+    fresh kernel at later stages."""
+    x0, y0, h0, v0, w0 = state
+    av = u[0] - f[0]
+    aw = u[1] - f[1]
+    model, q, qd, terms, tau = arm or (None, (), (), None, None)
+
+    def rates(t, y):
+        vt = v0 + av * t
+        pose = [vt * math.cos(y[2]), vt * math.sin(y[2]), w0 + aw * t]
+        if model is None:
+            return pose
+        joint_rates = y[7:]
+        return pose + joint_rates + accelerations(
+            terms if t == 0.0 else model._kernel(y[3:7], joint_rates), tau)
+
+    x1, y1, h1, *rest = step(rates, [x0, y0, h0, *q, *qd], dt, integrator)
+    v1 = v0 + av * dt + (ref_next[3] - ref_now[3])
+    w1 = w0 + aw * dt + (ref_next[4] - ref_now[4])
+    return [x1, y1, wrap_angle(h1), v1, w1, *rest]
 
 
 def run_line_scenario(gains, duration: float, dt: float,

@@ -9,8 +9,7 @@ from mobman.arm_control import control_law, target_in_base_frame
 from mobman.config import ArmControlConfig
 from mobman.dynamics import accelerations
 from mobman.kinematics import forward_kinematics, inverse_kinematics
-from mobman.util import integrate
-from oracles import (coriolis_matrix, gravity_vector, mass_matrix,
+from oracles import (coriolis_matrix, gravity_vector, integrate, mass_matrix,
                      random_joint_angles)
 
 DEG = math.pi / 180.0

@@ -30,7 +30,6 @@ from mobman.planning import (Stage2Slot, _arm_reference, _chassis_reference,
                              _labels_and_events, plan_mission)
 from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, export,
                              run_mission)
-from mobman.util import integrate
 from oracles import (ChassisRefSample, kinetic_energy, potential_energy,
                      reference_record, run_line_scenario, write_log)
 
@@ -863,13 +862,17 @@ def test_non_finite_state_is_named(monkeypatch):
      SolveFailure, r"^step 111 \(t=2\.2200 s\): non-finite chassis"),
     ({"dt": 0.05, "initial_pose_offset": [1000, 0, 7]},
      SolveFailure, r"^step 6 \(t=0\.3000 s\): non-finite chassis"),
+    # The heading offset's degrees * pi overflows before the divide by 180.
+    ({"dt": 0.05, "initial_pose_offset": [0, 0, 1.7e308]}, ValidationError,
+     r"initial_pose_offset\[2\]: too large: in radians it is past the "
+     r"float range"),
     # The corner's arc is under 1e-9 of a control step, so it rounds to none.
     ({"circuit": {"speed": 1e12}}, GeometryError,
      r"^circuit\.corner_radius: .* rounds to no control step"),
     ({"circuit": {"corner_radius": 1e-13, "min_corner_radius": 1e-13}},
      GeometryError, r"^circuit\.corner_radius: .* rounds to no control step"),
-], ids=["inertia_overflow", "offset_l", "pose_offset", "speed",
-        "corner_radius"])
+], ids=["inertia_overflow", "offset_l", "pose_offset", "heading_offset",
+        "speed", "corner_radius"])
 def test_overflowing_scenario_is_named(spec, error, message):
     """A scenario whose numbers overflow mid-computation passes or fails
     parse_config, but either way ends in a MobmanError naming the key or the
@@ -955,25 +958,22 @@ def test_step_loop_builds_no_per_step_record():
 
 
 @pytest.mark.parametrize("integrator", ["midpoint", "euler"])
-def test_one_integrate_call_per_step(monkeypatch, integrator):
+def test_one_plant_step_call_per_step(monkeypatch, integrator):
     """The chassis pose and the arm advance together: a run of n steps makes
-    n integrate calls, each over the 3 pose and 8 arm states, whichever
-    module calls it."""
-    sizes = []
+    n plant_step calls, each by the scenario's rule and each given the arm
+    as (model, q, qd, terms, tau)."""
+    calls = []
 
-    def counted(f, y, dt, method):
-        sizes.append(len(y))
-        return integrate(f, y, dt, method)
+    def counted(state, ref_now, ref_next, u, f, dt, method, arm=None):
+        calls.append((len(state), method, arm is not None and len(arm)))
+        return plant_step(state, ref_now, ref_next, u, f, dt, method, arm)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mobman") and getattr(module, "integrate",
-                                                 None) is integrate:
-            monkeypatch.setattr(module, "integrate", counted)
+    monkeypatch.setattr(simulate, "plant_step", counted)
     log = run_mission(parse_config({"dt": 0.01,
                                     "integrator": integrator})).log
     n = log.n_rows - 1
     assert n > 2000
-    assert sizes == [11] * n
+    assert calls == [(5, integrator, 5)] * n
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

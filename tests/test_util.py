@@ -2,19 +2,20 @@
 
 The control step runs on plain Python floats.  These oracles keep the numpy
 forms of the midpoint and Euler steps, the chassis plant and np.sign/np.clip,
-and require the float versions to give the same bits.
+and require the float versions to give the same bits; the plant step, which
+writes each rule out in closed form, must also match the closure-form step
+in tests/oracles.py.
 """
 import math
 
 import numpy as np
 import pytest
 
-from mobman import chassis_control
 from mobman.chassis_control import plant_step
 from mobman.dynamics import accelerations
-from mobman.util import integrate, sign, switch, wrap_angle
-from oracles import (ChassisRefSample, random_joint_angles,
-                     substepped_integrate)
+from mobman.util import sign, switch, wrap_angle
+from oracles import (ChassisRefSample, closure_plant_step,
+                     random_joint_angles, substepped_integrate)
 
 METHODS = ["midpoint", "euler"]
 SPECIALS = [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
@@ -49,22 +50,34 @@ def _same_bits(got, want) -> bool:
     return np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
 
 
+def _with_zeros(rng, values) -> list:
+    """values with about two in three entries replaced by 0.0 or -0.0."""
+    return [float(rng.choice([0.0, -0.0, v])) for v in values]
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_arm_step_matches_numpy_integrator_bitwise(method, model, rng):
-    """The mission step advances the pose and the arm in one integrate call,
-    the arm reusing the kernel terms of its start state for the first stage.
-    Its arm half must match the oracle that evaluates the kernel and the
-    accelerations afresh at every stage, and its chassis half the
-    chassis-only oracle."""
-    for q in random_joint_angles(rng, 200):
+    """The mission step advances the pose and the arm by the rule written
+    out in closed form, the arm reusing the kernel terms of its start state.
+    Its arm half must match the numpy oracle that evaluates the kernel and
+    the accelerations afresh at every stage, its chassis half the
+    chassis-only oracle and the chassis-only path (arm=None), and the whole
+    step the closure-form step of tests/oracles.py, bit for bit, also on
+    inputs holding 0.0 and -0.0."""
+    for case, q in enumerate(random_joint_angles(rng, 400)):
         qd = rng.uniform(-2.0, 2.0, 4)
         tau = rng.uniform(-1e3, 1e3, 4).tolist()
         state = rng.uniform(-3.0, 3.0, 5).tolist()
-        v0, w0, v1, w1 = rng.uniform(-1.0, 1.0, 4).tolist()
-        now = ChassisRefSample(0.0, 0.0, 0.0, v=v0, w=w0)
-        nxt = ChassisRefSample(0.0, 0.0, 0.0, v=v1, w=w1)
+        refs = rng.uniform(-1.0, 1.0, 4).tolist()
         u = rng.uniform(-5.0, 5.0, 2).tolist()
         f_dist = rng.uniform(-0.1, 0.1, 2).tolist()
+        if case >= 200:  # signed zeros in every input
+            q, qd = (np.array(_with_zeros(rng, v)) for v in (q, qd))
+            tau, state, refs, u, f_dist = (_with_zeros(rng, v) for v in
+                                           (tau, state, refs, u, f_dist))
+        v0, w0, v1, w1 = refs
+        now = ChassisRefSample(0.0, 0.0, 0.0, v=v0, w=w0)
+        nxt = ChassisRefSample(0.0, 0.0, 0.0, v=v1, w=w1)
 
         def f(t, y):
             return np.concatenate([y[4:], accelerations(
@@ -72,11 +85,17 @@ def test_arm_step_matches_numpy_integrator_bitwise(method, model, rng):
 
         want = _numpy_step(f, np.concatenate([q, qd]), 1e-3, method)
         q0, qd0 = q.tolist(), qd.tolist()
-        got = plant_step(state, now, nxt, u, f_dist, 1e-3, method,
-                         (model, q0, qd0, model._kernel(q0, qd0), tau))
+        arm = (model, q0, qd0, model._kernel(q0, qd0), tau)
+        got = plant_step(state, now, nxt, u, f_dist, 1e-3, method, arm)
+        chassis = plant_step(state, now, nxt, u, f_dist, 1e-3, method)
         assert _same_bits(got[5:], want)
         assert _same_bits(got[:5], _numpy_plant_step(state, now, nxt, u,
                                                      f_dist, 1e-3, method))
+        assert _same_bits(chassis, got[:5])
+        assert _same_bits(got, closure_plant_step(state, now, nxt, u, f_dist,
+                                                  1e-3, method, arm))
+        assert _same_bits(chassis, closure_plant_step(state, now, nxt, u,
+                                                      f_dist, 1e-3, method))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -97,33 +116,30 @@ def test_plant_step_matches_numpy_integrator_bitwise(method, rng):
 def test_unknown_integrator_is_rejected(method):
     """A rule name outside INTEGRATORS raises, naming it, before any stage
     runs: it never falls through to another rule."""
-    def f(t, y):
-        raise AssertionError("a stage ran")
+    class NoStage:
+        def _kernel(self, q, qd):
+            raise AssertionError("a stage ran")
 
-    with pytest.raises(ValueError, match="unknown integrator %r" % method):
-        integrate(f, [1.0], 0.1, method)
     ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
-    with pytest.raises(ValueError, match="unknown integrator %r" % method):
-        plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
-                   [0.0, 0.0], 1e-3, method)
+    for arm in (None, (NoStage(), [0.0] * 4, [0.0] * 4, None, [0.0] * 4)):
+        with pytest.raises(ValueError, match="unknown integrator %r" % method):
+            plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
+                       [0.0, 0.0], 1e-3, method, arm)
 
 
-def test_midpoint_local_error_is_third_order(monkeypatch, model, rng):
+def test_midpoint_local_error_is_third_order(model, rng):
     """One mission plant step under the midpoint rule, against the same step
-    with util.integrate replaced by the substepped RK4 reference: the local
-    error is O(dt^3), so halving dt divides it by about 8.  Every error
-    stays above 1e-9, far above round-off, so the ratio measures the rule."""
-
-    def step(args, dt):
-        state, now, nxt, u, f_dist, q, qd, tau = args
-        return plant_step(state, now, nxt, u, f_dist, dt, "midpoint",
-                          (model, q, qd, model._kernel(q, qd), tau))
+    as the closure-form oracle integrates it by the substepped RK4
+    reference: the local error is O(dt^3), so halving dt divides it by about
+    8.  Every error stays above 1e-9, far above round-off, so the ratio
+    measures the rule."""
 
     def local_error(args, dt):
-        got = step(args, dt)
-        with monkeypatch.context() as patch:
-            patch.setattr(chassis_control, "integrate", substepped_integrate)
-            want = step(args, dt)
+        state, now, nxt, u, f_dist, q, qd, tau = args
+        arm = (model, q, qd, model._kernel(q, qd), tau)
+        got = plant_step(state, now, nxt, u, f_dist, dt, "midpoint", arm)
+        want = closure_plant_step(state, now, nxt, u, f_dist, dt, "midpoint",
+                                  arm, step=substepped_integrate)
         return np.abs(np.subtract(got, want)).max()
 
     for q in random_joint_angles(rng, 100):
