@@ -27,7 +27,10 @@ def control_law(q, qd, ref_q, ref_qd, ref_qdd, gains, terms) -> list:
 
     gains is the scenario's ArmControlConfig section: the surface slope
     surface_rate (1/s), the per-joint switch_gain K and the boundary_layer
-    width, where a zero width selects the pure switching sign."""
+    width, where a zero width selects the pure switching sign.
+
+    q and qd must be finite: nothing here tests them, and a NaN angle gives
+    NaN torques.  run_mission checks every state before the law sees it."""
     rate, width = gains.surface_rate, gains.boundary_layer
     inner = []
     for qi, qdi, rq, rqd, rqdd, k in zip(q, qd, ref_q, ref_qd, ref_qdd,

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import re
+import struct
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -46,6 +47,8 @@ CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
 CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
 _NUMERIC_CELLS = [0, *range(2, len(CSV_COLUMNS) - 1)]  # time, CSV_NUMERIC
 _STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
+# One step's row of native doubles: packing copies each float's bits.
+_STEP_ROW = struct.Struct("%dd" % len(_STEP_COLUMNS))
 _BLOCK_ROWS = 2048  # rows per block of CSV text or of reference floats
 _JSON_ROWS = 128  # rows per orjson.loads, to bound its list of floats
 # orjson's e-7 is repr's e-07; a lookahead lets sub() insert a literal "0".
@@ -241,9 +244,10 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     dist = disturbance_series(config.disturbance, np.arange(n) * dt)
     check_disturbance(np.abs(dist).max(axis=0, initial=0.0), gains.f_bounds)
 
-    # One row per sample in _STEP_COLUMNS order; column-major, so each
-    # column handed to the log is a contiguous view.
-    rows = np.zeros((n + 1, len(_STEP_COLUMNS)), order="F")
+    # One row per sample in _STEP_COLUMNS order, row-major so each step
+    # packs its row in one call; the log's columns are strided views of it.
+    rows = np.zeros((n + 1, len(_STEP_COLUMNS)))
+    pack_row, row_bytes = _STEP_ROW.pack_into, rows.strides[0]
     time = np.arange(n + 1) * dt
 
     # The step runs on plain floats: z, q and qd are lists, and the
@@ -267,7 +271,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         # The model at (q, qd), shared by the arm law and the arm step.
         terms = kernel(q, qd)
         tau = control_law(q, qd, ref_q, ref_qd, ref_qdd, arm_gains, terms)
-        rows[i] = (*z, *err, *s, *u, *q, *qd, *tau)
+        pack_row(rows, i * row_bytes, *z, *err, *s, *u, *q, *qd, *tau)
         if i == n:
             break
         ref_next = next(ref_rows)
@@ -275,7 +279,10 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         # chassis; the arm's rates at the step start reuse terms.
         state = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
                            integrator, (model, q, qd, terms, tau))
-        if not all(map(math.isfinite, state)):
+        # A finite sum proves every float finite; an overflowing one does
+        # not prove any of them infinite, so each is tested then.
+        if (not math.isfinite(sum(state))
+                and not all(map(math.isfinite, state))):
             raise SolveFailure("step %d (t=%.4f s): non-finite chassis or arm "
                                "state" % (i + 1, (i + 1) * dt))
         z, q, qd = state[:5], state[5:9], state[9:]
@@ -384,16 +391,20 @@ def _float_cells(block: np.ndarray) -> list:
     times faster, but spells exponents its own way (1e16, 1e-7 for repr's
     1e+16, 1e-07), writes the decade [1e-5, 1e-4) in fixed notation
     (0.000012 for 1.2e-05) and NaN and infinities as null.  The exponents
-    are respelled in bulk; that decade and the non-finite cells take repr.
+    are respelled in bulk when the text holds any, the decade's cells one
+    by one from orjson's digits; only the non-finite cells take repr.
     """
     text = orjson.dumps(np.ascontiguousarray(block),
                         option=orjson.OPT_SERIALIZE_NUMPY)
-    text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
-    text = _ONE_DIGIT_EXP.sub(b"e-0", text)
+    if b"e" in text:
+        text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
+        text = _ONE_DIGIT_EXP.sub(b"e-0", text)
     cells = text[1:-1].decode().split(",")
     size = np.abs(block)
-    odd = np.flatnonzero(((size >= 1e-5) & (size < 1e-4))
-                         | ~np.isfinite(block))
+    for i in np.flatnonzero((size >= 1e-5) & (size < 1e-4)).tolist():
+        sign, _, d = cells[i].partition("0.0000")
+        cells[i] = f"{sign}{d[0]}.{d[1:]}e-05" if d[1:] else f"{sign}{d}e-05"
+    odd = np.flatnonzero(~np.isfinite(block))
     for i, x in zip(odd.tolist(), block[odd].tolist()):
         cells[i] = repr(x)
     return cells

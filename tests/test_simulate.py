@@ -342,7 +342,14 @@ def test_float_cells_are_repr_on_random_bits_and_edges():
     edges = [0.0, -0.0, 5e-324, np.finfo(float).max]
     for x in (1e-5, 1e-4, 1e16):
         edges += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    # orjson writes the decade [1e-5, 1e-4) in fixed notation, which the
+    # writer respells from its digits: one digit, 17 digits, and draws
+    # across the decade, which random bits reach about once in 500.
+    edges += [float("%de-05" % d) for d in range(1, 10)]
+    edges += [1.2345678901234567e-05, np.nextafter(2e-05, 1.0)]
     _assert_cells_are_repr(edges + [-x for x in edges])
+    draws = np.random.default_rng(12).uniform(1e-5, 1e-4, 200_000)
+    _assert_cells_are_repr(np.concatenate([draws, -draws]))
     # A strided view takes the same text.
     _assert_cells_are_repr(np.array(edges)[::2])
 
@@ -848,6 +855,27 @@ def test_non_finite_state_is_named(monkeypatch):
         run_mission(ScenarioConfig())
     assert str(err.value).startswith("step 101 (t=0.1010 s): non-finite")
     assert len(calls) == 101
+
+
+def test_finite_state_with_overflowing_sum_is_not_stopped(monkeypatch):
+    """The finite check names only a state holding NaN or +-inf: finite
+    floats whose sum overflows, X = Y = 1e308, pass it.  (The huge pose
+    makes the next step's state infinite, which is then named.)"""
+    real = simulate.plant_step
+    calls = []
+
+    def huge_at_step_101(*args, **kwargs):
+        z = real(*args, **kwargs)
+        calls.append(len(calls))
+        if len(calls) == 101:
+            z[0] = z[1] = 1e308
+        return z
+
+    monkeypatch.setattr(simulate, "plant_step", huge_at_step_101)
+    with pytest.raises(SolveFailure) as err:
+        run_mission(ScenarioConfig())
+    assert str(err.value).startswith("step 102 (t=0.1020 s): non-finite")
+    assert len(calls) == 102
 
 
 @pytest.mark.parametrize("spec, error, message", [
