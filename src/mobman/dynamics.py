@@ -1,8 +1,9 @@
 """Rigid-body model of the arm: one shared-trig kernel that gives M(q), its
-partials, G(q) and the bias C(q, qd) qd + G(q) at a state, the forward
+partials, G(q) and the bias C(q, qd) qd + G(q) at a state, and the forward
 dynamics the plant step integrates (accelerations, which
-chassis_control.plant_step evaluates at each stage of its rule) and the
-inverse dynamics the sliding-mode law evaluates (torques).
+chassis_control.plant_step evaluates at each stage of its rule).  The
+sliding-mode law, arm_control.control_law, writes the inverse dynamics
+M qdd + bias out from the same kernel terms.
 
 The model follows the energy route.  Each joint drives one body: the slewing
 column, the boom, the forearm and the wrist (the short parallelogram link is
@@ -186,17 +187,6 @@ class ArmDynamics:
                 g3 - h * d11_3 + d23 * w2 * w2 - d34 * w4 * w4,
                 g4 - h * d11_4 + d24 * w2 * w2 + d34 * w3 * w3]
         return mass, (d11_2, d11_3, d11_4, d23, d24, d34), (g2, g3, g4), bias
-
-
-def torques(terms, qdd) -> list:
-    """M qdd + bias from the kernel's terms at one state, as 4 floats; qdd
-    is 4 plain floats."""
-    (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = terms
-    a1, a2, a3, a4 = qdd
-    return [m11 * a1 + b1,
-            m22 * a2 + m23 * a3 + m24 * a4 + b2,
-            m23 * a2 + m33 * a3 + m34 * a4 + b3,
-            m24 * a2 + m34 * a3 + m44 * a4 + b4]
 
 
 def accelerations(terms, tau) -> list:

@@ -253,7 +253,8 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     # The step runs on plain floats: z, q and qd are lists, and the
     # reference tables are read as float rows a block at a time (converting
     # them whole up front would hold every row as Python floats at once).
-    # chassis_tick and plant_step read a reference row by position.
+    # chassis_tick and plant_step read a reference row by position, the arm
+    # law one row of q_r, qd_r and qdd_r set side by side.
     ref_rows = _float_rows(refs)
     dist_rows = _float_rows(dist)
     ref = next(ref_rows)
@@ -265,12 +266,11 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     arm_gains, integrator, kernel = (config.arm_control, config.integrator,
                                      model._kernel)
 
-    for i, ref_q, ref_qd, ref_qdd in zip(range(n + 1), _float_rows(qr),
-                                         _float_rows(qdr), _float_rows(qddr)):
+    for i, arm_ref in zip(range(n + 1), _float_rows(qr, qdr, qddr)):
         err, s, u = chassis_tick(ref, z, gains)
         # The model at (q, qd), shared by the arm law and the arm step.
         terms = kernel(q, qd)
-        tau = control_law(q, qd, ref_q, ref_qd, ref_qdd, arm_gains, terms)
+        tau = control_law(q, qd, arm_ref, arm_gains, terms)
         pack_row(rows, i * row_bytes, *z, *err, *s, *u, *q, *qd, *tau)
         if i == n:
             break
@@ -326,10 +326,11 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     return MissionResult(log=log, report=report, plan=plan)
 
 
-def _float_rows(table: np.ndarray):
-    """A 2-D table's rows as float lists, converted _BLOCK_ROWS at a time."""
-    for a in range(0, len(table), _BLOCK_ROWS):
-        yield from table[a:a + _BLOCK_ROWS].tolist()
+def _float_rows(*tables: np.ndarray):
+    """The rows of 2-D tables of one length, set side by side, as float
+    lists; one block of _BLOCK_ROWS rows is joined and converted at a time."""
+    for a in range(0, len(tables[0]), _BLOCK_ROWS):
+        yield from np.hstack([t[a:a + _BLOCK_ROWS] for t in tables]).tolist()
 
 
 def export(result: MissionResult, directory) -> list:

@@ -11,9 +11,12 @@ or constant with the model's kernel, so the energy tests catch a wrong
 kernel term.  mass_matrix, mass_matrix_partials and gravity_vector assemble
 the kernel's M, dM/dq and G as numpy arrays, and coriolis_matrix forms C
 from the Christoffel symbols of those partials, the independent check on
-the kernel's expanded bias C qd + G.  circuit_sample and
-scalar_inverse_kinematics are the one-sample-at-a-time `math` versions of
-the circuit sampler and the IK, which the engine runs on whole arrays.
+the kernel's expanded bias C qd + G.  torques is the inverse dynamics
+M qdd + bias from the kernel's terms, and arm_control_law the arm law as a
+per-joint loop over it, the composition arm_control.control_law must equal
+bit for bit.  circuit_sample and scalar_inverse_kinematics are the
+one-sample-at-a-time `math` versions of the circuit sampler and the IK,
+which the engine runs on whole arrays.
 write_log writes a log alone, as export writes its timeseries.csv.
 integrate is the generic one-step midpoint or Euler rule over any rates
 function, and closure_plant_step states the mission plant step as one
@@ -379,6 +382,30 @@ def gravity_vector(model, q) -> np.ndarray:
     """The model's gravity torques G(q) from its kernel; the slewing joint
     sees none."""
     return np.array([0.0, *model._kernel(_plain(q), _AT_REST)[2]])
+
+
+def torques(terms, qdd) -> list:
+    """M qdd + bias from the kernel's terms at one state, as 4 floats; qdd
+    is 4 plain floats."""
+    (m11, m22, m33, m44, m23, m24, m34), _, _, (b1, b2, b3, b4) = terms
+    a1, a2, a3, a4 = qdd
+    return [m11 * a1 + b1,
+            m22 * a2 + m23 * a3 + m24 * a4 + b2,
+            m23 * a2 + m33 * a3 + m34 * a4 + b3,
+            m24 * a2 + m34 * a3 + m44 * a4 + b4]
+
+
+def arm_control_law(q, qd, ref, gains, terms) -> list:
+    """The arm law as a per-joint loop for the reaching acceleration, then
+    torques: the composition arm_control.control_law writes out."""
+    rate, width = gains.surface_rate, gains.boundary_layer
+    inner = []
+    for qi, qdi, rq, rqd, rqdd, k in zip(q, qd, ref[:4], ref[4:8], ref[8:],
+                                         gains.switch_gain):
+        edot = rqd - qdi
+        s = edot + rate * (rq - qi)
+        inner.append(rqdd + rate * edot + k * switch(s, width))
+    return torques(terms, inner)
 
 
 def circuit_sample(circuit, t: float) -> ChassisRefSample:

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from mobman.arm_control import control_law, target_in_base_frame
-from mobman.config import ArmControlConfig
-from mobman.dynamics import accelerations
+from mobman.config import ArmControlConfig, build_inertial, parse_config
+from mobman.dynamics import ArmDynamics, accelerations
 from mobman.kinematics import forward_kinematics, inverse_kinematics
-from oracles import (coriolis_matrix, gravity_vector, integrate, mass_matrix,
-                     random_joint_angles)
+from mobman.planning import _arm_reference, _chassis_reference
+from mobman.simulate import run_mission
+from mobman.util import INTEGRATORS, switch
+from oracles import (arm_control_law, coriolis_matrix, gravity_vector,
+                     integrate, mass_matrix, random_joint_angles)
 
 DEG = math.pi / 180.0
 
@@ -20,6 +23,11 @@ DEG = math.pi / 180.0
 # acceleration.
 _IDENTITY = ((1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0), None, None,
              (0.0, 0.0, 0.0, 0.0))
+
+
+def _row(ref_q, ref_qd, ref_qdd) -> list:
+    """One reference row as control_law reads it: q_r, qd_r, qdd_r."""
+    return [*ref_q, *ref_qd, *ref_qdd]
 
 
 def test_sliding_surface_and_switch():
@@ -32,15 +40,15 @@ def test_sliding_surface_and_switch():
                              boundary_layer=0.01)
     # s = 20 e: 0.005 and -0.005 inside the layer, 5.0 and -0.4 outside it.
     e = [0.00025, -0.00025, 0.25, -0.02]
-    inner = control_law(zero, zero, e, zero, zero, gains, _IDENTITY)
+    inner = control_law(zero, zero, _row(e, zero, zero), gains, _IDENTITY)
     np.testing.assert_allclose(inner, [0.5, -1.0, 3.0, -4.0], rtol=1e-12)
     # With edot alone: s = edot = 0.3 saturates, and rate * edot adds 6.0.
-    inner = control_law(zero, [0.0, -0.3, 0.0, 0.0], zero, zero, zero, gains,
-                        _IDENTITY)
+    inner = control_law(zero, [0.0, -0.3, 0.0, 0.0], _row(zero, zero, zero),
+                        gains, _IDENTITY)
     np.testing.assert_allclose(inner, [0.0, 6.0 + 2.0, 0.0, 0.0], rtol=1e-12)
     hard = replace(gains, boundary_layer=0.0)
-    inner = control_law(zero, zero, [0.0, -1e-6, 2e-6, 0.0], zero, zero, hard,
-                        _IDENTITY)
+    inner = control_law(zero, zero, _row([0.0, -1e-6, 2e-6, 0.0], zero, zero),
+                        hard, _IDENTITY)
     assert inner == [0.0, -2.0, 3.0, 0.0]
 
 
@@ -52,7 +60,7 @@ def test_control_law_formula_recomposition(model, rng):
         ref_q = q + rng.uniform(-0.05, 0.05, 4)
         ref_qd = rng.uniform(-0.5, 0.5, 4)
         ref_qdd = rng.uniform(-1.0, 1.0, 4)
-        tau = control_law(q, qd, ref_q, ref_qd, ref_qdd, gains,
+        tau = control_law(q, qd, _row(ref_q, ref_qd, ref_qdd), gains,
                           model._kernel(q, qd))
 
         e = ref_q - q
@@ -66,9 +74,93 @@ def test_control_law_formula_recomposition(model, rng):
         np.testing.assert_allclose(tau, expect, atol=1e-9)
 
 
+@pytest.mark.parametrize("width", [0.0, 0.01])
+def test_control_law_matches_per_joint_loop_bit_for_bit(model, rng, width):
+    """control_law, written out on named floats, equals the per-joint loop
+    composed with the inverse dynamics (oracles.arm_control_law) by repr,
+    signed zeros included, on 20,000 random in-range states with random
+    rates and reference rows.  A quarter of the joints sit on their
+    reference (s = 0) and half have e = 0, qd = 0 and qd_r = +-width, so s
+    lands exactly on the edges of the boundary layer."""
+    gains = replace(ArmControlConfig(), switch_gain=[5.0, 0.5, 7.0, 3.0],
+                    boundary_layer=width)
+    n = 20_000
+    q = random_joint_angles(rng, n)
+    qd = rng.uniform(-2.0, 2.0, (n, 4))
+    ref = np.hstack([q + rng.uniform(-0.05, 0.05, (n, 4)),
+                     rng.uniform(-2.0, 2.0, (n, 4)),
+                     rng.uniform(-50.0, 50.0, (n, 4))])
+    case = rng.integers(0, 4, (n, 4))  # 0 random, 1 on reference, 2-3 edges
+    ref[:, :4][case > 0] = q[case > 0]
+    qd[case > 1] = 0.0
+    ref[:, 4:8][case == 1] = qd[case == 1]
+    ref[:, 4:8][case == 2] = width
+    ref[:, 4:8][case == 3] = -width
+    s = (ref[:, 4:8] - qd) + gains.surface_rate * (ref[:, :4] - q)
+    for edge in (0.0, width, -width):
+        assert (s == edge).sum() > n / 5
+    bad = []
+    for i, (qi, qdi, row) in enumerate(zip(q.tolist(), qd.tolist(),
+                                           ref.tolist())):
+        terms = model._kernel(qi, qdi)
+        got = control_law(qi, qdi, row, gains, terms)
+        want = arm_control_law(qi, qdi, row, gains, terms)
+        if list(map(repr, got)) != list(map(repr, want)):
+            bad.append((i, got, want))
+    assert bad == []
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_one_step_surface_identity(integrator):
+    """The arm law inverts the model the plant integrates, so one step of
+    the stock mission (10 ms) moves each joint's s = edot + rate * e by the
+    discrete reaching law up to round-off, at every step and joint with no
+    sample excluded (Gao, Wang & Homaifa, IEEE Trans. Ind. Electron. 42(2),
+    1995): s[k+1] = s[k] - T K sw(s[k]) + rho[k] under Euler, where
+    rho[k] = (qd_r[k+1] - qd_r[k] - T qdd_r[k])
+    + rate (q_r[k+1] - q_r[k] - T qd_r[k]) is the reference's own
+    discretisation.  The midpoint rule further subtracts T (a_half - a_0)
+    and rate T^2 a_0 / 2.  a_0 and a_half, the plant's accelerations at the
+    step start and the half step, are recomputed from the logged q, qd and
+    tau; a_0 must also be the law's reaching acceleration, which ties the
+    logged tau to the step it drove."""
+    config = parse_config({"dt": 0.01, "integrator": integrator})
+    result = run_mission(config)
+    plan, log = result.plan, result.log
+    model = ArmDynamics(build_inertial(config, plan.geometry), plan.geometry)
+    qr, qdr, qddr = _arm_reference(plan, _chassis_reference(plan))
+    q, qd, tau = (np.column_stack([log.values[name + str(k)]
+                                   for k in range(1, 5)])
+                  for name in ("q", "qd", "tau"))
+    gains = config.arm_control
+    dt, rate, t = plan.dt, gains.surface_rate, 0.5 * plan.dt
+    s = (qdr - qd) + rate * (qr - q)
+    sw = np.array([[switch(x, gains.boundary_layer) for x in row]
+                   for row in s[:-1].tolist()]) * gains.switch_gain
+    a0, a_half = [], []
+    for qk, qdk, tk in zip(q[:-1].tolist(), qd[:-1].tolist(),
+                           tau[:-1].tolist()):
+        a = accelerations(model._kernel(qk, qdk), tk)
+        a0.append(a)
+        a_half.append(accelerations(model._kernel(
+            [p + t * w for p, w in zip(qk, qdk)],
+            [w + t * x for w, x in zip(qdk, a)]), tk))
+    a0, a_half = np.array(a0), np.array(a_half)
+    reaching = qddr[:-1] + rate * (qdr - qd)[:-1] + sw
+    assert (np.abs(a0 - reaching) <= 1e-11 * (1.0 + np.abs(reaching))).all()
+    rho = ((qdr[1:] - qdr[:-1] - dt * qddr[:-1])
+           + rate * (qr[1:] - qr[:-1] - dt * qdr[:-1]))
+    want = s[:-1] - dt * sw + rho
+    if integrator == "midpoint":
+        want -= dt * (a_half - a0) + rate * dt * dt * a0 / 2.0
+    residual = np.abs(s[1:] - want)
+    assert len(residual) == plan.n_steps
+    assert (residual <= 1e-12 * (1.0 + np.abs(s[1:]))).all(), residual.max()
+
+
 def test_equilibrium_torque_is_gravity(model):
     q = np.array([0.2, 60.0 * DEG, -30.0 * DEG, -20.0 * DEG])
-    tau = control_law(q, np.zeros(4), q, np.zeros(4), np.zeros(4),
+    tau = control_law(q, np.zeros(4), _row(q, np.zeros(4), np.zeros(4)),
                       ArmControlConfig(), model._kernel(q, np.zeros(4)))
     np.testing.assert_allclose(tau, gravity_vector(model, q), atol=1e-12)
 
@@ -79,7 +171,7 @@ def _track(model, gains, q0, ref_q, dt, steps):
     vs, errs = [], []
     zero = np.zeros(4)
     for _ in range(steps):
-        tau = control_law(q, qd, ref_q, zero, zero, gains,
+        tau = control_law(q, qd, _row(ref_q, zero, zero), gains,
                           model._kernel(q, qd))
 
         def f(t, y):

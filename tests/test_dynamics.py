@@ -15,14 +15,13 @@ from mobman import dynamics
 from mobman.arm_control import control_law
 from mobman.chassis_control import plant_step
 from mobman.config import ArmControlConfig, ScenarioConfig
-from mobman.dynamics import (ArmDynamics, LinkInertialParams, accelerations,
-                             torques)
+from mobman.dynamics import ArmDynamics, LinkInertialParams, accelerations
 from mobman.errors import SolveFailure, ValidationError
 from mobman.util import INTEGRATORS
 from oracles import (ChassisRefSample, coriolis_matrix, gravity_vector,
                      kinetic_energy, mass_matrix, mass_matrix_partials,
                      potential_energy, random_joint_angles,
-                     substepped_integrate)
+                     substepped_integrate, torques)
 
 DEG = math.pi / 180.0
 
@@ -199,9 +198,10 @@ def test_free_swing_conserves_energy(model):
 
 
 def test_fused_dynamics_match_christoffel_route(model, offset_model, rng):
-    """accelerations and torques (shared-trig kernel, expanded bias, block
-    Cholesky) against M, the Christoffel C, G and a generic dense solve, on
-    1,000 random in-range states of each arm."""
+    """accelerations and the oracle torques, the inverse dynamics the arm
+    law writes out (shared-trig kernel, expanded bias, block Cholesky),
+    against M, the Christoffel C, G and a generic dense solve, on 1,000
+    random in-range states of each arm."""
     for arm in (model, offset_model):
         worst_fd = worst_id = 0.0
         for q in random_joint_angles(rng, 1000):
@@ -249,7 +249,8 @@ def test_forward_dynamics_non_finite_angle_raises(model, joint, bad):
         step("midpoint", model._kernel(good, qd), zero)
     with pytest.raises(SolveFailure, match="mass matrix"):
         terms = model._kernel(q, qd)
-        tau = control_law(q, qd, good, qd, zero, ArmControlConfig(), terms)
+        tau = control_law(q, qd, good + qd + zero, ArmControlConfig(),
+                          terms)
         step("euler", terms, tau)
 
 
@@ -266,7 +267,7 @@ def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
     q = [0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG]
     qd = [0.2, -0.1, 0.3, 0.1]
     terms = model._kernel(q, qd)
-    tau = control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
+    tau = control_law(q, qd, [v + 0.01 for v in q] + qd + [0.0] * 4,
                       ArmControlConfig(), terms)
     ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
     state = plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],

@@ -1022,7 +1022,8 @@ def test_non_finite_arm_state_is_a_solve_failure_on_lists(model, joint,
     for method in ("midpoint", "euler"):
         with pytest.raises(SolveFailure, match="^mass matrix"):
             terms = model._kernel(q, qd)
-            tau = arm_control_law(q, qd, good, qd, [0.0] * 4, gains, terms)
+            tau = arm_control_law(q, qd, good + qd + [0.0] * 4, gains,
+                                  terms)
             plant_step(z, ref, ref, [0.0, 0.0], [0.0, 0.0], 1e-3, method,
                        (model, q, qd, terms, tau))
     # The start stage reuses the finite terms at good; the midpoint stage
@@ -1040,7 +1041,9 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     so per-stage arrays and numpy scalars cannot creep back into the loop.
     The records the loop reads hold plain floats in every field: the
     tracking error, and the reference rows run_mission's block reader yields
-    (across a block edge) with the ChassisRefSamples made from them.  FK,
+    (across a block edge) with the ChassisRefSamples made from them, and
+    the arm's 12-float rows it sets side by side from the q_r, qd_r and
+    qdd_r tables, each the three tables' rows joined.  FK,
     the circuit sampler and the base-frame transform run on whole arrays
     before or after the loop, so they are called outside the no-array block;
     a row of the circuit sampler's table, as a list, holds plain floats, and
@@ -1060,17 +1063,20 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     pose = forward_kinematics(q, stock_arm)
     samples = circuit.sample_rows([0.0, 2.0, 11.0]).tolist()
     target = target_in_base_frame(z[:3], [1.5, 0.2, 0.9], 0.5)
-    table = _chassis_reference(plan_mission(ScenarioConfig()))
+    plan = plan_mission(ScenarioConfig())
+    table = _chassis_reference(plan)
+    arm_tables = _arm_reference(plan, table)
     assert len(table) > simulate._BLOCK_ROWS
     with monkeypatch.context() as patch:
         for name in ("array", "asarray", "concatenate"):
             patch.setattr(np, name, no_arrays)
         err, s, u = chassis_tick(ref, z, gains)
         terms = model._kernel(q, qd)
-        tau = arm_control_law(q, qd, [v + 0.01 for v in q], qd, [0.0] * 4,
+        tau = arm_control_law(q, qd, [v + 0.01 for v in q] + qd + [0.0] * 4,
                               arm_gains, terms)
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3, "midpoint")
         rows = list(simulate._float_rows(table))
+        arm_rows = list(simulate._float_rows(*arm_tables))
         steps = [plant_step(z, row, row, u, [0.05, -0.05], 1e-3, method,
                             (model, q, qd, terms, tau))
                  for method in ("midpoint", "euler")
@@ -1089,6 +1095,10 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     assert rows == table.tolist() and refs[-1] == tuple(rows[-1])
     assert all(type(v) is float for row in rows for v in row)
     assert all(type(v) is float for ref in refs for v in ref)
+    assert arm_rows == [a + b + c for a, b, c in zip(
+        *(t.tolist() for t in arm_tables))]
+    assert len(arm_rows) == len(table) and {len(r) for r in arm_rows} == {12}
+    assert all(type(v) is float for row in arm_rows for v in row)
     assert all(isinstance(v, float) for v in list(pose) + list(target))
 
 
