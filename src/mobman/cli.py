@@ -34,6 +34,9 @@ def _cmd_workspace(args) -> int:
             parts = []
         if len(parts) != 3:
             raise MobmanError("--check expects X,Y,Z in mm")
+        if not all(map(math.isfinite, parts)):
+            raise MobmanError("non-finite --check point (%g, %g, %g) mm"
+                              % tuple(parts))
         checks.append(("check %d" % (len(checks) + 1), tuple(parts)))
     summary = workspace_analysis(geometry=geometry, key_points=checks)
     if args.json:

@@ -6,6 +6,13 @@ read their sections directly and convert degrees where they use them;
 builders turn the geometry and inertial sections into the engine's
 ArmGeometry and inertial parameters.  An empty file is a valid scenario:
 every field has the stock default.
+
+Every numeric field but the noise seed declares a closed range in its key's
+unit: the envelope of the machine (a 400 kg arm with a 20 kg payload on a
+tracked chassis) and of the ISO 7165 / ISO 11601 crib rig, with wide
+margins.  Within the ranges no square, product or unit conversion the engine
+forms from config values overflows, and none that must stay positive
+underflows to 0; relations between fields are cross-field rules.
 """
 from __future__ import annotations
 
@@ -30,29 +37,31 @@ from .util import DEG, INTEGRATORS
 
 
 def _number(x) -> bool:
-    """An int or float that converts to a finite float: NaN and infinities
-    would reach the log, and an int past the float range cannot convert."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
+    """An int (type(x) is int, which a bool is not), of any size since it
+    compares with a range's edges exactly, or a finite float: NaN and
+    infinities would reach the log."""
+    return type(x) is int or isinstance(x, float) and math.isfinite(x)
 
 
-def _finite(bound: str = ""):
-    """A finite number; bound "> 0" or ">= 0" also limits its sign."""
+def _finite(lo, hi, zero: bool = False, whole: bool = False):
+    """A finite number, or an int when whole, in the closed range [lo, hi]
+    or else 0 when zero; the rule keeps its range as rule.range."""
+    shape = "%%s: must be %sin [%r, %r]" % ("0 or " if zero else "", lo, hi)
+
     def rule(value, name, problems):
-        if not _number(value):
-            problems.append("%s: expected a finite number" % name)
-        elif bound and (value < 0 or bound == "> 0" and value == 0):
-            problems.append("%s: must be %s" % (name, bound))
+        if not (type(value) is int if whole else _number(value)):
+            problems.append("%s: expected %s" % (
+                name, "an integer" if whole else "a finite number"))
+        elif not (lo <= value <= hi or zero and value == 0):
+            problems.append(shape % name)
+    rule.range = (lo, hi)
     return rule
 
 
-def _vector(n: int, bound: str = "", optional: bool = False):
-    """n finite numbers, each within bound; also None when optional."""
-    element = _finite(bound)
+def _vector(n: int, lo, hi, zero: bool = False, optional: bool = False):
+    """n numbers, each as _finite(lo, hi, zero) has it; also None when
+    optional."""
+    element = _finite(lo, hi, zero)
 
     def rule(value, name, problems):
         if value is None and optional:
@@ -62,12 +71,12 @@ def _vector(n: int, bound: str = "", optional: bool = False):
             return
         for i, x in enumerate(value):
             element(x, "%s[%d]" % (name, i), problems)
+    rule.range = element.range
     return rule
 
 
 def _check(ok, message: str):
-    """Choices and integers: message unless ok(value).  Integers
-    are tested as type(x) is int, which a bool is not."""
+    """Choices: message unless ok(value)."""
     def rule(value, name, problems):
         if not ok(value):
             problems.append("%s: %s" % (name, message))
@@ -106,78 +115,97 @@ def _field(default, rule):
 class GeometryConfig:
     """Arm geometry in mm."""
 
+    # A length is 0 or 1 um to 100 m (the stock arm's longest link is
+    # 1.7 m), so a nonzero one's square in m^2 and the stock split's masses
+    # and rod inertias m L^2 / 3 formed from it stay positive and finite.
     link_lengths: list = _field([100.0, 1000.0, 1700.0, 100.0, 80.0],
-                                _vector(5, ">= 0"))
-    shoulder_height: float = _field(185.0, _finite(">= 0"))
-    tool_y_offset: float = _field(0.0, _finite(">= 0"))
+                                _vector(5, 0.001, 100_000, zero=True))
+    shoulder_height: float = _field(185.0, _finite(0.001, 100_000, zero=True))
+    # The tool offset only adds its square to positive terms.
+    tool_y_offset: float = _field(0.0, _finite(0, 100_000))
 
 
 @dataclass
 class InertialConfig:
     """Mass budget; explicit per-link values override the stock split."""
 
-    total_mass: float = _field(400.0, _finite("> 0"))
-    payload_mass: float = _field(20.0, _finite(">= 0"))
-    gravity: float = _field(9.81, _finite("> 0"))
-    masses: list | None = _field(None, _vector(4, "> 0", optional=True))
-    com_offsets: list | None = _field(None, _vector(4, ">= 0", optional=True))
-    inertias: list | None = _field(None, _vector(4, "> 0", optional=True))
+    # kg, m, kg m^2 and m/s^2: the stock split's m L^2 / 3 stays within
+    # [1e-25, 1e9] and every m c^2 at most 1e9.
+    total_mass: float = _field(400.0, _finite(0.001, 100_000))
+    payload_mass: float = _field(20.0, _finite(0, 10_000))
+    gravity: float = _field(9.81, _finite(0.1, 100))
+    masses: list | None = _field(None, _vector(4, 0.001, 100_000,
+                                               optional=True))
+    com_offsets: list | None = _field(None, _vector(4, 0, 100, optional=True))
+    inertias: list | None = _field(None, _vector(4, 1e-06, 1_000_000_000,
+                                                  optional=True))
 
 
 @dataclass
 class ArmControlConfig:
-    surface_rate: float = _field(20.0, _finite("> 0"))
-    switch_gain: list = _field([5.0, 5.0, 5.0, 5.0], _vector(4, "> 0"))
-    boundary_layer: float = _field(0.01, _finite(">= 0"))
+    # Gains of both laws within [1e-3, 1e4] (stock: 0.2 to 100); a run they
+    # drive unstable is named by the step whose state turns non-finite.
+    surface_rate: float = _field(20.0, _finite(0.001, 10_000))
+    switch_gain: list = _field([5.0, 5.0, 5.0, 5.0],
+                               _vector(4, 0.001, 10_000))
+    boundary_layer: float = _field(0.01, _finite(0, 100))
 
 
 @dataclass
 class ChassisControlConfig:
-    surface_gains: list = _field([4.0, 100.0, 18.0], _vector(3, "> 0"))
-    reaching_gains: list = _field([15.0, 15.0], _vector(2, "> 0"))
-    switch_gains: list = _field([0.2, 0.2], _vector(2, ">= 0"))
-    offset_l: float = _field(0.3, _finite(">= 0"))
-    f_bounds: list = _field([0.1, 0.1], _vector(2, ">= 0"))
-    boundary_layer: float = _field(0.0, _finite(">= 0"))
-    track_width: float = _field(0.8, _finite("> 0"))
+    # Gains as in arm_control; lengths in m and f_bounds in m/s^2.
+    surface_gains: list = _field([4.0, 100.0, 18.0],
+                                 _vector(3, 0.001, 10_000))
+    reaching_gains: list = _field([15.0, 15.0], _vector(2, 0.001, 10_000))
+    switch_gains: list = _field([0.2, 0.2], _vector(2, 0, 10_000))
+    offset_l: float = _field(0.3, _finite(0, 100))
+    f_bounds: list = _field([0.1, 0.1], _vector(2, 0, 100))
+    boundary_layer: float = _field(0.0, _finite(0, 100))
+    track_width: float = _field(0.8, _finite(0.001, 100))
 
 
 @dataclass
 class CircuitConfig:
-    edge_length: float = _field(2.60128, _finite("> 0"))
-    corner_radius: float = _field(0.5, _finite("> 0"))
-    speed: float = _field(0.88, _finite("> 0"))
-    center: list = _field([0.0, 0.0], _vector(2))
-    min_corner_radius: float = _field(0.2, _finite("> 0"))
+    # m and m/s: lengths of 1 mm to 10 km and speeds of 1 mm/s to 100 m/s
+    # around a crib of about 1 m.
+    edge_length: float = _field(2.60128, _finite(0.001, 10_000))
+    corner_radius: float = _field(0.5, _finite(0.001, 10_000))
+    speed: float = _field(0.88, _finite(0.001, 100))
+    center: list = _field([0.0, 0.0], _vector(2, -10_000, 10_000))
+    min_corner_radius: float = _field(0.2, _finite(0.001, 10_000))
 
 
 @dataclass
 class SweepConfig:
-    passes: int = _field(4, _check(lambda x: type(x) is int and x >= 1,
-                                   "expected an integer >= 1"))
-    horizontal_span: float = _field(0.9, _finite("> 0"))
-    vertical_span: float = _field(0.45, _finite(">= 0"))
-    base_height: float = _field(0.2, _finite(">= 0"))
-    speed: float = _field(1.4, _finite("> 0"))
-    pitch_deg: float = _field(30.0, _finite())
+    # m, m/s and degrees; the plan names a pass count the edge cannot hold.
+    passes: int = _field(4, _finite(1, 1_000_000, whole=True))
+    horizontal_span: float = _field(0.9, _finite(0.001, 100))
+    vertical_span: float = _field(0.45, _finite(0, 100))
+    base_height: float = _field(0.2, _finite(0, 100))
+    speed: float = _field(1.4, _finite(0.001, 100))
+    pitch_deg: float = _field(30.0, _finite(-360, 360))
 
 
 @dataclass
 class FireTestConfig:
-    crib_side: float = _field(1.0, _finite("> 0"))
-    discharge_time: float = _field(15.0, _finite("> 0"))
-    stage2_budget: float = _field(3.0, _finite(">= 0"))
+    # m, and s: a discharge of 15 s, within a day with margin.
+    crib_side: float = _field(1.0, _finite(0.001, 100))
+    discharge_time: float = _field(15.0, _finite(0.001, 100_000))
+    stage2_budget: float = _field(3.0, _finite(0, 100_000))
 
 
 @dataclass
 class TopSprayConfig:
-    duration: float = _field(0.0, _finite(">= 0"))
-    joints_deg: list = _field([0.0, 135.0, 15.5, -45.0], _vector(4))
+    # s and degrees; the joint window is a cross-field rule.
+    duration: float = _field(0.0, _finite(0, 100_000))
+    joints_deg: list = _field([0.0, 135.0, 15.5, -45.0],
+                              _vector(4, -360, 360))
 
 
 @dataclass
 class FireConfig:
-    position: list = _field([0.0, 0.0, 0.0], _vector(3))
+    # m, within 10 km of the rig.
+    position: list = _field([0.0, 0.0, 0.0], _vector(3, -10_000, 10_000))
     ident: str = _field("", _ident)
 
 
@@ -188,8 +216,9 @@ class DisturbanceConfig:
     kind: str = _field("none", _check(
         lambda x: x in ("none", "constant", "sine", "noise"),
         "expected none, constant, sine or noise"))
-    amplitude: list = _field([0.0, 0.0], _vector(2, ">= 0"))
-    frequency: float = _field(0.5, _finite("> 0"))
+    # m/s^2 as chassis_control.f_bounds, and Hz.
+    amplitude: list = _field([0.0, 0.0], _vector(2, 0, 100))
+    frequency: float = _field(0.5, _finite(0.001, 1000))
     seed: int = _field(0, _seed)
 
 
@@ -197,14 +226,16 @@ class DisturbanceConfig:
 class BandConfig:
     """Chassis convergence band used by the metrics report."""
 
-    e1_mm: float = _field(20.0, _finite("> 0"))
-    e2_mm: float = _field(1.0, _finite("> 0"))
-    e3_deg: float = _field(0.6, _finite("> 0"))
+    e1_mm: float = _field(20.0, _finite(0.001, 100_000))
+    e2_mm: float = _field(1.0, _finite(0.001, 100_000))
+    e3_deg: float = _field(0.6, _finite(0.001, 360))
 
 
 @dataclass
 class ScenarioConfig:
-    dt: float = _field(0.001, _finite("> 0"))
+    # s: dt's lower edge is the least positive float, since the plan names
+    # a dt too small for the run by its step count.
+    dt: float = _field(0.001, _finite(5e-324, 10))
     integrator: str = _field("midpoint", _check(
         lambda x: x in INTEGRATORS, "expected " + " or ".join(INTEGRATORS)))
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
@@ -222,7 +253,9 @@ class ScenarioConfig:
     ])
     disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
     band: BandConfig = field(default_factory=BandConfig)
-    initial_pose_offset: list = _field([0.0, 0.0, 0.0], _vector(3))
+    # m, m and degrees.
+    initial_pose_offset: list = _field([0.0, 0.0, 0.0],
+                                       _vector(3, -10_000, 10_000))
 
 
 # -- parsing --------------------------------------------------------------
@@ -306,37 +339,31 @@ def _leaves(obj, path: str = ""):
             yield from _leaves(value, name + ".")
 
 
+def _passed(problems: list, *keys) -> bool:
+    """Whether no problem so far names one of keys, or a key under one."""
+    return not any(p.startswith(keys) for p in problems)
+
+
 def _link_lengths(config: ScenarioConfig, problems: list) -> None:
     """The IK divides by the boom and forearm lengths, and the stock inertial
     split gives the column and wrist an inertia of m L^2 / 3, which a zero
-    lateral offset or end link would make 0.  The arm model squares each
-    length and the tool offset in metres, and Python raises OverflowError
-    for a square past the float range."""
-    geometry = config.geometry
-    lengths = geometry.link_lengths
-    named = []
-    if isinstance(lengths, (list, tuple)) and len(lengths) == 5:
-        stock = config.inertial.inertias is None
-        for i in (0, 1, 2, 4):
-            if _number(lengths[i]) and lengths[i] == 0:
-                if i in (1, 2):
-                    problems.append("geometry.link_lengths[%d]: must be > 0"
-                                    % i)
-                elif stock:
-                    problems.append("geometry.link_lengths[%d]: must be > 0 "
-                                    "while inertial.inertias is unset" % i)
-        named = [("geometry.link_lengths[%d]" % i, v)
-                 for i, v in enumerate(lengths)]
-    named.append(("geometry.tool_y_offset", geometry.tool_y_offset))
-    for name, mm in named:
-        if _number(mm) and math.isinf(mm * 1e-3 * (mm * 1e-3)):
-            problems.append("%s: too large: its square in m^2 is past the "
-                            "float range" % name)
+    lateral offset or end link would make 0."""
+    lengths = config.geometry.link_lengths
+    if not (isinstance(lengths, (list, tuple)) and len(lengths) == 5):
+        return
+    stock = config.inertial.inertias is None
+    for i in (0, 1, 2, 4):
+        if _number(lengths[i]) and lengths[i] == 0:
+            if i in (1, 2):
+                problems.append("geometry.link_lengths[%d]: must be > 0" % i)
+            elif stock:
+                problems.append("geometry.link_lengths[%d]: must be > 0 "
+                                "while inertial.inertias is unset" % i)
 
 
 def _corner_radius(config: ScenarioConfig, problems: list) -> None:
     c = config.circuit
-    if (_number(c.corner_radius) and _number(c.min_corner_radius)
+    if (_passed(problems, "circuit.corner_radius", "circuit.min_corner_radius")
             and c.corner_radius < c.min_corner_radius):
         problems.append("circuit.corner_radius: below circuit.min_corner_radius")
 
@@ -344,9 +371,8 @@ def _corner_radius(config: ScenarioConfig, problems: list) -> None:
 def _amplitude(config: ScenarioConfig, problems: list) -> None:
     amplitude = config.disturbance.amplitude
     bounds = config.chassis_control.f_bounds
-    if config.disturbance.kind == "none" or not all(
-            isinstance(v, (list, tuple)) and len(v) == 2
-            and all(map(_number, v)) for v in (amplitude, bounds)):
+    if config.disturbance.kind == "none" or not _passed(
+            problems, "disturbance.amplitude", "chassis_control.f_bounds"):
         return
     for i in range(2):
         if amplitude[i] > bounds[i]:
@@ -357,11 +383,9 @@ def _amplitude(config: ScenarioConfig, problems: list) -> None:
 def _top_spray_joints(config: ScenarioConfig, problems: list) -> None:
     """The arm holds these joints through the top spray, so they must keep
     every joint and the elbow angle in range."""
-    joints = config.top_spray.joints_deg
-    if isinstance(joints, (list, tuple)) and len(joints) == 4 and all(
-            map(_number, joints)):
+    if _passed(problems, "top_spray.joints_deg"):
         try:
-            check_joint_limits([v * DEG for v in joints])
+            check_joint_limits([v * DEG for v in config.top_spray.joints_deg])
         except JointLimitViolation as exc:
             problems.append("top_spray.joints_deg: %s" % exc)
 
@@ -369,17 +393,15 @@ def _top_spray_joints(config: ScenarioConfig, problems: list) -> None:
 def _inertial_split(config: ScenarioConfig, problems: list) -> None:
     """What the model would reject in build_inertial's parameters
     (LinkInertialParams.validate), named by a key the scenario set.  Each
-    field the scenario gave has passed its own rule, so a value validate
-    finds <= 0 is one the stock split derived: a column or wrist it leaves
-    massless (named first, by its lengths) or an underflow (named by the
-    mass it came from).  A planar body's inertia below its point-mass bound
+    field is in its range, so a mass or inertia validate finds <= 0 is one
+    of a column or wrist that the stock split leaves massless, named first
+    by its lengths.  A planar body's inertia below its point-mass bound
     m c^2 keeps validate's key while the inertias are set, and is named by
     the com_offsets that raised it while they are the stock m L^2 / 3.
     Runs once the geometry and inertial fields are valid."""
-    if any(p.startswith(("geometry.", "inertial.")) for p in problems):
+    if not _passed(problems, "geometry.", "inertial."):
         return
     ine, lengths = config.inertial, config.geometry.link_lengths
-    n_problems = len(problems)
     if ine.masses is None:  # the split's column and wrist lengths
         column = (0, "geometry.shoulder_height",
                   config.geometry.shoulder_height)
@@ -389,21 +411,9 @@ def _inertial_split(config: ScenarioConfig, problems: list) -> None:
                 problems.append("geometry.link_lengths[%d]: must be > 0 while "
                                 "%s is 0 and inertial.masses is unset"
                                 % (i, other))
-    found = [p.split(": ", 1) for p in
-             _fill_inertial(ine, build_geometry(config)).validate()]
-    # With every split length > 0, a derived value <= 0 is an underflow.
-    small = [key for key, text in found if text == "must be > 0"]
-    if small and len(problems) == n_problems:
-        if ine.masses is None:
-            problems.append("inertial.total_mass: too small: the stock "
-                            "split's masses or inertias underflow to 0")
-        else:
-            problems += ["inertial.masses%s: too small: its rod inertia "
-                         "m L^2 / 3 underflows to 0 while inertial.inertias "
-                         "is unset" % key[key.index("["):] for key in small]
-        return
-    for key, text in found:  # the point-mass bounds
-        if text == "must be > 0":
+    for key, text in (p.split(": ", 1) for p in
+                      _fill_inertial(ine, build_geometry(config)).validate()):
+        if text == "must be > 0":  # the massless body, named above
             continue
         i = int(key[-2])
         problems.append(
@@ -413,22 +423,12 @@ def _inertial_split(config: ScenarioConfig, problems: list) -> None:
             "unset" % (i, BODIES[i]))
 
 
-def _heading_offset(config: ScenarioConfig, problems: list) -> None:
-    """The run converts the offset as degrees * pi / 180, which overflows."""
-    off = config.initial_pose_offset
-    if (isinstance(off, (list, tuple)) and len(off) == 3 and _number(off[2])
-            and math.isinf(off[2] * math.pi / 180.0)):
-        problems.append("initial_pose_offset[2]: too large: in radians it is "
-                        "past the float range")
-
-
 # Each cross-field rule runs right after the field it is keyed on here.
 _CROSS_RULES = {"geometry.link_lengths": _link_lengths,
                 "inertial.inertias": _inertial_split,
                 "circuit.min_corner_radius": _corner_radius,
                 "top_spray.joints_deg": _top_spray_joints,
-                "disturbance.seed": _amplitude,
-                "initial_pose_offset": _heading_offset}
+                "disturbance.seed": _amplitude}
 
 
 def validate_config(config: ScenarioConfig) -> list:

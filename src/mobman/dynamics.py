@@ -63,17 +63,13 @@ class LinkInertialParams:
         for i, val in enumerate(self.inertias):
             if val <= 0.0:
                 problems.append("inertial.inertias[%d]: must be > 0" % i)
-        # A planar body's spin inertia about its joint is at least m c^2,
-        # an infinite bound when c^2 is past the float range; "not >=" also
-        # fails an infinite inertia, whose difference from that bound is NaN.
+        # A planar body's spin inertia about its joint is at least m c^2;
+        # "not >=" also fails a bound that overflows to inf, the difference
+        # then being -inf, or NaN for an infinite inertia.
         for i, name, m, c, val in zip((1, 2, 3), BODIES[1:],
                                       self.masses[1:], self.com_offsets[1:],
                                       self.inertias[1:]):
-            try:
-                bound = m * c ** 2
-            except OverflowError:
-                bound = m * _INF
-            if not val - bound >= 0.0:
+            if not val - m * (c * c) >= 0.0:
                 problems.append("inertial.inertias[%d]: below the point-mass "
                                 "bound of the %s body" % (i, name))
         if self.payload_mass < 0.0:

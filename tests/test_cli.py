@@ -75,10 +75,11 @@ def test_nan_points_are_rejected(capsys):
         code, out, err = run_cli(capsys, "ik", *args)
         assert code == 1 and out == ""
         assert err == "error: non-finite target %s mm, pitch 0 rad\n" % shown
-    code, out, _ = run_cli(capsys, "workspace", "--check", "nan,0,0",
-                           "--json")
-    assert code == 0
-    assert [p["reachable"] for p in json.loads(out)["key_points"]] == [False]
+    # JSON has no NaN, so a non-finite --check point is refused, not printed.
+    code, out, err = run_cli(capsys, "workspace", "--check", "nan,0,0",
+                             "--json")
+    assert code == 1 and out == ""
+    assert err == "error: non-finite --check point (nan, 0, 0) mm\n"
 
 
 def test_workspace_check_rejects_non_numeric_spec(capsys):

@@ -16,6 +16,7 @@ from mobman.errors import ParseError, ValidationError
 from mobman.kinematics import forward_kinematics
 from mobman.mission import Circuit, build_sweep
 from mobman.simulate import run_mission
+from test_config_messages import _nest
 
 DEG = math.pi / 180.0
 
@@ -277,80 +278,92 @@ def test_partial_inertial_override_is_named_by_a_set_key():
         assert err.value.messages == messages
 
 
-def test_underflowing_split_is_named_by_its_mass():
-    """A mass budget so small that the stock split's masses or rod inertias
-    round to 0 fails at parse time, named by the mass the scenario set."""
-    total = ["inertial.total_mass: too small: the stock split's masses or "
-             "inertias underflow to 0"]
+def test_value_outside_its_range_is_named():
+    """A value past its field's range is named by its key at parse time with
+    the one range message, so no square, product or unit conversion the
+    engine forms from it overflows or underflows later: a length whose
+    square in m^2 would pass the float range, a nonzero length whose square
+    would underflow, a mass budget whose stock split would round to 0 and a
+    centre of mass whose point-mass bound would be infinite."""
+    lengths = "geometry.link_lengths[%d]: must be 0 or in [0.001, 100000]"
     for data, messages in (
-            ({"total_mass": 5e-324}, total),  # masses and inertias
-            ({"total_mass": 1e-320}, total),  # the wrist's inertia only
-            ({"masses": [1e-322, 1.0, 1.0, 1e-322]},
-             ["inertial.masses[%d]: too small: its rod inertia m L^2 / 3 "
-              "underflows to 0 while inertial.inertias is unset" % i
-              for i in (0, 3)])):
+            ({"geometry": {"link_lengths": [1000, 1e300, 1e300, 0, 1700]}},
+             [lengths % 1, lengths % 2]),
+            ({"geometry": {"link_lengths": [100, 1000, 1700, 100, 1e-200]}},
+             [lengths % 4]),
+            ({"geometry": {"link_lengths": [100, 1000, 1700, 100,
+                                            math.nextafter(1e5, math.inf)]}},
+             [lengths % 4]),
+            ({"geometry": {"tool_y_offset": 1e300}},
+             ["geometry.tool_y_offset: must be in [0, 100000]"]),
+            ({"inertial": {"total_mass": 5e-324}},
+             ["inertial.total_mass: must be in [0.001, 100000]"]),
+            ({"inertial": {"masses": [1e-322, 1.0, 1.0, 1e-322]}},
+             ["inertial.masses[%d]: must be in [0.001, 100000]" % i
+              for i in (0, 3)]),
+            ({"inertial": {"com_offsets": [0.05, 1e200, 0.85, 0.04],
+                           "inertias": [5, 50, 170, 2]}},
+             ["inertial.com_offsets[1]: must be in [0, 100]"]),
+            ({"initial_pose_offset": [0, 0, 1.7e308]},
+             ["initial_pose_offset[2]: must be in [-10000, 10000]"]),
+            ({"sweep": {"passes": 10 ** 400}},
+             ["sweep.passes: must be in [1, 1000000]"])):
         with pytest.raises(ValidationError) as err:
-            parse_config({"inertial": data})
+            parse_config(data)
         assert err.value.messages == messages
-    # Tiny but representable splits still parse and build.
-    for data in ({"total_mass": 1e-300},
-                 {"total_mass": 5e-324, "masses": [1.0] * 4},
-                 {"masses": [1e-322] * 4, "inertias": [1e-322] * 4,
-                  "com_offsets": [0.0] * 4}):
-        config = parse_config({"inertial": data})
-        build_inertial(config, build_geometry(config))
-
-
-def test_point_mass_bound_past_the_float_range_is_named():
-    """A centre of mass whose square is past the float range makes its
-    body's point-mass bound infinite: that is named like any other bound,
-    never raised as an OverflowError, and a split that underflows is still
-    named by its mass alone."""
-    offsets = [0.05, 1e200, 0.85, 0.04]
-    for data, messages in (
-            ({"com_offsets": offsets},
-             ["inertial.com_offsets[1]: puts the boom body's point-mass "
-              "bound above its stock inertia m L^2 / 3 while "
-              "inertial.inertias is unset"]),
-            ({"com_offsets": offsets, "inertias": [5, 50, 170, 2]},
-             ["inertial.inertias[1]: below the point-mass bound of the boom "
-              "body"]),
-            ({"com_offsets": offsets, "total_mass": 5e-324},
-             ["inertial.total_mass: too small: the stock split's masses or "
-              "inertias underflow to 0"])):
-        with pytest.raises(ValidationError) as err:
-            parse_config({"inertial": data})
-        assert err.value.messages == messages
-
-
-def test_length_whose_square_is_past_the_float_range_is_named():
-    """The arm model squares each link length and the tool offset in m, so a
-    length whose square is past the float range is rejected at parse time
-    by its key, never raised later as an OverflowError from ArmDynamics.
-    The largest length whose square fits still builds the model."""
-    message = "%s: too large: its square in m^2 is past the float range"
-    for geometry, keys in (
-            ({"link_lengths": [1000, 1e300, 1e300, 0, 1700]},
-             ["geometry.link_lengths[1]", "geometry.link_lengths[2]"]),
-            ({"link_lengths": [100, 1000, 1700, 100, 1e300]},
-             ["geometry.link_lengths[4]"]),
-            ({"tool_y_offset": 1e300}, ["geometry.tool_y_offset"])):
-        with pytest.raises(ValidationError) as err:
-            parse_config({"geometry": geometry})
-        assert err.value.messages == [message % key for key in keys]
-    top = 1.3407807929942596e157  # mm; the next float up overflows
-    for key in ("link_lengths", "tool_y_offset"):
-        value = [100, 1000, 1700, 100, top] if key == "link_lengths" else top
-        config = parse_config({"geometry": {key: value},
-                               "inertial": {"inertias": [5, 50, 170, 2],
-                                            "com_offsets": [0.05, 0.5, 0.85,
-                                                            0.04]}})
+    # The edges build the model: the longest lengths, and the smallest
+    # nonzero lengths and masses under the stock split's rod rule.
+    for data in ({"geometry": {"link_lengths": [1e5] * 5,
+                               "tool_y_offset": 1e5}},
+                 {"geometry": {"link_lengths": [0.001] * 5,
+                               "shoulder_height": 0.001},
+                  "inertial": {"total_mass": 0.001}},
+                 {"inertial": {"masses": [0.001] * 4}}):
+        config = parse_config(data)
         geometry = build_geometry(config)
-        ArmDynamics(build_inertial(config, geometry), geometry)
-        value = ([100, 1000, 1700, 100, math.nextafter(top, math.inf)]
-                 if key == "link_lengths" else math.nextafter(top, math.inf))
-        with pytest.raises(ValidationError):
-            parse_config({"geometry": {key: value}})
+        params = build_inertial(config, geometry)
+        assert all(0.0 < v < math.inf for v in params.masses + params.inertias)
+        ArmDynamics(params, geometry)
+
+
+def test_every_numeric_leaf_declares_a_range():
+    """Every numeric config field but the noise seed declares a finite
+    closed range [lo, hi] around its stock default, and a value at each
+    edge parses.  Vectors take the edge in every element, and a key a
+    cross-field rule relates to the edged one is set to pass that rule; the
+    top-spray joints, which the joint window always rejects at the edges,
+    are checked to fail on that window alone."""
+    for name, value, rule in config_mod._leaves(ScenarioConfig()):
+        if name == "disturbance.seed" or not hasattr(rule, "range"):
+            assert name in ("integrator", "disturbance.kind",
+                            "disturbance.seed") or name.endswith(".ident")
+            continue
+        lo, hi = rule.range
+        assert -math.inf < lo < hi < math.inf, name
+        for v in value if isinstance(value, list) else [value]:
+            assert v is None or lo <= v <= hi, name
+        for edge in (lo, hi):
+            if isinstance(value, (int, float)):
+                data = _nest(name, edge)
+            else:  # a vector, None for the optional inertial ones
+                data = _nest(name, [edge] * (4 if value is None
+                                             else len(value)))
+            if name.startswith("fires["):
+                data = {"fires": [{"position": [edge] * 3}]}
+            if name.startswith("circuit.") and "corner" in name:
+                data["circuit"] = {"corner_radius": edge,
+                                   "min_corner_radius": edge}
+            if name == "inertial.com_offsets":  # inertias above m c^2
+                data["inertial"]["inertias"] = [1e9] * 4
+            if name == "inertial.inertias":  # a bound m c^2 of 0
+                data["inertial"]["com_offsets"] = [0] * 4
+            if name == "top_spray.joints_deg":
+                with pytest.raises(ValidationError) as err:
+                    parse_config(data)
+                assert [m.split(" = ")[0] for m in err.value.messages] == [
+                    "top_spray.joints_deg: theta1"]
+                continue
+            parse_config(data)
 
 
 def test_build_inertial_paths():
@@ -366,8 +379,10 @@ def test_build_inertial_paths():
     # Bad values are rejected at parse time, by the same rule the builder
     # applies...
     for key, bad, message in (
-            ("masses", [50.0, -1.0, 150.0, 50.0], "masses[1]: must be > 0"),
-            ("inertias", [0.0, 50.0, 120.0, 2.0], "inertias[0]: must be > 0")):
+            ("masses", [50.0, -1.0, 150.0, 50.0],
+             "masses[1]: must be in [0.001, 100000]"),
+            ("inertias", [0.0, 50.0, 120.0, 2.0],
+             "inertias[0]: must be in [1e-06, 1000000000]")):
         with pytest.raises(ValidationError) as err:
             parse_config({"inertial": {key: bad}})
         assert err.value.messages == ["inertial." + message]

@@ -7,7 +7,7 @@ import pytest
 
 from mobman.config import (CircuitConfig, FireConfig, FireTestConfig,
                            SweepConfig, TopSprayConfig, parse_config)
-from mobman.errors import GeometryError, InfeasibleSweep
+from mobman.errors import GeometryError, InfeasibleSweep, ValidationError
 from mobman.mission import Circuit, assign_fires, build_sweep, dispatch
 from mobman.planning import plan_mission
 from oracles import ChassisRefSample, circuit_sample, reference_record
@@ -236,12 +236,17 @@ def test_sweep_infeasible_cases(circuit):
 def test_sweep_with_too_many_passes_fails_fast(circuit, passes):
     """A pass count that cannot fit the edge is refused before any vertex is
     built, even one too large for a float; so is the plan of a config that
-    names it."""
+    names it within sweep.passes' range, and a count past it is named when
+    the config is parsed."""
     start = time.perf_counter()
     with pytest.raises(InfeasibleSweep, match="too many passes"):
         build_sweep(1, SweepConfig(passes=passes), FireTestConfig(), circuit)
-    with pytest.raises(InfeasibleSweep, match="too many passes"):
-        plan_mission(parse_config({"sweep": {"passes": passes}}))
+    if passes > 10 ** 6:
+        with pytest.raises(ValidationError, match=r"^sweep\.passes: must be in"):
+            parse_config({"sweep": {"passes": passes}})
+    else:
+        with pytest.raises(InfeasibleSweep, match="too many passes"):
+            plan_mission(parse_config({"sweep": {"passes": passes}}))
     assert time.perf_counter() - start < 0.1
 
 

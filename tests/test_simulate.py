@@ -1,5 +1,6 @@
 """Mission simulation harness: planning grid, logging, metrics, export."""
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -14,14 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mobman import mission, simulate
+from mobman import config as config_mod, mission, simulate
 from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
 from mobman.chassis_control import chassis_tick, plant_step, wheel_speeds
 from mobman.config import ChassisControlConfig, ScenarioConfig, parse_config
 from mobman.dynamics import ArmDynamics
 from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
-                           GeometryError, JointLimitViolation, ParseError,
+                           JointLimitViolation, MobmanError, ParseError,
                            SolveFailure, Unreachable, ValidationError)
 from mobman.kinematics import forward_kinematics
 from mobman.metrics import compute_metrics
@@ -880,33 +881,80 @@ def test_finite_state_with_overflowing_sum_is_not_stopped(monkeypatch):
 
 @pytest.mark.parametrize("spec, error, message", [
     # The stock forearm inertia m L^2 / 3 and its point-mass bound m c^2
-    # both overflow to inf, and inf - inf is NaN.
+    # would both overflow to inf: the mass and the offset are past their
+    # ranges.
     ({"inertial": {"total_mass": 1.7e308,
                    "com_offsets": [0.05, 0.5, 1e200, 0.04]}},
-     ValidationError, r"inertial\.com_offsets\[2\]: puts the forearm body's "
-     r"point-mass bound above its stock inertia"),
+     ValidationError, r"inertial\.com_offsets\[2\]: must be in \[0, 100\]"),
     # The chassis diverges, and its heading overflows to +-inf in one step.
     ({"dt": 0.02, "chassis_control": {"offset_l": 7.0}},
      SolveFailure, r"^step 111 \(t=2\.2200 s\): non-finite chassis"),
     ({"dt": 0.05, "initial_pose_offset": [1000, 0, 7]},
      SolveFailure, r"^step 6 \(t=0\.3000 s\): non-finite chassis"),
-    # The heading offset's degrees * pi overflows before the divide by 180.
+    # The heading offset's degrees * pi would overflow before the divide.
     ({"dt": 0.05, "initial_pose_offset": [0, 0, 1.7e308]}, ValidationError,
-     r"initial_pose_offset\[2\]: too large: in radians it is past the "
-     r"float range"),
-    # The corner's arc is under 1e-9 of a control step, so it rounds to none.
-    ({"circuit": {"speed": 1e12}}, GeometryError,
-     r"^circuit\.corner_radius: .* rounds to no control step"),
+     r"^initial_pose_offset\[2\]: must be in \[-10000, 10000\]$"),
+    # The corner's arc would be under 1e-9 of a control step.
+    ({"circuit": {"speed": 1e12}}, ValidationError,
+     r"^circuit\.speed: must be in \[0\.001, 100\]$"),
     ({"circuit": {"corner_radius": 1e-13, "min_corner_radius": 1e-13}},
-     GeometryError, r"^circuit\.corner_radius: .* rounds to no control step"),
+     ValidationError, r"^circuit\.corner_radius: must be in \[0\.001, 10000\]"),
 ], ids=["inertia_overflow", "offset_l", "pose_offset", "heading_offset",
         "speed", "corner_radius"])
 def test_overflowing_scenario_is_named(spec, error, message):
-    """A scenario whose numbers overflow mid-computation passes or fails
-    parse_config, but either way ends in a MobmanError naming the key or the
-    step, never a raw OverflowError, ValueError or ZeroDivisionError."""
+    """A scenario whose numbers would overflow mid-computation ends in a
+    MobmanError naming the key or the step, never a raw OverflowError,
+    ValueError or ZeroDivisionError: at parse time for a value past its
+    range, else when the run diverges."""
     with pytest.raises(error, match=message):
         run_mission(parse_config(spec))
+
+
+# Each config leaf's stock value and rule, by name.
+_LEAVES = {name: (value, rule) for name, value, rule
+           in config_mod._leaves(ScenarioConfig())}
+# The keys the range-edge fuzz sets: lengths, masses, gains, offsets and
+# the disturbance, none of which moves the plan's step count.
+_FUZZ_KEYS = [name for name in _LEAVES
+              if name.split(".")[0] in ("geometry", "inertial", "arm_control",
+                                        "chassis_control", "initial_pose_offset")
+              or name in ("sweep.pitch_deg", "disturbance.amplitude",
+                          "disturbance.frequency")]
+
+
+def _in_range(name):
+    """Values of the config leaf name drawn from its declared range, its
+    edges (and 0, where the rule takes it) drawn often."""
+    value, rule = _LEAVES[name]
+    lo, hi = rule.range
+    zero_problems = []
+    rule(0, name, zero_problems)
+    edges = [lo, hi] + ([] if zero_problems else [0])
+    number = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+    if value is None or isinstance(value, list):
+        size = 4 if value is None else len(value)
+        return st.lists(number, min_size=size, max_size=size)
+    return number
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.data())
+def test_range_edges_end_in_a_log_or_a_named_error(data):
+    """A run at dt 0.05 with a few numeric keys set anywhere in their
+    declared ranges, edges included, either logs finite columns or ends in
+    a MobmanError: never a raw exception."""
+    spec = {"dt": 0.05, "disturbance": {"kind": "noise", "seed": 3}}
+    for name in data.draw(st.lists(st.sampled_from(_FUZZ_KEYS), min_size=1,
+                                   max_size=4, unique=True)):
+        section, _, key = name.rpartition(".")
+        value = data.draw(_in_range(name), label=name)
+        (spec.setdefault(section, {}) if section else spec)[key] = value
+    try:
+        log = run_mission(parse_config(spec)).log
+    except MobmanError:
+        return
+    assert np.isfinite(log.time).all()
+    assert all(np.isfinite(column).all() for column in log.values.values())
 
 
 def test_mission_checks_disturbance_before_the_loop(monkeypatch):
@@ -1033,7 +1081,44 @@ def test_non_finite_arm_state_is_a_solve_failure_on_lists(model, joint,
                    (model, q, qd, model._kernel(good, qd), [0.0] * 4))
 
 
-def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
+@contextlib.contextmanager
+def _numpy_calls(reader):
+    """Count the numpy calls made inside the block, by sys.setprofile: each
+    Python frame under numpy's package directory, and each C call whose
+    __module__, or whose bound object's type's, starts with numpy.  Calls
+    made under the generator function reader are counted as "reader"; the
+    names of the others are listed as "elsewhere"."""
+    root = os.path.dirname(np.__file__) + os.sep
+    calls = {"reader": 0, "elsewhere": []}
+
+    def numpy_module(x):
+        return (getattr(x, "__module__", None) or "").startswith("numpy")
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            name = frame.f_code.co_name
+        elif event == "c_call" and (numpy_module(arg) or numpy_module(
+                type(getattr(arg, "__self__", None)))):
+            name = arg.__name__
+        else:
+            return
+        caller = frame
+        while caller is not None and caller.f_code is not reader.__code__:
+            caller = caller.f_back
+        if caller is None:
+            calls["elsewhere"].append(name)
+        else:
+            calls["reader"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_control_step_runs_on_plain_floats(model, stock_arm):
     """One chassis tick, arm law, chassis-only plant step and mission plant
     step carrying the arm (each integrator, on a ChassisRefSample and on a
     float row as run_mission reads it) on float inputs, with the gains
@@ -1047,7 +1132,10 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     the circuit sampler and the base-frame transform run on whole arrays
     before or after the loop, so they are called outside the no-array block;
     a row of the circuit sampler's table, as a list, holds plain floats, and
-    FK and the transform give floats (numpy's float64 for one sample)."""
+    FK and the transform give floats (numpy's float64 for one sample).
+
+    The block counts every numpy call made inside it (see _numpy_calls):
+    only the block reader may make any, a fixed few per block of rows."""
     arm_gains = ScenarioConfig().arm_control
     gains = ScenarioConfig().chassis_control
     circuit = Circuit(ScenarioConfig().circuit, dt=1e-3)
@@ -1057,9 +1145,6 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     q = [0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG]
     qd = [0.2, -0.1, 0.3, 0.1]
 
-    def no_arrays(*args, **kwargs):
-        raise AssertionError("numpy array built on the control step")
-
     pose = forward_kinematics(q, stock_arm)
     samples = circuit.sample_rows([0.0, 2.0, 11.0]).tolist()
     target = target_in_base_frame(z[:3], [1.5, 0.2, 0.9], 0.5)
@@ -1067,9 +1152,7 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
     table = _chassis_reference(plan)
     arm_tables = _arm_reference(plan, table)
     assert len(table) > simulate._BLOCK_ROWS
-    with monkeypatch.context() as patch:
-        for name in ("array", "asarray", "concatenate"):
-            patch.setattr(np, name, no_arrays)
+    with _numpy_calls(simulate._float_rows) as calls:
         err, s, u = chassis_tick(ref, z, gains)
         terms = model._kernel(q, qd)
         tau = arm_control_law(q, qd, [v + 0.01 for v in q] + qd + [0.0] * 4,
@@ -1083,6 +1166,9 @@ def test_control_step_runs_on_plain_floats(monkeypatch, model, stock_arm):
                  for row in (ref, rows[0])]
         tick = chassis_tick(rows[0], z, gains)
         refs = list(map(ChassisRefSample._make, rows))
+    assert calls["elsewhere"] == []
+    blocks = 2 * -(-len(table) // simulate._BLOCK_ROWS)
+    assert 0 < calls["reader"] <= 32 * blocks
     values = list(s) + list(u) + tau + z1 + list(err)
     for step in steps:
         values += step
