@@ -278,52 +278,94 @@ def test_partial_inertial_override_is_named_by_a_set_key():
         assert err.value.messages == messages
 
 
+def _builds(data):
+    """Parse `data`, build its arm model and check every mass and inertia of
+    the split is positive and finite."""
+    config = parse_config(data)
+    geometry = build_geometry(config)
+    params = build_inertial(config, geometry)
+    assert all(0.0 < v < math.inf for v in params.masses + params.inertias)
+    ArmDynamics(params, geometry)
+
+
+def _named(data, messages):
+    with pytest.raises(ValidationError) as err:
+        parse_config(data)
+    assert err.value.messages == messages
+
+
+def test_length_whose_square_is_past_the_float_range_is_named():
+    """The arm model squares each link length and the tool offset in m, so a
+    length whose square would pass the float range, or a nonzero one whose
+    square would underflow, is named by its key at parse time with the range
+    message, never raised later from ArmDynamics.  The longest lengths and
+    the shortest nonzero ones still build the model."""
+    lengths = "geometry.link_lengths[%d]: must be 0 or in [0.001, 100000]"
+    offset = ["geometry.tool_y_offset: must be in [0, 100000]"]
+    top = 1.3407807929942596e157  # mm; the largest length whose square fits
+    for data, messages in (
+            ({"link_lengths": [1000, 1e300, 1e300, 0, 1700]},
+             [lengths % 1, lengths % 2]),
+            ({"link_lengths": [100, 1000, 1700, 100, 1e300]}, [lengths % 4]),
+            ({"link_lengths": [100, 1000, 1700, 100, top]}, [lengths % 4]),
+            ({"link_lengths": [100, 1000, 1700, 100, 1e-200]}, [lengths % 4]),
+            ({"link_lengths": [100, 1000, 1700, 100,
+                               math.nextafter(1e5, math.inf)]}, [lengths % 4]),
+            ({"tool_y_offset": 1e300}, offset),
+            ({"tool_y_offset": top}, offset)):
+        _named({"geometry": data}, messages)
+    _builds({"geometry": {"link_lengths": [1e5] * 5, "tool_y_offset": 1e5}})
+    _builds({"geometry": {"link_lengths": [0.001] * 5,
+                          "shoulder_height": 0.001},
+             "inertial": {"total_mass": 0.001}})
+
+
+def test_underflowing_split_is_named_by_its_mass():
+    """A mass budget so small that the stock split's masses or rod inertias
+    would round to 0 is named at parse time by the mass the scenario set,
+    with the range message.  The smallest masses in range still build."""
+    total = ["inertial.total_mass: must be in [0.001, 100000]"]
+    for data, messages in (
+            ({"total_mass": 5e-324}, total),  # masses and inertias
+            ({"total_mass": 1e-320}, total),  # the wrist's inertia only
+            ({"total_mass": 1e-300}, total),
+            ({"total_mass": 5e-324, "masses": [1.0] * 4}, total),
+            ({"masses": [1e-322, 1.0, 1.0, 1e-322]},
+             ["inertial.masses[%d]: must be in [0.001, 100000]" % i
+              for i in (0, 3)])):
+        _named({"inertial": data}, messages)
+    for data in ({"total_mass": 0.001}, {"masses": [0.001] * 4},
+                 {"total_mass": 0.001, "masses": [1.0] * 4}):
+        _builds({"inertial": data})
+
+
+def test_point_mass_bound_past_the_float_range_is_named():
+    """A centre of mass whose square is past the float range would make its
+    body's point-mass bound infinite: it is named by its key with the range
+    message, never raised as an OverflowError, and a mass out of range
+    beside it is named too.  The farthest centres in range build."""
+    offsets = [0.05, 1e200, 0.85, 0.04]
+    com = ["inertial.com_offsets[1]: must be in [0, 100]"]
+    for data, messages in (
+            ({"com_offsets": offsets}, com),
+            ({"com_offsets": offsets, "inertias": [5, 50, 170, 2]}, com),
+            ({"com_offsets": offsets, "total_mass": 5e-324},
+             ["inertial.total_mass: must be in [0.001, 100000]"] + com)):
+        _named({"inertial": data}, messages)
+    _builds({"inertial": {"com_offsets": [100] * 4, "inertias": [1e9] * 4}})
+
+
 def test_value_outside_its_range_is_named():
     """A value past its field's range is named by its key at parse time with
-    the one range message, so no square, product or unit conversion the
-    engine forms from it overflows or underflows later: a length whose
-    square in m^2 would pass the float range, a nonzero length whose square
-    would underflow, a mass budget whose stock split would round to 0 and a
-    centre of mass whose point-mass bound would be infinite."""
-    lengths = "geometry.link_lengths[%d]: must be 0 or in [0.001, 100000]"
+    the one range message, so no unit conversion or count the engine forms
+    from it overflows later: a heading offset whose radians would pass the
+    float range and a pass count past any float."""
     for data, messages in (
-            ({"geometry": {"link_lengths": [1000, 1e300, 1e300, 0, 1700]}},
-             [lengths % 1, lengths % 2]),
-            ({"geometry": {"link_lengths": [100, 1000, 1700, 100, 1e-200]}},
-             [lengths % 4]),
-            ({"geometry": {"link_lengths": [100, 1000, 1700, 100,
-                                            math.nextafter(1e5, math.inf)]}},
-             [lengths % 4]),
-            ({"geometry": {"tool_y_offset": 1e300}},
-             ["geometry.tool_y_offset: must be in [0, 100000]"]),
-            ({"inertial": {"total_mass": 5e-324}},
-             ["inertial.total_mass: must be in [0.001, 100000]"]),
-            ({"inertial": {"masses": [1e-322, 1.0, 1.0, 1e-322]}},
-             ["inertial.masses[%d]: must be in [0.001, 100000]" % i
-              for i in (0, 3)]),
-            ({"inertial": {"com_offsets": [0.05, 1e200, 0.85, 0.04],
-                           "inertias": [5, 50, 170, 2]}},
-             ["inertial.com_offsets[1]: must be in [0, 100]"]),
             ({"initial_pose_offset": [0, 0, 1.7e308]},
              ["initial_pose_offset[2]: must be in [-10000, 10000]"]),
             ({"sweep": {"passes": 10 ** 400}},
              ["sweep.passes: must be in [1, 1000000]"])):
-        with pytest.raises(ValidationError) as err:
-            parse_config(data)
-        assert err.value.messages == messages
-    # The edges build the model: the longest lengths, and the smallest
-    # nonzero lengths and masses under the stock split's rod rule.
-    for data in ({"geometry": {"link_lengths": [1e5] * 5,
-                               "tool_y_offset": 1e5}},
-                 {"geometry": {"link_lengths": [0.001] * 5,
-                               "shoulder_height": 0.001},
-                  "inertial": {"total_mass": 0.001}},
-                 {"inertial": {"masses": [0.001] * 4}}):
-        config = parse_config(data)
-        geometry = build_geometry(config)
-        params = build_inertial(config, geometry)
-        assert all(0.0 < v < math.inf for v in params.masses + params.inertias)
-        ArmDynamics(params, geometry)
+        _named(data, messages)
 
 
 def test_every_numeric_leaf_declares_a_range():
