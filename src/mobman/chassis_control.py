@@ -16,7 +16,7 @@ import math
 
 from .dynamics import accelerations
 from .errors import DisturbanceBoundViolation
-from .util import INTEGRATORS, sign, switch, wrap_angle
+from .util import INTEGRATORS, switch, wrap_angle
 
 
 def chassis_tick(ref, z, gains):
@@ -53,7 +53,7 @@ def chassis_tick(ref, z, gains):
     e1d = w * e2 - v + rv * math.cos(e3)
     e2d = -w * e1 + rv * sin_e3
     e3d = rw - w
-    sgn = sign(e1)
+    sgn = switch(e1, 0.0)
     s1 = e1d + k1 * e1 + sgn * abs(e2d + k2 * e2)
     s2 = e3d + k3 * e3 + e2d + k2 * e2
     u2 = (q2 * s2 + p2 * switch(s2, width)

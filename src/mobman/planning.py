@@ -4,7 +4,7 @@ Stage I sweeps the four crib faces while the chassis circles the crib, an
 optional top spray holds the arm at the lap's close, and Stage II parks at
 each residual flame and sprays it, all on one discharge clock.  plan_mission
 lays this out once, in that order, as phases that tile the log's rows; the
-reference passes below only loop over the phases.
+reference passes below loop only over the phases and build no per-row list.
 """
 from __future__ import annotations
 
@@ -150,13 +150,14 @@ def _chassis_reference(plan: MissionPlan) -> np.ndarray:
 
 
 def _labels_and_events(plan: MissionPlan):
-    """State label per sample plus the marker list of each sample."""
+    """State label per sample plus the event cell of each sample: its
+    markers joined by ";" in firing order, "" where none fires."""
     labels = []
-    events = [[] for _ in range(plan.n_steps + 1)]
+    events = [""] * (plan.n_steps + 1)
     for p in plan.phases:
         labels += [p.label] * (p.end - p.start)
         for step, event in p.marks:
-            events[step].append(event)
+            events[step] += ";" + event if events[step] else event
     return labels, events
 
 

@@ -3,12 +3,13 @@
 A run takes three steps.  The planner (mobman.planning) lays the mission out
 as one phase timeline and derives from it the chassis reference, the state
 labels and markers, and the arm's joint reference.  The step loop then
-marches both controllers and plants on plain float lists, reading the
-reference tables as float rows: the chassis follows its reduced velocity
-dynamics, the arm its full rigid-body dynamics under zero-order-hold
-torques, and one plant_step call per step advances the chassis pose and the
-arm together by the scenario's rule (the explicit midpoint rule, or Euler's)
-over their 3 pose and 8 arm floats.
+marches both controllers and plants on plain floats, reading the reference
+tables as tuples zipped over per-block column lists, so it builds no
+container per row; a SolveFailure it raises names the step.  The chassis
+follows its reduced velocity dynamics, the arm its full rigid-body dynamics
+under zero-order-hold torques, and one plant_step call per step advances
+the chassis pose and the arm together by the scenario's rule (the explicit
+midpoint rule, or Euler's) over their 3 pose and 8 arm floats.
 A vectorised pass last derives the tool, target and wheel-speed columns
 into a fixed-schema log that round-trips through CSV bit for bit.
 """
@@ -237,7 +238,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
                         geometry=plan.geometry)
 
     refs = _chassis_reference(plan)
-    labels, event_lists = _labels_and_events(plan)
+    labels, events = _labels_and_events(plan)
     qr, qdr, qddr = _arm_reference(plan, refs)
 
     gains = config.chassis_control
@@ -251,8 +252,8 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     time = np.arange(n + 1) * dt
 
     # The step runs on plain floats: z, q and qd are lists, and the
-    # reference tables are read as float rows a block at a time (converting
-    # them whole up front would hold every row as Python floats at once).
+    # reference tables are read as tuples of floats, converted a block at a
+    # time (converting them whole would hold every float at once).
     # chassis_tick and plant_step read a reference row by position, the arm
     # law one row of q_r, qd_r and qdd_r set side by side.
     ref_rows = _float_rows(refs)
@@ -266,27 +267,31 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     arm_gains, integrator, kernel = (config.arm_control, config.integrator,
                                      model._kernel)
 
-    for i, arm_ref in zip(range(n + 1), _float_rows(qr, qdr, qddr)):
-        err, s, u = chassis_tick(ref, z, gains)
-        # The model at (q, qd), shared by the arm law and the arm step.
-        terms = kernel(q, qd)
-        tau = control_law(q, qd, arm_ref, arm_gains, terms)
-        pack_row(rows, i * row_bytes, *z, *err, *s, *u, *q, *qd, *tau)
-        if i == n:
-            break
-        ref_next = next(ref_rows)
-        # One plant step advances the pose and the arm, which rides on the
-        # chassis; the arm's rates at the step start reuse terms.
-        state = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
-                           integrator, (model, q, qd, terms, tau))
-        # A finite sum proves every float finite; an overflowing one does
-        # not prove any of them infinite, so each is tested then.
-        if (not math.isfinite(sum(state))
-                and not all(map(math.isfinite, state))):
-            raise SolveFailure("step %d (t=%.4f s): non-finite chassis or arm "
-                               "state" % (i + 1, (i + 1) * dt))
-        z, q, qd = state[:5], state[5:9], state[9:]
-        ref = ref_next
+    try:
+        for i, arm_ref in zip(range(n + 1), _float_rows(qr, qdr, qddr)):
+            err, s, u = chassis_tick(ref, z, gains)
+            # The model at (q, qd), shared by the arm law and the arm step.
+            terms = kernel(q, qd)
+            tau = control_law(q, qd, arm_ref, arm_gains, terms)
+            pack_row(rows, i * row_bytes, *z, *err, *s, *u, *q, *qd, *tau)
+            if i == n:
+                break
+            ref_next = next(ref_rows)
+            # One plant step advances the pose and the arm, which rides on
+            # the chassis; the arm's rates at the step start reuse terms.
+            state = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
+                               integrator, (model, q, qd, terms, tau))
+            # A finite sum proves every float finite; an overflowing one
+            # does not prove any of them infinite, so each is tested then.
+            if (not math.isfinite(sum(state))
+                    and not all(map(math.isfinite, state))):
+                raise SolveFailure("non-finite chassis or arm state")
+            z, q, qd = state[:5], state[5:9], state[9:]
+            ref = ref_next
+    except SolveFailure as exc:
+        # Only the plant step can fail, and it was computing step i + 1.
+        raise SolveFailure("step %d (t=%.4f s): %s"
+                           % (i + 1, (i + 1) * dt, exc)) from exc
 
     # Derived columns: tool and target positions by FK at the logged and the
     # reference chassis pose and joints (adjacent columns), wheel speeds from
@@ -320,17 +325,18 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         "n_flagged": len(plan.flagged),
         "flagged": ";".join(f.ident for f, _ in plan.flagged),
     }
-    log = SimLog(meta, time, labels, values,
-                 [";".join(e) for e in event_lists])
+    log = SimLog(meta, time, labels, values, events)
     report = metrics_mod.compute_metrics(log)
     return MissionResult(log=log, report=report, plan=plan)
 
 
 def _float_rows(*tables: np.ndarray):
-    """The rows of 2-D tables of one length, set side by side, as float
-    lists; one block of _BLOCK_ROWS rows is joined and converted at a time."""
-    for a in range(0, len(tables[0]), _BLOCK_ROWS):
-        yield from np.hstack([t[a:a + _BLOCK_ROWS] for t in tables]).tolist()
+    """The rows of 2-D tables of one length, set side by side, as tuples of
+    floats.  Each block of _BLOCK_ROWS rows becomes one float list per
+    column, which zip reads across, so no container is built per row."""
+    return itertools.chain.from_iterable(
+        zip(*[c for t in tables for c in t[a:a + _BLOCK_ROWS].T.tolist()])
+        for a in range(0, len(tables[0]), _BLOCK_ROWS))
 
 
 def export(result: MissionResult, directory) -> list:

@@ -1,7 +1,8 @@
 """Small numeric helpers used across modules.
 
-The per-step helpers wrap_angle, sign and switch take one plain Python
-float: at that size a numpy array costs more than the arithmetic.
+The per-step helpers wrap_angle and switch take one plain Python float
+and call no other helper: at that size a numpy array, or a further call,
+costs more than the arithmetic.
 """
 from __future__ import annotations
 
@@ -21,22 +22,14 @@ def wrap_angle(a: float) -> float:
     return w - math.pi
 
 
-def sign(x: float) -> float:
-    """np.sign of one float: -1.0, 0.0 for either zero, or 1.0; NaN stays NaN."""
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0 if x == 0.0 else x
-
-
 def switch(x: float, width: float) -> float:
-    """Sliding-mode switching function: sign(x), or x / width saturated to
-    [-1, 1] (np.clip, NaN passing through) when the boundary layer is set."""
+    """Sliding-mode switching function: x / width saturated to [-1, 1]
+    (np.clip, NaN passing through) when the boundary layer is set, else
+    np.sign(x): -1.0, 0.0 for either zero, or 1.0, NaN staying NaN."""
     if width > 0.0:
         x = x / width
         return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
-    return sign(x)
+    return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else (0.0 if x == 0.0 else x))
 
 
 # The plant integrators a scenario may name, each written out in

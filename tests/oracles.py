@@ -28,7 +28,8 @@ closure_plant_step); with one substep it is the classic fourth-order rule.
 run_line_scenario is the chassis-only closed loop along a straight line
 that the chassis tests run.
 error_rates, sliding_surface and control_law are the chassis controller
-stage by stage, the composition chassis_tick must equal bit for bit.
+stage by stage, the composition chassis_tick must equal bit for bit; sign
+is np.sign of one float, the rule util.switch states for a zero width.
 """
 import math
 from types import SimpleNamespace
@@ -42,7 +43,7 @@ from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
 from mobman.simulate import CSV_COLUMNS, _write_tables
-from mobman.util import INTEGRATORS, sign, switch, wrap_angle
+from mobman.util import INTEGRATORS, switch, wrap_angle
 
 
 class ChassisError(NamedTuple):
@@ -204,6 +205,15 @@ def run_line_scenario(gains, duration: float, dt: float,
         z = plant_step(z, ref_i, ref_next, u, f_all[i].tolist(), dt,
                        "midpoint")
     return out
+
+
+def sign(x: float) -> float:
+    """np.sign of one float: -1.0, 0.0 for either zero, or 1.0; NaN stays NaN."""
+    if x > 0.0:
+        return 1.0
+    if x < 0.0:
+        return -1.0
+    return 0.0 if x == 0.0 else x
 
 
 def error_rates(err: ChassisError, v: float, w: float,

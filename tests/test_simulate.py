@@ -2,6 +2,7 @@
 import ast
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ def test_phase_timeline(spec, tail):
 
     labels, events = _labels_and_events(plan)
     assert len(labels) == n + 1 and labels[-1] == "End"
-    fired = [event for row in events for event in row]
+    fired = [event for cell in events if cell for event in cell.split(";")]
     order = ["start", "K1", "A8", "A1", "K2", "A2", "A3", "K3", "A4", "A5",
              "K4", "A6", "A7", "K5"]
     if plan.top_spray.duration:
@@ -156,8 +158,7 @@ def test_phase_timeline(spec, tail):
     values = {key: np.zeros(n + 1) for key in CSV_NUMERIC}
     report = compute_metrics(SimLog(
         _metrics_meta(config, n_stops=len(plan.stage2)),
-        np.arange(n + 1) * dt, labels, values,
-        [";".join(row) for row in events]))
+        np.arange(n + 1) * dt, labels, values, events))
     assert report.stage1_wall_time == pytest.approx(plan.circuit.lap_time)
     assert report.top_spray_time == pytest.approx(plan.top_spray.duration)
     assert report.stage2_time == pytest.approx(
@@ -899,8 +900,13 @@ def test_finite_state_with_overflowing_sum_is_not_stopped(monkeypatch):
      r"^circuit\.speed: must be in \[0\.001, 100\]$"),
     ({"circuit": {"corner_radius": 1e-13, "min_corner_radius": 1e-13}},
      ValidationError, r"^circuit\.corner_radius: must be in \[0\.001, 10000\]"),
+    # The arm diverges to joint angles near 1e92, where the trig terms no
+    # longer agree and the mass matrix's Cholesky pivot turns negative.
+    ({"dt": 0.05, "disturbance": {"kind": "noise", "seed": 3},
+      "inertial": {"payload_mass": 3995.83}}, SolveFailure,
+     r"^step 12 \(t=0\.6000 s\): mass matrix is singular or non-finite "),
 ], ids=["inertia_overflow", "offset_l", "pose_offset", "heading_offset",
-        "speed", "corner_radius"])
+        "speed", "corner_radius", "indefinite_mass_matrix"])
 def test_overflowing_scenario_is_named(spec, error, message):
     """A scenario whose numbers would overflow mid-computation ends in a
     MobmanError naming the key or the step, never a raw OverflowError,
@@ -1013,7 +1019,7 @@ def test_one_kernel_per_state(monkeypatch, integrator, per_step):
 
 
 def test_step_loop_builds_no_per_step_record():
-    """The loop reads the chassis reference as plain float rows and keeps
+    """The loop reads the chassis reference as tuples of floats and keeps
     the tracking error as floats, and the package has no second form of
     either: no record class for a reference sample or an error, no
     tracking_error beside chassis_tick's, and no one-clock Circuit.sample
@@ -1086,10 +1092,15 @@ def _numpy_calls(reader):
     """Count the numpy calls made inside the block, by sys.setprofile: each
     Python frame under numpy's package directory, and each C call whose
     __module__, or whose bound object's type's, starts with numpy.  Calls
-    made under the generator function reader are counted as "reader"; the
-    names of the others are listed as "elsewhere"."""
+    made under the function reader, or under a comprehension or generator
+    expression written in it (which may run after reader has returned), are
+    counted as "reader"; the names of the others are listed as "elsewhere"."""
     root = os.path.dirname(np.__file__) + os.sep
     calls = {"reader": 0, "elsewhere": []}
+    codes, nested = set(), [reader.__code__]
+    while nested:
+        codes.add(code := nested.pop())
+        nested += [c for c in code.co_consts if isinstance(c, types.CodeType)]
 
     def numpy_module(x):
         return (getattr(x, "__module__", None) or "").startswith("numpy")
@@ -1103,7 +1114,7 @@ def _numpy_calls(reader):
         else:
             return
         caller = frame
-        while caller is not None and caller.f_code is not reader.__code__:
+        while caller is not None and caller.f_code not in codes:
             caller = caller.f_back
         if caller is None:
             calls["elsewhere"].append(name)
@@ -1121,13 +1132,13 @@ def _numpy_calls(reader):
 def test_control_step_runs_on_plain_floats(model, stock_arm):
     """One chassis tick, arm law, chassis-only plant step and mission plant
     step carrying the arm (each integrator, on a ChassisRefSample and on a
-    float row as run_mission reads it) on float inputs, with the gains
+    row tuple as run_mission reads it) on float inputs, with the gains
     section run_mission reads, build no numpy array and return plain floats,
     so per-stage arrays and numpy scalars cannot creep back into the loop.
     The records the loop reads hold plain floats in every field: the
     tracking error, and the reference rows run_mission's block reader yields
     (across a block edge) with the ChassisRefSamples made from them, and
-    the arm's 12-float rows it sets side by side from the q_r, qd_r and
+    the arm's 12-float tuples it sets side by side from the q_r, qd_r and
     qdd_r tables, each the three tables' rows joined.  FK,
     the circuit sampler and the base-frame transform run on whole arrays
     before or after the loop, so they are called outside the no-array block;
@@ -1178,14 +1189,35 @@ def test_control_step_runs_on_plain_floats(model, stock_arm):
         values += list(sample)
     assert len(values) == 2 + 2 + 4 + 5 + 3 + 4 * 13 + 3 + 2 + 2 + 3 * 10
     assert all(type(v) is float for v in values)
-    assert rows == table.tolist() and refs[-1] == tuple(rows[-1])
+    assert rows == list(map(tuple, table.tolist()))
+    assert refs[-1] == tuple(rows[-1])
     assert all(type(v) is float for row in rows for v in row)
     assert all(type(v) is float for ref in refs for v in ref)
-    assert arm_rows == [a + b + c for a, b, c in zip(
+    assert arm_rows == [tuple(a + b + c) for a, b, c in zip(
         *(t.tolist() for t in arm_tables))]
     assert len(arm_rows) == len(table) and {len(r) for r in arm_rows} == {12}
     assert all(type(v) is float for row in arm_rows for v in row)
     assert all(isinstance(v, float) for v in list(pose) + list(target))
+
+
+def test_mission_runs_no_garbage_collection():
+    """A run builds no container per row (reference rows arrive as tuples
+    zipped over per-block column lists, event cells as strings), so the
+    objects it keeps alive never push CPython's cyclic collector past its
+    first threshold: no collection of any generation runs during it."""
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run_mission(parse_config({"dt": 0.01}))
+    finally:
+        gc.callbacks.remove(count)
+    assert passes == []
 
 
 @pytest.fixture(scope="module")

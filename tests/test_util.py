@@ -13,9 +13,9 @@ import pytest
 
 from mobman.chassis_control import plant_step
 from mobman.dynamics import accelerations
-from mobman.util import sign, switch, wrap_angle
+from mobman.util import switch, wrap_angle
 from oracles import (ChassisRefSample, closure_plant_step,
-                     random_joint_angles, substepped_integrate)
+                     random_joint_angles, sign, substepped_integrate)
 
 METHODS = ["midpoint", "euler"]
 SPECIALS = [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
