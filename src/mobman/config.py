@@ -233,6 +233,10 @@ class BandConfig:
 
 @dataclass
 class ScenarioConfig:
+    """A whole scenario: the step, the integrator and one section per
+    block of the YAML file.  ScenarioConfig() is the stock mission;
+    parse_config overlays a mapping on it and validates the result."""
+
     # s: dt's lower edge is the least positive float, since the plan names
     # a dt too small for the run by its step count.
     dt: float = _field(0.001, _finite(5e-324, 10))
@@ -309,6 +313,9 @@ def parse_config(data: dict | None) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
+    """The scenario in the UTF-8 YAML file at path, through parse_config;
+    an empty file is the stock scenario.  A file that is not YAML or not
+    UTF-8 is a ParseError naming path."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
@@ -318,6 +325,8 @@ def load_config(path) -> ScenarioConfig:
 
 
 def save_config(config: ScenarioConfig, path) -> None:
+    """Write config to path as UTF-8 YAML, which load_config reads back
+    to an equal scenario."""
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(dataclasses.asdict(config), fh, sort_keys=False)
 

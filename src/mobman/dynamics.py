@@ -3,7 +3,13 @@ partials, G(q) and the bias C(q, qd) qd + G(q) at a state, and the forward
 dynamics the plant step integrates (accelerations, which
 chassis_control.plant_step evaluates at each stage of its rule).  The
 sliding-mode law, arm_control.control_law, writes the inverse dynamics
-M qdd + bias out from the same kernel terms.
+M qdd + bias out from the same kernel terms.  Within a control step the law
+and the plant step's rates at the step start share one kernel evaluation,
+as both are taken at the step's start state, and the midpoint rule's half
+step makes one more: a run of n steps evaluates the kernel 2n + 1 times
+under the midpoint rule and n + 1 times under Euler.  An infinite angle in
+joints 2-4 is a SolveFailure about the mass matrix at the kernel's trig, a
+NaN one at a pivot of M's factorization in accelerations.
 
 The model follows the energy route.  Each joint drives one body: the slewing
 column, the boom, the forearm and the wrist (the short parallelogram link is

@@ -64,7 +64,11 @@ class ArmGeometry:
 
 
 class EndEffectorPose(NamedTuple):
-    """Tool point position (mm) and nozzle pitch above horizontal (rad)."""
+    """Tool point position (mm) and nozzle pitch above horizontal (rad).
+
+    A typing.NamedTuple: read its fields by name, and derive a changed copy
+    with _replace (pose._replace(phi=0.0)), not dataclasses.replace.
+    """
 
     x: float
     y: float
@@ -127,7 +131,9 @@ def forward_kinematics(q, geometry: ArmGeometry) -> EndEffectorPose:
 
     The pure geometric map: it checks no joint range, which is
     check_joint_limits' job.  The nozzle pitch comes straight from the wrist
-    joint: phi = -theta4.
+    joint: phi = -theta4.  For one joint vector the fields are numpy float64
+    scalars.  numpy's cos and sin match math.cos and math.sin bit for bit
+    on the machines tested (tests/test_simulate.py checks it).
     """
     a1, _, _, a4, a5 = geometry.a
     q = np.asarray(q, dtype=float)

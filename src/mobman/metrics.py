@@ -21,6 +21,10 @@ from .util import DEG
 
 @dataclass
 class MetricsReport:
+    """What compute_metrics finds in one log: tool and chassis tracking,
+    phase timing (s), the discharge budget and its verdict, and the peak
+    joint torques (N m) and wheel speed (m/s)."""
+
     # tool tracking during the spray sweeps (mm per axis, global frame)
     ee_avg_abs_err_mm: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
     ee_max_abs_err_mm: list = field(default_factory=lambda: [0.0, 0.0, 0.0])

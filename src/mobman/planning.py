@@ -3,8 +3,18 @@
 Stage I sweeps the four crib faces while the chassis circles the crib, an
 optional top spray holds the arm at the lap's close, and Stage II parks at
 each residual flame and sprays it, all on one discharge clock.  plan_mission
-lays this out once, in that order, as phases that tile the log's rows; the
-reference passes below loop only over the phases and build no per-row list.
+lays this out once, in that order, as phases that tile the log's rows:
+Home, which has no steps and only fires start; the sweep and the transit of
+each Stage I leg; the top spray when it has steps; each Stage II drive and
+dwell; and End, the last row.  A dwell with no steps still fires its
+markers and aims the arm.
+
+The chassis reference, the state labels and markers and the arm's joint
+reference are each one loop over the phases, and no other code steps
+through the schedule.  None builds a per-row list: the chassis reference is
+one table filled a phase at a time, each sweep's joint reference one
+base-frame transform and one batch IK, and each gap between spray phases
+one broadcast smoothstep.
 """
 from __future__ import annotations
 
@@ -70,6 +80,12 @@ class MissionPlan:
 
 
 def plan_mission(config: ScenarioConfig) -> MissionPlan:
+    """Lay a validated scenario's mission out on its control grid: the
+    circuit, the four sweeps, the Stage II stops and the phase timeline.
+    Raises GeometryError or InfeasibleSweep for a circuit or a sweep that
+    cannot be flown, and ValidationError naming dt when the run would take
+    more than mission.MAX_STEPS steps.  A fire the arm cannot reach from
+    its stop is flagged in the plan, not raised."""
     dt = config.dt
     geometry = build_geometry(config)
     circuit = Circuit(config.circuit, dt=dt)

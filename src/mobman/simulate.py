@@ -5,13 +5,18 @@ as one phase timeline and derives from it the chassis reference, the state
 labels and markers, and the arm's joint reference.  The step loop then
 marches both controllers and plants on plain floats, reading the reference
 tables as tuples zipped over per-block column lists, so it builds no
-container per row; a SolveFailure it raises names the step.  The chassis
-follows its reduced velocity dynamics, the arm its full rigid-body dynamics
-under zero-order-hold torques, and one plant_step call per step advances
-the chassis pose and the arm together by the scenario's rule (the explicit
-midpoint rule, or Euler's) over their 3 pose and 8 arm floats.
-A vectorised pass last derives the tool, target and wheel-speed columns
-into a fixed-schema log that round-trips through CSV bit for bit.
+container per row.  The disturbance series is checked against its bounds
+once, before the first step.  The chassis follows its reduced velocity
+dynamics, the arm its full rigid-body dynamics under zero-order-hold
+torques, and one plant_step call per step advances the chassis pose and the
+arm together by the scenario's rule (the explicit midpoint rule, or
+Euler's) over their 3 pose and 8 arm floats.  Every SolveFailure the loop
+raises, for a non-finite state or a mass matrix that is not positive
+definite, names the step and its time; a heading that overflows wraps to
+NaN (util.wrap_angle), which the finiteness check catches.  The loop logs
+only what the plants and the laws produce, 24 values a step; a vectorised
+pass last derives the tool, target and wheel-speed columns into a
+fixed-schema log that round-trips through CSV bit for bit.
 """
 from __future__ import annotations
 
@@ -86,8 +91,9 @@ class SimLog:
         is kept only if every item is a float, one per cell.  Any other
         run (an integer spelling such as 1 or -0, nan, inf, a quoted cell)
         goes to numpy's C tokenizer (np.loadtxt), which reads what float()
-        reads except 1_0.  A block that fails is checked again line by
-        line, so the first bad line in the file is the one named.
+        reads except 1_0 and non-ASCII digits.  A block that fails is
+        checked again line by line, so the first bad line in the file is
+        the one named.
         """
         meta: dict = {}
         n = 0
@@ -223,6 +229,9 @@ def _parse_meta_value(text: str):
 
 @dataclass
 class MissionResult:
+    """One run: its log, the metrics report computed from that log, and
+    the plan that produced both."""
+
     log: SimLog
     report: metrics_mod.MetricsReport
     plan: MissionPlan

@@ -88,24 +88,55 @@ def test_every_text_open_names_its_encoding():
 DISTRIBUTION = {"yaml": "PyYAML"}
 
 
-def test_every_third_party_import_is_a_declared_dependency():
-    tomllib = pytest.importorskip("tomllib")
-    root = pathlib.Path(mobman.__file__).parent
+def _third_party_imports(directory: pathlib.Path) -> set:
+    """Top-level names of the modules the .py files under directory import,
+    less the standard library, mobman and the directory's own modules."""
     imported = set()
-    for path in root.rglob("*.py"):
+    for path in directory.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 imported.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imported.add(node.module.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"mobman"}
+    local = {path.stem for path in directory.glob("*.py")}
+    return imported - set(sys.stdlib_module_names) - {"mobman"} - local
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """The package imports only its dependencies, and the tests only those
+    and the test extra."""
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(mobman.__file__).parents[2]
     project = tomllib.loads(
-        root.parents[1].joinpath("pyproject.toml").read_text(encoding="utf-8"))
-    declared = {re.match(r"[\w.-]+", req).group().lower()
-                for req in project["project"]["dependencies"]}
-    assert {"numpy", "yaml", "orjson"} <= third_party
-    assert sorted(m for m in third_party
-                  if DISTRIBUTION.get(m, m).lower() not in declared) == []
+        root.joinpath("pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", req).group().lower()
+                for req in requirements}
+
+    runtime = names(project["dependencies"])
+    testing = runtime | names(project["optional-dependencies"]["test"])
+    for directory, declared, expected in (
+            (root / "src" / "mobman", runtime, {"numpy", "yaml", "orjson"}),
+            (root / "tests", testing,
+             {"numpy", "yaml", "pytest", "hypothesis"})):
+        third_party = _third_party_imports(directory)
+        assert expected <= third_party, directory
+        assert sorted(m for m in third_party
+                      if DISTRIBUTION.get(m, m).lower() not in declared) == []
+
+
+def test_every_public_name_has_its_own_docstring():
+    """README defers to the docstrings for each name's contract: every name
+    in __all__ has a docstring of its own, not the signature a dataclass
+    generates when it has none."""
+    bare = []
+    for name in mobman.__all__:
+        obj = getattr(mobman, name)
+        doc = vars(obj).get("__doc__") if inspect.isclass(obj) else obj.__doc__
+        if not (doc or "").strip() or doc.startswith(name + "("):
+            bare.append(name)
+    assert bare == []
 
 
 def test_engine_states_no_stock_figure():

@@ -1340,8 +1340,19 @@ def test_tiny_step_is_named_before_any_table(monkeypatch, dt):
     monkeypatch.setattr(simulate, "_chassis_reference", no_table)
     config = parse_config({"dt": dt})
     with pytest.raises(ValidationError, match=r"^dt: %r s: the run needs at "
-                       r"least \S+ steps, more than 100000000$" % dt):
+                       r"least \S+ steps, more than 10000000$" % dt):
         run_mission(config)
+
+
+def test_step_cap_bounds_a_run_by_memory():
+    """A run peaks at about 593 B a step.  10 km edges at 1 mm/s and dt 1 s
+    pass every field's range but plan 4e7 steps, about 24 GB, so the plan
+    names the step count; only the plan is made, never the run."""
+    config = parse_config({"dt": 1, "circuit": {"edge_length": 10000,
+                                                "speed": 0.001}})
+    with pytest.raises(ValidationError, match=r"^dt: 1 s: the run needs at "
+                       r"least 4e\+07 steps, more than 10000000$"):
+        plan_mission(config)
 
 
 def test_step_count_is_checked_on_the_whole_plan(monkeypatch):
