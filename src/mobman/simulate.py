@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import os
-import re
 import struct
 from dataclasses import dataclass
 from typing import NoReturn
@@ -57,8 +56,6 @@ _STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
 _STEP_ROW = struct.Struct("%dd" % len(_STEP_COLUMNS))
 _BLOCK_ROWS = 2048  # rows per block of CSV text or of reference floats
 _JSON_ROWS = 128  # rows per orjson.loads, to bound its list of floats
-# orjson's e-7 is repr's e-07; a lookahead lets sub() insert a literal "0".
-_ONE_DIGIT_EXP = re.compile(rb"e-(?=\d(?!\d))")
 
 
 class SimLog:
@@ -372,55 +369,45 @@ def _write_json(path, report) -> None:
 
 
 def _write_tables(log: SimLog, tables: dict) -> None:
-    """Write each path -> (preamble, columns) in tables as a CSV of the log.
+    """Write each path -> (preamble, columns) in tables as a CSV of the log;
+    columns are CSV_COLUMNS or numeric columns only.
 
-    All files are fed together, _BLOCK_ROWS rows at a time: each numeric
-    column any of them names is formatted once per block by _float_cells,
-    with orjson's shortest digits, into text identical to repr's, so
-    from_csv reads every value back bit for bit; every file gets one write
-    per block.  Blocks keep memory flat on long logs.
+    All files are fed together, _BLOCK_ROWS rows at a time: one orjson call
+    formats a file's numeric columns of the block, set side by side, with
+    the shortest digits that round-trip, in orjson's spelling (1e16, 1e-7,
+    0.000012, -0.0); timeseries.csv then gets each row's state and event
+    cells spliced in.  orjson writes NaN and infinities as null: those cells
+    alone take repr (nan, inf, -inf), so every file spells a value alike
+    and from_csv reads every value back bit for bit.  Blocks keep memory
+    flat on long logs.
     """
-    source = {"time": log.time, "state": log.state, "event": log.event,
-              **log.values}
-    needed = list(dict.fromkeys(c for _, cols in tables.values() for c in cols))
+    source = {"time": log.time, **log.values}
     with contextlib.ExitStack() as stack:
         files = []
         for path, (preamble, cols) in tables.items():
             fh = stack.enter_context(open(path, "w", encoding="utf-8"))
             fh.write(preamble + ",".join(cols) + "\n")
-            files.append((fh, cols))
+            labelled = cols == CSV_COLUMNS
+            numeric = ["time", *CSV_NUMERIC] if labelled else cols
+            files.append((fh, [source[c] for c in numeric], labelled))
         for a in range(0, log.n_rows, _BLOCK_ROWS):
-            cells = {}
-            for c in needed:
-                block = source[c][a:a + _BLOCK_ROWS]
-                cells[c] = (block if isinstance(block, list)
-                            else _float_cells(block))
-            for fh, cols in files:
-                fh.write("\n".join(map(",".join, zip(*map(cells.get, cols))))
-                         + "\n")
+            b = a + _BLOCK_ROWS
+            for fh, columns, labelled in files:
+                rows = _csv_rows(np.column_stack([c[a:b] for c in columns]))
+                if labelled:
+                    # The state cell goes after the time cell, the event last.
+                    rows = [f"{r.replace(',', f',{s},', 1)},{e}" for r, s, e
+                            in zip(rows, log.state[a:b], log.event[a:b])]
+                fh.write("\n".join(rows) + "\n")
 
 
-def _float_cells(block: np.ndarray) -> list:
-    """repr of each float of a non-empty 1-D block, as a list of str.
-
-    orjson writes the same shortest round-trip digits as repr, several
-    times faster, but spells exponents its own way (1e16, 1e-7 for repr's
-    1e+16, 1e-07), writes the decade [1e-5, 1e-4) in fixed notation
-    (0.000012 for 1.2e-05) and NaN and infinities as null.  The exponents
-    are respelled in bulk when the text holds any, the decade's cells one
-    by one from orjson's digits; only the non-finite cells take repr.
-    """
-    text = orjson.dumps(np.ascontiguousarray(block),
-                        option=orjson.OPT_SERIALIZE_NUMPY)
-    if b"e" in text:
-        text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
-        text = _ONE_DIGIT_EXP.sub(b"e-0", text)
-    cells = text[1:-1].decode().split(",")
-    size = np.abs(block)
-    for i in np.flatnonzero((size >= 1e-5) & (size < 1e-4)).tolist():
-        sign, _, d = cells[i].partition("0.0000")
-        cells[i] = f"{sign}{d[0]}.{d[1:]}e-05" if d[1:] else f"{sign}{d}e-05"
-    odd = np.flatnonzero(~np.isfinite(block))
-    for i, x in zip(odd.tolist(), block[odd].tolist()):
-        cells[i] = repr(x)
-    return cells
+def _csv_rows(table: np.ndarray) -> list:
+    """Each row of a 2-D float table as its cells joined by commas: orjson's
+    text, with repr's spelling only for the non-finite cells."""
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
+    rows = text[2:-2].decode().split("],[")
+    for i, j in zip(*np.nonzero(~np.isfinite(table))):
+        cells = rows[i].split(",")
+        cells[j] = repr(float(table[i, j]))
+        rows[i] = ",".join(cells)
+    return rows

@@ -1,7 +1,8 @@
 """Shared fixtures.
 
-The full default mission run is expensive (~7 s), so it is executed once per
-session and shared by every test that inspects the stock scenario.
+The full default mission run (25,868 steps) takes about 0.4 s, so it is
+executed once per session and shared by every test that inspects the stock
+scenario.
 """
 import time
 

@@ -14,6 +14,7 @@ import tracemalloc
 import types
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -276,10 +277,11 @@ def test_from_csv_error_handling(tmp_path):
     assert message(nothing, ParseError) == "no header line found"
 
 
-def _reference_csv(log, path):
-    """The cell-by-cell writer that the block writer replaced (with float
-    metadata written as repr(float(value))); kept as the oracle for its
-    bytes."""
+def _reference_csv(log, path, cell=repr):
+    """A cell-by-cell writer of log, each float cell spelled by cell (float
+    metadata as repr(float(value))).  With repr it writes the spelling of
+    logs from before the writer took orjson's, kept to show those still
+    read."""
     with open(path, "w") as fh:
         for key, value in log.meta.items():
             fh.write("#%s=%s\n" % (key, repr(float(value)) if isinstance(
@@ -287,10 +289,15 @@ def _reference_csv(log, path):
         fh.write(",".join(CSV_COLUMNS) + "\n")
         cols = [log.values[k] for k in CSV_NUMERIC]
         for i in range(log.n_rows):
-            cells = [repr(float(log.time[i])), log.state[i]]
-            cells += [repr(float(c[i])) for c in cols]
+            cells = [cell(float(log.time[i])), log.state[i]]
+            cells += [cell(float(c[i])) for c in cols]
             cells.append(log.event[i])
             fh.write(",".join(cells) + "\n")
+
+
+def _orjson_cell(x):
+    """orjson's text for one Python float, repr's for a non-finite one."""
+    return orjson.dumps(x).decode() if math.isfinite(x) else repr(x)
 
 
 def _odd_log(n_rows):
@@ -318,42 +325,105 @@ BLOCK_EDGES = [1, simulate._BLOCK_ROWS - 1, simulate._BLOCK_ROWS,
 @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
 def test_to_csv_matches_cell_by_cell_writer(tmp_path, n_rows):
     """The block writer behind export's timeseries.csv writes the same
-    bytes as a cell-by-cell repr writer, across the block edges."""
+    bytes as a cell-by-cell writer of orjson's text for each float (repr's
+    for a non-finite one), across the block edges."""
     log = _odd_log(n_rows)
     write_log(log, tmp_path / "block.csv")
-    _reference_csv(log, tmp_path / "cell.csv")
+    _reference_csv(log, tmp_path / "cell.csv", _orjson_cell)
     assert ((tmp_path / "block.csv").read_bytes()
             == (tmp_path / "cell.csv").read_bytes())
 
 
-def _assert_cells_are_repr(values):
+@pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+def test_from_csv_reads_repr_spelled_logs_bit_equal(tmp_path, n_rows):
+    """Logs written in repr's spelling (1e+16, 1e-05, -2.5e-300) still read
+    back bit for bit."""
+    log = _odd_log(n_rows)
+    _reference_csv(log, tmp_path / "repr.csv")
+    _assert_same_log(SimLog.from_csv(tmp_path / "repr.csv"), log)
+
+
+# The committed text of each edge float, one file cell each.  An orjson
+# upgrade that spells any of them otherwise changes every artifact.
+SPELLING = [
+    (1e16, "1e16"), (1.2e-05, "0.000012"), (1e-07, "1e-7"), (-0.0, "-0.0"),
+    (0.0, "0.0"), (1.0, "1.0"), (5e-324, "5e-324"), (1e-05, "0.00001"),
+    (np.nextafter(1e-05, 0.0), "9.999999999999999e-6"),
+    (np.nextafter(1e-05, 1.0), "0.000010000000000000003"),
+    (1e-04, "0.0001"), (np.nextafter(1e-04, 0.0), "0.00009999999999999999"),
+    (np.nextafter(1e-04, 1.0), "0.00010000000000000002"),
+    (0.1 + 0.2, "0.30000000000000004"), (1e15, "1000000000000000.0"),
+    (1.2345678901234568e+17, "1.2345678901234568e17"),
+    (-2.5e-300, "-2.5e-300"),
+    (np.finfo(float).max, "1.7976931348623157e308"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")]
+
+
+def test_writer_spells_edge_floats_as_committed(tmp_path):
+    values, text = zip(*SPELLING)
+    n = len(values)
+    log = SimLog({}, np.zeros(n), ["S"] * n,
+                 {k: np.array(values) for k in CSV_NUMERIC}, [""] * n)
+    simulate._write_tables(log, {tmp_path / "x.csv": ("", ["X"])})
+    assert (tmp_path / "x.csv").read_text().split("\n") == ["X", *text, ""]
+
+
+def _assert_same_floats(got, want):
+    """got and want hold the same floats bit for bit, NaN matching any
+    NaN (a NaN's sign and payload are not written)."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _assert_written_cells_round_trip(path, values, n_rows=None):
+    """Lay values, cycled, over the time and CSV_NUMERIC cells of a log of
+    n_rows rows (by default just enough for them all), whose columns are
+    strided views of one row-major table as a run's are; write it as
+    export writes timeseries.csv, and check that every numeric cell parses
+    back to its float through float() and through SimLog.from_csv."""
     a = np.asarray(values, dtype=float)
-    assert simulate._float_cells(a) == list(map(repr, a.tolist()))
+    width = len(CSV_COLUMNS) - 2
+    n_rows = n_rows or -(-a.size // width)
+    table = np.resize(a, (n_rows, width))
+    log = SimLog({}, table[:, 0], ["S"] * n_rows,
+                 dict(zip(CSV_NUMERIC, table[:, 1:].T)), [""] * n_rows)
+    write_log(log, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    _assert_same_floats(np.array([[float(c) for c in [r[0], *r[2:-1]]]
+                                  for r in rows]), table)
+    again = SimLog.from_csv(path)
+    _assert_same_floats(np.column_stack(
+        [again.time, *(again.values[k] for k in CSV_NUMERIC)]), table)
 
 
-@settings(deadline=None)
+@settings(deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.floats(), min_size=1, max_size=300))
-def test_float_cells_are_repr_on_any_float(values):
-    _assert_cells_are_repr(values)
+def test_written_cells_round_trip_any_float(tmp_path, values):
+    _assert_written_cells_round_trip(tmp_path / "run.csv", values)
 
 
-def test_float_cells_are_repr_on_random_bits_and_edges():
+def test_written_cells_round_trip_random_bits_and_edges(tmp_path):
+    path = tmp_path / "run.csv"
     bits = np.random.default_rng(11).integers(0, 2 ** 64, 200_000,
                                               dtype=np.uint64)
-    _assert_cells_are_repr(bits.view(np.float64))
-    edges = [0.0, -0.0, 5e-324, np.finfo(float).max]
+    _assert_written_cells_round_trip(path, bits.view(np.float64))
+    edges = [0.0, -0.0, 5e-324, np.finfo(float).max, math.inf, math.nan]
     for x in (1e-5, 1e-4, 1e16):
         edges += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
-    # orjson writes the decade [1e-5, 1e-4) in fixed notation, which the
-    # writer respells from its digits: one digit, 17 digits, and draws
-    # across the decade, which random bits reach about once in 500.
+    # orjson writes the decade [1e-5, 1e-4) in fixed notation: one digit,
+    # 17 digits, and draws across the decade, which random bits reach
+    # about once in 500.
     edges += [float("%de-05" % d) for d in range(1, 10)]
     edges += [1.2345678901234567e-05, np.nextafter(2e-05, 1.0)]
-    _assert_cells_are_repr(edges + [-x for x in edges])
+    edges += [-x for x in edges]
+    for n_rows in BLOCK_EDGES:
+        _assert_written_cells_round_trip(path, edges, n_rows)
     draws = np.random.default_rng(12).uniform(1e-5, 1e-4, 200_000)
-    _assert_cells_are_repr(np.concatenate([draws, -draws]))
+    _assert_written_cells_round_trip(path, np.concatenate([draws, -draws]))
     # A strided view takes the same text.
-    _assert_cells_are_repr(np.array(edges)[::2])
+    _assert_written_cells_round_trip(path, np.array(edges)[::2])
 
 
 def _assert_same_log(again, log):
@@ -712,17 +782,31 @@ def test_export_writes_all_artifacts(default_mission, tmp_path):
     payload = json.loads((tmp_path / "metrics.json").read_text())
     assert payload["verdict"] == result.report.verdict
 
-    # Each subset is its columns cut from the same rows of timeseries.csv.
-    lines = (tmp_path / "timeseries.csv").read_text().splitlines()
+    _assert_subsets_cut_from_timeseries(tmp_path, result.log.n_rows)
+
+
+def test_export_subsets_match_timeseries_on_odd_values(default_mission,
+                                                       tmp_path):
+    """On a log holding inf, NaN, -0.0, the [1e-5, 1e-4) decade and # in
+    its labels, each subset file's cell is still the timeseries.csv cell."""
+    log = _odd_log(simulate._BLOCK_ROWS + 1)
+    export(dataclasses.replace(default_mission[0], log=log), tmp_path)
+    _assert_subsets_cut_from_timeseries(tmp_path, log.n_rows)
+
+
+def _assert_subsets_cut_from_timeseries(directory, n_rows):
+    """Each subset export writes is its columns cut from the same rows of
+    timeseries.csv."""
+    lines = (directory / "timeseries.csv").read_text().splitlines()
     lines = [line for line in lines if not line.startswith("#")]
     full = [line.split(",") for line in lines[1:]]
-    assert len(full) == result.log.n_rows
+    assert len(full) == n_rows
     subsets = {"trajectory.csv": ["X", "Y", "phi"],
                "tracking_errors.csv": ["e1", "e2", "e3", "s1", "s2"],
                "joint_torques.csv": ["tau1", "tau2", "tau3", "tau4"],
                "wheel_speeds.csv": ["vL", "vR"]}
     for name, fields in subsets.items():
-        head, *rows = (tmp_path / name).read_text().splitlines()
+        head, *rows = (directory / name).read_text().splitlines()
         assert head == ",".join(["time"] + fields)
         index = [CSV_COLUMNS.index(c) for c in ["time"] + fields]
         assert rows == [",".join(cells[k] for k in index) for cells in full]
