@@ -129,15 +129,16 @@ def compute_metrics(log) -> MetricsReport:
         report.convergence_time = float(t[first] - t[0])
 
     # Tool tracking during sweep windows only (dwells and transits excluded).
-    ee = np.column_stack([v["eeX"], v["eeY"], v["eeZ"]])
-    tgt = np.column_stack([v["tgtX"], v["tgtY"], v["tgtZ"]])
     window_err = []
     for k in range(1, 5):
         start = ev.get("sweep%d_start" % k)
         end = ev.get("sweep%d_end" % k)
         if start is None or end is None:
             continue
-        window_err.append(np.abs(ee[start:end + 1] - tgt[start:end + 1]))
+        window = slice(start, end + 1)
+        window_err.append(np.abs(
+            np.column_stack([v["ee" + a][window] for a in "XYZ"])
+            - np.column_stack([v["tgt" + a][window] for a in "XYZ"])))
     if window_err:
         err = np.vstack(window_err) * 1e3
         report.ee_avg_abs_err_mm = [float(x) for x in err.mean(axis=0)]
@@ -193,8 +194,8 @@ def compute_metrics(log) -> MetricsReport:
         report.verdict = ("PASS" if report.mission_total_time
                           < report.discharge_time else "FAIL")
 
-    taus = np.column_stack([v["tau%d" % i] for i in range(1, 5)])
-    report.max_joint_torques = [float(x) for x in np.abs(taus).max(axis=0)]
+    report.max_joint_torques = [float(np.abs(v["tau%d" % i]).max())
+                                for i in range(1, 5)]
     report.max_wheel_speed = float(
         max(np.abs(v["vL"]).max(), np.abs(v["vR"]).max()))
     return report

@@ -23,9 +23,9 @@ from .arm_control import target_in_base_frame
 from .util import DEG
 
 
-# The most control steps a run may take.  A run's memory peaks at about
-# 593 B a step (tracemalloc over run_mission at dt 4, 2 and 1 ms), so this
-# many need about 6 GB.
+# The most control steps a run may take.  A run's memory peaks in its step
+# loop at about 430 B a step (tracemalloc over run_mission: 475, 442 and
+# 425 B at dt 4, 2 and 1 ms), so this many need about 4.3 GB.
 MAX_STEPS = 10 ** 7
 
 

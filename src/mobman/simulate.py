@@ -17,6 +17,15 @@ NaN (util.wrap_angle), which the finiteness check catches.  The loop logs
 only what the plants and the laws produce, 24 values a step; a vectorised
 pass last derives the tool, target and wheel-speed columns into a
 fixed-schema log that round-trips through CSV bit for bit.
+
+A run's memory peaks in the step loop.  It holds the row table, the chassis
+reference, q_r, qd_r, qdd_r, the disturbance and the time column, 49 floats
+a row, and one block of each reference table as Python floats.  The tables
+are released as their last reader finishes: qd_r, qdd_r and the disturbance
+when the loop ends, the chassis reference and q_r once the target columns
+are derived.  The tool's FK temporaries die with _tool_columns, and
+compute_metrics stacks only the sweep windows' rows, so neither the derived
+columns nor the metrics outgrow the loop.
 """
 from __future__ import annotations
 
@@ -54,7 +63,12 @@ _NUMERIC_CELLS = [0, *range(2, len(CSV_COLUMNS) - 1)]  # time, CSV_NUMERIC
 _STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
 # One step's row of native doubles: packing copies each float's bits.
 _STEP_ROW = struct.Struct("%dd" % len(_STEP_COLUMNS))
-_BLOCK_ROWS = 2048  # rows per block of CSV text or of reference floats
+# Rows per block of reference floats in the loop, of CSV text in export and
+# of lines in from_csv.  A block's Python objects take about 0.8 kB a row in
+# the loop and 2.8 kB in export: at 512 rows, 0.4 MB (a twenty-fifth of a
+# stock run's loop tables) and 1.4 MB.  Larger blocks only raise the peak;
+# 2048-row blocks timed no faster.
+_BLOCK_ROWS = 512
 _JSON_ROWS = 128  # rows per orjson.loads, to bound its list of floats
 
 
@@ -299,19 +313,16 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
         raise SolveFailure("step %d (t=%.4f s): %s"
                            % (i + 1, (i + 1) * dt, exc)) from exc
 
-    # Derived columns: tool and target positions by FK at the logged and the
-    # reference chassis pose and joints (adjacent columns), wheel speeds from
-    # (v, w).  Freeing the loop's rate references and disturbance first
-    # keeps the pass's temporaries within the run's earlier peak RSS.
+    # Derived columns: target then tool positions by FK at the reference
+    # and the logged chassis pose and joints, wheel speeds from (v, w).  Each
+    # table goes once its last reader is done, so the loop stays the peak.
     del qdr, qddr, dist, dist_rows, ref_rows
     values = dict(zip(_STEP_COLUMNS, rows.T))
-    for name, joints, (x, y, heading) in (
-            ("ee", rows[:, 12:16], rows[:, :3].T), ("tgt", qr, refs[:, :3].T)):
-        tool = forward_kinematics(joints, plan.geometry)
-        c, sn = np.cos(heading), np.sin(heading)
-        values[name + "X"] = x + (tool.x * c - tool.y * sn) * 1e-3
-        values[name + "Y"] = y + (tool.x * sn + tool.y * c) * 1e-3
-        values[name + "Z"] = tool.z * 1e-3
+    values["tgtX"], values["tgtY"], values["tgtZ"] = _tool_columns(
+        qr, refs[:, :3].T, plan.geometry)
+    del refs, qr
+    values["eeX"], values["eeY"], values["eeZ"] = _tool_columns(
+        rows[:, 12:16], rows[:, :3].T, plan.geometry)
     values["vL"], values["vR"] = wheel_speeds(values["v"], values["w"],
                                               gains.track_width)
 
@@ -334,6 +345,16 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     log = SimLog(meta, time, labels, values, events)
     report = metrics_mod.compute_metrics(log)
     return MissionResult(log=log, report=report, plan=plan)
+
+
+def _tool_columns(joints, pose, geometry) -> tuple:
+    """Global X, Y and Z (m) of the tool by FK of joints, an (n, 4) table,
+    at the chassis poses pose, rows x, y and heading."""
+    tool = forward_kinematics(joints, geometry)
+    x, y, heading = pose
+    c, s = np.cos(heading), np.sin(heading)
+    return (x + (tool.x * c - tool.y * s) * 1e-3,
+            y + (tool.x * s + tool.y * c) * 1e-3, tool.z * 1e-3)
 
 
 def _float_rows(*tables: np.ndarray):
