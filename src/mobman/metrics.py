@@ -135,10 +135,9 @@ def compute_metrics(log) -> MetricsReport:
         end = ev.get("sweep%d_end" % k)
         if start is None or end is None:
             continue
-        window = slice(start, end + 1)
-        window_err.append(np.abs(
-            np.column_stack([v["ee" + a][window] for a in "XYZ"])
-            - np.column_stack([v["tgt" + a][window] for a in "XYZ"])))
+        window_err.append(np.abs(np.column_stack(
+            [v["ee" + a][start:end + 1] - v["tgt" + a][start:end + 1]
+             for a in "XYZ"])))
     if window_err:
         err = np.vstack(window_err) * 1e3
         report.ee_avg_abs_err_mm = [float(x) for x in err.mean(axis=0)]

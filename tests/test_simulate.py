@@ -318,8 +318,10 @@ def _odd_log(n_rows):
                   values, ["" if i % 5 else "ev#%d" % i for i in range(n_rows)])
 
 
-BLOCK_EDGES = [1, simulate._BLOCK_ROWS - 1, simulate._BLOCK_ROWS,
-               simulate._BLOCK_ROWS + 1]
+# One short block, and the edge after four full blocks, so the writer's and
+# the reader's block offsets must carry across several blocks.
+BLOCK_EDGES = [1, 4 * simulate._BLOCK_ROWS - 1, 4 * simulate._BLOCK_ROWS,
+               4 * simulate._BLOCK_ROWS + 1]
 
 
 @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
@@ -590,14 +592,14 @@ def test_from_csv_reads_the_writers_text_without_the_block_parse(
 
 
 @pytest.mark.parametrize("row", [5, simulate._JSON_ROWS + 5,
-                                 simulate._BLOCK_ROWS + 5])
+                                 4 * simulate._BLOCK_ROWS + 5])
 @pytest.mark.parametrize("cell", ['"1.5"', "true", "null"])
 def test_from_csv_names_cells_json_reads_but_float_does_not(tmp_path, cell,
                                                             row):
     """orjson reads these cells (np.fromiter would then take them as 1.5,
     1.0 and nan); the line is named as float() words it."""
     path = tmp_path / "run.csv"
-    write_log(_plain_log(2 * simulate._BLOCK_ROWS + 20), path)
+    write_log(_plain_log(4 * simulate._BLOCK_ROWS + 20), path)
     lineno = _set_cells(path, row, {"q2": cell})
     with pytest.raises(ParseError) as info:
         SimLog.from_csv(path)
@@ -1480,9 +1482,10 @@ def test_mission_memory_peaks_in_its_loop(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
+    before_metrics, from_metrics = peaks
     tables = 49 * 8 * result.log.n_rows
-    assert max(peaks) < 1.75 * tables
-    assert peaks[1] < 0.95 * tables
+    assert max(before_metrics, from_metrics) < 1.75 * tables
+    assert from_metrics < 0.95 * tables
 
 
 def test_step_count_is_checked_on_the_whole_plan(monkeypatch):
