@@ -37,7 +37,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 import orjson
@@ -59,29 +58,36 @@ CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "tau1", "tau2", "tau3", "tau4",
                "eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ"]
 CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
-_NUMERIC_CELLS = [0, *range(2, len(CSV_COLUMNS) - 1)]  # time, CSV_NUMERIC
 _STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
 # One step's row of native doubles: packing copies each float's bits.
 _STEP_ROW = struct.Struct("%dd" % len(_STEP_COLUMNS))
-# Rows per block of reference floats in the loop, of CSV text in export and
-# of lines in from_csv.  A block's Python objects take about 0.8 kB a row in
-# the loop and 2.8 kB in export: at 512 rows, 0.4 MB (a twenty-fifth of a
-# stock run's loop tables) and 1.4 MB.  Larger blocks only raise the peak;
-# 2048-row blocks timed no faster.
+# Rows per block of reference floats in the loop and of CSV text in export.
+# A block's Python objects take about 0.8 kB a row in the loop and 2.8 kB in
+# export: at 512 rows, 0.4 MB (a twenty-fifth of a stock run's loop tables)
+# and 1.4 MB.  Larger blocks only raise the peak; 2048-row blocks timed no
+# faster.
 _BLOCK_ROWS = 512
-_JSON_ROWS = 128  # rows per orjson.loads, to bound its list of floats
+# Lines per batch of from_csv: one orjson.loads, or one row-by-row read, per
+# batch.  A batch's lines and floats are the reader's only Python objects:
+# reading 10,000 rows peaks at 1.5 times the returned arrays, and at 2.0
+# times with 512-line batches.
+_JSON_ROWS = 128
 
 
 class SimLog:
-    """Column-oriented run log with metadata and per-row event markers."""
+    """Column-oriented run log with metadata and per-row event markers.
 
-    def __init__(self, meta, time, state, values, event):
+    The state and event lists are kept as given, not copied: a run's log
+    shares them with run_mission, which holds them through compute_metrics.
+    """
+
+    def __init__(self, meta, time, state: list, values, event: list):
         self.meta = dict(meta)
         self.time = np.asarray(time, dtype=float)
-        self.state = list(state)
+        self.state = state
         self.values = {k: np.asarray(values[k], dtype=float)
                        for k in CSV_NUMERIC}
-        self.event = list(event)
+        self.event = event
 
     @property
     def n_rows(self) -> int:
@@ -95,16 +101,15 @@ class SimLog:
     def from_csv(cls, path) -> "SimLog":
         """Read a log written as export's timeseries.csv.
 
-        The body is read _BLOCK_ROWS lines at a time into one preallocated
-        column-major table.  Each run of up to _JSON_ROWS lines is parsed
-        by one orjson.loads of its numeric cells, joined into a flat JSON
-        array, with the same correctly rounded parse as float(); the run
-        is kept only if every item is a float, one per cell.  Any other
-        run (an integer spelling such as 1 or -0, nan, inf, a quoted cell)
-        goes to numpy's C tokenizer (np.loadtxt), which reads what float()
-        reads except 1_0 and non-ASCII digits.  A block that fails is
-        checked again line by line, so the first bad line in the file is
-        the one named.
+        The body is read _JSON_ROWS lines at a time into one preallocated
+        column-major table.  One orjson.loads of a batch's numeric cells,
+        joined into a flat JSON array, reads them with the same correctly
+        rounded parse as float(); the batch is kept if every row has its
+        cells and every item is a float, one per cell, as for every batch
+        export writes.  Any other batch (an integer spelling such as 1 or
+        -0, nan, inf, a quoted cell, a bad row) is read again row by row,
+        each numeric cell by float() but for 1_0 and non-ASCII digits, so
+        the first bad line in the file is the one named.
         """
         meta: dict = {}
         n = 0
@@ -118,7 +123,8 @@ class SimLog:
                 count = sum(1 for _ in fh)
             except UnicodeDecodeError as exc:
                 raise ParseError("%s: %s" % (path, exc)) from exc
-            table = np.empty((count, len(_NUMERIC_CELLS)), order="F")
+            # Columns: time, then CSV_NUMERIC.
+            table = np.empty((count, 1 + len(CSV_NUMERIC)), order="F")
             fh.seek(0)
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
@@ -136,54 +142,45 @@ class SimLog:
                 meta[key] = val if key == "flagged" else _parse_meta_value(val)
             else:
                 raise ParseError("no header line found")
-            while chunk := [raw.rstrip("\n")
-                            for raw in itertools.islice(fh, _BLOCK_ROWS)]:
-                lines = [line for line in chunk if line]
-                labels = _parse_rows(lines, table[n:n + len(lines)])
-                if labels is None:
-                    _raise_first_bad_row(chunk, lineno + 1)
-                state += labels[0]
-                event += labels[1]
-                n += len(lines)
-                lineno += len(chunk)
+            body = enumerate((raw.rstrip("\n") for raw in fh),
+                             start=lineno + 1)
+            while batch := list(itertools.islice(body, _JSON_ROWS)):
+                rows = [row for row in batch if row[1]]
+                _parse_rows(rows, table[n:n + len(rows)], state, event)
+                n += len(rows)
         if not n:
             raise EmptyLog("log file has no data rows")
         return cls(meta, table[:n, 0], state,
                    dict(zip(CSV_NUMERIC, table[:n, 1:].T)), event)
 
 
-def _numeric_cells(lines: list) -> np.ndarray:
-    """The time and CSV_NUMERIC cells of the data rows lines, one row each.
-    No # starts a comment: a state or event cell may hold one."""
-    return np.loadtxt(lines, delimiter=",", comments=None,
-                      usecols=_NUMERIC_CELLS, ndmin=2)
-
-
-def _parse_rows(lines: list, out: np.ndarray) -> tuple[list, list] | None:
-    """Parse the numeric cells of the data rows lines into out and return
-    their state and event cells as two lists; None when a row has the wrong
-    cell count or a cell the parse rejects.  Each run of up to _JSON_ROWS
-    rows is read by _json_cells, or failing that by _numeric_cells."""
-    if any(line.count(",") != len(CSV_COLUMNS) - 1 for line in lines):
-        return None
-    state, event = [], []
-    for a in range(0, len(lines), _JSON_ROWS):
-        batch = lines[a:a + _JSON_ROWS]
-        numbers = []
-        for line in batch:
-            time, _, rest = line.partition(",")
-            label, _, rest = rest.partition(",")
-            cells, _, mark = rest.rpartition(",")
-            numbers += (time, cells)
-            state.append(label)
-            event.append(mark)
-        rows = out[a:a + len(batch)]
-        if not _json_cells(",".join(numbers), rows):
-            try:
-                rows[:] = _numeric_cells(batch)
-            except ValueError:
-                return None
-    return state, event
+def _parse_rows(rows: list, out: np.ndarray, state: list,
+                event: list) -> None:
+    """Parse the numeric cells of rows, (line number, line) pairs of data
+    rows, into out, and append their state and event cells to state and
+    event.  _json_cells reads the batch at once; failing that, each row is
+    read in order, and the first with the wrong cell count or a cell
+    _float_cell rejects raises the ParseError naming its line."""
+    numbers = []
+    for _, line in rows:
+        time, _, rest = line.partition(",")
+        label, _, rest = rest.partition(",")
+        cells, _, mark = rest.rpartition(",")
+        numbers += (time, cells)
+        state.append(label)
+        event.append(mark)
+    if (all(line.count(",") == len(CSV_COLUMNS) - 1 for _, line in rows)
+            and _json_cells(",".join(numbers), out)):
+        return
+    for row, (lineno, line) in zip(out, rows):
+        cells = line.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ParseError("line %d: expected %d cells, got %d"
+                             % (lineno, len(CSV_COLUMNS), len(cells)))
+        try:
+            row[:] = list(map(_float_cell, [cells[0], *cells[2:-1]]))
+        except ValueError as exc:
+            raise ParseError("line %d: %s" % (lineno, exc)) from exc
 
 
 def _json_cells(text: str, out: np.ndarray) -> bool:
@@ -194,8 +191,8 @@ def _json_cells(text: str, out: np.ndarray) -> bool:
     orjson reads a number it returns as a float exactly as float() does.
     But it returns 1 and -0 as ints (-0 losing its sign), and "1.5", true
     and null as types np.fromiter would still convert, and a cell such as
-    [1.0 nests the array: a run with any item not a float is left to the
-    block parse.
+    [1.0 nests the array: a batch with any item not a float is left to the
+    row-by-row read.
     """
     try:
         flat = orjson.loads("[%s]" % text)
@@ -207,26 +204,17 @@ def _json_cells(text: str, out: np.ndarray) -> bool:
     return True
 
 
-def _raise_first_bad_row(chunk: list, first_lineno: int) -> NoReturn:
-    """Raise the ParseError naming the first bad line of chunk, a block of
-    lines starting at line first_lineno that _parse_rows rejected."""
-    for lineno, line in enumerate(chunk, start=first_lineno):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise ParseError("line %d: expected %d cells, got %d"
-                             % (lineno, len(CSV_COLUMNS), len(cells)))
+def _float_cell(cell: str) -> float:
+    """float() of one numeric cell stripped of whitespace (str.strip's, which
+    takes more than float()'s); a digit separator (1_0) or a non-ASCII
+    character left inside, such as a non-ASCII digit, is rejected."""
+    text = cell.strip()
+    if "_" not in text and text.isascii():
         try:
-            for cell in [cells[0]] + cells[2:-1]:
-                float(cell)
-            # Cells float() takes but the block parse does not, such as 1_0.
-            _numeric_cells([line])
-        except ValueError as exc:
-            raise ParseError("line %d: %s" % (lineno, exc)) from exc
-    raise AssertionError("lines %d-%d were rejected as a block but pass one "
-                         "by one" % (first_lineno,
-                                     first_lineno + len(chunk) - 1))
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError("could not convert string to float: %r" % cell)
 
 
 def _parse_meta_value(text: str):

@@ -506,8 +506,8 @@ def test_from_csv_names_earliest_bad_line_in_block(tmp_path, first, later):
 
 
 def test_from_csv_rejects_underscore_digits(tmp_path):
-    """float() takes 1_0 but the block parse does not; the line is still
-    named."""
+    """float() takes 1_0 but the reader does not, as np.loadtxt did not;
+    the line is still named."""
     path = tmp_path / "run.csv"
     write_log(_odd_log(3), path)
     lines = path.read_text().split("\n")
@@ -581,13 +581,15 @@ def _set_cells(path, row, cells):
 
 def test_from_csv_reads_the_writers_text_without_the_block_parse(
         tmp_path, monkeypatch):
+    """Every batch of the writer's text is read by the JSON parse: the
+    row-by-row read never parses a cell."""
     log = _plain_log(simulate._BLOCK_ROWS + 20)
     write_log(log, tmp_path / "run.csv")
 
-    def block_parse(lines):
-        raise AssertionError("np.loadtxt path taken")
+    def cell_parse(cell):
+        raise AssertionError("row-by-row read taken")
 
-    monkeypatch.setattr(simulate, "_numeric_cells", block_parse)
+    monkeypatch.setattr(simulate, "_float_cell", cell_parse)
     _assert_same_log(SimLog.from_csv(tmp_path / "run.csv"), log)
 
 
@@ -673,7 +675,8 @@ def _read_or_message(path):
 @given(rows=_numeric_rows())
 def test_json_parse_equals_block_parse(tmp_path, monkeypatch, rows):
     """Each drawn block reads to a bit-equal table or fails with the same
-    message, with or without the JSON parse."""
+    message, with or without the JSON parse (without it, every batch is
+    read row by row)."""
     path = tmp_path / "run.csv"
     path.write_text("\n".join(
         [",".join(CSV_COLUMNS)]
@@ -682,6 +685,76 @@ def test_json_parse_equals_block_parse(tmp_path, monkeypatch, rows):
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_json_cells", lambda text, out: False)
         assert _read_or_message(path) == fast
+
+
+# Cells np.loadtxt and float() read apart: whitespace float() keeps but
+# str.strip takes (non-ASCII spaces, the ASCII separators \x1c-\x1f), digit
+# separators and non-ASCII digits.
+_UNICODE_CELLS = st.one_of(
+    st.tuples(st.sampled_from(["", "\u2003", "\u00a0", "\u3000", "\x1c",
+                               "\x1f", " \u2003"]), _REPR_CELLS,
+              st.sampled_from(["", "\u2003", "\u00a0", "\x1d", "\t"])).map(
+        "".join),
+    st.sampled_from(["1_0", "1_000.5", "_1", "1__0", "\u0661", "\u0663.\u0665",
+                     "\uff11", "1\u0660", "\u0966.5", "1e\u0665", "\u200b1",
+                     "1\ufeff"]))
+
+
+def _loadtxt_cells(line):
+    """The time and CSV_NUMERIC cells of one data row as numpy's C
+    tokenizer reads them; ValueError if it rejects one.  No # starts a
+    comment: a state or event cell may hold one."""
+    return np.loadtxt([line], delimiter=",", comments=None, ndmin=2,
+                      usecols=[0, *range(2, len(CSV_COLUMNS) - 1)])[0]
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cell=st.one_of(_ODD_CELLS, _UNICODE_CELLS),
+       column=st.integers(0, len(CSV_NUMERIC)))
+def test_row_by_row_read_equals_loadtxt(tmp_path, monkeypatch, cell, column):
+    """A cell in any numeric column reads bit-equal by the row-by-row read
+    and by np.loadtxt, or both reject it."""
+    cells = ["0.5"] * (len(CSV_NUMERIC) + 1)
+    cells[column] = cell
+    line = ",".join([cells[0], "S", *cells[1:], ""])
+    path = tmp_path / "run.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + line + "\n",
+                    encoding="utf-8")
+    monkeypatch.setattr(simulate, "_json_cells", lambda text, out: False)
+    try:
+        want = _loadtxt_cells(line)
+    except ValueError:
+        with pytest.raises(ParseError, match="^line 2: "):
+            SimLog.from_csv(path)
+        return
+    log = SimLog.from_csv(path)
+    got = np.array([log.time[0], *(log.values[k][0] for k in CSV_NUMERIC)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_from_csv_reads_non_finite_cells_in_every_batch(tmp_path):
+    """A non-finite cell in the first and the last row of every batch of
+    _JSON_ROWS lines, with a blank line in the body, sends every batch to
+    the row-by-row read; the log still reads back bit-equal."""
+    n_rows = 4 * simulate._BLOCK_ROWS + 30
+    blank = 3 * simulate._JSON_ROWS + 50  # body line left blank
+    line_rows = [*range(blank), None, *range(blank, n_rows)]
+    edges = []
+    for a in range(0, len(line_rows), simulate._JSON_ROWS):
+        batch = [r for r in line_rows[a:a + simulate._JSON_ROWS]
+                 if r is not None]
+        edges += [batch[0], batch[-1]]
+    log = _plain_log(n_rows)
+    odd = [math.nan, math.inf, -math.inf]
+    for k, row in enumerate(edges):
+        log.values[CSV_NUMERIC[k % len(CSV_NUMERIC)]][row] = odd[k % 3]
+    path = tmp_path / "run.csv"
+    write_log(log, path)
+    lines = path.read_text().split("\n")
+    lines.insert(lines.index(",".join(CSV_COLUMNS)) + 1 + blank, "")
+    path.write_text("\n".join(lines))
+    _assert_same_log(SimLog.from_csv(path), log)
 
 
 def test_flagged_ident_round_trips_as_text(tmp_path):
@@ -1486,6 +1559,28 @@ def test_mission_memory_peaks_in_its_loop(monkeypatch):
     tables = 49 * 8 * result.log.n_rows
     assert max(before_metrics, from_metrics) < 1.75 * tables
     assert from_metrics < 0.95 * tables
+
+
+def test_mission_holds_its_labels_once(monkeypatch):
+    """When the metrics start, a run holds its log's 33 float columns (264 B
+    a row), one list each of state labels and event cells shared with the
+    log (16 B a row) and a few tens of kB besides: under 304 B a row at dt
+    10 ms.  A log that copies the two lists holds 16 B a row more."""
+    compute = simulate.metrics_mod.compute_metrics
+    held = []
+
+    def traced_metrics(log):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return compute(log)
+
+    monkeypatch.setattr(simulate.metrics_mod, "compute_metrics",
+                        traced_metrics)
+    tracemalloc.start()
+    try:
+        result = run_mission(parse_config({"dt": 0.01}))
+    finally:
+        tracemalloc.stop()
+    assert held[0] < 304 * result.log.n_rows
 
 
 def test_step_count_is_checked_on_the_whole_plan(monkeypatch):
