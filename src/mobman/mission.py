@@ -59,7 +59,8 @@ class Circuit:
     full straights in path order.
 
     spec is the scenario's CircuitConfig section, read by attribute; dt is
-    the control step the corners are snapped to.
+    the control step the corners are snapped to and the Stage II stops'
+    lap steps are counted in.
     """
 
     def __init__(self, spec, dt: float):
@@ -86,6 +87,7 @@ class Circuit:
                 "%.3g m/s rounds to no control step of %g s"
                 % (spec.corner_radius, spec.speed, dt))
         self.spec = spec
+        self.dt = dt
         ls = spec.edge_length
         r = spec.corner_radius
         v = spec.speed
@@ -144,31 +146,18 @@ class Circuit:
             [0.0] + [segs[2 + 2 * i].t0 + self.half_edge_time for i in range(3)]
             + [self.lap_time])
 
-        # Tangency marks: pairs flank the full straights; the opening leg's
-        # straight is split by K1, so its exit mark A8 comes first in lap time.
-        self.a_points = np.empty((8, 2))
-        self.a_times = np.empty(8)
-        for g in range(3):  # groups 1..3: the three full straights
-            seg = segs[2 + 2 * g]
-            self.a_points[2 * g] = seg.data[0], seg.data[1]
-            self.a_times[2 * g] = seg.t0
-            self.a_points[2 * g + 1] = self._straight_end(seg)
-            self.a_times[2 * g + 1] = seg.t0 + seg.duration
-        first, last = segs[0], segs[-1]
-        self.a_points[6] = last.data[0], last.data[1]      # A7: opening-leg entry
-        self.a_times[6] = last.t0
-        self.a_points[7] = self._straight_end(first)       # A8: opening-leg exit
-        self.a_times[7] = first.t0 + first.duration
+        # Tangency marks: A(2g-1) and A(2g) are the entry and exit of group
+        # g's full straight, segments[2g].  Each mark's clock is the entry of
+        # the segment it begins: A8 begins the first corner, early in the lap.
+        self.a_points = np.array([
+            (x0 + d * math.cos(h), y0 + d * math.sin(h))
+            for x0, y0, h in (seg.data for seg in segs[2::2]) for d in (0.0, ls)])
+        self.a_times = np.array([seg.t0 for seg in segs[2:] + segs[1:2]])
 
     def _arc_exit(self, ccx, ccy, heading0):
         h1 = heading0 + 0.5 * math.pi
         r = self.spec.corner_radius
         return ccx + r * math.sin(h1), ccy - r * math.cos(h1)
-
-    @staticmethod
-    def _straight_end(seg: _Segment):
-        x0, y0, h = seg.data
-        return x0 + seg.length * math.cos(h), y0 + seg.length * math.sin(h)
 
     # -- sampling ---------------------------------------------------------
 
@@ -199,52 +188,24 @@ class Circuit:
             np.where(arc, -speed * rate * s, 0.0),
             np.where(arc, speed * rate * c, 0.0), np.zeros_like(tm)])
 
-    def time_at_distance(self, s: float) -> float:
-        """Lap clock at which the path length s (from the lap start) is reached."""
-        sm = math.fmod(s, self.lap_length)
-        if sm < 0.0:
-            sm += self.lap_length
-        for seg in self.segments:
-            if sm < seg.s0 + seg.length - 1e-9:
-                return seg.t0 + (sm - seg.s0) / seg.speed
-        seg = self.segments[-1]
-        return seg.t0 + (sm - seg.s0) / seg.speed
-
     # -- stage II geometry -------------------------------------------------
 
-    def group_straight(self, group: int) -> tuple:
-        """Endpoints (entry, exit) of the full straight of group 1..4.
+    def on_straight(self, group: int, along: float) -> tuple:
+        """Place the point along metres (0 to the edge length) past the entry
+        mark of group 1..4's full straight, segments[2 * group].
 
-        Group 4 is the opening leg's straight, split across the lap seam; its
-        endpoints are still A7 (entry) and A8 (exit).
+        Returns (s, step, pose): its path length from the lap start, the
+        control step of its lap clock, and the reference (X, Y, heading)
+        held at that step.  Group 4 is the opening leg, split by K1: past
+        K1 the point lies on the lap's first half edge, and K1 itself ends
+        the lap.
         """
-        return (self.a_points[2 * (group - 1)].copy(),
-                self.a_points[2 * (group - 1) + 1].copy())
-
-    def group_heading(self, group: int) -> float:
-        headings = (0.5 * math.pi, math.pi, -0.5 * math.pi, 0.0)
-        return headings[group - 1]
-
-    def path_distance_of(self, point, group: int) -> float:
-        """Path length from the lap start to a point on a group's straight,
-        mapped to (0, lap] so ordering starts just after the closure mark."""
-        start, end = self.group_straight(group)
-        heading = self.group_heading(group)
-        along = ((point[0] - start[0]) * math.cos(heading)
-                 + (point[1] - start[1]) * math.sin(heading))
-        if group < 4:
-            seg = self.segments[2 + 2 * (group - 1)]
-            s = seg.s0 + along
-        else:
-            last = self.segments[-1]
-            half = last.length
-            if along >= half:    # exit half of the opening leg, right after K1
-                s = along - half
-            else:
-                s = last.s0 + along
-        if s <= 1e-12:
-            s = self.lap_length
-        return s
+        seg = self.segments[2 * group]
+        if group == 4 and along > seg.length:
+            seg, along = self.segments[0], along - seg.length
+        step = round((seg.t0 + along / seg.speed) / self.dt)
+        pose = tuple(self.sample_rows([step * self.dt])[0, :3].tolist())
+        return seg.s0 + along, step, pose
 
 
 # -- sweeps ---------------------------------------------------------------
@@ -340,7 +301,12 @@ def build_sweep(edge_index: int, sweep, fire, circuit: Circuit) -> SweepPath:
 
 @dataclass(frozen=True)
 class Stop:
-    """A chassis halt for one residual fire."""
+    """A chassis halt for one residual fire.
+
+    point, heading and path_distance are what `mobman plan` reports; step
+    and pose, from Circuit.on_straight, are where Stage II halts and the
+    pose that reach is judged and the arm aims from.
+    """
 
     fire: object            # FireConfig entry: ident and world position (m)
     nearest_a: int          # 1..8
@@ -348,12 +314,14 @@ class Stop:
     point: tuple            # stop position on the group straight (m)
     heading: float
     path_distance: float    # ordering key, metres after the closure mark
+    step: int               # control step of the stop on the Stage II lap
+    pose: tuple             # reference (X, Y, heading) parked at that step
 
 
 def assign_fires(fires, circuit: Circuit) -> list:
     """Group each fire (a FireConfig entry) by its nearest tangency mark and
     drop a stop on that group's straight at the clamped perpendicular
-    projection of the fire.
+    projection of the fire; Circuit.on_straight places it on the lap.
 
     Returns one Stop per fire, ordered along the anti-clockwise path from the
     closure mark, so one extra pass services them all.  Distance ties go to
@@ -365,16 +333,16 @@ def assign_fires(fires, circuit: Circuit) -> list:
         d2 = ((circuit.a_points - p) ** 2).sum(axis=1)
         nearest = int(np.argmin(d2))  # argmin takes the first (lowest) index on ties
         group = nearest // 2 + 1
-        start, end = circuit.group_straight(group)
-        heading = circuit.group_heading(group)
+        start, end = circuit.a_points[2 * group - 2:2 * group]
+        heading = circuit.segments[2 * group].data[2]
         u = np.array([math.cos(heading), math.sin(heading)])
-        length = float(np.hypot(*(end - start)))
-        along = float(np.clip((p - start) @ u, 0.0, length))
+        along = float(np.clip((p - start) @ u, 0.0, np.hypot(*(end - start))))
         point = start + along * u
+        s, step, pose = circuit.on_straight(group, along)
         stops.append(Stop(fire=fire, nearest_a=nearest + 1, group=group,
                           point=(float(point[0]), float(point[1])),
-                          heading=heading,
-                          path_distance=circuit.path_distance_of(point, group)))
+                          heading=heading, path_distance=s, step=step,
+                          pose=pose))
     stops.sort(key=lambda s: (s.path_distance, s.fire.ident))
     return stops
 
@@ -384,17 +352,18 @@ def dispatch(stops: list, budget: float, pitch: float, geometry: ArmGeometry):
 
     The stops come from assign_fires, the budget is the FireTestConfig
     stage2_budget and pitch (rad) is the sweep pitch, tried first; the budget
-    is split evenly over the reachable stops.  Fires the arm cannot reach
-    from their stop are skipped and returned flagged rather than raised.
+    is split evenly over the reachable stops.  Reach is taken from each
+    stop's parking pose, the reference the chassis holds while it sprays.
+    Fires the arm cannot reach from there are skipped and returned flagged
+    rather than raised.
     Returns (sprays, flagged): sprays holds a (stop, pitch, dwell) triple
     per reachable stop, in stop order, and flagged (fire, reason) pairs.
     """
     reachable = []
     flagged = []
     for stop in stops:
-        chassis_pose = (stop.point[0], stop.point[1], stop.heading)
         chosen, reason = scan_pitch(
-            lambda cand: target_in_base_frame(chassis_pose, stop.fire.position,
+            lambda cand: target_in_base_frame(stop.pose, stop.fire.position,
                                               cand),
             (pitch,) + PITCH_GRID, geometry)
         if chosen is None:

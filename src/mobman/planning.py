@@ -7,7 +7,9 @@ lays this out once, in that order, as phases that tile the log's rows:
 Home, which has no steps and only fires start; the sweep and the transit of
 each Stage I leg; the top spray when it has steps; each Stage II drive and
 dwell; and End, the last row.  A dwell with no steps still fires its
-markers and aims the arm.
+markers and aims the arm.  Each Stage II stop comes with its lap step and
+parking pose (mission.Circuit.on_straight): the drive ends at that step, and
+the dwell holds and aims from that pose.
 
 The chassis reference, the state labels and markers and the arm's joint
 reference are each one loop over the phases, and no other code steps
@@ -47,7 +49,7 @@ class Phase:
 
     The chassis reference at step i is the circuit's row at the lap clock
     clock + (i - origin) * dt, or the pose at clock held still when origin
-    is None; a Stage II dwell's clock is its grid-snapped parking time.
+    is None; a Stage II dwell's clock is its stop's lap step times dt.
     marks are the (step, event) markers the phase fires.  spray is what the arm does: track a
     SweepPath, aim at a Stage2Slot's fire, hold the top-spray joint vector
     (rad), or, when None, blend between its neighbours in joint space.
@@ -85,7 +87,8 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
     Raises GeometryError or InfeasibleSweep for a circuit or a sweep that
     cannot be flown, and ValidationError naming dt when the run would take
     more than mission.MAX_STEPS steps.  A fire the arm cannot reach from
-    its stop is flagged in the plan, not raised."""
+    its stop's parking pose is flagged in the plan, not raised; Stage II
+    halts at each served stop's lap step, in path order."""
     dt = config.dt
     geometry = build_geometry(config)
     circuit = Circuit(config.circuit, dt=dt)
@@ -124,26 +127,22 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
               [(k_steps[4], "top_spray_start"), (cursor, "top_spray_end")],
               np.asarray(config.top_spray.joints_deg, dtype=float) * DEG)
 
-    # Stage II drives one more lap from clock 0, halting at each stop.
+    # Stage II drives one more lap from clock 0, halting at each stop's step.
     stage2 = []
-    clock = 0.0
-    clock_steps = 0
+    lap_step = 0
     for j, (stop, pitch, dwell) in enumerate(sprays, start=1):
-        tt = circuit.time_at_distance(stop.path_distance)
-        if tt <= 1e-9:
-            tt = circuit.lap_time
-        arrive = cursor + int(round(tt / dt)) - clock_steps
-        visit("StageII.%d.drive" % j, cursor, arrive, clock, cursor)
-        clock_steps = int(round(tt / dt))
-        clock = clock_steps * dt
+        arrive = cursor + stop.step - lap_step
+        visit("StageII.%d.drive" % j, cursor, arrive, lap_step * dt, cursor)
+        lap_step = stop.step
         stage2.append(Stage2Slot(stop=stop, pitch=pitch, dwell=dwell))
         cursor = arrive + int(round(dwell / dt))
-        visit("StageII.%d.spray" % j, arrive, cursor, clock, None,
+        visit("StageII.%d.spray" % j, arrive, cursor, lap_step * dt, None,
               [(arrive, "stop%d_arrive" % j), (arrive, "spray%d_start" % j),
                (cursor, "spray%d_end" % j)], stage2[-1])
 
-    visit("End", cursor, cursor + 1, clock if stage2 else circuit.lap_time,
-          None, [(cursor, "end")])
+    visit("End", cursor, cursor + 1,
+          lap_step * dt if stage2 else circuit.lap_time, None,
+          [(cursor, "end")])
     check_step_count(cursor, dt)
     return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
                        stops=stops, flagged=flagged, fire_test=config.fire_test,
@@ -205,8 +204,8 @@ def _arm_reference(plan: MissionPlan, refs: np.ndarray):
                     spray.edge_index, a + k, (a + k) * dt))
         elif isinstance(spray, Stage2Slot):
             n_stops += 1
-            pose = plan.circuit.sample_rows([p.clock])[0, :3]
-            target = target_in_base_frame(pose, spray.stop.fire.position,
+            target = target_in_base_frame(spray.stop.pose,
+                                          spray.stop.fire.position,
                                           spray.pitch)
             qr[a:b + 1] = _solve_ik(
                 plan, target, lambda _: "stage II stop %d (%s)" % (

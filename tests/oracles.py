@@ -17,6 +17,11 @@ per-joint loop over it, the composition arm_control.control_law must equal
 bit for bit.  circuit_sample and scalar_inverse_kinematics are the
 one-sample-at-a-time `math` versions of the circuit sampler and the IK,
 which the engine runs on whole arrays.
+stop_plan restates the Stage II stop rule from the scenario's
+CircuitConfig and dt alone, sharing no code with mission.Circuit: it lays
+out the four straights, their path lengths and lap clocks, and the pose at
+any lap clock, then places each fire's stop, its lap step and the pose
+parked there.
 write_log writes a log alone, as export writes its timeseries.csv.
 integrate is the generic one-step midpoint or Euler rule over any rates
 function, and closure_plant_step states the mission plant step as one
@@ -444,6 +449,74 @@ def circuit_sample(circuit, t: float) -> ChassisRefSample:
         vdx=seg.speed * math.cos(h), vdy=seg.speed * math.sin(h),
         vdx_dot=-seg.speed * seg.yaw_rate * math.sin(h),
         vdy_dot=seg.speed * seg.yaw_rate * math.cos(h))
+
+
+def _quarter_turn(x: float, y: float, q: int) -> tuple:
+    """(x, y) turned q quarter turns anti-clockwise, exactly."""
+    return ((x, y), (-y, x), (-x, -y), (y, -x))[q]
+
+
+def _lap_pose(spec, corner_time: float, t: float) -> tuple:
+    """The reference (X, Y, heading) at lap clock t (periodic), heading
+    unwrapped.  After the opening half edge from K1 the lap is four
+    quarters, each a corner then a straight: the first quarter turned q
+    quarter turns about the centre."""
+    ls, r, v = spec.edge_length, spec.corner_radius, spec.speed
+    hs, (cx, cy) = 0.5 * ls, spec.center
+    quarter = corner_time + ls / v
+    tm = math.fmod(t, 4.0 * quarter)
+    if tm < hs / v:
+        return cx + v * tm, cy - hs - r, 0.0
+    q, tau = divmod(tm - hs / v, quarter)
+    if tau < corner_time:           # the corner centred at (hs, -hs)
+        h = 0.5 * math.pi * tau / corner_time
+        x, y = hs + r * math.sin(h), -hs - r * math.cos(h)
+    else:                           # the straight after it
+        h = 0.5 * math.pi
+        x, y = hs + r, -hs + v * (tau - corner_time)
+    x, y = _quarter_turn(x, y, int(q))
+    return cx + x, cy + y, h + 0.5 * math.pi * q
+
+
+def stop_plan(fires, spec, dt: float) -> list:
+    """Each fire's stop as (ident, nearest mark 1..8, group 1..4, point,
+    path length from K1, lap step, parked pose), in path order.
+
+    Group g's straight runs from A(2g-1) to A(2g) at heading g quarter
+    turns; a fire goes to its nearest mark (the lower on a tie) and stops at
+    its clamped projection onto that straight.  Corners are driven on the
+    control grid, ceil(pi r / 2 / v / dt) steps; the opening leg is split
+    by K1, which ends the lap."""
+    ls, r, v = spec.edge_length, spec.corner_radius, spec.speed
+    hs, (cx, cy) = 0.5 * ls, spec.center
+    arc = 0.5 * math.pi * r
+    corner_time = math.ceil(arc / v / dt) * dt
+    straights = []   # (entry, heading, path length and clock at entry)
+    for g in range(1, 5):
+        entry = _quarter_turn(hs + r, -hs, g - 1)
+        straights.append(((cx + entry[0], cy + entry[1]), 0.5 * math.pi * g,
+                          hs + g * arc + (g - 1) * ls,
+                          hs / v + g * corner_time + (g - 1) * ls / v))
+    marks = [(x0 + d * math.cos(h), y0 + d * math.sin(h))
+             for (x0, y0), h, _, _ in straights for d in (0.0, ls)]
+    rows = []
+    for fire in fires:
+        px, py = fire.position[0], fire.position[1]
+        dists = [math.hypot(px - mx, py - my) for mx, my in marks]
+        nearest = dists.index(min(dists))
+        group = nearest // 2 + 1
+        (x0, y0), h, s0, t0 = straights[group - 1]
+        c, s = math.cos(h), math.sin(h)
+        along = min(max((px - x0) * c + (py - y0) * s, 0.0), ls)
+        dist, clock = s0 + along, t0 + along / v
+        if group == 4 and along > hs:    # past K1, early in the lap
+            dist, clock = along - hs, (along - hs) / v
+        step = round(clock / dt)
+        rows.append((fire.ident, nearest + 1, group,
+                     (x0 + along * c, y0 + along * s), dist, step,
+                     _lap_pose(spec, corner_time, step * dt)))
+    rows.sort(key=lambda row: (row[4], row[0]))
+    return rows
 
 
 def scalar_inverse_kinematics(pose, geometry) -> list:

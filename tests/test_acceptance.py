@@ -21,9 +21,11 @@ from mobman.metrics import compute_metrics
 from mobman.mission import Circuit, assign_fires
 from mobman.planning import _arm_reference, _chassis_reference
 from mobman.simulate import SimLog, run_mission
+from mobman.util import wrap_angle
 from oracles import (coriolis_matrix, gravity_vector, kinetic_energy,
                      mass_matrix, mass_matrix_partials, potential_energy,
-                     random_joint_angles, run_line_scenario, write_log)
+                     random_joint_angles, run_line_scenario, stop_plan,
+                     write_log)
 
 DEG = math.pi / 180.0
 
@@ -222,29 +224,6 @@ def test_mission_timing_and_verdict(default_mission, capsys):
     _verdict(capsys, "mission timing", ok, detail)
 
 
-def _nearest_stop_oracle(fires, circuit):
-    """Independent restatement of the stop rule: nearest tangency point by
-    straight-line distance, dropped perpendicular onto that side's full
-    straight (clamped), visited in lap order."""
-    rows = []
-    for fire in fires:
-        p = np.asarray(fire.position[:2], dtype=float)
-        dists = np.hypot(p[0] - circuit.a_points[:, 0],
-                         p[1] - circuit.a_points[:, 1])
-        nearest = int(np.argmin(dists))
-        group = nearest // 2 + 1
-        start, end = circuit.group_straight(group)
-        heading = circuit.group_heading(group)
-        u = np.array([math.cos(heading), math.sin(heading)])
-        length = float(np.hypot(*(end - start)))
-        along = float(np.clip((p - start) @ u, 0.0, length))
-        point = start + along * u
-        rows.append((fire.ident, nearest + 1, group, tuple(point),
-                     circuit.path_distance_of(point, group)))
-    rows.sort(key=lambda r: (r[4], r[0]))
-    return rows
-
-
 def test_fire_assignment_matches_oracle(capsys):
     circuit = Circuit(CircuitConfig(), dt=1e-3)
     rng = np.random.default_rng(42)
@@ -257,15 +236,19 @@ def test_fire_assignment_matches_oracle(capsys):
                             position=tuple(rng.uniform(-2.5, 2.5, 2)) + (0.3,))
                  for i in range(n)]
         stops = assign_fires(fires, circuit)
-        oracle = _nearest_stop_oracle(fires, circuit)
+        oracle = stop_plan(fires, circuit.spec, circuit.dt)
         if len(stops) != len(oracle):
             mismatches += 1
             continue
-        for stop, (ident, a, group, point, dist) in zip(stops, oracle):
+        for stop, (ident, a, group, point, dist, step, pose) in zip(stops,
+                                                                   oracle):
             if (stop.fire.ident != ident or stop.nearest_a != a
                     or stop.group != group
                     or not np.allclose(stop.point, point, atol=1e-12)
-                    or abs(stop.path_distance - dist) > 1e-12):
+                    or abs(stop.path_distance - dist) > 1e-12
+                    or stop.step != step
+                    or not np.allclose(stop.pose[:2], pose[:2], atol=1e-12)
+                    or abs(wrap_angle(stop.pose[2] - pose[2])) > 1e-12):
                 mismatches += 1
                 break
         dists = [s.path_distance for s in stops]
@@ -279,7 +262,8 @@ def test_fire_assignment_matches_oracle(capsys):
                and worked[1].fire.ident == "F2" and worked[1].group == 2)
 
     ok = mismatches == 0 and disorder == 0 and case_ok
-    detail = ("%d/%d seeded fire sets match the brute-force oracle, "
+    detail = ("%d/%d seeded fire sets match the stop oracle (stops, lap "
+              "steps and parked poses), "
               "%d ordering violations, two-fire case -> groups (1, 2): %s"
               % (trials - mismatches, trials, disorder,
                  "reproduced" if case_ok else "WRONG"))

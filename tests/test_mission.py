@@ -10,7 +10,9 @@ from mobman.config import (CircuitConfig, FireConfig, FireTestConfig,
 from mobman.errors import GeometryError, InfeasibleSweep, ValidationError
 from mobman.mission import Circuit, assign_fires, build_sweep, dispatch
 from mobman.planning import plan_mission
-from oracles import ChassisRefSample, circuit_sample, reference_record
+from mobman.util import wrap_angle
+from oracles import (ChassisRefSample, circuit_sample, reference_record,
+                     stop_plan)
 
 DEG = math.pi / 180.0
 DT = 1e-3
@@ -135,10 +137,21 @@ def test_sample_speed_profile(circuit):
     assert abs(mid_corner.vdx_dot) + abs(mid_corner.vdy_dot) > 0.0
 
 
-def test_time_at_distance_inverts_marks(circuit):
-    for seg in circuit.segments[:-1]:
-        t = circuit.time_at_distance(seg.s0 + 0.5 * seg.length)
-        assert t == pytest.approx(seg.t0 + 0.5 * seg.duration, abs=1e-9)
+def test_on_straight_steps_at_marks(circuit):
+    """A point at a straight's entry is parked at its A mark's step, one at
+    its middle at its K mark's step (group 4's is K1, which ends the lap),
+    each at the reference the circuit holds there."""
+    hs = 0.5 * circuit.spec.edge_length
+    for g in range(1, 5):
+        _, step, pose = circuit.on_straight(g, 0.0)
+        assert step == round(circuit.a_times[2 * g - 2] / DT)
+        np.testing.assert_allclose(pose[:2], circuit.a_points[2 * g - 2],
+                                   atol=1e-9)
+        assert pose == reference_record(circuit, step * DT)[:3]
+        _, step, pose = circuit.on_straight(g, hs)
+        assert step == round(circuit.k_times[g] / DT)
+        np.testing.assert_allclose(pose[:2], circuit.k_points[g], atol=1e-9)
+        assert pose == reference_record(circuit, step * DT)[:3]
 
 
 def test_circuit_validation():
@@ -152,29 +165,19 @@ def test_circuit_validation():
         Circuit(CircuitConfig(corner_radius=1.5), DT)    # over half the edge
 
 
-def test_group_straights_and_headings(circuit):
-    s1, e1 = circuit.group_straight(1)
-    np.testing.assert_allclose(s1, circuit.a_points[0])
-    np.testing.assert_allclose(e1, circuit.a_points[1])
-    assert circuit.group_heading(1) == pytest.approx(0.5 * math.pi)
-    assert circuit.group_heading(4) == 0.0
-
-
-def test_path_distance_mapping(circuit):
+def test_on_straight_path_lengths(circuit):
     hs = 0.5 * circuit.spec.edge_length
     # Start of the closing half straight (just past K1) counts from zero.
-    assert circuit.path_distance_of((0.1, -circuit.half_width), 4) \
-        == pytest.approx(0.1)
-    # K1 itself wraps to a full lap so it is serviced last.
-    assert circuit.path_distance_of((0.0, -circuit.half_width), 4) \
-        == pytest.approx(circuit.lap_length)
+    assert circuit.on_straight(4, hs + 0.1)[0] == pytest.approx(0.1)
+    # K1 itself ends the lap so it is serviced last.
+    s, step, _ = circuit.on_straight(4, hs)
+    assert s == pytest.approx(circuit.lap_length)
+    assert step == round(circuit.lap_time / DT)
     # Entry half of the opening leg sits at the end of the lap.
-    assert circuit.path_distance_of((-0.1, -circuit.half_width), 4) \
+    assert circuit.on_straight(4, hs - 0.1)[0] \
         == pytest.approx(circuit.segments[-1].s0 + hs - 0.1)
     # Group 1 distances follow the first straight segment.
-    seg = circuit.segments[2]
-    assert circuit.path_distance_of(tuple(circuit.a_points[0]), 1) \
-        == pytest.approx(seg.s0)
+    assert circuit.on_straight(1, 0.0)[0] == pytest.approx(circuit.segments[2].s0)
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -253,25 +256,6 @@ def test_sweep_with_too_many_passes_fails_fast(circuit, passes):
 # -- stage II assignment ---------------------------------------------------
 
 
-def _brute_force_plan(fires, circuit):
-    rows = []
-    for fire in fires:
-        p = np.asarray(fire.position[:2], dtype=float)
-        dists = [math.hypot(p[0] - a[0], p[1] - a[1]) for a in circuit.a_points]
-        nearest = int(np.argmin(dists))
-        group = nearest // 2 + 1
-        start, end = circuit.group_straight(group)
-        h = circuit.group_heading(group)
-        u = np.array([math.cos(h), math.sin(h)])
-        along = float(np.clip((p - start) @ u, 0.0,
-                              float(np.hypot(*(end - start)))))
-        point = start + along * u
-        rows.append((fire, nearest + 1, group, tuple(point),
-                     circuit.path_distance_of(point, group)))
-    rows.sort(key=lambda r: (r[4], r[0].ident))
-    return rows
-
-
 def test_assign_fires_worked_case(circuit):
     fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
              FireConfig(ident="F2", position=(0.20, 0.30, 0.30))]
@@ -293,13 +277,18 @@ def test_assign_fires_matches_brute_force(circuit, rng):
                             position=tuple(rng.uniform(-0.5, 0.5, 2)) + (0.3,))
                  for i in range(n)]
         stops = assign_fires(fires, circuit)
-        oracle = _brute_force_plan(fires, circuit)
+        oracle = stop_plan(fires, circuit.spec, DT)
         assert len(stops) == len(oracle)
-        for stop, (fire, a, group, point, dist) in zip(stops, oracle):
-            assert stop.fire.ident == fire.ident
+        for stop, (ident, a, group, point, dist, step, pose) in zip(stops,
+                                                                   oracle):
+            assert stop.fire.ident == ident
             assert stop.nearest_a == a and stop.group == group
             np.testing.assert_allclose(stop.point, point, atol=1e-12)
             assert stop.path_distance == pytest.approx(dist, abs=1e-12)
+            assert stop.step == step
+            np.testing.assert_allclose(stop.pose[:2], pose[:2], atol=1e-12)
+            assert wrap_angle(stop.pose[2] - pose[2]) == pytest.approx(
+                0.0, abs=1e-12)
         d = [s.path_distance for s in stops]
         assert all(x <= y for x, y in zip(d, d[1:]))
 

@@ -166,6 +166,99 @@ def test_phase_timeline(spec, tail):
         sum(slot.dwell for slot in plan.stage2), abs=dt)
 
 
+@pytest.mark.parametrize("x", [2e-12, 5e-10, 8e-10])
+def test_stop_just_past_k1_is_served_first(x):
+    """A fire whose stop lies a hair past K1 on the opening leg sorts first
+    and is parked at the lap's first step, not its last: its drive has no
+    steps, every phase runs forward and the run passes."""
+    result = run_mission(parse_config({"dt": 0.01, "fires": [
+        {"ident": "F0", "position": [x, -0.30064, 0.3]},
+        {"ident": "F1", "position": [0.3, 0.2, 0.3]}]}))
+    phases = result.plan.phases
+    assert all(p.start <= p.end for p in phases)
+    assert [s.stop.fire.ident for s in result.plan.stage2] == ["F0", "F1"]
+    [first] = [p for p in phases if p.label == "StageII.1.drive"]
+    assert first.start == first.end
+    assert all(np.isfinite(col).all() for col in result.log.values.values())
+    assert result.report.verdict == "PASS"
+
+
+@pytest.mark.parametrize("fy", [-0.6, 0.15, 0.9])
+def test_reach_is_checked_where_the_arm_aims(fy):
+    """Bisecting a fire's distance outside group 1's straight across the
+    arm's outer reach, every plan either flags the fire or serves it with a
+    joint reference that solves: reach is judged from the parking pose the
+    arm then aims from."""
+    near, far = 2.5, 3.0
+    while far - near > 1e-12:
+        d = 0.5 * (near + far)
+        plan = plan_mission(parse_config({"dt": 0.01, "fires": [
+            {"ident": "F1", "position": [1.80064 + d, fy, 0.3]}]}))
+        if plan.flagged:
+            far = d
+        else:
+            _arm_reference(plan, _chassis_reference(plan))
+            near = d
+    assert near > 2.5 and far < 3.0
+
+
+# Fires off the lines x = 0, y = 0 and |x| = |y| through the crib, where
+# two tangency marks are equally near and a change in the last bits of a
+# coordinate may choose either.
+_FIRE_SETS = st.lists(
+    st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
+              st.floats(0.1, 0.6)).filter(
+        lambda p: min(abs(p[0]), abs(p[1]), abs(abs(p[0]) - abs(p[1]))) > 1e-6),
+    min_size=1, max_size=5).map(lambda xyz: [
+        {"ident": "F%d" % k, "position": list(p)} for k, p in enumerate(xyz)])
+
+
+def _plan_rows(plan, shift=(0.0, 0.0)):
+    """A plan's phases, and its stops with the shift taken off their points
+    and poses."""
+    stops = [(s.fire.ident, s.nearest_a, s.group, s.step,
+              s.point[0] - shift[0], s.point[1] - shift[1],
+              s.pose[0] - shift[0], s.pose[1] - shift[1], s.pose[2])
+             for s in plan.stops]
+    return ([(p.start, p.end, p.label, p.clock, p.origin, p.marks)
+             for p in plan.phases], stops,
+            [(f.ident, reason) for f, reason in plan.flagged])
+
+
+@settings(max_examples=10, deadline=None)
+@given(fires=_FIRE_SETS, data=st.data())
+def test_fire_order_leaves_plan_and_log_unchanged(fires, data):
+    """The stops are ordered by the lap, not by the list: permuting the
+    fires gives the same plan and a byte-identical log."""
+    permuted = data.draw(st.permutations(fires))
+    runs = [run_mission(parse_config({"dt": 0.01, "fires": f}))
+            for f in (fires, permuted)]
+    assert _plan_rows(runs[0].plan) == _plan_rows(runs[1].plan)
+    assert _log_digest(runs[0].log) == _log_digest(runs[1].log)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fires=_FIRE_SETS)
+def test_moving_the_scene_moves_only_the_stops(fires):
+    """Moving the circuit's centre and every fire by (10, -7) m keeps each
+    phase's steps, labels and markers; the stops and their parking poses
+    move by the shift."""
+    shift = (10.0, -7.0)
+    moved = [dict(f, position=[f["position"][0] + shift[0],
+                               f["position"][1] + shift[1],
+                               f["position"][2]]) for f in fires]
+    base = _plan_rows(plan_mission(parse_config({"dt": 0.01,
+                                                 "fires": fires})))
+    other = _plan_rows(plan_mission(parse_config({
+        "dt": 0.01, "circuit": {"center": list(shift)}, "fires": moved})),
+        shift)
+    assert other[0] == base[0]
+    assert [f for f, _ in other[2]] == [f for f, _ in base[2]]
+    assert [s[:4] for s in other[1]] == [s[:4] for s in base[1]]
+    np.testing.assert_allclose([s[4:] for s in other[1]],
+                               [s[4:] for s in base[1]], atol=1e-9)
+
+
 STOCK_LOG_DIGEST = ("d8d49b9c852a0b0f5b1dbebe7efbe2e10bd55a78692992d8b41612ff"
                     "09c9086f")
 EULER_NOISE_LOG_DIGEST = ("16964e1cd981a12ae385a6a13ea8eb7a650e860de54dfe3d4a4"
