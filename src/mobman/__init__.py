@@ -7,7 +7,7 @@ from .errors import (DisturbanceBoundViolation, EmptyLog, GeometryError,
                      ParseError, SolveFailure, Unreachable, ValidationError)
 from .kinematics import (ArmGeometry, EndEffectorPose, forward_kinematics,
                          inverse_kinematics, workspace_analysis)
-from .dynamics import ArmDynamics, LinkInertialParams, default_inertial_params
+from .dynamics import ArmDynamics, LinkInertialParams, inertial_params
 from .mission import Circuit, assign_fires, build_sweep, dispatch
 from .config import ScenarioConfig, load_config, parse_config, save_config
 from .simulate import MissionResult, SimLog, export, plan_mission, run_mission
@@ -21,8 +21,8 @@ __all__ = [
     "JointLimitViolation", "LinkInertialParams", "MetricsReport",
     "MissionResult", "MobmanError", "ParseError", "ScenarioConfig", "SimLog",
     "SolveFailure", "Unreachable", "ValidationError", "assign_fires",
-    "build_sweep", "compute_metrics", "default_inertial_params", "dispatch",
-    "export", "forward_kinematics", "inverse_kinematics", "load_config",
-    "parse_config", "plan_mission", "run_mission", "save_config",
-    "workspace_analysis",
+    "build_sweep", "compute_metrics", "dispatch", "export",
+    "forward_kinematics", "inertial_params", "inverse_kinematics",
+    "load_config", "parse_config", "plan_mission", "run_mission",
+    "save_config", "workspace_analysis",
 ]

@@ -142,9 +142,9 @@ def _cmd_plan(args) -> int:
     for fire, reason in plan.flagged:
         print("flagged %s: %s" % (fire.ident, reason))
     dwells = sum(s.dwell for s in plan.stage2)
-    active = 4.0 * circuit.edge_time + plan.top_spray.duration + dwells
+    active = 4.0 * circuit.edge_time + config.top_spray.duration + dwells
     print("planned active discharge: %.3f s of %.3f s budget"
-          % (active, plan.fire_test.discharge_time))
+          % (active, config.fire_test.discharge_time))
     return 0
 
 

@@ -2,10 +2,10 @@
 
 Config files use field-friendly units (degrees, millimetres for arm geometry,
 metres for the chassis and planner).  The planner and both control laws
-read their sections directly and convert degrees where they use them;
-builders turn the geometry and inertial sections into the engine's
-ArmGeometry and inertial parameters.  An empty file is a valid scenario:
-every field has the stock default.
+read their sections directly and convert degrees where they use them, as
+dynamics.inertial_params reads the inertial section; build_geometry turns
+the geometry section into the engine's ArmGeometry.  An empty file is a
+valid scenario: every field has the stock default.
 
 Every numeric field but the noise seed declares a closed range in its key's
 unit: the envelope of the machine (a 400 kg arm with a 20 kg payload on a
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .dynamics import BODIES, LinkInertialParams, default_inertial_params
+from .dynamics import BODIES, inertial_params
 from .errors import JointLimitViolation, ParseError, ValidationError
 from .kinematics import ArmGeometry, check_joint_limits
 from .util import DEG, INTEGRATORS
@@ -400,7 +400,7 @@ def _top_spray_joints(config: ScenarioConfig, problems: list) -> None:
 
 
 def _inertial_split(config: ScenarioConfig, problems: list) -> None:
-    """What the model would reject in build_inertial's parameters
+    """What the model would reject in inertial_params' parameters
     (LinkInertialParams.validate), named by a key the scenario set.  Each
     field is in its range, so a mass or inertia validate finds <= 0 is one
     of a column or wrist that the stock split leaves massless, named first
@@ -421,7 +421,7 @@ def _inertial_split(config: ScenarioConfig, problems: list) -> None:
                                 "%s is 0 and inertial.masses is unset"
                                 % (i, other))
     for key, text in (p.split(": ", 1) for p in
-                      _fill_inertial(ine, build_geometry(config)).validate()):
+                      inertial_params(ine, build_geometry(config)).validate()):
         if text == "must be > 0":  # the massless body, named above
             continue
         i = int(key[-2])
@@ -451,7 +451,7 @@ def validate_config(config: ScenarioConfig) -> list:
     return problems
 
 
-# -- builders into engine objects -----------------------------------------
+# -- builder into engine objects ------------------------------------------
 
 
 def build_geometry(config: ScenarioConfig) -> ArmGeometry:
@@ -459,39 +459,6 @@ def build_geometry(config: ScenarioConfig) -> ArmGeometry:
     g = config.geometry
     return ArmGeometry(a=tuple(float(v) for v in g.link_lengths),
                        d1=float(g.shoulder_height), y5p=float(g.tool_y_offset))
-
-
-def build_inertial(config: ScenarioConfig,
-                   geometry: ArmGeometry) -> LinkInertialParams:
-    """The inertial section as the engine's parameters.  A vector the
-    scenario leaves unset comes from the stock split of total_mass over the
-    geometry (default_inertial_params); unset inertias take its rod rule
-    m L^2 / 3 with the masses in use.  Raises ValidationError for parameters
-    the model rejects."""
-    params = _fill_inertial(config.inertial, geometry)
-    problems = params.validate()
-    if problems:
-        raise ValidationError(problems)
-    return params
-
-
-def _fill_inertial(ine: InertialConfig,
-                   geometry: ArmGeometry) -> LinkInertialParams:
-    """build_inertial's parameters, not yet validated."""
-    stock = default_inertial_params(geometry, ine.total_mass,
-                                    ine.payload_mass, ine.gravity)
-
-    def pick(given, default):
-        return tuple(float(v) for v in (default if given is None else given))
-
-    masses = pick(ine.masses, stock.masses)
-    # The split's centres of mass sit mid-rod: L = 2 c.
-    rods = [2.0 * c for c in stock.com_offsets]
-    return LinkInertialParams(
-        masses=masses, com_offsets=pick(ine.com_offsets, stock.com_offsets),
-        inertias=pick(ine.inertias, [m * L * L / 3.0
-                                     for m, L in zip(masses, rods)]),
-        payload_mass=float(ine.payload_mass), gravity=float(ine.gravity))
 
 
 def disturbance_series(config: DisturbanceConfig, times: np.ndarray) -> np.ndarray:

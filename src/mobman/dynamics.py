@@ -17,7 +17,9 @@ treated as part of the wrist's mass budget).  Bodies are modelled as a point
 mass at the centre of mass plus a scalar spin inertia about the joint axis;
 the slewing term uses the point-mass radius, so the mass matrix splits into
 the column inertia and a 3x3 planar block.  A payload point mass rides at the
-tool point.
+tool point.  inertial_params resolves the scenario's inertial section into
+these parameters, each vector it leaves unset from the stock split of the
+mass budget over the arm, and ArmDynamics checks them once, as it is built.
 
 Everything here is SI (kg, m, s, rad); the arm geometry arrives in mm from
 the kinematics module and is scaled once at construction.
@@ -85,29 +87,34 @@ class LinkInertialParams:
         return problems
 
 
-def default_inertial_params(geometry: ArmGeometry, total_mass: float,
-                            payload_mass: float,
-                            gravity: float) -> LinkInertialParams:
-    """The stock split of a mass budget over the arm, as uniform slender rods.
-
-    total_mass is spread over the structural lengths (column incl. its lateral
-    offset, boom, forearm, wrist incl. the parallelogram stub) in proportion
-    to length; centres of mass sit mid-link and rod inertias are taken about
-    the joint end (m L^2 / 3).
+def inertial_params(section, geometry: ArmGeometry) -> LinkInertialParams:
+    """A scenario's InertialConfig section as the model's parameters, not
+    yet validated: ArmDynamics checks them.  A vector the section leaves
+    unset comes from the stock split of total_mass over the arm as uniform
+    slender rods: masses in proportion to the structural lengths (column
+    incl. its lateral offset, boom, forearm, wrist incl. the parallelogram
+    stub), centres of mass mid-rod and inertias about the joint end,
+    m L^2 / 3 with the masses in use.
     """
     a1, a2, a3, a4, a5 = (v * _MM for v in geometry.a)
-    d1 = geometry.d1 * _MM
-    lengths = (d1 + a1, a2, a3, a4 + a5)
+    lengths = (geometry.d1 * _MM + a1, a2, a3, a4 + a5)
     total_len = sum(lengths)
-    masses = tuple(total_mass * L / total_len for L in lengths)
     # The column spins about its own axis; use the lateral offset as its
     # effective rod length.  Planar bodies use their link lengths.
-    rod = (a1, a2, a3, a5)
-    com_offsets = tuple(L / 2.0 for L in rod)
-    inertias = tuple(m * L * L / 3.0 for m, L in zip(masses, rod))
-    return LinkInertialParams(masses=masses, com_offsets=com_offsets,
-                              inertias=inertias, payload_mass=payload_mass,
-                              gravity=gravity)
+    rods = (a1, a2, a3, a5)
+
+    def pick(given, stock):
+        return tuple(float(v) for v in (stock if given is None else given))
+
+    masses = pick(section.masses,
+                  (section.total_mass * L / total_len for L in lengths))
+    return LinkInertialParams(
+        masses=masses,
+        com_offsets=pick(section.com_offsets, (L / 2.0 for L in rods)),
+        inertias=pick(section.inertias, (m * L * L / 3.0
+                                         for m, L in zip(masses, rods))),
+        payload_mass=float(section.payload_mass),
+        gravity=float(section.gravity))
 
 
 class ArmDynamics:

@@ -73,8 +73,6 @@ class MissionPlan:
     sweeps: list
     stops: list           # Stop per fire, in path order
     flagged: list
-    fire_test: object     # the scenario's FireTestConfig section
-    top_spray: object     # the scenario's TopSprayConfig section
     dt: float
     n_steps: int
     stage2: list          # Stage2Slot per serviced stop
@@ -145,8 +143,7 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
           [(cursor, "end")])
     check_step_count(cursor, dt)
     return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
-                       stops=stops, flagged=flagged, fire_test=config.fire_test,
-                       top_spray=config.top_spray, dt=dt, n_steps=cursor,
+                       stops=stops, flagged=flagged, dt=dt, n_steps=cursor,
                        stage2=stage2, phases=phases)
 
 

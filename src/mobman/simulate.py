@@ -45,8 +45,8 @@ from . import metrics as metrics_mod
 from .arm_control import control_law
 from .chassis_control import (chassis_tick, check_disturbance, plant_step,
                               wheel_speeds)
-from .config import ScenarioConfig, build_inertial, disturbance_series
-from .dynamics import ArmDynamics
+from .config import ScenarioConfig, disturbance_series
+from .dynamics import ArmDynamics, inertial_params
 from .errors import EmptyLog, ParseError, SolveFailure
 from .kinematics import forward_kinematics
 from .planning import (MissionPlan, _arm_reference, _chassis_reference,
@@ -242,8 +242,8 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     plan = plan_mission(config)
     dt = plan.dt
     n = plan.n_steps
-    model = ArmDynamics(params=build_inertial(config, plan.geometry),
-                        geometry=plan.geometry)
+    model = ArmDynamics(inertial_params(config.inertial, plan.geometry),
+                        plan.geometry)
 
     refs = _chassis_reference(plan)
     labels, events = _labels_and_events(plan)
@@ -317,9 +317,9 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     meta = {
         "dt": float(dt),
         "integrator": config.integrator,
-        "discharge_time": float(plan.fire_test.discharge_time),
-        "stage2_budget": float(plan.fire_test.stage2_budget),
-        "top_spray_duration": float(plan.top_spray.duration),
+        "discharge_time": float(config.fire_test.discharge_time),
+        "stage2_budget": float(config.fire_test.stage2_budget),
+        "top_spray_duration": float(config.top_spray.duration),
         "band_e1_mm": float(config.band.e1_mm),
         "band_e2_mm": float(config.band.e2_mm),
         "band_e3_deg": float(config.band.e3_deg),

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from mobman.config import ScenarioConfig, build_geometry, build_inertial
-from mobman.dynamics import ArmDynamics
+from mobman.config import ScenarioConfig, build_geometry
+from mobman.dynamics import ArmDynamics, inertial_params
 from mobman.kinematics import ArmGeometry
 from mobman.simulate import run_mission
 
@@ -33,7 +33,7 @@ def stock_arm():
 def stock_params(stock_arm):
     """The default scenario's inertial parameters: its mass budget split
     over the stock arm."""
-    return build_inertial(ScenarioConfig(), stock_arm)
+    return inertial_params(ScenarioConfig().inertial, stock_arm)
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +54,7 @@ def offset_arm():
 def offset_model(offset_arm):
     """Arm dynamics of offset_arm with the default scenario's mass budget
     split over it."""
-    return ArmDynamics(build_inertial(ScenarioConfig(), offset_arm),
+    return ArmDynamics(inertial_params(ScenarioConfig().inertial, offset_arm),
                        offset_arm)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mobman.arm_control import control_law, target_in_base_frame
-from mobman.config import ArmControlConfig, build_inertial, parse_config
-from mobman.dynamics import ArmDynamics, accelerations
+from mobman.config import ArmControlConfig, parse_config
+from mobman.dynamics import ArmDynamics, accelerations, inertial_params
 from mobman.kinematics import forward_kinematics, inverse_kinematics
 from mobman.planning import _arm_reference, _chassis_reference
 from mobman.simulate import run_mission
@@ -127,7 +127,8 @@ def test_one_step_surface_identity(integrator):
     config = parse_config({"dt": 0.01, "integrator": integrator})
     result = run_mission(config)
     plan, log = result.plan, result.log
-    model = ArmDynamics(build_inertial(config, plan.geometry), plan.geometry)
+    model = ArmDynamics(inertial_params(config.inertial, plan.geometry),
+                        plan.geometry)
     qr, qdr, qddr = _arm_reference(plan, _chassis_reference(plan))
     q, qd, tau = (np.column_stack([log.values[name + str(k)]
                                    for k in range(1, 5)])

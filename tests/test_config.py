@@ -9,9 +9,9 @@ import dataclasses
 from mobman import config as config_mod
 from mobman.config import (ChassisControlConfig, DisturbanceConfig,
                            GeometryConfig, ScenarioConfig, build_geometry,
-                           build_inertial, disturbance_series, load_config,
-                           parse_config, save_config, validate_config)
-from mobman.dynamics import ArmDynamics
+                           disturbance_series, load_config, parse_config,
+                           save_config, validate_config)
+from mobman.dynamics import ArmDynamics, LinkInertialParams, inertial_params
 from mobman.errors import ParseError, ValidationError
 from mobman.kinematics import forward_kinematics
 from mobman.mission import Circuit, build_sweep
@@ -59,7 +59,7 @@ def test_zero_end_link_is_named_while_inertias_are_stock():
                                "inertial": {"inertias": [5.0, 50.0, 170.0,
                                                          2.0]}})
         geometry = build_geometry(config)
-        params = build_inertial(config, geometry)
+        params = inertial_params(config.inertial, geometry)
         assert params.inertias == (5.0, 50.0, 170.0, 2.0)
         ArmDynamics(params, geometry)
 
@@ -250,7 +250,7 @@ def test_partial_inertial_override_is_named_by_a_set_key():
     parse time by a key the scenario set."""
     config = parse_config({"dt": 0.01,
                            "inertial": {"masses": [10, 300, 400, 50]}})
-    params = build_inertial(config, build_geometry(config))
+    params = inertial_params(config.inertial, build_geometry(config))
     rods = (0.1, 1.0, 1.7, 0.08)
     assert params.inertias == pytest.approx(
         [m * L * L / 3.0 for m, L in zip(params.masses, rods)], rel=1e-12)
@@ -283,7 +283,7 @@ def _builds(data):
     the split is positive and finite."""
     config = parse_config(data)
     geometry = build_geometry(config)
-    params = build_inertial(config, geometry)
+    params = inertial_params(config.inertial, geometry)
     assert all(0.0 < v < math.inf for v in params.masses + params.inertias)
     ArmDynamics(params, geometry)
 
@@ -408,17 +408,17 @@ def test_every_numeric_leaf_declares_a_range():
             parse_config(data)
 
 
-def test_build_inertial_paths():
+def test_inertial_params_paths():
     cfg = ScenarioConfig()
-    params = build_inertial(cfg, build_geometry(cfg))
+    params = inertial_params(cfg.inertial, build_geometry(cfg))
     assert sum(params.masses) == pytest.approx(400.0)
     explicit = parse_config({"inertial": {
         "masses": [50.0, 150.0, 150.0, 50.0],
         "com_offsets": [0.05, 0.5, 0.85, 0.09],
         "inertias": [5.0, 50.0, 120.0, 2.0]}})
-    params = build_inertial(explicit, build_geometry(explicit))
+    params = inertial_params(explicit.inertial, build_geometry(explicit))
     assert params.masses == (50.0, 150.0, 150.0, 50.0)
-    # Bad values are rejected at parse time, by the same rule the builder
+    # Bad values are rejected at parse time, by the same rule the model
     # applies...
     for key, bad, message in (
             ("masses", [50.0, -1.0, 150.0, 50.0],
@@ -428,14 +428,26 @@ def test_build_inertial_paths():
         with pytest.raises(ValidationError) as err:
             parse_config({"inertial": {key: bad}})
         assert err.value.messages == ["inertial." + message]
-    # ...and again by the builder if a config is mutated after parsing.
+    # ...and again by the model if a config is mutated after parsing.
     bad = ScenarioConfig()
     bad.inertial.masses = [50.0, -1.0, 150.0, 50.0]
     bad.inertial.inertias = [0.0, 50.0, 120.0, 2.0]
+    geometry = build_geometry(bad)
     with pytest.raises(ValidationError) as err:
-        build_inertial(bad, build_geometry(bad))
+        ArmDynamics(inertial_params(bad.inertial, geometry), geometry)
     assert err.value.messages == ["inertial.masses[1]: must be > 0",
                                   "inertial.inertias[0]: must be > 0"]
+
+
+def test_run_checks_the_arm_model_once(monkeypatch):
+    """parse_config checks the inertial parameters by key; a run checks
+    them once more, as ArmDynamics is built, and nowhere else."""
+    calls = []
+    check = LinkInertialParams.validate
+    monkeypatch.setattr(LinkInertialParams, "validate",
+                        lambda self: calls.append(self) or check(self))
+    run_mission(ScenarioConfig(dt=0.01))
+    assert len(calls) == 1
 
 
 def test_circuit_and_sweep_read_their_sections():

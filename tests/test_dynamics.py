@@ -32,11 +32,43 @@ def _unit(i):
     return e
 
 
-def test_default_params_mass_budget(stock_params):
+def _rod_split(geometry, total_mass=None, masses=None):
+    """The stock split as its rule states it, per body (column, boom,
+    forearm, wrist): mass in proportion to d1 + a1, a2, a3 and a4 + a5;
+    centre of mass at half the rod a1, a2, a3 or a5; inertia m L^2 / 3 of
+    that rod with the masses in use."""
+    a1, a2, a3, a4, a5 = (v / 1000.0 for v in geometry.a)
+    spans = [geometry.d1 / 1000.0 + a1, a2, a3, a4 + a5]
+    rods = [a1, a2, a3, a5]
+    if masses is None:
+        masses = [total_mass * L / sum(spans) for L in spans]
+    return (masses, [L / 2.0 for L in rods],
+            [m * L ** 2 / 3.0 for m, L in zip(masses, rods)])
+
+
+def test_default_params_mass_budget(stock_params, stock_arm, offset_arm):
     budget = ScenarioConfig().inertial
     assert sum(stock_params.masses) == pytest.approx(budget.total_mass)
     assert stock_params.payload_mass == budget.payload_mass
+    assert stock_params.gravity == budget.gravity
     assert not stock_params.validate()
+    # The stock figures: a 3.165 m structural length carries the 400 kg.
+    assert stock_params.masses == pytest.approx(
+        (36.0190, 126.3823, 214.8499, 22.7488), abs=1e-4)
+    assert stock_params.com_offsets == pytest.approx((0.05, 0.5, 0.85, 0.04),
+                                                     rel=1e-12)
+    # Every body against the rule on both arms, and with masses set, whose
+    # inertias follow them while the centres stay mid-rod.
+    given = ScenarioConfig().inertial
+    given.masses = [10.0, 300.0, 400.0, 50.0]
+    for section, arm, expected in (
+            (budget, stock_arm, _rod_split(stock_arm, budget.total_mass)),
+            (budget, offset_arm, _rod_split(offset_arm, budget.total_mass)),
+            (given, offset_arm, _rod_split(offset_arm, masses=given.masses))):
+        params = dynamics.inertial_params(section, arm)
+        for got, want in zip((params.masses, params.com_offsets,
+                              params.inertias), expected):
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_mass_matrix_symmetric_positive_definite(model, rng):

@@ -20,10 +20,10 @@ PUBLIC = {
     "JointLimitViolation", "LinkInertialParams", "MetricsReport",
     "MissionResult", "MobmanError", "ParseError", "ScenarioConfig", "SimLog",
     "SolveFailure", "Unreachable", "ValidationError", "assign_fires",
-    "build_sweep", "compute_metrics", "default_inertial_params", "dispatch",
-    "export", "forward_kinematics", "inverse_kinematics", "load_config",
-    "parse_config", "plan_mission", "run_mission", "save_config",
-    "workspace_analysis",
+    "build_sweep", "compute_metrics", "dispatch", "export",
+    "forward_kinematics", "inertial_params", "inverse_kinematics",
+    "load_config", "parse_config", "plan_mission", "run_mission",
+    "save_config", "workspace_analysis",
 }
 
 
@@ -151,7 +151,7 @@ def test_engine_states_no_stock_figure():
     calls = (kinematics.forward_kinematics, kinematics.inverse_kinematics,
              kinematics.scan_pitch, kinematics.point_reachable,
              kinematics.workspace_analysis, mission.dispatch,
-             dynamics.default_inertial_params, dynamics.ArmDynamics,
+             dynamics.inertial_params, dynamics.ArmDynamics,
              dynamics.LinkInertialParams)
     signatures = {call.__name__: inspect.signature(call).parameters
                   for call in calls}

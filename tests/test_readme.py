@@ -97,6 +97,16 @@ def test_readme_yaml_scenarios_parse():
         parse_config(yaml.safe_load(block))
 
 
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    """Each python example runs as written, in a scratch directory so the
+    files it exports land there."""
+    blocks = _blocks("python")
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_readme_cli_lines_parse():
     lines = [line for block in _blocks("sh") for line in block.splitlines()
              if line.startswith("mobman ")]

@@ -27,7 +27,7 @@ from mobman.dynamics import ArmDynamics
 from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
                            JointLimitViolation, MobmanError, ParseError,
                            SolveFailure, Unreachable, ValidationError)
-from mobman.kinematics import forward_kinematics
+from mobman.kinematics import forward_kinematics, inverse_kinematics
 from mobman.metrics import compute_metrics
 from mobman.mission import Circuit, SweepPath
 from mobman.planning import (Stage2Slot, _arm_reference, _chassis_reference,
@@ -52,7 +52,8 @@ def test_csv_schema_is_fixed():
 
 
 def test_plan_lands_events_on_grid():
-    plan = plan_mission(ScenarioConfig())
+    config = ScenarioConfig()
+    plan = plan_mission(config)
     dt = plan.dt
     marks = {event: step for p in plan.phases for step, event in p.marks}
     k_steps = [marks["K%d" % k] for k in range(1, 6)]
@@ -72,7 +73,7 @@ def test_plan_lands_events_on_grid():
     # Stage II slots spread the budget and stay ordered.
     assert len(plan.stage2) == 2
     dwell = sum(s.dwell for s in plan.stage2)
-    assert dwell == pytest.approx(plan.fire_test.stage2_budget)
+    assert dwell == pytest.approx(config.fire_test.stage2_budget)
     dwells = [p for p in plan.phases if isinstance(p.spray, Stage2Slot)]
     assert [p.spray for p in dwells] == plan.stage2  # the same objects
     clocks = [p.clock for p in dwells]
@@ -121,7 +122,7 @@ def test_phase_timeline(spec, tail):
     assert len(refs) == len(qr) == n + 1
     held = [p for p in phases if p.label == "TopSpray"
             or isinstance(p.spray, Stage2Slot)]
-    assert len(held) == bool(plan.top_spray.duration) + len(plan.stage2)
+    assert len(held) == bool(config.top_spray.duration) + len(plan.stage2)
     for p in held:
         pose = reference_record(plan.circuit, p.clock)
         still = pose._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0, vdx_dot=0.0,
@@ -135,13 +136,22 @@ def test_phase_timeline(spec, tail):
             tool = forward_kinematics(qr[p.start], plan.geometry)
             np.testing.assert_allclose([tool.x, tool.y, tool.z],
                                        [local.x, local.y, local.z], atol=1e-9)
+            # The chassis table samples the parking pose again from the
+            # phase's clock: its held rows are the stop's pose bit for bit,
+            # and the arm's target is formed from that pose.
+            stop = p.spray.stop
+            assert (refs[p.start:p.end, :3] == stop.pose).all()
+            target = target_in_base_frame(stop.pose, stop.fire.position,
+                                          p.spray.pitch)
+            assert (qr[p.start]
+                    == inverse_kinematics(target, plan.geometry)).all()
 
     labels, events = _labels_and_events(plan)
     assert len(labels) == n + 1 and labels[-1] == "End"
     fired = [event for cell in events if cell for event in cell.split(";")]
     order = ["start", "K1", "A8", "A1", "K2", "A2", "A3", "K3", "A4", "A5",
              "K4", "A6", "A7", "K5"]
-    if plan.top_spray.duration:
+    if config.top_spray.duration:
         order += ["top_spray_start", "top_spray_end"]
     for j in range(1, len(plan.stage2) + 1):
         order += ["stop%d_arrive" % j, "spray%d_start" % j, "spray%d_end" % j]
@@ -161,7 +171,7 @@ def test_phase_timeline(spec, tail):
         _metrics_meta(config, n_stops=len(plan.stage2)),
         np.arange(n + 1) * dt, labels, values, events))
     assert report.stage1_wall_time == pytest.approx(plan.circuit.lap_time)
-    assert report.top_spray_time == pytest.approx(plan.top_spray.duration)
+    assert report.top_spray_time == pytest.approx(config.top_spray.duration)
     assert report.stage2_time == pytest.approx(
         sum(slot.dwell for slot in plan.stage2), abs=dt)
 
