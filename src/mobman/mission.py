@@ -303,9 +303,9 @@ def build_sweep(edge_index: int, sweep, fire, circuit: Circuit) -> SweepPath:
 class Stop:
     """A chassis halt for one residual fire.
 
-    point, heading and path_distance are what `mobman plan` reports; step
-    and pose, from Circuit.on_straight, are where Stage II halts and the
-    pose that reach is judged and the arm aims from.
+    point, heading and path_distance are what `mobman plan` reports, not
+    the order key; step and pose, from Circuit.on_straight, are where Stage
+    II halts and the pose that reach is judged and the arm aims from.
     """
 
     fire: object            # FireConfig entry: ident and world position (m)
@@ -313,7 +313,7 @@ class Stop:
     group: int              # 1..4
     point: tuple            # stop position on the group straight (m)
     heading: float
-    path_distance: float    # ordering key, metres after the closure mark
+    path_distance: float    # metres along the lap from K1
     step: int               # control step of the stop on the Stage II lap
     pose: tuple             # reference (X, Y, heading) parked at that step
 
@@ -323,15 +323,15 @@ def assign_fires(fires, circuit: Circuit) -> list:
     drop a stop on that group's straight at the clamped perpendicular
     projection of the fire; Circuit.on_straight places it on the lap.
 
-    Returns one Stop per fire, ordered along the anti-clockwise path from the
-    closure mark, so one extra pass services them all.  Distance ties go to
-    the lower-numbered mark.
+    Returns one Stop per fire, ordered by lap step and then fire ident, so
+    one extra pass from K1 services them all.  Marks within 1e-9 m of the
+    nearest distance tie, and a tie goes to the lowest-numbered mark.
     """
     stops = []
     for fire in fires:
         p = np.array(fire.position[:2], dtype=float)
-        d2 = ((circuit.a_points - p) ** 2).sum(axis=1)
-        nearest = int(np.argmin(d2))  # argmin takes the first (lowest) index on ties
+        d = np.hypot(*(circuit.a_points - p).T)
+        nearest = int(np.argmax(d <= d.min() + 1e-9))
         group = nearest // 2 + 1
         start, end = circuit.a_points[2 * group - 2:2 * group]
         heading = circuit.segments[2 * group].data[2]
@@ -343,7 +343,7 @@ def assign_fires(fires, circuit: Circuit) -> list:
                           point=(float(point[0]), float(point[1])),
                           heading=heading, path_distance=s, step=step,
                           pose=pose))
-    stops.sort(key=lambda s: (s.path_distance, s.fire.ident))
+    stops.sort(key=lambda s: (s.step, s.fire.ident))
     return stops
 
 

@@ -14,9 +14,9 @@ the dwell holds and aims from that pose.
 The chassis reference, the state labels and markers and the arm's joint
 reference are each one loop over the phases, and no other code steps
 through the schedule.  None builds a per-row list: the chassis reference is
-one table filled a phase at a time, each sweep's joint reference one
-base-frame transform and one batch IK, and each gap between spray phases
-one broadcast smoothstep.
+one sampling of the circuit at every row's integer lap step (Phase), each
+sweep's joint reference one base-frame transform and one batch IK, and
+each gap between spray phases one broadcast smoothstep.
 """
 from __future__ import annotations
 
@@ -47,19 +47,19 @@ class Stage2Slot:
 class Phase:
     """One mission phase, over the steps [start, end).
 
-    The chassis reference at step i is the circuit's row at the lap clock
-    clock + (i - origin) * dt, or the pose at clock held still when origin
-    is None; a Stage II dwell's clock is its stop's lap step times dt.
-    marks are the (step, event) markers the phase fires.  spray is what the arm does: track a
-    SweepPath, aim at a Stage2Slot's fire, hold the top-spray joint vector
-    (rad), or, when None, blend between its neighbours in joint space.
+    The chassis reference at step i is the circuit's row at lap step
+    lap_step + i - start, or, when held, at lap_step with every rate zeroed:
+    the top spray holds at K5's step and a dwell at its stop's.  marks are
+    the (step, event) markers the phase fires.  spray is what the arm does:
+    track a SweepPath, aim at a Stage2Slot's fire, hold the top-spray joint
+    vector (rad), or, when None, blend between its neighbours in joint space.
     """
 
     start: int
     end: int
     label: str
-    clock: float
-    origin: int | None
+    lap_step: int
+    held: bool
     marks: tuple = ()
     spray: object = None
 
@@ -71,7 +71,7 @@ class MissionPlan:
     geometry: object      # ArmGeometry
     circuit: object
     sweeps: list
-    stops: list           # Stop per fire, in path order
+    stops: list           # Stop per fire, in lap-step order
     flagged: list
     dt: float
     n_steps: int
@@ -86,7 +86,7 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
     cannot be flown, and ValidationError naming dt when the run would take
     more than mission.MAX_STEPS steps.  A fire the arm cannot reach from
     its stop's parking pose is flagged in the plan, not raised; Stage II
-    halts at each served stop's lap step, in path order."""
+    halts at each served stop's lap step, in step order."""
     dt = config.dt
     geometry = build_geometry(config)
     circuit = Circuit(config.circuit, dt=dt)
@@ -101,45 +101,44 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
     a_steps = [int(round(t / dt)) for t in circuit.a_times]
     phases = []
 
-    def visit(label, start, end, clock, origin, marks=(), spray=None):
-        phases.append(Phase(start, end, label, clock, origin, tuple(marks),
+    def visit(label, start, end, lap_step, held, marks=(), spray=None):
+        phases.append(Phase(start, end, label, lap_step, held, tuple(marks),
                             spray))
 
-    # Stage I runs on one clock, so step i samples the lap at exactly i*dt.
-    visit("Home", 0, 0, 0.0, 0, [(0, "start")])
+    # Stage I is one lap from step 0, so its row i is lap step i.
+    visit("Home", 0, 0, 0, False, [(0, "start")])
     for k, sweep in enumerate(sweeps, start=1):
         start = k_steps[k - 1]
         end = start + int(math.ceil(sweep.duration / dt - 1e-9))
-        visit("StageI.%d.sweep" % k, start, end, 0.0, 0,
+        visit("StageI.%d.sweep" % k, start, end, start, False,
               [(start, "K%d" % k), (start, "sweep%d_start" % k),
                (end, "sweep%d_end" % k)], sweep)
         # The lap marks follow every sweep marker, also on a shared step.
-        visit("StageI.%d.transit" % k, end, k_steps[k], 0.0, 0,
+        visit("StageI.%d.transit" % k, end, k_steps[k], end, False,
               [(k_steps[4], "K5")] + [(step, "A%d" % a) for a, step
                                       in enumerate(a_steps, start=1)]
               if k == 4 else ())
 
     cursor = k_steps[4] + int(round(config.top_spray.duration / dt))
     if cursor > k_steps[4]:
-        visit("TopSpray", k_steps[4], cursor, circuit.lap_time, None,
+        visit("TopSpray", k_steps[4], cursor, k_steps[4], True,
               [(k_steps[4], "top_spray_start"), (cursor, "top_spray_end")],
               np.asarray(config.top_spray.joints_deg, dtype=float) * DEG)
 
-    # Stage II drives one more lap from clock 0, halting at each stop's step.
+    # Stage II drives one more lap from step 0, halting at each stop's step.
     stage2 = []
     lap_step = 0
     for j, (stop, pitch, dwell) in enumerate(sprays, start=1):
         arrive = cursor + stop.step - lap_step
-        visit("StageII.%d.drive" % j, cursor, arrive, lap_step * dt, cursor)
+        visit("StageII.%d.drive" % j, cursor, arrive, lap_step, False)
         lap_step = stop.step
         stage2.append(Stage2Slot(stop=stop, pitch=pitch, dwell=dwell))
         cursor = arrive + int(round(dwell / dt))
-        visit("StageII.%d.spray" % j, arrive, cursor, lap_step * dt, None,
+        visit("StageII.%d.spray" % j, arrive, cursor, lap_step, True,
               [(arrive, "stop%d_arrive" % j), (arrive, "spray%d_start" % j),
                (cursor, "spray%d_end" % j)], stage2[-1])
 
-    visit("End", cursor, cursor + 1,
-          lap_step * dt if stage2 else circuit.lap_time, None,
+    visit("End", cursor, cursor + 1, lap_step if stage2 else k_steps[4], True,
           [(cursor, "end")])
     check_step_count(cursor, dt)
     return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
@@ -148,16 +147,16 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
 
 
 def _chassis_reference(plan: MissionPlan) -> np.ndarray:
-    """Circuit.REFERENCE_COLUMNS per sample, row i active on [t_i, t_i+1);
-    a held phase repeats the pose at its clock with every rate zeroed."""
-    table = np.empty((plan.n_steps + 1, len(Circuit.REFERENCE_COLUMNS)))
+    """Circuit.REFERENCE_COLUMNS per sample, row i active on [t_i, t_i+1):
+    one sampling at every row's lap step, every rate zeroed on held rows."""
+    steps = np.empty(plan.n_steps + 1, dtype=np.int64)
+    held = np.zeros(plan.n_steps + 1, dtype=bool)
     for p in plan.phases:
-        if p.origin is None:
-            table[p.start:p.end] = plan.circuit.sample_rows([p.clock])[0]
-            table[p.start:p.end, 3:] = 0.0  # v, w, vdx, vdy and their rates
-        else:
-            table[p.start:p.end] = plan.circuit.sample_rows(
-                p.clock + (np.arange(p.start, p.end) - p.origin) * plan.dt)
+        steps[p.start:p.end] = p.lap_step if p.held else np.arange(
+            p.lap_step, p.lap_step + p.end - p.start)
+        held[p.start:p.end] = p.held
+    table = plan.circuit.sample_rows(steps * plan.dt)
+    table[held, 3:] = 0.0  # v, w, vdx, vdy and their rates
     return table
 
 

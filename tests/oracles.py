@@ -480,13 +480,14 @@ def _lap_pose(spec, corner_time: float, t: float) -> tuple:
 
 def stop_plan(fires, spec, dt: float) -> list:
     """Each fire's stop as (ident, nearest mark 1..8, group 1..4, point,
-    path length from K1, lap step, parked pose), in path order.
+    path length from K1, lap step, parked pose), in (lap step, ident) order.
 
     Group g's straight runs from A(2g-1) to A(2g) at heading g quarter
-    turns; a fire goes to its nearest mark (the lower on a tie) and stops at
-    its clamped projection onto that straight.  Corners are driven on the
-    control grid, ceil(pi r / 2 / v / dt) steps; the opening leg is split
-    by K1, which ends the lap."""
+    turns; a fire goes to its nearest mark (the lowest of those within
+    1e-9 m of the nearest distance) and stops at its clamped projection
+    onto that straight.  Corners are driven on the control grid,
+    ceil(pi r / 2 / v / dt) steps; the opening leg is split by K1, which
+    ends the lap."""
     ls, r, v = spec.edge_length, spec.corner_radius, spec.speed
     hs, (cx, cy) = 0.5 * ls, spec.center
     arc = 0.5 * math.pi * r
@@ -503,7 +504,8 @@ def stop_plan(fires, spec, dt: float) -> list:
     for fire in fires:
         px, py = fire.position[0], fire.position[1]
         dists = [math.hypot(px - mx, py - my) for mx, my in marks]
-        nearest = dists.index(min(dists))
+        nearest = min(k for k, d in enumerate(dists)
+                      if d <= min(dists) + 1e-9)
         group = nearest // 2 + 1
         (x0, y0), h, s0, t0 = straights[group - 1]
         c, s = math.cos(h), math.sin(h)
@@ -515,7 +517,7 @@ def stop_plan(fires, spec, dt: float) -> list:
         rows.append((fire.ident, nearest + 1, group,
                      (x0 + along * c, y0 + along * s), dist, step,
                      _lap_pose(spec, corner_time, step * dt)))
-    rows.sort(key=lambda row: (row[4], row[0]))
+    rows.sort(key=lambda row: (row[5], row[0]))
     return rows
 
 

@@ -251,8 +251,8 @@ def test_fire_assignment_matches_oracle(capsys):
                     or abs(wrap_angle(stop.pose[2] - pose[2])) > 1e-12):
                 mismatches += 1
                 break
-        dists = [s.path_distance for s in stops]
-        if dists != sorted(dists):
+        keys = [(s.step, s.fire.ident) for s in stops]
+        if keys != sorted(keys):
             disorder += 1
 
     worked = assign_fires(

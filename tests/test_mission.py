@@ -289,8 +289,8 @@ def test_assign_fires_matches_brute_force(circuit, rng):
             np.testing.assert_allclose(stop.pose[:2], pose[:2], atol=1e-12)
             assert wrap_angle(stop.pose[2] - pose[2]) == pytest.approx(
                 0.0, abs=1e-12)
-        d = [s.path_distance for s in stops]
-        assert all(x <= y for x, y in zip(d, d[1:]))
+        keys = [(s.step, s.fire.ident) for s in stops]
+        assert keys == sorted(keys)
 
 
 def test_assign_fires_tie_takes_lower_mark(circuit):
@@ -299,6 +299,35 @@ def test_assign_fires_tie_takes_lower_mark(circuit):
         circuit)
     assert stop.nearest_a == 1
     assert stop.group == 1
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (10.0, -7.0), (3.3, 1.7),
+                                    (-123.4, 56.7)])
+def test_assign_fires_tie_within_a_nanometre_takes_lowest_mark(center):
+    """A fire at the crib centre is equally far from all eight marks; the
+    centre's last bits make the distances differ in round-off only, and the
+    fire goes to A1 wherever the crib is."""
+    circuit = Circuit(CircuitConfig(center=center), dt=0.01)
+    fires = [FireConfig(ident="F1", position=center + (0.5,))]
+    [stop] = assign_fires(fires, circuit)
+    assert (stop.nearest_a, stop.group) == (1, 1)
+    assert stop_plan(fires, circuit.spec, circuit.dt)[0][1:3] == (1, 1)
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (10.0, -7.0)])
+def test_stops_on_one_step_keep_ident_order(center):
+    """Two fires that project onto one point of the circuit share a lap step
+    and are served in ident order, however the projection rounds their path
+    distances."""
+    circuit = Circuit(CircuitConfig(center=center), dt=0.01)
+    y = center[1] - 0.9420389341250399
+    fires = [FireConfig(ident="F0", position=(center[0] + 2.0, y, 0.5)),
+             FireConfig(ident="F1", position=(center[0] + 1.0, y, 0.5))]
+    stops = assign_fires(fires, circuit)
+    assert stops[0].step == stops[1].step
+    assert [s.fire.ident for s in stops] == ["F0", "F1"]
+    assert [row[0] for row in stop_plan(fires, circuit.spec, 0.01)] == [
+        "F0", "F1"]
 
 
 def test_assign_fires_clamps_to_straight(circuit):
