@@ -14,9 +14,9 @@ the dwell holds and aims from that pose.
 The chassis reference, the state labels and markers and the arm's joint
 reference are each one loop over the phases, and no other code steps
 through the schedule.  None builds a per-row list: the chassis reference is
-one sampling of the circuit at every row's integer lap step (Phase), each
-sweep's joint reference one base-frame transform and one batch IK, and
-each gap between spray phases one broadcast smoothstep.
+one sampling of the circuit's lap steps, indexed by every row's integer lap
+step (Phase), each sweep's joint reference one base-frame transform and one
+batch IK, and each gap between spray phases one broadcast smoothstep.
 """
 from __future__ import annotations
 
@@ -49,10 +49,11 @@ class Phase:
 
     The chassis reference at step i is the circuit's row at lap step
     lap_step + i - start, or, when held, at lap_step with every rate zeroed:
-    the top spray holds at K5's step and a dwell at its stop's.  marks are
-    the (step, event) markers the phase fires.  spray is what the arm does:
-    track a SweepPath, aim at a Stage2Slot's fire, hold the top-spray joint
-    vector (rad), or, when None, blend between its neighbours in joint space.
+    a dwell holds at its stop's step, the top spray at the last step not past
+    K5 (K1, where Stage II sets off).  marks are the (step, event) markers
+    the phase fires.  spray is what the arm does: track a SweepPath, aim at
+    a Stage2Slot's fire, hold the top-spray joint vector (rad), or, when
+    None, blend between its neighbours in joint space.
     """
 
     start: int
@@ -98,7 +99,7 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
                                sweeps[0].pitch, geometry)
 
     k_steps = [int(round(t / dt)) for t in circuit.k_times]
-    a_steps = [int(round(t / dt)) for t in circuit.a_times]
+    hold = int(math.floor(circuit.k_times[4] / dt + 1e-9))  # see Phase
     phases = []
 
     def visit(label, start, end, lap_step, held, marks=(), spray=None):
@@ -115,13 +116,13 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
                (end, "sweep%d_end" % k)], sweep)
         # The lap marks follow every sweep marker, also on a shared step.
         visit("StageI.%d.transit" % k, end, k_steps[k], end, False,
-              [(k_steps[4], "K5")] + [(step, "A%d" % a) for a, step
-                                      in enumerate(a_steps, start=1)]
+              [(k_steps[4], "K5")] + [(int(round(t / dt)), "A%d" % a) for a, t
+                                      in enumerate(circuit.a_times, start=1)]
               if k == 4 else ())
 
     cursor = k_steps[4] + int(round(config.top_spray.duration / dt))
     if cursor > k_steps[4]:
-        visit("TopSpray", k_steps[4], cursor, k_steps[4], True,
+        visit("TopSpray", k_steps[4], cursor, hold, True,
               [(k_steps[4], "top_spray_start"), (cursor, "top_spray_end")],
               np.asarray(config.top_spray.joints_deg, dtype=float) * DEG)
 
@@ -138,7 +139,7 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
               [(arrive, "stop%d_arrive" % j), (arrive, "spray%d_start" % j),
                (cursor, "spray%d_end" % j)], stage2[-1])
 
-    visit("End", cursor, cursor + 1, lap_step if stage2 else k_steps[4], True,
+    visit("End", cursor, cursor + 1, lap_step if stage2 else hold, True,
           [(cursor, "end")])
     check_step_count(cursor, dt)
     return MissionPlan(geometry=geometry, circuit=circuit, sweeps=sweeps,
@@ -148,14 +149,15 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
 
 def _chassis_reference(plan: MissionPlan) -> np.ndarray:
     """Circuit.REFERENCE_COLUMNS per sample, row i active on [t_i, t_i+1):
-    one sampling at every row's lap step, every rate zeroed on held rows."""
+    the lap's steps sampled once, indexed by row, rates zeroed when held."""
     steps = np.empty(plan.n_steps + 1, dtype=np.int64)
     held = np.zeros(plan.n_steps + 1, dtype=bool)
     for p in plan.phases:
         steps[p.start:p.end] = p.lap_step if p.held else np.arange(
             p.lap_step, p.lap_step + p.end - p.start)
         held[p.start:p.end] = p.held
-    table = plan.circuit.sample_rows(steps * plan.dt)
+    lap = plan.circuit.sample_rows(np.arange(steps.max() + 1) * plan.dt)
+    table = lap[steps]
     table[held, 3:] = 0.0  # v, w, vdx, vdy and their rates
     return table
 
@@ -215,8 +217,7 @@ def _arm_reference(plan: MissionPlan, refs: np.ndarray):
     for (_, b0), (a1, _) in zip(anchors[:-1], anchors[1:]):  # smoothstep
         x = ((np.arange(b0 + 1, a1) - b0) / (a1 - b0))[:, None]
         qr[b0 + 1:a1] = qr[b0] + x * x * (3.0 - 2.0 * x) * (qr[a1] - qr[b0])
-    last_end = anchors[-1][1]
-    qr[last_end + 1:] = qr[last_end]
+    qr[anchors[-1][1] + 1:] = qr[anchors[-1][1]]
 
     qdr = np.gradient(qr, dt, axis=0)
     qddr = np.gradient(qdr, dt, axis=0)
