@@ -271,11 +271,19 @@ def test_assign_fires_worked_case(circuit):
 
 
 def test_assign_fires_matches_brute_force(circuit, rng):
+    """Random fire sets, and two fires that project onto one point of the
+    circuit, which share a lap step and keep their ident order however the
+    projection rounds their path distances."""
+    y = -0.9420389341250399
+    fire_sets = [[FireConfig(ident="F0", position=(2.0, y, 0.5)),
+                  FireConfig(ident="F1", position=(1.0, y, 0.5))]]
     for trial in range(20):
         n = int(rng.integers(1, 11))
-        fires = [FireConfig(ident="F%d" % (i + 1),
-                            position=tuple(rng.uniform(-0.5, 0.5, 2)) + (0.3,))
-                 for i in range(n)]
+        fire_sets.append([
+            FireConfig(ident="F%d" % (i + 1),
+                       position=tuple(rng.uniform(-0.5, 0.5, 2)) + (0.3,))
+            for i in range(n)])
+    for fires in fire_sets:
         stops = assign_fires(fires, circuit)
         oracle = stop_plan(fires, circuit.spec, DT)
         assert len(stops) == len(oracle)
@@ -294,40 +302,20 @@ def test_assign_fires_matches_brute_force(circuit, rng):
 
 
 def test_assign_fires_tie_takes_lower_mark(circuit):
+    """Ties go to the lowest-numbered mark: a fire midway between A1 and A2,
+    and a fire at the crib centre, equally far from all eight marks up to
+    the round-off of the centre's last bits, which goes to A1 wherever the
+    crib is."""
     [stop] = assign_fires(
         [FireConfig(ident="F1", position=(circuit.half_width, 0.0, 0.3))],
         circuit)
-    assert stop.nearest_a == 1
-    assert stop.group == 1
-
-
-@pytest.mark.parametrize("center", [(0.0, 0.0), (10.0, -7.0), (3.3, 1.7),
-                                    (-123.4, 56.7)])
-def test_assign_fires_tie_within_a_nanometre_takes_lowest_mark(center):
-    """A fire at the crib centre is equally far from all eight marks; the
-    centre's last bits make the distances differ in round-off only, and the
-    fire goes to A1 wherever the crib is."""
-    circuit = Circuit(CircuitConfig(center=center), dt=0.01)
-    fires = [FireConfig(ident="F1", position=center + (0.5,))]
-    [stop] = assign_fires(fires, circuit)
     assert (stop.nearest_a, stop.group) == (1, 1)
-    assert stop_plan(fires, circuit.spec, circuit.dt)[0][1:3] == (1, 1)
-
-
-@pytest.mark.parametrize("center", [(0.0, 0.0), (10.0, -7.0)])
-def test_stops_on_one_step_keep_ident_order(center):
-    """Two fires that project onto one point of the circuit share a lap step
-    and are served in ident order, however the projection rounds their path
-    distances."""
-    circuit = Circuit(CircuitConfig(center=center), dt=0.01)
-    y = center[1] - 0.9420389341250399
-    fires = [FireConfig(ident="F0", position=(center[0] + 2.0, y, 0.5)),
-             FireConfig(ident="F1", position=(center[0] + 1.0, y, 0.5))]
-    stops = assign_fires(fires, circuit)
-    assert stops[0].step == stops[1].step
-    assert [s.fire.ident for s in stops] == ["F0", "F1"]
-    assert [row[0] for row in stop_plan(fires, circuit.spec, 0.01)] == [
-        "F0", "F1"]
+    for center in [(0.0, 0.0), (10.0, -7.0), (3.3, 1.7), (-123.4, 56.7)]:
+        moved = Circuit(CircuitConfig(center=center), dt=0.01)
+        fires = [FireConfig(ident="F1", position=center + (0.5,))]
+        [stop] = assign_fires(fires, moved)
+        assert (stop.nearest_a, stop.group) == (1, 1), center
+        assert stop_plan(fires, moved.spec, moved.dt)[0][1:3] == (1, 1)
 
 
 def test_assign_fires_clamps_to_straight(circuit):

@@ -124,8 +124,9 @@ def test_phase_timeline(spec, tail):
     assert held == [p for p in phases if p.label in ("TopSpray", "End")
                     or isinstance(p.spray, Stage2Slot)]
     assert len(held) == bool(config.top_spray.duration) + len(plan.stage2) + 1
-    # The top spray holds at K5's lap step; End at the last stop's, or at
-    # K5's when there is none.
+    # The top spray holds at K5's lap step, which dt 1 ms puts on the lap's
+    # close (test_hold_after_stage_one_stays_on_the_grid takes the dt that
+    # do not); End at the last stop's step, or at K5's when there is none.
     [k5] = [step for p in phases for step, event in p.marks if event == "K5"]
     if config.top_spray.duration:
         assert held[0].label == "TopSpray" and held[0].lap_step == k5
@@ -185,21 +186,35 @@ def test_phase_timeline(spec, tail):
         sum(slot.dwell for slot in plan.stage2), abs=dt)
 
 
+@pytest.mark.parametrize("dt, first_move", [(0.007, 6.16e-3), (0.011, 0.0)],
+                         ids=["rounds_down", "rounds_up"])
 @pytest.mark.parametrize("spec", [{"top_spray": {"duration": 1.0}},
                                   {"fires": []}], ids=["top_spray", "no_fires"])
-def test_hold_after_stage_one_stays_on_the_grid(spec):
-    """At dt 7 ms, which does not divide the lap, the pose held after Stage
-    I's last row (the top spray's, or End's with no stop) is the row of K5's
-    lap step: one driven step on from the last row, not a jump to the lap
-    clock's end."""
-    plan = plan_mission(parse_config(dict(spec, dt=0.007)))
+def test_hold_after_stage_one_stays_on_the_grid(spec, dt, first_move):
+    """At a dt that does not divide the lap, the pose held after Stage I's
+    last row (the top spray's, or End's with no stop) is the row of the last
+    lap step not past K5: one driven step on from the last row when the lap
+    rounds down to K5's step (6.16 mm at dt 7 ms, not a jump to the lap's
+    end), none when it rounds up.  Stage II's first row then moves on from
+    the hold by the rest of the lap, less than one step and never back."""
+    plan = plan_mission(parse_config(dict(spec, dt=dt)))
     refs = _chassis_reference(plan)
     hold = plan.phases[len(STAGE_I)]
-    assert hold.held and hold.start == hold.lap_step
-    k5 = hold.start
-    moves = np.hypot(*np.diff(refs[k5 - 2:k5 + 1, :2], axis=0).T)
-    assert moves[0] == pytest.approx(6.16e-3, rel=1e-3)
-    assert moves[1] == pytest.approx(moves[0], rel=1e-9)
+    lap = plan.circuit.lap_time
+    assert hold.held and hold.lap_step * dt <= lap < (hold.lap_step + 1) * dt
+    # Two driven rows, the first held one and, after the top spray, the
+    # first row of Stage II.
+    rows = refs[[hold.start - 2, hold.start - 1, hold.start]
+                + ([hold.end] if "top_spray" in spec else [])]
+    speed = rows[0, 3]
+    along = [np.dot(b[:2] - a[:2], [np.cos(a[2]), np.sin(a[2])])
+             for a, b in zip(rows[:-1], rows[1:])]
+    assert along[0] == pytest.approx(speed * dt, rel=1e-9)
+    assert along[1] == pytest.approx(first_move, rel=1e-3, abs=1e-12)
+    if "top_spray" in spec:
+        assert along[2] == pytest.approx(speed * (lap - hold.lap_step * dt),
+                                         rel=1e-9)
+        assert 0.0 < along[2] < speed * dt
 
 
 @pytest.mark.parametrize("x", [2e-12, 5e-10, 8e-10])
@@ -295,6 +310,7 @@ def test_moving_the_scene_moves_only_the_stops(fires):
     assert other[0] == base[0]
     assert [f for f, _ in other[2]] == [f for f, _ in base[2]]
     assert [s[:4] for s in other[1]] == [s[:4] for s in base[1]]
+    assert sorted(base[1], key=lambda s: (s[3], s[0])) == base[1]
     np.testing.assert_allclose([s[4:] for s in other[1]],
                                [s[4:] for s in base[1]], atol=1e-9)
 
