@@ -250,20 +250,22 @@ class WorkspaceSummary:
     key_points: tuple
 
 
-def scan_pitch(pose_at, pitches, geometry: ArmGeometry):
-    """Try each nozzle pitch (rad) in order, pose_at(pitches) giving the
-    tool poses; returns (pitch, "") for the first with an in-range solution,
-    else (None, the last failure's reason)."""
-    _, bad, error = _solve(pose_at(np.asarray(pitches)), geometry)
+def scan_pitch(pose: EndEffectorPose, geometry: ArmGeometry):
+    """Try the candidate pitches pose.phi (rad, 1-D) in order at the tool
+    point pose.x, .y, .z; returns (pitch, joints) for the first with an
+    in-range solution, joints its 4 angles as a tuple, else (None, the last
+    failure's reason)."""
+    q, bad, error = _solve(pose, geometry)
     if bad.all():
-        return None, str(error(len(pitches) - 1))
-    return pitches[int(bad.argmin())], ""
+        return None, str(error(len(bad) - 1))
+    i = int(bad.argmin())
+    return float(pose.phi[i]), tuple(q[i].tolist())
 
 
 def point_reachable(position, geometry: ArmGeometry) -> bool:
     """True if some pitch of PITCH_GRID admits an in-range solution."""
     x, y, z = (float(v) for v in position)
-    return scan_pitch(lambda phi: EndEffectorPose(x, y, z, phi), PITCH_GRID,
+    return scan_pitch(EndEffectorPose(x, y, z, PITCH_GRID),
                       geometry)[0] is not None
 
 

@@ -196,13 +196,14 @@ class Circuit:
 
         Returns (s, step, pose): its path length from the lap start, the
         control step of its lap clock, and the reference (X, Y, heading)
-        held at that step.  Group 4 is the opening leg, split by K1: past
-        K1 the point lies on the lap's first half edge, and K1 itself ends
-        the lap.
+        held at that step.  Group 4 is the opening leg, split by K1: a point
+        past K1, or short of it by 1e-9 m or less, lies on the lap's first
+        half edge, clamped to start at K1, so a point on K1 parks at lap
+        step 0 however its last bits round.
         """
         seg = self.segments[2 * group]
-        if group == 4 and along > seg.length:
-            seg, along = self.segments[0], along - seg.length
+        if group == 4 and along >= seg.length - 1e-9:
+            seg, along = self.segments[0], max(along - seg.length, 0.0)
         step = round((seg.t0 + along / seg.speed) / self.dt)
         pose = tuple(self.sample_rows([step * self.dt])[0, :3].tolist())
         return seg.s0 + along, step, pose
@@ -347,30 +348,36 @@ def assign_fires(fires, circuit: Circuit) -> list:
     return stops
 
 
+@dataclass(frozen=True)
+class Stage2Slot:
+    """One served stop: the nozzle pitch and the four joint angles (rad)
+    that aim the arm at the stop's fire from its parking pose, and the
+    dwell (s) spent spraying it."""
+
+    stop: Stop
+    pitch: float
+    joints: tuple
+    dwell: float
+
+
 def dispatch(stops: list, budget: float, pitch: float, geometry: ArmGeometry):
-    """Pick a nozzle pitch for each stop and split the spray budget.
+    """Aim the arm at each stop's fire and split the spray budget.
 
     The stops come from assign_fires, the budget is the FireTestConfig
-    stage2_budget and pitch (rad) is the sweep pitch, tried first; the budget
-    is split evenly over the reachable stops.  Reach is taken from each
-    stop's parking pose, the reference the chassis holds while it sprays.
+    stage2_budget and pitch (rad) is the sweep pitch, tried before
+    PITCH_GRID; one scan_pitch from each stop's parking pose, the reference
+    the chassis holds while it sprays, gives the first pitch in range and
+    its joints.  The budget is split evenly over the reachable stops.
     Fires the arm cannot reach from there are skipped and returned flagged
     rather than raised.
-    Returns (sprays, flagged): sprays holds a (stop, pitch, dwell) triple
-    per reachable stop, in stop order, and flagged (fire, reason) pairs.
+    Returns (slots, flagged): a Stage2Slot per reachable stop, in stop
+    order, and (fire, reason) pairs.
     """
-    reachable = []
-    flagged = []
-    for stop in stops:
-        chosen, reason = scan_pitch(
-            lambda cand: target_in_base_frame(stop.pose, stop.fire.position,
-                                              cand),
-            (pitch,) + PITCH_GRID, geometry)
-        if chosen is None:
-            flagged.append((stop.fire, "unreachable from stop: %s" % reason))
-        else:
-            reachable.append((stop, chosen))
-
-    dwell = budget / max(len(reachable), 1)
-    return [(stop, chosen, dwell) for stop, chosen in reachable], flagged
-
+    pitches = np.array((pitch,) + PITCH_GRID)
+    scans = [(stop,) + scan_pitch(target_in_base_frame(
+        stop.pose, stop.fire.position, pitches), geometry) for stop in stops]
+    flagged = [(stop.fire, "unreachable from stop: %s" % reason)
+               for stop, chosen, reason in scans if chosen is None]
+    dwell = budget / max(len(stops) - len(flagged), 1)
+    return [Stage2Slot(stop, chosen, joints, dwell)
+            for stop, chosen, joints in scans if chosen is not None], flagged

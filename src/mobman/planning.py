@@ -8,15 +8,18 @@ Home, which has no steps and only fires start; the sweep and the transit of
 each Stage I leg; the top spray when it has steps; each Stage II drive and
 dwell; and End, the last row.  A dwell with no steps still fires its
 markers and aims the arm.  Each Stage II stop comes with its lap step and
-parking pose (mission.Circuit.on_straight): the drive ends at that step, and
-the dwell holds and aims from that pose.
+parking pose (mission.Circuit.on_straight) and the joints that aim the arm
+at its fire from that pose (mission.dispatch, whose pitch scan is the only
+IK a stop gets): the drive ends at that step, and the dwell holds that pose
+and those joints.
 
 The chassis reference, the state labels and markers and the arm's joint
 reference are each one loop over the phases, and no other code steps
 through the schedule.  None builds a per-row list: the chassis reference is
 one sampling of the circuit's lap steps, indexed by every row's integer lap
 step (Phase), each sweep's joint reference one base-frame transform and one
-batch IK, and each gap between spray phases one broadcast smoothstep.
+batch IK, each dwell's its slot's joints, and each gap between spray phases
+one broadcast smoothstep.
 """
 from __future__ import annotations
 
@@ -29,18 +32,9 @@ from .arm_control import target_in_base_frame
 from .config import ScenarioConfig, build_geometry
 from .errors import JointLimitViolation, Unreachable
 from .kinematics import inverse_kinematics
-from .mission import (Circuit, SweepPath, assign_fires, build_sweep,
-                      check_step_count, dispatch)
+from .mission import (Circuit, Stage2Slot, SweepPath, assign_fires,
+                      build_sweep, check_step_count, dispatch)
 from .util import DEG
-
-
-@dataclass
-class Stage2Slot:
-    """One serviced stop."""
-
-    stop: object
-    pitch: float
-    dwell: float
 
 
 @dataclass(frozen=True)
@@ -51,9 +45,10 @@ class Phase:
     lap_step + i - start, or, when held, at lap_step with every rate zeroed:
     a dwell holds at its stop's step, the top spray at the last step not past
     K5 (K1, where Stage II sets off).  marks are the (step, event) markers
-    the phase fires.  spray is what the arm does: track a SweepPath, aim at
-    a Stage2Slot's fire, hold the top-spray joint vector (rad), or, when
-    None, blend between its neighbours in joint space.
+    the phase fires.  spray is what the arm does: track a SweepPath, hold a
+    Stage2Slot's joints, which aim at its fire, hold the top-spray joint
+    vector (rad), or, when None, blend between its neighbours in joint
+    space.
     """
 
     start: int
@@ -83,11 +78,15 @@ class MissionPlan:
 def plan_mission(config: ScenarioConfig) -> MissionPlan:
     """Lay a validated scenario's mission out on its control grid: the
     circuit, the four sweeps, the Stage II stops and the phase timeline.
-    Raises GeometryError or InfeasibleSweep for a circuit or a sweep that
-    cannot be flown, and ValidationError naming dt when the run would take
-    more than mission.MAX_STEPS steps.  A fire the arm cannot reach from
-    its stop's parking pose is flagged in the plan, not raised; Stage II
-    halts at each served stop's lap step, in step order."""
+    Raises GeometryError for a circuit that cannot be driven,
+    InfeasibleSweep for a sweep that cannot finish within its leg, and
+    ValidationError naming dt when the run would take more than
+    mission.MAX_STEPS steps.  A fire the arm cannot reach from its stop's
+    parking pose is flagged in the plan, not raised; Stage II halts at each
+    served stop's lap step, in step order.  The plan judges Stage II's
+    reach only: a sweep sample the arm cannot reach passes here, and
+    run_mission raises Unreachable or JointLimitViolation naming the sweep
+    and sample when it builds the joint reference."""
     dt = config.dt
     geometry = build_geometry(config)
     circuit = Circuit(config.circuit, dt=dt)
@@ -95,7 +94,7 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
               for k in range(1, 5)]
 
     stops = assign_fires(config.fires, circuit)
-    sprays, flagged = dispatch(stops, config.fire_test.stage2_budget,
+    stage2, flagged = dispatch(stops, config.fire_test.stage2_budget,
                                sweeps[0].pitch, geometry)
 
     k_steps = [int(round(t / dt)) for t in circuit.k_times]
@@ -127,17 +126,15 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
               np.asarray(config.top_spray.joints_deg, dtype=float) * DEG)
 
     # Stage II drives one more lap from step 0, halting at each stop's step.
-    stage2 = []
     lap_step = 0
-    for j, (stop, pitch, dwell) in enumerate(sprays, start=1):
-        arrive = cursor + stop.step - lap_step
+    for j, slot in enumerate(stage2, start=1):
+        arrive = cursor + slot.stop.step - lap_step
         visit("StageII.%d.drive" % j, cursor, arrive, lap_step, False)
-        lap_step = stop.step
-        stage2.append(Stage2Slot(stop=stop, pitch=pitch, dwell=dwell))
-        cursor = arrive + int(round(dwell / dt))
+        lap_step = slot.stop.step
+        cursor = arrive + int(round(slot.dwell / dt))
         visit("StageII.%d.spray" % j, arrive, cursor, lap_step, True,
               [(arrive, "stop%d_arrive" % j), (arrive, "spray%d_start" % j),
-               (cursor, "spray%d_end" % j)], stage2[-1])
+               (cursor, "spray%d_end" % j)], slot)
 
     visit("End", cursor, cursor + 1, lap_step if stage2 else hold, True,
           [(cursor, "end")])
@@ -174,40 +171,28 @@ def _labels_and_events(plan: MissionPlan):
     return labels, events
 
 
-def _solve_ik(plan: MissionPlan, target, where):
-    """Closed-form IK of reference targets; a failure is re-raised as the
-    same error prefixed with where(i), i the failing sample's index."""
-    try:
-        return inverse_kinematics(target, plan.geometry)
-    except (Unreachable, JointLimitViolation) as exc:
-        raise type(exc)("%s: %s" % (where(exc.sample), exc)) from exc
-
-
 def _arm_reference(plan: MissionPlan, refs: np.ndarray):
-    """Joint reference over the whole run: tracked IK in sweep and spray
-    phases, held joints in the top spray, smooth joint-space blends across
-    the phases between them, a hold after the last; refs: the chassis table."""
+    """Joint reference over the whole run: tracked IK in sweeps, held joints
+    in the top spray and in each dwell (its slot's), smooth joint-space
+    blends across the phases between them, a hold after the last; refs: the
+    chassis table."""
     dt = plan.dt
     qr = np.zeros((plan.n_steps + 1, 4))
     anchors = []  # (first, last) step of each spray phase, in order
-    n_stops = 0
     for p in plan.phases:
         a, b, spray = p.start, p.end, p.spray
         if isinstance(spray, SweepPath):
             points = spray.positions_at((np.arange(a, b + 1) - a) * dt)
             target = target_in_base_frame(refs[a:b + 1, :3].T, points.T,
                                           spray.pitch)
-            qr[a:b + 1] = _solve_ik(
-                plan, target, lambda k: "sweep %d sample %d (t=%.4f s)" % (
-                    spray.edge_index, a + k, (a + k) * dt))
+            try:
+                qr[a:b + 1] = inverse_kinematics(target, plan.geometry)
+            except (Unreachable, JointLimitViolation) as exc:
+                k = a + exc.sample
+                raise type(exc)("sweep %d sample %d (t=%.4f s): %s" % (
+                    spray.edge_index, k, k * dt, exc)) from exc
         elif isinstance(spray, Stage2Slot):
-            n_stops += 1
-            target = target_in_base_frame(spray.stop.pose,
-                                          spray.stop.fire.position,
-                                          spray.pitch)
-            qr[a:b + 1] = _solve_ik(
-                plan, target, lambda _: "stage II stop %d (%s)" % (
-                    n_stops, spray.stop.fire.ident))
+            qr[a:b + 1] = spray.joints
         elif spray is not None:
             qr[a:b + 1] = spray
         else:

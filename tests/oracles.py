@@ -487,7 +487,8 @@ def stop_plan(fires, spec, dt: float) -> list:
     1e-9 m of the nearest distance) and stops at its clamped projection
     onto that straight.  Corners are driven on the control grid,
     ceil(pi r / 2 / v / dt) steps; the opening leg is split by K1, which
-    ends the lap."""
+    starts the lap: a stop past K1 lies that far into the lap, and one on
+    K1 or short of it by at most 1e-9 m at its start, lap step 0."""
     ls, r, v = spec.edge_length, spec.corner_radius, spec.speed
     hs, (cx, cy) = 0.5 * ls, spec.center
     arc = 0.5 * math.pi * r
@@ -511,8 +512,9 @@ def stop_plan(fires, spec, dt: float) -> list:
         c, s = math.cos(h), math.sin(h)
         along = min(max((px - x0) * c + (py - y0) * s, 0.0), ls)
         dist, clock = s0 + along, t0 + along / v
-        if group == 4 and along > hs:    # past K1, early in the lap
-            dist, clock = along - hs, (along - hs) / v
+        if group == 4 and along >= hs - 1e-9:    # on K1 or past it
+            dist = max(along - hs, 0.0)
+            clock = dist / v
         step = round(clock / dt)
         rows.append((fire.ident, nearest + 1, group,
                      (x0 + along * c, y0 + along * s), dist, step,

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end, driven in-process
 through ``cli.main`` so exit codes and printed output are both observable."""
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -104,6 +105,19 @@ def test_plan_writes_json_and_prints_assignments(tmp_path, capsys):
     # Stops come back in drive order along the lap.
     dists = [s["path_distance"] for s in payload["stops"]]
     assert dists == sorted(dists)
+
+
+STOCK_PLAN_DIGEST = ("26260205e1eca90458f23c4efab9a4244f4f8f1e9c39e48cda4bcfeb"
+                     "bddce6da")
+
+
+def test_stock_plan_digest(tmp_path, capsys):
+    """The sha256 of the stock `mobman plan --json` file.  A change that
+    moves the planned mission updates this value."""
+    plan_file = tmp_path / "plan.json"
+    assert run_cli(capsys, "plan", "--json", str(plan_file))[0] == 0
+    digest = hashlib.sha256(plan_file.read_bytes()).hexdigest()
+    assert digest == STOCK_PLAN_DIGEST
 
 
 # Float values spelled with an integer ("{0}" = "") or a float ("{0}" =

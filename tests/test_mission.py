@@ -5,9 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from mobman.arm_control import target_in_base_frame
 from mobman.config import (CircuitConfig, FireConfig, FireTestConfig,
                            SweepConfig, TopSprayConfig, parse_config)
 from mobman.errors import GeometryError, InfeasibleSweep, ValidationError
+from mobman.kinematics import forward_kinematics
 from mobman.mission import Circuit, assign_fires, build_sweep, dispatch
 from mobman.planning import plan_mission
 from mobman.util import wrap_angle
@@ -139,7 +141,7 @@ def test_sample_speed_profile(circuit):
 
 def test_on_straight_steps_at_marks(circuit):
     """A point at a straight's entry is parked at its A mark's step, one at
-    its middle at its K mark's step (group 4's is K1, which ends the lap),
+    its middle at its K mark's step (group 4's is K1, which starts the lap),
     each at the reference the circuit holds there."""
     hs = 0.5 * circuit.spec.edge_length
     for g in range(1, 5):
@@ -149,7 +151,7 @@ def test_on_straight_steps_at_marks(circuit):
                                    atol=1e-9)
         assert pose == reference_record(circuit, step * DT)[:3]
         _, step, pose = circuit.on_straight(g, hs)
-        assert step == round(circuit.k_times[g] / DT)
+        assert step == round(circuit.k_times[g % 4] / DT)
         np.testing.assert_allclose(pose[:2], circuit.k_points[g], atol=1e-9)
         assert pose == reference_record(circuit, step * DT)[:3]
 
@@ -169,8 +171,11 @@ def test_on_straight_path_lengths(circuit):
     hs = 0.5 * circuit.spec.edge_length
     # Start of the closing half straight (just past K1) counts from zero.
     assert circuit.on_straight(4, hs + 0.1)[0] == pytest.approx(0.1)
-    # K1 itself ends the lap so it is serviced last.
-    s, step, _ = circuit.on_straight(4, hs)
+    # K1 itself, and a point short of it by up to 1e-9 m, starts the lap,
+    # so it is serviced first; 2e-9 m short of it is the lap's end.
+    for short in (0.0, 1e-12, 1e-9):
+        assert circuit.on_straight(4, hs - short)[:2] == (0.0, 0)
+    s, step, _ = circuit.on_straight(4, hs - 2e-9)
     assert s == pytest.approx(circuit.lap_length)
     assert step == round(circuit.lap_time / DT)
     # Entry half of the opening leg sits at the end of the lap.
@@ -332,31 +337,43 @@ def test_dispatch_splits_budget(circuit, stock_arm):
     fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
              FireConfig(ident="F2", position=(0.20, 0.30, 0.30))]
     stops = assign_fires(fires, circuit)
-    sprays, flagged = dispatch(stops, budget=3.0, pitch=PITCH,
-                               geometry=stock_arm)
+    slots, flagged = dispatch(stops, budget=3.0, pitch=PITCH,
+                              geometry=stock_arm)
     assert not flagged
-    assert [stop for stop, _, _ in sprays] == stops
-    for _, pitch, dwell in sprays:
-        assert dwell == pytest.approx(1.5)
-        assert pitch >= 0.0
+    assert [slot.stop for slot in slots] == stops
+    for slot in slots:
+        assert slot.dwell == pytest.approx(1.5)
+        assert slot.pitch >= 0.0
+        # The scan's joints aim the nozzle at the fire from the parking
+        # pose, at the pitch the slot reports.
+        target = target_in_base_frame(slot.stop.pose,
+                                      slot.stop.fire.position, slot.pitch)
+        tool = forward_kinematics(slot.joints, stock_arm)
+        np.testing.assert_allclose(tool[:3], target[:3], rtol=0, atol=1e-9)
+        assert -slot.joints[3] == slot.pitch
 
 
 def test_dispatch_flags_unreachable(circuit, stock_arm):
     fires = [FireConfig(ident="F1", position=(0.30, 0.20, 0.30)),
              FireConfig(ident="FX", position=(0.0, 0.0, 5.0))]  # beyond reach
-    sprays, flagged = dispatch(assign_fires(fires, circuit), budget=3.0,
-                               pitch=PITCH, geometry=stock_arm)
+    slots, flagged = dispatch(assign_fires(fires, circuit), budget=3.0,
+                              pitch=PITCH, geometry=stock_arm)
     assert len(flagged) == 1
     fire, reason = flagged[0]
     assert fire.ident == "FX" and "unreachable" in reason
-    [(stop, _, dwell)] = sprays
-    assert stop.fire.ident == "F1" and dwell == pytest.approx(3.0)
+    [slot] = slots
+    assert slot.stop.fire.ident == "F1" and slot.dwell == pytest.approx(3.0)
+    target = target_in_base_frame(slot.stop.pose, slot.stop.fire.position,
+                                  slot.pitch)
+    tool = forward_kinematics(slot.joints, stock_arm)
+    np.testing.assert_allclose(tool[:3], target[:3], rtol=0, atol=1e-9)
+    assert -slot.joints[3] == slot.pitch
 
 
 def test_dispatch_empty_plan(stock_arm):
-    sprays, flagged = dispatch([], budget=3.0, pitch=PITCH,
-                               geometry=stock_arm)
-    assert sprays == [] and flagged == []
+    slots, flagged = dispatch([], budget=3.0, pitch=PITCH,
+                              geometry=stock_arm)
+    assert slots == [] and flagged == []
 
 
 def test_top_spray_spec_defaults():

@@ -29,8 +29,8 @@ from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
                            SolveFailure, Unreachable, ValidationError)
 from mobman.kinematics import forward_kinematics, inverse_kinematics
 from mobman.metrics import compute_metrics
-from mobman.mission import Circuit, SweepPath
-from mobman.planning import (Stage2Slot, _arm_reference, _chassis_reference,
+from mobman.mission import Circuit, Stage2Slot, SweepPath
+from mobman.planning import (_arm_reference, _chassis_reference,
                              _labels_and_events, plan_mission)
 from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, export,
                              run_mission)
@@ -147,10 +147,12 @@ def test_phase_timeline(spec, tail):
                                        [local.x, local.y, local.z], atol=1e-9)
             # The dwell holds at its stop's lap step, so its rows are the
             # sampler at the stop's own step * dt: the stop's pose bit for
-            # bit, and the arm's target is formed from that pose.
+            # bit.  Its joint rows are the joints dispatch's pitch scan
+            # found from that pose, which the one-pitch IK gives again.
             stop = p.spray.stop
             assert p.lap_step == stop.step
             assert (refs[p.start:p.end, :3] == stop.pose).all()
+            assert (qr[p.start:p.end + 1] == p.spray.joints).all()
             target = target_in_base_frame(stop.pose, stop.fire.position,
                                           p.spray.pitch)
             assert (qr[p.start]
@@ -253,12 +255,10 @@ def test_reach_is_checked_where_the_arm_aims(fy):
     assert near > 2.5 and far < 3.0
 
 
-# Fires anywhere but the half line x = 0, y < 0 through K1, where a stop
-# may be parked at the lap's first step or its last.
+# Fires anywhere, the half line x = 0, y < 0 through K1 included.
 _FIRE_SETS = st.lists(
     st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
-              st.floats(0.1, 0.6)).filter(
-        lambda p: abs(p[0]) > 1e-6 or p[1] >= 0),
+              st.floats(0.1, 0.6)),
     min_size=1, max_size=5).map(lambda xyz: [
         {"ident": "F%d" % k, "position": list(p)} for k, p in enumerate(xyz)])
 
@@ -292,12 +292,16 @@ def test_fire_order_leaves_plan_and_log_unchanged(fires, data):
 @example(fires=[{"ident": "F0", "position": [0.0, 0.0, 0.5]}])
 @example(fires=[{"ident": "F0", "position": [2.0, -0.9420389341250399, 0.5]},
                 {"ident": "F1", "position": [1.0, -0.9420389341250399, 0.5]}])
+@example(fires=[{"ident": "F0", "position": [0.0, -3.0, 0.5]}])
+@example(fires=[{"ident": "F0", "position": [5e-16, -3.0, 0.5]}])
 def test_moving_the_scene_moves_only_the_stops(fires):
     """Moving the circuit's centre and every fire by (10, -7) m keeps each
     phase's steps, labels and markers; the stops and their parking poses
     move by the shift.  A fire at the crib centre ties all eight marks
     within round-off and goes to A1 in both scenes; two fires that project
-    onto one point keep their ident order."""
+    onto one point keep their ident order; a fire on K1's line, whose stop
+    lands on K1 give or take the shift's round-off, parks at lap step 0 in
+    both scenes."""
     shift = (10.0, -7.0)
     moved = [dict(f, position=[f["position"][0] + shift[0],
                                f["position"][1] + shift[1],
