@@ -15,6 +15,7 @@ from .errors import MobmanError
 from .kinematics import (EndEffectorPose, forward_kinematics,
                          inverse_kinematics, workspace_analysis)
 from .metrics import MetricsReport, compute_metrics
+from .planning import _arm_reference, _chassis_reference
 from .simulate import SimLog, _write_json, export, plan_mission, run_mission
 from .util import DEG
 
@@ -119,6 +120,9 @@ def _plan_payload(plan) -> dict:
 def _cmd_plan(args) -> int:
     config = _load_scenario(args.scenario)
     plan = plan_mission(config)
+    # The run's joint reference, so a sweep sample the arm cannot reach
+    # fails here with the message simulate would give.
+    _arm_reference(plan, _chassis_reference(plan))
     circuit = plan.circuit
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -92,7 +92,10 @@ def _meta(meta: dict, key: str, cast=float):
 
 
 def compute_metrics(log) -> MetricsReport:
-    """Summarize a mission log; raises EmptyLog on a log with no rows."""
+    """Summarize a mission log; raises EmptyLog on a log with no rows, and
+    ParseError naming a metadata key the report needs that is missing or
+    not a number, or the sprayN_start marker of a sprayN_end that fires
+    with neither it nor stopN_arrive."""
     n = len(log.time)
     if n == 0:
         raise EmptyLog("log has no rows")
@@ -177,6 +180,8 @@ def compute_metrics(log) -> MetricsReport:
         if arrive is not None and cursor is not None:
             drive_total += float(t[arrive] - t[cursor])
         start = ev.get("spray%d_start" % j, arrive)
+        if start is None:
+            raise ParseError("marker spray%d_start: missing" % j)
         end = ev["spray%d_end" % j]
         spray_total += float(t[end] - t[start])
         cursor = end

@@ -85,8 +85,9 @@ def plan_mission(config: ScenarioConfig) -> MissionPlan:
     parking pose is flagged in the plan, not raised; Stage II halts at each
     served stop's lap step, in step order.  The plan judges Stage II's
     reach only: a sweep sample the arm cannot reach passes here, and
-    run_mission raises Unreachable or JointLimitViolation naming the sweep
-    and sample when it builds the joint reference."""
+    _arm_reference, which run_mission and the CLI's plan command call,
+    raises Unreachable or JointLimitViolation naming the sweep and
+    sample."""
     dt = config.dt
     geometry = build_geometry(config)
     circuit = Circuit(config.circuit, dt=dt)

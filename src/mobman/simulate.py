@@ -79,6 +79,8 @@ class SimLog:
 
     The state and event lists are kept as given, not copied: a run's log
     shares them with run_mission, which holds them through compute_metrics.
+    A log read by from_csv, like a run's log, holds one string per distinct
+    state label, so its state list costs a pointer a row.
     """
 
     def __init__(self, meta, time, state: list, values, event: list):
@@ -109,12 +111,15 @@ class SimLog:
         export writes.  Any other batch (an integer spelling such as 1 or
         -0, nan, inf, a quoted cell, a bad row) is read again row by row,
         each numeric cell by float() but for 1_0 and non-ASCII digits, so
-        the first bad line in the file is the one named.
+        the first bad line in the file is the one named.  Each distinct
+        state label is one string for the whole read, as in a run's log;
+        empty event cells share one string too.
         """
         meta: dict = {}
         n = 0
         state = []
         event = []
+        labels: dict = {}
         with open(path, encoding="utf-8") as fh:
             # The line count bounds the data rows: the table is never grown.
             # Counting decodes the whole file, so a byte that is not UTF-8
@@ -146,7 +151,8 @@ class SimLog:
                              start=lineno + 1)
             while batch := list(itertools.islice(body, _JSON_ROWS)):
                 rows = [row for row in batch if row[1]]
-                _parse_rows(rows, table[n:n + len(rows)], state, event)
+                _parse_rows(rows, table[n:n + len(rows)], state, event,
+                            labels)
                 n += len(rows)
         if not n:
             raise EmptyLog("log file has no data rows")
@@ -154,20 +160,22 @@ class SimLog:
                    dict(zip(CSV_NUMERIC, table[:n, 1:].T)), event)
 
 
-def _parse_rows(rows: list, out: np.ndarray, state: list,
-                event: list) -> None:
+def _parse_rows(rows: list, out: np.ndarray, state: list, event: list,
+                labels: dict) -> None:
     """Parse the numeric cells of rows, (line number, line) pairs of data
     rows, into out, and append their state and event cells to state and
-    event.  _json_cells reads the batch at once; failing that, each row is
-    read in order, and the first with the wrong cell count or a cell
-    _float_cell rejects raises the ParseError naming its line."""
+    event, each state cell as the string labels holds for it (its first
+    occurrence, which labels then keeps).  _json_cells reads the batch at
+    once; failing that, each row is read in order, and the first with the
+    wrong cell count or a cell _float_cell rejects raises the ParseError
+    naming its line."""
     numbers = []
     for _, line in rows:
         time, _, rest = line.partition(",")
         label, _, rest = rest.partition(",")
         cells, _, mark = rest.rpartition(",")
         numbers += (time, cells)
-        state.append(label)
+        state.append(labels.setdefault(label, label))
         event.append(mark)
     if (all(line.count(",") == len(CSV_COLUMNS) - 1 for _, line in rows)
             and _json_cells(",".join(numbers), out)):

@@ -213,7 +213,8 @@ def test_metrics_names_bad_metadata(tmp_path, capsys):
 def test_metrics_names_missing_metadata(tmp_path, capsys):
     """compute_metrics takes no stock figure for a metadata key the log
     lacks: an exported log with one key's line deleted is reported by that
-    key with exit code 1."""
+    key with exit code 1, and one with the first stop's arrival and spray
+    start markers dropped by the missing start marker."""
     out_dir = tmp_path / "run"
     export(run_mission(parse_config({"dt": 0.01})), out_dir)
     lines = (out_dir / "timeseries.csv").read_text().splitlines(keepends=True)
@@ -225,6 +226,27 @@ def test_metrics_names_missing_metadata(tmp_path, capsys):
         code, out, err = run_cli(capsys, "metrics", str(bad))
         assert (code, out, err) == (1, "", "error: metadata %s: missing\n"
                                     % key)
+    text = "".join(lines)
+    assert text.count(",stop1_arrive;spray1_start\n") == 1
+    bad.write_text(text.replace(",stop1_arrive;spray1_start\n", ",\n"))
+    assert run_cli(capsys, "metrics", str(bad)) == (
+        1, "", "error: marker spray1_start: missing\n")
+
+
+def test_plan_rejects_a_sweep_the_arm_cannot_reach(tmp_path, capsys):
+    """plan builds the run's joint reference, so a sweep sample outside the
+    arm's reach fails it with the message simulate gives, before any
+    output."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("dt: 0.01\nsweep: {base_height: 4.0}\n")
+    plan_file = tmp_path / "plan.json"
+    message = ("error: sweep 1 sample 0 (t=0.0000 s): planar target 4010.8 "
+               "mm outside the two-link annulus\n")
+    assert run_cli(capsys, "plan", str(scenario), "--json",
+                   str(plan_file)) == (1, "", message)
+    assert not plan_file.exists()
+    assert run_cli(capsys, "simulate", str(scenario), "--out",
+                   str(tmp_path / "run")) == (1, "", message)
 
 
 @pytest.mark.parametrize("command", ["metrics", "plan", "simulate"])
