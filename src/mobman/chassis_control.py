@@ -23,20 +23,21 @@ def chassis_tick(ref, z, gains):
     """One controller evaluation at plant state z = (X, Y, heading, v, w),
     with gains the ChassisControlConfig section; returns the tracking error
     (e1, e2, e3), the surfaces (s1, s2) and the command (u1, u2) as tuples.
-    ref is one reference row, read by position in the column order of
-    mission.Circuit.REFERENCE_COLUMNS.
+    ref is one reference row, its pose and body rates (v, w), read by
+    position in the column order of mission.Circuit.REFERENCE_COLUMNS.
 
     The error is the pose mismatch rotated into the vehicle frame at the
     wrapped heading, with the heading error wrapped too; its rates follow
     the unicycle error kinematics.  The first surface mixes the forward
     channel with the magnitude of the lateral one, the second sums heading
     and lateral.  The reduced-plant command's coupling block uses the
-    reference linear speed and the actual yaw rate, and the actual yaw
-    acceleration is estimated with the yaw command computed first (the
-    disturbance is not available to the controller).  A zero boundary_layer
-    width selects the pure switching sign.
+    reference linear speed and the actual yaw rate, and the yaw command,
+    computed first, stands for the actual yaw acceleration (the disturbance
+    is not available to the controller).  The feedforward forms the
+    reference's world-frame velocity and its rate from the row.  A zero
+    boundary_layer width selects the pure switching sign.
     """
-    rx, ry, rh, rv, rw, vdx, vdy, vdx_dot, vdy_dot, w_dot = ref
+    rx, ry, rh, rv, rw = ref
     x, y, heading, v, w = z
     k1, k2, k3 = gains.surface_gains
     q1, q2 = gains.reaching_gains
@@ -57,16 +58,16 @@ def chassis_tick(ref, z, gains):
     s1 = e1d + k1 * e1 + sgn * abs(e2d + k2 * e2)
     s2 = e3d + k3 * e3 + e2d + k2 * e2
     u2 = (q2 * s2 + p2 * switch(s2, width)
-          + (k3 * e3d + e2d + k2 * e2d)
-          + (-w_dot))
-    w_acc = w_dot + u2  # plant-model estimate of the actual yaw acceleration
-    coupling = (e2d * w + (e2 + gains.offset_l) * w_acc
+          + (k3 * e3d + e2d + k2 * e2d))
+    coupling = (e2d * w + (e2 + gains.offset_l) * u2  # u2 stands for w's rate
                 - rv * e3d * sin_e3)
     slope = k1 * e1d + sgn * abs(e2d + k2 * e2d)
     ch, sh = math.cos(heading), math.sin(heading)
+    crh, srh = math.cos(rh), math.sin(rh)
+    vdx, vdy = rv * crh, rv * srh  # world-frame reference velocity
+    vdx_dot, vdy_dot = -rv * rw * srh, rv * rw * crh  # and its rate
     feedforward = (-vdx_dot * ch + vdx * w * sh
-                   - vdy_dot * sh - vdy * w * ch
-                   + w_dot * e2 + rw * e2d)
+                   - vdy_dot * sh - vdy * w * ch + rw * e2d)
     u1 = (q1 * s1 + p1 * switch(s1, width)
           + coupling + slope + feedforward)
     return (e1, e2, e3), (s1, s2), (u1, u2)

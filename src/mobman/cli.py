@@ -14,7 +14,7 @@ from .config import ScenarioConfig, build_geometry, load_config
 from .errors import MobmanError
 from .kinematics import (EndEffectorPose, forward_kinematics,
                          inverse_kinematics, workspace_analysis)
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport, compute_metrics, stage_timing
 from .planning import _arm_reference, _chassis_reference
 from .simulate import SimLog, _write_json, export, plan_mission, run_mission
 from .util import DEG
@@ -145,10 +145,11 @@ def _cmd_plan(args) -> int:
                  stop.point[0], stop.point[1], stop.path_distance))
     for fire, reason in plan.flagged:
         print("flagged %s: %s" % (fire.ident, reason))
-    dwells = sum(s.dwell for s in plan.stage2)
-    active = 4.0 * circuit.edge_time + config.top_spray.duration + dwells
+    # The run's discharge clock: each marker fires once, on its plan step.
+    first = {event: step for p in plan.phases for step, event in p.marks}
+    active = stage_timing(first, np.arange(plan.n_steps + 1) * plan.dt)
     print("planned active discharge: %.3f s of %.3f s budget"
-          % (active, config.fire_test.discharge_time))
+          % (active.mission_total_time, config.fire_test.discharge_time))
     return 0
 
 

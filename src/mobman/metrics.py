@@ -91,6 +91,51 @@ def _meta(meta: dict, key: str, cast=float):
                          % (key, meta[key])) from None
 
 
+def stage_timing(first: dict, t) -> MetricsReport:
+    """A report with only its phase-timing fields set, from first, each
+    marker's first row, and the time column t; raises ParseError for a
+    missing sprayN_start."""
+    report = MetricsReport()
+    # Leg k runs K_k .. K_{k+1}; its corner is bracketed by the tangency
+    # marks listed here in path order.
+    leg_marks = ((8, 1), (2, 3), (4, 5), (6, 7))
+    have_k = all("K%d" % k in first for k in range(1, 6))
+    have_a = all("A%d" % a in first for a in range(1, 9))
+    if have_k and have_a:
+        for k in range(1, 5):
+            tk = t[first["K%d" % k]]
+            tk1 = t[first["K%d" % (k + 1)]]
+            a_in, a_out = leg_marks[k - 1]
+            ta_in = t[first["A%d" % a_in]]
+            ta_out = t[first["A%d" % a_out]]
+            report.edge_times.append(float((ta_in - tk) + (tk1 - ta_out)))
+            report.corner_times.append(float(ta_out - ta_in))
+        report.stage1_time = float(sum(report.edge_times))
+        report.stage1_wall_time = float(t[first["K5"]] - t[first["K1"]])
+
+    if "top_spray_start" in first and "top_spray_end" in first:
+        report.top_spray_time = float(t[first["top_spray_end"]]
+                                      - t[first["top_spray_start"]])
+
+    # Stage II: drive legs run from the previous halt to each arrival.
+    cursor = first.get("top_spray_end", first.get("K5"))
+    j = 1
+    while "spray%d_end" % j in first:
+        arrive = first.get("stop%d_arrive" % j)
+        if arrive is not None and cursor is not None:
+            report.stage2_drive_time += float(t[arrive] - t[cursor])
+        start = first.get("spray%d_start" % j, arrive)
+        if start is None:
+            raise ParseError("marker spray%d_start: missing" % j)
+        cursor = first["spray%d_end" % j]
+        report.stage2_time += float(t[cursor] - t[start])
+        j += 1
+    if report.stage1_time is not None:
+        report.mission_total_time = (report.stage1_time + report.top_spray_time
+                                     + report.stage2_time)
+    return report
+
+
 def compute_metrics(log) -> MetricsReport:
     """Summarize a mission log; raises EmptyLog on a log with no rows, and
     ParseError naming a metadata key the report needs that is missing or
@@ -104,7 +149,7 @@ def compute_metrics(log) -> MetricsReport:
     meta = log.meta
     ev = _event_steps(log)
 
-    report = MetricsReport()
+    report = stage_timing(ev, t)
     report.wall_time = float(t[-1] - t[0])
     report.discharge_time = _meta(meta, "discharge_time")
     report.stage2_budget = _meta(meta, "stage2_budget")
@@ -147,54 +192,10 @@ def compute_metrics(log) -> MetricsReport:
         report.ee_max_abs_err_mm = [float(x) for x in err.max(axis=0)]
         report.ee_window_samples = int(err.shape[0])
 
-    # Phase timing from markers.  Leg k runs K_k .. K_{k+1}; its corner is
-    # bracketed by the tangency marks listed here in path order.
-    leg_marks = ((8, 1), (2, 3), (4, 5), (6, 7))
-    have_k = all("K%d" % k in ev for k in range(1, 6))
-    have_a = all("A%d" % a in ev for a in range(1, 9))
-    if have_k and have_a:
-        for k in range(1, 5):
-            tk = t[ev["K%d" % k]]
-            tk1 = t[ev["K%d" % (k + 1)]]
-            a_in, a_out = leg_marks[k - 1]
-            ta_in = t[ev["A%d" % a_in]]
-            ta_out = t[ev["A%d" % a_out]]
-            report.edge_times.append(float((ta_in - tk) + (tk1 - ta_out)))
-            report.corner_times.append(float(ta_out - ta_in))
-        report.stage1_time = float(sum(report.edge_times))
-        report.stage1_wall_time = float(t[ev["K5"]] - t[ev["K1"]])
-
-    if "top_spray_start" in ev and "top_spray_end" in ev:
-        report.top_spray_time = float(t[ev["top_spray_end"]]
-                                      - t[ev["top_spray_start"]])
-
-    # Stage II: drive legs run from the previous halt to each arrival.
-    cursor = ev.get("K5")
-    if "top_spray_end" in ev:
-        cursor = ev["top_spray_end"]
-    j = 1
-    spray_total = 0.0
-    drive_total = 0.0
-    while "spray%d_end" % j in ev:
-        arrive = ev.get("stop%d_arrive" % j)
-        if arrive is not None and cursor is not None:
-            drive_total += float(t[arrive] - t[cursor])
-        start = ev.get("spray%d_start" % j, arrive)
-        if start is None:
-            raise ParseError("marker spray%d_start: missing" % j)
-        end = ev["spray%d_end" % j]
-        spray_total += float(t[end] - t[start])
-        cursor = end
-        j += 1
-    report.stage2_time = spray_total
-    report.stage2_drive_time = drive_total
     if report.n_stops:
         report.within_stage2_budget = bool(
-            spray_total <= report.stage2_budget + _meta(meta, "dt"))
-
-    if report.stage1_time is not None:
-        report.mission_total_time = (report.stage1_time
-                                     + report.top_spray_time + spray_total)
+            report.stage2_time <= report.stage2_budget + _meta(meta, "dt"))
+    if report.mission_total_time is not None:
         report.verdict = ("PASS" if report.mission_total_time
                           < report.discharge_time else "FAIL")
 

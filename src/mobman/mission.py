@@ -24,8 +24,8 @@ from .util import DEG
 
 
 # The most control steps a run may take.  A run's memory peaks in its step
-# loop at about 430 B a step (tracemalloc over run_mission: 475, 442 and
-# 425 B at dt 4, 2 and 1 ms), so this many need about 4.3 GB.
+# loop at about 385 B a step (tracemalloc over run_mission: 422, 395 and
+# 382 B at dt 4, 2 and 1 ms), so this many need about 3.9 GB.
 MAX_STEPS = 10 ** 7
 
 
@@ -161,11 +161,9 @@ class Circuit:
 
     # -- sampling ---------------------------------------------------------
 
-    # The chassis reference's columns: pose, body rates, world-frame velocity
-    # components and the time derivatives of the last three.  sample_rows
+    # The chassis reference's columns: pose and body rates.  sample_rows
     # gives them in this order, and the step loop reads them by position.
-    REFERENCE_COLUMNS = ("x", "y", "heading", "v", "w", "vdx", "vdy",
-                         "vdx_dot", "vdy_dot", "w_dot")
+    REFERENCE_COLUMNS = ("x", "y", "heading", "v", "w")
 
     def sample_rows(self, t) -> np.ndarray:
         """The reference at the lap clocks t (periodic), one row of
@@ -178,15 +176,12 @@ class Circuit:
         arc = self._seg_is_arc[k]
         t0, a, b, h0, speed, rate = self._seg_columns[:, k]
         tau = tm - t0
-        h = np.where(arc, h0 + rate * tau, h0)
+        h = h0 + rate * tau  # a straight's rate is 0: h0, for any tau
         c, s = np.cos(h), np.sin(h)
         r = self.spec.corner_radius
         return np.column_stack([
             np.where(arc, a + r * s, a + speed * tau * c),
-            np.where(arc, b - r * c, b + speed * tau * s),
-            h, speed, rate, speed * c, speed * s,
-            np.where(arc, -speed * rate * s, 0.0),
-            np.where(arc, speed * rate * c, 0.0), np.zeros_like(tm)])
+            np.where(arc, b - r * c, b + speed * tau * s), h, speed, rate])
 
     # -- stage II geometry -------------------------------------------------
 

@@ -156,7 +156,7 @@ def _chassis_reference(plan: MissionPlan) -> np.ndarray:
         held[p.start:p.end] = p.held
     lap = plan.circuit.sample_rows(np.arange(steps.max() + 1) * plan.dt)
     table = lap[steps]
-    table[held, 3:] = 0.0  # v, w, vdx, vdy and their rates
+    table[held, 3:] = 0.0  # v and w
     return table
 
 

@@ -19,7 +19,7 @@ pass last derives the tool, target and wheel-speed columns into a
 fixed-schema log that round-trips through CSV bit for bit.
 
 A run's memory peaks in the step loop.  It holds the row table, the chassis
-reference, q_r, qd_r, qdd_r, the disturbance and the time column, 49 floats
+reference, q_r, qd_r, qdd_r, the disturbance and the time column, 44 floats
 a row, and one block of each reference table as Python floats.  The tables
 are released as their last reader finishes: qd_r, qdd_r and the disturbance
 when the loop ends, the chassis reference and q_r once the target columns

@@ -60,19 +60,13 @@ class ChassisError(NamedTuple):
 
 
 class ChassisRefSample(NamedTuple):
-    """Reference pose, body rates, world-frame velocity components and their
-    time derivatives at one control instant."""
+    """Reference pose and body rates at one control instant."""
 
     x: float
     y: float
     heading: float
     v: float
     w: float
-    vdx: float = 0.0
-    vdy: float = 0.0
-    vdx_dot: float = 0.0
-    vdy_dot: float = 0.0
-    w_dot: float = 0.0
 
 
 def tracking_error(ref, pose) -> ChassisError:
@@ -188,8 +182,7 @@ def run_line_scenario(gains, duration: float, dt: float,
     including the switching-function energy 0.5*(s1^2 + s2^2).
     """
     n = int(round(duration / dt))
-    ref = ChassisRefSample(x=0.0, y=0.0, heading=0.0, v=speed, w=0.0,
-                           vdx=speed, vdy=0.0)
+    ref = ChassisRefSample(x=0.0, y=0.0, heading=0.0, v=speed, w=0.0)
     out = {k: np.zeros(n + 1) for k in
            ("t", "e1", "e2", "e3", "s1", "s2", "u1", "u2", "V")}
     f_all = np.zeros((n, 2)) if disturbance is None else disturbance[:n]
@@ -253,6 +246,8 @@ def control_law(err: ChassisError, err_rates, s, ref: ChassisRefSample,
     ChassisControlConfig section: the surface slopes k1..k3, the reaching
     gains q1, q2, the switching gains p1, p2, the lever offset l, and the
     boundary_layer width, where a zero width selects the pure switching sign.
+    The feedforward reads the reference's world-frame velocity (vdx, vdy)
+    and its rate, formed here from the record's heading, v and w.
     """
     e1d, e2d, e3d = err_rates
     s1, s2 = s
@@ -261,17 +256,20 @@ def control_law(err: ChassisError, err_rates, s, ref: ChassisRefSample,
     p1, p2 = gains.switch_gains
     width = gains.boundary_layer
     u2 = (q2 * s2 + p2 * switch(s2, width)
-          + (k3 * e3d + e2d + k2 * e2d)
-          + (-ref.w_dot))
+          + (k3 * e3d + e2d + k2 * e2d))
 
-    w_acc = ref.w_dot + u2  # plant-model estimate of the actual yaw acceleration
+    w_acc = u2  # plant-model estimate of the actual yaw acceleration
     coupling = (e2d * yaw_rate + (err.e2 + gains.offset_l) * w_acc
                 - ref.v * e3d * math.sin(err.e3))
     slope = k1 * e1d + sign(err.e1) * abs(e2d + k2 * e2d)
     c, sh = math.cos(heading), math.sin(heading)
-    feedforward = (-ref.vdx_dot * c + ref.vdx * yaw_rate * sh
-                   - ref.vdy_dot * sh - ref.vdy * yaw_rate * c
-                   + ref.w_dot * err.e2 + ref.w * e2d)
+    vdx = ref.v * math.cos(ref.heading)
+    vdy = ref.v * math.sin(ref.heading)
+    vdx_dot = -ref.v * ref.w * math.sin(ref.heading)
+    vdy_dot = ref.v * ref.w * math.cos(ref.heading)
+    feedforward = (-vdx_dot * c + vdx * yaw_rate * sh
+                   - vdy_dot * sh - vdy * yaw_rate * c
+                   + ref.w * e2d)
     u1 = (q1 * s1 + p1 * switch(s1, width)
           + coupling + slope + feedforward)
     return u1, u2
@@ -438,17 +436,13 @@ def circuit_sample(circuit, t: float) -> ChassisRefSample:
         d = seg.speed * tau
         return ChassisRefSample(
             x=x0 + d * math.cos(h), y=y0 + d * math.sin(h), heading=h,
-            v=seg.speed, w=0.0,
-            vdx=seg.speed * math.cos(h), vdy=seg.speed * math.sin(h))
+            v=seg.speed, w=0.0)
     ccx, ccy, h0 = seg.data
     h = h0 + seg.yaw_rate * tau
     r = circuit.spec.corner_radius
     return ChassisRefSample(
         x=ccx + r * math.sin(h), y=ccy - r * math.cos(h), heading=h,
-        v=seg.speed, w=seg.yaw_rate,
-        vdx=seg.speed * math.cos(h), vdy=seg.speed * math.sin(h),
-        vdx_dot=-seg.speed * seg.yaw_rate * math.sin(h),
-        vdy_dot=seg.speed * seg.yaw_rate * math.cos(h))
+        v=seg.speed, w=seg.yaw_rate)
 
 
 def _quarter_turn(x: float, y: float, q: int) -> tuple:

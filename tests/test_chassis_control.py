@@ -23,16 +23,14 @@ from oracles import (ChassisError, ChassisRefSample, control_law, error_rates,
 DEG = math.pi / 180.0
 
 
-def _ref(x=0.0, y=0.0, heading=0.0, v=0.88, w=0.0, **kw):
-    return ChassisRefSample(x=x, y=y, heading=heading, v=v, w=w,
-                            vdx=v * math.cos(heading), vdy=v * math.sin(heading),
-                            **kw)
+def _ref(x=0.0, y=0.0, heading=0.0, v=0.88, w=0.0):
+    return ChassisRefSample(x=x, y=y, heading=heading, v=v, w=w)
 
 
 def _error(ref_pose, pose) -> ChassisError:
     """chassis_tick's tracking error of the vehicle at pose (X, Y, heading),
     at rest, from a reference at ref_pose with every rate zero."""
-    err, _, _ = chassis_tick([*ref_pose] + [0.0] * 7, [*pose, 0.0, 0.0],
+    err, _, _ = chassis_tick([*ref_pose] + [0.0] * 2, [*pose, 0.0, 0.0],
                              ChassisControlConfig())
     return ChassisError(*err)
 
@@ -118,24 +116,24 @@ def test_control_law_term_by_term(rng):
         rates = rng.uniform(-0.5, 0.5, 3)
         heading = rng.uniform(-math.pi, math.pi)
         yaw_rate = rng.uniform(-1.0, 1.0)
-        ref = _ref(heading=rng.uniform(-math.pi, math.pi), w=0.3,
-                   vdx_dot=rng.uniform(-1, 1), vdy_dot=rng.uniform(-1, 1),
-                   w_dot=rng.uniform(-1, 1))
+        ref = _ref(heading=rng.uniform(-math.pi, math.pi),
+                   v=rng.uniform(-1, 1), w=rng.uniform(-1, 1))
         s = sliding_surface(err, rates, gains)
         u = control_law(err, rates, s, ref, heading, yaw_rate, gains)
 
         e1d, e2d, e3d = rates
         sgn = np.sign
-        u2 = q2 * s[1] + p2 * sgn(s[1]) \
-            + k3 * e3d + e2d + k2 * e2d - ref.w_dot
-        w_acc = ref.w_dot + u2
+        u2 = q2 * s[1] + p2 * sgn(s[1]) + k3 * e3d + e2d + k2 * e2d
+        # The reference's world-frame velocity and its rate on a circle.
+        vdx, vdy = ref.v * math.cos(ref.heading), ref.v * math.sin(ref.heading)
+        vdx_dot, vdy_dot = -ref.w * vdy, ref.w * vdx
         u1 = (q1 * s[0] + p1 * sgn(s[0])
-              + e2d * yaw_rate + (err.e2 + gains.offset_l) * w_acc
+              + e2d * yaw_rate + (err.e2 + gains.offset_l) * u2
               - ref.v * e3d * math.sin(err.e3)
               + k1 * e1d + sgn(err.e1) * abs(e2d + k2 * e2d)
-              - ref.vdx_dot * math.cos(heading) + ref.vdx * yaw_rate * math.sin(heading)
-              - ref.vdy_dot * math.sin(heading) - ref.vdy * yaw_rate * math.cos(heading)
-              + ref.w_dot * err.e2 + ref.w * e2d)
+              - vdx_dot * math.cos(heading) + vdx * yaw_rate * math.sin(heading)
+              - vdy_dot * math.sin(heading) - vdy * yaw_rate * math.cos(heading)
+              + ref.w * e2d)
         np.testing.assert_allclose(u, [u1, u2], atol=1e-12)
 
 
@@ -152,7 +150,7 @@ _REF_FLOAT = st.floats(-5.0, 5.0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(ref=st.lists(_REF_FLOAT, min_size=10, max_size=10),
+@given(ref=st.lists(_REF_FLOAT, min_size=5, max_size=5),
        position=st.tuples(_REF_FLOAT, _REF_FLOAT),
        heading=st.floats(-4.0 * math.pi, 4.0 * math.pi),
        rates=st.tuples(_REF_FLOAT, _REF_FLOAT),
@@ -160,10 +158,10 @@ _REF_FLOAT = st.floats(-5.0, 5.0)
        width=st.sampled_from([0.0, 0.5]) | st.floats(1e-3, 1.0))
 # On the reference position the error is e1 = -0.0 for a heading in the
 # third quadrant and +0.0 in the first.
-@example(ref=[1.0, 2.0, 0.3, 0.88, 0.1, 0.84, 0.26, 0.0, 0.0, 0.01],
+@example(ref=[1.0, 2.0, 0.3, 0.88, 0.1],
          position=(0.0, 0.0), heading=-2.5, rates=(0.87, 0.12),
          on_position=True, as_record=False, width=0.0)
-@example(ref=[1.0, 2.0, 0.3, 0.88, 0.1, 0.84, 0.26, 0.0, 0.0, 0.01],
+@example(ref=[1.0, 2.0, 0.3, 0.88, 0.1],
          position=(0.0, 0.0), heading=0.5, rates=(0.87, 0.12),
          on_position=True, as_record=True, width=0.5)
 def test_chassis_tick_equals_stage_composition(ref, position, heading, rates,

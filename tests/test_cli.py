@@ -233,6 +233,22 @@ def test_metrics_names_missing_metadata(tmp_path, capsys):
         1, "", "error: marker spray1_start: missing\n")
 
 
+def test_plan_prints_the_active_discharge_the_run_counts(tmp_path, capsys):
+    """plan times the discharge from its markers' steps, as the run's
+    metrics do: at dt 13 ms with a 3.17 s Stage II budget the run counts
+    15.002 s and fails, where the unrounded leg and dwell times sum to
+    14.994 s."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("dt: 0.013\nfire_test: {stage2_budget: 3.17}\n")
+    code, out, _ = run_cli(capsys, "plan", str(scenario))
+    assert code == 0
+    assert out.splitlines()[-1] == ("planned active discharge: 15.002 s of "
+                                    "15.000 s budget")
+    report = run_mission(load_config(scenario)).report
+    assert "%.3f" % report.mission_total_time == "15.002"
+    assert report.verdict == "FAIL"
+
+
 def test_plan_rejects_a_sweep_the_arm_cannot_reach(tmp_path, capsys):
     """plan builds the run's joint reference, so a sweep sample outside the
     arm's reach fails it with the message simulate gives, before any

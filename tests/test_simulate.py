@@ -134,8 +134,7 @@ def test_phase_timeline(spec, tail):
                                  else k5)
     for p in held:
         pose = reference_record(plan.circuit, p.lap_step * dt)
-        still = pose._replace(v=0.0, w=0.0, vdx=0.0, vdy=0.0, vdx_dot=0.0,
-                              vdy_dot=0.0, w_dot=0.0)
+        still = pose._replace(v=0.0, w=0.0)
         assert (refs[p.start:p.end] == still).all()
         assert (qr[p.start:p.end + 1] == qr[p.start]).all()
         if isinstance(p.spray, Stage2Slot):  # aimed at its fire, steps or not
@@ -1495,8 +1494,7 @@ def test_control_step_runs_on_plain_floats(model, stock_arm):
     arm_gains = ScenarioConfig().arm_control
     gains = ScenarioConfig().chassis_control
     circuit = Circuit(ScenarioConfig().circuit, dt=1e-3)
-    ref = ChassisRefSample(1.0, 2.0, 0.3, v=0.88, w=0.1, vdx=0.84, vdy=0.26,
-                           w_dot=0.01)
+    ref = ChassisRefSample(1.0, 2.0, 0.3, v=0.88, w=0.1)
     z = [1.01, 1.98, 0.31, 0.87, 0.12]
     q = [0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG]
     qd = [0.2, -0.1, 0.3, 0.1]
@@ -1532,7 +1530,7 @@ def test_control_step_runs_on_plain_floats(model, stock_arm):
         values += part
     for sample in samples:
         values += list(sample)
-    assert len(values) == 2 + 2 + 4 + 5 + 3 + 4 * 13 + 3 + 2 + 2 + 3 * 10
+    assert len(values) == 2 + 2 + 4 + 5 + 3 + 4 * 13 + 3 + 2 + 2 + 3 * 5
     assert all(type(v) is float for v in values)
     assert rows == list(map(tuple, table.tolist()))
     assert refs[-1] == tuple(rows[-1])
@@ -1690,8 +1688,8 @@ def test_tiny_step_is_named_before_any_table(monkeypatch, dt):
 
 
 def test_step_cap_bounds_a_run_by_memory():
-    """A run peaks at about 430 B a step.  10 km edges at 1 mm/s and dt 1 s
-    pass every field's range but plan 4e7 steps, about 17 GB, so the plan
+    """A run peaks at about 385 B a step.  10 km edges at 1 mm/s and dt 1 s
+    pass every field's range but plan 4e7 steps, about 15 GB, so the plan
     names the step count; only the plan is made, never the run."""
     config = parse_config({"dt": 1, "circuit": {"edge_length": 10000,
                                                 "speed": 0.001}})
@@ -1702,12 +1700,12 @@ def test_step_cap_bounds_a_run_by_memory():
 
 def test_mission_memory_peaks_in_its_loop(monkeypatch):
     """A run's traced peak is its step loop's: the loop tables (the row
-    table, refs, q_r, qd_r, qdd_r, dist and time, 49 floats a row) and one
-    block of each reference table as Python floats, about 1.5 times the
+    table, refs, q_r, qd_r, qdd_r, dist and time, 44 floats a row) and one
+    block of each reference table as Python floats, about 1.43 times the
     tables at dt 10 ms.  From the metrics on, the run holds its log and
-    the metrics' few columns, under the loop tables alone: a full-length
-    stack of the tool and target columns, or a reference table kept alive,
-    tops them."""
+    the metrics' few columns, about 333 B a row, under 372 B: a full-length
+    stack of the tool and target columns, or the chassis reference kept
+    alive, tops it."""
     compute = simulate.metrics_mod.compute_metrics
     peaks = []
 
@@ -1726,9 +1724,9 @@ def test_mission_memory_peaks_in_its_loop(monkeypatch):
     finally:
         tracemalloc.stop()
     before_metrics, from_metrics = peaks
-    tables = 49 * 8 * result.log.n_rows
-    assert max(before_metrics, from_metrics) < 1.75 * tables
-    assert from_metrics < 0.95 * tables
+    tables = 44 * 8 * result.log.n_rows
+    assert max(before_metrics, from_metrics) < 1.5 * tables
+    assert from_metrics < 372 * result.log.n_rows
 
 
 def test_mission_holds_its_labels_once(monkeypatch):
