@@ -16,7 +16,8 @@ definite, names the step and its time; a heading that overflows wraps to
 NaN (util.wrap_angle), which the finiteness check catches.  The loop logs
 only what the plants and the laws produce, 24 values a step; a vectorised
 pass last derives the tool, target and wheel-speed columns into a
-fixed-schema log that round-trips through CSV bit for bit.
+fixed-schema log that round-trips through CSV bit for bit.  export writes
+the run's files one at a time, each in blocks of rows.
 
 A run's memory peaks in the step loop.  It holds the row table, the chassis
 reference, q_r, qd_r, qdd_r, the disturbance and the time column, 44 floats
@@ -29,7 +30,6 @@ columns nor the metrics outgrow the loop.
 """
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -363,19 +363,19 @@ def _float_rows(*tables: np.ndarray):
 
 
 def export(result: MissionResult, directory) -> list:
-    """Write the run artifacts; returns the created paths."""
+    """Write the run artifacts, each file in one pass of its own, and return
+    their paths: the full log, the metrics report, four column subsets."""
     os.makedirs(directory, exist_ok=True)
-    tables = {"timeseries.csv": (result.log._meta_lines(), CSV_COLUMNS),
-              "trajectory.csv": ("", ["time", "X", "Y", "phi"]),
-              "tracking_errors.csv": ("", ["time", "e1", "e2", "e3", "s1",
-                                           "s2"]),
-              "joint_torques.csv": ("", ["time", "tau1", "tau2", "tau3",
-                                         "tau4"]),
-              "wheel_speeds.csv": ("", ["time", "vL", "vR"])}
-    paths = [os.path.join(directory, name) for name in tables]
-    _write_tables(result.log, dict(zip(paths, tables.values())))
-    paths.insert(1, os.path.join(directory, "metrics.json"))
+    subsets = {"trajectory.csv": ["time", "X", "Y", "phi"],
+               "tracking_errors.csv": ["time", "e1", "e2", "e3", "s1", "s2"],
+               "joint_torques.csv": ["time", "tau1", "tau2", "tau3", "tau4"],
+               "wheel_speeds.csv": ["time", "vL", "vR"]}
+    paths = [os.path.join(directory, name)
+             for name in ("timeseries.csv", "metrics.json", *subsets)]
+    _write_table(result.log, paths[0], CSV_COLUMNS)
     _write_json(paths[1], result.report)
+    for path, columns in zip(paths[2:], subsets.values()):
+        _write_table(result.log, path, columns)
     return paths
 
 
@@ -385,37 +385,34 @@ def _write_json(path, report) -> None:
         fh.write("\n")
 
 
-def _write_tables(log: SimLog, tables: dict) -> None:
-    """Write each path -> (preamble, columns) in tables as a CSV of the log;
-    columns are CSV_COLUMNS or numeric columns only.
+def _write_table(log: SimLog, path, columns: list) -> None:
+    """Write the log's columns to path as a CSV: CSV_COLUMNS, the full log
+    after its metadata lines, or numeric columns only.
 
-    All files are fed together, _BLOCK_ROWS rows at a time: one orjson call
-    formats a file's numeric columns of the block, set side by side, with
-    the shortest digits that round-trip, in orjson's spelling (1e16, 1e-7,
-    0.000012, -0.0); timeseries.csv then gets each row's state and event
-    cells spliced in.  orjson writes NaN and infinities as null: those cells
-    alone take repr (nan, inf, -inf), so every file spells a value alike
-    and from_csv reads every value back bit for bit.  Blocks keep memory
-    flat on long logs.
+    The file is written in one pass, _BLOCK_ROWS rows at a time, so memory
+    stays flat on long logs: one orjson call formats the block's numeric
+    columns, set side by side, with the shortest digits that round-trip, in
+    orjson's spelling (1e16, 1e-7, 0.000012, -0.0); the full log then gets
+    each row's state and event cells spliced in.  orjson writes NaN and
+    infinities as null: those cells alone take repr (nan, inf, -inf), so
+    every file spells a value alike and from_csv reads every value back bit
+    for bit.
     """
+    labelled = columns == CSV_COLUMNS
     source = {"time": log.time, **log.values}
-    with contextlib.ExitStack() as stack:
-        files = []
-        for path, (preamble, cols) in tables.items():
-            fh = stack.enter_context(open(path, "w", encoding="utf-8"))
-            fh.write(preamble + ",".join(cols) + "\n")
-            labelled = cols == CSV_COLUMNS
-            numeric = ["time", *CSV_NUMERIC] if labelled else cols
-            files.append((fh, [source[c] for c in numeric], labelled))
+    numeric = [source[c]
+               for c in (["time", *CSV_NUMERIC] if labelled else columns)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write((log._meta_lines() if labelled else "")
+                 + ",".join(columns) + "\n")
         for a in range(0, log.n_rows, _BLOCK_ROWS):
             b = a + _BLOCK_ROWS
-            for fh, columns, labelled in files:
-                rows = _csv_rows(np.column_stack([c[a:b] for c in columns]))
-                if labelled:
-                    # The state cell goes after the time cell, the event last.
-                    rows = [f"{r.replace(',', f',{s},', 1)},{e}" for r, s, e
-                            in zip(rows, log.state[a:b], log.event[a:b])]
-                fh.write("\n".join(rows) + "\n")
+            rows = _csv_rows(np.column_stack([c[a:b] for c in numeric]))
+            if labelled:
+                # The state cell goes after the time cell, the event last.
+                rows = [f"{r.replace(',', f',{s},', 1)},{e}" for r, s, e
+                        in zip(rows, log.state[a:b], log.event[a:b])]
+            fh.write("\n".join(rows) + "\n")
 
 
 def _csv_rows(table: np.ndarray) -> list:

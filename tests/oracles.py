@@ -47,7 +47,7 @@ from mobman.dynamics import accelerations
 from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
-from mobman.simulate import CSV_COLUMNS, _write_tables
+from mobman.simulate import CSV_COLUMNS, _write_table
 from mobman.util import INTEGRATORS, switch, wrap_angle
 
 
@@ -103,7 +103,7 @@ def random_joint_angles(rng, n: int | None = None):
 
 def write_log(log, path) -> None:
     """Write log to path alone, as export writes a run's timeseries.csv."""
-    _write_tables(log, {path: (log._meta_lines(), CSV_COLUMNS)})
+    _write_table(log, path, CSV_COLUMNS)
 
 
 def substepped_integrate(f, y, dt, method=None, substeps: int = 8) -> list:

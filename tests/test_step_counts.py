@@ -1,45 +1,49 @@
 """Calls per control step of each stage the step loop runs.
 
-One 10 ms stock run under each integrator rule, with a counter wrapped
+One 10 ms stock run under each integrator rule, with a recorder wrapped
 around every function the loop reaches once or more per step: the chassis
 controller (simulate.chassis_tick), the arm law (simulate.control_law), the
 plant step (simulate.plant_step), the arm model's kernel
-(ArmDynamics._kernel) and its accelerations (chassis_control.accelerations).
-A stage renamed or moved out of the loop fails here, in the change that
-moves it, and the counts state how much model work a step does.
+(ArmDynamics._kernel) and its accelerations (chassis_control.accelerations),
+and around the FK that derives the tool columns after the loop
+(simulate.forward_kinematics).  A stage renamed or moved out of the loop
+fails here, in the change that moves it, and the counts state how much
+model work a step does.
 """
 import collections
 import contextlib
 
+import numpy as np
 import pytest
 
 from mobman import chassis_control, simulate
 from mobman.config import parse_config
 from mobman.dynamics import ArmDynamics
 
-# (owner, name) of each binding the loop calls through.
+# (owner, name) of each binding the run calls through.
 TARGETS = ((simulate, "chassis_tick"), (simulate, "control_law"),
            (simulate, "plant_step"), (chassis_control, "accelerations"),
-           (ArmDynamics, "_kernel"))
+           (ArmDynamics, "_kernel"), (simulate, "forward_kinematics"))
 
 
 @contextlib.contextmanager
-def counting(targets):
-    """Wrap each (owner, name) binding in a call counter, yield the counts
-    by name, and put every original binding back on exit."""
-    counts = collections.Counter()
+def recording(targets):
+    """Wrap each (owner, name) binding in a recorder, yield the argument
+    tuples of its calls by name, and put every original binding back on
+    exit."""
+    calls = collections.defaultdict(list)
     saved = [(owner, name, vars(owner)[name]) for owner, name in targets]
 
     def wrap(name, fn):
-        def counted(*args):
-            counts[name] += 1
+        def recorded(*args):
+            calls[name].append(args)
             return fn(*args)
-        return counted
+        return recorded
 
     try:
         for owner, name, fn in saved:
             setattr(owner, name, wrap(name, fn))
-        yield counts
+        yield calls
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
@@ -51,14 +55,28 @@ def test_calls_per_step(integrator, stages):
     """A run of n steps logs n + 1 states: one chassis tick and one arm law
     at each, and one plant step between each pair.  The law's kernel at a
     state is shared with the step's first stage, so the kernel runs
-    stages * n + 1 times and accelerations stages * n times."""
+    stages * n + 1 times and accelerations stages * n times; each step's
+    first kernel call is the law's, at the logged (q, qd).  Each plant step
+    gets the 5-float chassis state, the scenario's rule and the arm as
+    (model, q, qd, terms, tau).  FK runs outside the loop: at most twice,
+    each on all n + 1 joint vectors, not twice a step."""
     originals = [vars(owner)[name] for owner, name in TARGETS]
-    with counting(TARGETS) as counts:
+    with recording(TARGETS) as calls:
         log = simulate.run_mission(parse_config(
             {"dt": 0.01, "integrator": integrator})).log
     assert [vars(owner)[name] for owner, name in TARGETS] == originals
     n = log.n_rows - 1
     assert n > 2000
-    assert dict(counts) == {"chassis_tick": n + 1, "control_law": n + 1,
-                            "plant_step": n, "_kernel": stages * n + 1,
-                            "accelerations": stages * n}
+    fk = calls.pop("forward_kinematics")
+    assert {name: len(args) for name, args in calls.items()} == {
+        "chassis_tick": n + 1, "control_law": n + 1, "plant_step": n,
+        "_kernel": stages * n + 1, "accelerations": stages * n}
+    assert 1 <= len(fk) <= 2
+    assert all(np.shape(joints) == (n + 1, 4) for joints, _ in fk)
+    logged = np.column_stack([log.values[k] for k in
+                              ("q1", "q2", "q3", "q4",
+                               "qd1", "qd2", "qd3", "qd4")])
+    assert [[*q, *qd] for _, q, qd in calls["_kernel"][::stages]] \
+        == logged.tolist()
+    assert [(len(args[0]), args[6], len(args[7]))
+            for args in calls["plant_step"]] == [(5, integrator, 5)] * n
