@@ -23,6 +23,7 @@ from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
 from mobman.chassis_control import chassis_tick, plant_step, wheel_speeds
 from mobman.config import ChassisControlConfig, ScenarioConfig, parse_config
+from mobman.dynamics import ArmDynamics
 from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
                            JointLimitViolation, MobmanError, ParseError,
                            SolveFailure, Unreachable, ValidationError)
@@ -1362,6 +1363,32 @@ def test_mission_checks_disturbance_before_the_loop(monkeypatch):
         run_mission(parse_config({"dt": 0.01}))
 
 
+@pytest.mark.parametrize("integrator, per_step",
+                         [("midpoint", 2), ("euler", 1)])
+def test_one_kernel_per_state(monkeypatch, integrator, per_step):
+    """The arm law and the integrator stage at a step's start share one
+    kernel evaluation, and the shared one is the first of each step's
+    calls, made at the logged state: every per_step-th call, from the
+    first, is at the next logged (q, qd).  A law that stopped sharing
+    would shift the stride and fail the match.  The call counts of every
+    stage are asserted in test_step_counts.py."""
+    real = ArmDynamics._kernel
+    calls = []
+
+    def counted(self, q, qd):
+        calls.append(list(q) + list(qd))
+        return real(self, q, qd)
+
+    monkeypatch.setattr(ArmDynamics, "_kernel", counted)
+    log = run_mission(parse_config({"dt": 0.01,
+                                    "integrator": integrator})).log
+    assert log.n_rows > 2000
+    logged = np.column_stack([log.values[k] for k in
+                              ("q1", "q2", "q3", "q4",
+                               "qd1", "qd2", "qd3", "qd4")])
+    assert calls[::per_step] == logged.tolist()
+
+
 def test_step_loop_builds_no_per_step_record():
     """The loop reads the chassis reference as tuples of floats and keeps
     the tracking error as floats, and the package has no second form of
@@ -1381,6 +1408,25 @@ def test_step_loop_builds_no_per_step_record():
                           if isinstance(item, ast.FunctionDef)
                           and item.name == "sample"]
     assert found == []
+
+
+@pytest.mark.parametrize("integrator", ["midpoint", "euler"])
+def test_one_plant_step_call_per_step(monkeypatch, integrator):
+    """The chassis pose and the arm advance together: a run of n steps makes
+    n plant_step calls, each given the 5-float chassis state, the
+    scenario's rule and the arm as (model, q, qd, terms, tau)."""
+    calls = []
+
+    def counted(state, ref_now, ref_next, u, f, dt, method, arm=None):
+        calls.append((len(state), method, arm is not None and len(arm)))
+        return plant_step(state, ref_now, ref_next, u, f, dt, method, arm)
+
+    monkeypatch.setattr(simulate, "plant_step", counted)
+    log = run_mission(parse_config({"dt": 0.01,
+                                    "integrator": integrator})).log
+    n = log.n_rows - 1
+    assert n > 2000
+    assert calls == [(5, integrator, 5)] * n
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
