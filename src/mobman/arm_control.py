@@ -2,7 +2,7 @@
 
 The surface is the error rate plus a proportional term per joint; the control
 writes out the rigid-body model's inverse dynamics, from the kernel terms the
-plant step shares, at a reaching acceleration whose switched term dominates
+arm step shares, at a reaching acceleration whose switched term dominates
 model mismatch.  Spray targets are expressed in the moving chassis base
 frame so the closed-form IK can turn them into joint references.
 

@@ -5,8 +5,8 @@ The tracking error is the pose mismatch rotated into the vehicle frame
 the control acts on a reduced plant in which an inner loop has already
 cancelled the chassis dynamics, leaving  zdot - zdot_ref = u - f  for
 z = (v, w) with a bounded lumped disturbance f.  chassis_tick evaluates the
-whole controller in one body, and plant_step advances the chassis and the
-arm it carries by the midpoint or Euler rule written out in closed form.
+whole controller in one body, and plant_step advances the chassis alone (the
+arm never acts on it) by the midpoint or Euler rule in closed form.
 
 Units: metres, seconds, radians.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-from .dynamics import accelerations
 from .errors import DisturbanceBoundViolation
 from .util import INTEGRATORS, switch, wrap_angle
 
@@ -82,14 +81,11 @@ def check_disturbance(f, f_bounds) -> None:
                 "disturbance channel %d: |%.4f| > %.4f" % (i, fi, bound))
 
 
-def plant_step(state, ref_now, ref_next, u, f, dt: float, integrator: str,
-               arm=None) -> list:
+def plant_step(state, ref_now, ref_next, u, f, dt: float,
+               integrator: str) -> list:
     """Advance pose + velocity state (X, Y, heading, v, w) one control step
     by the rule integrator names, one of util.INTEGRATORS (any other raises
-    ValueError); returns the new state as a list of 5 floats, then the arm's
-    q and qd when arm = (model, q, qd, terms, tau) is given: an ArmDynamics
-    model, its state as two lists of 4 floats, the kernel terms at that
-    state and the torque held over the step.
+    ValueError); returns the new state as a list of 5 floats.
 
     Rates vary linearly under the commanded acceleration during the step; the
     reference delta lands at the step end so that a reference discontinuity
@@ -101,10 +97,10 @@ def plant_step(state, ref_now, ref_next, u, f, dt: float, integrator: str,
     f's whole series against the bounds once, with check_disturbance.
 
     Euler is y + dt f(0, y), the explicit midpoint rule y + dt f(t, y +
-    t f(0, y)) with t = dt/2; its half step forms only the heading and the
-    arm state, as no rate reads X or Y.  Sums run in the vector form's
-    order, with its t = 0 rates v0 + av * 0 and w0 + aw * 0, so a step
-    matches numpy bit for bit, signed zeros included.
+    t f(0, y)) with t = dt/2; its half step forms only the heading, as no
+    rate reads X or Y.  Sums run in the vector form's order, with its t = 0
+    rates v0 + av * 0 and w0 + aw * 0, so a step matches numpy bit for bit,
+    signed zeros included.
     """
     x0, y0, h0, v0, w0 = state
     av = u[0] - f[0]
@@ -116,23 +112,11 @@ def plant_step(state, ref_now, ref_next, u, f, dt: float, integrator: str,
     t = 0.5 * dt if midpoint else 0.0  # the stage the rates are taken at
     heading = h0 + t * (w0 + aw * 0.0) if midpoint else h0
     v = v0 + av * t
-    new = [x0 + dt * (v * math.cos(heading)),
-           y0 + dt * (v * math.sin(heading)),
-           wrap_angle(h0 + dt * (w0 + aw * t)),
-           v0 + av * dt + (ref_next[3] - ref_now[3]),
-           w0 + aw * dt + (ref_next[4] - ref_now[4])]
-    if arm is None:
-        return new
-    model, (p1, p2, p3, p4), qd, terms, tau = arm
-    m1, m2, m3, m4 = r1, r2, r3, r4 = qd  # m and a: the rates at stage t
-    a1, a2, a3, a4 = accelerations(terms, tau)
-    if midpoint:
-        m1, m2, m3, m4 = mid = [r1 + t * a1, r2 + t * a2, r3 + t * a3,
-                                r4 + t * a4]
-        a1, a2, a3, a4 = accelerations(model._kernel(
-            [p1 + t * r1, p2 + t * r2, p3 + t * r3, p4 + t * r4], mid), tau)
-    return new + [p1 + dt * m1, p2 + dt * m2, p3 + dt * m3, p4 + dt * m4,
-                  r1 + dt * a1, r2 + dt * a2, r3 + dt * a3, r4 + dt * a4]
+    return [x0 + dt * (v * math.cos(heading)),
+            y0 + dt * (v * math.sin(heading)),
+            wrap_angle(h0 + dt * (w0 + aw * t)),
+            v0 + av * dt + (ref_next[3] - ref_now[3]),
+            w0 + aw * dt + (ref_next[4] - ref_now[4])]
 
 
 def wheel_speeds(v: float, w: float, track_width: float):

@@ -1,15 +1,14 @@
 """Rigid-body model of the arm: one shared-trig kernel that gives M(q), its
-partials, G(q) and the bias C(q, qd) qd + G(q) at a state, and the forward
-dynamics the plant step integrates (accelerations, which
-chassis_control.plant_step evaluates at each stage of its rule).  The
-sliding-mode law, arm_control.control_law, writes the inverse dynamics
-M qdd + bias out from the same kernel terms.  Within a control step the law
-and the plant step's rates at the step start share one kernel evaluation,
-as both are taken at the step's start state, and the midpoint rule's half
-step makes one more: a run of n steps evaluates the kernel 2n + 1 times
-under the midpoint rule and n + 1 times under Euler.  An infinite angle in
-joints 2-4 is a SolveFailure about the mass matrix at the kernel's trig, a
-NaN one at a pivot of M's factorization in accelerations.
+partials, G(q) and the bias C(q, qd) qd + G(q) at a state, the forward
+dynamics (accelerations), and the arm's plant step, arm_step, which
+evaluates accelerations at each stage of its rule.  The sliding-mode law,
+arm_control.control_law, writes the inverse dynamics M qdd + bias out from
+the same kernel terms.  Within a control step the law and arm_step's rates
+at the step's start state share one kernel evaluation, and the midpoint
+rule's half step makes one more: a run of n steps evaluates the kernel
+2n + 1 times under the midpoint rule and n + 1 times under Euler.  An
+infinite angle in joints 2-4 is a SolveFailure about the mass matrix at the
+kernel's trig, a NaN one at a pivot of M's factorization in accelerations.
 
 The model follows the energy route.  Each joint drives one body: the slewing
 column, the boom, the forearm and the wrist (the short parallelogram link is
@@ -32,6 +31,7 @@ from typing import NoReturn
 
 from .errors import SolveFailure, ValidationError
 from .kinematics import ArmGeometry
+from .util import INTEGRATORS
 
 _MM = 1e-3
 _INF = math.inf
@@ -220,6 +220,27 @@ def accelerations(terms, tau) -> list:
     x2 = (y2 - l32 * x3 - l42 * x4) / l22
     return [(t1 - b1) / (m11 if 0.0 < m11 < _INF else _pivot(m11)),
             x2, x3, x4]
+
+
+def arm_step(model, q, qd, terms, tau, dt: float, integrator: str) -> list:
+    """Advance the arm's q and qd (4-float lists) one step under the torque
+    tau by the rule integrator names, as plant_step does the chassis, from
+    the kernel terms at (q, qd); returns the new q and qd as one list."""
+    midpoint = integrator == "midpoint"
+    if not midpoint and integrator != "euler":
+        raise ValueError("unknown integrator %r: expected %s"
+                         % (integrator, " or ".join(INTEGRATORS)))
+    p1, p2, p3, p4 = q
+    m1, m2, m3, m4 = r1, r2, r3, r4 = qd  # m and a: the rates at stage t
+    a1, a2, a3, a4 = accelerations(terms, tau)
+    if midpoint:
+        t = 0.5 * dt
+        m1, m2, m3, m4 = mid = [r1 + t * a1, r2 + t * a2, r3 + t * a3,
+                                r4 + t * a4]
+        a1, a2, a3, a4 = accelerations(model._kernel(
+            [p1 + t * r1, p2 + t * r2, p3 + t * r3, p4 + t * r4], mid), tau)
+    return [p1 + dt * m1, p2 + dt * m2, p3 + dt * m3, p4 + dt * m4,
+            r1 + dt * a1, r2 + dt * a2, r3 + dt * a3, r4 + dt * a4]
 
 
 def _pivot(p: float) -> NoReturn:

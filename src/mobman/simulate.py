@@ -2,31 +2,30 @@
 
 A run takes three steps.  The planner (mobman.planning) lays the mission out
 as one phase timeline and derives from it the chassis reference, the state
-labels and markers, and the arm's joint reference.  The step loop then
-marches both controllers and plants on plain floats, reading the reference
+labels and markers, and the arm's joint reference.  The control loop then
+fills one row table in two passes on plain floats, reading the reference
 tables as tuples zipped over per-block column lists, so it builds no
-container per row.  The disturbance series is checked against its bounds
-once, before the first step.  The chassis follows its reduced velocity
-dynamics, the arm its full rigid-body dynamics under zero-order-hold
-torques, and one plant_step call per step advances the chassis pose and the
-arm together by the scenario's rule (the explicit midpoint rule, or
-Euler's) over their 3 pose and 8 arm floats.  Every SolveFailure the loop
-raises, for a non-finite state or a mass matrix that is not positive
-definite, names the step and its time; a heading that overflows wraps to
-NaN (util.wrap_angle), which the finiteness check catches.  The loop logs
-only what the plants and the laws produce, 24 values a step; a vectorised
+container per row.  The chassis pass checks the disturbance series against
+its bounds once, then runs the chassis law and reduced velocity dynamics
+over the whole run.  The arm, fixed-base and never acting on the chassis,
+follows in its own pass: its law and its full rigid-body dynamics under
+zero-order-hold torques.  Each plant steps by the scenario's rule (the
+explicit midpoint rule, or Euler's): plant_step the 3 pose floats, arm_step
+the 8 arm floats.  Every SolveFailure, for a non-finite state (named chassis
+or arm) or a mass matrix that is not positive definite, names the step and
+its time; a chassis failure, such as a heading overflowing to NaN
+(util.wrap_angle), ends the run before the arm pass starts.  A vectorised
 pass last derives the tool, target and wheel-speed columns into a
 fixed-schema log that round-trips through CSV bit for bit.  export writes
 the run's files one at a time, each in blocks of rows.
 
-A run's memory peaks in the step loop.  It holds the row table, the chassis
-reference, q_r, qd_r, qdd_r, the disturbance and the time column, 44 floats
-a row, and one block of each reference table as Python floats.  The tables
-are released as their last reader finishes: qd_r, qdd_r and the disturbance
-when the loop ends, the chassis reference and q_r once the target columns
-are derived.  The tool's FK temporaries die with _tool_columns, and
-compute_metrics stacks only the sweep windows' rows, so neither the derived
-columns nor the metrics outgrow the loop.
+A run's memory peaks in its loop, whose chassis pass holds the row table,
+the chassis reference, q_r, qd_r, qdd_r, the disturbance and the time
+column, 44 floats a row, and a block of its two tables as Python floats
+(the arm pass: 42, and a block of the arm's three).  Each table goes when
+its last reader is done, so the derived columns, whose FK temporaries die
+with _tool_columns, and compute_metrics, which stacks only the sweep
+windows' rows, stay under the loop.
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ from .arm_control import control_law
 from .chassis_control import (chassis_tick, check_disturbance, plant_step,
                               wheel_speeds)
 from .config import ScenarioConfig, disturbance_series
-from .dynamics import ArmDynamics, inertial_params
+from .dynamics import ArmDynamics, arm_step, inertial_params
 from .errors import EmptyLog, ParseError, SolveFailure
 from .kinematics import forward_kinematics
 from .planning import (MissionPlan, _arm_reference, _chassis_reference,
@@ -58,14 +57,14 @@ CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "tau1", "tau2", "tau3", "tau4",
                "eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ"]
 CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
-_STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # the loop's columns
-# One step's row of native doubles: packing copies each float's bits.
-_STEP_ROW = struct.Struct("%dd" % len(_STEP_COLUMNS))
+_STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # chassis, then arm
+# A pass's half of a row of native doubles: packing copies each float's bits.
+_HALF_ROW = struct.Struct("12d")
 # Rows per block of reference floats in the loop and of CSV text in export.
-# A block's Python objects take about 0.8 kB a row in the loop and 2.8 kB in
-# export: at 512 rows, 0.4 MB (a twenty-fifth of a stock run's loop tables)
-# and 1.4 MB.  Larger blocks only raise the peak; 2048-row blocks timed no
-# faster.
+# A block's Python objects take about 0.4 kB a row in the arm pass (0.2 in
+# the chassis pass) and 2.8 kB in export: at 512 rows, 0.2 MB (a fiftieth of
+# a stock run's loop tables) and 1.4 MB.  Larger blocks only raise the peak;
+# 2048-row blocks timed no faster.
 _BLOCK_ROWS = 512
 # Lines per batch of from_csv: one orjson.loads, or one row-by-row read, per
 # batch.  A batch's lines and floats are the reader's only Python objects:
@@ -257,62 +256,20 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     labels, events = _labels_and_events(plan)
     qr, qdr, qddr = _arm_reference(plan, refs)
 
-    gains = config.chassis_control
-    dist = disturbance_series(config.disturbance, np.arange(n) * dt)
-    check_disturbance(np.abs(dist).max(axis=0, initial=0.0), gains.f_bounds)
-
-    # One row per sample in _STEP_COLUMNS order, row-major so each step
-    # packs its row in one call; the log's columns are strided views of it.
+    # One row per sample in _STEP_COLUMNS order, row-major so each pass packs
+    # its half of a row in one call; the log's columns are strided views.
     rows = np.zeros((n + 1, len(_STEP_COLUMNS)))
-    pack_row, row_bytes = _STEP_ROW.pack_into, rows.strides[0]
     time = np.arange(n + 1) * dt
-
-    # The step runs on plain floats: z, q and qd are lists, and the
-    # reference tables are read as tuples of floats, converted a block at a
-    # time (converting them whole would hold every float at once).
-    # chassis_tick and plant_step read a reference row by position, the arm
-    # law one row of q_r, qd_r and qdd_r set side by side.
-    ref_rows = _float_rows(refs)
-    dist_rows = _float_rows(dist)
-    ref = next(ref_rows)
-    off = config.initial_pose_offset
-    z = [ref[0] + off[0], ref[1] + off[1], ref[2] + off[2] * math.pi / 180.0,
-         ref[3], ref[4]]
-    q = qr[0].tolist()
-    qd = qdr[0].tolist()
-    arm_gains, integrator, kernel = (config.arm_control, config.integrator,
-                                     model._kernel)
-
-    try:
-        for i, arm_ref in zip(range(n + 1), _float_rows(qr, qdr, qddr)):
-            err, s, u = chassis_tick(ref, z, gains)
-            # The model at (q, qd), shared by the arm law and the arm step.
-            terms = kernel(q, qd)
-            tau = control_law(q, qd, arm_ref, arm_gains, terms)
-            pack_row(rows, i * row_bytes, *z, *err, *s, *u, *q, *qd, *tau)
-            if i == n:
-                break
-            ref_next = next(ref_rows)
-            # One plant step advances the pose and the arm, which rides on
-            # the chassis; the arm's rates at the step start reuse terms.
-            state = plant_step(z, ref, ref_next, u, next(dist_rows), dt,
-                               integrator, (model, q, qd, terms, tau))
-            # A finite sum proves every float finite; an overflowing one
-            # does not prove any of them infinite, so each is tested then.
-            if (not math.isfinite(sum(state))
-                    and not all(map(math.isfinite, state))):
-                raise SolveFailure("non-finite chassis or arm state")
-            z, q, qd = state[:5], state[5:9], state[9:]
-            ref = ref_next
-    except SolveFailure as exc:
-        # Only the plant step can fail, and it was computing step i + 1.
-        raise SolveFailure("step %d (t=%.4f s): %s"
-                           % (i + 1, (i + 1) * dt, exc)) from exc
+    gains, (dx, dy, dh) = config.chassis_control, config.initial_pose_offset
+    _chassis_pass(rows, refs, disturbance_series(config.disturbance, time[:n]),
+                  (dx, dy, dh * math.pi / 180.0), gains, dt, config.integrator)
+    _arm_pass(rows, model, (qr, qdr, qddr), config.arm_control, dt,
+              config.integrator)
 
     # Derived columns: target then tool positions by FK at the reference
     # and the logged chassis pose and joints, wheel speeds from (v, w).  Each
     # table goes once its last reader is done, so the loop stays the peak.
-    del qdr, qddr, dist, dist_rows, ref_rows
+    del qdr, qddr
     values = dict(zip(_STEP_COLUMNS, rows.T))
     values["tgtX"], values["tgtY"], values["tgtZ"] = _tool_columns(
         qr, refs[:, :3].T, plan.geometry)
@@ -341,6 +298,53 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     log = SimLog(meta, time, labels, values, events)
     report = metrics_mod.compute_metrics(log)
     return MissionResult(log=log, report=report, plan=plan)
+
+
+def _chassis_pass(rows, refs, dist, offset, gains, dt: float,
+                  integrator: str) -> None:
+    """Run the chassis along refs, one row a sample, from its first pose
+    moved by offset (dx, dy m; dheading rad): plant_step under dist's row
+    into each sample, then chassis_tick, filling 12 columns of its row."""
+    # Each channel's peak |f|, formed with no table the size of dist.
+    peak = np.maximum(dist.max(axis=0, initial=0.0),
+                      -dist.min(axis=0, initial=0.0))
+    check_disturbance(peak, gains.f_bounds)
+    pack, row_bytes = _HALF_ROW.pack_into, rows.strides[0]
+    z, dist_rows = refs[0].tolist(), _float_rows(dist)
+    z[:3] = z[0] + offset[0], z[1] + offset[1], z[2] + offset[2]
+    for i, ref in enumerate(_float_rows(refs)):
+        if i:
+            z = plant_step(z, last, ref, u, next(dist_rows), dt, integrator)
+            # A finite sum proves every float finite; an overflowing one
+            # does not prove any of them infinite, so each is tested then.
+            if not math.isfinite(sum(z)) and not all(map(math.isfinite, z)):
+                raise SolveFailure("step %d (t=%.4f s): non-finite chassis "
+                                   "state" % (i, i * dt))
+        err, s, u = chassis_tick(ref, z, gains)
+        pack(rows, i * row_bytes, *z, *err, *s, *u)
+        last = ref
+
+
+def _arm_pass(rows, model, tables, gains, dt: float, integrator: str) -> None:
+    """Run the arm along tables = (q_r, qd_r, qdd_r) from their first row:
+    arm_step into each sample, then control_law on the kernel terms the next
+    step reuses; q, qd and torque fill the last 12 columns of its row."""
+    pack, row_bytes = _HALF_ROW.pack_into, rows.strides[0]
+    q, qd = tables[0][0].tolist(), tables[1][0].tolist()
+    try:
+        for i, ref in enumerate(_float_rows(*tables)):
+            if i:
+                state = arm_step(model, q, qd, terms, tau, dt, integrator)
+                if (not math.isfinite(sum(state))  # as in _chassis_pass
+                        and not all(map(math.isfinite, state))):
+                    raise SolveFailure("non-finite arm state")
+                q, qd = state[:4], state[4:]
+            terms = model._kernel(q, qd)
+            tau = control_law(q, qd, ref, gains, terms)
+            pack(rows, i * row_bytes + _HALF_ROW.size, *q, *qd, *tau)
+    except SolveFailure as exc:
+        raise SolveFailure("step %d (t=%.4f s): %s"
+                           % (i, i * dt, exc)) from exc
 
 
 def _tool_columns(joints, pose, geometry) -> tuple:

@@ -33,5 +33,6 @@ def switch(x: float, width: float) -> float:
 
 
 # The plant integrators a scenario may name, each written out in
-# chassis_control.plant_step; ScenarioConfig sets the stock one.
+# chassis_control.plant_step and dynamics.arm_step; ScenarioConfig sets the
+# stock one.
 INTEGRATORS = ("midpoint", "euler")

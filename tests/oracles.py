@@ -24,14 +24,14 @@ any lap clock, then places each fire's stop, its lap step and the pose
 parked there.
 write_log writes a log alone, as export writes its timeseries.csv.
 integrate is the generic one-step midpoint or Euler rule over any rates
-function, and closure_plant_step states the mission plant step as one
-rates function handed to it: the reference chassis_control.plant_step,
-which writes each rule out in closed form, must equal bit for bit.
-substepped_integrate is a fine-step stand-in for integrate, the reference
-the plant integrators' error is measured against (handed to
-closure_plant_step); with one substep it is the classic fourth-order rule.
-run_line_scenario is the chassis-only closed loop along a straight line
-that the chassis tests run.
+function, and closure_plant_step states the mission's two plant steps
+joined as one rates function handed to it: the chassis's plant_step and
+the arm's dynamics.arm_step, which write each rule out in closed form, must
+together equal it bit for bit.  substepped_integrate is a fine-step
+stand-in for integrate, the reference the plant integrators' error is
+measured against (handed to closure_plant_step); with one substep it is the
+classic fourth-order rule.  run_line_scenario runs the mission's chassis
+pass along a straight line, the closed loop the chassis tests check.
 error_rates, sliding_surface and control_law are the chassis controller
 stage by stage, the composition chassis_tick must equal bit for bit; sign
 is np.sign of one float, the rule util.switch states for a zero width.
@@ -42,12 +42,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mobman.chassis_control import chassis_tick, check_disturbance, plant_step
 from mobman.dynamics import accelerations
 from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
-from mobman.simulate import CSV_COLUMNS, _write_table
+from mobman.simulate import CSV_COLUMNS, _chassis_pass, _write_table
 from mobman.util import INTEGRATORS, switch, wrap_angle
 
 
@@ -147,10 +146,11 @@ def integrate(f, y, dt, method: str) -> list:
 
 def closure_plant_step(state, ref_now, ref_next, u, f, dt, integrator,
                        arm=None, step=integrate) -> list:
-    """chassis_control.plant_step as one rates function over the 3 pose and
-    8 arm floats, handed to step (integrate, or substepped_integrate for a
-    finer reference); the arm's accelerations use terms at t = 0 and a
-    fresh kernel at later stages."""
+    """chassis_control.plant_step, then dynamics.arm_step when arm =
+    (model, q, qd, terms, tau) is given, as one rates function over the 3
+    pose and 8 arm floats, handed to step (integrate, or
+    substepped_integrate for a finer reference); the arm's accelerations
+    use terms at t = 0 and a fresh kernel at later stages."""
     x0, y0, h0, v0, w0 = state
     av = u[0] - f[0]
     aw = u[1] - f[1]
@@ -175,33 +175,22 @@ def run_line_scenario(gains, duration: float, dt: float,
                       speed: float = 0.88, initial_offset=(0.0, 0.0, 0.0),
                       disturbance: np.ndarray | None = None) -> dict:
     """Chassis-only tracking of a straight constant-speed reference under
-    gains, a ChassisControlConfig section, integrated by the midpoint rule.
+    gains, a ChassisControlConfig section, by the mission's chassis pass
+    under the midpoint rule.
 
     The vehicle starts at the reference velocity with the given pose offset
     (dx, dy m; dheading rad).  Returns time histories keyed by name,
     including the switching-function energy 0.5*(s1^2 + s2^2).
     """
     n = int(round(duration / dt))
-    ref = ChassisRefSample(x=0.0, y=0.0, heading=0.0, v=speed, w=0.0)
-    out = {k: np.zeros(n + 1) for k in
-           ("t", "e1", "e2", "e3", "s1", "s2", "u1", "u2", "V")}
+    t = np.arange(n + 1) * dt
+    refs = np.zeros((n + 1, 5))
+    refs[:, 0], refs[:, 3] = speed * t, speed
+    rows = np.zeros((n + 1, 12))
     f_all = np.zeros((n, 2)) if disturbance is None else disturbance[:n]
-    check_disturbance(np.abs(f_all).max(axis=0, initial=0.0), gains.f_bounds)
-    z = [float(v) for v in initial_offset] + [float(speed), 0.0]
-    for i in range(n + 1):
-        t = i * dt
-        ref_i = ref._replace(x=speed * t)
-        err, s, u = chassis_tick(ref_i, z, gains)
-        out["t"][i] = t
-        out["e1"][i], out["e2"][i], out["e3"][i] = err
-        out["s1"][i], out["s2"][i] = s
-        out["u1"][i], out["u2"][i] = u
-        out["V"][i] = 0.5 * (s[0] ** 2 + s[1] ** 2)
-        if i == n:
-            break
-        ref_next = ref._replace(x=speed * (t + dt))
-        z = plant_step(z, ref_i, ref_next, u, f_all[i].tolist(), dt,
-                       "midpoint")
+    _chassis_pass(rows, refs, f_all, initial_offset, gains, dt, "midpoint")
+    out = dict(zip(("e1", "e2", "e3", "s1", "s2", "u1", "u2"), rows[:, 5:].T))
+    out["t"], out["V"] = t, 0.5 * (out["s1"] ** 2 + out["s2"] ** 2)
     return out
 
 

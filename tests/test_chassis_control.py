@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import oracles
+from mobman import simulate
 from mobman.chassis_control import (chassis_tick, check_disturbance,
                                     plant_step, wheel_speeds)
 from mobman.config import ChassisControlConfig, CircuitConfig
@@ -271,7 +271,8 @@ def test_plant_step_euler_matches_hand_update():
 def test_line_scenario_rejects_out_of_bound_disturbance(monkeypatch):
     """The whole disturbance series is checked before the first step: a 0.5
     sample (or a NaN) mid-series fails the run, naming its channel, with no
-    tick or plant step run."""
+    tick or plant step run.  The line runs the mission's chassis pass, so
+    the bindings that pass calls are the ones counted."""
     steps = []
 
     def counted(real):
@@ -281,7 +282,7 @@ def test_line_scenario_rejects_out_of_bound_disturbance(monkeypatch):
         return wrapper
 
     for name in ("chassis_tick", "plant_step"):
-        monkeypatch.setattr(oracles, name, counted(getattr(oracles, name)))
+        monkeypatch.setattr(simulate, name, counted(getattr(simulate, name)))
     for channel, bad in ((0, 0.5), (1, 0.5), (1, math.nan)):
         series = np.zeros((1000, 2))
         series[500, channel] = bad

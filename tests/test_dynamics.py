@@ -15,7 +15,8 @@ from mobman import dynamics
 from mobman.arm_control import control_law
 from mobman.chassis_control import plant_step
 from mobman.config import ArmControlConfig, ScenarioConfig
-from mobman.dynamics import ArmDynamics, LinkInertialParams, accelerations
+from mobman.dynamics import (ArmDynamics, LinkInertialParams, accelerations,
+                             arm_step)
 from mobman.errors import SolveFailure, ValidationError
 from mobman.util import INTEGRATORS
 from oracles import (ChassisRefSample, coriolis_matrix, gravity_vector,
@@ -256,8 +257,8 @@ def test_fused_dynamics_match_christoffel_route(model, offset_model, rng):
 def test_forward_dynamics_non_finite_angle_raises(model, joint, bad):
     """M depends on joints 2-4 only; a NaN or infinite angle there is a
     SolveFailure about the mass matrix, never a raw math error or a NaN
-    state, on both routes into the model: the arm's rates in the mission
-    plant step, with the angle at the step's start (the kernel terms the
+    state, on both routes into the model: the arm's rates in its plant
+    step, arm_step, with the angle at the step's start (the kernel terms the
     first stage reuses) or at a later midpoint stage, and the arm
     control_law on the kernel terms at (q, qd), which raise for an infinite
     angle and whose torque for a NaN one the plant then meets at M's
@@ -267,12 +268,9 @@ def test_forward_dynamics_non_finite_angle_raises(model, joint, bad):
     q[joint] = bad
     qd = [0.2, -0.1, 0.3, 0.1]
     zero = [0.0] * 4
-    ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
 
     def step(method, terms, tau):
-        return plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
-                          [0.0, 0.0], 1e-3, method,
-                          (model, q, qd, terms, tau))
+        return arm_step(model, q, qd, terms, tau, 1e-3, method)
 
     for method in INTEGRATORS:
         with pytest.raises(SolveFailure, match="mass matrix"):
@@ -287,9 +285,10 @@ def test_forward_dynamics_non_finite_angle_raises(model, joint, bad):
 
 
 def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
-    """One control step, the arm law and one plant step under the stock
-    midpoint rule, uses the scalar kernel only: no einsum (the Christoffel
-    route) and no generic linear solve; dynamics.py does not import numpy."""
+    """One control step, the arm law and the chassis and arm plant steps
+    under the stock midpoint rule, uses the scalar kernel only: no einsum
+    (the Christoffel route) and no generic linear solve; dynamics.py does
+    not import numpy."""
     def slow_route(*args, **kwargs):
         raise AssertionError("slow dynamics route on the hot path")
 
@@ -302,9 +301,9 @@ def test_hot_path_avoids_tensor_route_and_dense_solve(model, monkeypatch):
     tau = control_law(q, qd, [v + 0.01 for v in q] + qd + [0.0] * 4,
                       ArmControlConfig(), terms)
     ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
-    state = plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
-                       [0.0, 0.0], 1e-3, "midpoint",
-                       (model, q, qd, terms, tau))
+    state = (plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
+                        [0.0, 0.0], 1e-3, "midpoint")
+             + arm_step(model, q, qd, terms, tau, 1e-3, "midpoint"))
     assert len(state) == 13 and all(map(math.isfinite, state))
 
 

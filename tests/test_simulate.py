@@ -23,7 +23,7 @@ from mobman.arm_control import (control_law as arm_control_law,
                                 target_in_base_frame)
 from mobman.chassis_control import chassis_tick, plant_step, wheel_speeds
 from mobman.config import ChassisControlConfig, ScenarioConfig, parse_config
-from mobman.dynamics import ArmDynamics
+from mobman.dynamics import ArmDynamics, arm_step
 from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
                            JointLimitViolation, MobmanError, ParseError,
                            SolveFailure, Unreachable, ValidationError)
@@ -353,6 +353,23 @@ def test_moving_the_scene_moves_the_log_by_the_shift(shift):
         np.testing.assert_allclose(other.log.values[k] - d,
                                    base.log.values[k], rtol=0, atol=1e-9,
                                    err_msg=k)
+
+
+def test_raising_the_discharge_time_never_fails_a_pass():
+    """The discharge time is the verdict's budget and nothing else: raising
+    fire_test.discharge_time from the stock 15 s, a PASS, to 40 s keeps the
+    PASS and leaves the log's columns, labels and events identical, with
+    only the discharge_time metadata line changed, and every metric but
+    the budget itself."""
+    low, high = (run_mission(parse_config(
+        {"dt": 0.01, "fire_test": {"discharge_time": seconds}}))
+        for seconds in (15.0, 40.0))
+    assert (low.report.verdict, high.report.verdict) == ("PASS", "PASS")
+    assert _log_digest(high.log) == _log_digest(low.log)
+    lines = [set(run.log._meta_lines().splitlines()) for run in (low, high)]
+    assert lines[0] ^ lines[1] == {"#discharge_time=15.0",
+                                   "#discharge_time=40.0"}
+    assert dataclasses.replace(low.report, discharge_time=40.0) == high.report
 
 
 STOCK_LOG_DIGEST = ("e8581ab69a2f3324dd49a3e7a3ab292ea7949bf4f80b90d34bc38f52"
@@ -1221,23 +1238,32 @@ def test_disturbed_mission_stays_in_band():
 
 def test_non_finite_state_is_named(monkeypatch):
     """A state that turns NaN stops the run at the step that holds it, named
-    by index and time, before it reaches the log.  plant_step is the loop's
-    one plant step: it advances the chassis and the arm it carries."""
-    real = simulate.plant_step
-    calls = []
+    by index, time and pass, before it reaches the log.  The chassis pass
+    runs over the whole mission before the arm pass starts, so a chassis
+    state that turns NaN at step 201 is the one named even when the arm's
+    would at step 101; with the chassis finite, the arm's is named."""
+    def nan_at_step(real, step, calls):
+        def patched(*args):
+            state = real(*args)
+            calls.append(len(calls))
+            if len(calls) == step:
+                state[0] = math.nan
+            return state
+        return patched
 
-    def nan_at_step_101(*args, **kwargs):
-        z = real(*args, **kwargs)
-        calls.append(len(calls))
-        if len(calls) == 101:
-            z[0] = math.nan
-        return z
-
-    monkeypatch.setattr(simulate, "plant_step", nan_at_step_101)
+    chassis, arm = [], []
+    monkeypatch.setattr(simulate, "plant_step",
+                        nan_at_step(plant_step, 201, chassis))
+    monkeypatch.setattr(simulate, "arm_step", nan_at_step(arm_step, 101, arm))
     with pytest.raises(SolveFailure) as err:
         run_mission(ScenarioConfig())
-    assert str(err.value).startswith("step 101 (t=0.1010 s): non-finite")
-    assert len(calls) == 101
+    assert str(err.value) == "step 201 (t=0.2010 s): non-finite chassis state"
+    assert (len(chassis), len(arm)) == (201, 0)
+    monkeypatch.setattr(simulate, "plant_step", plant_step)
+    with pytest.raises(SolveFailure) as err:
+        run_mission(ScenarioConfig())
+    assert str(err.value) == "step 101 (t=0.1010 s): non-finite arm state"
+    assert len(arm) == 101
 
 
 def test_finite_state_with_overflowing_sum_is_not_stopped(monkeypatch):
@@ -1412,34 +1438,58 @@ def test_step_loop_builds_no_per_step_record():
 
 @pytest.mark.parametrize("integrator", ["midpoint", "euler"])
 def test_one_plant_step_call_per_step(monkeypatch, integrator):
-    """The chassis pose and the arm advance together: a run of n steps makes
-    n plant_step calls, each given the 5-float chassis state, the
-    scenario's rule and the arm as (model, q, qd, terms, tau)."""
+    """The chassis and the arm advance by steps of their own, the chassis
+    over the whole run first: a run of n steps makes n plant_step calls,
+    each given the 5-float chassis state and the scenario's rule, then n
+    arm_step calls, each given q and qd as lists of 4 floats and the rule."""
     calls = []
 
-    def counted(state, ref_now, ref_next, u, f, dt, method, arm=None):
-        calls.append((len(state), method, arm is not None and len(arm)))
-        return plant_step(state, ref_now, ref_next, u, f, dt, method, arm)
+    def counted_plant(state, ref_now, ref_next, u, f, dt, method):
+        calls.append(("plant_step", len(state), method))
+        return plant_step(state, ref_now, ref_next, u, f, dt, method)
 
-    monkeypatch.setattr(simulate, "plant_step", counted)
+    def counted_arm(model, q, qd, terms, tau, dt, method):
+        calls.append(("arm_step", type(q), len(q), type(qd), len(qd),
+                      method))
+        return arm_step(model, q, qd, terms, tau, dt, method)
+
+    monkeypatch.setattr(simulate, "plant_step", counted_plant)
+    monkeypatch.setattr(simulate, "arm_step", counted_arm)
     log = run_mission(parse_config({"dt": 0.01,
                                     "integrator": integrator})).log
     n = log.n_rows - 1
     assert n > 2000
-    assert calls == [(5, integrator, 5)] * n
+    assert calls == ([("plant_step", 5, integrator)] * n
+                     + [("arm_step", list, 4, list, 4, integrator)] * n)
+
+
+def test_arm_keys_leave_the_chassis_columns_unchanged():
+    """The coupling runs one way: the chassis pass reads nothing of the arm.
+    At dt 10 ms, a run with only an arm key changed, the arm law's switch
+    gain or the payload, logs the chassis columns (the 12 the chassis pass
+    packs, and the wheel speeds) bit for bit as the stock run does, while
+    its torques differ."""
+    def columns(spec):
+        return run_mission(parse_config({"dt": 0.01, **spec})).log.values
+
+    stock = columns({})
+    for spec in ({"arm_control": {"switch_gain": [8.0, 2.0, 6.0, 4.0]}},
+                 {"inertial": {"payload_mass": 35.0}}):
+        values = columns(spec)
+        assert [k for k in CSV_NUMERIC[:14]
+                if values[k].tobytes() != stock[k].tobytes()] == [], spec
+        assert values["tau2"].tobytes() != stock["tau2"].tobytes(), spec
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("joint", [1, 2, 3])
 def test_non_finite_arm_state_is_a_solve_failure_on_lists(model, joint,
                                                          bad):
-    """The step loop's float-list route (kernel, arm law, mission plant
-    step, and a later stage's rates) meets a NaN or infinite angle in
-    joints 2-4 with a SolveFailure about the mass matrix, never a raw
-    ValueError from math.sqrt, math.cos or math.sin, nor a NaN state."""
+    """The arm pass's float-list route (kernel, arm law, arm step, and a
+    later stage's rates) meets a NaN or infinite angle in joints 2-4 with a
+    SolveFailure about the mass matrix, never a raw ValueError from
+    math.sqrt, math.cos or math.sin, nor a NaN state."""
     gains = ScenarioConfig().arm_control
-    ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
-    z = [0.0, 0.0, 0.0, 0.88, 0.0]
     good = [0.1, 60.0 * DEG, -30.0 * DEG, -10.0 * DEG]
     qd = [0.2, -0.1, 0.3, 0.1]
     q = list(good)
@@ -1449,13 +1499,12 @@ def test_non_finite_arm_state_is_a_solve_failure_on_lists(model, joint,
             terms = model._kernel(q, qd)
             tau = arm_control_law(q, qd, good + qd + [0.0] * 4, gains,
                                   terms)
-            plant_step(z, ref, ref, [0.0, 0.0], [0.0, 0.0], 1e-3, method,
-                       (model, q, qd, terms, tau))
+            arm_step(model, q, qd, terms, tau, 1e-3, method)
     # The start stage reuses the finite terms at good; the midpoint stage
     # meets the bad angle.
     with pytest.raises(SolveFailure, match="^mass matrix"):
-        plant_step(z, ref, ref, [0.0, 0.0], [0.0, 0.0], 1e-3, "midpoint",
-                   (model, q, qd, model._kernel(good, qd), [0.0] * 4))
+        arm_step(model, q, qd, model._kernel(good, qd), [0.0] * 4, 1e-3,
+                 "midpoint")
 
 
 @contextlib.contextmanager
@@ -1501,9 +1550,9 @@ def _numpy_calls(reader):
 
 
 def test_control_step_runs_on_plain_floats(model, stock_arm):
-    """One chassis tick, arm law, chassis-only plant step and mission plant
-    step carrying the arm (each integrator, on a ChassisRefSample and on a
-    row tuple as run_mission reads it) on float inputs, with the gains
+    """One chassis tick, arm law, chassis plant step and the two plant
+    steps of a mission step (each integrator, on a ChassisRefSample and on
+    a row tuple as run_mission reads it) on float inputs, with the gains
     section run_mission reads, build no numpy array and return plain floats,
     so per-stage arrays and numpy scalars cannot creep back into the loop.
     The records the loop reads hold plain floats in every field: the
@@ -1541,8 +1590,8 @@ def test_control_step_runs_on_plain_floats(model, stock_arm):
         z1 = plant_step(z, ref, ref, u, [0.05, -0.05], 1e-3, "midpoint")
         rows = list(simulate._float_rows(table))
         arm_rows = list(simulate._float_rows(*arm_tables))
-        steps = [plant_step(z, row, row, u, [0.05, -0.05], 1e-3, method,
-                            (model, q, qd, terms, tau))
+        steps = [plant_step(z, row, row, u, [0.05, -0.05], 1e-3, method)
+                 + arm_step(model, q, qd, terms, tau, 1e-3, method)
                  for method in ("midpoint", "euler")
                  for row in (ref, rows[0])]
         tick = chassis_tick(rows[0], z, gains)

@@ -1,14 +1,14 @@
 """Calls per control step of each stage the step loop runs.
 
 One 10 ms stock run under each integrator rule, with a recorder wrapped
-around every function the loop reaches once or more per step: the chassis
-controller (simulate.chassis_tick), the arm law (simulate.control_law), the
-plant step (simulate.plant_step), the arm model's kernel
-(ArmDynamics._kernel) and its accelerations (chassis_control.accelerations),
-and around the FK that derives the tool columns after the loop
-(simulate.forward_kinematics).  A stage renamed or moved out of the loop
-fails here, in the change that moves it, and the counts state how much
-model work a step does.
+around every function the loop's two passes reach once or more per step:
+the chassis controller (simulate.chassis_tick) and plant step
+(simulate.plant_step), the arm law (simulate.control_law) and plant step
+(simulate.arm_step), the arm model's kernel (ArmDynamics._kernel) and its
+accelerations (dynamics.accelerations), and around the FK that derives the
+tool columns after the loop (simulate.forward_kinematics).  A stage renamed
+or moved out of the loop fails here, in the change that moves it, and the
+counts state how much model work a step does.
 """
 import collections
 import contextlib
@@ -16,14 +16,15 @@ import contextlib
 import numpy as np
 import pytest
 
-from mobman import chassis_control, simulate
+from mobman import dynamics, simulate
 from mobman.config import parse_config
 from mobman.dynamics import ArmDynamics
 
 # (owner, name) of each binding the run calls through.
 TARGETS = ((simulate, "chassis_tick"), (simulate, "control_law"),
-           (simulate, "plant_step"), (chassis_control, "accelerations"),
-           (ArmDynamics, "_kernel"), (simulate, "forward_kinematics"))
+           (simulate, "plant_step"), (simulate, "arm_step"),
+           (dynamics, "accelerations"), (ArmDynamics, "_kernel"),
+           (simulate, "forward_kinematics"))
 
 
 @contextlib.contextmanager
@@ -53,12 +54,12 @@ def recording(targets):
                                                 ("euler", 1)])
 def test_calls_per_step(integrator, stages):
     """A run of n steps logs n + 1 states: one chassis tick and one arm law
-    at each, and one plant step between each pair.  The law's kernel at a
-    state is shared with the step's first stage, so the kernel runs
-    stages * n + 1 times and accelerations stages * n times.  FK runs
-    outside the loop: at most twice, each on all n + 1 joint vectors, not
-    twice a step.  What the kernel and the plant step are given is checked
-    in test_simulate.py."""
+    at each, and one chassis and one arm plant step between each pair.  The
+    law's kernel at a state is shared with the arm step's first stage, so
+    the kernel runs stages * n + 1 times and accelerations stages * n
+    times.  FK runs outside the loop: at most twice, each on all n + 1 joint
+    vectors, not twice a step.  What the kernel and the plant steps are
+    given is checked in test_simulate.py."""
     originals = [vars(owner)[name] for owner, name in TARGETS]
     with recording(TARGETS) as calls:
         log = simulate.run_mission(parse_config(
@@ -69,6 +70,7 @@ def test_calls_per_step(integrator, stages):
     fk = calls.pop("forward_kinematics")
     assert {name: len(args) for name, args in calls.items()} == {
         "chassis_tick": n + 1, "control_law": n + 1, "plant_step": n,
-        "_kernel": stages * n + 1, "accelerations": stages * n}
+        "arm_step": n, "_kernel": stages * n + 1,
+        "accelerations": stages * n}
     assert 1 <= len(fk) <= 2
     assert all(np.shape(joints) == (n + 1, 4) for joints, _ in fk)

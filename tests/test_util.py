@@ -2,9 +2,9 @@
 
 The control step runs on plain Python floats.  These oracles keep the numpy
 forms of the midpoint and Euler steps, the chassis plant and np.sign/np.clip,
-and require the float versions to give the same bits; the plant step, which
-writes each rule out in closed form, must also match the closure-form step
-in tests/oracles.py.
+and require the float versions to give the same bits; the chassis and arm
+plant steps, which write each rule out in closed form, must together also
+match the closure-form step in tests/oracles.py.
 """
 import math
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mobman.chassis_control import plant_step
-from mobman.dynamics import accelerations
+from mobman.dynamics import accelerations, arm_step
 from mobman.util import switch, wrap_angle
 from oracles import (ChassisRefSample, closure_plant_step,
                      random_joint_angles, sign, substepped_integrate)
@@ -57,13 +57,13 @@ def _with_zeros(rng, values) -> list:
 
 @pytest.mark.parametrize("method", METHODS)
 def test_arm_step_matches_numpy_integrator_bitwise(method, model, rng):
-    """The mission step advances the pose and the arm by the rule written
-    out in closed form, the arm reusing the kernel terms of its start state.
-    Its arm half must match the numpy oracle that evaluates the kernel and
-    the accelerations afresh at every stage, its chassis half the
-    chassis-only oracle and the chassis-only path (arm=None), and the whole
-    step the closure-form step of tests/oracles.py, bit for bit, also on
-    inputs holding 0.0 and -0.0."""
+    """The mission's two plant steps advance the pose and the arm by the
+    rule written out in closed form, the arm reusing the kernel terms of its
+    start state.  arm_step must match the numpy oracle that evaluates the
+    kernel and the accelerations afresh at every stage, plant_step the
+    chassis-only oracle, and the two joined the closure-form step of
+    tests/oracles.py (plant_step alone its chassis-only form), bit for bit,
+    also on inputs holding 0.0 and -0.0."""
     for case, q in enumerate(random_joint_angles(rng, 400)):
         qd = rng.uniform(-2.0, 2.0, 4)
         tau = rng.uniform(-1e3, 1e3, 4).tolist()
@@ -86,14 +86,13 @@ def test_arm_step_matches_numpy_integrator_bitwise(method, model, rng):
         want = _numpy_step(f, np.concatenate([q, qd]), 1e-3, method)
         q0, qd0 = q.tolist(), qd.tolist()
         arm = (model, q0, qd0, model._kernel(q0, qd0), tau)
-        got = plant_step(state, now, nxt, u, f_dist, 1e-3, method, arm)
+        got = arm_step(*arm, 1e-3, method)
         chassis = plant_step(state, now, nxt, u, f_dist, 1e-3, method)
-        assert _same_bits(got[5:], want)
-        assert _same_bits(got[:5], _numpy_plant_step(state, now, nxt, u,
+        assert _same_bits(got, want)
+        assert _same_bits(chassis, _numpy_plant_step(state, now, nxt, u,
                                                      f_dist, 1e-3, method))
-        assert _same_bits(chassis, got[:5])
-        assert _same_bits(got, closure_plant_step(state, now, nxt, u, f_dist,
-                                                  1e-3, method, arm))
+        assert _same_bits(chassis + got, closure_plant_step(
+            state, now, nxt, u, f_dist, 1e-3, method, arm))
         assert _same_bits(chassis, closure_plant_step(state, now, nxt, u,
                                                       f_dist, 1e-3, method))
 
@@ -114,30 +113,34 @@ def test_plant_step_matches_numpy_integrator_bitwise(method, rng):
 
 @pytest.mark.parametrize("method", ["rk4", "rk2"])
 def test_unknown_integrator_is_rejected(method):
-    """A rule name outside INTEGRATORS raises, naming it, before any stage
-    runs: it never falls through to another rule."""
+    """A rule name outside INTEGRATORS raises, naming it, in the chassis
+    and the arm plant step alike, before any stage runs: it never falls
+    through to another rule."""
     class NoStage:
         def _kernel(self, q, qd):
             raise AssertionError("a stage ran")
 
     ref = ChassisRefSample(0.0, 0.0, 0.0, v=0.88, w=0.0)
-    for arm in (None, (NoStage(), [0.0] * 4, [0.0] * 4, None, [0.0] * 4)):
-        with pytest.raises(ValueError, match="unknown integrator %r" % method):
-            plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
-                       [0.0, 0.0], 1e-3, method, arm)
+    with pytest.raises(ValueError, match="unknown integrator %r" % method):
+        plant_step([0.0, 0.0, 0.0, 0.88, 0.0], ref, ref, [0.0, 0.0],
+                   [0.0, 0.0], 1e-3, method)
+    with pytest.raises(ValueError, match="unknown integrator %r" % method):
+        arm_step(NoStage(), [0.0] * 4, [0.0] * 4, None, [0.0] * 4, 1e-3,
+                 method)
 
 
 def test_midpoint_local_error_is_third_order(model, rng):
-    """One mission plant step under the midpoint rule, against the same step
-    as the closure-form oracle integrates it by the substepped RK4
-    reference: the local error is O(dt^3), so halving dt divides it by about
-    8.  Every error stays above 1e-9, far above round-off, so the ratio
-    measures the rule."""
+    """One mission step of both plants under the midpoint rule, against the
+    same step as the closure-form oracle integrates it by the substepped
+    RK4 reference: the local error is O(dt^3), so halving dt divides it by
+    about 8.  Every error stays above 1e-9, far above round-off, so the
+    ratio measures the rule."""
 
     def local_error(args, dt):
         state, now, nxt, u, f_dist, q, qd, tau = args
         arm = (model, q, qd, model._kernel(q, qd), tau)
-        got = plant_step(state, now, nxt, u, f_dist, dt, "midpoint", arm)
+        got = (plant_step(state, now, nxt, u, f_dist, dt, "midpoint")
+               + arm_step(*arm, dt, "midpoint"))
         want = closure_plant_step(state, now, nxt, u, f_dist, dt, "midpoint",
                                   arm, step=substepped_integrate)
         return np.abs(np.subtract(got, want)).max()
