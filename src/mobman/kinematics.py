@@ -58,9 +58,9 @@ class ArmGeometry:
     def __post_init__(self):
         if len(self.a) != 5:
             raise GeometryError("the arm has exactly 5 link lengths")
-        if min(self.a) < 0.0 or self.d1 < 0.0 or self.y5p < 0.0:
+        if not all(0 <= v < math.inf for v in (*self.a, self.d1, self.y5p)):
             raise GeometryError("link lengths, shoulder height and tool "
-                                "offset must be non-negative")
+                                "offset must be finite and non-negative")
 
 
 class EndEffectorPose(NamedTuple):
@@ -76,38 +76,37 @@ class EndEffectorPose(NamedTuple):
     phi: float
 
 
-def interior_angle(q) -> float:
-    """Elbow interior angle between boom and forearm links."""
-    return math.pi - (q[1] - q[2])
+def interior_angle(q):
+    """Elbow interior angle between boom and forearm over q's leading axes."""
+    q = np.asarray(q, dtype=float)
+    return math.pi - (q[..., 1] - q[..., 2])
+
+
+def _limit_mask(q) -> np.ndarray:
+    """The joint-range rule as a mask over q's leading axes and its five
+    bounds in order: joints 1-4 (q's last axis), then the elbow angle; True
+    within range to _LIMIT_TOL, a NaN failing."""
+    values = np.concatenate([q, interior_angle(q)[..., None]], -1)
+    low = np.array(JOINT_LIMITS_LOW + (INTERIOR_MIN,)) - _LIMIT_TOL
+    high = np.array(JOINT_LIMITS_HIGH + (INTERIOR_MAX,)) + _LIMIT_TOL
+    return (low <= values) & (values <= high)
 
 
 def check_joint_limits(q) -> None:
-    """Raise JointLimitViolation if any joint or the elbow angle is out of
-    range, to _LIMIT_TOL."""
-    for name, low, high, qi in zip(JOINT_NAMES, JOINT_LIMITS_LOW,
-                                   JOINT_LIMITS_HIGH, q):
-        if not low - _LIMIT_TOL <= qi <= high + _LIMIT_TOL:  # a NaN fails too
-            raise JointLimitViolation(
-                "%s = %.6f deg outside [%.2f, %.2f] deg"
-                % (name, qi / DEG, low / DEG, high / DEG))
-    gamma = interior_angle(q)
-    if not INTERIOR_MIN - _LIMIT_TOL <= gamma <= INTERIOR_MAX + _LIMIT_TOL:
+    """Raise JointLimitViolation naming the first bound of _limit_mask that
+    the joint vector q fails."""
+    ok = _limit_mask(q)
+    k = int(ok.argmin())  # the first unmet bound, if any
+    if ok[k]:
+        return
+    if k < len(JOINT_NAMES):
         raise JointLimitViolation(
-            "interior angle = %.6f deg outside [%g, %g] deg"
-            % (gamma / DEG, INTERIOR_MIN / DEG, INTERIOR_MAX / DEG))
-
-
-def _in_range(q: np.ndarray) -> np.ndarray:
-    """Mask over q's leading axes: True where every joint on the last axis
-    and the elbow angle lie within their ranges, to _LIMIT_TOL (a NaN
-    fails).  check_joint_limits tests the same rule one vector at a time."""
-    gamma = math.pi - (q[..., 1] - q[..., 2])
-    ok = ((INTERIOR_MIN - _LIMIT_TOL <= gamma)
-          & (gamma <= INTERIOR_MAX + _LIMIT_TOL))
-    for k, (low, high) in enumerate(zip(JOINT_LIMITS_LOW, JOINT_LIMITS_HIGH)):
-        col = q[..., k]
-        ok &= (low - _LIMIT_TOL <= col) & (col <= high + _LIMIT_TOL)
-    return ok
+            "%s = %.6f deg outside [%.2f, %.2f] deg"
+            % (JOINT_NAMES[k], q[k] / DEG, JOINT_LIMITS_LOW[k] / DEG,
+               JOINT_LIMITS_HIGH[k] / DEG))
+    raise JointLimitViolation(
+        "interior angle = %.6f deg outside [%g, %g] deg"
+        % (interior_angle(q) / DEG, INTERIOR_MIN / DEG, INTERIOR_MAX / DEG))
 
 
 def _joint_samples(k: int, step: float) -> np.ndarray:
@@ -180,7 +179,7 @@ def _solve(pose: EndEffectorPose, geometry: ArmGeometry):
         q = np.column_stack([theta1, acos2 + beta, -acos3 + beta, theta4])
         finite = np.isfinite([x, y, z, phi]).all(axis=0)
         open_ = (np.abs(cos_b2) > 1.0 + 1e-12) | (np.abs(cos_b3) > 1.0 + 1e-12)
-        bad = ~finite | (rho < 1e-12) | open_ | ~_in_range(q)
+        bad = ~finite | (rho < 1e-12) | open_ | ~_limit_mask(q).all(-1)
 
     def error(i: int) -> Exception:
         if not finite[i]:
@@ -192,8 +191,8 @@ def _solve(pose: EndEffectorPose, geometry: ArmGeometry):
             exc = Unreachable("planar target %.1f mm outside the two-link "
                               "annulus" % rho[i])
         else:
-            try:  # _in_range failed it: the same tests in the same order
-                check_joint_limits(q[i].tolist())
+            try:
+                check_joint_limits(q[i])
             except JointLimitViolation as limit:
                 exc = limit
         exc.sample = i
@@ -273,7 +272,7 @@ def _in_range_rows(t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
     """The in-range joint vectors (0, theta2, theta3, 0) of equal-length
     theta2 and theta3 arrays, one row each."""
     q = np.stack(np.broadcast_arrays(0.0, t2, t3, 0.0), -1)
-    return q[_in_range(q)]
+    return q[_limit_mask(q).all(-1)]
 
 
 def _planar_grid(step: float) -> np.ndarray:

@@ -24,8 +24,8 @@ from .util import DEG
 
 
 # The most control steps a run may take.  A run's memory peaks in its step
-# loop at about 385 B a step (tracemalloc over run_mission: 422, 395 and
-# 382 B at dt 4, 2 and 1 ms), so this many need about 3.9 GB.
+# loop at about 375 B a step (tracemalloc over run_mission: 390, 380 and
+# 374 B at dt 4, 2 and 1 ms), so this many need about 3.7 GB.
 MAX_STEPS = 10 ** 7
 
 

@@ -50,6 +50,7 @@ from .errors import EmptyLog, ParseError, SolveFailure
 from .kinematics import forward_kinematics
 from .planning import (MissionPlan, _arm_reference, _chassis_reference,
                        _labels_and_events, plan_mission)
+from .util import DEG
 
 CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
                "u1", "u2", "vL", "vR",
@@ -262,7 +263,7 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     time = np.arange(n + 1) * dt
     gains, (dx, dy, dh) = config.chassis_control, config.initial_pose_offset
     _chassis_pass(rows, refs, disturbance_series(config.disturbance, time[:n]),
-                  (dx, dy, dh * math.pi / 180.0), gains, dt, config.integrator)
+                  (dx, dy, dh * DEG), gains, dt, config.integrator)
     _arm_pass(rows, model, (qr, qdr, qddr), config.arm_control, dt,
               config.integrator)
 

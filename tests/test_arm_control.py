@@ -8,8 +8,9 @@ import pytest
 from mobman.arm_control import control_law, target_in_base_frame
 from mobman.config import ArmControlConfig, parse_config
 from mobman.dynamics import ArmDynamics, accelerations, inertial_params
-from mobman.kinematics import forward_kinematics, inverse_kinematics
-from mobman.planning import _arm_reference, _chassis_reference
+from mobman.kinematics import (_limit_mask, check_joint_limits,
+                               forward_kinematics, inverse_kinematics)
+from mobman.planning import _arm_reference, _chassis_reference, plan_mission
 from mobman.simulate import run_mission
 from mobman.util import INTEGRATORS, switch
 from oracles import (arm_control_law, coriolis_matrix, gravity_vector,
@@ -217,13 +218,19 @@ def test_target_in_base_frame_round_trip(rng):
 
 
 def test_mission_sweep_references_stay_in_limits(default_mission):
-    """The planned joint path of the stock mission respects every limit."""
+    """The planned joint path of the stock mission respects every limit on
+    every row, as does a 1 s top spray's, whose joints sit on the boom's and
+    the forearm's upper stops; the logged joints are sampled."""
     result, _ = default_mission
     log = result.log
     q = np.column_stack([log.values["q%d" % k] for k in range(1, 5)])
-    from mobman.kinematics import check_joint_limits
     for i in range(0, len(q), 500):
         check_joint_limits(q[i])
+    top = plan_mission(parse_config({"top_spray": {"duration": 1.0}}))
+    for plan in (result.plan, top):
+        qr, _, _ = _arm_reference(plan, _chassis_reference(plan))
+        assert len(qr) == plan.n_steps + 1
+        assert _limit_mask(qr).all()
 
 
 def test_tool_offset_changes_solution(stock_arm):

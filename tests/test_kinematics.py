@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from mobman.errors import GeometryError, JointLimitViolation, Unreachable
-from mobman.kinematics import (ArmGeometry, EndEffectorPose,
-                               check_joint_limits, forward_kinematics,
-                               interior_angle, inverse_kinematics,
-                               point_reachable, workspace_analysis)
+from mobman.kinematics import (_LIMIT_TOL, ArmGeometry, EndEffectorPose,
+                               _limit_mask, check_joint_limits,
+                               forward_kinematics, interior_angle,
+                               inverse_kinematics, point_reachable,
+                               workspace_analysis)
 from oracles import random_joint_angles, scalar_inverse_kinematics
 
 DEG = math.pi / 180.0
@@ -213,6 +214,45 @@ def test_check_joint_limits_interior_angle():
         check_joint_limits((0.0, 130.0 * DEG, -30.0 * DEG, 0.0))
 
 
+def test_limit_rule_edges_agree_with_the_batch_mask():
+    """check_joint_limits raises exactly where the batch mask rejects, and
+    its message names the first unmet bound: joints 1-4, then the elbow."""
+    names = ("theta1", "theta2", "theta3", "theta4", "interior angle")
+    # (bound, side, a joint vector in deg on that bound and well inside the
+    # others, the joint that moves the bound's value outward with side).
+    edges = [(0, -1, (-180, 90, 0, -45), 0), (0, 1, (180, 90, 0, -45), 0),
+             (1, -1, (0, 0, -60, -45), 1), (1, 1, (0, 135, 0, -45), 1),
+             (2, -1, (0, 10, -120, -45), 2), (2, 1, (0, 90, 15.5, -45), 2),
+             (3, -1, (0, 90, 0, -90), 3), (3, 1, (0, 90, 0, 0), 3),
+             (4, -1, (0, 130, -20, -45), 2), (4, 1, (0, 20, 5, -45), 2)]
+    rows, first = [], []
+    for bound, side, at, joint in edges:
+        for past in (0.0, 0.5 * _LIMIT_TOL, -0.5 * _LIMIT_TOL,
+                     2.0 * _LIMIT_TOL, -2.0 * _LIMIT_TOL):
+            q = [v * DEG for v in at]
+            q[joint] += side * past
+            rows.append(q)
+            first.append(bound if past > _LIMIT_TOL else None)
+    for k in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            q = [0.0, 90.0 * DEG, 0.0, -45.0 * DEG]
+            q[k] = bad
+            rows.append(q)
+            first.append(k)
+
+    mask = _limit_mask(np.array(rows))
+    assert mask.shape == (len(rows), 5)
+    assert sum(b is None for b in first) == 40
+    for q, ok, bound in zip(rows, mask, first):
+        assert (None if ok.all() else int(ok.argmin())) == bound
+        if bound is None:
+            check_joint_limits(q)
+            continue
+        with pytest.raises(JointLimitViolation,
+                           match="^%s = " % re.escape(names[bound])):
+            check_joint_limits(q)
+
+
 def test_interior_angle_formula():
     q = np.array([0.0, 90.0 * DEG, -30.0 * DEG, 0.0])
     assert math.isclose(interior_angle(q), math.pi - 120.0 * DEG)
@@ -233,6 +273,12 @@ def test_arm_geometry_validation(stock_arm):
         replace(stock_arm, a=stock_arm.a[:4])  # wrong length count
     with pytest.raises(GeometryError):
         replace(stock_arm, y5p=-5.0)
+    for bad in (math.nan, math.inf):
+        for field in ({"a": (bad, 1000.0, 1700.0, 100.0, 80.0)},
+                      {"a": (0.0, 1000.0, 1700.0, 100.0, bad)},
+                      {"d1": bad}, {"y5p": bad}):
+            with pytest.raises(GeometryError):
+                replace(stock_arm, **field)
 
 
 def test_workspace_radii_match_triangle_extremes(stock_arm):
