@@ -14,8 +14,8 @@ from .config import ScenarioConfig, build_geometry, load_config
 from .errors import MobmanError
 from .kinematics import (EndEffectorPose, forward_kinematics,
                          inverse_kinematics, workspace_analysis)
-from .metrics import MetricsReport, compute_metrics, stage_timing
-from .planning import _arm_reference, _chassis_reference
+from .metrics import MetricsReport, _event_steps, compute_metrics, stage_timing
+from .planning import _arm_reference, _chassis_reference, _labels_and_events
 from .simulate import SimLog, _write_json, export, plan_mission, run_mission
 from .util import DEG
 
@@ -145,9 +145,9 @@ def _cmd_plan(args) -> int:
                  stop.point[0], stop.point[1], stop.path_distance))
     for fire, reason in plan.flagged:
         print("flagged %s: %s" % (fire.ident, reason))
-    # The run's discharge clock: each marker fires once, on its plan step.
-    first = {event: step for p in plan.phases for step, event in p.marks}
-    active = stage_timing(first, np.arange(plan.n_steps + 1) * plan.dt)
+    # The run's discharge clock: its marker cells, read as the metrics do.
+    active = stage_timing(_event_steps(_labels_and_events(plan)[1]),
+                          np.arange(plan.n_steps + 1) * plan.dt)
     print("planned active discharge: %.3f s of %.3f s budget"
           % (active.mission_total_time, config.fire_test.discharge_time))
     return 0

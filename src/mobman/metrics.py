@@ -60,13 +60,11 @@ class MetricsReport:
     max_wheel_speed: float = 0.0
 
 
-def _event_steps(log) -> dict:
-    """Map each event marker to the first row index where it fires."""
+def _event_steps(events) -> dict:
+    """Map each marker in events, one cell a row, to the first row it fires."""
     table: dict = {}
-    for i, entry in enumerate(log.event):
-        if not entry:
-            continue
-        for name in entry.split(";"):
+    for i, entry in enumerate(events):
+        for name in entry.split(";") if entry else ():
             table.setdefault(name, i)
     return table
 
@@ -147,7 +145,7 @@ def compute_metrics(log) -> MetricsReport:
     t = np.asarray(log.time)
     v = log.values
     meta = log.meta
-    ev = _event_steps(log)
+    ev = _event_steps(log.event)
 
     report = stage_timing(ev, t)
     report.wall_time = float(t[-1] - t[0])

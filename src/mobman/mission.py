@@ -23,9 +23,9 @@ from .arm_control import target_in_base_frame
 from .util import DEG
 
 
-# The most control steps a run may take.  A run's memory peaks in its step
-# loop at about 375 B a step (tracemalloc over run_mission: 390, 380 and
-# 374 B at dt 4, 2 and 1 ms), so this many need about 3.7 GB.
+# The most control steps a run may take.  A run's memory peaks at about
+# 370 B a step (tracemalloc over run_mission: 443, 388, 371 and 370 B at dt
+# 10, 4, 2 and 1 ms), so this many need about 3.7 GB.
 MAX_STEPS = 10 ** 7
 
 

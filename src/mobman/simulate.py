@@ -3,29 +3,31 @@
 A run takes three steps.  The planner (mobman.planning) lays the mission out
 as one phase timeline and derives from it the chassis reference, the state
 labels and markers, and the arm's joint reference.  The control loop then
-fills one row table in two passes on plain floats, reading the reference
-tables as tuples zipped over per-block column lists, so it builds no
-container per row.  The chassis pass checks the disturbance series against
-its bounds once, then runs the chassis law and reduced velocity dynamics
-over the whole run.  The arm, fixed-base and never acting on the chassis,
-follows in its own pass: its law and its full rigid-body dynamics under
-zero-order-hold torques.  Each plant steps by the scenario's rule (the
-explicit midpoint rule, or Euler's): plant_step the 3 pose floats, arm_step
-the 8 arm floats.  Every SolveFailure, for a non-finite state (named chassis
-or arm) or a mass matrix that is not positive definite, names the step and
-its time; a chassis failure, such as a heading overflowing to NaN
-(util.wrap_angle), ends the run before the arm pass starts.  A vectorised
-pass last derives the tool, target and wheel-speed columns into a
-fixed-schema log that round-trips through CSV bit for bit.  export writes
-the run's files one at a time, each in blocks of rows.
+runs two passes on plain floats, each filling and returning a table of its
+own and reading the reference tables as tuples zipped over per-block column
+lists, so it builds no container per row.  The chassis pass checks the
+disturbance series against its bounds once, then runs the chassis law and
+reduced velocity dynamics over the whole run.  The arm, fixed-base and never
+acting on the chassis, follows in its own pass: its law and its full
+rigid-body dynamics under zero-order-hold torques.  Each plant steps by the
+scenario's rule (the explicit midpoint rule, or Euler's): plant_step the 3
+pose floats, arm_step the 8 arm floats.  Every SolveFailure, for a
+non-finite state (named chassis or arm) or a mass matrix that is not
+positive definite, names the step and its time; a chassis failure, such as
+a heading overflowing to NaN (util.wrap_angle), ends the run before the arm
+pass starts.  The two tables meet only in the log, a fixed schema that adds
+the target, tool and wheel-speed columns and round-trips through CSV bit
+for bit.  export writes the run's files one at a time, each in blocks of
+rows.
 
-A run's memory peaks in its loop, whose chassis pass holds the row table,
-the chassis reference, q_r, qd_r, qdd_r, the disturbance and the time
-column, 44 floats a row, and a block of its two tables as Python floats
-(the arm pass: 42, and a block of the arm's three).  Each table goes when
-its last reader is done, so the derived columns, whose FK temporaries die
-with _tool_columns, and compute_metrics, which stacks only the sweep
-windows' rows, stay under the loop.
+A run's memory peaks in its arm pass, which holds both pass tables, the
+chassis reference, q_r, qd_r, qdd_r and the time column, 42 floats a row,
+and a block of the arm's reference tables as Python floats (the chassis
+pass: 32, with the disturbance for the arm's table).  The target columns'
+FK holds 34 of those floats and its temporaries: it ties the arm pass at dt
+2 ms and tops it by 2% at 1 ms, where a block weighs less a row.  Each
+table goes when its last reader is done, so the tool columns and
+compute_metrics stay under those two.
 """
 from __future__ import annotations
 
@@ -52,18 +54,18 @@ from .planning import (MissionPlan, _arm_reference, _chassis_reference,
                        _labels_and_events, plan_mission)
 from .util import DEG
 
-CSV_NUMERIC = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
-               "u1", "u2", "vL", "vR",
-               "q1", "q2", "q3", "q4", "qd1", "qd2", "qd3", "qd4",
-               "tau1", "tau2", "tau3", "tau4",
-               "eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ"]
+# Each pass's table's columns; CSV_NUMERIC adds the derived ones.
+_CHASSIS_COLUMNS = ["X", "Y", "phi", "v", "w", "e1", "e2", "e3", "s1", "s2",
+                    "u1", "u2"]
+_ARM_COLUMNS = ["q1", "q2", "q3", "q4", "qd1", "qd2", "qd3", "qd4",
+                "tau1", "tau2", "tau3", "tau4"]
+CSV_NUMERIC = (_CHASSIS_COLUMNS + ["vL", "vR"] + _ARM_COLUMNS
+               + ["eeX", "eeY", "eeZ", "tgtX", "tgtY", "tgtZ"])
 CSV_COLUMNS = ["time", "state"] + CSV_NUMERIC + ["event"]
-_STEP_COLUMNS = CSV_NUMERIC[:12] + CSV_NUMERIC[14:26]  # chassis, then arm
-# A pass's half of a row of native doubles: packing copies each float's bits.
-_HALF_ROW = struct.Struct("12d")
+_ROW = struct.Struct("12d")  # a pass's row: packing copies each float's bits
 # Rows per block of reference floats in the loop and of CSV text in export.
 # A block's Python objects take about 0.4 kB a row in the arm pass (0.2 in
-# the chassis pass) and 2.8 kB in export: at 512 rows, 0.2 MB (a fiftieth of
+# the chassis pass) and 2.8 kB in export: at 512 rows, 0.2 MB (a fortieth of
 # a stock run's loop tables) and 1.4 MB.  Larger blocks only raise the peak;
 # 2048-row blocks timed no faster.
 _BLOCK_ROWS = 512
@@ -248,35 +250,31 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     """Plan and execute the full mission; returns the log, its metrics and
     the plan that produced them."""
     plan = plan_mission(config)
-    dt = plan.dt
-    n = plan.n_steps
+    dt, n = plan.dt, plan.n_steps
     model = ArmDynamics(inertial_params(config.inertial, plan.geometry),
                         plan.geometry)
 
     refs = _chassis_reference(plan)
     labels, events = _labels_and_events(plan)
     qr, qdr, qddr = _arm_reference(plan, refs)
-
-    # One row per sample in _STEP_COLUMNS order, row-major so each pass packs
-    # its half of a row in one call; the log's columns are strided views.
-    rows = np.zeros((n + 1, len(_STEP_COLUMNS)))
     time = np.arange(n + 1) * dt
     gains, (dx, dy, dh) = config.chassis_control, config.initial_pose_offset
-    _chassis_pass(rows, refs, disturbance_series(config.disturbance, time[:n]),
-                  (dx, dy, dh * DEG), gains, dt, config.integrator)
-    _arm_pass(rows, model, (qr, qdr, qddr), config.arm_control, dt,
-              config.integrator)
-
-    # Derived columns: target then tool positions by FK at the reference
-    # and the logged chassis pose and joints, wheel speeds from (v, w).  Each
-    # table goes once its last reader is done, so the loop stays the peak.
+    chassis = _chassis_pass(refs, disturbance_series(config.disturbance,
+                                                     time[:n]),
+                            (dx, dy, dh * DEG), gains, dt, config.integrator)
+    arm = _arm_pass(model, (qr, qdr, qddr), config.arm_control, dt,
+                    config.integrator)
     del qdr, qddr
-    values = dict(zip(_STEP_COLUMNS, rows.T))
+
+    # The log's columns: strided views of the two tables, target and tool
+    # positions by FK at the reference and at the logged pose and joints,
+    # wheel speeds from (v, w).  Each table goes once its last reader is done.
+    values = dict(zip(_CHASSIS_COLUMNS + _ARM_COLUMNS, [*chassis.T, *arm.T]))
     values["tgtX"], values["tgtY"], values["tgtZ"] = _tool_columns(
         qr, refs[:, :3].T, plan.geometry)
     del refs, qr
     values["eeX"], values["eeY"], values["eeZ"] = _tool_columns(
-        rows[:, 12:16], rows[:, :3].T, plan.geometry)
+        arm[:, :4], chassis[:, :3].T, plan.geometry)
     values["vL"], values["vR"] = wheel_speeds(values["v"], values["w"],
                                               gains.track_width)
 
@@ -301,16 +299,17 @@ def run_mission(config: ScenarioConfig) -> MissionResult:
     return MissionResult(log=log, report=report, plan=plan)
 
 
-def _chassis_pass(rows, refs, dist, offset, gains, dt: float,
-                  integrator: str) -> None:
-    """Run the chassis along refs, one row a sample, from its first pose
-    moved by offset (dx, dy m; dheading rad): plant_step under dist's row
-    into each sample, then chassis_tick, filling 12 columns of its row."""
+def _chassis_pass(refs, dist, offset, gains, dt: float,
+                  integrator: str) -> np.ndarray:
+    """Run the chassis along refs from its first pose moved by offset (dx,
+    dy m; dheading rad): plant_step under dist's row into each sample, then
+    chassis_tick.  Returns its table, one row of _CHASSIS_COLUMNS a sample."""
     # Each channel's peak |f|, formed with no table the size of dist.
     peak = np.maximum(dist.max(axis=0, initial=0.0),
                       -dist.min(axis=0, initial=0.0))
     check_disturbance(peak, gains.f_bounds)
-    pack, row_bytes = _HALF_ROW.pack_into, rows.strides[0]
+    table = np.empty((len(refs), 12))
+    pack, row_bytes = _ROW.pack_into, table.strides[0]
     z, dist_rows = refs[0].tolist(), _float_rows(dist)
     z[:3] = z[0] + offset[0], z[1] + offset[1], z[2] + offset[2]
     for i, ref in enumerate(_float_rows(refs)):
@@ -322,15 +321,17 @@ def _chassis_pass(rows, refs, dist, offset, gains, dt: float,
                 raise SolveFailure("step %d (t=%.4f s): non-finite chassis "
                                    "state" % (i, i * dt))
         err, s, u = chassis_tick(ref, z, gains)
-        pack(rows, i * row_bytes, *z, *err, *s, *u)
+        pack(table, i * row_bytes, *z, *err, *s, *u)
         last = ref
+    return table
 
 
-def _arm_pass(rows, model, tables, gains, dt: float, integrator: str) -> None:
+def _arm_pass(model, tables, gains, dt: float, integrator: str) -> np.ndarray:
     """Run the arm along tables = (q_r, qd_r, qdd_r) from their first row:
     arm_step into each sample, then control_law on the kernel terms the next
-    step reuses; q, qd and torque fill the last 12 columns of its row."""
-    pack, row_bytes = _HALF_ROW.pack_into, rows.strides[0]
+    step reuses.  Returns its table, one row of _ARM_COLUMNS a sample."""
+    table = np.empty((len(tables[0]), 12))
+    pack, row_bytes = _ROW.pack_into, table.strides[0]
     q, qd = tables[0][0].tolist(), tables[1][0].tolist()
     try:
         for i, ref in enumerate(_float_rows(*tables)):
@@ -342,10 +343,11 @@ def _arm_pass(rows, model, tables, gains, dt: float, integrator: str) -> None:
                 q, qd = state[:4], state[4:]
             terms = model._kernel(q, qd)
             tau = control_law(q, qd, ref, gains, terms)
-            pack(rows, i * row_bytes + _HALF_ROW.size, *q, *qd, *tau)
+            pack(table, i * row_bytes, *q, *qd, *tau)
     except SolveFailure as exc:
         raise SolveFailure("step %d (t=%.4f s): %s"
                            % (i, i * dt, exc)) from exc
+    return table
 
 
 def _tool_columns(joints, pose, geometry) -> tuple:

@@ -46,7 +46,8 @@ from mobman.dynamics import accelerations
 from mobman.errors import Unreachable
 from mobman.kinematics import (INTERIOR_MAX, INTERIOR_MIN, JOINT_LIMITS_HIGH,
                                JOINT_LIMITS_LOW, check_joint_limits)
-from mobman.simulate import CSV_COLUMNS, _chassis_pass, _write_table
+from mobman.simulate import (CSV_COLUMNS, _CHASSIS_COLUMNS, _chassis_pass,
+                             _write_table)
 from mobman.util import INTEGRATORS, switch, wrap_angle
 
 
@@ -186,10 +187,9 @@ def run_line_scenario(gains, duration: float, dt: float,
     t = np.arange(n + 1) * dt
     refs = np.zeros((n + 1, 5))
     refs[:, 0], refs[:, 3] = speed * t, speed
-    rows = np.zeros((n + 1, 12))
     f_all = np.zeros((n, 2)) if disturbance is None else disturbance[:n]
-    _chassis_pass(rows, refs, f_all, initial_offset, gains, dt, "midpoint")
-    out = dict(zip(("e1", "e2", "e3", "s1", "s2", "u1", "u2"), rows[:, 5:].T))
+    out = dict(zip(_CHASSIS_COLUMNS, _chassis_pass(
+        refs, f_all, initial_offset, gains, dt, "midpoint").T))
     out["t"], out["V"] = t, 0.5 * (out["s1"] ** 2 + out["s2"] ** 2)
     return out
 

@@ -66,6 +66,16 @@ def test_engine_modules_do_not_import_config_simulate_or_cli():
     assert {k: v for k, v in leaks.items() if v} == {}
 
 
+def test_the_chassis_and_the_arm_modules_do_not_import_each_other():
+    """The chassis and the arm are designed apart and run in passes of their
+    own: chassis_control imports none of the arm's modules, nor they it."""
+    arm = ("dynamics", "arm_control", "kinematics")
+    assert _imported_modules("chassis_control") & {
+        "mobman." + name for name in arm} == set()
+    assert [name for name in arm
+            if "mobman.chassis_control" in _imported_modules(name)] == []
+
+
 def test_every_text_open_names_its_encoding():
     """Files are UTF-8 whatever the locale: each open() in the package
     passes encoding= or opens in binary mode."""

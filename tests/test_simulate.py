@@ -28,12 +28,12 @@ from mobman.errors import (DisturbanceBoundViolation, EmptyLog,
                            JointLimitViolation, MobmanError, ParseError,
                            SolveFailure, Unreachable, ValidationError)
 from mobman.kinematics import forward_kinematics, inverse_kinematics
-from mobman.metrics import compute_metrics
+from mobman.metrics import _event_steps, compute_metrics, stage_timing
 from mobman.mission import Circuit, Stage2Slot, SweepPath
 from mobman.planning import (_arm_reference, _chassis_reference,
                              _labels_and_events, plan_mission)
-from mobman.simulate import (CSV_COLUMNS, CSV_NUMERIC, SimLog, export,
-                             run_mission)
+from mobman.simulate import (_ARM_COLUMNS, CSV_COLUMNS, CSV_NUMERIC, SimLog,
+                             export, run_mission)
 from oracles import (ChassisRefSample, kinetic_energy, potential_energy,
                      reference_record, run_line_scenario, write_log)
 
@@ -1207,6 +1207,35 @@ def test_halving_the_step_leaves_mission_metrics(default_mission):
         assert err < 5.0
 
 
+def test_step_ladder_keeps_stage_times_and_halves_the_tool_error():
+    """The stock scenario at dt 10, 5 and 2.5 ms: each run is PASS, its
+    stage times are the plan's (stage_timing over the plan's marker cells
+    on its grid), and each axis's average tool error, a figure of the
+    sampled sliding band, halves with dt.  Each ratio between adjacent
+    steps lies in [1.6, 2.6], the error going as dt^p with p from 0.68 to
+    1.38 (measured 2.27, 2.34, 2.35, then 2.12, 1.78, 2.38)."""
+    errors = []
+    for dt in (0.01, 0.005, 0.0025):
+        result = run_mission(parse_config({"dt": dt}))
+        plan, report = result.plan, result.report
+        planned = stage_timing(_event_steps(_labels_and_events(plan)[1]),
+                               np.arange(plan.n_steps + 1) * dt)
+        assert report.verdict == "PASS", dt
+        assert report.stage1_time == planned.stage1_time, dt
+        assert report.mission_total_time == planned.mission_total_time, dt
+        errors.append(np.array(report.ee_avg_abs_err_mm))
+    for coarse, fine in zip(errors, errors[1:]):
+        ratio = coarse / fine
+        assert np.all((1.6 <= ratio) & (ratio <= 2.6)), ratio
+
+
+def test_a_marker_keys_its_first_row():
+    """A marker repeated in the event cells keys the first row it fires
+    on, for the metrics and for the plan command's discharge clock alike."""
+    assert _event_steps(["", "K1;A1", "", "A1", "K2;K1"]) == {
+        "K1": 1, "A1": 1, "K2": 4}
+
+
 def test_euler_integrator_full_mission(default_mission):
     result, _ = default_mission
     rough = run_mission(ScenarioConfig(integrator="euler"))
@@ -1463,22 +1492,32 @@ def test_one_plant_step_call_per_step(monkeypatch, integrator):
                      + [("arm_step", list, 4, list, 4, integrator)] * n)
 
 
-def test_arm_keys_leave_the_chassis_columns_unchanged():
-    """The coupling runs one way: the chassis pass reads nothing of the arm.
-    At dt 10 ms, a run with only an arm key changed, the arm law's switch
-    gain or the payload, logs the chassis columns (the 12 the chassis pass
-    packs, and the wheel speeds) bit for bit as the stock run does, while
-    its torques differ."""
+def test_one_pass_keys_leave_the_other_pass_columns_unchanged():
+    """The chassis and the arm share no state: each pass reads nothing of
+    the other.  At dt 10 ms, a run with only an arm key changed, the arm
+    law's switch gain or the payload, logs the chassis columns (the 12 of
+    the chassis pass's table, and the wheel speeds) bit for bit as the
+    stock run does, while its torques differ.  A run with only a chassis
+    key changed, the initial pose offset, a noise disturbance or the
+    chassis law's boundary layer, logs the arm pass's 12 columns bit for
+    bit, while its e1 differs."""
     def columns(spec):
         return run_mission(parse_config({"dt": 0.01, **spec})).log.values
 
     stock = columns({})
-    for spec in ({"arm_control": {"switch_gain": [8.0, 2.0, 6.0, 4.0]}},
-                 {"inertial": {"payload_mass": 35.0}}):
-        values = columns(spec)
-        assert [k for k in CSV_NUMERIC[:14]
-                if values[k].tobytes() != stock[k].tobytes()] == [], spec
-        assert values["tau2"].tobytes() != stock["tau2"].tobytes(), spec
+    arm_keys = ({"arm_control": {"switch_gain": [8.0, 2.0, 6.0, 4.0]}},
+                {"inertial": {"payload_mass": 35.0}})
+    chassis_keys = ({"initial_pose_offset": [0.05, 0.05, 3]},
+                    {"disturbance": {"kind": "noise", "amplitude": [0.1, 0.1],
+                                     "seed": 2}},
+                    {"chassis_control": {"boundary_layer": 0.05}})
+    for specs, kept, moved in ((arm_keys, CSV_NUMERIC[:14], "tau2"),
+                               (chassis_keys, _ARM_COLUMNS, "e1")):
+        for spec in specs:
+            values = columns(spec)
+            assert [k for k in kept
+                    if values[k].tobytes() != stock[k].tobytes()] == [], spec
+            assert values[moved].tobytes() != stock[moved].tobytes(), spec
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1773,7 +1812,7 @@ def test_tiny_step_is_named_before_any_table(monkeypatch, dt):
 
 
 def test_step_cap_bounds_a_run_by_memory():
-    """A run peaks at about 385 B a step.  10 km edges at 1 mm/s and dt 1 s
+    """A run peaks at about 370 B a step.  10 km edges at 1 mm/s and dt 1 s
     pass every field's range but plan 4e7 steps, about 15 GB, so the plan
     names the step count; only the plan is made, never the run."""
     config = parse_config({"dt": 1, "circuit": {"edge_length": 10000,
@@ -1784,13 +1823,13 @@ def test_step_cap_bounds_a_run_by_memory():
 
 
 def test_mission_memory_peaks_in_its_loop(monkeypatch):
-    """A run's traced peak is its step loop's: the loop tables (the row
-    table, refs, q_r, qd_r, qdd_r, dist and time, 44 floats a row) and one
-    block of each reference table as Python floats, about 1.43 times the
-    tables at dt 10 ms.  From the metrics on, the run holds its log and
-    the metrics' few columns, about 333 B a row, under 372 B: a full-length
-    stack of the tool and target columns, or the chassis reference kept
-    alive, tops it."""
+    """A run's traced peak is its arm pass's: the tables it holds (the two
+    pass tables, refs, q_r, qd_r, qdd_r and time, 42 floats a row) and one
+    block of each arm reference table as Python floats, about 1.32 times
+    the tables at dt 10 ms.  From the metrics on, the run holds its
+    log and the metrics' few columns, about 333 B a row, under 372 B: a
+    full-length stack of the tool and target columns, or the chassis
+    reference kept alive, tops it."""
     compute = simulate.metrics_mod.compute_metrics
     peaks = []
 
@@ -1809,7 +1848,7 @@ def test_mission_memory_peaks_in_its_loop(monkeypatch):
     finally:
         tracemalloc.stop()
     before_metrics, from_metrics = peaks
-    tables = 44 * 8 * result.log.n_rows
+    tables = 42 * 8 * result.log.n_rows
     assert max(before_metrics, from_metrics) < 1.5 * tables
     assert from_metrics < 372 * result.log.n_rows
 
