@@ -20,14 +20,14 @@ the target, tool and wheel-speed columns and round-trips through CSV bit
 for bit.  export writes the run's files one at a time, each in blocks of
 rows.
 
-A run's memory peaks in its arm pass, which holds both pass tables, the
-chassis reference, q_r, qd_r, qdd_r and the time column, 42 floats a row,
-and a block of the arm's reference tables as Python floats (the chassis
-pass: 32, with the disturbance for the arm's table).  The target columns'
-FK holds 34 of those floats and its temporaries: it ties the arm pass at dt
-2 ms and tops it by 2% at 1 ms, where a block weighs less a row.  Each
-table goes when its last reader is done, so the tool columns and
-compute_metrics stay under those two.
+A run's memory peaks in its arm pass or, at dt 2 ms and below, in the FK
+that forms the target columns after it.  The arm pass holds both pass
+tables, the chassis reference, q_r, qd_r, qdd_r and the time column, 42
+floats a row, and a block of the arm's reference tables as Python floats
+(the chassis pass: 32, with the disturbance for the arm's table).  The FK
+holds 34 of those floats and its temporaries: 370 B a row at 1 ms, to the
+arm pass's 362.  Each table goes when its last reader is done, so the tool
+columns and compute_metrics stay under those two.
 """
 from __future__ import annotations
 
